@@ -2,7 +2,8 @@
 
 Exit codes: 0 = PBW_CERTIFIED (or a successful non-check command),
 1 = NOT_PBW, 2 = PBW_UP_TO_DEGREE, 11 = parse error, 12 = validation,
-13 = resource cap, 14 = other engine error.
+13 = resource cap, 14 = any other failure (a broken invariant, an I/O
+error, or an unexpected exception).
 """
 
 from __future__ import annotations
@@ -242,6 +243,9 @@ def main(argv=None):
         return 14
     except OSError as exc:
         print(f"error[IO]: {exc}", file=sys.stderr)
+        return 14
+    except Exception as exc:  # a failure must never exit 0, 1 or 2
+        print(f"error[INTERNAL]: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 14
     sys.stdout.write(report.to_json() + "\n" if args.json_out else report.to_text())
     return report.exit_code

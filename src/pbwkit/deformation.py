@@ -12,8 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import (DomainMismatch, InvalidPresentation, NotPure,
-                     ResourceExceeded, ValidationError)
+from .errors import (DomainMismatch, InvalidPresentation, InvariantViolation,
+                     NotPure, ResourceExceeded, ValidationError)
 from .freealg import DegreeBasis, Element, WordBasis, project
 from .gradedring import (GradedSubspace, PresentedRing, ideal_chain,
                          minimal_complement, tilde_block)
@@ -216,7 +216,7 @@ class JacobiLadder:
             return filtration_size(self.g, min(m, n))
         sp = self.spaces[m]
         start = self.basis.suffix_start(n)
-        return sum(1 for p in sp.pivots if p >= start)
+        return sum(1 for p in sp.rows if p >= start)
 
     def contains_filtered(self, m, P_other):
         """True iff P_other (a FilteredSubspace) lies inside P_m."""
@@ -236,7 +236,7 @@ def _ladder_run(P, upto, collect_verdicts=True):
     g = P.g
     field = P.field
     prows = []
-    for row in P.space.basis():
+    for row in P.space.raw_basis():
         prows.append((P.basis.degree_of_pos(min(row)),
                       {p + shift: s for p, s in row.items()}))
     spaces = [RowSpace(field)]       # P_0 = P ∩ T^0 = 0
@@ -255,7 +255,7 @@ def _ladder_run(P, upto, collect_verdicts=True):
                 verdicts[k] = True
             continue
         nxt = prev.copy()
-        for row in prev.basis():
+        for row in prev.raw_basis():
             for i in range(g):
                 nxt.insert(big.mult_left_vec(i, row))
                 nxt.insert(big.mult_right_vec(row, i))
@@ -267,8 +267,8 @@ def _ladder_run(P, upto, collect_verdicts=True):
         if collect_verdicts and 1 <= k <= upto:
             start = big.suffix_start(k)
             ok = True
-            for piv in sorted(p for p in nxt.pivots if p >= start):
-                if not prev.contains(nxt.pivots[piv]):
+            for piv in sorted(p for p in nxt.rows if p >= start):
+                if not prev.contains(nxt.rows[piv]):
                     ok = False
                     if first_failure is None:
                         first_failure = k
@@ -432,9 +432,7 @@ def pure_jacobi_check(alpha):
         if red and min(red) >= size:
             x_basis.append({p - size: s for p, s in red.items()})
         elif red:
-            lead = min(red)
-            inv = field.one / red[lead]
-            sp.pivots[lead] = {c: s * inv for c, s in red.items()}
+            sp.store(red)
 
     def coords(rows, vec):
         """Solve vec = sum c_k rows_k (rows independent)."""
@@ -497,7 +495,7 @@ def pure_jacobi_check(alpha):
     big = WordBasis(g, N + 1)
     shift = P.basis.shift_into(big)
     prod = RowSpace(field)
-    prows = [{p + shift: s for p, s in r.items()} for r in P.space.basis()]
+    prows = [{p + shift: s for p, s in r.items()} for r in P.space.raw_basis()]
     for row in prows:
         for i in range(g):
             prod.insert(big.mult_left_vec(i, row))
@@ -506,8 +504,8 @@ def pure_jacobi_check(alpha):
     for row in prows:
         pspace.insert(dict(row))
     start = big.suffix_start(N)
-    containment = all(pspace.contains(prod.pivots[p])
-                      for p in prod.pivots if p >= start)
+    containment = all(pspace.contains(row)
+                      for p, row in prod.rows.items() if p >= start)
     all_conditions = all(conditions.values())
     return {
         "N": N,
@@ -658,7 +656,9 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
             checked = min(c_val, LADDER_DEPTH_CAP - 1)
             ladder = pn_ladder(P, checked)
             jac = ladder.verdicts
-            assert ladder.first_failure is None, "graded deformation failed (J_k)"
+            if ladder.first_failure is not None:
+                raise InvariantViolation("graded deformation failed "
+                                         f"(J_{ladder.first_failure})")
         verdict = "PBW_CERTIFIED" if rational else "PBW_UP_TO_DEGREE"
         notes.append("homogeneous deformation: graded, hence of PBW type")
         return CheckResult(verdict, checked, c_val, c_cert and rational, jac,

@@ -61,3 +61,9 @@ class ValidationError(PBWError):
 
 class ResourceExceeded(PBWError):
     code = "RESOURCE_EXCEEDED"
+
+
+class InvariantViolation(PBWError):
+    """A mathematical invariant of a computation failed: a bug, never a
+    verdict."""
+    code = "INVARIANT_VIOLATED"

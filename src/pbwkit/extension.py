@@ -57,12 +57,14 @@ class ZMonomials:
         if self.size > column_guard():
             raise ResourceExceeded(
                 f"T[z]^{n} over {g} generators needs {self.size} columns")
+        # first position of the word-degree-d block
+        self._block_start = [self.size - _filtration_size(g, d) for d in range(n + 1)]
 
     def pos_of_word(self, w):
         p = 0
         for letter in w:
             p = p * self.g + letter
-        return self.size - _filtration_size(self.g, len(w)) + p
+        return self._block_start[len(w)] + p
 
     def word_at(self, pos):
         t = self.size - pos
@@ -135,7 +137,7 @@ class ExtensionEngine:
             sp = RowSpace(self.field)
             mono = ZMonomials(self.g, m)
             for p in range(mono.size):
-                sp.pivots[p] = {p: self.field.one}
+                sp.store({p: self.field.one})
             self._dbasis[m] = []
             return sp
         prev = self._ideal[m - 1]
@@ -144,7 +146,7 @@ class ExtensionEngine:
         sp = RowSpace(self.field)
         g = self.g
         zshift = g ** m
-        for row in prev.basis():
+        for row in prev.raw_basis():
             # z * row: same word parts, one more z power each
             sp.insert({p + zshift: s for p, s in row.items()})
             # x_i * row and row * x_i
@@ -161,7 +163,7 @@ class ExtensionEngine:
             sp.insert(dict(vec))
         if sp.rank == mono.size and self.saturated_at is None:
             self.saturated_at = m
-        self._dbasis[m] = [p for p in range(mono.size) if p not in sp.pivots]
+        self._dbasis[m] = [p for p in range(mono.size) if p not in sp.rows]
         return sp
 
     # -- quotient data -----------------------------------------------------

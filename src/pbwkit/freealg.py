@@ -21,6 +21,8 @@ from .errors import HomogenizeZero, ParseError, ResourceExceeded, ValidationErro
 from .linalg import QQ
 
 DEFAULT_COLUMN_GUARD = 2 * 10**6
+# coefficients are ASCII: str.isdigit() also accepts e.g. "²", which int() rejects
+DIGITS = frozenset("0123456789")
 
 
 def column_guard():
@@ -387,9 +389,9 @@ class _Tokenizer:
             if ch in "+-*/":
                 out.append((ch, ch, start))
                 self._advance(1)
-            elif ch.isdigit():
+            elif ch in DIGITS:
                 j = self.i
-                while j < len(self.text) and self.text[j].isdigit():
+                while j < len(self.text) and self.text[j] in DIGITS:
                     j += 1
                 out.append(("int", self.text[self.i:j], start))
                 self._advance(j - self.i)

@@ -10,7 +10,8 @@ concatenation followed by a normal form.
 
 from __future__ import annotations
 
-from .errors import NotHomogeneous, ResourceExceeded, ValidationError
+from .errors import (InvariantViolation, NotHomogeneous, ResourceExceeded,
+                     ValidationError)
 from .freealg import DegreeBasis, Element, column_guard
 from .linalg import QQ, RowSpace
 
@@ -105,13 +106,13 @@ def graded_ideal_step(prev, gens_block, g, n1, field):
         raise ResourceExceeded(f"degree {n1} needs {g ** n1} columns")
     sp = RowSpace(field)
     if prev is not None:
-        for row in prev.basis():
+        for row in prev.raw_basis():
             for i in range(g):
                 sp.insert(_shift_left(row, i, g, n1 - 1))
                 sp.insert(_shift_right(row, i, g))
     if gens_block is not None:
-        for row in gens_block.basis():
-            sp.insert(dict(row))
+        for row in gens_block.raw_basis():
+            sp.insert(row)
     return sp
 
 
@@ -151,14 +152,14 @@ class PresentedRing:
                                    self.g, m, self.field)
             self._ideal[m] = sp
             basis = DegreeBasis(self.g, m)
-            pivots = sp.pivots
+            pivots = sp.rows
             words = [basis.word_at(p) for p in range(basis.size) if p not in pivots]
             self._basis_words[m] = words
             h = len(words)
             self._h[m] = h
-            if m >= 1 and self._h.get(m - 1) == 0:
+            if h and self._h.get(m - 1) == 0:
                 # strong grading: once a component dies it stays dead
-                assert h == 0, "strong grading violated"
+                raise InvariantViolation(f"strong grading violated in degree {m}")
         return self._ideal[n]
 
     def hilbert_value(self, n):

@@ -15,7 +15,8 @@ oracle; it grows combinatorially.
 
 from __future__ import annotations
 
-from .errors import NotMinimalRelations, ResourceExceeded, ValidationError
+from .errors import (InvariantViolation, NotMinimalRelations, ResourceExceeded,
+                     ValidationError)
 from .freealg import DegreeBasis
 from .gradedring import is_minimal_relations
 from .linalg import RowSpace, left_kernel_basis, span
@@ -302,9 +303,7 @@ def overlap_dimension(rel, g):
         if red and min(red) >= size:
             found.append({p - size: s for p, s in red.items()})
         elif red:
-            lead = min(red)
-            inv = rel.field.one / red[lead]
-            sp.pivots[lead] = {c: s * inv for c, s in red.items()}
+            sp.store(red)
     return span(rel.field, found).rank
 
 
@@ -344,7 +343,9 @@ def complexity(ring, rel, bound_hint=8):
         table.certified_complete = True
         top = table.top_degree()
         c = top - 1 if top is not None else -1
-        assert c <= hil.c_a + 2, "upper bound c(A) <= c_A + 2 violated"
+        if c > hil.c_a + 2:
+            raise InvariantViolation(f"upper bound c(A) <= c_A + 2 violated: "
+                                     f"c = {c}, c_A = {hil.c_a}")
         return ComplexityResult(c, True, table, note="finite-dimensional scan")
     table = tor3_resolution(ring, rel, bound_hint)
     top = table.top_degree()

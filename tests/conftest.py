@@ -45,6 +45,65 @@ def dense_rank(rows):
     return rank
 
 
+class DenseEchelon:
+    """Dense incremental echelon form over Q (p=None, Fraction entries) or
+    F_p (int residues): the oracle for ``RowSpace``.
+
+    Rows are inserted one at a time, reduced along their leading chain
+    and made monic, which defines the same REF rows ``RowSpace`` must
+    reproduce up to scale; ``reduced()`` is their Gauss-Jordan
+    back-substitution."""
+
+    def __init__(self, ncols, p=None):
+        self.ncols = ncols
+        self.p = p
+        self.rows = {}          # pivot column -> dense monic row
+
+    def _norm(self, x):
+        return Fraction(x) if self.p is None else x % self.p
+
+    def _inv(self, x):
+        return 1 / x if self.p is None else pow(x, -1, self.p)
+
+    def _axpy(self, v, f, row):
+        return [self._norm(a - f * b) for a, b in zip(v, row)]
+
+    def reduce_leading(self, v):
+        v = [self._norm(x) for x in v]
+        while any(v):
+            lead = next(i for i, x in enumerate(v) if x)
+            row = self.rows.get(lead)
+            if row is None:
+                break
+            v = self._axpy(v, v[lead], row)
+        return v
+
+    def insert(self, v):
+        v = self.reduce_leading(v)
+        if not any(v):
+            return None
+        lead = next(i for i, x in enumerate(v) if x)
+        inv = self._inv(v[lead])
+        self.rows[lead] = [self._norm(x * inv) for x in v]
+        return lead
+
+    def reduced(self):
+        """RREF rows by pivot column."""
+        out = {c: list(r) for c, r in self.rows.items()}
+        for c in sorted(out, reverse=True):
+            for d in out:
+                if d < c and out[d][c]:
+                    out[d] = self._axpy(out[d], out[d][c], out[c])
+        return out
+
+    def reduce_full(self, v):
+        v = [self._norm(x) for x in v]
+        for c, row in sorted(self.reduced().items()):
+            if v[c]:
+                v = self._axpy(v, v[c], row)
+        return v
+
+
 def words_upto(g, d):
     out = []
     for n in range(d + 1):

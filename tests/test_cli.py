@@ -3,8 +3,10 @@ import json
 import pytest
 
 import pbwkit
+from pbwkit import cli, gradedring
 from pbwkit.cli import main, run_command
-from pbwkit.errors import ParseError, ValidationError
+from pbwkit.errors import InvariantViolation, ParseError, ValidationError
+from pbwkit.linalg import RowSpace
 from pbwkit.presentations import parse_presentation, print_presentation
 
 HEISENBERG_TEXT = """\
@@ -95,6 +97,40 @@ class TestExitCodes:
 
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/nothing.pbw"]) == 14
+
+    def test_non_ascii_digit_is_parse_error(self, tmp_path, capsys):
+        # str.isdigit() accepts "²" but int() does not
+        text = 'generators = ["x"]\ndeformation = ["x*x - ²"]\n'
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(text)
+        assert "'²'" in str(exc.value)
+        f = tmp_path / "sup.pbw"
+        f.write_text(text, encoding="utf-8")
+        assert main(["check", str(f)]) == 11
+        assert "error[PARSE_ERROR]" in capsys.readouterr().err
+
+    def test_unexpected_exception_code(self, capsys, monkeypatch):
+        def boom(*args, **kwargs):
+            raise RuntimeError("boom")
+        monkeypatch.setattr(cli, "run_command", boom)
+        assert main(["check", gallery("heisenberg.pbw")]) == 14
+        assert "RuntimeError: boom" in capsys.readouterr().err
+
+    def test_broken_invariant_code(self, capsys, monkeypatch):
+        # an empty I^3 for k<x>/(x^2) revives a dead degree; the check
+        # raises (not assert), so it also holds under python -O
+        real_step = gradedring.graded_ideal_step
+
+        def broken_step(prev, gens_block, g, n1, field):
+            if n1 >= 3:
+                return RowSpace(field)
+            return real_step(prev, gens_block, g, n1, field)
+        monkeypatch.setattr(gradedring, "graded_ideal_step", broken_step)
+        with pytest.raises(InvariantViolation):
+            gradedring.PresentedRing(1, gradedring.GradedSubspace.from_elements(
+                1, [pbwkit.parse_element("x*x", ["x"])])).hilbert(4)
+        assert main(["hilbert", gallery("kx-mod-x2.pbw"), "--upto", "4"]) == 14
+        assert "error[INVARIANT_VIOLATED]" in capsys.readouterr().err
 
     def test_resource_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PBWKIT_MAX_COLUMNS", "10")

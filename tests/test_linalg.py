@@ -1,15 +1,16 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbwkit.errors import ComplementNotSubspace, ValidationError
-from pbwkit.linalg import (QQ, PrimeField, SparseMatrix, kernel, rref,
+from pbwkit.linalg import (QQ, PrimeField, RowSpace, SparseMatrix, kernel, rref,
                            subspace_complement, subspace_contains,
                            subspace_intersection, subspace_ops, subspace_sum)
 
-from conftest import dense_rank
+from conftest import DenseEchelon, dense_rank
 
 
 def dense(entries, **kw):
@@ -160,3 +161,75 @@ def test_prime_field_validation():
     f7 = PrimeField(7)
     x = f7.from_fraction(Fraction(1, 2))
     assert x * f7.from_int(2) == f7.one
+
+
+# ---------------------------------------------------------------------------
+# RowSpace against the dense oracle.
+
+KERNEL_ENTRIES = [0, 0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3),
+                  Fraction(5, 10**12), 10**20 + 7, -(3**40)]
+
+
+@st.composite
+def kernel_case(draw):
+    p = draw(st.sampled_from([None, 7, 32003]))
+    ncols = draw(st.integers(1, 7))
+    vector = st.lists(st.sampled_from(KERNEL_ENTRIES), min_size=ncols,
+                      max_size=ncols)
+    rows = draw(st.lists(vector, min_size=1, max_size=6))
+    probes = draw(st.lists(vector, min_size=1, max_size=3))
+    return p, ncols, rows, probes
+
+
+@settings(max_examples=200, deadline=None)
+@given(kernel_case())
+def test_rowspace_matches_dense_oracle(case):
+    p, ncols, rows, probes = case
+    field = QQ if p is None else PrimeField(p)
+
+    def sparse(dense):
+        out = {}
+        for c, x in enumerate(dense):
+            s = field.from_fraction(Fraction(x))
+            if s:
+                out[c] = s
+        return out
+
+    def oracle_value(x):
+        x = Fraction(x)
+        return x if p is None else x.numerator * pow(x.denominator, -1, p) % p
+
+    def as_dense(vec):
+        out = [oracle_value(0)] * ncols
+        for c, s in vec.items():
+            out[c] = s if p is None else s.v
+        return out
+
+    sp = RowSpace(field)
+    scaled = RowSpace(field)
+    oracle = DenseEchelon(ncols, p)
+    for r in rows:
+        expect = oracle.insert([oracle_value(x) for x in r])
+        assert sp.insert(sparse(r)) == expect
+        # insertion does not depend on the scale of its input
+        scaled.insert({c: s * field.from_fraction(Fraction(-5, 3))
+                       for c, s in sparse(r).items()})
+    pivots = sorted(oracle.rows)
+    assert sorted(sp.pivots) == pivots and sp.rank == len(pivots)
+    assert scaled.rows == sp.rows
+    assert [as_dense(r) for r in sp.basis()] == [oracle.rows[c] for c in pivots]
+    reduced = oracle.reduced()
+    assert [as_dense(r) for r in sp.reduced_basis()] == [reduced[c] for c in pivots]
+    for r in rows + probes:
+        dense = [oracle_value(x) for x in r]
+        lead = oracle.reduce_leading(dense)
+        assert as_dense(sp.reduce_leading(sparse(r))) == lead
+        assert as_dense(sp.reduce_full(sparse(r))) == oracle.reduce_full(dense)
+        assert sp.contains(sparse(r)) == (not any(lead))
+    for c, row in sp.rows.items():
+        assert all(type(s) is int and s for s in row.values())
+        if p is None:
+            assert gcd(*row.values()) == 1 and row[c] > 0
+        else:
+            assert row[c] == 1 and all(0 < s < p for s in row.values())
+        assert sp.pivots[c][c] == field.one
