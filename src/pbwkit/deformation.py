@@ -564,7 +564,7 @@ def lift_presentation(g, ambient_elements, deformation_elements, field=QQ):
     chain = ideal_chain(r_lift, top)
     minimal_ok = True
     for n in k0.degrees():
-        tilde = tilde_block(chain[n - 1], g, n, field)
+        tilde = tilde_block(chain, g, n, field)
         for row in k0.blocks[n].basis():
             if tilde.contains(row):
                 minimal_ok = False

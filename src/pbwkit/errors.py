@@ -38,10 +38,6 @@ class NotMinimalRelations(PBWError):
     code = "NOT_MINIMAL_RELATIONS"
 
 
-class LiftNotMinimal(PBWError):
-    code = "LIFT_NOT_MINIMAL"
-
-
 class InvalidPresentation(PBWError):
     code = "INVALID_PRESENTATION"
 

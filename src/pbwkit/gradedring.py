@@ -1,11 +1,22 @@
 """Per-degree engine for a presented connected graded ring F/<G>.
 
-All computations are degree-local: the graded ideal component I^n is built
-from I^{n-1} by the two-sided recursion I^{n+1} = F^1 I^n + I^n F^1 + G^{n+1},
-one echelon reduction per degree.  The degree-n basis of the quotient is
-the set of non-pivot words of I^n (the pivot-greedy complement), so normal
-forms are canonical full reductions and quotient multiplication is word
-concatenation followed by a normal form.
+All computations are degree-local.  The graded ideal component I^n comes
+from the two below it by the recursion
+
+    I^n = F¹I^{n-1} + N F¹ + G^n,
+
+where N is the set of echelon rows of I^{n-1} whose pivot is not a pivot
+of F¹I^{n-2}, i.e. not of the form i g^{n-2} + p with p a pivot of
+I^{n-2}.  It is exact for any echelon bases: F¹I^{n-2} ⊆ I^{n-1} has
+exactly those pivots, so F¹I^{n-2} and span(N) have disjoint leading
+columns and together span I^{n-1}; and F¹I^{n-2}F¹ ⊆ F¹I^{n-1}, so of
+I^{n-1}F¹ only N F¹ is new.  Left multiplication by x_i moves column c to
+i g^{n-1} + c, which keeps columns distinct and in order, so the rows of
+F¹I^{n-1} are stored shifted, unreduced; only N F¹ and G^n are reduced.
+The degree-n basis of the quotient is the set of non-pivot words of I^n
+(the pivot-greedy complement), so normal forms are canonical full
+reductions and quotient multiplication is word concatenation followed by a
+normal form.
 """
 
 from __future__ import annotations
@@ -89,26 +100,27 @@ class GradedSubspace:
         return True
 
 
-def _shift_left(vec, i, g, n):
-    """x_i * (degree-n vector) in lex positions."""
-    off = i * g ** n
-    return {off + p: s for p, s in vec.items()}
-
-
 def _shift_right(vec, i, g):
     return {p * g + i: s for p, s in vec.items()}
 
 
-def graded_ideal_step(prev, gens_block, g, n1, field):
-    """Echelon basis of I^{n1} from I^{n1-1} (prev) and the degree-n1
-    generator block."""
+def graded_ideal_step(chain, gens_block, g, n1, field):
+    """Echelon basis of I^{n1} = F¹I^{n1-1} + N F¹ + G^{n1} (see the module
+    docstring); ``chain[m]`` is the echelon basis of I^m for m < n1 and
+    ``gens_block`` the degree-n1 generator block, or None."""
     if g ** n1 > column_guard():
         raise ResourceExceeded(f"degree {n1} needs {g ** n1} columns")
     sp = RowSpace(field)
-    if prev is not None:
-        for row in prev.raw_basis():
+    prev = chain[n1 - 1]
+    for i in range(g):
+        sp.store_shifted(prev, i * g ** (n1 - 1))
+    # right-multiply only N: the rows whose pivot is no x_i * pivot of I^{n1-2}
+    below = chain[n1 - 2].rows if n1 >= 2 else {}
+    low = g ** max(n1 - 2, 0)
+    for c in sorted(prev.rows):
+        if c % low not in below:
+            row = prev.rows[c]
             for i in range(g):
-                sp.insert(_shift_left(row, i, g, n1 - 1))
                 sp.insert(_shift_right(row, i, g))
     if gens_block is not None:
         for row in gens_block.raw_basis():
@@ -118,8 +130,9 @@ def graded_ideal_step(prev, gens_block, g, n1, field):
 
 class PresentedRing:
     """Connected graded ring F/<G>, F free on g generators, G homogeneous
-    in degrees >= 2.  Caches ideal components, quotient bases and Hilbert
-    values; the cache is append-only and owned by this instance."""
+    in degrees >= 2.  Caches ideal components, quotient bases (built on
+    first request) and normal forms; the cache is append-only and owned by
+    this instance."""
 
     def __init__(self, g, relations, field=QQ, max_degree=DEFAULT_MAX_DEGREE):
         if g < 1:
@@ -132,8 +145,8 @@ class PresentedRing:
         self.relations = relations if relations is not None else GradedSubspace(g, field)
         self.max_degree = max_degree
         self._ideal = {0: RowSpace(field), 1: RowSpace(field)}
-        self._basis_words = {0: [()], 1: [(i,) for i in range(g)]}
-        self._h = {0: 1, 1: g}
+        self._top = 1
+        self._basis_words = {}
         self._nf_cache = {}
 
     def ideal_component(self, n):
@@ -143,33 +156,28 @@ class PresentedRing:
         if n > self.max_degree:
             raise ResourceExceeded(
                 f"degree {n} above hard cap {self.max_degree} for this ring")
-        known = self._ideal.get(n)
-        if known is not None:
-            return known
-        top = max(self._ideal)
-        for m in range(top + 1, n + 1):
-            sp = graded_ideal_step(self._ideal[m - 1], self.relations.blocks.get(m),
+        for m in range(self._top + 1, n + 1):
+            sp = graded_ideal_step(self._ideal, self.relations.blocks.get(m),
                                    self.g, m, self.field)
             self._ideal[m] = sp
-            basis = DegreeBasis(self.g, m)
-            pivots = sp.rows
-            words = [basis.word_at(p) for p in range(basis.size) if p not in pivots]
-            self._basis_words[m] = words
-            h = len(words)
-            self._h[m] = h
-            if h and self._h.get(m - 1) == 0:
+            self._top = m
+            if sp.rank < self.g ** m and self._ideal[m - 1].rank == self.g ** (m - 1):
                 # strong grading: once a component dies it stays dead
                 raise InvariantViolation(f"strong grading violated in degree {m}")
         return self._ideal[n]
 
     def hilbert_value(self, n):
-        self.ideal_component(n)
-        return self._h[n]
+        return self.g ** n - self.ideal_component(n).rank
 
     def basis_words(self, n):
         """Words spanning the degree-n complement B^n (non-pivot words)."""
-        self.ideal_component(n)
-        return self._basis_words[n]
+        words = self._basis_words.get(n)
+        if words is None:
+            pivots = self.ideal_component(n).rows
+            basis = DegreeBasis(self.g, n)
+            words = [basis.word_at(p) for p in range(basis.size) if p not in pivots]
+            self._basis_words[n] = words
+        return words
 
     def normal_form_vec(self, n, vec):
         """Canonical representative of vec + I^n on the non-pivot words."""
@@ -241,15 +249,16 @@ class HilbertData:
 
 def ideal_chain(rel, upto):
     """Echelon bases of <rel>^n for n = 0..upto, by the degree recursion."""
-    chain = [RowSpace(rel.field), ]
+    chain = [RowSpace(rel.field)]
     for n in range(1, upto + 1):
-        chain.append(graded_ideal_step(chain[n - 1], rel.blocks.get(n), rel.g, n, rel.field))
+        chain.append(graded_ideal_step(chain, rel.blocks.get(n), rel.g, n, rel.field))
     return chain
 
 
-def tilde_block(prev_ideal_block, g, n, field):
-    """F^1 I^{n-1} + I^{n-1} F^1 from the echelon basis of I^{n-1}."""
-    return graded_ideal_step(prev_ideal_block, None, g, n, field)
+def tilde_block(chain, g, n, field):
+    """F^1 I^{n-1} + I^{n-1} F^1 from the echelon bases chain[m] of I^m,
+    m < n."""
+    return graded_ideal_step(chain, None, g, n, field)
 
 
 def minimal_complement(rel):
@@ -263,7 +272,7 @@ def minimal_complement(rel):
     chain = ideal_chain(rel, d)
     out = GradedSubspace(rel.g, rel.field)
     for n in rel.degrees():
-        acc = tilde_block(chain[n - 1], rel.g, n, rel.field)
+        acc = tilde_block(chain, rel.g, n, rel.field)
         keep = out.block(n)
         for row in rel.blocks[n].reduced_basis():
             if acc.insert(dict(row)) is not None:

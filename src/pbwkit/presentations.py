@@ -74,7 +74,9 @@ def parse_field_name(name):
 
 
 def _parse_value(raw, line_no, col0):
-    """Parse a scalar or a list of quoted strings, with positions."""
+    """Parse a scalar or a list of quoted strings.  Returns (value, spots):
+    for a list, spots holds the (line, col) where each string's text
+    starts; for a scalar it is None."""
     s = raw.strip()
     offset = col0 + (len(raw) - len(raw.lstrip()))
 
@@ -86,15 +88,15 @@ def _parse_value(raw, line_no, col0):
     if s.startswith('"'):
         if not s.endswith('"') or len(s) < 2:
             err("unterminated string")
-        return s[1:-1]
+        return s[1:-1], None
     if s.startswith("["):
         if not s.endswith("]"):
             err("unterminated list")
         inner = s[1:-1].strip()
         if not inner:
-            return []
+            return [], []
         out = []
-        i = 0
+        spots = []
         pos = offset + 1 + (len(s[1:-1]) - len(s[1:-1].lstrip()))
         parts = inner.split(",")
         for part in parts:
@@ -102,10 +104,11 @@ def _parse_value(raw, line_no, col0):
             if not (item.startswith('"') and item.endswith('"') and len(item) >= 2):
                 err(f"list items must be quoted strings, got {item!r}", pos)
             out.append(item[1:-1])
+            spots.append((line_no, pos + len(part) - len(part.lstrip()) + 1))
             pos += len(part) + 1
-        return out
+        return out, spots
     if re.fullmatch(r"-?\d+", s):
-        return int(s)
+        return int(s), None
     err(f"cannot parse value {s!r}")
 
 
@@ -116,6 +119,7 @@ def parse_presentation(text):
     ValidationError for well-formed but algebraically invalid data.
     """
     seen = {}
+    where = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line
         if not line.strip() or line.lstrip().startswith("#"):
@@ -129,7 +133,7 @@ def parse_presentation(text):
                              f"unknown key {key!r}")
         if key in seen:
             raise ParseError(line_no, 1, f"duplicate key {key!r}")
-        seen[key] = _parse_value(value_part, line_no, len(key_part) + 2)
+        seen[key], where[key] = _parse_value(value_part, line_no, len(key_part) + 2)
     for key in REQUIRED_KEYS:
         if key not in seen:
             raise ValidationError(f"missing required key {key!r}")
@@ -141,11 +145,14 @@ def parse_presentation(text):
         max_degree=seen.get("max_degree", 8),
         tor_bound=seen.get("tor_bound"),
     )
-    validate_presentation(pres)
+    validate_presentation(pres, where)
     return pres
 
 
-def validate_presentation(pres):
+def validate_presentation(pres, where=None):
+    """Check a Presentation; ``where`` maps a list key to the (line, col)
+    of each of its strings in the file, so that parse errors inside an
+    element point into the file (default: positions within the string)."""
     if not isinstance(pres.generators, list) or not pres.generators:
         raise ValidationError("generators must be a nonempty list of names")
     for name in pres.generators:
@@ -159,15 +166,20 @@ def validate_presentation(pres):
                                        or pres.tor_bound < 3):
         raise ValidationError("tor_bound must be an integer >= 3")
     field = pres.field()
-    for s in pres.ambient_relations:
-        e = parse_element(s, pres.generators, field)
+    where = where or {}
+
+    def parsed(key, strings):
+        spots = where.get(key) or [(1, 1)] * len(strings)
+        for s, (line, col) in zip(strings, spots):
+            yield s, parse_element(s, pres.generators, field, line, col)
+
+    for s, e in parsed("ambient_relations", pres.ambient_relations):
         if e.is_zero():
             raise ValidationError(f"ambient relation {s!r} is zero")
         if not e.is_homogeneous() or e.degree() < 2:
             raise ValidationError(
                 f"ambient relation {s!r} must be homogeneous of degree >= 2")
-    for s in pres.deformation:
-        e = parse_element(s, pres.generators, field)
+    for s, e in parsed("deformation", pres.deformation):
         if e.is_zero():
             raise ValidationError(f"deformation element {s!r} is zero")
         if e.degree() < 1:

@@ -1,4 +1,8 @@
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -64,6 +68,18 @@ class TestParsing:
     def test_unknown_generator_in_element(self):
         with pytest.raises(ParseError):
             parse_presentation('generators = ["x"]\ndeformation = ["x*q"]\n')
+
+    def test_element_error_position_in_file(self):
+        # "x*x - ²" starts at col 17 of line 2, so "²" sits at col 23
+        text = 'generators = ["x"]\ndeformation = ["x*x - ²"]\n'
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(text)
+        assert (exc.value.line, exc.value.col) == (2, 23)
+        text = ('generators = ["x", "y"]\nambient_relations = ["x*x", "x*q"]\n'
+                'deformation = ["x*y"]\n')
+        with pytest.raises(ParseError) as exc:
+            parse_presentation(text)
+        assert (exc.value.line, exc.value.col) == (2, 32)  # the "q"
 
     def test_round_trip(self):
         pres = parse_presentation(HEISENBERG_TEXT)
@@ -131,6 +147,19 @@ class TestExitCodes:
                 1, [pbwkit.parse_element("x*x", ["x"])])).hilbert(4)
         assert main(["hilbert", gallery("kx-mod-x2.pbw"), "--upto", "4"]) == 14
         assert "error[INVARIANT_VIOLATED]" in capsys.readouterr().err
+
+    def test_huge_max_degree_exits_quickly(self, tmp_path):
+        # Hilbert values up to max_degree cost O(1) each for g = 1; the
+        # ladder cap then ends the run with exit 13
+        f = tmp_path / "deep.pbw"
+        f.write_text('generators = ["x"]\ndeformation = ["x*x"]\n'
+                     "max_degree = 100000\n")
+        src = pathlib.Path(pbwkit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-m", "pbwkit.cli", "check", str(f)],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 13
+        assert "ladder depth 100000 above cap 24" in proc.stderr
 
     def test_resource_code(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("PBWKIT_MAX_COLUMNS", "10")

@@ -1,12 +1,16 @@
+import random
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from pbwkit.errors import NotHomogeneous, ResourceExceeded, ValidationError
-from pbwkit.freealg import parse_element
+from pbwkit.freealg import DegreeBasis, Element, parse_element
 from pbwkit.gradedring import (GradedSubspace, PresentedRing, ideal_chain,
                                is_minimal_relations, minimal_complement)
-from pbwkit.linalg import QQ
+from pbwkit.linalg import QQ, PrimeField
 
-from conftest import brute_ideal_dim, random_homogeneous
+from conftest import DenseEchelon, brute_ideal_dim, random_homogeneous
 
 X, XY = ["x"], ["x", "y"]
 
@@ -158,3 +162,84 @@ class TestMinimalComplement:
             for n in range(d + 1):
                 assert ca[n].rank == cb[n].rank
                 assert ca[n].contains_space(cb[n])
+
+
+# ---------------------------------------------------------------------------
+# The degree step against a dense echelon of all F^i G F^k products.
+
+ORACLE_COEFFS = [1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3)]
+
+
+def random_ideal_case(rng, g):
+    """1-3 random relations in degrees 2-4 plus 0-2 redundant ones (a
+    multiple, or a relation times a generator on one side)."""
+    rels = []
+    for _ in range(rng.randint(1, 3)):
+        d = rng.randint(2, 4)
+        rels.append({tuple(rng.randrange(g) for _ in range(d)): rng.choice(ORACLE_COEFFS)
+                     for _ in range(rng.randint(1, 3))})
+    for _ in range(rng.randint(0, 2)):
+        base = rng.choice(rels)
+        d = len(next(iter(base)))
+        i = rng.randrange(g)
+        kind = rng.choice(["multiple", "left", "right"] if d < 4 else ["multiple"])
+        if kind == "multiple":
+            rels.append({w: -2 * c for w, c in base.items()})
+        elif kind == "left":
+            rels.append({(i,) + w: c for w, c in base.items()})
+        else:
+            rels.append({w + (i,): c for w, c in base.items()})
+    return rels
+
+
+@pytest.mark.parametrize("p", [None, 7])
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_ideal_components_match_dense_products(p, g):
+    field = QQ if p is None else PrimeField(p)
+    top = 5 if g <= 2 else 4
+    rng = random.Random(1000 * g + (p or 0))
+
+    def value(x):
+        x = Fraction(x)
+        return x if p is None else x.numerator * pow(x.denominator, -1, p) % p
+
+    def dense(vec, n):
+        out = [value(0)] * g ** n
+        for c, s in vec.items():
+            out[c] = s if p is None else s.v
+        return out
+
+    for _ in range(8):
+        elements = []
+        for r in random_ideal_case(rng, g):
+            e = Element(field, {w: field.from_fraction(Fraction(c)) for w, c in r.items()})
+            if not e.is_zero():
+                elements.append(e)
+        ring = PresentedRing(g, GradedSubspace.from_elements(g, elements, field), field)
+        chain = ideal_chain(ring.relations, top)
+        for n in range(top + 1):
+            basis = DegreeBasis(g, n)
+            oracle = DenseEchelon(g ** n, p)
+            for e in elements:
+                j = e.degree()
+                for a in range(n - j + 1):
+                    for u in product(range(g), repeat=a):
+                        for v in product(range(g), repeat=n - j - a):
+                            oracle.insert(dense({basis.pos(u + w + v): s
+                                                 for w, s in e.terms.items()}, n))
+            sp = ring.ideal_component(n)
+            assert sorted(sp.rows) == sorted(oracle.rows)
+            assert sorted(chain[n].rows) == sorted(oracle.rows)
+            assert ring.hilbert_value(n) == g ** n - len(oracle.rows)
+            for _ in range(2):
+                vec = {c: field.from_int(rng.choice([1, -1, 3]))
+                       for c in range(g ** n) if rng.random() < 0.5}
+                got = dense(ring.normal_form_vec(n, vec), n)
+                assert got == oracle.reduce_full(dense(vec, n))
+            if n >= 1:
+                # closure: I^{n-1} x_i and x_i I^{n-1} lie in I^n
+                for row in ring.ideal_component(n - 1).basis():
+                    for i in range(g):
+                        assert sp.contains({c * g + i: s for c, s in row.items()})
+                        assert sp.contains({i * g ** (n - 1) + c: s
+                                            for c, s in row.items()})

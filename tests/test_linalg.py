@@ -233,3 +233,27 @@ def test_rowspace_matches_dense_oracle(case):
         else:
             assert row[c] == 1 and all(0 < s < p for s in row.values())
         assert sp.pivots[c][c] == field.one
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_store_shifted(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(5)
+    src = RowSpace(field)
+    for _ in range(4):
+        src.insert({c: field.from_int(rng.randint(-4, 4)) for c in range(5)})
+    sp = RowSpace(field)
+    sp.store_shifted(src, 0)
+    sp.store_shifted(src, 5)
+    direct = RowSpace(field)
+    for off in (0, 5):
+        for row in src.basis():
+            direct.insert({c + off: s for c, s in row.items()})
+    # the shifted rows are already echelon and normalised
+    assert sp.rows == direct.rows
+    assert sp.basis() == direct.basis()
+    with pytest.raises(ValidationError):
+        sp.store_shifted(src, 5)
+    with pytest.raises(ValidationError):
+        sp.store_shifted(RowSpace(PrimeField(11)), 20)
+    assert sp.rows == direct.rows
