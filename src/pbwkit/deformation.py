@@ -14,20 +14,14 @@ from dataclasses import dataclass
 
 from .errors import (DomainMismatch, InvalidPresentation, InvariantViolation,
                      NotPure, ResourceExceeded, ValidationError)
-from .freealg import DegreeBasis, Element, WordBasis, project
+from .freealg import (DegreeBasis, Element, WordBasis, filtration_size,
+                      project)
 from .gradedring import (GradedSubspace, PresentedRing, ideal_chain,
                          minimal_complement, tilde_block)
 from .homology import complexity
 from .linalg import QQ, RowSpace
 
 LADDER_DEPTH_CAP = 24
-
-
-def filtration_size(g, n):
-    """dim T^{<=n} = sum of g^i for i <= n."""
-    if n < 0:
-        return 0
-    return sum(g ** i for i in range(n + 1))
 
 
 class FilteredSubspace:
@@ -254,8 +248,14 @@ def _ladder_run(P, upto, collect_verdicts=True):
             if collect_verdicts and 1 <= k <= upto:
                 verdicts[k] = True
             continue
+        # semi-naive: multiply only the rows P_k added to P_{k-1} (the
+        # others' products lie in P_k already; see pn_ladder)
         nxt = prev.copy()
-        for row in prev.raw_basis():
+        older = spaces[k - 1].rows if k else {}
+        for c in sorted(prev.rows):
+            if c in older:
+                continue
+            row = prev.rows[c]
             for i in range(g):
                 nxt.insert(big.mult_left_vec(i, row))
                 nxt.insert(big.mult_right_vec(row, i))
@@ -286,6 +286,13 @@ def pn_ladder(P, upto):
 
     (J_k) holds iff every reduced row of P_{k+1} with pivot degree <= k
     already lies in P_k; the first counterexample row is the witness.
+
+    The step is semi-naive: P_{k+1} starts as a copy of P_k and only the
+    rows P_k added to P_{k-1} (those whose pivot is no pivot of P_{k-1})
+    are multiplied by each x_i on both sides.  This is exact and leaves
+    every stored row unchanged: P_k keeps P_{k-1}'s rows as they are and
+    already contains V·P_{k-1} + P_{k-1}·V, so the skipped products
+    reduced to zero without storing anything.
     """
     return _ladder_run(P, upto)
 

@@ -3,28 +3,36 @@
 This is the independent check against the Jacobi ladder: (J_n) holds iff
 the degree-n annihilator of z in D(P) vanishes, so the two modules must
 agree on every instance.  To keep the cross-check honest the engine uses
-its own monomial representation (word (x) z-power, ordered by ascending
-word degree, i.e. descending z-exponent) and its own ideal recursion in
-T[z]; nothing is shared with the ladder beyond the generic row-space code.
+its own monomial representation (word (x) z-power, ordered by descending
+word degree, i.e. ascending z-exponent) and its own ideal recursion in
+T[z]; nothing is shared with the ladder beyond the generic row-space code
+and the count dim T^{<=n}.
 
 P_z is always built through alpha_z (never by homogenizing a raw spanning
 set), which is what guarantees <P*> = <P_z>.
+
+The ideal I = <P_z> is built by the recursion
+
+    I^m = z·I^{m-1} + V·N + N·V + P_z^m,
+
+where V = T^1 and N is the set of echelon rows of I^{m-1} whose pivot is
+not a pivot of z·I^{m-2}.  Multiplication by z moves every column of
+T[z]^{m-1} by the g^m columns of word degree m, so z·I^{m-1} is stored
+shifted, unreduced, and its pivots are those of I^{m-1} moved by g^m.  The
+recursion is exact: z·I^{m-2} is stored as is inside I^{m-1}, so it and
+span(N) have disjoint leading columns and together span I^{m-1}; and z is
+central, so V·z·I^{m-2} = z·V·I^{m-2} ⊆ z·I^{m-1} (and likewise on the
+right), which leaves V·N and N·V as the only new products.
 """
 
 from __future__ import annotations
 
 from .errors import ResourceExceeded, ValidationError
-from .freealg import column_guard, homogenize
+from .freealg import column_guard, filtration_size, homogenize
 from .gradedring import ideal_chain
 from .linalg import RowSpace, left_kernel_basis, span
 
 ENGINE_DEGREE_CAP = 24
-
-
-def _filtration_size(g, n):
-    if n < 0:
-        return 0
-    return sum(g ** i for i in range(n + 1))
 
 
 def build_pz(alpha, rel):
@@ -53,12 +61,12 @@ class ZMonomials:
     def __init__(self, g, n):
         self.g = g
         self.n = n
-        self.size = _filtration_size(g, n)
+        self.size = filtration_size(g, n)
         if self.size > column_guard():
             raise ResourceExceeded(
                 f"T[z]^{n} over {g} generators needs {self.size} columns")
         # first position of the word-degree-d block
-        self._block_start = [self.size - _filtration_size(g, d) for d in range(n + 1)]
+        self._block_start = [self.size - filtration_size(g, d) for d in range(n + 1)]
 
     def pos_of_word(self, w):
         p = 0
@@ -73,9 +81,9 @@ class ZMonomials:
         if w is not None:
             return w
         d = 0
-        while _filtration_size(self.g, d) < t:
+        while filtration_size(self.g, d) < t:
             d += 1
-        rem = _filtration_size(self.g, d) - t
+        rem = filtration_size(self.g, d) - t
         letters = []
         for _ in range(d):
             letters.append(rem % self.g)
@@ -131,6 +139,13 @@ class ExtensionEngine:
         return self._ideal[n]
 
     def _step(self, m):
+        """I^m = z·I^{m-1} + V·N + N·V + P_z^m for I = <P_z> (see the
+        module docstring).  N is the set of rows of I^{m-1} whose pivot c
+        is no pivot of z·I^{m-2}: c < g^{m-1} (a word of degree m-1, no z)
+        or c - g^{m-1} is no pivot of I^{m-2}.  This step stored z·I^{m-2}
+        in I^{m-1} as it is, so those rows and N span I^{m-1}; z is
+        central, so V·z·I^{m-2} ⊆ z·I^{m-1}, and likewise on the right.
+        Only V·N, N·V and P_z^m are reduced."""
         if self.saturated_at is not None and m > self.saturated_at:
             # once <P_z>^m = T[z]^m, strong grading keeps every later
             # degree full
@@ -145,11 +160,16 @@ class ExtensionEngine:
         mono = ZMonomials(self.g, m)
         sp = RowSpace(self.field)
         g = self.g
-        zshift = g ** m
-        for row in prev.raw_basis():
-            # z * row: same word parts, one more z power each
-            sp.insert({p + zshift: s for p, s in row.items()})
-            # x_i * row and row * x_i
+        # z * I^{m-1}: same word parts, one more z power each, i.e. every
+        # column moves by the g^m columns of word degree m; stored as is
+        sp.store_shifted(prev, g ** m)
+        # x_i * row and row * x_i for the rows of N only
+        below = self._ideal[m - 2].rows if m >= 2 else {}
+        zprev = g ** (m - 1)
+        for c in sorted(prev.rows):
+            if c >= zprev and c - zprev in below:
+                continue
+            row = prev.rows[c]
             for i in range(g):
                 left = {}
                 right = {}
@@ -211,7 +231,7 @@ class ExtensionEngine:
         """Basis of ann(z)^n as elements of D^n (lists of (monomial, scalar))."""
         images = self._z_images(n)
         mono = ZMonomials(self.g, n)
-        size_next = _filtration_size(self.g, n + 1)
+        size_next = filtration_size(self.g, n + 1)
         combos = left_kernel_basis(self.field, [dict(v) for v in images], size_next)
         basis_positions = self._dbasis[n]
         out = []

@@ -197,6 +197,13 @@ def homogenize(e):
 # ---------------------------------------------------------------------------
 # Column indexing.
 
+def filtration_size(g, n):
+    """dim T^{<=n} = sum of g^i for i <= n."""
+    if n < 0:
+        return 0
+    return sum(g ** i for i in range(n + 1))
+
+
 class WordBasis:
     """Columns for T^{<=max_degree}: degree-descending blocks, lex inside.
 

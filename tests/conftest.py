@@ -13,8 +13,9 @@ from itertools import product
 
 import pytest
 
-from pbwkit.freealg import Element, multiply, project
-from pbwkit.linalg import QQ
+from pbwkit.extension import ExtensionEngine, ZMonomials
+from pbwkit.freealg import Element, WordBasis, filtration_size, multiply, project
+from pbwkit.linalg import QQ, RowSpace
 
 
 # ---------------------------------------------------------------------------
@@ -214,6 +215,71 @@ def brute_ideal_dim(g, gen_elements, n):
     if not span:
         return 0
     return dense_span_dim(span, g, n)
+
+
+# ---------------------------------------------------------------------------
+# Naive closures: every row of the previous space times every generator,
+# then insert.  The oracles for the semi-naive ladder and engine steps.
+
+def naive_ladder(P, upto):
+    """(spaces, witness) of the Jacobi ladder P_0..P_{upto+1} built by
+    P_{k+1} = P_k + V·P_k + P_k·V + P^{<=k+1}, inserting the products of
+    every row of P_k, then P's rows.  Stops at the first P_k = T^{<=k}.
+    The witness is the monic row of the least pivot of P_{k+1} ∩ T^{<=k}
+    outside P_k, for the least failing k >= 1."""
+    g = P.g
+    big = WordBasis(g, upto + 1)
+    shift = P.basis.shift_into(big)
+    prows = [(P.basis.degree_of_pos(min(r)), {c + shift: s for c, s in r.items()})
+             for r in P.space.raw_basis()]
+    spaces = [RowSpace(P.field)]
+    witness = None
+    for k in range(upto + 1):
+        prev = spaces[k]
+        nxt = prev.copy()
+        for row in prev.raw_basis():
+            for i in range(g):
+                nxt.insert(big.mult_left_vec(i, row))
+                nxt.insert(big.mult_right_vec(row, i))
+        for deg, row in prows:
+            if deg <= k + 1:
+                nxt.insert(dict(row))
+        spaces.append(nxt)
+        if witness is None and k >= 1:
+            start = big.suffix_start(k)
+            for c in sorted(c for c in nxt.rows if c >= start):
+                if not prev.contains(nxt.rows[c]):
+                    witness = big.vec_to_element(nxt.pivots[c], P.field)
+                    break
+        if nxt.rank == filtration_size(g, k + 1):
+            break
+    return spaces, witness
+
+
+class NaiveEngine(ExtensionEngine):
+    """The T[z] engine with the naive closure step: z·r, x_i·r and r·x_i
+    inserted for every row r of <P_z>^{m-1}, then the degree-m part of
+    P_z.  Saturated degrees are left to the engine's own branch."""
+
+    def _step(self, m):
+        if self.saturated_at is not None and m > self.saturated_at:
+            return super()._step(m)
+        g = self.g
+        prev = self._ideal[m - 1]
+        mono_prev, mono = ZMonomials(g, m - 1), ZMonomials(g, m)
+        sp = RowSpace(self.field)
+        for row in prev.raw_basis():
+            sp.insert({c + g ** m: s for c, s in row.items()})
+            words = [(mono_prev.word_at(c), s) for c, s in row.items()]
+            for i in range(g):
+                sp.insert({mono.pos_of_word((i,) + w): s for w, s in words})
+                sp.insert({mono.pos_of_word(w + (i,)): s for w, s in words})
+        for vec in self._pz_by_degree.get(m, []):
+            sp.insert(dict(vec))
+        if sp.rank == mono.size and self.saturated_at is None:
+            self.saturated_at = m
+        self._dbasis[m] = [c for c in range(mono.size) if c not in sp.rows]
+        return sp
 
 
 # ---------------------------------------------------------------------------
