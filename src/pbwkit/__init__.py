@@ -21,7 +21,7 @@ from .freealg import (Element, HomogenizedElement, format_element, homogenize,
                       leading_homogeneous, multiply, parse_element, project)
 from .gradedring import GradedSubspace, PresentedRing
 from .homology import TorTable, complexity, purity_classify, tor3_resolution, tor_bar
-from .linalg import (QQ, PrimeField, SparseMatrix, kernel, rref, subspace_ops)
+from .linalg import QQ, PrimeField
 from .presentations import Presentation, Report, parse_presentation
 
 __version__ = "0.1.0"

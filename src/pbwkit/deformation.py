@@ -18,7 +18,7 @@ from .freealg import (DegreeBasis, Element, WordBasis, filtration_size,
                       project)
 from .gradedring import (GradedSubspace, PresentedRing, ideal_chain,
                          minimal_complement, tilde_block)
-from .homology import complexity
+from .homology import complexity, overlap
 from .linalg import QQ, RowSpace
 
 LADDER_DEPTH_CAP = 24
@@ -415,44 +415,28 @@ def pure_jacobi_check(alpha):
     N = degs[0]
     g = alpha.g
     field = alpha.field
-    rel_rows = rel.blocks[N].reduced_basis()
-    # spanning rows of R (x) V and V (x) R inside T^{N+1}
-    rv_rows, vr_rows = [], []
-    rv_tags, vr_tags = [], []
-    for ridx, row in enumerate(rel_rows):
-        for i in range(g):
-            rv_rows.append({p * g + i: s for p, s in row.items()})
-            rv_tags.append((ridx, i))
-            vr_rows.append({i * g ** N + p: s for p, s in row.items()})
-            vr_tags.append((i, ridx))
-
-    # X = (R (x) V) ∩ (V (x) R) via tracked echelon
+    # X = (R (x) V) ∩ (V (x) R) from the reduced rows, R (x) V tagged first
     size = g ** (N + 1)
-    sp = RowSpace(field)
-    for row in rv_rows:
-        aug = dict(row)
-        aug.update({p + size: s for p, s in row.items()})
-        sp.insert(aug)
-    x_basis = []
-    for row in vr_rows:
-        red = sp.reduce_leading(dict(row))
-        if red and min(red) >= size:
-            x_basis.append({p - size: s for p, s in red.items()})
-        elif red:
-            sp.store(red)
+    rel_rows = rel.blocks[N].reduced_basis()
+    rv_rows, vr_rows, x_basis = overlap(rel_rows, g, N, field)
 
-    def coords(rows, vec):
-        """Solve vec = sum c_k rows_k (rows independent)."""
-        tag = size
+    def solver(rows):
+        """coords(vec): the c with vec = sum c_k rows_k (rows independent)."""
         acc = RowSpace(field)
         for k, r in enumerate(rows):
             aug = dict(r)
-            aug[tag + k] = field.one
+            aug[size + k] = field.one
             acc.insert(aug)
-        red = acc.reduce_leading(dict(vec))
-        if any(c < tag for c in red):
-            raise ValidationError("vector outside span")
-        return {k - tag: -s for k, s in red.items()}
+
+        def coords(vec):
+            cs = acc.relate(vec, size)
+            if cs is None:
+                raise ValidationError("vector outside span")
+            return {k: -s for k, s in cs.items()}
+        return coords
+
+    coords_v = solver(vr_rows)
+    coords_r = solver(rv_rows)
 
     def alpha_comp_on_rel_row(ridx, i):
         """alpha_i applied to the ridx-th relation row."""
@@ -469,15 +453,13 @@ def pure_jacobi_check(alpha):
 
     def mixed(x_vec, i):
         """(V (x) alpha_i - alpha_i (x) V)(x) as an Element of degree N+1-i."""
-        cs_v = coords(vr_rows, x_vec)   # x = sum c * x_j . r
-        cs_r = coords(rv_rows, x_vec)   # x = sum c * r . x_j
         out = Element(field)
-        for k, c in cs_v.items():
-            j, ridx = vr_tags[k]
+        for k, c in coords_v(x_vec).items():     # x = sum c * x_j . r
+            ridx, j = divmod(k, g)
             term = comp(ridx, i)
             out = out + Element(field, {(j,) + w: c * s for w, s in term.terms.items()})
-        for k, c in cs_r.items():
-            ridx, j = rv_tags[k]
+        for k, c in coords_r(x_vec).items():     # x = sum c * r . x_j
+            ridx, j = divmod(k, g)
             term = comp(ridx, i)
             out = out - Element(field, {w + (j,): c * s for w, s in term.terms.items()})
         return out
@@ -636,27 +618,38 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
                      "positive results are reported as bounded-degree claims")
 
     P = FilteredSubspace(g, lift.spanning, field)
+    found = {"P": P, "lift": lift}   # fields of every result from here on
+
+    def result(verdict, checked, c, c_cert, jacobi, ladder):
+        """A CheckResult with the fields found so far; the first failure
+        and its witness are the ladder's."""
+        return CheckResult(verdict, checked, c, c_cert, jacobi,
+                           ladder.first_failure if ladder else None,
+                           ladder.witness if ladder else None, notes,
+                           ladder=ladder, **found)
+
     if P.dim == 0:
-        ring = PresentedRing(g, GradedSubspace(g, field), field)
-        return CheckResult("PBW_CERTIFIED", 0, -1, True, {}, None, None,
-                           notes + ["empty deformation: U(P) is the free algebra"],
-                           P=P, ring=ring, lift=lift)
+        found["ring"] = PresentedRing(g, GradedSubspace(g, field), field)
+        notes.append("empty deformation: U(P) is the free algebra")
+        return result("PBW_CERTIFIED", 0, -1, True, {}, None)
 
     rp = rp_of(P)
     alpha = extract_alpha(P)
+    found.update(alpha=alpha, top_relations=rp)
     d = P.max_degree
     depth_bound = max(d, 2, min(max_degree, LADDER_DEPTH_CAP - 1))
 
     if alpha_is_inclusion(alpha):
         # P graded: P_m ∩ T^{<=n} = P_{min(m,n)}, so every (J_k) holds and
         # P is of PBW-type outright.
-        c_val, c_cert, ring, hil, tor3, rmin = None, False, None, None, None, None
+        c_val, c_cert = None, False
         if not rp.degrees() or rp.degrees()[0] >= 2:
             rmin = minimize_relations(rp)
             ring = PresentedRing(g, rmin, field, max_degree=ring_cap or max(10, max_degree + 1))
             cres = complexity(ring, rmin, bound_hint=tor_bound or 8)
-            hil = ring.hilbert(upto=min(ring.max_degree, max(max_degree, d)))
-            c_val, c_cert, tor3 = cres.c, cres.certified, cres.table
+            found.update(min_relations=rmin, ring=ring, tor3=cres.table,
+                         hilbert=ring.hilbert(upto=min(ring.max_degree, max(max_degree, d))))
+            c_val, c_cert = cres.c, cres.certified
         jac = {}
         checked = 0
         if c_val is not None and c_val >= 1:
@@ -668,10 +661,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
                                          f"(J_{ladder.first_failure})")
         verdict = "PBW_CERTIFIED" if rational else "PBW_UP_TO_DEGREE"
         notes.append("homogeneous deformation: graded, hence of PBW type")
-        return CheckResult(verdict, checked, c_val, c_cert and rational, jac,
-                           None, None, notes, P=P, alpha=alpha, top_relations=rp,
-                           min_relations=rmin, ring=ring, hilbert=hil, tor3=tor3,
-                           lift=lift)
+        return result(verdict, checked, c_val, c_cert and rational, jac, None)
 
     if rp.degrees() and rp.degrees()[0] <= 1:
         # top components in degree <= 1: the homological certificate assumes
@@ -679,19 +669,14 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
         ladder = pn_ladder(P, depth_bound)
         notes.append("deformation has top components of degree <= 1; "
                      "certification falls back to the bounded Jacobi scan")
-        if ladder.first_failure is not None:
-            return CheckResult("NOT_PBW", depth_bound, None, False, ladder.verdicts,
-                               ladder.first_failure, ladder.witness, notes,
-                               P=P, alpha=alpha, top_relations=rp, ladder=ladder,
-                               lift=lift)
-        return CheckResult("PBW_UP_TO_DEGREE", depth_bound, None, False,
-                           ladder.verdicts, None, None, notes, P=P, alpha=alpha,
-                           top_relations=rp, ladder=ladder, lift=lift)
+        verdict = "PBW_UP_TO_DEGREE" if ladder.first_failure is None else "NOT_PBW"
+        return result(verdict, depth_bound, None, False, ladder.verdicts, ladder)
 
     rmin = minimize_relations(rp)
     ring = PresentedRing(g, rmin, field, max_degree=ring_cap or max(10, max_degree + 1))
     cres = complexity(ring, rmin, bound_hint=tor_bound or 8)
-    hil = ring.hilbert(upto=min(ring.max_degree, max(max_degree, d)))
+    found.update(min_relations=rmin, ring=ring, tor3=cres.table,
+                 hilbert=ring.hilbert(upto=min(ring.max_degree, max(max_degree, d))))
     certified_c = cres.certified and rational and lift.minimal_ok
     same = all(rmin.dim(n) == rp.dim(n) for n in rp.degrees())
 
@@ -703,24 +688,14 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
 
     if same:
         ladder = pn_ladder(P, K)
-        jac = ladder.verdicts
         if ladder.first_failure is not None:
-            return CheckResult("NOT_PBW", K, cres.c, cres.certified, jac,
-                               ladder.first_failure, ladder.witness, notes,
-                               P=P, alpha=alpha, top_relations=rp, min_relations=rmin,
-                               ring=ring, hilbert=hil, tor3=cres.table, ladder=ladder,
-                               lift=lift)
+            return result("NOT_PBW", K, cres.c, cres.certified, ladder.verdicts, ladder)
         if certified_c:
-            return CheckResult("PBW_CERTIFIED", K, cres.c, True, jac, None, None,
-                               notes, P=P, alpha=alpha, top_relations=rp,
-                               min_relations=rmin, ring=ring, hilbert=hil,
-                               tor3=cres.table, ladder=ladder, lift=lift)
-        notes.append(cres.note if not cres.certified else "")
-        return CheckResult("PBW_UP_TO_DEGREE", K, cres.c, cres.certified and rational,
-                           jac, None, None, [n for n in notes if n],
-                           P=P, alpha=alpha, top_relations=rp, min_relations=rmin,
-                           ring=ring, hilbert=hil, tor3=cres.table, ladder=ladder,
-                           lift=lift)
+            return result("PBW_CERTIFIED", K, cres.c, True, ladder.verdicts, ladder)
+        if not cres.certified:
+            notes.append(cres.note)
+        return result("PBW_UP_TO_DEGREE", K, cres.c, cres.certified and rational,
+                      ladder.verdicts, ladder)
 
     # R_P is not minimal: check the alpha-associated P' = alpha(R) first
     Pp = apply_alpha(alpha, rmin)
@@ -731,25 +706,15 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
         if ladder_p.contains_filtered(d, P):
             # P' is of PBW type and generates <P>, hence <P'> = <P> and the
             # verdict transfers to P
-            return CheckResult("PBW_CERTIFIED", K, cres.c, True, ladder_p.verdicts,
-                               None, None, notes + ["generation of <P> by P' certified"],
-                               P=P, alpha=alpha, top_relations=rp, min_relations=rmin,
-                               ring=ring, hilbert=hil, tor3=cres.table, ladder=ladder_p,
-                               lift=lift)
+            notes.append("generation of <P> by P' certified")
+            return result("PBW_CERTIFIED", K, cres.c, True, ladder_p.verdicts, ladder_p)
         notes.append("minimized P' is of PBW type but does not generate <P>; "
                      "only a bounded claim is possible for P")
     ladder = pn_ladder(P, K)
     if ladder.first_failure is not None:
-        return CheckResult("NOT_PBW", K, cres.c, cres.certified, ladder.verdicts,
-                           ladder.first_failure, ladder.witness, notes,
-                           P=P, alpha=alpha, top_relations=rp, min_relations=rmin,
-                           ring=ring, hilbert=hil, tor3=cres.table, ladder=ladder,
-                           lift=lift)
+        return result("NOT_PBW", K, cres.c, cres.certified, ladder.verdicts, ladder)
     if ladder_p.first_failure is not None:
         notes.append(f"P' fails (J_{ladder_p.first_failure}) although P passes "
                      f"up to {K}; no certificate either way")
-    return CheckResult("PBW_UP_TO_DEGREE", K, cres.c, cres.certified and rational,
-                       ladder.verdicts, None, None, notes,
-                       P=P, alpha=alpha, top_relations=rp, min_relations=rmin,
-                       ring=ring, hilbert=hil, tor3=cres.table, ladder=ladder,
-                       lift=lift)
+    return result("PBW_UP_TO_DEGREE", K, cres.c, cres.certified and rational,
+                  ladder.verdicts, ladder)

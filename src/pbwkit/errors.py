@@ -14,10 +14,6 @@ class PBWError(Exception):
         super().__init__(message or self.code)
 
 
-class ComplementNotSubspace(PBWError):
-    code = "COMPLEMENT_NOT_SUBSPACE"
-
-
 class HomogenizeZero(PBWError):
     code = "HOMOGENIZE_ZERO"
 

@@ -56,8 +56,6 @@ class ZMonomials:
     lex inside a degree.  High-degree pivots keep the echelon rows sparse;
     multiplication by z into degree n+1 is a constant position shift."""
 
-    _word_cache = {}
-
     def __init__(self, g, n):
         self.g = g
         self.n = n
@@ -75,22 +73,16 @@ class ZMonomials:
         return self._block_start[len(w)] + p
 
     def word_at(self, pos):
-        t = self.size - pos
-        key = (self.g, t)
-        w = self._word_cache.get(key)
-        if w is not None:
-            return w
-        d = 0
-        while filtration_size(self.g, d) < t:
-            d += 1
-        rem = filtration_size(self.g, d) - t
+        starts = self._block_start
+        d = self.n
+        while d and starts[d - 1] <= pos:
+            d -= 1
+        rem = pos - starts[d]
         letters = []
         for _ in range(d):
             letters.append(rem % self.g)
             rem //= self.g
-        w = tuple(reversed(letters))
-        self._word_cache[key] = w
-        return w
+        return tuple(reversed(letters))
 
     def monomial_at(self, pos):
         w = self.word_at(pos)
@@ -169,16 +161,10 @@ class ExtensionEngine:
         for c in sorted(prev.rows):
             if c >= zprev and c - zprev in below:
                 continue
-            row = prev.rows[c]
+            words = [(mono_prev.word_at(p), s) for p, s in prev.rows[c].items()]
             for i in range(g):
-                left = {}
-                right = {}
-                for p, s in row.items():
-                    w = mono_prev.word_at(p)
-                    left[mono.pos_of_word((i,) + w)] = s
-                    right[mono.pos_of_word(w + (i,))] = s
-                sp.insert(left)
-                sp.insert(right)
+                sp.insert({mono.pos_of_word((i,) + w): s for w, s in words})
+                sp.insert({mono.pos_of_word(w + (i,)): s for w, s in words})
         for vec in self._pz_by_degree.get(m, []):
             sp.insert(dict(vec))
         if sp.rank == mono.size and self.saturated_at is None:

@@ -235,7 +235,7 @@ class WordBasis:
         for n in range(max_degree, -1, -1):
             self.offsets[n] = off
             off += sizes[n]
-        self._word_cache = {}
+        self._words = {}
         self._deg_of = None
         self._mult_left = None
         self._mult_right = None
@@ -251,7 +251,7 @@ class WordBasis:
         return off + p
 
     def word_at(self, pos):
-        w = self._word_cache.get(pos)
+        w = self._words.get(pos)
         if w is not None:
             return w
         for n in range(self.max_degree, -1, -1):
@@ -263,7 +263,7 @@ class WordBasis:
                     letters.append(rem % self.g)
                     rem //= self.g
                 w = tuple(reversed(letters))
-                self._word_cache[pos] = w
+                self._words[pos] = w
                 return w
         raise ValidationError(f"position {pos} out of range")
 

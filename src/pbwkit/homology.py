@@ -19,7 +19,7 @@ from .errors import (InvariantViolation, NotMinimalRelations, ResourceExceeded,
                      ValidationError)
 from .freealg import DegreeBasis
 from .gradedring import is_minimal_relations
-from .linalg import RowSpace, left_kernel_basis, span
+from .linalg import RowSpace, intersection, left_kernel_basis, span
 
 BAR_STRAND_GUARD = 200000
 
@@ -278,33 +278,22 @@ def is_commutator_relations(rel, g):
     return True
 
 
+def overlap(rel_rows, g, n, field):
+    """The overlap space X = (R (x) V) ∩ (V (x) R) in T^{n+1} for
+    independent rows of R ⊆ T^n.  Returns (rv, vr, X basis): row
+    k = r*g + i of rv is rel_rows[r] (x) x_i, of vr it is x_i (x) rel_rows[r]."""
+    rv = [{p * g + i: s for p, s in row.items()} for row in rel_rows for i in range(g)]
+    vr = [{i * g ** n + p: s for p, s in row.items()} for row in rel_rows for i in range(g)]
+    return rv, vr, intersection(field, rv, vr, g ** (n + 1))
+
+
 def overlap_dimension(rel, g):
     """dim of (rel (x) V) ∩ (V (x) rel) in degree N+1 for N-pure rel."""
     degs = rel.degrees()
     if len(degs) != 1:
         raise ValidationError("overlap needs a pure relation space")
     n = degs[0]
-    right = RowSpace(rel.field)
-    rows_left = []
-    for row in rel.blocks[n].basis():
-        for i in range(g):
-            rows_left.append({p * g + i: s for p, s in row.items()})
-            right.insert({i * g ** n + p: s for p, s in row.items()})
-    # Zassenhaus-style: track left rows, collect combos landing in right
-    size = g ** (n + 1)
-    sp = RowSpace(rel.field)
-    for row in right.basis():
-        aug = dict(row)
-        aug.update({p + size: s for p, s in row.items()})
-        sp.insert(aug)
-    found = []
-    for row in rows_left:
-        red = sp.reduce_leading(dict(row))
-        if red and min(red) >= size:
-            found.append({p - size: s for p, s in red.items()})
-        elif red:
-            sp.store(red)
-    return span(rel.field, found).rank
+    return len(overlap(rel.blocks[n].basis(), g, n, rel.field)[2])
 
 
 class ComplexityResult:

@@ -24,6 +24,13 @@ touching the original, and a stored row may be inserted elsewhere as it is
 whole space may be copied in under a column offset (``store_shifted``):
 the shift keeps its rows echelon and normalised, so they are not reduced.
 
+There is one tagged elimination, ``RowSpace.relate``: a vector carries tag
+columns at and above an offset that record how it was made, and when its
+untagged part reduces to zero the space reports the tags instead of
+storing the vector.  ``left_kernel_basis`` (unit tags), ``intersection``
+(Zassenhaus: the tags repeat the row) and the coordinate solver of the
+pure-relations route (``deformation.pure_jacobi_check``) all use it.
+
 Measured on a 2-core x86-64 host under CPython 3.11.7, against rows of
 Fractions: the seeded 200-instance fixture of the acceptance tests takes
 54-59 s instead of 378 s.  Dividing out the content matters: without it the
@@ -38,7 +45,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
 
-from .errors import ComplementNotSubspace, ValidationError
+from .errors import ValidationError
 
 
 class ModInt:
@@ -409,6 +416,20 @@ class RowSpace:
         self._put(ints, lead)
         return lead
 
+    def relate(self, vec, offset):
+        """Tagged reduction, for vectors whose columns >= ``offset`` are
+        tags that record how the vector was made.  Reduces vec along its
+        leading chain.  If the remainder leads below ``offset`` it is stored
+        and None is returned; otherwise (the untagged part reduced to zero)
+        its tag part is returned, columns moved down by ``offset``, with a
+        zero remainder giving {}."""
+        ints, scale = self._ints(vec)
+        red, num, den = self._lead(ints)
+        if red and min(red) < offset:
+            self._put(red, min(red))
+            return None
+        return {c - offset: s for c, s in self._exact(red, num * scale, den).items()}
+
     def store_shifted(self, other, offset):
         """Store every row of ``other`` with each column c moved to
         c + offset.  A shift keeps columns distinct and in order, so the
@@ -469,204 +490,25 @@ def left_kernel_basis(field, rows, tag_offset):
     for i, r in enumerate(rows):
         aug = dict(r)
         aug[tag_offset + i] = field.one
-        red = sp.reduce_leading(aug)
-        if not red or min(red) >= tag_offset:
-            out.append({c - tag_offset: s for c, s in red.items()})
-        else:
-            sp.store(red)
+        combo = sp.relate(aug, tag_offset)
+        if combo is not None:
+            out.append(combo)
     return out
 
 
-# ---------------------------------------------------------------------------
-# SparseMatrix: the public contract type.
-
-class SparseMatrix:
-    """Sparse matrix over an exact field with an optional column order.
-
-    ``column_order`` lists the columns from most to least significant; the
-    default (None) is the identity 0..ncols-1.  ``rref(m)`` is in reduced
-    row-echelon form with respect to that order.  Instances are treated as
-    immutable values.
-    """
-
-    def __init__(self, nrows, ncols, rows, field=QQ, column_order=None):
-        self.ncols = ncols
-        self.field = field
-        self.column_order = tuple(column_order) if column_order is not None else None
-        if self.column_order is not None and sorted(self.column_order) != list(range(ncols)):
-            raise ValidationError("column_order must be a permutation of range(ncols)")
-        self._pos = None
-        self.rows = [self._normalize_row(r) for r in rows]
-        self.nrows = len(self.rows)
-        if nrows != self.nrows:
-            raise ValidationError("nrows does not match rows")
-
-    def _positions(self):
-        if self._pos is None:
-            if self.column_order is None:
-                self._pos = list(range(self.ncols))
-            else:
-                self._pos = [0] * self.ncols
-                for k, c in enumerate(self.column_order):
-                    self._pos[c] = k
-        return self._pos
-
-    def _normalize_row(self, row):
-        items = row.items() if isinstance(row, dict) else row
-        pos = self._positions()
-        out = []
-        for c, s in items:
-            if not (0 <= c < self.ncols):
-                raise ValidationError(f"column {c} out of range")
-            if s:
-                out.append((c, s))
-        out.sort(key=lambda it: pos[it[0]])
-        return tuple(out)
-
-    @classmethod
-    def from_dense(cls, entries, field=QQ, column_order=None):
-        rows = []
-        ncols = len(entries[0]) if entries else 0
-        for dense in entries:
-            rows.append({c: field.from_int(v) if isinstance(v, int) else v
-                         for c, v in enumerate(dense) if v})
-        return cls(len(rows), ncols, rows, field, column_order)
-
-    def to_dense(self):
-        out = []
-        zero = self.field.zero
-        for r in self.rows:
-            dense = [zero] * self.ncols
-            for c, s in r:
-                dense[c] = s
-            out.append(dense)
-        return out
-
-    def row_dicts_positional(self):
-        """Rows as {order position: scalar}."""
-        pos = self._positions()
-        return [{pos[c]: s for c, s in r} for r in self.rows]
-
-    def _from_positional(self, rows_pos):
-        back = self.column_order if self.column_order is not None else tuple(range(self.ncols))
-        rows = [{back[p]: s for p, s in r.items()} for r in rows_pos]
-        return SparseMatrix(len(rows), self.ncols, rows, self.field, self.column_order)
-
-    def row_space(self):
-        sp = RowSpace(self.field)
-        for r in self.row_dicts_positional():
-            sp.insert(r)
-        return sp
-
-    def rank(self):
-        return self.row_space().rank
-
-    def __eq__(self, other):
-        return (isinstance(other, SparseMatrix) and self.ncols == other.ncols
-                and self.field == other.field and self.column_order == other.column_order
-                and self.rows == other.rows)
-
-    def __repr__(self):
-        return f"SparseMatrix({self.nrows}x{self.ncols} over {self.field!r})"
-
-
-def rref(m):
-    """Reduced row-echelon form under m's column order.  Preserves the row
-    space; the result has rank(m) rows and is a fixed point of rref."""
-    return m._from_positional(m.row_space().reduced_basis())
-
-
-def kernel(m):
-    """Basis of {v : m v^T = 0}, one row per basis vector; the number of
-    rows is ncols - rank(m)."""
-    reduced = m.row_space().reduced_basis()
-    pivot_set = {min(r) for r in reduced}
-    rows_pos = []
-    for f in range(m.ncols):
-        if f in pivot_set:
-            continue
-        vec = {f: m.field.one}
-        for r in reduced:
-            s = r.get(f)
-            if s:
-                vec[min(r)] = -s
-        rows_pos.append(vec)
-    return m._from_positional(rows_pos)
-
-
-def _require_compatible(a, b):
-    if a.ncols != b.ncols or a.column_order != b.column_order or a.field != b.field:
-        raise ValidationError("subspace operands need same ncols, field and column_order")
-
-
-def subspace_sum(a, b):
-    _require_compatible(a, b)
-    sp = a.row_space()
-    for r in b.row_dicts_positional():
-        sp.insert(r)
-    return a._from_positional(sp.reduced_basis())
-
-
-def subspace_intersection(a, b):
-    """Zassenhaus: echelonize rows [r|r] for r in a against rows [r|0] for
-    r in b; combinations whose left half vanishes carry an intersection
-    vector in the right half."""
-    _require_compatible(a, b)
-    n = a.ncols
-    sp = RowSpace(a.field)
-    found = []
-    for r in a.row_dicts_positional():
+def intersection(field, a_rows, b_rows, offset):
+    """Zassenhaus: vectors spanning span(a_rows) ∩ span(b_rows), a basis
+    when ``b_rows`` are independent.  ``offset`` must exceed every column
+    used.  The rows [a | a] are inserted first; a row [b | 0] whose left
+    half then reduces to zero leaves an intersection vector in the tags."""
+    sp = RowSpace(field)
+    for r in a_rows:
         aug = dict(r)
-        aug.update({c + n: s for c, s in r.items()})
+        aug.update({c + offset: s for c, s in r.items()})
         sp.insert(aug)
-    for r in b.row_dicts_positional():
-        red = sp.reduce_leading(dict(r))
-        if red and min(red) >= n:
-            found.append({c - n: s for c, s in red.items()})
-        elif red:
-            sp.store(red)
-    inter = span(a.field, found)
-    return a._from_positional(inter.reduced_basis())
-
-
-def subspace_contains(a, b):
-    """True iff rowspace(b) is contained in rowspace(a)."""
-    _require_compatible(a, b)
-    sp = a.row_space()
-    return all(not sp.reduce_leading(r) for r in b.row_dicts_positional())
-
-
-def subspace_complement(a, b):
-    """Echelon basis c with rowspace(c) (+) rowspace(a) = rowspace(b),
-    built greedily from b's reduced rows in pivot order (deterministic):
-    each row's reduction remainder modulo a and the rows already kept
-    becomes a complement vector.
-
-    Raises ComplementNotSubspace unless rowspace(a) <= rowspace(b)."""
-    _require_compatible(a, b)
-    if not subspace_contains(b, a):
-        raise ComplementNotSubspace("first operand not contained in the second")
-    sp = a.row_space()
-    picked = []
-    for r in b.row_space().reduced_basis():
-        piv = sp.insert(dict(r))
-        if piv is not None:
-            picked.append(dict(sp.pivots[piv]))
-    comp = span(a.field, picked)
-    return a._from_positional(comp.reduced_basis())
-
-
-def subspace_ops(a, b):
-    """Bundle {sum, intersection, contains, complement}; contains means
-    rowspace(b) <= rowspace(a), complement is of a inside b (None when a is
-    not a subspace of b; the standalone op raises instead)."""
-    try:
-        comp = subspace_complement(a, b)
-    except ComplementNotSubspace:
-        comp = None
-    return {
-        "sum": subspace_sum(a, b),
-        "intersection": subspace_intersection(a, b),
-        "contains": subspace_contains(a, b),
-        "complement": comp,
-    }
+    out = []
+    for r in b_rows:
+        x = sp.relate(r, offset)
+        if x:
+            out.append(x)
+    return out

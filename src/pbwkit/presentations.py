@@ -188,10 +188,6 @@ def validate_presentation(pres, where=None):
     return pres
 
 
-def print_presentation(pres):
-    return pres.to_text()
-
-
 # ---------------------------------------------------------------------------
 # Reports.
 

@@ -11,7 +11,7 @@ from pbwkit import cli, gradedring
 from pbwkit.cli import main, run_command
 from pbwkit.errors import InvariantViolation, ParseError, ValidationError
 from pbwkit.linalg import RowSpace
-from pbwkit.presentations import parse_presentation, print_presentation
+from pbwkit.presentations import parse_presentation
 
 HEISENBERG_TEXT = """\
 field = "Q"
@@ -83,12 +83,12 @@ class TestParsing:
 
     def test_round_trip(self):
         pres = parse_presentation(HEISENBERG_TEXT)
-        again = parse_presentation(print_presentation(pres))
+        again = parse_presentation(pres.to_text())
         assert again == pres
         for name in pbwkit.gallery_names():
             with open(gallery(name), encoding="utf-8") as fh:
                 pres = parse_presentation(fh.read())
-            assert parse_presentation(print_presentation(pres)) == pres
+            assert parse_presentation(pres.to_text()) == pres
 
 
 class TestExitCodes:

@@ -5,106 +5,81 @@ from math import gcd
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbwkit.errors import ComplementNotSubspace, ValidationError
-from pbwkit.linalg import (QQ, PrimeField, RowSpace, SparseMatrix, kernel, rref,
-                           subspace_complement, subspace_contains,
-                           subspace_intersection, subspace_ops, subspace_sum)
+from pbwkit.errors import ValidationError
+from pbwkit.linalg import (QQ, PrimeField, RowSpace, intersection,
+                           left_kernel_basis, span)
 
 from conftest import DenseEchelon, dense_rank
 
 
-def dense(entries, **kw):
-    return SparseMatrix.from_dense(entries, **kw)
+def vecs(entries, field=QQ):
+    """Dense integer rows as dict vectors over ``field``."""
+    return [{c: field.from_int(x) for c, x in enumerate(row) if x}
+            for row in entries]
 
 
-def row_spans_equal(a, b):
-    return subspace_contains(a, b) and subspace_contains(b, a)
+def columns(entries):
+    """The columns of a dense matrix as dict vectors: the left kernel of
+    the columns is the (right) kernel of the matrix."""
+    return vecs([list(col) for col in zip(*entries)])
 
 
 class TestRref:
     def test_proportional_rows(self):
-        r = rref(dense([[2, 4], [1, 2]]))
-        assert r.nrows == 1
-        assert r.to_dense() == [[QQ.one, QQ.from_int(2)]]
+        r = span(QQ, vecs([[2, 4], [1, 2]])).reduced_basis()
+        assert r == [{0: QQ.one, 1: QQ.from_int(2)}]
 
     def test_identity_fixed(self):
-        m = dense([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
-        assert rref(m) == m
-
-    def test_reversed_column_order(self):
-        m = dense([[0, 1], [1, 0]], column_order=(1, 0))
-        r = rref(m)
-        # pivots land in columns (1, 0) under the reversed order
-        assert [row[0][0] for row in r.rows] == [1, 0]
+        rows = vecs([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert span(QQ, rows).reduced_basis() == rows
 
     def test_idempotent_and_rank(self):
         rng = random.Random(3)
         for _ in range(25):
             rows = [[rng.randint(-3, 3) for _ in range(5)] for _ in range(4)]
-            m = dense(rows)
-            r = rref(m)
-            assert r.nrows == m.rank() == dense_rank(rows)
-            assert rref(r) == r
-            assert row_spans_equal(m, r) or m.rank() == 0
+            sp = span(QQ, vecs(rows))
+            r = sp.reduced_basis()
+            assert len(r) == sp.rank == dense_rank(rows)
+            again = span(QQ, r)
+            assert again.reduced_basis() == r
+            assert again.equals_space(sp)
 
 
 class TestKernel:
     def test_single_row(self):
-        k = kernel(dense([[1, 1]]))
-        assert k.nrows == 1
-        v = k.to_dense()[0]
-        assert v[0] + v[1] == 0 and any(v)
+        k = left_kernel_basis(QQ, columns([[1, 1]]), 1)
+        assert len(k) == 1
+        v = k[0]
+        assert v.get(0, 0) + v.get(1, 0) == 0 and v
 
     def test_identity(self):
-        assert kernel(dense([[1, 0], [0, 1]])).nrows == 0
+        assert left_kernel_basis(QQ, columns([[1, 0], [0, 1]]), 2) == []
 
     def test_zero_matrix(self):
-        assert kernel(SparseMatrix(2, 3, [{}, {}])).nrows == 3
+        assert len(left_kernel_basis(QQ, columns([[0, 0, 0], [0, 0, 0]]), 2)) == 3
 
     def test_kernel_annihilates(self):
         rng = random.Random(7)
         for _ in range(20):
             rows = [[rng.randint(-2, 2) for _ in range(6)] for _ in range(3)]
-            m = dense(rows)
-            k = kernel(m)
-            assert k.nrows == m.ncols - m.rank()
-            for v in k.to_dense():
-                for r in m.to_dense():
-                    assert sum(a * b for a, b in zip(r, v)) == 0
+            k = left_kernel_basis(QQ, columns(rows), 3)
+            assert len(k) == 6 - dense_rank(rows)
+            for v in k:
+                for r in rows:
+                    assert sum(r[c] * s for c, s in v.items()) == 0
 
 
 class TestSubspaceOps:
     def test_transverse_lines(self):
-        a, b = dense([[1, 0]]), dense([[0, 1]])
-        ops = subspace_ops(a, b)
-        assert ops["intersection"].nrows == 0
-        assert ops["sum"].nrows == 2
-        assert ops["contains"] is False
-
-    def test_complement_of_equal_space_is_zero(self):
-        a = dense([[1, 2], [0, 1]])
-        assert subspace_complement(a, a).nrows == 0
-
-    def test_complement_of_diagonal_in_plane(self):
-        # [DERIVED] complement completes the diagonal to the plane: check
-        # a (+) complement = b by rank
-        a = dense([[1, 1]])
-        b = dense([[1, 0], [0, 1]])
-        c = subspace_complement(a, b)
-        assert c.nrows == 1
-        assert subspace_sum(a, c).nrows == 2
-        assert subspace_intersection(a, c).nrows == 0
-        # greedy from b's reduced rows in pivot order picks (0, 1)
-        assert c.to_dense() == [[QQ.zero, QQ.one]]
-
-    def test_complement_requires_containment(self):
-        with pytest.raises(ComplementNotSubspace):
-            subspace_complement(dense([[1, 0]]), dense([[0, 1]]))
+        a, b = vecs([[1, 0]]), vecs([[0, 1]])
+        assert intersection(QQ, a, b, 2) == []
+        assert span(QQ, a + b).rank == 2
+        assert not span(QQ, a).contains(b[0])
 
     def test_contains(self):
-        big = dense([[1, 0, 0], [0, 1, 0]])
-        assert subspace_contains(big, dense([[2, 3, 0]]))
-        assert not subspace_contains(big, dense([[0, 0, 1]]))
+        big = span(QQ, vecs([[1, 0, 0], [0, 1, 0]]))
+        assert big.contains_space(span(QQ, vecs([[2, 3, 0]])))
+        assert not big.contains(vecs([[0, 0, 1]])[0])
 
 
 @st.composite
@@ -114,28 +89,18 @@ def small_matrix_pair(draw):
         nrows = draw(st.integers(1, 4))
         return [[draw(st.integers(-3, 3)) for _ in range(ncols)]
                 for _ in range(nrows)]
-    return dense(mat()), dense(mat())
+    return ncols, mat(), mat()
 
 
 @settings(max_examples=60, deadline=None)
 @given(small_matrix_pair())
 def test_dimension_formula(pair):
-    a, b = pair
-    s = subspace_sum(a, b)
-    i = subspace_intersection(a, b)
-    assert s.nrows + i.nrows == a.rank() + b.rank()
+    ncols, a, b = pair
+    sa, sb = span(QQ, vecs(a)), span(QQ, vecs(b))
+    inter = intersection(QQ, vecs(a), sb.basis(), ncols)
+    assert len(inter) + span(QQ, vecs(a + b)).rank == sa.rank + sb.rank
     # the intersection really is contained in both
-    assert subspace_contains(a, i) and subspace_contains(b, i)
-
-
-@settings(max_examples=60, deadline=None)
-@given(small_matrix_pair())
-def test_complement_dimensions(pair):
-    a, b = pair
-    big = subspace_sum(a, b)
-    c = subspace_complement(a, big)
-    assert a.rank() + c.nrows == big.rank()
-    assert subspace_intersection(a, c).nrows == 0
+    assert all(sa.contains(v) and sb.contains(v) for v in inter)
 
 
 def test_fp_agrees_with_q_on_random_integer_matrices():
@@ -146,13 +111,112 @@ def test_fp_agrees_with_q_on_random_integer_matrices():
     fp = PrimeField(p)
     for _ in range(40):
         rows = [[rng.randint(-9, 9) for _ in range(6)] for _ in range(5)]
-        mq = dense(rows)
-        reduced = rref(mq)
+        sq = span(QQ, vecs(rows))
         denominators_ok = all(
-            s.denominator % p for row in reduced.rows for _, s in row)
-        mfp = SparseMatrix.from_dense(rows, field=fp)
+            s.denominator % p for row in sq.reduced_basis() for s in row.values())
         if denominators_ok:
-            assert mfp.rank() == mq.rank()
+            assert span(fp, vecs(rows, fp)).rank == sq.rank
+
+
+# ---------------------------------------------------------------------------
+# Tagged elimination (RowSpace.relate) against the dense oracle.
+
+@st.composite
+def relate_case(draw):
+    p = draw(st.sampled_from([None, 7]))
+    ncols = draw(st.integers(1, 6))
+    vector = st.lists(st.sampled_from([0, 0, 0, 1, -1, 2, 3, Fraction(1, 2),
+                                       Fraction(-2, 3)]),
+                      min_size=ncols, max_size=ncols)
+    a = draw(st.lists(vector, min_size=1, max_size=5))
+    b = draw(st.lists(vector, min_size=1, max_size=5))
+    cs = draw(st.lists(st.integers(-3, 3), min_size=5, max_size=5))
+    return p, ncols, a, b, cs
+
+
+class RelateCase:
+    """One drawn case: the field, its rows as dict vectors, and the dense
+    oracle's rank."""
+
+    def __init__(self, case):
+        self.p, self.ncols, a, b, self.cs = case
+        self.field = QQ if self.p is None else PrimeField(self.p)
+        self.a = [self.sparse(r) for r in a]
+        self.b = [self.sparse(r) for r in b]
+
+    def sparse(self, dense):
+        out = {}
+        for c, x in enumerate(dense):
+            s = self.field.from_fraction(Fraction(x))
+            if s:
+                out[c] = s
+        return out
+
+    def rank(self, vectors, ncols):
+        oracle = DenseEchelon(ncols, self.p)
+        for v in vectors:
+            dense = [0] * ncols
+            for c, s in v.items():
+                dense[c] = s if self.p is None else s.v
+            oracle.insert(dense)
+        return len(oracle.rows)
+
+    def combine(self, coeffs, rows):
+        out = {}
+        for c, r in zip(coeffs, rows):
+            for k, s in r.items():
+                out[k] = out.get(k, self.field.zero) + c * s
+        return {k: s for k, s in out.items() if s}
+
+
+@settings(max_examples=150, deadline=None)
+@given(relate_case())
+def test_relate_left_kernel(case):
+    t = RelateCase(case)
+    rows = t.a + t.b
+    ker = left_kernel_basis(t.field, rows, t.ncols)
+    assert len(ker) == len(rows) - t.rank(rows, t.ncols)
+    for combo in ker:
+        assert combo and max(combo) < len(rows)
+        coeffs = [combo.get(i, t.field.zero) for i in range(len(rows))]
+        assert t.combine(coeffs, rows) == {}
+    assert t.rank(ker, len(rows)) == len(ker)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relate_case())
+def test_relate_intersection(case):
+    t = RelateCase(case)
+    b_basis = span(t.field, t.b).basis()
+    inter = intersection(t.field, t.a, b_basis, t.ncols)
+    rank_a, rank_b = t.rank(t.a, t.ncols), t.rank(t.b, t.ncols)
+    assert len(inter) == rank_a + rank_b - t.rank(t.a + t.b, t.ncols)
+    assert t.rank(inter, t.ncols) == len(inter)
+    sa, sb = span(t.field, t.a), span(t.field, t.b)
+    assert all(sa.contains(v) and sb.contains(v) for v in inter)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relate_case())
+def test_relate_coords_round_trip(case):
+    t = RelateCase(case)
+    rows = span(t.field, t.a).basis()
+    acc = RowSpace(t.field)
+    for k, r in enumerate(rows):
+        aug = dict(r)
+        aug[t.ncols + k] = t.field.one
+        assert acc.relate(aug, t.ncols) is None
+    coeffs = [t.field.from_int(c) for c in t.cs[:len(rows)]]
+    vec = t.combine(coeffs, rows)
+    want = {k: -c for k, c in enumerate(coeffs) if c}
+    # a probe that lands in the tags leaves the space as it was
+    assert acc.relate(vec, t.ncols) == want
+    assert acc.relate(vec, t.ncols) == want
+    assert acc.rank == len(rows)
+    outside = [c for c in range(t.ncols) if not span(t.field, rows).contains({c: t.field.one})]
+    if outside:
+        assert acc.relate({outside[0]: t.field.one}, t.ncols) is None
+        assert acc.rank == len(rows) + 1
 
 
 def test_prime_field_validation():
