@@ -13,12 +13,11 @@ import re
 import sys
 import time
 
-from .deformation import (FilteredSubspace, extract_alpha, gr_table,
-                          lift_presentation, minimize_relations, pbw_check,
-                          pn_ladder, rp_of)
+from .deformation import (FilteredSubspace, lift_presentation,
+                          minimize_relations, pbw_check, pn_ladder, rp_of)
 from .errors import (InvalidPresentation, ParseError, PBWError,
                      ResourceExceeded, ValidationError)
-from .extension import ExtensionEngine, rees_identity_check
+from .extension import ExtensionEngine, engine_for, rees_identity_check
 from .freealg import format_element
 from .gradedring import PresentedRing
 from .homology import complexity, tor3_resolution, tor_bar
@@ -58,11 +57,11 @@ def cmd_check(pres, upto=None):
         dims["h_A"] = list(res.hilbert.values[:bound + 1])
     if res.P is not None and res.P.dim and res.P.max_degree <= bound:
         t0 = time.perf_counter()
-        dims["gr_U"] = gr_table(res.P, bound, pbw_certified=res.verdict == "PBW_CERTIFIED")
+        eng = ExtensionEngine(res.P.g, res.alpha, res.top_relations, res.P.field)
+        dims["gr_U"] = eng.gr_table(bound, certified=res.verdict == "PBW_CERTIFIED")
         if dims["gr_U"] is None:
             res.notes.append("gr U table withheld: not stabilized within the "
                              "resource cap (use gr_dimension in certified mode)")
-        eng = ExtensionEngine(res.P.g, res.alpha, res.top_relations, res.P.field)
         dims["D"] = [eng.dim_d(n) for n in range(bound + 1)]
         dims["ann"] = [eng.annihilator_dim(n) for n in range(bound + 1)]
         timings["tables"] = time.perf_counter() - t0
@@ -177,7 +176,7 @@ def cmd_rees(pres, upto=None):
     timings = {}
     t0 = time.perf_counter()
     P, lift = _lifted_subspace(pres)
-    eng = ExtensionEngine(P.g, extract_alpha(P), rp_of(P), P.field)
+    eng = engine_for(P)
     holds, per, first_bad = rees_identity_check(eng, bound)
     timings["rees"] = time.perf_counter() - t0
     dims = _empty_dims()

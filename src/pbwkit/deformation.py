@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 from .errors import (DomainMismatch, InvalidPresentation, InvariantViolation,
                      NotPure, ResourceExceeded, ValidationError)
+from .extension import engine_for
 from .freealg import (DegreeBasis, Element, WordBasis, filtration_size,
                       project)
 from .gradedring import (GradedSubspace, PresentedRing, ideal_chain,
@@ -222,7 +223,19 @@ class JacobiLadder:
                    for row in P_other.space.basis())
 
 
-def _ladder_run(P, upto, collect_verdicts=True):
+def pn_ladder(P, upto):
+    """P_0..P_{upto+1} plus the (J_k) verdicts for k <= upto.
+
+    (J_k) holds iff every reduced row of P_{k+1} with pivot degree <= k
+    already lies in P_k; the first counterexample row is the witness.
+
+    The step is semi-naive: P_{k+1} starts as a copy of P_k and only the
+    rows P_k added to P_{k-1} (those whose pivot is no pivot of P_{k-1})
+    are multiplied by each x_i on both sides.  This is exact and leaves
+    every stored row unchanged: P_k keeps P_{k-1}'s rows as they are and
+    already contains V·P_{k-1} + P_{k-1}·V, so the skipped products
+    reduced to zero without storing anything.
+    """
     if upto + 1 > LADDER_DEPTH_CAP:
         raise ResourceExceeded(f"ladder depth {upto} above cap {LADDER_DEPTH_CAP}")
     big = WordBasis(P.g, upto + 1)
@@ -245,11 +258,10 @@ def _ladder_run(P, upto, collect_verdicts=True):
         if full_from is not None:
             spaces.append(None)
             dims.append(sizes[k + 1])
-            if collect_verdicts and 1 <= k <= upto:
+            if k >= 1:
                 verdicts[k] = True
             continue
-        # semi-naive: multiply only the rows P_k added to P_{k-1} (the
-        # others' products lie in P_k already; see pn_ladder)
+        # semi-naive: multiply only the rows P_k added to P_{k-1}
         nxt = prev.copy()
         older = spaces[k - 1].rows if k else {}
         for c in sorted(prev.rows):
@@ -264,7 +276,7 @@ def _ladder_run(P, upto, collect_verdicts=True):
                 nxt.insert(dict(row))
         spaces.append(nxt)
         dims.append(nxt.rank)
-        if collect_verdicts and 1 <= k <= upto:
+        if k >= 1:
             start = big.suffix_start(k)
             ok = True
             for piv in sorted(p for p in nxt.rows if p >= start):
@@ -281,103 +293,28 @@ def _ladder_run(P, upto, collect_verdicts=True):
                         first_failure, witness, full_from)
 
 
-def pn_ladder(P, upto):
-    """P_0..P_{upto+1} plus the (J_k) verdicts for k <= upto.
-
-    (J_k) holds iff every reduced row of P_{k+1} with pivot degree <= k
-    already lies in P_k; the first counterexample row is the witness.
-
-    The step is semi-naive: P_{k+1} starts as a copy of P_k and only the
-    rows P_k added to P_{k-1} (those whose pivot is no pivot of P_{k-1})
-    are multiplied by each x_i on both sides.  This is exact and leaves
-    every stored row unchanged: P_k keeps P_{k-1}'s rows as they are and
-    already contains V·P_{k-1} + P_{k-1}·V, so the skipped products
-    reduced to zero without storing anything.
-    """
-    return _ladder_run(P, upto)
-
-
 def ideal_cut_dim(P, n, certified=False):
-    """dim(<P> ∩ T^{<=n}) as the stabilized union of the P_m ∩ T^{<=n}.
-
-    Heuristic mode stops once two consecutive steps agree; certified mode
-    runs m up to n + dim T^{<=n} (an increasing chain in a space of that
-    dimension makes at most that many strict steps).  Certified mode can
-    be resource-heavy by design; the guards will object first.
-    """
-    if P.dim == 0:
-        return 0
-    bound_dim = filtration_size(P.g, n)
-    m_cap = n + bound_dim if certified else None
-    m = n
-    ladder = _ladder_run(P, max(n, P.max_degree, 2), collect_verdicts=False)
-    prev = None
-    while True:
-        if m > ladder.upto + 1:
-            ladder = _ladder_run(P, m, collect_verdicts=False)
-        cut = ladder.dim_cut(m, n)
-        if ladder.full_from is not None and m >= ladder.full_from:
-            return cut
-        if cut == bound_dim:
-            return cut
-        if not certified and prev == cut:
-            return cut
-        if certified and m >= m_cap:
-            return cut
-        prev = cut
-        m += 1
+    """dim(<P> ∩ T^{<=n}), read from the T[z] engine: a cut P_m ∩ T^{<=n}
+    is the engine's pivots of <P_z>^m of word degree <= n (see
+    ``ExtensionEngine.ideal_cut_dim`` for the two modes)."""
+    return engine_for(P).ideal_cut_dim(n, certified)
 
 
 def gr_dimension(P, n, certified=False):
     """dim gr^n U(P) = dim U^{<=n} - dim U^{<=n-1}."""
-    if P.dim == 0:
-        return P.g ** n
-    dim_n = filtration_size(P.g, n) - ideal_cut_dim(P, n, certified)
+    eng = engine_for(P)
+    dim_n = filtration_size(P.g, n) - eng.ideal_cut_dim(n, certified)
     if n == 0:
         return dim_n
-    dim_n1 = filtration_size(P.g, n - 1) - ideal_cut_dim(P, n - 1, certified)
+    dim_n1 = filtration_size(P.g, n - 1) - eng.ideal_cut_dim(n - 1, certified)
     return dim_n - dim_n1
 
 
-GR_TABLE_COLUMN_CAP = 12000
-
-
 def gr_table(P, upto, pbw_certified=False):
-    """dim gr^n U(P) for n = 0..upto, or None when not computable cheaply.
-
-    For PBW-certified P, <P> ∩ T^{<=n} = P_n exactly.  Otherwise the cuts
-    come from the two-step stabilization heuristic, extended only while the
-    ladder stays under a column cap; if some degree has not stabilized by
-    then the whole table is withheld rather than reported wrong."""
-    if P.dim == 0:
-        return [P.g ** n for n in range(upto + 1)]
-    if pbw_certified:
-        ladder = _ladder_run(P, max(upto, P.max_degree), collect_verdicts=False)
-        cuts = [ladder.dim_cut(n, n) for n in range(upto + 1)]
-    else:
-        cuts = None
-        depth = max(upto + 1, P.max_degree)
-        while filtration_size(P.g, depth + 1) <= GR_TABLE_COLUMN_CAP \
-                and depth < LADDER_DEPTH_CAP:
-            ladder = _ladder_run(P, depth, collect_verdicts=False)
-            m_top = ladder.upto + 1
-            if ladder.full_from is not None and ladder.full_from <= m_top:
-                cuts = [ladder.dim_cut(m_top, n) for n in range(upto + 1)]
-                break
-            stable = all(ladder.dim_cut(m_top - 1, n) == ladder.dim_cut(m_top, n)
-                         for n in range(upto + 1))
-            if stable:
-                cuts = [ladder.dim_cut(m_top, n) for n in range(upto + 1)]
-                break
-            depth += 1
-        if cuts is None:
-            return None
-    out = []
-    for n in range(upto + 1):
-        u_n = filtration_size(P.g, n) - cuts[n]
-        u_n1 = filtration_size(P.g, n - 1) - cuts[n - 1] if n else 0
-        out.append(u_n - u_n1)
-    return out
+    """dim gr^n U(P) for n = 0..upto, or None when not computable cheaply;
+    each cut dim(<P> ∩ T^{<=n}) is the T[z] engine's pivots of word degree
+    <= n (see ``ExtensionEngine.gr_table``)."""
+    return engine_for(P).gr_table(upto, pbw_certified)
 
 
 def minimize_relations(rel):

@@ -13,16 +13,24 @@ set), which is what guarantees <P*> = <P_z>.
 
 The ideal I = <P_z> is built by the recursion
 
-    I^m = z·I^{m-1} + V·N + N·V + P_z^m,
+    I^m = V·I^{m-1} + z·N + N·V + P_z^m,
 
 where V = T^1 and N is the set of echelon rows of I^{m-1} whose pivot is
-not a pivot of z·I^{m-2}.  Multiplication by z moves every column of
-T[z]^{m-1} by the g^m columns of word degree m, so z·I^{m-1} is stored
-shifted, unreduced, and its pivots are those of I^{m-1} moved by g^m.  The
-recursion is exact: z·I^{m-2} is stored as is inside I^{m-1}, so it and
-span(N) have disjoint leading columns and together span I^{m-1}; and z is
-central, so V·z·I^{m-2} = z·V·I^{m-2} ⊆ z·I^{m-1} (and likewise on the
-right), which leaves V·N and N·V as the only new products.
+not x_i times a pivot of I^{m-2}.  Left multiplication by x_i keeps the
+order of the monomials (the word degree goes up by one for every term and
+lex order inside a degree is kept), so lead(x_i·r) = x_i·lead(r): the
+products V·I^{m-1} have distinct pivots, stay echelon and are stored as
+they are, unreduced.  The recursion is exact: V·I^{m-2} is stored as is
+inside I^{m-1}, so it and span(N) have disjoint leading columns and
+together span I^{m-1}; z is central, so z·V·I^{m-2} = V·z·I^{m-2} lies in
+V·I^{m-1}, and V·I^{m-2}·V = V·(I^{m-2}·V) does too.  That leaves z·N and
+N·V as the only new products.
+
+Setting z = 1 maps <P_z>^m bijectively onto the ladder space P_m, and a
+monomial w z^k to the word w; the elements of P_m in T^{<=n} are the images
+of those supported on word degrees <= n, the last columns.  So
+dim(P_m ∩ T^{<=n}) is the number of pivots of <P_z>^m of word degree
+<= n (``cut_dim``), and the gr U(P) tables are read from the engine.
 """
 
 from __future__ import annotations
@@ -33,6 +41,7 @@ from .gradedring import ideal_chain
 from .linalg import RowSpace, left_kernel_basis, span
 
 ENGINE_DEGREE_CAP = 24
+GR_TABLE_COLUMN_CAP = 12000
 
 
 def build_pz(alpha, rel):
@@ -88,6 +97,21 @@ class ZMonomials:
         w = self.word_at(pos)
         return (w, self.n - len(w))
 
+    def left_maps(self):
+        """One list per letter x_i: entry p is the position in T[z]^{n+1}
+        of x_i times the monomial at position p, (x_i w) z^k for w z^k.
+        Each map keeps positions in order."""
+        g = self.g
+        top = filtration_size(g, self.n + 1)
+        maps = []
+        for i in range(g):
+            cols = []
+            for d in range(self.n, -1, -1):     # block order: degree descending
+                start = top - filtration_size(g, d + 1) + i * g ** d
+                cols.extend(range(start, start + g ** d))
+            maps.append(cols)
+        return maps
+
 
 class ExtensionEngine:
     """Caches, per degree n: the ideal component <P_z>^n, the quotient
@@ -131,13 +155,13 @@ class ExtensionEngine:
         return self._ideal[n]
 
     def _step(self, m):
-        """I^m = z·I^{m-1} + V·N + N·V + P_z^m for I = <P_z> (see the
-        module docstring).  N is the set of rows of I^{m-1} whose pivot c
-        is no pivot of z·I^{m-2}: c < g^{m-1} (a word of degree m-1, no z)
-        or c - g^{m-1} is no pivot of I^{m-2}.  This step stored z·I^{m-2}
-        in I^{m-1} as it is, so those rows and N span I^{m-1}; z is
-        central, so V·z·I^{m-2} ⊆ z·I^{m-1}, and likewise on the right.
-        Only V·N, N·V and P_z^m are reduced."""
+        """I^m = V·I^{m-1} + z·N + N·V + P_z^m for I = <P_z> (see the
+        module docstring).  The left products x_i·I^{m-1} go in as they
+        are through order-keeping column maps.  N is the set of rows of
+        I^{m-1} whose pivot is no x_i·pivot of I^{m-2}; the other rows are
+        the left products this step stored one degree down, and z·V·I^{m-2}
+        and V·I^{m-2}·V lie in V·I^{m-1}.  Only z·N, N·V and P_z^m are
+        reduced."""
         if self.saturated_at is not None and m > self.saturated_at:
             # once <P_z>^m = T[z]^m, strong grading keeps every later
             # degree full
@@ -152,18 +176,24 @@ class ExtensionEngine:
         mono = ZMonomials(self.g, m)
         sp = RowSpace(self.field)
         g = self.g
-        # z * I^{m-1}: same word parts, one more z power each, i.e. every
-        # column moves by the g^m columns of word degree m; stored as is
-        sp.store_shifted(prev, g ** m)
-        # x_i * row and row * x_i for the rows of N only
-        below = self._ideal[m - 2].rows if m >= 2 else {}
-        zprev = g ** (m - 1)
-        for c in sorted(prev.rows):
-            if c >= zprev and c - zprev in below:
-                continue
-            words = [(mono_prev.word_at(p), s) for p, s in prev.rows[c].items()]
+        for cols in mono_prev.left_maps():
+            sp.store_shifted(prev, cols)
+        lefts = set()
+        if m >= 2:
+            below = self._ideal[m - 2].rows
+            for cols in ZMonomials(g, m - 2).left_maps():
+                lefts.update(cols[c] for c in below)
+        n_rows = [prev.rows[c] for c in sorted(prev.rows) if c not in lefts]
+        # z·(w z^k) = w z^(k+1): every column moves by the g^m columns of
+        # word degree m.  All of z·N goes in before N·V, which then reduces
+        # against it: on U(gl2) to degree 8 that halves the time of
+        # interleaving the two.
+        zshift = g ** m
+        for row in n_rows:
+            sp.insert({p + zshift: s for p, s in row.items()})
+        for row in n_rows:
+            words = [(mono_prev.word_at(p), s) for p, s in row.items()]
             for i in range(g):
-                sp.insert({mono.pos_of_word((i,) + w): s for w, s in words})
                 sp.insert({mono.pos_of_word(w + (i,)): s for w, s in words})
         for vec in self._pz_by_degree.get(m, []):
             sp.insert(dict(vec))
@@ -239,6 +269,79 @@ class ExtensionEngine:
         """dim A^n for A = T/<rel>, by the graded recursion on rel."""
         chain = ideal_chain(self.rel, upto)
         return [self.g ** n - chain[n].rank for n in range(upto + 1)]
+
+    # -- gr U(P): the cuts P_m ∩ T^{<=n} -----------------------------------
+
+    def cut_dim(self, m, n):
+        """dim(P_m ∩ T^{<=n}): the number of pivots of <P_z>^m of word
+        degree <= n, i.e. in the last dim T^{<=n} columns."""
+        if self.saturated_at is not None and self.saturated_at <= m:
+            return filtration_size(self.g, min(m, n))
+        sp = self.ideal_component(m)
+        start = filtration_size(self.g, m) - filtration_size(self.g, n)
+        return sum(1 for p in sp.rows if p >= start)
+
+    def ideal_cut_dim(self, n, certified=False):
+        """dim(<P> ∩ T^{<=n}) as the stabilized union of the cuts
+        P_m ∩ T^{<=n}, m >= n, each the engine's pivots of <P_z>^m of word
+        degree <= n.
+
+        Heuristic mode stops once two consecutive cuts agree; certified mode
+        runs m up to n + dim T^{<=n} (an increasing chain in a space of that
+        dimension makes at most that many strict steps).  Certified mode can
+        be resource-heavy by design; the guards will object first.
+        """
+        if not self.pz:
+            return 0
+        bound_dim = filtration_size(self.g, n)
+        m = n
+        prev = None
+        while True:
+            cut = self.cut_dim(m, n)
+            stop = m >= n + bound_dim if certified else cut == prev
+            if stop or cut == bound_dim:
+                return cut
+            prev = cut
+            m += 1
+
+    def gr_table(self, upto, certified=False):
+        """dim gr^n U(P) for n = 0..upto, or None when not computable cheaply.
+
+        A cut dim(<P> ∩ T^{<=n}) is read as the engine's pivots of <P_z>^m
+        of word degree <= n.  For PBW-certified P, <P> ∩ T^{<=n} = P_n
+        exactly, so m = n.  Otherwise the cuts come from the two-step
+        stabilization heuristic, extended only while T[z]^m stays under a
+        column cap; if some degree has not stabilized by then the whole
+        table is withheld rather than reported wrong."""
+        g = self.g
+        if not self.pz:
+            return [g ** n for n in range(upto + 1)]
+        top = self.rel.max_degree()
+        if certified:
+            depth = max(upto, top)
+            if depth + 1 > self.degree_cap:
+                # the cap and message of pn_ladder(P, depth), whose spaces
+                # P_n these cuts count
+                raise ResourceExceeded(f"ladder depth {depth} above cap {self.degree_cap}")
+            cuts = [self.cut_dim(n, n) for n in range(upto + 1)]
+        else:
+            cuts = None
+            m = max(upto + 1, top) + 1
+            while filtration_size(g, m) <= GR_TABLE_COLUMN_CAP and m <= self.degree_cap:
+                now = [self.cut_dim(m, n) for n in range(upto + 1)]
+                full = self.saturated_at is not None and self.saturated_at <= m
+                if full or now == [self.cut_dim(m - 1, n) for n in range(upto + 1)]:
+                    cuts = now
+                    break
+                m += 1
+            if cuts is None:
+                return None
+        out = []
+        for n in range(upto + 1):
+            u_n = filtration_size(g, n) - cuts[n]
+            u_n1 = filtration_size(g, n - 1) - cuts[n - 1] if n else 0
+            out.append(u_n - u_n1)
+        return out
 
 
 def rees_identity_check(engine, upto):

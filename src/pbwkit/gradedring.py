@@ -207,17 +207,6 @@ class PresentedRing:
             self._nf_cache[w] = cached
         return cached
 
-    def mult_words(self, u, v):
-        """Product of two quotient-basis words, as {basis word: scalar}."""
-        return self.nf_word(u + v)
-
-    def is_finite_dimensional(self, upto=None):
-        upto = upto if upto is not None else self.max_degree
-        for n in range(upto + 1):
-            if self.hilbert_value(n) == 0:
-                return True
-        return False
-
     def hilbert(self, upto):
         """Hilbert values h(0..upto) plus the finite-dimension flag and the
         top-degree complexity c_A = sup{n-1 : A^n != 0}.

@@ -21,8 +21,9 @@ normalised on first read and cached), and ``reduce_leading`` /
 Rows are immutable once stored, so a copied space can be extended without
 touching the original, and a stored row may be inserted elsewhere as it is
 (``raw_basis``): insertion does not depend on the scale of its input.  A
-whole space may be copied in under a column offset (``store_shifted``):
-the shift keeps its rows echelon and normalised, so they are not reduced.
+whole space may be copied in under a column offset or any other map that
+keeps columns distinct and in order (``store_shifted``): such a map keeps
+its rows echelon and normalised, so they are not reduced.
 
 There is one tagged elimination, ``RowSpace.relate``: a vector carries tag
 columns at and above an offset that record how it was made, and when its
@@ -430,15 +431,20 @@ class RowSpace:
             return None
         return {c - offset: s for c, s in self._exact(red, num * scale, den).items()}
 
-    def store_shifted(self, other, offset):
+    def store_shifted(self, other, cols):
         """Store every row of ``other`` with each column c moved to
-        c + offset.  A shift keeps columns distinct and in order, so the
-        moved rows stay echelon and normalised and are stored as they are,
-        unreduced; none of their pivots may be a pivot here yet."""
+        ``cols[c]``, or to c + ``cols`` when ``cols`` is an int offset.
+        The map must keep columns distinct and in order; then the moved
+        rows stay echelon and normalised and are stored as they are,
+        unreduced.  None of their pivots may be a pivot here yet."""
         if other._p != self._p:
             raise ValidationError("rows over a different field")
-        moved = {c + offset: {k + offset: s for k, s in row.items()}
-                 for c, row in other.rows.items()}
+        if isinstance(cols, int):
+            moved = {c + cols: {k + cols: s for k, s in row.items()}
+                     for c, row in other.rows.items()}
+        else:
+            moved = {cols[c]: {cols[k]: s for k, s in row.items()}
+                     for c, row in other.rows.items()}
         taken = moved.keys() & self.rows.keys()
         if taken:
             raise ValidationError(f"column {min(taken)} is already a pivot")

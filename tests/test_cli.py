@@ -298,3 +298,19 @@ class TestReportInvariants:
                 ks = {int(k) for k in report.jacobi}
                 assert set(range(1, max(report.c, 0) + 1)) <= ks, name
                 assert all(report.jacobi.values()), name
+
+
+GL2 = ["e*f - f*e - h", "h*e - e*h - 2*e", "h*f - f*h + 2*f",
+       "e*c - c*e", "f*c - c*f", "h*c - c*h"]
+
+
+def test_gl2_tables_four_generators(tmp_path, capsys):
+    # U(gl2) is a PBW deformation of k[e, f, h, c]: gr U has the
+    # polynomial-ring dimensions C(n+3, 3) and z is regular in D(P)
+    f = tmp_path / "gl2.pbw"
+    f.write_text('generators = ["e", "f", "h", "c"]\n'
+                 f"deformation = {json.dumps(GL2)}\nmax_degree = 5\n")
+    assert main(["check", str(f), "--json"]) == 0
+    dims = json.loads(capsys.readouterr().out)["dims"]
+    assert dims["gr_U"] == [1, 4, 10, 20, 35, 56]
+    assert dims["ann"] == [0] * 6

@@ -1,11 +1,15 @@
-"""The semi-naive closure steps against the naive ones.
+"""The semi-naive closure steps against the naive ones, and the engine's
+cuts against the ladder's.
 
 The Jacobi ladder multiplies only the rows P_k added to P_{k-1}, and the
-T[z] engine stores z·<P_z>^{m-1} shifted and multiplies only the rows of
-<P_z>^{m-1} that z·<P_z>^{m-2} lacks.  ``naive_ladder`` and
-``NaiveEngine`` (conftest) multiply every row, as the closures did
-before; the ladder must give the same stored rows and witness, the engine
-the same ideal components and annihilators.
+T[z] engine stores V·<P_z>^{m-1} unreduced and multiplies by z and on the
+right only the rows of <P_z>^{m-1} that V·<P_z>^{m-2} lacks.
+``naive_ladder`` and ``NaiveEngine`` (conftest) multiply every row, as the
+closures did before; the ladder must give the same stored rows and
+witness, the engine the same ideal components and annihilators.  The gr U
+tables are read from the engine: dim(P_m ∩ T^{<=n}) is its pivots of
+<P_z>^m of word degree <= n, which must equal the count on the ladder's
+P_m.
 """
 
 import random
@@ -13,9 +17,10 @@ from fractions import Fraction
 
 import pytest
 
-from pbwkit.deformation import FilteredSubspace, extract_alpha, pn_ladder, rp_of
+from pbwkit.deformation import (LADDER_DEPTH_CAP, FilteredSubspace, extract_alpha,
+                                gr_table, pn_ladder, rp_of)
 from pbwkit.errors import InvalidPresentation
-from pbwkit.extension import engine_for
+from pbwkit.extension import GR_TABLE_COLUMN_CAP, engine_for
 from pbwkit.freealg import Element, filtration_size
 from pbwkit.linalg import QQ, PrimeField
 
@@ -79,3 +84,70 @@ def test_closures_match_naive(p):
     assert gens == {1, 2, 3}
     assert 0 < not_pbw < INSTANCES
     assert saturated
+
+
+def ladder_cut(lad, m, n):
+    """dim(P_m ∩ T^{<=n}) counted on the ladder's P_m."""
+    sp = lad.spaces[m]
+    if sp is None:      # P_m = T^{<=m} once the ladder is full
+        return filtration_size(lad.g, min(m, n))
+    start = lad.basis.suffix_start(n)
+    return sum(1 for c in sp.rows if c >= start)
+
+
+def ladder_gr_table(P, upto, certified, ladder):
+    """gr U(P) as gr_table built it from ladders: cuts P_n ∩ T^{<=n} when
+    certified, else the first m (under the column cap) at which the ladder
+    is full or the cuts agree with those at m - 1.  ``ladder(m)`` is a
+    ladder that holds P_m."""
+    g = P.g
+    if certified:
+        cuts = [ladder_cut(ladder(n), n, n) for n in range(upto + 1)]
+    else:
+        cuts = None
+        depth = max(upto + 1, P.max_degree)
+        while filtration_size(g, depth + 1) <= GR_TABLE_COLUMN_CAP \
+                and depth < LADDER_DEPTH_CAP:
+            m = depth + 1
+            lad = ladder(m)
+            now = [ladder_cut(lad, m, n) for n in range(upto + 1)]
+            if lad.full_from is not None and lad.full_from <= m or \
+                    now == [ladder_cut(lad, m - 1, n) for n in range(upto + 1)]:
+                cuts = now
+                break
+            depth += 1
+        if cuts is None:
+            return None
+    return [filtration_size(g, n) - cuts[n] - (filtration_size(g, n - 1) - cuts[n - 1]
+                                               if n else 0)
+            for n in range(upto + 1)]
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_engine_cuts_match_ladder(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(4500 + (p or 0))
+    withheld = 0
+    for _ in range(INSTANCES):
+        P = sampled(rng, field)
+        lad = pn_ladder(P, 6)
+        eng = engine_for(P)
+        for m in range(8):
+            for n in range(m + 1):
+                assert eng.cut_dim(m, n) == ladder_cut(lad, m, n), (m, n, P.row_elements())
+
+        ladders = [lad]
+
+        def ladder(m):
+            if m > ladders[-1].upto + 1:
+                ladders.append(pn_ladder(P, m - 1))
+            return ladders[-1]
+
+        for upto in (3, 5, 6):
+            for certified in (False, True):
+                want = ladder_gr_table(P, upto, certified, ladder)
+                assert eng.gr_table(upto, certified) == want, (upto, certified)
+                withheld += want is None
+        assert gr_table(P, 3) == eng.gr_table(3)
+    # the sample reaches the withheld tables too
+    assert withheld

@@ -321,3 +321,23 @@ def test_store_shifted(p):
     with pytest.raises(ValidationError):
         sp.store_shifted(RowSpace(PrimeField(11)), 20)
     assert sp.rows == direct.rows
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_store_shifted_by_map(p):
+    # an order-keeping column map given as a list: the moved rows are
+    # stored as they are and equal the rows a direct insertion gives
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(6)
+    src = RowSpace(field)
+    for _ in range(4):
+        src.insert({c: field.from_int(rng.randint(-4, 4)) for c in range(6)})
+    cols = [1, 2, 4, 7, 8, 11]
+    sp = RowSpace(field)
+    sp.store_shifted(src, cols)
+    direct = RowSpace(field)
+    for row in src.basis():
+        direct.insert({cols[c]: s for c, s in row.items()})
+    assert sp.rows == direct.rows
+    with pytest.raises(ValidationError):
+        sp.store_shifted(src, cols)
