@@ -11,15 +11,13 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-import time
 
-from .deformation import (FilteredSubspace, lift_presentation,
-                          minimize_relations, pbw_check, pn_ladder, rp_of)
+from .deformation import (lifted, minimized_ring, pbw_check, pn_ladder, rp_of,
+                          timed)
 from .errors import (InvalidPresentation, ParseError, PBWError,
                      ResourceExceeded, ValidationError)
 from .extension import ExtensionEngine, engine_for, rees_identity_check
 from .freealg import format_element
-from .gradedring import PresentedRing
 from .homology import complexity, tor3_resolution, tor_bar
 from .presentations import Report, parse_presentation
 
@@ -30,12 +28,18 @@ def _empty_dims():
     return {"h_A": None, "gr_U": None, "D": None, "ann": None, "tor3": None}
 
 
-def _lifted_subspace(pres):
-    field = pres.field()
-    lift = lift_presentation(len(pres.generators), pres.parsed_ambient(),
-                             pres.parsed_deformation(), field)
-    P = FilteredSubspace(len(pres.generators), lift.spanning, field)
-    return P, lift
+def _lift(pres, timings):
+    return timed(timings, "lift", lifted, len(pres.generators),
+                 pres.parsed_deformation(), pres.parsed_ambient(), pres.field())
+
+
+def _ring(pres, timings, max_degree):
+    """The stages every homological command starts with: lift, extract R_P,
+    minimize it; returns (LiftResult, R, ring)."""
+    P, lift = _lift(pres, timings)
+    rp = timed(timings, "extract", rp_of, P)
+    rmin, ring = timed(timings, "minimize", minimized_ring, rp, max_degree)
+    return lift, rmin, ring
 
 
 def _witness_text(pres, element):
@@ -44,27 +48,28 @@ def _witness_text(pres, element):
     return format_element(element, pres.generators)
 
 
+def _tables(res, bound):
+    """(gr_U, D, ann) through degree bound, from one T[z] engine."""
+    eng = ExtensionEngine(res.P.g, res.alpha, res.top_relations, res.P.field)
+    return (eng.gr_table(bound, certified=res.verdict == "PBW_CERTIFIED"),
+            [eng.dim_d(n) for n in range(bound + 1)],
+            [eng.annihilator_dim(n) for n in range(bound + 1)])
+
+
 def cmd_check(pres, upto=None):
-    timings = {}
-    t0 = time.perf_counter()
     res = pbw_check(len(pres.generators), pres.parsed_deformation(),
                     ambient=pres.parsed_ambient(), field=pres.field(),
                     max_degree=pres.max_degree, tor_bound=pres.tor_bound)
-    timings["decision"] = time.perf_counter() - t0
     bound = pres.max_degree
     dims = _empty_dims()
     if res.hilbert is not None:
         dims["h_A"] = list(res.hilbert.values[:bound + 1])
     if res.P is not None and res.P.dim and res.P.max_degree <= bound:
-        t0 = time.perf_counter()
-        eng = ExtensionEngine(res.P.g, res.alpha, res.top_relations, res.P.field)
-        dims["gr_U"] = eng.gr_table(bound, certified=res.verdict == "PBW_CERTIFIED")
+        dims["gr_U"], dims["D"], dims["ann"] = timed(res.timings, "tables",
+                                                     _tables, res, bound)
         if dims["gr_U"] is None:
             res.notes.append("gr U table withheld: not stabilized within the "
                              "resource cap (use gr_dimension in certified mode)")
-        dims["D"] = [eng.dim_d(n) for n in range(bound + 1)]
-        dims["ann"] = [eng.annihilator_dim(n) for n in range(bound + 1)]
-        timings["tables"] = time.perf_counter() - t0
     elif res.P is not None and res.P.dim == 0:
         g = res.P.g
         dims["gr_U"] = [g ** n for n in range(bound + 1)]
@@ -74,7 +79,7 @@ def cmd_check(pres, upto=None):
     if res.tor3 is not None:
         dims["tor3"] = {str(m): d for m, d in sorted(res.tor3.dims.items())}
     return Report(res.verdict, res.c, res.c_certified, res.jacobi,
-                  _witness_text(pres, res.witness), dims, timings,
+                  _witness_text(pres, res.witness), dims, res.timings,
                   notes=res.notes, first_failure=res.first_failure,
                   checked_upto=res.checked_upto, exit_code=res.exit_code)
 
@@ -82,10 +87,8 @@ def cmd_check(pres, upto=None):
 def cmd_jacobi(pres, upto=None):
     upto = upto if upto is not None else pres.max_degree
     timings = {}
-    t0 = time.perf_counter()
-    P, lift = _lifted_subspace(pres)
-    ladder = pn_ladder(P, upto)
-    timings["ladder"] = time.perf_counter() - t0
+    P, lift = _lift(pres, timings)
+    ladder = timed(timings, "ladder", pn_ladder, P, upto)
     dims = _empty_dims()
     dims["P_k"] = list(ladder.dims)
     ok = ladder.first_failure is None
@@ -97,29 +100,16 @@ def cmd_jacobi(pres, upto=None):
                   checked_upto=upto)
 
 
-def _minimized_ring(pres):
-    P, lift = _lifted_subspace(pres)
-    rp = rp_of(P)
-    if rp.degrees() and rp.degrees()[0] < 2:
-        raise ValidationError(
-            "top components of degree <= 1: homological commands need "
-            "relations in degrees >= 2")
-    rmin = minimize_relations(rp)
-    ring = PresentedRing(P.g, rmin, P.field,
-                         max_degree=max(10, pres.max_degree + 1))
-    return P, lift, rmin, ring
-
-
 def cmd_complexity(pres, upto=None):
     timings = {}
-    t0 = time.perf_counter()
-    P, lift, rmin, ring = _minimized_ring(pres)
-    cres = complexity(ring, rmin, bound_hint=pres.tor_bound or 8)
-    timings["complexity"] = time.perf_counter() - t0
+    lift, rmin, ring = _ring(pres, timings, pres.max_degree)
+    cres = timed(timings, "complexity", complexity, ring, rmin,
+                 bound_hint=pres.tor_bound or 8)
     dims = _empty_dims()
     dims["tor3"] = {str(m): d for m, d in sorted(cres.table.dims.items())} \
         if cres.table else {}
-    hil = ring.hilbert(upto=min(ring.max_degree, pres.max_degree))
+    hil = timed(timings, "hilbert", ring.hilbert,
+                min(ring.max_degree, pres.max_degree))
     dims["h_A"] = hil.values
     notes = [cres.note] if cres.note else []
     if not lift.identity and lift.note:
@@ -131,13 +121,9 @@ def cmd_complexity(pres, upto=None):
 def cmd_tor(pres, upto=None):
     bound = upto if upto is not None else (pres.tor_bound or 8)
     timings = {}
-    t0 = time.perf_counter()
-    P, lift, rmin, ring = _minimized_ring(pres)
-    table = tor3_resolution(ring, rmin, bound)
-    timings["resolution"] = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    bar = tor_bar(ring, 3, bound)
-    timings["bar"] = time.perf_counter() - t0
+    lift, rmin, ring = _ring(pres, timings, pres.max_degree)
+    table = timed(timings, "resolution", tor3_resolution, ring, rmin, bound)
+    bar = timed(timings, "bar", tor_bar, ring, 3, bound)
     dims = _empty_dims()
     dims["tor3"] = {str(m): d for m, d in sorted(table.dims.items())}
     dims["tor3_bar"] = {str(m): d for m, d in sorted(bar.dims.items())}
@@ -151,16 +137,8 @@ def cmd_tor(pres, upto=None):
 def cmd_hilbert(pres, upto=None):
     bound = upto if upto is not None else pres.max_degree
     timings = {}
-    t0 = time.perf_counter()
-    P, lift = _lifted_subspace(pres)
-    rp = rp_of(P)
-    ring = PresentedRing(P.g, minimize_relations(rp), P.field,
-                         max_degree=max(10, bound)) \
-        if (not rp.degrees() or rp.degrees()[0] >= 2) else None
-    if ring is None:
-        raise ValidationError("hilbert needs relation degrees >= 2")
-    hil = ring.hilbert(bound)
-    timings["hilbert"] = time.perf_counter() - t0
+    lift, rmin, ring = _ring(pres, timings, bound)
+    hil = timed(timings, "hilbert", ring.hilbert, bound)
     dims = _empty_dims()
     dims["h_A"] = hil.values
     dims["c_A"] = hil.c_a
@@ -174,11 +152,9 @@ def cmd_hilbert(pres, upto=None):
 def cmd_rees(pres, upto=None):
     bound = upto if upto is not None else pres.max_degree
     timings = {}
-    t0 = time.perf_counter()
-    P, lift = _lifted_subspace(pres)
-    eng = engine_for(P)
-    holds, per, first_bad = rees_identity_check(eng, bound)
-    timings["rees"] = time.perf_counter() - t0
+    P, lift = _lift(pres, timings)
+    eng = timed(timings, "extract", engine_for, P)
+    holds, per, first_bad = timed(timings, "rees", rees_identity_check, eng, bound)
     dims = _empty_dims()
     dims["D"] = [eng.dim_d(n) for n in range(bound + 1)]
     dims["ann"] = [eng.annihilator_dim(n) for n in range(bound)]

@@ -10,7 +10,8 @@ new below degree k+1; the first failing row is kept as a witness.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field as dc_field
 
 from .errors import (DomainMismatch, InvalidPresentation, InvariantViolation,
                      NotPure, ResourceExceeded, ValidationError)
@@ -20,9 +21,10 @@ from .freealg import (DegreeBasis, Element, WordBasis, filtration_size,
 from .gradedring import (GradedSubspace, PresentedRing, ideal_chain,
                          minimal_complement, tilde_block)
 from .homology import complexity, overlap
-from .linalg import QQ, RowSpace
+from .linalg import QQ, RowSpace, coordinate_solver
 
 LADDER_DEPTH_CAP = 24
+MIN_TOP_DEGREE = 1      # FilteredSubspace rows live in T^{<=1} at least
 
 
 class FilteredSubspace:
@@ -33,12 +35,12 @@ class FilteredSubspace:
     pivot has degree <= n are an echelon basis of P ∩ T^{<=n}.
     """
 
-    def __init__(self, g, elements, field=QQ, min_degree_cap=1):
+    def __init__(self, g, elements, field=QQ):
         self.g = g
         self.field = field
         nonzero = [e for e in elements if not e.is_zero()]
-        d = max((e.degree() for e in nonzero), default=min_degree_cap)
-        self.max_degree = max(d, min_degree_cap)
+        d = max((e.degree() for e in nonzero), default=MIN_TOP_DEGREE)
+        self.max_degree = max(d, MIN_TOP_DEGREE)
         self.basis = WordBasis(g, self.max_degree)
         self.space = RowSpace(field)
         for e in nonzero:
@@ -96,7 +98,8 @@ class FilteredMap:
 
     Stored per degree as parallel lists (reduced domain row, image element);
     images satisfy LH(image) = domain row.  alpha is applied to arbitrary
-    domain vectors by coordinate solving against the reduced rows.
+    domain vectors by coordinate solving against the reduced rows, with one
+    solver per degree built on first use.
     """
 
     def __init__(self, g, field):
@@ -104,6 +107,7 @@ class FilteredMap:
         self.field = field
         self.graded_rows = {}   # n -> list of {local pos: scalar}, RREF
         self.images = {}        # n -> list of Element
+        self._solvers = {}      # n -> coordinate solver over graded_rows[n]
 
     def domain(self):
         dom = GradedSubspace(self.g, self.field)
@@ -114,25 +118,15 @@ class FilteredMap:
 
     def apply_vec(self, n, vec):
         """alpha on a degree-n domain vector; DomainMismatch if outside."""
-        rows = self.graded_rows.get(n, [])
-        images = self.images.get(n, [])
-        vec = dict(vec)
-        out = Element(self.field)
-        for row, img in zip(rows, images):
-            piv = min(row)
-            c = vec.get(piv)
-            if not c:
-                continue
-            for p, s in row.items():
-                t = vec.get(p)
-                t = -(c * s) if t is None else t - c * s
-                if t:
-                    vec[p] = t
-                else:
-                    vec.pop(p, None)
-            out = out + img.scale(c)
-        if vec:
+        if n not in self._solvers:
+            self._solvers[n] = coordinate_solver(
+                self.field, self.graded_rows.get(n, []), self.g ** n)
+        cs = self._solvers[n](vec)
+        if cs is None:
             raise DomainMismatch(f"vector of degree {n} outside the map's domain")
+        out = Element(self.field)
+        for k, c in sorted(cs.items()):
+            out = out + self.images[n][k].scale(c)
         return out
 
     def apply_element(self, e):
@@ -204,14 +198,6 @@ class JacobiLadder:
     first_failure: int | None
     witness: Element | None
     full_from: int | None   # least k with P_k = T^{<=k}, if reached
-
-    def dim_cut(self, m, n):
-        """dim(P_m ∩ T^{<=n}) for computed m."""
-        if self.full_from is not None and m >= self.full_from:
-            return filtration_size(self.g, min(m, n))
-        sp = self.spaces[m]
-        start = self.basis.suffix_start(n)
-        return sum(1 for p in sp.rows if p >= start)
 
     def contains_filtered(self, m, P_other):
         """True iff P_other (a FilteredSubspace) lies inside P_m."""
@@ -357,23 +343,8 @@ def pure_jacobi_check(alpha):
     rel_rows = rel.blocks[N].reduced_basis()
     rv_rows, vr_rows, x_basis = overlap(rel_rows, g, N, field)
 
-    def solver(rows):
-        """coords(vec): the c with vec = sum c_k rows_k (rows independent)."""
-        acc = RowSpace(field)
-        for k, r in enumerate(rows):
-            aug = dict(r)
-            aug[size + k] = field.one
-            acc.insert(aug)
-
-        def coords(vec):
-            cs = acc.relate(vec, size)
-            if cs is None:
-                raise ValidationError("vector outside span")
-            return {k: -s for k, s in cs.items()}
-        return coords
-
-    coords_v = solver(vr_rows)
-    coords_r = solver(rv_rows)
+    coords_v = coordinate_solver(field, vr_rows, size)
+    coords_r = coordinate_solver(field, rv_rows, size)
 
     def alpha_comp_on_rel_row(ridx, i):
         """alpha_i applied to the ridx-th relation row."""
@@ -390,12 +361,15 @@ def pure_jacobi_check(alpha):
 
     def mixed(x_vec, i):
         """(V (x) alpha_i - alpha_i (x) V)(x) as an Element of degree N+1-i."""
+        cv, cr = coords_v(x_vec), coords_r(x_vec)
+        if cv is None or cr is None:
+            raise ValidationError("vector outside span")
         out = Element(field)
-        for k, c in coords_v(x_vec).items():     # x = sum c * x_j . r
+        for k, c in cv.items():                  # x = sum c * x_j . r
             ridx, j = divmod(k, g)
             term = comp(ridx, i)
             out = out + Element(field, {(j,) + w: c * s for w, s in term.terms.items()})
-        for k, c in coords_r(x_vec).items():     # x = sum c * r . x_j
+        for k, c in cr.items():                  # x = sum c * r . x_j
             ridx, j = divmod(k, g)
             term = comp(ridx, i)
             out = out - Element(field, {w + (j,): c * s for w, s in term.terms.items()})
@@ -504,7 +478,37 @@ def lift_presentation(g, ambient_elements, deformation_elements, field=QQ):
 
 
 # ---------------------------------------------------------------------------
-# The full decision pipeline.
+# The full decision pipeline.  Each stage is written once and shared with
+# the CLI commands; its name is its key in ``timings``: lift, extract,
+# minimize, complexity, hilbert, ladder (and the CLI's tables).
+
+def timed(timings, stage, fn, *args, **kwargs):
+    """fn(*args, **kwargs), adding its wall time to timings[stage]."""
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t0
+    return out
+
+
+def lifted(g, deformation, ambient, field):
+    """(P, LiftResult): the deformation lifted to the free algebra (see
+    ``lift_presentation``), as a filtered subspace P."""
+    lift = lift_presentation(g, list(ambient), list(deformation), field)
+    return FilteredSubspace(g, lift.spanning, field), lift
+
+
+def minimized_ring(rp, max_degree):
+    """(R, A): R_P minimized to a bimodule of relations R, and A = T/<R>
+    with its degree cap max(10, max_degree + 1).  The homological stages
+    need R_P in degrees >= 2."""
+    if rp.degrees() and rp.degrees()[0] <= 1:
+        raise ValidationError(
+            "top components of degree <= 1: homological commands need "
+            "relations in degrees >= 2")
+    rmin = minimize_relations(rp)
+    return rmin, PresentedRing(rp.g, rmin, rp.field,
+                               max_degree=max(10, max_degree + 1))
+
 
 @dataclass
 class CheckResult:
@@ -525,24 +529,26 @@ class CheckResult:
     tor3: object = None
     ladder: JacobiLadder | None = None
     lift: LiftResult | None = None
+    timings: dict = dc_field(default_factory=dict)   # stage -> seconds
 
     @property
     def exit_code(self):
         return {"PBW_CERTIFIED": 0, "NOT_PBW": 1, "PBW_UP_TO_DEGREE": 2}[self.verdict]
 
 
-def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None,
-              ring_cap=None):
+def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None):
     """Decide whether U(P) = T/<P> is a PBW-deformation of A = T/<R_P>.
 
     The positive certificate follows the homological route: minimize R_P to
     a bimodule of relations R, certify <R> = <R_P>, compute c(A), and check
     (J_1)..(J_c) on the alpha-associated subspace P' = alpha(R); when
     P' != P the generation <P'> = <P> is certified through P'_d membership.
-    A failing (J_k) on P itself is always a definitive NOT_PBW.
+    A failing (J_k) on P itself is always a definitive NOT_PBW.  The
+    result's ``timings`` holds the wall time of every stage that ran.
     """
     notes = []
-    lift = lift_presentation(g, list(ambient), list(deformation), field)
+    timings = {}
+    P, lift = timed(timings, "lift", lifted, g, deformation, ambient, field)
     if not lift.identity:
         notes.append("quotient-ambient input lifted to the free algebra; "
                      "all reported values are isomorphism-invariant, so they "
@@ -554,7 +560,6 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
         notes.append(f"field {field.name}: certified verdicts require Q; "
                      "positive results are reported as bounded-degree claims")
 
-    P = FilteredSubspace(g, lift.spanning, field)
     found = {"P": P, "lift": lift}   # fields of every result from here on
 
     def result(verdict, checked, c, c_cert, jacobi, ladder):
@@ -563,35 +568,37 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
         return CheckResult(verdict, checked, c, c_cert, jacobi,
                            ladder.first_failure if ladder else None,
                            ladder.witness if ladder else None, notes,
-                           ladder=ladder, **found)
+                           ladder=ladder, timings=timings, **found)
 
     if P.dim == 0:
         found["ring"] = PresentedRing(g, GradedSubspace(g, field), field)
         notes.append("empty deformation: U(P) is the free algebra")
         return result("PBW_CERTIFIED", 0, -1, True, {}, None)
 
-    rp = rp_of(P)
-    alpha = extract_alpha(P)
+    rp = timed(timings, "extract", rp_of, P)
+    alpha = timed(timings, "extract", extract_alpha, P)
     found.update(alpha=alpha, top_relations=rp)
     d = P.max_degree
     depth_bound = max(d, 2, min(max_degree, LADDER_DEPTH_CAP - 1))
+    low = rp.degrees()[0] <= 1
+
+    if not low:
+        rmin, ring = timed(timings, "minimize", minimized_ring, rp, max_degree)
+        cres = timed(timings, "complexity", complexity, ring, rmin,
+                     bound_hint=tor_bound or 8)
+        hilbert = timed(timings, "hilbert", ring.hilbert,
+                        min(ring.max_degree, max(max_degree, d)))
+        found.update(min_relations=rmin, ring=ring, tor3=cres.table, hilbert=hilbert)
 
     if alpha_is_inclusion(alpha):
         # P graded: P_m ∩ T^{<=n} = P_{min(m,n)}, so every (J_k) holds and
         # P is of PBW-type outright.
-        c_val, c_cert = None, False
-        if not rp.degrees() or rp.degrees()[0] >= 2:
-            rmin = minimize_relations(rp)
-            ring = PresentedRing(g, rmin, field, max_degree=ring_cap or max(10, max_degree + 1))
-            cres = complexity(ring, rmin, bound_hint=tor_bound or 8)
-            found.update(min_relations=rmin, ring=ring, tor3=cres.table,
-                         hilbert=ring.hilbert(upto=min(ring.max_degree, max(max_degree, d))))
-            c_val, c_cert = cres.c, cres.certified
+        c_val, c_cert = (None, False) if low else (cres.c, cres.certified)
         jac = {}
         checked = 0
         if c_val is not None and c_val >= 1:
             checked = min(c_val, LADDER_DEPTH_CAP - 1)
-            ladder = pn_ladder(P, checked)
+            ladder = timed(timings, "ladder", pn_ladder, P, checked)
             jac = ladder.verdicts
             if ladder.first_failure is not None:
                 raise InvariantViolation("graded deformation failed "
@@ -600,20 +607,15 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
         notes.append("homogeneous deformation: graded, hence of PBW type")
         return result(verdict, checked, c_val, c_cert and rational, jac, None)
 
-    if rp.degrees() and rp.degrees()[0] <= 1:
+    if low:
         # top components in degree <= 1: the homological certificate assumes
         # relations in degrees >= 2, so only a bounded claim is offered
-        ladder = pn_ladder(P, depth_bound)
+        ladder = timed(timings, "ladder", pn_ladder, P, depth_bound)
         notes.append("deformation has top components of degree <= 1; "
                      "certification falls back to the bounded Jacobi scan")
         verdict = "PBW_UP_TO_DEGREE" if ladder.first_failure is None else "NOT_PBW"
         return result(verdict, depth_bound, None, False, ladder.verdicts, ladder)
 
-    rmin = minimize_relations(rp)
-    ring = PresentedRing(g, rmin, field, max_degree=ring_cap or max(10, max_degree + 1))
-    cres = complexity(ring, rmin, bound_hint=tor_bound or 8)
-    found.update(min_relations=rmin, ring=ring, tor3=cres.table,
-                 hilbert=ring.hilbert(upto=min(ring.max_degree, max(max_degree, d))))
     certified_c = cres.certified and rational and lift.minimal_ok
     same = all(rmin.dim(n) == rp.dim(n) for n in rp.degrees())
 
@@ -624,7 +626,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
         K = depth_bound
 
     if same:
-        ladder = pn_ladder(P, K)
+        ladder = timed(timings, "ladder", pn_ladder, P, K)
         if ladder.first_failure is not None:
             return result("NOT_PBW", K, cres.c, cres.certified, ladder.verdicts, ladder)
         if certified_c:
@@ -638,7 +640,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
     Pp = apply_alpha(alpha, rmin)
     notes.append("R_P is not a bimodule of relations; Jacobi certificate runs "
                  "on the minimized alpha-image P'")
-    ladder_p = pn_ladder(Pp, K)
+    ladder_p = timed(timings, "ladder", pn_ladder, Pp, K)
     if ladder_p.first_failure is None and certified_c:
         if ladder_p.contains_filtered(d, P):
             # P' is of PBW type and generates <P>, hence <P'> = <P> and the
@@ -647,7 +649,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
             return result("PBW_CERTIFIED", K, cres.c, True, ladder_p.verdicts, ladder_p)
         notes.append("minimized P' is of PBW type but does not generate <P>; "
                      "only a bounded claim is possible for P")
-    ladder = pn_ladder(P, K)
+    ladder = timed(timings, "ladder", pn_ladder, P, K)
     if ladder.first_failure is not None:
         return result("NOT_PBW", K, cres.c, cres.certified, ladder.verdicts, ladder)
     if ladder_p.first_failure is not None:

@@ -118,12 +118,11 @@ class ExtensionEngine:
     basis of D^n, the multiplication-by-z matrix D^n -> D^{n+1}, and the
     annihilator dimension.  Single-writer; completed degrees are frozen."""
 
-    def __init__(self, g, alpha, rel, field, degree_cap=ENGINE_DEGREE_CAP):
+    def __init__(self, g, alpha, rel, field):
         self.g = g
         self.field = field
         self.rel = rel
         self.alpha = alpha
-        self.degree_cap = degree_cap
         self.pz = build_pz(alpha, rel)
         # group alpha_z generators by total degree, as position vectors
         self._pz_by_degree = {}
@@ -144,8 +143,8 @@ class ExtensionEngine:
     def ideal_component(self, n):
         if n < 0:
             raise ValidationError("negative degree")
-        if n > self.degree_cap:
-            raise ResourceExceeded(f"extension degree {n} above cap {self.degree_cap}")
+        if n > ENGINE_DEGREE_CAP:
+            raise ResourceExceeded(f"extension degree {n} above cap {ENGINE_DEGREE_CAP}")
         known = self._ideal.get(n)
         if known is not None:
             return known
@@ -203,12 +202,6 @@ class ExtensionEngine:
         return sp
 
     # -- quotient data -----------------------------------------------------
-
-    def extension_degree(self, n):
-        """Quotient basis of D^n as (word, z-power) monomials."""
-        self.ideal_component(n)
-        mono = ZMonomials(self.g, n)
-        return [mono.monomial_at(p) for p in self._dbasis[n]]
 
     def dim_d(self, n):
         self.ideal_component(n)
@@ -319,15 +312,15 @@ class ExtensionEngine:
         top = self.rel.max_degree()
         if certified:
             depth = max(upto, top)
-            if depth + 1 > self.degree_cap:
+            if depth + 1 > ENGINE_DEGREE_CAP:
                 # the cap and message of pn_ladder(P, depth), whose spaces
                 # P_n these cuts count
-                raise ResourceExceeded(f"ladder depth {depth} above cap {self.degree_cap}")
+                raise ResourceExceeded(f"ladder depth {depth} above cap {ENGINE_DEGREE_CAP}")
             cuts = [self.cut_dim(n, n) for n in range(upto + 1)]
         else:
             cuts = None
             m = max(upto + 1, top) + 1
-            while filtration_size(g, m) <= GR_TABLE_COLUMN_CAP and m <= self.degree_cap:
+            while filtration_size(g, m) <= GR_TABLE_COLUMN_CAP and m <= ENGINE_DEGREE_CAP:
                 now = [self.cut_dim(m, n) for n in range(upto + 1)]
                 full = self.saturated_at is not None and self.saturated_at <= m
                 if full or now == [self.cut_dim(m - 1, n) for n in range(upto + 1)]:
@@ -364,9 +357,9 @@ def rees_identity_check(engine, upto):
     return first_bad is None, per, first_bad
 
 
-def engine_for(P, degree_cap=ENGINE_DEGREE_CAP):
+def engine_for(P):
     """Engine for D(P) built from the deformation's own alpha and R_P."""
     from .deformation import extract_alpha, rp_of
     rel = rp_of(P)
     alpha = extract_alpha(P)
-    return ExtensionEngine(P.g, alpha, rel, P.field, degree_cap)
+    return ExtensionEngine(P.g, alpha, rel, P.field)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import product
 
 from .errors import HomogenizeZero, ParseError, ResourceExceeded, ValidationError
 from .linalg import QQ
@@ -311,9 +310,6 @@ class WordBasis:
             raise ValidationError("product would exceed the basis degree")
         tab = self._mult_right[i]
         return {tab[p]: s for p, s in vec.items()}
-
-    def words_of_degree(self, n):
-        return product(range(self.g), repeat=n)
 
     def suffix_start(self, n):
         """First column of the T^{<=n} suffix block."""

@@ -213,9 +213,15 @@ class PresentedRing:
 
         When some h(n) = 0 the strong grading kills all later degrees, so
         finite_dim and c_A are certified; otherwise c_A is only known to be
-        >= upto - 1.
+        >= upto - 1.  No component is built past the degree after the first
+        zero (which still checks the strong grading); later values are 0.
         """
-        values = [self.hilbert_value(n) for n in range(upto + 1)]
+        values = []
+        for n in range(upto + 1):
+            values.append(self.hilbert_value(n))
+            if n and values[-2] == 0:
+                break
+        values += [0] * (upto + 1 - len(values))
         finite = any(v == 0 for v in values)
         if finite:
             last_nonzero = max(n for n, v in enumerate(values) if v) if any(values) else None

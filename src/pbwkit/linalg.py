@@ -25,12 +25,13 @@ whole space may be copied in under a column offset or any other map that
 keeps columns distinct and in order (``store_shifted``): such a map keeps
 its rows echelon and normalised, so they are not reduced.
 
-There is one tagged elimination, ``RowSpace.relate``: a vector carries tag
-columns at and above an offset that record how it was made, and when its
-untagged part reduces to zero the space reports the tags instead of
-storing the vector.  ``left_kernel_basis`` (unit tags), ``intersection``
-(Zassenhaus: the tags repeat the row) and the coordinate solver of the
-pure-relations route (``deformation.pure_jacobi_check``) all use it.
+Tagged rows carry tag columns at and above an offset that record how they
+were made.  ``RowSpace.relate`` reduces such a vector and, when its
+untagged part reduces to zero, reports the tags instead of storing it:
+``left_kernel_basis`` (unit tags) and ``intersection`` (Zassenhaus: the
+tags repeat the row) use it.  ``coordinate_solver`` gives rows unit tags
+once and then only reduces (``reduce_leading``), storing nothing; the
+filtered maps and the pure-relations route solve through it.
 
 Measured on a 2-core x86-64 host under CPython 3.11.7, against rows of
 Fractions: the seeded 200-instance fixture of the acceptance tests takes
@@ -518,3 +519,19 @@ def intersection(field, a_rows, b_rows, offset):
         if x:
             out.append(x)
     return out
+
+
+def coordinate_solver(field, rows, offset):
+    """coords(vec): a {k: c_k} with vec = sum_k c_k rows[k], or None when
+    vec lies outside their span; ``offset`` must exceed every column used.
+    Row k carries the unit tag offset + k, so reducing vec clears its
+    untagged part exactly when vec lies in the span, and leaves -c in the
+    tags."""
+    sp = span(field, [{**r, offset + k: field.one} for k, r in enumerate(rows)])
+
+    def coords(vec):
+        red = sp.reduce_leading(vec)
+        if red and min(red) < offset:
+            return None
+        return {c - offset: -s for c, s in red.items()}
+    return coords

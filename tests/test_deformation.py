@@ -7,6 +7,7 @@ from pbwkit.deformation import (FilteredSubspace, apply_alpha, extract_alpha,
                                 gr_dimension, lift_presentation,
                                 minimize_relations, pbw_check, pn_ladder,
                                 pure_jacobi_check, rp_of)
+from pbwkit.extension import engine_for
 from pbwkit.linalg import QQ
 
 from conftest import (brute_jacobi, random_deformation_element,
@@ -227,10 +228,10 @@ class TestPbwCheck:
     def test_certified_implies_pm_cut_stable(self):
         # Theorem-level invariant: P_m ∩ T^{<=n} = P_n for computed m > n
         res = pbw_check(3, els(HEISENBERG, XYC))
-        lad = pn_ladder(res.P, 4)
+        eng = engine_for(res.P)
         for n in range(4):
             for m in range(n, 6):
-                assert lad.dim_cut(m, n) == lad.dim_cut(n, n)
+                assert eng.cut_dim(m, n) == eng.cut_dim(n, n)
 
     def test_degree_one_tops_fall_back(self):
         res = pbw_check(2, els(["x*y - y*x - 1", "x"], XY))
@@ -249,10 +250,10 @@ class TestPbwCheck:
                 continue
             if res.verdict != "PBW_CERTIFIED" or res.P is None:
                 continue
-            lad = pn_ladder(res.P, 4)
+            eng = engine_for(res.P)
             for n in range(4):
                 for m in range(n, 6):
-                    assert lad.dim_cut(m, n) == lad.dim_cut(n, n)
+                    assert eng.cut_dim(m, n) == eng.cut_dim(n, n)
             found += 1
 
 

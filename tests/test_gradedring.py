@@ -123,6 +123,15 @@ class TestHilbert:
         hd = ring_of(2, ["x*x", "x*y", "y*x", "y*y"], XY).hilbert(6)
         assert hd.values == [1, 2, 0, 0, 0, 0, 0]
 
+    def test_walk_stops_past_first_zero(self):
+        # components 0..3 only: degree 3 is one past the first zero and
+        # checks the strong grading; the other values are zeros unbuilt
+        ring = ring_of(1, ["x*x"], X)
+        hd = ring.hilbert(100000)
+        assert hd.values == [1, 1] + [0] * 99999
+        assert hd.finite_dim and hd.c_a == 0
+        assert len(ring._ideal) <= 4
+
     def test_degree_cap(self):
         ring = ring_of(1, ["x*x"], X)
         with pytest.raises(ResourceExceeded):

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbwkit.errors import ValidationError
-from pbwkit.linalg import (QQ, PrimeField, RowSpace, intersection,
-                           left_kernel_basis, span)
+from pbwkit.linalg import (QQ, PrimeField, RowSpace, coordinate_solver,
+                           intersection, left_kernel_basis, span)
 
 from conftest import DenseEchelon, dense_rank
 
@@ -217,6 +217,22 @@ def test_relate_coords_round_trip(case):
     if outside:
         assert acc.relate({outside[0]: t.field.one}, t.ncols) is None
         assert acc.rank == len(rows) + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(relate_case())
+def test_coordinate_solver(case):
+    t = RelateCase(case)
+    rows = span(t.field, t.a).basis()
+    coords = coordinate_solver(t.field, rows, t.ncols)
+    coeffs = [t.field.from_int(c) for c in t.cs[:len(rows)]]
+    want = {k: c for k, c in enumerate(coeffs) if c}
+    assert coords(t.combine(coeffs, rows)) == want
+    outside = [c for c in range(t.ncols) if not span(t.field, rows).contains({c: t.field.one})]
+    if outside:
+        # reported, not stored: a stored probe would read {} the second time
+        assert coords({outside[0]: t.field.one}) is None
+        assert coords({outside[0]: t.field.one}) is None
 
 
 def test_prime_field_validation():
