@@ -16,7 +16,7 @@ from .deformation import (lifted, minimized_ring, pbw_check, pn_ladder, rp_of,
                           timed)
 from .errors import (InvalidPresentation, ParseError, PBWError,
                      ResourceExceeded, ValidationError)
-from .extension import ExtensionEngine, engine_for, rees_identity_check
+from .extension import engine_for, rees_identity_check
 from .freealg import format_element
 from .homology import complexity, tor3_resolution, tor_bar
 from .presentations import Report, parse_presentation
@@ -49,8 +49,9 @@ def _witness_text(pres, element):
 
 
 def _tables(res, bound):
-    """(gr_U, D, ann) through degree bound, from one T[z] engine."""
-    eng = ExtensionEngine(res.P.g, res.alpha, res.top_relations, res.P.field)
+    """(gr_U, D, ann) through degree bound, from the T[z] engine that the
+    Jacobi verdicts were read from."""
+    eng = res.engine
     return (eng.gr_table(bound, certified=res.verdict == "PBW_CERTIFIED"),
             [eng.dim_d(n) for n in range(bound + 1)],
             [eng.annihilator_dim(n) for n in range(bound + 1)])

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (DomainMismatch, InvalidPresentation, InvariantViolation,
                      NotPure, ResourceExceeded, ValidationError)
-from .extension import engine_for
+from .extension import ExtensionEngine, engine_for
 from .freealg import (DegreeBasis, Element, WordBasis, filtration_size,
                       project)
 from .gradedring import (GradedSubspace, PresentedRing, ideal_chain,
@@ -279,6 +279,40 @@ def pn_ladder(P, upto):
                         first_failure, witness, full_from)
 
 
+@dataclass
+class JacobiVerdicts:
+    """(J_1)..(J_upto) that all hold, as ``jacobi_verdicts`` reads them
+    from the engine: the fields of a JacobiLadder that a verdict reports."""
+    verdicts: dict          # k -> True for 1 <= k <= upto
+    first_failure: None = None
+    witness: None = None
+
+
+def jacobi_verdicts(P, engine, upto):
+    """The (J_1)..(J_upto) of ``pn_ladder(P, upto)``, read from the T[z]
+    engine of P (``engine_for(P)``).
+
+    Setting z = 1 maps <P_z>^m onto the ladder space P_m, and P_k lies in
+    P_{k+1} ∩ T^{<=k}, so (J_k) holds iff the cut dim(P_{k+1} ∩ T^{<=k})
+    (the engine's pivots of <P_z>^{k+1} of word degree <= k) equals dim
+    P_k.  The engine stores its left products unreduced, which makes this
+    cheaper than the ladder, and ``check`` reads its tables from the same
+    engine.  When some (J_k) fails the ladder runs for its witness and must
+    give the same verdicts.
+    """
+    if upto + 1 > LADDER_DEPTH_CAP:
+        raise ResourceExceeded(f"ladder depth {upto} above cap {LADDER_DEPTH_CAP}")
+    verdicts = {k: engine.cut_dim(k + 1, k) == engine.ideal_component(k).rank
+                for k in range(1, upto + 1)}
+    if all(verdicts.values()):
+        return JacobiVerdicts(verdicts)
+    ladder = pn_ladder(P, upto)
+    if ladder.verdicts != verdicts:
+        raise InvariantViolation("the T[z] engine and the Jacobi ladder "
+                                 "disagree on (J_k)")
+    return ladder
+
+
 def ideal_cut_dim(P, n, certified=False):
     """dim(<P> ∩ T^{<=n}), read from the T[z] engine: a cut P_m ∩ T^{<=n}
     is the engine's pivots of <P_z>^m of word degree <= n (see
@@ -527,7 +561,7 @@ class CheckResult:
     ring: PresentedRing | None = None
     hilbert: object = None
     tor3: object = None
-    ladder: JacobiLadder | None = None
+    engine: ExtensionEngine | None = None   # T[z] engine of P
     lift: LiftResult | None = None
     timings: dict = dc_field(default_factory=dict)   # stage -> seconds
 
@@ -544,7 +578,9 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
     (J_1)..(J_c) on the alpha-associated subspace P' = alpha(R); when
     P' != P the generation <P'> = <P> is certified through P'_d membership.
     A failing (J_k) on P itself is always a definitive NOT_PBW.  The
-    result's ``timings`` holds the wall time of every stage that ran.
+    (J_k) on P are read from its T[z] engine (``jacobi_verdicts``), which
+    the result keeps for ``check``'s tables.  The result's ``timings``
+    holds the wall time of every stage that ran.
     """
     notes = []
     timings = {}
@@ -568,7 +604,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
         return CheckResult(verdict, checked, c, c_cert, jacobi,
                            ladder.first_failure if ladder else None,
                            ladder.witness if ladder else None, notes,
-                           ladder=ladder, timings=timings, **found)
+                           timings=timings, **found)
 
     if P.dim == 0:
         found["ring"] = PresentedRing(g, GradedSubspace(g, field), field)
@@ -577,7 +613,10 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
 
     rp = timed(timings, "extract", rp_of, P)
     alpha = timed(timings, "extract", extract_alpha, P)
-    found.update(alpha=alpha, top_relations=rp)
+    # the T[z] engine of P: the (J_k) on P are read from it, and check's
+    # tables from the same engine
+    engine = timed(timings, "extract", ExtensionEngine, g, alpha, rp, field)
+    found.update(alpha=alpha, top_relations=rp, engine=engine)
     d = P.max_degree
     depth_bound = max(d, 2, min(max_degree, LADDER_DEPTH_CAP - 1))
     low = rp.degrees()[0] <= 1
@@ -598,7 +637,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
         checked = 0
         if c_val is not None and c_val >= 1:
             checked = min(c_val, LADDER_DEPTH_CAP - 1)
-            ladder = timed(timings, "ladder", pn_ladder, P, checked)
+            ladder = timed(timings, "ladder", jacobi_verdicts, P, engine, checked)
             jac = ladder.verdicts
             if ladder.first_failure is not None:
                 raise InvariantViolation("graded deformation failed "
@@ -610,7 +649,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
     if low:
         # top components in degree <= 1: the homological certificate assumes
         # relations in degrees >= 2, so only a bounded claim is offered
-        ladder = timed(timings, "ladder", pn_ladder, P, depth_bound)
+        ladder = timed(timings, "ladder", jacobi_verdicts, P, engine, depth_bound)
         notes.append("deformation has top components of degree <= 1; "
                      "certification falls back to the bounded Jacobi scan")
         verdict = "PBW_UP_TO_DEGREE" if ladder.first_failure is None else "NOT_PBW"
@@ -626,7 +665,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
         K = depth_bound
 
     if same:
-        ladder = timed(timings, "ladder", pn_ladder, P, K)
+        ladder = timed(timings, "ladder", jacobi_verdicts, P, engine, K)
         if ladder.first_failure is not None:
             return result("NOT_PBW", K, cres.c, cres.certified, ladder.verdicts, ladder)
         if certified_c:
@@ -649,7 +688,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
             return result("PBW_CERTIFIED", K, cres.c, True, ladder_p.verdicts, ladder_p)
         notes.append("minimized P' is of PBW type but does not generate <P>; "
                      "only a bounded claim is possible for P")
-    ladder = timed(timings, "ladder", pn_ladder, P, K)
+    ladder = timed(timings, "ladder", jacobi_verdicts, P, engine, K)
     if ladder.first_failure is not None:
         return result("NOT_PBW", K, cres.c, cres.certified, ladder.verdicts, ladder)
     if ladder_p.first_failure is not None:

@@ -15,13 +15,15 @@ The ideal I = <P_z> is built by the recursion
 
     I^m = V·I^{m-1} + z·N + N·V + P_z^m,
 
-where V = T^1 and N is the set of echelon rows of I^{m-1} whose pivot is
-not x_i times a pivot of I^{m-2}.  Left multiplication by x_i keeps the
-order of the monomials (the word degree goes up by one for every term and
-lex order inside a degree is kept), so lead(x_i·r) = x_i·lead(r): the
-products V·I^{m-1} have distinct pivots, stay echelon and are stored as
-they are, unreduced.  The recursion is exact: V·I^{m-2} is stored as is
-inside I^{m-1}, so it and span(N) have disjoint leading columns and
+where V = T^1 and N is the set of rows the step for I^{m-1} inserted,
+i.e. the rows of I^{m-1} that are not in V·I^{m-2}.  Left multiplication
+by x_i keeps the order of the monomials (the word degree goes up by one
+for every term and lex order inside a degree is kept), so
+lead(x_i·r) = x_i·lead(r): the products V·I^{m-1} have distinct pivots,
+stay echelon and are stored as they are, unreduced
+(``RowSpace.store_shifted`` records them and builds a moved row when a
+reduction first reads it).  The recursion is exact: V·I^{m-2} is stored
+as is inside I^{m-1}, so it and span(N) have disjoint leading columns and
 together span I^{m-1}; z is central, so z·V·I^{m-2} = V·z·I^{m-2} lies in
 V·I^{m-1}, and V·I^{m-2}·V = V·(I^{m-2}·V) does too.  That leaves z·N and
 N·V as the only new products.
@@ -156,11 +158,10 @@ class ExtensionEngine:
     def _step(self, m):
         """I^m = V·I^{m-1} + z·N + N·V + P_z^m for I = <P_z> (see the
         module docstring).  The left products x_i·I^{m-1} go in as they
-        are through order-keeping column maps.  N is the set of rows of
-        I^{m-1} whose pivot is no x_i·pivot of I^{m-2}; the other rows are
-        the left products this step stored one degree down, and z·V·I^{m-2}
-        and V·I^{m-2}·V lie in V·I^{m-1}.  Only z·N, N·V and P_z^m are
-        reduced."""
+        are through order-keeping column maps.  N is the set of rows the
+        step one degree down inserted; its other rows are left products,
+        and z·V·I^{m-2} and V·I^{m-2}·V lie in V·I^{m-1}.  Only z·N, N·V
+        and P_z^m are reduced."""
         if self.saturated_at is not None and m > self.saturated_at:
             # once <P_z>^m = T[z]^m, strong grading keeps every later
             # degree full
@@ -177,12 +178,7 @@ class ExtensionEngine:
         g = self.g
         for cols in mono_prev.left_maps():
             sp.store_shifted(prev, cols)
-        lefts = set()
-        if m >= 2:
-            below = self._ideal[m - 2].rows
-            for cols in ZMonomials(g, m - 2).left_maps():
-                lefts.update(cols[c] for c in below)
-        n_rows = [prev.rows[c] for c in sorted(prev.rows) if c not in lefts]
+        n_rows = prev.inserted()
         # z·(w z^k) = w z^(k+1): every column moves by the g^m columns of
         # word degree m.  All of z·N goes in before N·V, which then reduces
         # against it: on U(gl2) to degree 8 that halves the time of
@@ -198,7 +194,8 @@ class ExtensionEngine:
             sp.insert(dict(vec))
         if sp.rank == mono.size and self.saturated_at is None:
             self.saturated_at = m
-        self._dbasis[m] = [p for p in range(mono.size) if p not in sp.rows]
+        pivots = set(sp.rows)
+        self._dbasis[m] = [p for p in range(mono.size) if p not in pivots]
         return sp
 
     # -- quotient data -----------------------------------------------------

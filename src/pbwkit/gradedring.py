@@ -5,18 +5,18 @@ from the two below it by the recursion
 
     I^n = F¹I^{n-1} + N F¹ + G^n,
 
-where N is the set of echelon rows of I^{n-1} whose pivot is not a pivot
-of F¹I^{n-2}, i.e. not of the form i g^{n-2} + p with p a pivot of
-I^{n-2}.  It is exact for any echelon bases: F¹I^{n-2} ⊆ I^{n-1} has
-exactly those pivots, so F¹I^{n-2} and span(N) have disjoint leading
-columns and together span I^{n-1}; and F¹I^{n-2}F¹ ⊆ F¹I^{n-1}, so of
-I^{n-1}F¹ only N F¹ is new.  Left multiplication by x_i moves column c to
-i g^{n-1} + c, which keeps columns distinct and in order, so the rows of
-F¹I^{n-1} are stored shifted, unreduced; only N F¹ and G^n are reduced.
-The degree-n basis of the quotient is the set of non-pivot words of I^n
-(the pivot-greedy complement), so normal forms are canonical full
-reductions and quotient multiplication is word concatenation followed by a
-normal form.
+where N is the set of rows the step for I^{n-1} inserted, i.e. the rows
+of I^{n-1} that are not in F¹I^{n-2}.  It is exact for any echelon bases:
+F¹I^{n-2} is stored in I^{n-1} as it is, so it and span(N) have disjoint
+leading columns and together span I^{n-1}; and F¹I^{n-2}F¹ ⊆ F¹I^{n-1},
+so of I^{n-1}F¹ only N F¹ is new.  Left multiplication by x_i moves
+column c to i g^{n-1} + c, which keeps columns distinct and in order, so
+F¹I^{n-1} is stored shifted (``RowSpace.store_shifted``: recorded, and a
+moved row is built only when a reduction first reads it); only N F¹ and
+G^n are reduced.  The degree-n basis of the quotient is the set of
+non-pivot words of I^n (the pivot-greedy complement), so normal forms are
+canonical full reductions and quotient multiplication is word
+concatenation followed by a normal form.
 """
 
 from __future__ import annotations
@@ -114,14 +114,10 @@ def graded_ideal_step(chain, gens_block, g, n1, field):
     prev = chain[n1 - 1]
     for i in range(g):
         sp.store_shifted(prev, i * g ** (n1 - 1))
-    # right-multiply only N: the rows whose pivot is no x_i * pivot of I^{n1-2}
-    below = chain[n1 - 2].rows if n1 >= 2 else {}
-    low = g ** max(n1 - 2, 0)
-    for c in sorted(prev.rows):
-        if c % low not in below:
-            row = prev.rows[c]
-            for i in range(g):
-                sp.insert(_shift_right(row, i, g))
+    # right-multiply only N, the rows the previous step inserted
+    for row in prev.inserted():
+        for i in range(g):
+            sp.insert(_shift_right(row, i, g))
     if gens_block is not None:
         for row in gens_block.raw_basis():
             sp.insert(row)
@@ -173,7 +169,7 @@ class PresentedRing:
         """Words spanning the degree-n complement B^n (non-pivot words)."""
         words = self._basis_words.get(n)
         if words is None:
-            pivots = self.ideal_component(n).rows
+            pivots = set(self.ideal_component(n).rows)
             basis = DegreeBasis(self.g, n)
             words = [basis.word_at(p) for p in range(basis.size) if p not in pivots]
             self._basis_words[n] = words
@@ -197,13 +193,15 @@ class PresentedRing:
         return Element(self.field, {basis.word_at(p): s for p, s in red.items()})
 
     def nf_word(self, w):
-        """Normal form of a single word, as a {word: scalar} dict."""
+        """Normal form of a single word as (integer {word: n}, d) with
+        d > 0: the normal form is the dict divided by d.  Over F_p the
+        integers are residues and d = 1."""
         cached = self._nf_cache.get(w)
         if cached is None:
             n = len(w)
             basis = DegreeBasis(self.g, n)
-            red = self.normal_form_vec(n, {basis.pos(w): self.field.one})
-            cached = {basis.word_at(p): s for p, s in red.items()}
+            red, d = self.ideal_component(n).reduce_full({basis.pos(w): 1}, integers=True)
+            cached = ({basis.word_at(p): s for p, s in red.items()}, d)
             self._nf_cache[w] = cached
         return cached
 

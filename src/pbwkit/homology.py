@@ -11,15 +11,23 @@ Bar route: the normalized bar complex has n-chains (A+)^(x)n with
 differential sum (-1)^(i-1) (merge at i); the internal-degree-m strand is
 finite and Tor_{n,m} is its homology.  Quarantined as the desk-scale
 oracle; it grows combinatorially.
+
+Both routes build their rows from the integer normal forms of
+``PresentedRing.nf_word``: each row is scaled to integers by the lcm L of
+its normal forms' denominators.  The bar rows and A^1 K2 only feed ranks
+and containment, which no scale changes; a d2 row enters the left kernel
+with the tag L in place of 1, so the kernel vectors stay exact.
 """
 
 from __future__ import annotations
+
+from math import lcm
 
 from .errors import (InvariantViolation, NotMinimalRelations, ResourceExceeded,
                      ValidationError)
 from .freealg import DegreeBasis
 from .gradedring import is_minimal_relations
-from .linalg import RowSpace, intersection, left_kernel_basis, span
+from .linalg import RowSpace, integer_vector, intersection, left_kernel_basis, span
 
 BAR_STRAND_GUARD = 200000
 
@@ -58,17 +66,48 @@ def purity_classify(table, N):
     return all(m == N + 1 for m in table.dims)
 
 
+def _place(out, index, f, nf, pre, post):
+    """out += f * (pre (x) nf (x) post) over the columns
+    ``index[pre + (e,) + post]``; a word missing from the index is a bug."""
+    for e, beta in nf.items():
+        col = index.get(pre + (e,) + post)
+        if col is None:
+            raise InvariantViolation(f"normal form term {e} outside the basis")
+        c = out.get(col, 0) + f * beta
+        if c:
+            out[col] = c
+        else:
+            del out[col]
+
+
+def _nf_row(ring, index, terms):
+    """The row of sum_t s_t * (pre_t (x) nf(w_t) (x) post_t) for integer
+    s_t, scaled to integers: (row, L) with the exact row equal to row / L,
+    L the lcm of the normal forms' denominators.  Over F_p the entries are
+    integers congruent to the exact ones (L = 1), not reduced mod p."""
+    merged = [(s, ring.nf_word(w), pre, post) for s, w, pre, post in terms]
+    den = lcm(*[d for _, (_, d), _, _ in merged])
+    out = {}
+    for s, (nf, d), pre, post in merged:
+        if nf:
+            _place(out, index, s * (den // d), nf, pre, post)
+    return out, den
+
+
 class ResolutionSlice:
-    """Degree-m matrices d1, d2 of the special resolution, with kernels."""
+    """Degree-m matrices d1, d2 of the special resolution, with kernels.
+    Rows are integer vectors (see ``_nf_row``); a relation is a stored
+    integer row of R's block, so the domain basis is a ⊗ (that row)."""
 
     def __init__(self, ring, rel, m):
         self.ring = ring
         self.rel = rel
         self.m = m
         self.domain = []        # (a_word, (j, ridx)) indexing (A (x) R)^m
-        self.rel_rows = {}      # (j, ridx) -> {word: scalar}
+        self.rel_rows = {}      # (j, ridx) -> {word: integer}
         self.codomain_index = {}
         self.codomain = []      # (b_word, letter) indexing (A (x) A^1)^m
+        self.target_index = None  # (a_word,) -> position over A^m, on first d1
         self._build()
 
     def _build(self):
@@ -81,54 +120,46 @@ class ResolutionSlice:
             if j > m:
                 continue
             basis = DegreeBasis(ring.g, j)
-            for ridx, row in enumerate(rel.blocks[j].basis()):
+            for ridx, row in enumerate(rel.blocks[j].raw_basis()):
                 self.rel_rows[(j, ridx)] = {basis.word_at(p): s for p, s in row.items()}
                 for a in ring.basis_words(m - j):
                     self.domain.append((a, (j, ridx)))
 
     def d2_row(self, a_word, rkey):
-        """Image of a (x) r in (A (x) A^1)^m coordinates."""
-        out = {}
-        for w, s in self.rel_rows[rkey].items():
-            u, i = w[:-1], w[-1]
-            for e, beta in self.ring.nf_word(a_word + u).items():
-                col = self.codomain_index[(e, i)]
-                c = out.get(col)
-                c = s * beta if c is None else c + s * beta
-                if c:
-                    out[col] = c
-                else:
-                    out.pop(col, None)
-        return out
+        """Image of a (x) r in (A (x) A^1)^m coordinates, as (row, L)."""
+        return _nf_row(self.ring, self.codomain_index,
+                       [(s, a_word + w[:-1], (), w[-1:])
+                        for w, s in self.rel_rows[rkey].items()])
 
     def d1_of_codomain_vec(self, vec):
-        """d1(b (x) x_i) = nf(b x_i), applied to a codomain vector."""
-        out = {}
-        basis = DegreeBasis(self.ring.g, self.m)
+        """d1(b (x) x_i) = nf(b x_i), applied to an integer codomain vector,
+        as (row, L) over the basis words of A^m."""
+        if self.target_index is None:
+            self.target_index = {(e,): k for k, e in enumerate(self.ring.basis_words(self.m))}
+        terms = []
         for col, s in vec.items():
             b, i = self.codomain[col]
-            for e, beta in self.ring.nf_word(b + (i,)).items():
-                p = basis.pos(e)
-                c = out.get(p)
-                c = s * beta if c is None else c + s * beta
-                if c:
-                    out[p] = c
-                else:
-                    out.pop(p, None)
-        return out
+            terms.append((s, b + (i,), (), ()))
+        return _nf_row(self.ring, self.target_index, terms)
 
     def kernel_of_d2(self):
         """Basis of K2^m as coefficient vectors over the domain index.
-        Also asserts d1 d2 = 0 and K2 ⊆ A+ (x) R on this slice."""
+        Also checks d1 d2 = 0 and K2 ⊆ A+ (x) R on this slice."""
+        field = self.ring.field
+        p = getattr(field, "p", None)
         rows = [self.d2_row(a, rk) for a, rk in self.domain]
-        for r in rows:
-            if self.d1_of_codomain_vec(r):
-                raise ValidationError("d1 ∘ d2 != 0: resolution slice is broken")
-        ker = left_kernel_basis(self.ring.field, rows, tag_offset=len(self.codomain))
+        for r, _ in rows:
+            # over F_p the entries are congruent to the exact ones
+            image = self.d1_of_codomain_vec(r)[0].values() if r else ()
+            if any(image) if p is None else any(c % p for c in image):
+                raise InvariantViolation("d1 ∘ d2 != 0: resolution slice is broken")
+        # row k stands for rows[k][0] / L_k, so it carries the tag L_k
+        ker = left_kernel_basis(field, [r for r, _ in rows], len(self.codomain),
+                                tags=[den for _, den in rows])
         unit_cols = {k for k, (a, rk) in enumerate(self.domain) if a == ()}
         for v in ker:
             if any(c in unit_cols for c in v):
-                raise ValidationError("kernel escapes A+ (x) R: relations not minimal?")
+                raise InvariantViolation("kernel escapes A+ (x) R: relations not minimal?")
         return ker
 
 
@@ -152,29 +183,24 @@ def tor3_resolution(ring, rel, bound):
         ker = sl.kernel_of_d2()
         moved = RowSpace(ring.field)
         if prev_slice is not None:
+            # A^1 K2^{m-1} only feeds a rank and a containment, so its rows
+            # are built from the kernel scaled to integers
             dom_index = {key: k for k, key in enumerate(sl.domain)}
             for v in prev_kernel:
+                terms = [(s, *prev_slice.domain[col]) for col, s in v.items()]
                 for i in range(ring.g):
-                    out = {}
-                    for col, s in v.items():
-                        a, rk = prev_slice.domain[col]
-                        for e, beta in ring.nf_word((i,) + a).items():
-                            k2 = dom_index[(e, rk)]
-                            c = out.get(k2)
-                            c = s * beta if c is None else c + s * beta
-                            if c:
-                                out[k2] = c
-                            else:
-                                out.pop(k2, None)
+                    out = _nf_row(ring, dom_index,
+                                  [(s, (i,) + a, (), (rk,)) for s, a, rk in terms])[0]
                     if out:
                         moved.insert(out)
         if prev_slice is not None and moved.rank:
-            ksp = span(ring.field, [dict(v) for v in ker])
-            for row in moved.basis():
+            ksp = span(ring.field, ker)
+            for row in moved.raw_basis():
                 if not ksp.contains(row):
-                    raise ValidationError("A^1 K2^{m-1} escapes K2^m")
+                    raise InvariantViolation("A^1 K2^{m-1} escapes K2^m")
         dims[m] = len(ker) - moved.rank
-        prev_slice, prev_kernel = sl, ker
+        prev_slice = sl
+        prev_kernel = [integer_vector(ring.field, v) for v in ker]
     return TorTable(3, bound, dims)
 
 
@@ -207,25 +233,20 @@ def _strand_basis(ring, n, m):
 
 
 def _bar_differential_rows(ring, n, m, domain, codomain_index):
-    """Rows of d_n on the (n, m) strand: sum_i (-1)^(i-1) merge at i."""
+    """Rows of d_n on the (n, m) strand: sum_i (-1)^(i-1) merge at i, each
+    scaled to integers by the lcm of its normal forms' denominators (the
+    rows only feed ranks)."""
+    nf_word = ring.nf_word
     rows = []
     for chain in domain:
+        merged = [nf_word(chain[i] + chain[i + 1]) for i in range(n - 1)]
+        den = lcm(*[d for _, d in merged])
         out = {}
-        for i in range(n - 1):
-            sign = 1 if i % 2 == 0 else -1
-            merged = ring.nf_word(chain[i] + chain[i + 1])
-            for e, beta in merged.items():
-                key = chain[:i] + (e,) + chain[i + 2:]
-                col = codomain_index.get(key)
-                if col is None:
-                    continue
-                s = beta if sign == 1 else -beta
-                c = out.get(col)
-                c = s if c is None else c + s
-                if c:
-                    out[col] = c
-                else:
-                    out.pop(col, None)
+        for i, (nf, d) in enumerate(merged):
+            if nf:
+                f = den // d
+                _place(out, codomain_index, -f if i % 2 else f, nf,
+                       chain[:i], chain[i + 2:])
         rows.append(out)
     return rows
 

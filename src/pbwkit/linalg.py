@@ -21,9 +21,16 @@ normalised on first read and cached), and ``reduce_leading`` /
 Rows are immutable once stored, so a copied space can be extended without
 touching the original, and a stored row may be inserted elsewhere as it is
 (``raw_basis``): insertion does not depend on the scale of its input.  A
-whole space may be copied in under a column offset or any other map that
+whole space may be stored under a column offset or any other map that
 keeps columns distinct and in order (``store_shifted``): such a map keeps
-its rows echelon and normalised, so they are not reduced.
+its rows echelon and normalised, so they are not reduced.  The space is
+recorded with its map and its moved pivots, not copied; a moved row is
+built the first time a reduction or a reader needs it, and kept.  The
+graded ideal recursions store most of each component this way and read
+few of those rows (under 5% on the ``random-homology`` benchmark
+workload).  ``reduce_full(vec, integers=True)`` gives a remainder as
+integers over one denominator, for callers that go on in integer
+arithmetic.
 
 Tagged rows carry tag columns at and above an offset that record how they
 were made.  ``RowSpace.relate`` reduces such a vector and, when its
@@ -42,9 +49,11 @@ engine on that suite's slowest instance (618-bit rows at degree 7) took
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import chain
 from math import gcd, lcm
 
 from .errors import ValidationError
@@ -251,7 +260,36 @@ class _MonicRows(Mapping):
         return iter(self._space.rows)
 
     def __len__(self):
-        return len(self._space.rows)
+        return self._space.rank
+
+
+class _AllRows(Mapping):
+    """Read-only view of a RowSpace that holds shifted spaces: pivot column
+    -> stored integer row.  Membership and iteration read the pivots of the
+    shifted spaces without building their rows; a lookup builds the row
+    once and keeps it."""
+
+    __slots__ = ("_space",)
+
+    def __init__(self, space):
+        self._space = space
+
+    def __getitem__(self, c):
+        row = self._space._row(c)
+        if row is None:
+            raise KeyError(c)
+        return row
+
+    def __contains__(self, c):
+        sp = self._space
+        return c in sp._rows or c in sp._keys
+
+    def __iter__(self):
+        sp = self._space
+        return chain(sp._keys, sp._inserted)
+
+    def __len__(self):
+        return self._space.rank
 
 
 class RowSpace:
@@ -261,29 +299,83 @@ class RowSpace:
     callers); ``pivots`` is the same map with monic field-valued rows.
     Stored rows are never mutated, so ``copy()`` shares them and the copy
     may be extended independently of the original.
+
+    A space stored here by ``store_shifted`` is recorded as (space, map),
+    not copied: the kernels look a pivot up among the shifted spaces only
+    when it is not one of this space's own rows, and build the moved row
+    on that first lookup and keep it.  ``rows``, ``pivots``, ``rank`` and
+    the bases see the whole space; ``inserted()`` gives the rows stored
+    here by ``insert``, ``store`` and ``relate``.
     """
 
-    __slots__ = ("field", "rows", "_p", "_monic")
+    __slots__ = ("field", "_rows", "_inserted", "_p", "_monic", "_shifts",
+                 "_keys")
 
     def __init__(self, field):
         self.field = field
-        self.rows = {}
+        self._rows = {}            # pivot -> row: inserted, or shifted and built
+        self._inserted = []        # pivots of the inserted rows
         self._p = getattr(field, "p", None)
         self._monic = {}
+        self._shifts = []          # (space, int offset or list map)
+        self._keys = {}            # pivot of a shifted space -> its shift
 
     @property
     def rank(self):
-        return len(self.rows)
+        return len(self._inserted) + len(self._keys)
+
+    @property
+    def rows(self):
+        return _AllRows(self) if self._shifts else self._rows
 
     @property
     def pivots(self):
         return _MonicRows(self)
 
+    @property
+    def stored_rows(self):
+        """How many rows this space holds as dicts: the inserted ones and
+        the shifted ones built so far."""
+        return len(self._rows)
+
     def copy(self):
         other = RowSpace(self.field)
-        other.rows = dict(self.rows)
+        other._rows = dict(self._rows)
+        other._inserted = list(self._inserted)
         other._monic = dict(self._monic)
+        other._shifts = list(self._shifts)
+        other._keys = dict(self._keys)
         return other
+
+    def inserted(self):
+        """The rows stored by ``insert``, ``store`` and ``relate``, i.e.
+        not by ``store_shifted``, sorted by pivot column."""
+        rows = self._rows
+        return [rows[c] for c in sorted(self._inserted)]
+
+    # -- shifted spaces ----------------------------------------------------
+
+    def _find(self, c):
+        """The shifted row with pivot c, for a c not among the held rows:
+        built, kept and returned; None when c is no pivot."""
+        i = self._keys.get(c)
+        if i is None:
+            return None
+        other, cols = self._shifts[i]
+        if type(cols) is int:
+            row = other._row(c - cols)
+            row = {j + cols: s for j, s in row.items()}
+        else:
+            row = other._row(bisect_left(cols, c))
+            row = {cols[j]: s for j, s in row.items()}
+        self._rows[c] = row
+        return row
+
+    def _row(self, c):
+        row = self._rows.get(c)
+        if row is None and self._shifts:
+            row = self._find(c)
+        return row
 
     # -- integer kernels ---------------------------------------------------
 
@@ -298,14 +390,19 @@ class RowSpace:
         """Leading-chain reduction of an owned integer vector; returns
         (remainder, scale factor, divisor) with the remainder equal to
         factor/divisor times the exact one."""
-        rows = self.rows
+        rows = self._rows
+        find = self._find if self._shifts else None
         p = self._p
         num = den = 1
         while vec:
             lead = min(vec)
             row = rows.get(lead)
             if row is None:
-                break
+                if find is None:
+                    break
+                row = find(lead)
+                if row is None:
+                    break
             if p is None:
                 vec, a, content = _step_q(vec, row, lead)
                 num *= a
@@ -316,7 +413,8 @@ class RowSpace:
 
     def _full(self, vec):
         """Full reduction of an owned integer vector (see _lead)."""
-        rows = self.rows
+        rows = self._rows
+        find = self._find if self._shifts else None
         p = self._p
         num = den = 1
         heap = list(vec)
@@ -327,7 +425,11 @@ class RowSpace:
                 continue
             row = rows.get(c)
             if row is None:
-                continue
+                if find is None:
+                    continue
+                row = find(c)
+                if row is None:
+                    continue
             for k in row:
                 if k not in vec:
                     heappush(heap, k)
@@ -362,12 +464,15 @@ class RowSpace:
             inv = pow(vec[lead], -1, p)
             if inv != 1:
                 vec = {c: s * inv % p for c, s in vec.items()}
-        self.rows[lead] = vec
+        self._rows[lead] = vec
+        self._inserted.append(lead)
 
     def _monic_row(self, c):
         row = self._monic.get(c)
         if row is None:
-            raw = self.rows[c]
+            raw = self._row(c)
+            if raw is None:
+                raise KeyError(c)
             p = self._p
             if p is not None:
                 row = {k: ModInt(s, p) for k, s in raw.items()}
@@ -388,13 +493,25 @@ class RowSpace:
         red, num, den = self._lead(ints)
         return self._exact(red, num * scale, den)
 
-    def reduce_full(self, vec):
+    def reduce_full(self, vec, integers=False):
         """Eliminate every pivot column from the support.  The result is
         the canonical representative of vec modulo the row space (supported
-        on non-pivot columns only), even though storage is only REF."""
+        on non-pivot columns only), even though storage is only REF.
+
+        With ``integers`` it comes as (integer vector, d) with d > 0, the
+        remainder being the vector divided by d; over F_p the vector holds
+        residues and d = 1."""
         ints, scale = self._ints(vec)
         red, num, den = self._full(ints)
-        return self._exact(red, num * scale, den)
+        num *= scale
+        if not integers:
+            return self._exact(red, num, den)
+        if num == den:
+            return red, 1
+        k = gcd(num, den)
+        if k != den:
+            red = {c: s * (den // k) for c, s in red.items()}
+        return red, num // k
 
     def insert(self, vec):
         """Insert a vector; returns the new pivot column, or None if the
@@ -413,7 +530,7 @@ class RowSpace:
         if not ints:
             raise ValidationError("cannot store a zero row")
         lead = min(ints)
-        if lead in self.rows:
+        if lead in self._rows or lead in self._keys:
             raise ValidationError(f"column {lead} is already a pivot")
         self._put(ints, lead)
         return lead
@@ -433,23 +550,27 @@ class RowSpace:
         return {c - offset: s for c, s in self._exact(red, num * scale, den).items()}
 
     def store_shifted(self, other, cols):
-        """Store every row of ``other`` with each column c moved to
+        """Store the rows of ``other`` with each column c moved to
         ``cols[c]``, or to c + ``cols`` when ``cols`` is an int offset.
         The map must keep columns distinct and in order; then the moved
         rows stay echelon and normalised and are stored as they are,
-        unreduced.  None of their pivots may be a pivot here yet."""
+        unreduced.  None of their pivots may be a pivot here yet.
+
+        ``other`` is recorded with the map and its moved pivots, not
+        copied: a moved row is built when a lookup first needs it (the row
+        a copy would hold).  Rows are never changed and the pivots are
+        taken now, so rows ``other`` gains later do not show here."""
         if other._p != self._p:
             raise ValidationError("rows over a different field")
-        if isinstance(cols, int):
-            moved = {c + cols: {k + cols: s for k, s in row.items()}
-                     for c, row in other.rows.items()}
-        else:
-            moved = {cols[c]: {cols[k]: s for k, s in row.items()}
-                     for c, row in other.rows.items()}
-        taken = moved.keys() & self.rows.keys()
+        if not other.rank:
+            return
+        moved = dict.fromkeys(map(cols.__add__ if type(cols) is int else cols.__getitem__,
+                                  other.rows), len(self._shifts))
+        taken = moved.keys() & self._keys.keys() or moved.keys() & self._inserted
         if taken:
             raise ValidationError(f"column {min(taken)} is already a pivot")
-        self.rows.update(moved)
+        self._shifts.append((other, cols))
+        self._keys.update(moved)
 
     def contains(self, vec):
         return not self._lead(self._ints(vec)[0])[0]
@@ -463,8 +584,7 @@ class RowSpace:
     def raw_basis(self):
         """Stored integer rows sorted by pivot column.  They span the same
         space as basis() and may be inserted elsewhere as they are."""
-        rows = self.rows
-        return [rows[c] for c in sorted(rows)]
+        return [self._row(c) for c in sorted(self.rows)]
 
     def basis(self):
         """Monic rows sorted by pivot column."""
@@ -475,8 +595,15 @@ class RowSpace:
         done = RowSpace(self.field)
         for c in sorted(self.rows, reverse=True):
             # rows with larger pivots never touch column c
-            done._put(done._full(dict(self.rows[c]))[0], c)
+            done._put(done._full(dict(self._row(c)))[0], c)
         return done.basis()
+
+
+def integer_vector(field, vec):
+    """A multiple of vec with integer entries: times the lcm of its
+    denominators over Q, its residues over F_p."""
+    p = getattr(field, "p", None)
+    return _q_ints(vec)[0] if p is None else _p_ints(vec, p)
 
 
 def span(field, vectors):
@@ -486,17 +613,19 @@ def span(field, vectors):
     return sp
 
 
-def left_kernel_basis(field, rows, tag_offset):
+def left_kernel_basis(field, rows, tag_offset, tags=None):
     """Basis of {c : sum_i c_i * rows_i = 0} for dict-vector ``rows``.
 
     ``tag_offset`` must exceed every column index used by ``rows``; the
     standard [M | I] augmentation tracks the coefficients in tag columns.
+    A row given scaled by L stands for rows_i = row / L when ``tags[i]``
+    is L: it carries the tag L in place of 1.
     """
     sp = RowSpace(field)
     out = []
     for i, r in enumerate(rows):
         aug = dict(r)
-        aug[tag_offset + i] = field.one
+        aug[tag_offset + i] = field.one if tags is None else tags[i]
         combo = sp.relate(aug, tag_offset)
         if combo is not None:
             out.append(combo)

@@ -13,9 +13,14 @@ from itertools import product
 
 import pytest
 
+from pbwkit.deformation import FilteredSubspace, minimize_relations, rp_of
+from pbwkit.errors import InvalidPresentation
 from pbwkit.extension import ExtensionEngine, ZMonomials
-from pbwkit.freealg import Element, WordBasis, filtration_size, multiply, project
-from pbwkit.linalg import QQ, RowSpace
+from pbwkit.freealg import (DegreeBasis, Element, WordBasis, filtration_size,
+                            multiply, project)
+from pbwkit.gradedring import PresentedRing
+from pbwkit.homology import _strand_basis
+from pbwkit.linalg import QQ, RowSpace, left_kernel_basis, span
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +288,98 @@ class NaiveEngine(ExtensionEngine):
 
 
 # ---------------------------------------------------------------------------
+# Tor_3 rows over field scalars: the row builders of the resolution and the
+# bar complex written with field arithmetic, the oracle for homology's
+# integer rows.
+
+def naive_nf(ring, w):
+    """Normal form of a word as {word: field scalar}."""
+    basis = DegreeBasis(ring.g, len(w))
+    red = ring.normal_form_vec(len(w), {basis.pos(w): ring.field.one})
+    return {basis.word_at(p): s for p, s in red.items()}
+
+
+def _accumulate(out, col, s):
+    c = out.get(col)
+    c = s if c is None else c + s
+    if c:
+        out[col] = c
+    else:
+        out.pop(col, None)
+
+
+def naive_tor_bar(ring, n, bound):
+    """dim Tor_{n,m}, m <= bound, from bar rows built with field scalars."""
+    dims = {}
+    for m in range(n, bound + 1):
+        strands = [_strand_basis(ring, k, m) for k in (n - 1, n, n + 1)]
+        ranks = []
+        for k, (below, dom) in ((n, strands[:2]), (n + 1, strands[1:])):
+            index = {t: j for j, t in enumerate(below)}
+            rows = []
+            for chain in dom:
+                out = {}
+                for i in range(k - 1):
+                    sign = 1 if i % 2 == 0 else -1
+                    for e, beta in naive_nf(ring, chain[i] + chain[i + 1]).items():
+                        key = chain[:i] + (e,) + chain[i + 2:]
+                        _accumulate(out, index[key], beta if sign == 1 else -beta)
+                rows.append(out)
+            ranks.append(span(ring.field, rows).rank)
+        d = len(strands[1]) - sum(ranks)
+        if d:
+            dims[m] = d
+    return dims
+
+
+def naive_d2_row(ring, rel_row, a_word, codomain_index):
+    """d2(a (x) r) over the (b_word, letter) codomain, with field scalars,
+    for a relation r given as {word: scalar}."""
+    out = {}
+    for w, s in rel_row.items():
+        for e, beta in naive_nf(ring, a_word + w[:-1]).items():
+            _accumulate(out, codomain_index[(e, w[-1])], s * beta)
+    return out
+
+
+def naive_tor3_resolution(ring, rel, bound):
+    """dim Tor_{3,m} = dim K2^m - dim A^1 K2^{m-1}, m <= bound, from d2
+    rows built with field scalars and monic relation rows."""
+    dims = {}
+    prev = None
+    for m in range(3, bound + 1):
+        codomain = {(b, i): k for k, (b, i) in enumerate(
+            (b, i) for b in ring.basis_words(m - 1) for i in range(ring.g))}
+        domain, rel_rows = [], {}
+        for j in rel.degrees():
+            if j > m:
+                continue
+            basis = DegreeBasis(ring.g, j)
+            for ridx, row in enumerate(rel.blocks[j].basis()):
+                rel_rows[(j, ridx)] = {basis.word_at(p): s for p, s in row.items()}
+                domain.extend((a, (j, ridx)) for a in ring.basis_words(m - j))
+        rows = [naive_d2_row(ring, rel_rows[rk], a, codomain) for a, rk in domain]
+        ker = left_kernel_basis(ring.field, rows, len(codomain))
+        moved = RowSpace(ring.field)
+        if prev is not None:
+            prev_domain, prev_ker = prev
+            dom_index = {key: k for k, key in enumerate(domain)}
+            for v in prev_ker:
+                for i in range(ring.g):
+                    out = {}
+                    for col, s in v.items():
+                        a, rk = prev_domain[col]
+                        for e, beta in naive_nf(ring, (i,) + a).items():
+                            _accumulate(out, dom_index[(e, rk)], s * beta)
+                    if out:
+                        moved.insert(out)
+        if len(ker) - moved.rank:
+            dims[m] = len(ker) - moved.rank
+        prev = (domain, ker)
+    return dims
+
+
+# ---------------------------------------------------------------------------
 # Random presentations.
 
 COEFFS = [-2, -1, -1, 1, 1, 2, Fraction(1, 2), Fraction(-1, 2)]
@@ -322,6 +419,28 @@ def random_presentation(rng, max_g=3, max_elems=4, max_degree=3,
     elems = [random_deformation_element(rng, g, rng.randint(low, max_degree))
              for _ in range(count)]
     return g, elems
+
+
+def sampler_rings(field, count, seed=20260810 + 2):
+    """The first ``count`` rings A = T/<R> of the seeded acceptance sampler
+    whose minimized relations R are nonzero, over ``field``."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        g, elems = random_presentation(rng)
+        elems = [Element(field, {w: field.from_fraction(s) for w, s in e.terms.items()})
+                 for e in elems]
+        try:
+            P = FilteredSubspace(g, elems, field)
+        except InvalidPresentation:
+            continue
+        rp = rp_of(P)
+        if P.dim == 0 or (rp.degrees() and rp.degrees()[0] < 2):
+            continue
+        rel = minimize_relations(rp)
+        if rel.degrees():
+            out.append((PresentedRing(g, rel, field), rel))
+    return out
 
 
 @pytest.fixture

@@ -148,6 +148,21 @@ class TestExitCodes:
         assert main(["hilbert", gallery("kx-mod-x2.pbw"), "--upto", "4"]) == 14
         assert "error[INVARIANT_VIOLATED]" in capsys.readouterr().err
 
+    def test_broken_normal_form_code(self, capsys, monkeypatch):
+        # doubling the normal forms of the degree-3 words that start with
+        # e breaks d1 ∘ d2 = 0; the self-check raises an invariant
+        # violation (exit 14), not a bad-input error
+        real_nf = gradedring.PresentedRing.nf_word
+
+        def broken_nf(ring, w):
+            nf, d = real_nf(ring, w)
+            if len(w) == 3 and w[0] == 0:
+                return {e: 2 * s for e, s in nf.items()}, d
+            return nf, d
+        monkeypatch.setattr(gradedring.PresentedRing, "nf_word", broken_nf)
+        assert main(["tor", gallery("sl2.pbw"), "--upto", "4"]) == 14
+        assert "error[INVARIANT_VIOLATED]: d1 ∘ d2 != 0" in capsys.readouterr().err
+
     def test_huge_max_degree_exits_quickly(self, tmp_path):
         # Hilbert values up to max_degree cost O(1) each for g = 1; the
         # ladder cap then ends the run with exit 13

@@ -10,7 +10,7 @@ from pbwkit.gradedring import (GradedSubspace, PresentedRing, ideal_chain,
                                is_minimal_relations, minimal_complement)
 from pbwkit.linalg import QQ, PrimeField
 
-from conftest import DenseEchelon, brute_ideal_dim, random_homogeneous
+from conftest import DenseEchelon, brute_ideal_dim, random_homogeneous, sampler_rings
 
 X, XY = ["x"], ["x", "y"]
 
@@ -252,3 +252,15 @@ def test_ideal_components_match_dense_products(p, g):
                         assert sp.contains({c * g + i: s for c, s in row.items()})
                         assert sp.contains({i * g ** (n - 1) + c: s
                                             for c, s in row.items()})
+
+
+def test_shifted_rows_are_built_on_lookup():
+    # I^10 holds F¹I^9 as three shifted spaces, not as copies: after
+    # hilbert(10) it has its full rank (the rank an eager copy gives) while
+    # it holds only the rows it inserted and the few its reductions read
+    ring = next(ring for ring, rel in sampler_rings(QQ, 10)
+                if ring.g == 3 and rel.degrees() == [2, 3])
+    assert ring.hilbert(10).values[10] == 596
+    sp = ring.ideal_component(10)
+    assert sp.rank == 3 ** 10 - 596 == sum(1 for _ in sp.rows)
+    assert sp.stored_rows < 0.05 * sp.rank

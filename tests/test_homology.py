@@ -1,14 +1,18 @@
+from fractions import Fraction
+from itertools import product
+
 import pytest
 
 from pbwkit.errors import NotMinimalRelations
-from pbwkit.freealg import parse_element
+from pbwkit.freealg import Element, parse_element
 from pbwkit.gradedring import GradedSubspace, PresentedRing
-from pbwkit.homology import (complexity, is_commutator_relations,
+from pbwkit.homology import (ResolutionSlice, complexity, is_commutator_relations,
                              overlap_dimension, purity_classify,
                              tor3_resolution, tor_bar)
-from pbwkit.linalg import QQ
+from pbwkit.linalg import QQ, PrimeField
 
-from conftest import random_homogeneous
+from conftest import (naive_d2_row, naive_tor3_resolution, naive_tor_bar,
+                      random_homogeneous, sampler_rings)
 
 X, XY, XYZ = ["x"], ["x", "y"], ["x", "y", "z"]
 
@@ -203,3 +207,40 @@ class TestCommutatorRecognition:
                 g, [parse_element(t, gens) for t in texts])
             want = g * (g - 1) * (g - 2) // 6
             assert overlap_dimension(rel, g) == want
+
+
+# ---------------------------------------------------------------------------
+# Integer rows against the field-scalar builders of conftest.
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_integer_tor_rows_match_field_rows(p):
+    field = QQ if p is None else PrimeField(p)
+    for ring, rel in sampler_rings(field, 30):
+        assert tor3_resolution(ring, rel, 6).dims == naive_tor3_resolution(ring, rel, 6)
+        assert tor_bar(ring, 3, 5).dims == naive_tor_bar(ring, 3, 5)
+        for n in range(5):
+            for w in product(range(ring.g), repeat=n):
+                nf, d = ring.nf_word(w)
+                assert d > 0 and all(type(s) is int for s in nf.values())
+                if p is not None:
+                    assert d == 1 and all(0 < s < p for s in nf.values())
+                want = ring.normal_form(Element(field, {w: field.one})).terms
+                assert {e: field.from_fraction(Fraction(s, d)) for e, s in nf.items()} == want
+
+
+def test_d2_kernel_exact_for_mixed_row_scales():
+    # sample ring 45 is the first whose K2^5 has a vector on d2 rows of
+    # different integer scales L: there the tags L keep the kernel exact
+    ring, rel = sampler_rings(QQ, 46)[45]
+    sl = ResolutionSlice(ring, rel, 5)
+    scales = [sl.d2_row(a, rk)[1] for a, rk in sl.domain]
+    rows = [naive_d2_row(ring, {w: QQ.from_int(s) for w, s in sl.rel_rows[rk].items()},
+                         a, sl.codomain_index) for a, rk in sl.domain]
+    ker = sl.kernel_of_d2()
+    assert any(len({scales[k] for k in v}) > 1 for v in ker)
+    for v in ker:
+        total = {}
+        for k, c in v.items():
+            for col, s in rows[k].items():
+                total[col] = total.get(col, 0) + c * s
+        assert not any(total.values())

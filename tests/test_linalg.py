@@ -185,6 +185,24 @@ def test_relate_left_kernel(case):
 
 @settings(max_examples=150, deadline=None)
 @given(relate_case())
+def test_relate_left_kernel_scaled_rows(case):
+    # row i given scaled by L_i with the tag L_i: the kernel is exact for
+    # the unscaled rows
+    t = RelateCase(case)
+    rows = t.a + t.b
+    scales = [abs(t.cs[i % len(t.cs)]) + i % 2 + 1 for i in range(len(rows))]
+    scaled = [{c: s * t.field.from_int(L) for c, s in r.items()}
+              for r, L in zip(rows, scales)]
+    ker = left_kernel_basis(t.field, scaled, t.ncols, tags=scales)
+    assert len(ker) == len(rows) - t.rank(rows, t.ncols)
+    for combo in ker:
+        coeffs = [combo.get(i, t.field.zero) for i in range(len(rows))]
+        assert t.combine(coeffs, rows) == {}
+    assert t.rank(ker, len(rows)) == len(ker)
+
+
+@settings(max_examples=150, deadline=None)
+@given(relate_case())
 def test_relate_intersection(case):
     t = RelateCase(case)
     b_basis = span(t.field, t.b).basis()
@@ -357,3 +375,126 @@ def test_store_shifted_by_map(p):
     assert sp.rows == direct.rows
     with pytest.raises(ValidationError):
         sp.store_shifted(src, cols)
+
+
+# ---------------------------------------------------------------------------
+# Shifted spaces against eager copies and the dense oracle.
+
+SHIFT_ENTRIES = [0, 0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]
+
+
+def moved_by(cols):
+    """The column map of an int offset or a list map, as a function."""
+    return cols.__add__ if isinstance(cols, int) else cols.__getitem__
+
+
+def layout(kind, copies, width):
+    """``copies`` order-keeping maps of ``width`` columns into
+    copies * width columns with disjoint images: offsets or blocks for
+    "offset", interleaved lists (as the engine's letter maps) for "map"."""
+    if kind == "offset":
+        return [i * width for i in range(copies)]
+    return [[c * copies + i for c in range(width)] for i in range(copies)]
+
+
+@st.composite
+def shift_case(draw):
+    p = draw(st.sampled_from([None, 7]))
+    width = draw(st.integers(1, 4))
+    kinds = draw(st.lists(st.sampled_from(["offset", "map"]), min_size=2, max_size=2))
+    copies = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
+
+    def vectors(ncols, most):
+        return draw(st.lists(st.lists(st.sampled_from(SHIFT_ENTRIES), min_size=ncols,
+                                      max_size=ncols), max_size=most))
+
+    src = vectors(width, 4)
+    mid = vectors(width * copies[0], 3)
+    top_width = width * copies[0] * copies[1]
+    top = vectors(top_width, 3)
+    probes = vectors(top_width, 4)
+    return p, width, kinds, copies, src, mid, top, probes
+
+
+@settings(max_examples=150, deadline=None)
+@given(shift_case())
+def test_shifted_spaces_match_eager_copies(case):
+    # src -> mid (shifted copies of src plus inserted rows) -> top (shifted
+    # copies of mid, a view of a view, plus inserted rows); every lazy
+    # space is compared with the same space built by inserting moved rows
+    p, width, kinds, copies, src_rows, mid_rows, top_rows, probes = case
+    field = QQ if p is None else PrimeField(p)
+    top_width = width * copies[0] * copies[1]
+
+    def sparse(dense):
+        out = {}
+        for c, x in enumerate(dense):
+            s = field.from_fraction(Fraction(x))
+            if s:
+                out[c] = s
+        return out
+
+    def as_dense(vec, ncols):
+        out = [0] * ncols
+        for c, s in vec.items():
+            out[c] = s if p is None else s.v
+        return out
+
+    def oracle_value(x):
+        x = Fraction(x)
+        return x if p is None else x.numerator * pow(x.denominator, -1, p) % p
+
+    src = span(field, [sparse(r) for r in src_rows])
+    lazy, eager = src, src
+    for kind, k, extra, ncols in ((kinds[0], copies[0], mid_rows, width * copies[0]),
+                                  (kinds[1], copies[1], top_rows, top_width)):
+        maps = layout(kind, k, ncols // k)
+        nxt_lazy, nxt_eager = RowSpace(field), RowSpace(field)
+        for cols in maps:
+            nxt_lazy.store_shifted(lazy, cols)
+            move = moved_by(cols)
+            for row in eager.basis():
+                nxt_eager.insert({move(c): s for c, s in row.items()})
+        for r in extra:
+            assert nxt_lazy.insert(sparse(r)) == nxt_eager.insert(sparse(r))
+        assert nxt_lazy.inserted() == [nxt_eager.rows[c] for c in
+                                       sorted(set(nxt_eager.rows) - set(
+                                           c for cols in maps for c in map(
+                                               moved_by(cols), lazy.rows)))]
+        if lazy.rank:
+            with pytest.raises(ValidationError):
+                nxt_lazy.store_shifted(lazy, maps[0])
+        # a row the stored space gains later does not show in the view
+        lazy.insert({c: field.one for c in range(ncols // k)})
+        lazy, eager = nxt_lazy, nxt_eager
+    oracle = DenseEchelon(top_width, p)
+    for row in eager.basis():
+        oracle.insert(as_dense(row, top_width))
+    # lookups first, so they read rows the space has not built yet
+    before = lazy.copy()
+    for r in probes:
+        vec = sparse(r)
+        assert lazy.reduce_full(vec) == eager.reduce_full(vec)
+        assert as_dense(lazy.reduce_full(vec), top_width) == \
+            oracle.reduce_full([oracle_value(x) for x in r])
+        assert lazy.contains(vec) == eager.contains(vec)
+        tagged = {**vec, top_width: field.one}
+        assert lazy.copy().relate(tagged, top_width) == eager.copy().relate(tagged, top_width)
+    grown, grown_eager = lazy.copy(), eager.copy()
+    for r in probes:
+        assert grown.insert(sparse(r)) == grown_eager.insert(sparse(r))
+    assert grown.rows == grown_eager.rows
+    # the copies grew; the spaces they were copied from did not
+    assert lazy.rank == before.rank == eager.rank == len(oracle.rows)
+    assert sorted(lazy.pivots) == sorted(oracle.rows)
+    assert lazy.rows == eager.rows
+    assert lazy.basis() == eager.basis()
+    assert [as_dense(r, top_width) for r in lazy.basis()] == \
+        [oracle.rows[c] for c in sorted(oracle.rows)]
+    assert lazy.reduced_basis() == eager.reduced_basis()
+    # no read changed a stored row: each is still the oracle's REF row
+    assert lazy.raw_basis() == eager.raw_basis()
+    for c, row in zip(sorted(oracle.rows), lazy.raw_basis()):
+        assert as_dense({k: field.from_fraction(Fraction(s, row[c])) for k, s in row.items()},
+                        top_width) == oracle.rows[c]
+    assert all(lazy.pivots[c] == eager.pivots[c] for c in eager.rows)
