@@ -211,10 +211,10 @@ class WordBasis:
     echelon basis adapted to the whole filtration.
     """
 
-    def __init__(self, g, max_degree, guard=None):
+    def __init__(self, g, max_degree):
         if g < 1:
             raise ValidationError("need at least one generator")
-        guard = guard if guard is not None else column_guard()
+        guard = column_guard()
         self.g = g
         self.max_degree = max_degree
         total = 0
@@ -333,8 +333,8 @@ class WordBasis:
 class DegreeBasis:
     """Columns for the single homogeneous component T^n (lex order)."""
 
-    def __init__(self, g, n, guard=None):
-        guard = guard if guard is not None else column_guard()
+    def __init__(self, g, n):
+        guard = column_guard()
         if g ** n > guard:
             raise ResourceExceeded(
                 f"T^{n} over {g} generators needs {g ** n} columns (guard {guard})")

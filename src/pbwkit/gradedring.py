@@ -93,11 +93,8 @@ class GradedSubspace:
     def equals(self, other):
         if self.degrees() != other.degrees():
             return False
-        for n in self.degrees():
-            a, b = self.blocks[n], other.blocks[n]
-            if a.rank != b.rank or not a.contains_space(b):
-                return False
-        return True
+        return all(self.blocks[n].equals_space(other.blocks[n])
+                   for n in self.degrees())
 
 
 def _shift_right(vec, i, g):
@@ -144,6 +141,7 @@ class PresentedRing:
         self._top = 1
         self._basis_words = {}
         self._nf_cache = {}
+        self._bases = {}        # n -> DegreeBasis(g, n), one per degree
 
     def ideal_component(self, n):
         """Echelon basis of <G>^n; dim I^n + h(n) = g^n."""
@@ -162,6 +160,11 @@ class PresentedRing:
                 raise InvariantViolation(f"strong grading violated in degree {m}")
         return self._ideal[n]
 
+    def _degree_basis(self, n):
+        if n not in self._bases:
+            self._bases[n] = DegreeBasis(self.g, n)
+        return self._bases[n]
+
     def hilbert_value(self, n):
         return self.g ** n - self.ideal_component(n).rank
 
@@ -170,7 +173,7 @@ class PresentedRing:
         words = self._basis_words.get(n)
         if words is None:
             pivots = set(self.ideal_component(n).rows)
-            basis = DegreeBasis(self.g, n)
+            basis = self._degree_basis(n)
             words = [basis.word_at(p) for p in range(basis.size) if p not in pivots]
             self._basis_words[n] = words
         return words
@@ -187,7 +190,7 @@ class PresentedRing:
         if not e.is_homogeneous():
             raise NotHomogeneous("normal_form needs a homogeneous element")
         n = e.degree()
-        basis = DegreeBasis(self.g, n)
+        basis = self._degree_basis(n)
         vec = {basis.pos(w): s for w, s in e.terms.items()}
         red = self.normal_form_vec(n, vec)
         return Element(self.field, {basis.word_at(p): s for p, s in red.items()})
@@ -199,7 +202,7 @@ class PresentedRing:
         cached = self._nf_cache.get(w)
         if cached is None:
             n = len(w)
-            basis = DegreeBasis(self.g, n)
+            basis = self._degree_basis(n)
             red, d = self.ideal_component(n).reduce_full({basis.pos(w): 1}, integers=True)
             cached = ({basis.word_at(p): s for p, s in red.items()}, d)
             self._nf_cache[w] = cached

@@ -278,6 +278,21 @@ class TestCommands:
         assert main(["rees", gallery("x3-counterexample.pbw"), "--upto", "4"]) == 0
         assert "REES_FAILS(3)" in capsys.readouterr().out
 
+    def test_lift_not_minimal_note(self, tmp_path, capsys):
+        # K0 meets F¹I + IF¹ only in a combination of its two rows:
+        # x*x*y - x*y*x = x*(x*y - y*x); the --json schema has no notes,
+        # so the note is read from the text report of the same run
+        f = tmp_path / "combo.pbw"
+        f.write_text('generators = ["x", "y"]\n'
+                     'ambient_relations = ["x*x*y + y*y*y", "x*y*x + y*y*y"]\n'
+                     'deformation = ["x*y - y*x"]\nmax_degree = 4\n')
+        code = main(["check", str(f), "--json"])
+        payload = json.loads(capsys.readouterr().out)
+        assert main(["check", str(f)]) == code
+        text = capsys.readouterr().out
+        assert f"verdict: {payload['verdict']}" in text
+        assert "note: LIFT_NOT_MINIMAL" in text
+
     def test_field_override(self, capsys):
         assert main(["check", gallery("heisenberg.pbw"), "--field", "Fp:7"]) == 2
         out = capsys.readouterr().out

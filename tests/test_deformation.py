@@ -329,6 +329,14 @@ class TestLift:
         spans = {format_element(e, X) for e in lift.spanning}
         assert spans == {"x*x + 1", "x*x*x"}
 
+    def test_k0_combination_in_tilde_flagged(self):
+        # neither ambient relation lies in F¹I + IF¹, I = <x*y - y*x + K0>,
+        # but their difference x*x*y - x*y*x = x*(x*y - y*x) does
+        lift = lift_presentation(2, els(["x*x*y + y*y*y", "x*y*x + y*y*y"], XY),
+                                 els(["x*y - y*x"], XY))
+        assert not lift.minimal_ok
+        assert lift.note.startswith("LIFT_NOT_MINIMAL")
+
     def test_lift_agrees_with_hand_lift(self):
         # quotient-ambient route vs the hand-written free presentation
         via_lift = pbw_check(2, els(["x*x + y*y - 1"], XY),
