@@ -443,8 +443,10 @@ def lift_presentation(g, ambient_elements, deformation_elements, field=QQ):
 
     The side condition K0 ∩ (F¹I + IF¹) = 0, I = <sigma(R_P) + K0>, is
     checked as a rank test; when it fails the lift is still returned (the
-    PBW-type question transfers regardless) but flagged LIFT_NOT_MINIMAL so
-    positive verdicts get degraded to bounded-degree claims.
+    PBW-type question transfers regardless) but flagged LIFT_NOT_MINIMAL:
+    ``pbw_check`` then certifies no non-graded deformation, on R_P or on
+    the alpha-image P', so their positive verdicts are bounded-degree
+    claims.  A graded deformation is of PBW type whatever the lift.
     """
     if not ambient_elements:
         return LiftResult(list(deformation_elements), [], True, "", identity=True)
@@ -477,8 +479,10 @@ def lift_presentation(g, ambient_elements, deformation_elements, field=QQ):
     minimal_ok = all(tildes[n].insert(row) is not None
                      for n in k0.degrees() for row in k0.blocks[n].raw_basis())
     note = "" if minimal_ok else (
-        "LIFT_NOT_MINIMAL: ambient relations meet F¹I + IF¹; "
-        "positive verdicts are degraded to bounded-degree claims")
+        "LIFT_NOT_MINIMAL: ambient relations meet F¹I + IF¹; a non-graded "
+        "deformation gets no certificate on R_P or on the alpha-image P', so "
+        "a positive verdict on it is a bounded-degree claim; a graded "
+        "deformation is of PBW type regardless")
     return LiftResult(spanning, k0.elements(), minimal_ok, note)
 
 

@@ -21,6 +21,8 @@ concatenation followed by a normal form.
 
 from __future__ import annotations
 
+from itertools import compress, product
+
 from .errors import (InvariantViolation, NotHomogeneous, ResourceExceeded,
                      ValidationError)
 from .freealg import DegreeBasis, Element, column_guard
@@ -172,9 +174,11 @@ class PresentedRing:
         """Words spanning the degree-n complement B^n (non-pivot words)."""
         words = self._basis_words.get(n)
         if words is None:
-            pivots = set(self.ideal_component(n).rows)
-            basis = self._degree_basis(n)
-            words = [basis.word_at(p) for p in range(basis.size) if p not in pivots]
+            # product gives the words in position (lex) order
+            keep = bytearray(b"\1") * self.g ** n
+            for p in self.ideal_component(n).rows:
+                keep[p] = 0
+            words = list(compress(product(range(self.g), repeat=n), keep))
             self._basis_words[n] = words
         return words
 

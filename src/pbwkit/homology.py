@@ -10,7 +10,20 @@ dim Tor_{3,m} = dim K2^m - dim(A^1 K2^{m-1}).
 Bar route: the normalized bar complex has n-chains (A+)^(x)n with
 differential sum (-1)^(i-1) (merge at i); the internal-degree-m strand is
 finite and Tor_{n,m} is its homology.  Quarantined as the desk-scale
-oracle; it grows combinatorially.
+oracle; it grows combinatorially.  A chain is never built as a tuple: it
+is a position, found by arithmetic from the Hilbert values h(d).  With
+cnt(s, r) the size of the (s, r) strand, the chain a|x whose first factor
+a is the i-th basis word of degree d sits at start(s, r, d) +
+i * cnt(s-1, r-d) + (position of x), where start(s, r, d) =
+sum_{d' < d} h(d') cnt(s-1, r-d').  Rows come by recursion on the first
+factor, d(a|x) = mu(a, x_1)|x' - a|d(x): the row of x one strand down,
+moved by an int offset and negated, plus the terms of the structure
+constant mu(a, x_1) = nf(a x_1), read once per pair of degrees.  The rows
+of strands <= n are kept for strand n + 1; those of strand n + 1 go
+straight into their span, last chain first.  That order needs fewer
+reduction steps for the same rank: for Tor_3 of k[x, y, z] (the A of
+``sl2`` and ``heisenberg``) at bound 8 the 61 884 rows take 163 571 steps
+instead of 983 115 in chain order.
 
 Both routes build their rows from the integer normal forms of
 ``PresentedRing.nf_word``: each row is scaled to integers by the lcm L of
@@ -207,70 +220,134 @@ def tor3_resolution(ring, rel, bound):
 # ---------------------------------------------------------------------------
 # Normalized bar complex (the oracle).
 
-def _strand_basis(ring, n, m):
-    """Basis tuples of (A+)^(x)n in internal degree m."""
-    if n == 0:
-        return [()] if m == 0 else []
-    out = []
+def _strand_starts(h, top, bound):
+    """Chain positions of the strands (A+)^(x)s, s <= top, in internal
+    degree r <= bound, from h[d] = dim A^d (d >= 1; h[0] unused).
 
-    def rec(prefix, remaining, slots):
-        if slots == 1:
-            for w in ring.basis_words(remaining):
-                out.append(prefix + (w,))
-            return
-        for d in range(1, remaining - slots + 2):
-            ws = ring.basis_words(d)
-            if not ws:
-                continue
-            for w in ws:
-                rec(prefix + (w,), remaining - d, slots - 1)
-
-    if m >= n:
-        rec((), m, n)
-    if len(out) > BAR_STRAND_GUARD:
-        raise ResourceExceeded(f"bar strand (n={n}, m={m}) has {len(out)} chains")
-    return out
-
-
-def _bar_differential_rows(ring, n, m, domain, codomain_index):
-    """Rows of d_n on the (n, m) strand: sum_i (-1)^(i-1) merge at i, each
-    scaled to integers by the lcm of its normal forms' denominators (the
-    rows only feed ranks)."""
-    nf_word = ring.nf_word
-    rows = []
-    for chain in domain:
-        merged = [nf_word(chain[i] + chain[i + 1]) for i in range(n - 1)]
-        den = lcm(*[d for _, d in merged])
-        out = {}
-        for i, (nf, d) in enumerate(merged):
-            if nf:
-                f = den // d
-                _place(out, codomain_index, -f if i % 2 else f, nf,
-                       chain[:i], chain[i + 2:])
-        rows.append(out)
-    return rows
+    ``start[s][r][d]`` is the position of the first chain whose first
+    factor has degree d, and ``start[s][r][-1]`` the strand's size; strand
+    0 is k in degree 0.  Chains are ordered by the degree of the first
+    factor, then its basis word, then the rest of the chain; so the chain
+    a|x, a the i-th basis word of degree d, sits at start[s][r][d] +
+    i * size(s-1, r-d) + (position of x).  A strand is listed up to the
+    degree its h values reach: up to len(h) - 2 + s."""
+    start = [[[0, 1]] + [[0, 0]] * bound]
+    for s in range(1, top + 1):
+        below = start[-1]
+        row = []
+        for r in range(min(bound, len(h) - 2 + s) + 1):
+            st = [0, 0]
+            for d in range(1, r - s + 2):
+                st.append(st[-1] + h[d] * below[r - d][-1])
+            row.append(st)
+        start.append(row)
+    return start
 
 
 def tor_bar(ring, hom_degree, bound):
     """Tor_{hom_degree, m} dims for m <= bound from the normalized bar
-    complex; hom_degree <= 4."""
+    complex; hom_degree <= 4.  Chains are positions (``_strand_starts``)
+    and rows come by recursion on the first factor (see the module
+    docstring); each row is scaled to integers by the lcm of its normal
+    forms' denominators, as the rows only feed ranks."""
     if not 1 <= hom_degree <= 4:
         raise ValidationError("tor_bar supports homological degrees 1..4")
     n = hom_degree
+    if bound < n:
+        return TorTable(n, bound, {})
+    # strands n-1..n+1 in degrees <= bound read h up to bound - max(n-1, 1) + 1
+    words = [None] + [ring.basis_words(d) for d in range(1, bound - max(n - 1, 1) + 2)]
+    h = [0] + [len(ws) for ws in words[1:]]
+    start = _strand_starts(h, n + 1, bound)
+    for s in (n - 1, n, n + 1):
+        for m in range(n, bound + 1):
+            size = start[s][m][-1]
+            if size > BAR_STRAND_GUARD:
+                raise ResourceExceeded(f"bar strand (n={s}, m={m}) has {size} chains")
+
+    mults = {}
+
+    def mult(d1, d2):
+        """[i][j] -> (terms, den): nf(w_i w_j) = sum c e_k / den over the
+        degree d1 + d2 basis, terms as (k, c)."""
+        table = mults.get((d1, d2))
+        if table is None:
+            index = {w: k for k, w in enumerate(ring.basis_words(d1 + d2))}
+            table = []
+            for u in words[d1]:
+                line = []
+                for v in words[d2]:
+                    nf, den = ring.nf_word(u + v)
+                    terms = []
+                    for e, c in nf.items():
+                        k = index.get(e)
+                        if k is None:
+                            raise InvariantViolation(f"normal form term {e} outside the basis")
+                        terms.append((k, c))
+                    line.append((terms, den))
+                table.append(line)
+            mults[(d1, d2)] = table
+        return table
+
+    kept = {}
+
+    def rows_of(s, r):
+        """Rows (row, L) of d_s on the (s, r) strand in chain order, the
+        exact row being row / L; kept for the strand above."""
+        out = kept.get((s, r))
+        if out is None:
+            out = list(rows_desc(s, r))
+            out.reverse()
+            kept[s, r] = out
+        return out
+
+    def rows_desc(s, r):
+        """The rows of ``rows_of``, last chain first."""
+        if s == 1:
+            yield from [({}, 1)] * start[1][r][-1]
+            return
+        here, there = start[s - 1][r], start[s - 2]
+        for d in range(r - s + 1, 0, -1):
+            if not h[d] or not start[s - 1][r - d][-1]:
+                continue
+            xrows = rows_of(s - 1, r - d)
+            ny = there[r - d][-1]
+            for i in range(h[d] - 1, -1, -1):
+                off = here[d] + i * ny
+                q = len(xrows)
+                for d1 in range(r - d - s + 2, 0, -1):
+                    n2 = there[r - d - d1][-1]
+                    if not h[d1] or not n2:
+                        continue
+                    base = here[d + d1]
+                    line = mult(d, d1)[i]
+                    for j in range(h[d1] - 1, -1, -1):
+                        terms, dm = line[j]
+                        cols = [(base + k * n2, c) for k, c in terms]
+                        for q2 in range(n2 - 1, -1, -1):
+                            q -= 1
+                            rx, lx = xrows[q]
+                            if lx == dm:
+                                row = {off + col: -c for col, c in rx.items()}
+                                for col, c in cols:
+                                    row[col + q2] = c
+                                yield row, dm
+                            else:
+                                den = lcm(dm, lx)
+                                f, g = den // dm, den // lx
+                                row = {off + col: -g * c for col, c in rx.items()}
+                                for col, c in cols:
+                                    row[col + q2] = f * c
+                                yield row, den
+
     dims = {}
-    for m in range(0, bound + 1):
-        if n > m:
-            continue  # no chains: Tor_{n,m} = 0 structurally
-        dom = _strand_basis(ring, n, m)
-        below = _strand_basis(ring, n - 1, m)
-        below_index = {t: k for k, t in enumerate(below)}
-        rank_dn = span(ring.field,
-                       _bar_differential_rows(ring, n, m, dom, below_index)).rank
-        above = _strand_basis(ring, n + 1, m)
-        dom_index = {t: k for k, t in enumerate(dom)}
-        rank_dn1 = span(ring.field,
-                        _bar_differential_rows(ring, n + 1, m, above, dom_index)).rank
-        d = len(dom) - rank_dn - rank_dn1
+    for m in range(n, bound + 1):
+        # d_n^m is kept for the strands above it; d_n^bound and d_{n+1}^m
+        # go straight into their spans
+        dn = reversed(rows_of(n, m)) if m < bound else rows_desc(n, m)
+        rank_dn = span(ring.field, (row for row, _ in dn)).rank
+        rank_dn1 = span(ring.field, (row for row, _ in rows_desc(n + 1, m))).rank
+        d = start[n][m][-1] - rank_dn - rank_dn1
         if d:
             dims[m] = d
     return TorTable(n, bound, dims)

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import pbwkit
-from pbwkit import cli, gradedring
+from pbwkit import cli, gradedring, homology
 from pbwkit.cli import main, run_command
 from pbwkit.errors import InvariantViolation, ParseError, ValidationError
 from pbwkit.linalg import RowSpace
@@ -183,6 +183,12 @@ class TestExitCodes:
                      "max_degree = 6\n")
         assert main(["check", str(f)]) == 13
 
+    def test_bar_strand_guard_code(self, capsys, monkeypatch):
+        # a bar strand over the guard ends `tor` with exit 13
+        monkeypatch.setattr(homology, "BAR_STRAND_GUARD", 10)
+        assert main(["tor", gallery("sl2.pbw"), "--upto", "5"]) == 13
+        assert "error[RESOURCE_EXCEEDED]: bar strand" in capsys.readouterr().err
+
 
 class TestJsonOutput:
     def test_stable_schema(self, capsys):
@@ -292,6 +298,24 @@ class TestCommands:
         text = capsys.readouterr().out
         assert f"verdict: {payload['verdict']}" in text
         assert "note: LIFT_NOT_MINIMAL" in text
+
+    def test_lift_not_minimal_keeps_graded_certificate(self, tmp_path, capsys):
+        # the same lift with a graded deformation: the verdict stays
+        # PBW_CERTIFIED (exit 0), so the note names the non-graded branches
+        # it degrades and says that a graded deformation keeps its verdict
+        f = tmp_path / "combo.pbw"
+        f.write_text('generators = ["x", "y"]\n'
+                     'ambient_relations = ["x*x*y + y*y*y", "x*y*x + y*y*y"]\n'
+                     'deformation = ["x*y - y*x"]\nmax_degree = 4\n')
+        assert main(["check", str(f)]) == 0
+        text = capsys.readouterr().out
+        assert "verdict: PBW_CERTIFIED" in text
+        note = next(line for line in text.splitlines()
+                    if line.startswith("note: LIFT_NOT_MINIMAL"))
+        assert "non-graded deformation" in note
+        assert "R_P" in note and "alpha-image P'" in note
+        assert "graded deformation is of PBW type regardless" in note
+        assert "positive verdicts are degraded" not in note
 
     def test_field_override(self, capsys):
         assert main(["check", gallery("heisenberg.pbw"), "--field", "Fp:7"]) == 2

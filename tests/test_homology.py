@@ -3,7 +3,8 @@ from itertools import product
 
 import pytest
 
-from pbwkit.errors import NotMinimalRelations
+from pbwkit import homology
+from pbwkit.errors import NotMinimalRelations, ResourceExceeded
 from pbwkit.freealg import Element, parse_element
 from pbwkit.gradedring import GradedSubspace, PresentedRing
 from pbwkit.homology import (ResolutionSlice, complexity, is_commutator_relations,
@@ -212,12 +213,32 @@ class TestCommutatorRecognition:
 # ---------------------------------------------------------------------------
 # Integer rows against the field-scalar builders of conftest.
 
+def _mixed_merge_scales(ring, top=5):
+    """True iff some chain a|b|c of degree <= top has merges ab and bc whose
+    normal forms have different denominators: then the bar row of a|b|c
+    rescales the row of b|c to a new lcm."""
+    words = {d: ring.basis_words(d) for d in range(1, top - 1)}
+    for da in range(1, top - 1):
+        for db in range(1, top - da):
+            for dc in range(1, top - da - db + 1):
+                for a, b, c in product(words[da], words[db], words[dc]):
+                    if ring.nf_word(a + b)[1] != ring.nf_word(b + c)[1]:
+                        return True
+    return False
+
+
 @pytest.mark.parametrize("p", [None, 7])
 def test_integer_tor_rows_match_field_rows(p):
+    # the bar rows run at every homological degree tor_bar serves; over Q
+    # some rings rescale a row to a new lcm of denominators
     field = QQ if p is None else PrimeField(p)
-    for ring, rel in sampler_rings(field, 30):
+    rings = sampler_rings(field, 30)
+    if p is None:
+        assert sum(_mixed_merge_scales(ring) for ring, _ in rings) >= 2
+    for ring, rel in rings:
         assert tor3_resolution(ring, rel, 6).dims == naive_tor3_resolution(ring, rel, 6)
-        assert tor_bar(ring, 3, 5).dims == naive_tor_bar(ring, 3, 5)
+        for n in (1, 2, 3, 4):
+            assert tor_bar(ring, n, 5).dims == naive_tor_bar(ring, n, 5), n
         for n in range(5):
             for w in product(range(ring.g), repeat=n):
                 nf, d = ring.nf_word(w)
@@ -226,6 +247,19 @@ def test_integer_tor_rows_match_field_rows(p):
                     assert d == 1 and all(0 < s < p for s in nf.values())
                 want = ring.normal_form(Element(field, {w: field.one})).terms
                 assert {e: field.from_fraction(Fraction(s, d)) for e, s in nf.items()} == want
+
+
+def test_bar_strand_guard_before_rows(monkeypatch):
+    # the strand sizes are counted from the Hilbert values, so the guard
+    # trips before any normal form is read or any row is inserted
+    ring, rel = setup(2, ["x*y - y*x"], XY)
+    calls = []
+    monkeypatch.setattr(homology, "BAR_STRAND_GUARD", 10)
+    monkeypatch.setattr(ring, "nf_word", lambda w: calls.append(w))
+    monkeypatch.setattr(homology, "span", lambda *a: calls.append(a))
+    with pytest.raises(ResourceExceeded, match="bar strand"):
+        tor_bar(ring, 3, 6)
+    assert calls == []
 
 
 def test_d2_kernel_exact_for_mixed_row_scales():
