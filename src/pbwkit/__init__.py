@@ -13,14 +13,14 @@ from importlib import resources
 
 from .deformation import (CheckResult, FilteredSubspace, FilteredMap,
                           JacobiLadder, apply_alpha, extract_alpha,
-                          gr_dimension, lift_presentation, minimize_relations,
-                          pbw_check, pn_ladder, pure_jacobi_check, rp_of)
+                          lift_presentation, minimize_relations, pbw_check,
+                          pn_ladder, pure_jacobi_check, rp_of)
 from .errors import PBWError
 from .extension import ExtensionEngine, build_pz, engine_for, rees_identity_check
 from .freealg import (Element, HomogenizedElement, format_element, homogenize,
                       leading_homogeneous, multiply, parse_element, project)
 from .gradedring import GradedSubspace, PresentedRing
-from .homology import TorTable, complexity, purity_classify, tor3_resolution, tor_bar
+from .homology import TorTable, complexity, tor3_resolution, tor_bar
 from .linalg import QQ, PrimeField
 from .presentations import Presentation, Report, parse_presentation
 

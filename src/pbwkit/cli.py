@@ -1,9 +1,9 @@
 """Command dispatch: pbwkit <check|jacobi|complexity|tor|hilbert|rees> FILE.
 
 Exit codes: 0 = PBW_CERTIFIED (or a successful non-check command),
-1 = NOT_PBW, 2 = PBW_UP_TO_DEGREE, 11 = parse error, 12 = validation,
-13 = resource cap, 14 = any other failure (a broken invariant, an I/O
-error, or an unexpected exception).
+1 = NOT_PBW, 2 = PBW_UP_TO_DEGREE, 11 = parse error, 12 = validation
+(a bad command-line argument too), 13 = resource cap, 14 = any other
+failure (a broken invariant, an I/O error, or an unexpected exception).
 """
 
 from __future__ import annotations
@@ -70,7 +70,7 @@ def cmd_check(pres, upto=None):
                                                      _tables, res, bound)
         if dims["gr_U"] is None:
             res.notes.append("gr U table withheld: not stabilized within the "
-                             "resource cap (use gr_dimension in certified mode)")
+                             "resource cap")
     elif res.P is not None and res.P.dim == 0:
         g = res.P.g
         dims["gr_U"] = [g ** n for n in range(bound + 1)]
@@ -146,7 +146,7 @@ def cmd_hilbert(pres, upto=None):
     dims["finite_dim"] = hil.finite_dim
     note = (f"finite-dimensional, c_A = {hil.c_a}" if hil.finite_dim
             else f"c_A >= {hil.c_a}, unbounded-unknown")
-    return Report("HILBERT", None, hil.certified, {}, None, dims, timings,
+    return Report("HILBERT", None, hil.finite_dim, {}, None, dims, timings,
                   notes=[note])
 
 
@@ -190,8 +190,15 @@ def main(argv=None):
     parser.add_argument("--json", action="store_true", dest="json_out")
     parser.add_argument("--field", default=None, metavar="Fp:PRIME",
                         help='override the file field, e.g. "Fp:7"')
-    args = parser.parse_args(argv)
     try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse exits 0 after -h and 2 on a usage error; 2 is the exit
+        # code of PBW_UP_TO_DEGREE, so a usage error is a validation error
+        return 12 if exc.code else 0
+    try:
+        if args.upto is not None and args.upto < 0:
+            raise ValidationError(f"--upto must be >= 0, got {args.upto}")
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
         pres = parse_presentation(text)

@@ -19,8 +19,8 @@ from .errors import (DomainMismatch, InvalidPresentation, InvariantViolation,
 from .extension import ExtensionEngine, engine_for
 from .freealg import (DegreeBasis, Element, WordBasis, filtration_size,
                       project)
-from .gradedring import (GradedSubspace, PresentedRing, ideal_chain,
-                         minimal_complement, tilde_block)
+from .gradedring import (GradedSubspace, PresentedRing, graded_ideal_step,
+                         ideal_chain, minimal_complement)
 from .homology import complexity, overlap
 from .linalg import QQ, RowSpace, coordinate_solver
 
@@ -54,28 +54,8 @@ class FilteredSubspace:
     def dim(self):
         return self.space.rank
 
-    def is_graded(self):
-        """True iff every reduced row is homogeneous (then P = R_P)."""
-        for row in self.space.reduced_basis():
-            degs = {self.basis.degree_of_pos(p) for p in row}
-            if len(degs) > 1:
-                return False
-        return True
-
     def reduced_rows(self):
         return self.space.reduced_basis()
-
-    def row_elements(self):
-        return [self.basis.vec_to_element(r, self.field) for r in self.reduced_rows()]
-
-    def equals(self, other):
-        if self.g != other.g:
-            return False
-        big = WordBasis(self.g, max(self.max_degree, other.max_degree))
-        mine, theirs = RowSpace(self.field), RowSpace(self.field)
-        mine.store_shifted(self.space, self.basis.shift_into(big))
-        theirs.store_shifted(other.space, other.basis.shift_into(big))
-        return mine.equals_space(theirs)
 
 
 def rp_of(P):
@@ -310,30 +290,6 @@ def jacobi_verdicts(P, engine, upto):
     return ladder
 
 
-def ideal_cut_dim(P, n, certified=False):
-    """dim(<P> ∩ T^{<=n}), read from the T[z] engine: a cut P_m ∩ T^{<=n}
-    is the engine's pivots of <P_z>^m of word degree <= n (see
-    ``ExtensionEngine.ideal_cut_dim`` for the two modes)."""
-    return engine_for(P).ideal_cut_dim(n, certified)
-
-
-def gr_dimension(P, n, certified=False):
-    """dim gr^n U(P) = dim U^{<=n} - dim U^{<=n-1}."""
-    eng = engine_for(P)
-    dim_n = filtration_size(P.g, n) - eng.ideal_cut_dim(n, certified)
-    if n == 0:
-        return dim_n
-    dim_n1 = filtration_size(P.g, n - 1) - eng.ideal_cut_dim(n - 1, certified)
-    return dim_n - dim_n1
-
-
-def gr_table(P, upto, pbw_certified=False):
-    """dim gr^n U(P) for n = 0..upto, or None when not computable cheaply;
-    each cut dim(<P> ∩ T^{<=n}) is the T[z] engine's pivots of word degree
-    <= n (see ``ExtensionEngine.gr_table``)."""
-    return engine_for(P).gr_table(upto, pbw_certified)
-
-
 def minimize_relations(rel):
     """A bimodule of relations extracted from rel: the deterministic graded
     complement of rel ∩ (F¹I + IF¹) inside rel, I = <rel>.  The equality of
@@ -475,7 +431,7 @@ def lift_presentation(g, ambient_elements, deformation_elements, field=QQ):
     chain = ideal_chain(r_lift, top)
     # rank test: K0's rows are independent, so K0 ∩ I~ = 0 iff inserting
     # them into I~ adds a pivot each time
-    tildes = {n: tilde_block(chain, g, n, field) for n in k0.degrees()}
+    tildes = {n: graded_ideal_step(chain, None, g, n, field) for n in k0.degrees()}
     minimal_ok = all(tildes[n].insert(row) is not None
                      for n in k0.degrees() for row in k0.blocks[n].raw_basis())
     note = "" if minimal_ok else (

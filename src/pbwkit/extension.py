@@ -37,10 +37,12 @@ dim(P_m ∩ T^{<=n}) is the number of pivots of <P_z>^m of word degree
 
 from __future__ import annotations
 
+from bisect import bisect_left
+
 from .errors import ResourceExceeded, ValidationError
 from .freealg import column_guard, filtration_size, homogenize
 from .gradedring import ideal_chain
-from .linalg import RowSpace, left_kernel_basis, span
+from .linalg import RowSpace, span
 
 ENGINE_DEGREE_CAP = 24
 GR_TABLE_COLUMN_CAP = 12000
@@ -95,10 +97,6 @@ class ZMonomials:
             rem //= self.g
         return tuple(reversed(letters))
 
-    def monomial_at(self, pos):
-        w = self.word_at(pos)
-        return (w, self.n - len(w))
-
     def left_maps(self):
         """One list per letter x_i: entry p is the position in T[z]^{n+1}
         of x_i times the monomial at position p, (x_i w) z^k for w z^k.
@@ -136,7 +134,6 @@ class ExtensionEngine:
         self._ideal = {0: RowSpace(field)}
         self._dbasis = {0: [0]}        # positions of quotient basis monomials
         self._zimage = {}              # n -> list of reduced image vecs (D^n basis order)
-        self._zrank = {}
         self._ann = {}
         self.saturated_at = None
 
@@ -227,31 +224,9 @@ class ExtensionEngine:
         if cached is not None:
             return cached
         images = self._z_images(n)
-        rank = span(self.field, [dict(v) for v in images]).rank
-        self._zrank[n] = rank
-        out = len(images) - rank
+        out = len(images) - span(self.field, [dict(v) for v in images]).rank
         self._ann[n] = out
         return out
-
-    def annihilator_basis(self, n):
-        """Basis of ann(z)^n as elements of D^n (lists of (monomial, scalar))."""
-        images = self._z_images(n)
-        mono = ZMonomials(self.g, n)
-        size_next = filtration_size(self.g, n + 1)
-        combos = left_kernel_basis(self.field, [dict(v) for v in images], size_next)
-        basis_positions = self._dbasis[n]
-        out = []
-        for combo in combos:
-            out.append([(mono.monomial_at(basis_positions[k]), s)
-                        for k, s in sorted(combo.items())])
-        return out
-
-    def z_image_rank(self, n):
-        self.annihilator_dim(n)
-        return self._zrank[n]
-
-    def is_regular_up_to(self, n):
-        return all(self.annihilator_dim(k) == 0 for k in range(n + 1))
 
     # -- the quotient by z: dims of A -------------------------------------
 
@@ -263,36 +238,18 @@ class ExtensionEngine:
     # -- gr U(P): the cuts P_m ∩ T^{<=n} -----------------------------------
 
     def cut_dim(self, m, n):
-        """dim(P_m ∩ T^{<=n}): the number of pivots of <P_z>^m of word
-        degree <= n, i.e. in the last dim T^{<=n} columns."""
+        """dim(P_m ∩ T^{<=n}) for n <= m, which every caller keeps: the
+        number of pivots of <P_z>^m of word degree <= n, i.e. in the last
+        dim T^{<=n} columns.  That is those columns less the D^m basis
+        positions among them, found by bisecting the ascending
+        ``_dbasis[m]``."""
+        width = filtration_size(self.g, n)
         if self.saturated_at is not None and self.saturated_at <= m:
-            return filtration_size(self.g, min(m, n))
-        sp = self.ideal_component(m)
-        start = filtration_size(self.g, m) - filtration_size(self.g, n)
-        return sum(1 for p in sp.rows if p >= start)
-
-    def ideal_cut_dim(self, n, certified=False):
-        """dim(<P> ∩ T^{<=n}) as the stabilized union of the cuts
-        P_m ∩ T^{<=n}, m >= n, each the engine's pivots of <P_z>^m of word
-        degree <= n.
-
-        Heuristic mode stops once two consecutive cuts agree; certified mode
-        runs m up to n + dim T^{<=n} (an increasing chain in a space of that
-        dimension makes at most that many strict steps).  Certified mode can
-        be resource-heavy by design; the guards will object first.
-        """
-        if not self.pz:
-            return 0
-        bound_dim = filtration_size(self.g, n)
-        m = n
-        prev = None
-        while True:
-            cut = self.cut_dim(m, n)
-            stop = m >= n + bound_dim if certified else cut == prev
-            if stop or cut == bound_dim:
-                return cut
-            prev = cut
-            m += 1
+            return width
+        self.ideal_component(m)
+        dbasis = self._dbasis[m]
+        start = filtration_size(self.g, m) - width
+        return width - (len(dbasis) - bisect_left(dbasis, start))
 
     def gr_table(self, upto, certified=False):
         """dim gr^n U(P) for n = 0..upto, or None when not computable cheaply.

@@ -52,22 +52,6 @@ class Element:
                 if s:
                     self.terms[tuple(w)] = s
 
-    @classmethod
-    def zero(cls, field=QQ):
-        return cls(field)
-
-    @classmethod
-    def unit(cls, field=QQ):
-        return cls(field, {(): field.one})
-
-    @classmethod
-    def generator(cls, i, field=QQ):
-        return cls(field, {(i,): field.one})
-
-    @classmethod
-    def from_word(cls, w, field=QQ, coeff=None):
-        return cls(field, {tuple(w): coeff if coeff is not None else field.one})
-
     def is_zero(self):
         return not self.terms
 
@@ -158,17 +142,6 @@ class HomogenizedElement:
                 raise ValidationError("term not homogeneous in total degree")
             if s:
                 self.terms[(tuple(w), k)] = s
-
-    def eval_z(self, value):
-        """Substitute z := value (a field scalar); returns an Element of T."""
-        out = Element(self.field)
-        for (w, k), s in self.terms.items():
-            c = s
-            for _ in range(k):
-                c = c * value
-            if c:
-                out = out + Element.from_word(w, self.field, c)
-        return out
 
     def __eq__(self, other):
         return (isinstance(other, HomogenizedElement)

@@ -231,19 +231,18 @@ class PresentedRing:
         if finite:
             last_nonzero = max(n for n, v in enumerate(values) if v) if any(values) else None
             c_a = last_nonzero - 1 if last_nonzero is not None else -1
-            return HilbertData(values, True, c_a, certified=True)
-        return HilbertData(values, False, upto - 1, certified=False)
+            return HilbertData(values, True, c_a)
+        return HilbertData(values, False, upto - 1)
 
 
 class HilbertData:
-    def __init__(self, values, finite_dim, c_a, certified):
+    def __init__(self, values, finite_dim, c_a):
         self.values = values
         self.finite_dim = finite_dim
         self.c_a = c_a
-        self.certified = certified
 
     def __repr__(self):
-        tail = f"c_A={self.c_a}" if self.certified else f"c_A>={self.c_a} (unbounded-unknown)"
+        tail = f"c_A={self.c_a}" if self.finite_dim else f"c_A>={self.c_a} (unbounded-unknown)"
         return f"HilbertData({self.values}, finite_dim={self.finite_dim}, {tail})"
 
 
@@ -253,12 +252,6 @@ def ideal_chain(rel, upto):
     for n in range(1, upto + 1):
         chain.append(graded_ideal_step(chain, rel.blocks.get(n), rel.g, n, rel.field))
     return chain
-
-
-def tilde_block(chain, g, n, field):
-    """F^1 I^{n-1} + I^{n-1} F^1 from the echelon bases chain[m] of I^m,
-    m < n."""
-    return graded_ideal_step(chain, None, g, n, field)
 
 
 def minimal_complement(rel):
@@ -272,7 +265,7 @@ def minimal_complement(rel):
     chain = ideal_chain(rel, d)
     out = GradedSubspace(rel.g, rel.field)
     for n in rel.degrees():
-        acc = tilde_block(chain, rel.g, n, rel.field)
+        acc = graded_ideal_step(chain, None, rel.g, n, rel.field)
         keep = out.block(n)
         for row in rel.blocks[n].reduced_basis():
             if acc.insert(dict(row)) is not None:

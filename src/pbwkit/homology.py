@@ -48,11 +48,10 @@ BAR_STRAND_GUARD = 200000
 class TorTable:
     """dim Tor_{h,m} for m <= bound at one homological degree h."""
 
-    def __init__(self, hom_degree, bound, dims, certified_complete=False):
+    def __init__(self, hom_degree, bound, dims):
         self.hom_degree = hom_degree
         self.bound = bound
         self.dims = {m: d for m, d in dims.items() if d}
-        self.certified_complete = certified_complete
 
     def dim(self, m):
         return self.dims.get(m, 0)
@@ -72,11 +71,6 @@ class TorTable:
 
     def __repr__(self):
         return f"TorTable(h={self.hom_degree}, <= {self.bound}, {self.dims})"
-
-
-def purity_classify(table, N):
-    """True iff every nonzero entry sits at internal degree N+1."""
-    return all(m == N + 1 for m in table.dims)
 
 
 def _place(out, index, f, nf, pre, post):
@@ -183,7 +177,7 @@ def tor3_resolution(ring, rel, bound):
         raise NotMinimalRelations("relations are not a bimodule of relations")
     dims = {}
     if rel.max_degree() < 0:
-        return TorTable(3, bound, {}, certified_complete=True)
+        return TorTable(3, bound, {})
     prev_slice = None
     prev_kernel = []
     for m in range(0, bound + 1):
@@ -416,18 +410,17 @@ def complexity(ring, rel, bound_hint=8):
     reported uncertified.
     """
     if rel.max_degree() < 0:
-        return ComplexityResult(-1, True, TorTable(3, bound_hint, {}, True),
+        return ComplexityResult(-1, True, TorTable(3, bound_hint, {}),
                                 note="free: no relations")
     if is_commutator_relations(rel, ring.g):
         d3 = overlap_dimension(rel, ring.g)
-        table = TorTable(3, max(bound_hint, 3), {3: d3} if d3 else {}, True)
+        table = TorTable(3, max(bound_hint, 3), {3: d3} if d3 else {})
         c = 2 if d3 else -1
         return ComplexityResult(c, True, table, note="polynomial ring (Koszul, 3-pure)")
     hil = ring.hilbert(upto=min(ring.max_degree, bound_hint + 3))
     if hil.finite_dim:
         bound = hil.c_a + 3
         table = tor3_resolution(ring, rel, bound)
-        table.certified_complete = True
         top = table.top_degree()
         c = top - 1 if top is not None else -1
         if c > hil.c_a + 2:

@@ -332,12 +332,6 @@ class RowSpace:
     def pivots(self):
         return _MonicRows(self)
 
-    @property
-    def stored_rows(self):
-        """How many rows this space holds as dicts: the inserted ones and
-        the shifted ones built so far."""
-        return len(self._rows)
-
     def copy(self):
         other = RowSpace(self.field)
         other._rows = dict(self._rows)

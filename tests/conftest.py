@@ -171,7 +171,7 @@ def brute_pn_spans(g, elements, upto):
 
     P^{<=j} is the honest subspace intersection, taken from an adapted
     dense echelon basis of the span."""
-    gens = [Element.generator(i, QQ) for i in range(g)]
+    gens = [Element(QQ, {(i,): QQ.one}) for i in range(g)]
     d = max((e.degree() for e in elements if not e.is_zero()), default=0)
     adapted = dense_filtered_basis([e for e in elements if not e.is_zero()], g, d)
     spans = [[]]
@@ -214,11 +214,58 @@ def brute_ideal_dim(g, gen_elements, n):
         for left in words_upto(g, n - j):
             for right in words_upto(g, n - j - len(left)):
                 if len(left) + j + len(right) == n:
-                    span.append(multiply(Element.from_word(left, QQ),
-                                         multiply(e, Element.from_word(right, QQ))))
+                    span.append(multiply(Element(QQ, {left: QQ.one}),
+                                         multiply(e, Element(QQ, {right: QQ.one}))))
     if not span:
         return 0
     return dense_span_dim(span, g, n)
+
+
+# ---------------------------------------------------------------------------
+# Thin views over pbwkit objects that only the tests read.
+
+def row_elements(P):
+    """The reduced rows of a FilteredSubspace as Elements."""
+    return [P.basis.vec_to_element(r, P.field) for r in P.reduced_rows()]
+
+
+def eval_z(h, value):
+    """A HomogenizedElement with z := value (a field scalar), as an Element
+    of T: ev_1 recovers the inhomogeneous element, ev_0 its top part."""
+    out = Element(h.field)
+    for (w, k), s in h.terms.items():
+        for _ in range(k):
+            s = s * value
+        out = out + Element(h.field, {w: s})
+    return out
+
+
+def annihilator_basis(eng, n):
+    """Basis of ann(z)^n in D^n, each vector a list of ((word, z-power),
+    scalar) over the engine's quotient basis: the left kernel of its
+    z-images."""
+    images = [dict(v) for v in eng._z_images(n)]
+    combos = left_kernel_basis(eng.field, images, filtration_size(eng.g, n + 1))
+    mono, positions = ZMonomials(eng.g, n), eng._dbasis[n]
+    out = []
+    for combo in combos:
+        words = [(mono.word_at(positions[k]), s) for k, s in sorted(combo.items())]
+        out.append([((w, n - len(w)), s) for w, s in words])
+    return out
+
+
+def certified_cut_dim(eng, n):
+    """dim(<P> ∩ T^{<=n}) as the union of the engine's cuts P_m ∩ T^{<=n},
+    m >= n, run to m = n + dim T^{<=n}: an increasing chain in a space of
+    that dimension makes at most that many strict steps."""
+    width = filtration_size(eng.g, n)
+    cut = 0
+    if eng.pz:
+        for m in range(n, n + width + 1):
+            cut = eng.cut_dim(m, n)
+            if cut == width:
+                break
+    return cut
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 
 import pbwkit
 from pbwkit import cli, gradedring, homology
-from pbwkit.cli import main, run_command
+from pbwkit.cli import COMMANDS, main, run_command
 from pbwkit.errors import InvariantViolation, ParseError, ValidationError
 from pbwkit.linalg import RowSpace
 from pbwkit.presentations import parse_presentation
@@ -188,6 +188,38 @@ class TestExitCodes:
         monkeypatch.setattr(homology, "BAR_STRAND_GUARD", 10)
         assert main(["tor", gallery("sl2.pbw"), "--upto", "5"]) == 13
         assert "error[RESOURCE_EXCEEDED]: bar strand" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("argv", [
+        ["check", "--upto", "abc", "FILE"],
+        ["check"],
+        ["bogus", "FILE"],
+        ["check", "FILE", "--field"],
+    ], ids=["upto-not-int", "no-file", "bad-command", "field-no-value"])
+    def test_argument_error_code(self, argv, capsys):
+        # argparse exits 2, the code of PBW_UP_TO_DEGREE; main maps a usage
+        # error to 12
+        argv = [gallery("heisenberg.pbw") if a == "FILE" else a for a in argv]
+        assert main(argv) == 12
+        assert "pbwkit: error:" in capsys.readouterr().err
+
+    def test_help_code(self, capsys):
+        assert main(["check", gallery("heisenberg.pbw"), "-h"]) == 0
+        assert capsys.readouterr().out.startswith("usage: pbwkit")
+
+    @pytest.mark.parametrize("cmd", COMMANDS)
+    def test_negative_upto_code(self, cmd, capsys):
+        assert main([cmd, "--upto", "-1", gallery("kx-mod-x2.pbw")]) == 12
+        assert "error[VALIDATION_ERROR]: --upto must be >= 0" in capsys.readouterr().err
+
+    def test_argument_codes_of_the_process(self):
+        src = pathlib.Path(pbwkit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src))
+        codes = [subprocess.run([sys.executable, "-m", "pbwkit.cli", "check", *args,
+                                 gallery("heisenberg.pbw")],
+                                env=env, capture_output=True, timeout=60).returncode
+                 for args in (["--upto", "abc"], ["-h"])]
+        assert codes == [12, 0]
 
 
 class TestJsonOutput:

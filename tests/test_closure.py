@@ -18,13 +18,14 @@ from fractions import Fraction
 import pytest
 
 from pbwkit.deformation import (LADDER_DEPTH_CAP, FilteredSubspace, extract_alpha,
-                                gr_table, pn_ladder, rp_of)
+                                pn_ladder, rp_of)
 from pbwkit.errors import InvalidPresentation
 from pbwkit.extension import GR_TABLE_COLUMN_CAP, engine_for
 from pbwkit.freealg import Element, filtration_size
 from pbwkit.linalg import QQ, PrimeField
 
-from conftest import NaiveEngine, naive_ladder, random_presentation
+from conftest import (NaiveEngine, annihilator_basis, naive_ladder,
+                      random_presentation, row_elements)
 
 LADDER_UPTO = 5
 ENGINE_DEGREE = 6
@@ -58,7 +59,7 @@ def test_closures_match_naive(p):
         spaces, witness = naive_ladder(P, LADDER_UPTO)
         for k, sp in enumerate(lad.spaces):
             if sp is not None:
-                assert sp.rows == spaces[k].rows, (k, P.row_elements())
+                assert sp.rows == spaces[k].rows, (k, row_elements(P))
         top = len(spaces) - 1
         full = top if spaces[top].rank == filtration_size(P.g, top) else None
         assert lad.full_from == full
@@ -72,7 +73,7 @@ def test_closures_match_naive(p):
         naive = NaiveEngine(P.g, extract_alpha(P), rp_of(P), field)
         for n in range(ENGINE_DEGREE):
             assert eng.annihilator_dim(n) == naive.annihilator_dim(n)
-            assert eng.annihilator_basis(n) == naive.annihilator_basis(n)
+            assert annihilator_basis(eng, n) == annihilator_basis(naive, n)
         for m in range(ENGINE_DEGREE + 1):
             mine, theirs = eng.ideal_component(m), naive.ideal_component(m)
             assert sorted(mine.rows) == sorted(theirs.rows), m
@@ -134,7 +135,7 @@ def test_engine_cuts_match_ladder(p):
         eng = engine_for(P)
         for m in range(8):
             for n in range(m + 1):
-                assert eng.cut_dim(m, n) == ladder_cut(lad, m, n), (m, n, P.row_elements())
+                assert eng.cut_dim(m, n) == ladder_cut(lad, m, n), (m, n, row_elements(P))
 
         ladders = [lad]
 
@@ -148,6 +149,5 @@ def test_engine_cuts_match_ladder(p):
                 want = ladder_gr_table(P, upto, certified, ladder)
                 assert eng.gr_table(upto, certified) == want, (upto, certified)
                 withheld += want is None
-        assert gr_table(P, 3) == eng.gr_table(3)
     # the sample reaches the withheld tables too
     assert withheld

@@ -263,4 +263,4 @@ def test_shifted_rows_are_built_on_lookup():
     assert ring.hilbert(10).values[10] == 596
     sp = ring.ideal_component(10)
     assert sp.rank == 3 ** 10 - 596 == sum(1 for _ in sp.rows)
-    assert sp.stored_rows < 0.05 * sp.rank
+    assert len(sp._rows) < 0.05 * sp.rank     # the rows held as dicts

@@ -1,10 +1,13 @@
-"""No module of pbwkit imports a name it does not use.
+"""No module of pbwkit imports a name it does not use, and every public
+function or method it defines is read somewhere in the package.
 
 Names imported relatively into ``__init__.py`` are the package's public
-surface (re-exports) and are exempt.
+surface (re-exports): they are exempt from the first check and count as
+reads for the second.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pbwkit
@@ -37,3 +40,55 @@ def test_detects_an_unused_import(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text("import os\nfrom math import gcd, lcm\n\nprint(gcd(4, 6))\n")
     assert unused_imports(mod) == [(1, "os"), (2, "lcm")]
+
+
+def names_read(node):
+    """How often each name occurs under node: as a variable, an attribute
+    or an imported name."""
+    out = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            out[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            out[sub.attr] += 1
+        elif isinstance(sub, ast.alias):
+            out[sub.asname or sub.name] += 1
+    return out
+
+
+def unread_definitions(paths):
+    """(file, name) of each public function or method defined in paths
+    (``__init__.py`` exempt) whose name occurs nowhere in paths outside
+    its own definition."""
+    reads = Counter()
+    defs = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        reads += names_read(tree)
+        if path.name == "__init__.py":
+            continue
+        for node in tree.body:
+            for d in node.body if isinstance(node, ast.ClassDef) else [node]:
+                if isinstance(d, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not d.name.startswith("_"):
+                    defs.append((path.name, d))
+    return sorted((name, d.name) for name, d in defs
+                  if reads[d.name] == names_read(d)[d.name])
+
+
+def test_every_public_definition_is_read():
+    assert unread_definitions(sorted(SRC.glob("*.py"))) == []
+
+
+def test_detects_an_unread_definition(tmp_path):
+    (tmp_path / "__init__.py").write_text("from .mod import exported\n")
+    (tmp_path / "mod.py").write_text(
+        "def exported():\n    return helper()\n\n"
+        "def helper():\n    return 1\n\n"
+        "def recursive(n):\n    return recursive(n - 1) if n else 0\n\n"
+        "class A:\n    def used(self):\n        return self.unused\n\n"
+        "    def unused(self):\n        return 0\n\n"
+        "    def orphan(self):\n        return self.used()\n\n"
+        "    def _private(self):\n        return 0\n")
+    assert unread_definitions(sorted(tmp_path.glob("*.py"))) == [
+        ("mod.py", "orphan"), ("mod.py", "recursive")]

@@ -18,7 +18,7 @@ from pbwkit.extension import engine_for
 from pbwkit.freealg import Element, parse_element
 from pbwkit.linalg import QQ, PrimeField
 
-from conftest import random_presentation
+from conftest import random_presentation, row_elements
 
 UPTO = 5
 INSTANCES = 40
@@ -48,7 +48,7 @@ def test_engine_verdicts_match_ladder(p):
         P = sampled(rng, field)
         lad = pn_ladder(P, UPTO)
         got = jacobi_verdicts(P, engine_for(P), UPTO)
-        assert got.verdicts == lad.verdicts, P.row_elements()
+        assert got.verdicts == lad.verdicts, row_elements(P)
         assert got.first_failure == lad.first_failure
         if lad.witness is None:
             assert got.witness is None
