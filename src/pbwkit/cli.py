@@ -22,6 +22,7 @@ from .homology import complexity, tor3_resolution, tor_bar
 from .presentations import Report, parse_presentation
 
 COMMANDS = ("check", "jacobi", "complexity", "tor", "hilbert", "rees")
+UPTO_COMMANDS = ("jacobi", "tor", "hilbert", "rees")    # the readers of --upto
 
 
 def _empty_dims():
@@ -199,6 +200,9 @@ def main(argv=None):
     try:
         if args.upto is not None and args.upto < 0:
             raise ValidationError(f"--upto must be >= 0, got {args.upto}")
+        if args.upto is not None and args.command not in UPTO_COMMANDS:
+            raise ValidationError(f"{args.command} does not read --upto; "
+                                  f"only {', '.join(UPTO_COMMANDS)} do")
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
         pres = parse_presentation(text)

@@ -486,10 +486,6 @@ class CheckResult:
     witness: Element | None
     notes: list
     P: FilteredSubspace | None = None
-    alpha: FilteredMap | None = None
-    top_relations: GradedSubspace | None = None
-    min_relations: GradedSubspace | None = None
-    ring: PresentedRing | None = None
     hilbert: object = None
     tor3: object = None
     engine: ExtensionEngine | None = None   # T[z] engine of P
@@ -538,7 +534,6 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
                            timings=timings, **found)
 
     if P.dim == 0:
-        found["ring"] = PresentedRing(g, GradedSubspace(g, field), field)
         notes.append("empty deformation: U(P) is the free algebra")
         return result("PBW_CERTIFIED", 0, -1, True, {}, None)
 
@@ -546,7 +541,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
     # tables from the same engine
     engine = timed(timings, "extract", engine_for, P)
     rp, alpha = engine.rel, engine.alpha
-    found.update(alpha=alpha, top_relations=rp, engine=engine)
+    found["engine"] = engine
     d = P.max_degree
     depth_bound = max(d, 2, min(max_degree, LADDER_DEPTH_CAP - 1))
     low = rp.degrees()[0] <= 1
@@ -557,7 +552,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
                      bound_hint=tor_bound or 8)
         hilbert = timed(timings, "hilbert", ring.hilbert,
                         min(ring.max_degree, max(max_degree, d)))
-        found.update(min_relations=rmin, ring=ring, tor3=cres.table, hilbert=hilbert)
+        found.update(tor3=cres.table, hilbert=hilbert)
 
     if alpha_is_inclusion(alpha):
         # P graded: P_m ∩ T^{<=n} = P_{min(m,n)}, so every (J_k) holds and

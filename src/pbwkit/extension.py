@@ -26,7 +26,9 @@ reduction first reads it).  The recursion is exact: V·I^{m-2} is stored
 as is inside I^{m-1}, so it and span(N) have disjoint leading columns and
 together span I^{m-1}; z is central, so z·V·I^{m-2} = V·z·I^{m-2} lies in
 V·I^{m-1}, and V·I^{m-2}·V = V·(I^{m-2}·V) does too.  That leaves z·N and
-N·V as the only new products.
+N·V as the only new products.  One degree is one ``linalg.closure_step``
+with the column maps of ``ZMonomials``: ``left_maps`` for V·, the shift
+by the g^m columns of word degree m for z·, and ``right_maps`` for ·V.
 
 Setting z = 1 maps <P_z>^m bijectively onto the ladder space P_m, and a
 monomial w z^k to the word w; the elements of P_m in T^{<=n} are the images
@@ -42,7 +44,7 @@ from bisect import bisect_left
 from .errors import ResourceExceeded, ValidationError
 from .freealg import column_guard, filtration_size, homogenize
 from .gradedring import ideal_chain
-from .linalg import RowSpace, span
+from .linalg import RowSpace, closure_step, span
 
 ENGINE_DEGREE_CAP = 24
 GR_TABLE_COLUMN_CAP = 12000
@@ -85,18 +87,6 @@ class ZMonomials:
             p = p * self.g + letter
         return self._block_start[len(w)] + p
 
-    def word_at(self, pos):
-        starts = self._block_start
-        d = self.n
-        while d and starts[d - 1] <= pos:
-            d -= 1
-        rem = pos - starts[d]
-        letters = []
-        for _ in range(d):
-            letters.append(rem % self.g)
-            rem //= self.g
-        return tuple(reversed(letters))
-
     def left_maps(self):
         """One list per letter x_i: entry p is the position in T[z]^{n+1}
         of x_i times the monomial at position p, (x_i w) z^k for w z^k.
@@ -112,11 +102,26 @@ class ZMonomials:
             maps.append(cols)
         return maps
 
+    def right_maps(self):
+        """One list per letter x_i: entry p is the position in T[z]^{n+1}
+        of the monomial at position p times x_i, (w x_i) z^k for w z^k.
+        Each map keeps positions in order."""
+        g = self.g
+        top = filtration_size(g, self.n + 1)
+        maps = []
+        for i in range(g):
+            cols = []
+            for d in range(self.n, -1, -1):
+                start = top - filtration_size(g, d + 1) + i
+                cols.extend(range(start, start + g ** (d + 1), g))
+            maps.append(cols)
+        return maps
+
 
 class ExtensionEngine:
     """Caches, per degree n: the ideal component <P_z>^n, the quotient
-    basis of D^n, the multiplication-by-z matrix D^n -> D^{n+1}, and the
-    annihilator dimension.  Single-writer; completed degrees are frozen."""
+    basis of D^n and the annihilator dimension of z.  Single-writer;
+    completed degrees are frozen."""
 
     def __init__(self, g, alpha, rel, field):
         self.g = g
@@ -133,7 +138,6 @@ class ExtensionEngine:
             self._pz_by_degree.setdefault(n, []).append(vec)
         self._ideal = {0: RowSpace(field)}
         self._dbasis = {0: [0]}        # positions of quotient basis monomials
-        self._zimage = {}              # n -> list of reduced image vecs (D^n basis order)
         self._ann = {}
         self.saturated_at = None
 
@@ -154,41 +158,13 @@ class ExtensionEngine:
 
     def _step(self, m):
         """I^m = V·I^{m-1} + z·N + N·V + P_z^m for I = <P_z> (see the
-        module docstring).  The left products x_i·I^{m-1} go in as they
-        are through order-keeping column maps.  N is the set of rows the
-        step one degree down inserted; its other rows are left products,
-        and z·V·I^{m-2} and V·I^{m-2}·V lie in V·I^{m-1}.  Only z·N, N·V
-        and P_z^m are reduced."""
-        if self.saturated_at is not None and m > self.saturated_at:
-            # once <P_z>^m = T[z]^m, strong grading keeps every later
-            # degree full
-            sp = RowSpace(self.field)
-            mono = ZMonomials(self.g, m)
-            for p in range(mono.size):
-                sp.store({p: self.field.one})
-            self._dbasis[m] = []
-            return sp
-        prev = self._ideal[m - 1]
-        mono_prev = ZMonomials(self.g, m - 1)
+        module docstring); z·(w z^k) = w z^(k+1) moves every column by
+        the g^m columns of word degree m."""
         mono = ZMonomials(self.g, m)
-        sp = RowSpace(self.field)
-        g = self.g
-        for cols in mono_prev.left_maps():
-            sp.store_shifted(prev, cols)
-        n_rows = prev.inserted()
-        # z·(w z^k) = w z^(k+1): every column moves by the g^m columns of
-        # word degree m.  All of z·N goes in before N·V, which then reduces
-        # against it: on U(gl2) to degree 8 that halves the time of
-        # interleaving the two.
-        zshift = g ** m
-        for row in n_rows:
-            sp.insert({p + zshift: s for p, s in row.items()})
-        for row in n_rows:
-            words = [(mono_prev.word_at(p), s) for p, s in row.items()]
-            for i in range(g):
-                sp.insert({mono.pos_of_word(w + (i,)): s for w, s in words})
-        for vec in self._pz_by_degree.get(m, []):
-            sp.insert(dict(vec))
+        prev = ZMonomials(self.g, m - 1)
+        sp = closure_step(self.field, self._ideal[m - 1], prev.left_maps(),
+                          [self.g ** m] + prev.right_maps(),
+                          self._pz_by_degree.get(m, ()))
         if sp.rank == mono.size and self.saturated_at is None:
             self.saturated_at = m
         pivots = set(sp.rows)
@@ -204,9 +180,6 @@ class ExtensionEngine:
     def _z_images(self, n):
         """Reduced images of the D^n basis under multiplication by z, as
         vectors over T[z]^{n+1} positions (supported on D^{n+1} basis)."""
-        cached = self._zimage.get(n)
-        if cached is not None:
-            return cached
         self.ideal_component(n)
         nxt = self.ideal_component(n + 1)
         zshift = self.g ** (n + 1)
@@ -214,7 +187,6 @@ class ExtensionEngine:
         for p in self._dbasis[n]:
             # z * (w z^k) keeps the word part: position shifts by one block
             images.append(nxt.reduce_full({p + zshift: self.field.one}))
-        self._zimage[n] = images
         return images
 
     def annihilator_dim(self, n):
@@ -224,7 +196,7 @@ class ExtensionEngine:
         if cached is not None:
             return cached
         images = self._z_images(n)
-        out = len(images) - span(self.field, [dict(v) for v in images]).rank
+        out = len(images) - span(self.field, images).rank
         self._ann[n] = out
         return out
 

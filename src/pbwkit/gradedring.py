@@ -10,13 +10,15 @@ of I^{n-1} that are not in F¹I^{n-2}.  It is exact for any echelon bases:
 F¹I^{n-2} is stored in I^{n-1} as it is, so it and span(N) have disjoint
 leading columns and together span I^{n-1}; and F¹I^{n-2}F¹ ⊆ F¹I^{n-1},
 so of I^{n-1}F¹ only N F¹ is new.  Left multiplication by x_i moves
-column c to i g^{n-1} + c, which keeps columns distinct and in order, so
-F¹I^{n-1} is stored shifted (``RowSpace.store_shifted``: recorded, and a
-moved row is built only when a reduction first reads it); only N F¹ and
-G^n are reduced.  The degree-n basis of the quotient is the set of
-non-pivot words of I^n (the pivot-greedy complement), so normal forms are
-canonical full reductions and quotient multiplication is word
-concatenation followed by a normal form.
+column c to i g^{n-1} + c and right multiplication moves it to c g + i;
+both keep columns distinct and in order.  One degree is one
+``linalg.closure_step`` with these maps: F¹I^{n-1} is stored shifted
+(``RowSpace.store_shifted``: recorded, and a moved row is built only when
+a reduction first reads it); only N F¹ and G^n are reduced.  The degree-n
+basis of the quotient is the set of non-pivot words of I^n (the
+pivot-greedy complement), so normal forms are canonical full reductions
+and quotient multiplication is word concatenation followed by a normal
+form.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from itertools import compress, product
 from .errors import (InvariantViolation, NotHomogeneous, ResourceExceeded,
                      ValidationError)
 from .freealg import DegreeBasis, Element, column_guard
-from .linalg import QQ, RowSpace
+from .linalg import QQ, RowSpace, closure_step
 
 DEFAULT_MAX_DEGREE = 10
 
@@ -99,28 +101,17 @@ class GradedSubspace:
                    for n in self.degrees())
 
 
-def _shift_right(vec, i, g):
-    return {p * g + i: s for p, s in vec.items()}
-
-
 def graded_ideal_step(chain, gens_block, g, n1, field):
     """Echelon basis of I^{n1} = F¹I^{n1-1} + N F¹ + G^{n1} (see the module
     docstring); ``chain[m]`` is the echelon basis of I^m for m < n1 and
     ``gens_block`` the degree-n1 generator block, or None."""
     if g ** n1 > column_guard():
         raise ResourceExceeded(f"degree {n1} needs {g ** n1} columns")
-    sp = RowSpace(field)
-    prev = chain[n1 - 1]
-    for i in range(g):
-        sp.store_shifted(prev, i * g ** (n1 - 1))
-    # right-multiply only N, the rows the previous step inserted
-    for row in prev.inserted():
-        for i in range(g):
-            sp.insert(_shift_right(row, i, g))
-    if gens_block is not None:
-        for row in gens_block.raw_basis():
-            sp.insert(row)
-    return sp
+    # the word w at position p goes to i g^{n1-1} + p under x_i·w and to
+    # p g + i under w·x_i
+    return closure_step(field, chain[n1 - 1], [i * g ** (n1 - 1) for i in range(g)],
+                        [range(i, g ** n1, g) for i in range(g)],
+                        gens_block.raw_basis() if gens_block is not None else ())
 
 
 class PresentedRing:
@@ -268,8 +259,8 @@ def minimal_complement(rel):
         acc = graded_ideal_step(chain, None, rel.g, n, rel.field)
         keep = out.block(n)
         for row in rel.blocks[n].reduced_basis():
-            if acc.insert(dict(row)) is not None:
-                keep.insert(dict(row))
+            if acc.insert(row) is not None:
+                keep.insert(row)
     return out
 
 

@@ -241,6 +241,14 @@ def _step_p(vec, row, c, p):
                 del vec[k]
 
 
+def _moved(row, cols):
+    """The row with each column c moved to c + ``cols`` (an int offset) or
+    to ``cols[c]`` (a sequence)."""
+    if type(cols) is int:
+        return {c + cols: s for c, s in row.items()}
+    return {cols[c]: s for c, s in row.items()}
+
+
 class _MonicRows(Mapping):
     """Read-only view of a RowSpace: pivot column -> monic row with field
     scalars, built from the stored row on first access."""
@@ -305,7 +313,7 @@ class RowSpace:
     when it is not one of this space's own rows, and build the moved row
     on that first lookup and keep it.  ``rows``, ``pivots``, ``rank`` and
     the bases see the whole space; ``inserted()`` gives the rows stored
-    here by ``insert``, ``store`` and ``relate``.
+    here by ``insert`` and ``relate``.
     """
 
     __slots__ = ("field", "_rows", "_inserted", "_p", "_monic", "_shifts",
@@ -342,8 +350,8 @@ class RowSpace:
         return other
 
     def inserted(self):
-        """The rows stored by ``insert``, ``store`` and ``relate``, i.e.
-        not by ``store_shifted``, sorted by pivot column."""
+        """The rows stored by ``insert`` and ``relate``, i.e. not by
+        ``store_shifted``, sorted by pivot column."""
         rows = self._rows
         return [rows[c] for c in sorted(self._inserted)]
 
@@ -356,13 +364,8 @@ class RowSpace:
         if i is None:
             return None
         other, cols = self._shifts[i]
-        if type(cols) is int:
-            row = other._row(c - cols)
-            row = {j + cols: s for j, s in row.items()}
-        else:
-            row = other._row(bisect_left(cols, c))
-            row = {cols[j]: s for j, s in row.items()}
-        self._rows[c] = row
+        j = c - cols if type(cols) is int else bisect_left(cols, c)
+        row = self._rows[c] = _moved(other._row(j), cols)
         return row
 
     def _row(self, c):
@@ -517,18 +520,6 @@ class RowSpace:
         self._put(red, lead)
         return lead
 
-    def store(self, vec):
-        """Store an already reduced vector as a new row; its leading column
-        must not be a pivot yet.  Returns that column."""
-        ints = self._ints(vec)[0]
-        if not ints:
-            raise ValidationError("cannot store a zero row")
-        lead = min(ints)
-        if lead in self._rows or lead in self._keys:
-            raise ValidationError(f"column {lead} is already a pivot")
-        self._put(ints, lead)
-        return lead
-
     def relate(self, vec, offset):
         """Tagged reduction, for vectors whose columns >= ``offset`` are
         tags that record how the vector was made.  Reduces vec along its
@@ -604,6 +595,33 @@ def span(field, vectors):
     sp = RowSpace(field)
     for v in vectors:
         sp.insert(v)
+    return sp
+
+
+def closure_step(field, prev, lefts, rights, gens):
+    """One degree of a graded ideal closure: I^m = V·I^{m-1} + N·V + G^m,
+    where ``prev`` is I^{m-1}, N = ``prev.inserted()`` and ``gens`` are the
+    rows of G^m.  ``lefts`` and ``rights`` are the column maps from degree
+    m-1 to degree m of the left and right multiplications (int offsets or
+    order-keeping sequences, as in ``store_shifted``); a central factor
+    goes among ``rights``.
+
+    Every left image of ``prev`` is stored as it is.  Then the images of
+    each row of N under ``rights`` are inserted, all images of one row
+    together and the rows last pivot first, and ``gens`` last.  This is
+    exact when I^{m-1} was made by the same step: its rows outside N are
+    left products V·I^{m-2}, whose right and central products already lie
+    in V·I^{m-1}.  The order matters: on U(gl2), ``check`` to degree 8
+    takes 0.10 M reduction steps with it and 3.5 M with the rows first
+    pivot first."""
+    sp = RowSpace(field)
+    for cols in lefts:
+        sp.store_shifted(prev, cols)
+    for row in reversed(prev.inserted()):
+        for cols in rights:
+            sp.insert(_moved(row, cols))
+    for vec in gens:
+        sp.insert(vec)
     return sp
 
 

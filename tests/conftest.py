@@ -240,16 +240,31 @@ def eval_z(h, value):
     return out
 
 
+def zword_at(g, n, pos):
+    """The word w of the monomial w z^(n-|w|) at position ``pos`` of
+    T[z]^n, where the word-degree blocks run from n down to 0, lex inside
+    a block."""
+    d = n
+    while pos >= g ** d:
+        pos -= g ** d
+        d -= 1
+    letters = []
+    for _ in range(d):
+        pos, letter = divmod(pos, g)
+        letters.append(letter)
+    return tuple(reversed(letters))
+
+
 def annihilator_basis(eng, n):
     """Basis of ann(z)^n in D^n, each vector a list of ((word, z-power),
     scalar) over the engine's quotient basis: the left kernel of its
     z-images."""
     images = [dict(v) for v in eng._z_images(n)]
     combos = left_kernel_basis(eng.field, images, filtration_size(eng.g, n + 1))
-    mono, positions = ZMonomials(eng.g, n), eng._dbasis[n]
+    positions = eng._dbasis[n]
     out = []
     for combo in combos:
-        words = [(mono.word_at(positions[k]), s) for k, s in sorted(combo.items())]
+        words = [(zword_at(eng.g, n, positions[k]), s) for k, s in sorted(combo.items())]
         out.append([((w, n - len(w)), s) for w, s in words])
     return out
 
@@ -310,18 +325,16 @@ def naive_ladder(P, upto):
 class NaiveEngine(ExtensionEngine):
     """The T[z] engine with the naive closure step: z·r, x_i·r and r·x_i
     inserted for every row r of <P_z>^{m-1}, then the degree-m part of
-    P_z.  Saturated degrees are left to the engine's own branch."""
+    P_z."""
 
     def _step(self, m):
-        if self.saturated_at is not None and m > self.saturated_at:
-            return super()._step(m)
         g = self.g
         prev = self._ideal[m - 1]
-        mono_prev, mono = ZMonomials(g, m - 1), ZMonomials(g, m)
+        mono = ZMonomials(g, m)
         sp = RowSpace(self.field)
         for row in prev.raw_basis():
             sp.insert({c + g ** m: s for c, s in row.items()})
-            words = [(mono_prev.word_at(c), s) for c, s in row.items()]
+            words = [(zword_at(g, m - 1, c), s) for c, s in row.items()]
             for i in range(g):
                 sp.insert({mono.pos_of_word((i,) + w): s for w, s in words})
                 sp.insert({mono.pos_of_word(w + (i,)): s for w, s in words})

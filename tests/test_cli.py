@@ -212,6 +212,15 @@ class TestExitCodes:
         assert main([cmd, "--upto", "-1", gallery("kx-mod-x2.pbw")]) == 12
         assert "error[VALIDATION_ERROR]: --upto must be >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("cmd", ["check", "complexity"])
+    def test_upto_not_read_code(self, cmd, capsys):
+        # check and complexity take their degrees from the file; an --upto
+        # they would ignore is rejected instead
+        assert main([cmd, "--upto", "3", gallery("kx-mod-x2.pbw")]) == 12
+        err = capsys.readouterr().err
+        assert f"error[VALIDATION_ERROR]: {cmd} does not read --upto" in err
+        assert "jacobi, tor, hilbert, rees" in err
+
     def test_argument_codes_of_the_process(self):
         src = pathlib.Path(pbwkit.__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(src))
@@ -315,6 +324,18 @@ class TestCommands:
         assert "REES_OK" in capsys.readouterr().out
         assert main(["rees", gallery("x3-counterexample.pbw"), "--upto", "4"]) == 0
         assert "REES_FAILS(3)" in capsys.readouterr().out
+
+    def test_check_empty_deformation(self, tmp_path, capsys):
+        # U(P) = T: every table is the free algebra's, with no Tor_3 table
+        f = tmp_path / "free.pbw"
+        f.write_text('generators = ["x", "y"]\nambient_relations = []\n'
+                     'deformation = []\nmax_degree = 4\n')
+        assert main(["check", str(f), "--json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["verdict"] == "PBW_CERTIFIED"
+        assert payload["dims"] == {"h_A": [1, 2, 4, 8, 16], "gr_U": [1, 2, 4, 8, 16],
+                                   "D": [1, 3, 7, 15, 31], "ann": [0] * 5,
+                                   "tor3": None}
 
     def test_lift_not_minimal_note(self, tmp_path, capsys):
         # K0 meets F¹I + IF¹ only in a combination of its two rows:

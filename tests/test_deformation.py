@@ -9,7 +9,7 @@ from pbwkit.deformation import (FilteredSubspace, alpha_is_inclusion,
                                 pure_jacobi_check, rp_of)
 from pbwkit.extension import engine_for
 from pbwkit.freealg import filtration_size
-from pbwkit.linalg import QQ
+from pbwkit.linalg import QQ, PrimeField
 
 from conftest import (brute_jacobi, certified_cut_dim,
                       random_deformation_element, random_presentation)
@@ -249,6 +249,25 @@ class TestPbwCheck:
         res = pbw_check(2, els(["x*y - y*x - 1", "x"], XY))
         assert res.verdict in ("PBW_UP_TO_DEGREE", "NOT_PBW")
         assert res.c is None
+
+    @pytest.mark.parametrize("p", [None, 32003])
+    def test_minimized_alpha_image_route(self, p):
+        # x*x*y - x*y*x - x = x*(x*y - y*x - 1): R_P is not minimal, so the
+        # Jacobi certificate runs on P' = alpha(R); over Q it transfers to
+        # P through <P'> = <P>, over F_p the claim stays bounded
+        field = QQ if p is None else PrimeField(p)
+        res = pbw_check(2, [parse_element(t, XY, field)
+                            for t in ["x*y - y*x - 1", "x*x*y - x*y*x - x"]],
+                        field=field)
+        assert ("R_P is not a bimodule of relations; Jacobi certificate runs "
+                "on the minimized alpha-image P'") in res.notes
+        assert res.jacobi == {1: True, 2: True, 3: True}
+        if p is None:
+            assert res.verdict == "PBW_CERTIFIED" and res.c_certified
+            assert "generation of <P> by P' certified" in res.notes
+        else:
+            assert res.verdict == "PBW_UP_TO_DEGREE"
+            assert "generation of <P> by P' certified" not in res.notes
 
     def test_certified_randoms_have_stable_cuts(self, rng):
         # P_m ∩ T^{<=n} = P_n for every computed m > n on certified

@@ -1,16 +1,31 @@
-from pbwkit.freealg import parse_element
+from pbwkit.freealg import filtration_size, parse_element
 from pbwkit.gradedring import PresentedRing
 from pbwkit.deformation import (FilteredSubspace, extract_alpha, pn_ladder,
                                 minimize_relations, rp_of)
 from pbwkit.errors import InvalidPresentation
-from pbwkit.extension import build_pz, engine_for, rees_identity_check
+from pbwkit.extension import ZMonomials, build_pz, engine_for, rees_identity_check
 from pbwkit.linalg import QQ
 
 from conftest import (annihilator_basis, certified_cut_dim, eval_z,
-                      random_presentation)
+                      random_presentation, zword_at)
 
 X, XY, XYC = ["x"], ["x", "y"], ["x", "y", "c"]
 HEISENBERG = ["x*y - y*x - c", "x*c - c*x", "y*c - c*y"]
+
+
+def test_column_maps_multiply_monomials():
+    # entry p of the i-th left (right) map is the position of x_i·w z^k
+    # (w x_i z^k) for the monomial w z^k at position p; the closure step
+    # stores left images unreduced, which needs the order kept
+    for g in (1, 2, 3):
+        for n in range(4):
+            up = ZMonomials(g, n + 1)
+            words = [zword_at(g, n, p) for p in range(filtration_size(g, n))]
+            mono = ZMonomials(g, n)
+            for i, (left, right) in enumerate(zip(mono.left_maps(), mono.right_maps())):
+                assert left == [up.pos_of_word((i,) + w) for w in words]
+                assert right == [up.pos_of_word(w + (i,)) for w in words]
+                assert left == sorted(left) and right == sorted(right)
 
 
 def els(texts, gens):

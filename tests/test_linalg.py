@@ -333,6 +333,39 @@ def test_rowspace_matches_dense_oracle(case):
         assert sp.pivots[c][c] == field.one
 
 
+def test_reduce_full_integers_cancels_the_content():
+    # {0: 1, 1: -3} reduces to {1: -27} with scale 10 and content 27, so
+    # the integer remainder takes the content back over the denominator 10
+    sp = span(QQ, [{0: QQ.one, 1: Fraction(-3, 10)}])
+    assert sp.reduce_full({0: 1, 1: -3}, integers=True) == ({1: -27}, 10)
+    assert sp.reduce_full({0: 1, 1: -3}) == {1: Fraction(-27, 10)}
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_reduce_full_integers_matches_exact(p):
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(17 + (p or 0))
+
+    def vec(ncols):
+        out = {}
+        for c in range(ncols):
+            s = field.from_fraction(Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+            if s:
+                out[c] = s
+        return out
+
+    for _ in range(200):
+        ncols = rng.randint(1, 6)
+        sp = span(field, [vec(ncols) for _ in range(rng.randint(1, 4))])
+        probe = vec(ncols)
+        red, d = sp.reduce_full(probe, integers=True)
+        assert d > 0 and all(type(s) is int and s for s in red.values())
+        if p is not None:
+            assert d == 1 and all(0 < s < p for s in red.values())
+        assert {c: field.from_int(s) / field.from_int(d) for c, s in red.items()} \
+            == sp.reduce_full(probe)
+
+
 @pytest.mark.parametrize("p", [None, 7])
 def test_store_shifted(p):
     field = QQ if p is None else PrimeField(p)
