@@ -197,7 +197,9 @@ def pn_ladder(P, upto):
     are multiplied by each x_i on both sides.  This is exact and leaves
     every stored row unchanged: P_k keeps P_{k-1}'s rows as they are and
     already contains V·P_{k-1} + P_{k-1}·V, so the skipped products
-    reduced to zero without storing anything.
+    reduced to zero without storing anything.  For the same reason the
+    (J_k) test reduces only the rows P_{k+1} added: the rows it shares with
+    P_k lie in P_k.
     """
     if upto + 1 > LADDER_DEPTH_CAP:
         raise ResourceExceeded(f"ladder depth {upto} above cap {LADDER_DEPTH_CAP}")
@@ -242,8 +244,10 @@ def pn_ladder(P, upto):
         if k >= 1:
             start = big.suffix_start(k)
             ok = True
+            own = prev.rows
             for piv in sorted(p for p in nxt.rows if p >= start):
-                if not prev.contains(nxt.rows[piv]):
+                row = nxt.rows[piv]
+                if own.get(piv) is not row and not prev.contains(row):
                     ok = False
                     if first_failure is None:
                         first_failure = k
@@ -272,15 +276,15 @@ def jacobi_verdicts(P, engine, upto):
     Setting z = 1 maps <P_z>^m onto the ladder space P_m, and P_k lies in
     P_{k+1} ∩ T^{<=k}, so (J_k) holds iff the cut dim(P_{k+1} ∩ T^{<=k})
     (the engine's pivots of <P_z>^{k+1} of word degree <= k) equals dim
-    P_k.  The engine stores its left products unreduced, which makes this
-    cheaper than the ladder, and ``check`` reads its tables from the same
-    engine.  When some (J_k) fails the ladder runs for its witness and must
-    give the same verdicts.
+    P_k, i.e. iff z has no annihilator in D^k (``annihilator_dim``).  The
+    engine stores its left products unreduced, which makes this cheaper
+    than the ladder, and ``check`` reads its tables from the same engine.
+    When some (J_k) fails the ladder runs for its witness and must give
+    the same verdicts.
     """
     if upto + 1 > LADDER_DEPTH_CAP:
         raise ResourceExceeded(f"ladder depth {upto} above cap {LADDER_DEPTH_CAP}")
-    verdicts = {k: engine.cut_dim(k + 1, k) == engine.ideal_component(k).rank
-                for k in range(1, upto + 1)}
+    verdicts = {k: engine.annihilator_dim(k) == 0 for k in range(1, upto + 1)}
     if all(verdicts.values()):
         return JacobiVerdicts(verdicts)
     ladder = pn_ladder(P, upto)

@@ -35,6 +35,14 @@ monomial w z^k to the word w; the elements of P_m in T^{<=n} are the images
 of those supported on word degrees <= n, the last columns.  So
 dim(P_m ∩ T^{<=n}) is the number of pivots of <P_z>^m of word degree
 <= n (``cut_dim``), and the gr U(P) tables are read from the engine.
+
+The annihilator of z is read from the same pivots, with no reduction:
+z maps T[z]^n onto the monomials of T[z]^{n+1} of z-exponent >= 1, the
+last dim T^{<=n} columns, and in echelon form the rows of <P_z>^{n+1}
+with a pivot there span its part in them, so rank(z: D^n -> D^{n+1}) =
+dim T^{<=n} - cut_dim(n+1, n).  As dim D^n = dim T^{<=n} - dim P_n,
+ann(z)^n ≅ (P_{n+1} ∩ T^{<=n}) / P_n has dimension cut_dim(n+1, n) -
+dim P_n, which vanishes exactly when (J_n) holds.
 """
 
 from __future__ import annotations
@@ -44,7 +52,7 @@ from bisect import bisect_left
 from .errors import ResourceExceeded, ValidationError
 from .freealg import column_guard, filtration_size, homogenize
 from .gradedring import ideal_chain
-from .linalg import RowSpace, closure_step, span
+from .linalg import RowSpace, closure_step
 
 ENGINE_DEGREE_CAP = 24
 GR_TABLE_COLUMN_CAP = 12000
@@ -119,9 +127,9 @@ class ZMonomials:
 
 
 class ExtensionEngine:
-    """Caches, per degree n: the ideal component <P_z>^n, the quotient
-    basis of D^n and the annihilator dimension of z.  Single-writer;
-    completed degrees are frozen."""
+    """Caches, per degree n, the ideal component <P_z>^n and the quotient
+    basis of D^n; dim D^n, the cuts and the annihilator dimension of z are
+    counted from them.  Single-writer; completed degrees are frozen."""
 
     def __init__(self, g, alpha, rel, field):
         self.g = g
@@ -138,7 +146,6 @@ class ExtensionEngine:
             self._pz_by_degree.setdefault(n, []).append(vec)
         self._ideal = {0: RowSpace(field)}
         self._dbasis = {0: [0]}        # positions of quotient basis monomials
-        self._ann = {}
         self.saturated_at = None
 
     # -- ideal components -------------------------------------------------
@@ -177,28 +184,11 @@ class ExtensionEngine:
         self.ideal_component(n)
         return len(self._dbasis[n])
 
-    def _z_images(self, n):
-        """Reduced images of the D^n basis under multiplication by z, as
-        vectors over T[z]^{n+1} positions (supported on D^{n+1} basis)."""
-        self.ideal_component(n)
-        nxt = self.ideal_component(n + 1)
-        zshift = self.g ** (n + 1)
-        images = []
-        for p in self._dbasis[n]:
-            # z * (w z^k) keeps the word part: position shifts by one block
-            images.append(nxt.reduce_full({p + zshift: self.field.one}))
-        return images
-
     def annihilator_dim(self, n):
-        """dim ker(z . (-) : D^n -> D^{n+1}); z is n-regular iff this
+        """dim ker(z . (-) : D^n -> D^{n+1}) = dim(P_{n+1} ∩ T^{<=n}) -
+        dim P_n (see the module docstring); z is n-regular iff this
         vanishes for all degrees <= n."""
-        cached = self._ann.get(n)
-        if cached is not None:
-            return cached
-        images = self._z_images(n)
-        out = len(images) - span(self.field, images).rank
-        self._ann[n] = out
-        return out
+        return self.cut_dim(n + 1, n) - self.ideal_component(n).rank
 
     # -- the quotient by z: dims of A -------------------------------------
 

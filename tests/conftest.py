@@ -255,11 +255,24 @@ def zword_at(g, n, pos):
     return tuple(reversed(letters))
 
 
+def z_images(eng, n):
+    """The images under multiplication by z of the engine's D^n basis
+    monomials, each reduced in full modulo <P_z>^{n+1}: vectors over the
+    T[z]^{n+1} positions of the D^{n+1} basis.  The oracle for
+    ``annihilator_dim``: dim ann(z)^n is the number of images less their
+    rank."""
+    eng.ideal_component(n)
+    nxt = eng.ideal_component(n + 1)
+    zshift = eng.g ** (n + 1)
+    # z * (w z^k) keeps the word part: the position moves by one block
+    return [nxt.reduce_full({p + zshift: eng.field.one}) for p in eng._dbasis[n]]
+
+
 def annihilator_basis(eng, n):
     """Basis of ann(z)^n in D^n, each vector a list of ((word, z-power),
     scalar) over the engine's quotient basis: the left kernel of its
     z-images."""
-    images = [dict(v) for v in eng._z_images(n)]
+    images = z_images(eng, n)
     combos = left_kernel_basis(eng.field, images, filtration_size(eng.g, n + 1))
     positions = eng._dbasis[n]
     out = []
@@ -491,6 +504,22 @@ def random_presentation(rng, max_g=3, max_elems=4, max_degree=3,
     elems = [random_deformation_element(rng, g, rng.randint(low, max_degree))
              for _ in range(count)]
     return g, elems
+
+
+def sampled(rng, field):
+    """A sampler presentation converted to ``field``, as a filtered
+    subspace; spans that are zero or contain a constant there are
+    skipped."""
+    while True:
+        g, elems = random_presentation(rng, tops_at_least_2=rng.random() < 0.7)
+        elems = [Element(field, {w: field.from_fraction(Fraction(s))
+                                 for w, s in e.terms.items()}) for e in elems]
+        try:
+            P = FilteredSubspace(g, elems, field)
+        except InvalidPresentation:
+            continue
+        if P.dim:
+            return P
 
 
 def sampler_rings(field, count, seed=20260810 + 2):

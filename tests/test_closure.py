@@ -13,38 +13,20 @@ P_m.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from pbwkit.deformation import (LADDER_DEPTH_CAP, FilteredSubspace, extract_alpha,
-                                pn_ladder, rp_of)
-from pbwkit.errors import InvalidPresentation
+from pbwkit.deformation import LADDER_DEPTH_CAP, extract_alpha, pn_ladder, rp_of
 from pbwkit.extension import GR_TABLE_COLUMN_CAP, engine_for
-from pbwkit.freealg import Element, filtration_size
+from pbwkit.freealg import filtration_size
 from pbwkit.linalg import QQ, PrimeField
 
 from conftest import (NaiveEngine, annihilator_basis, naive_ladder,
-                      random_presentation, row_elements)
+                      row_elements, sampled)
 
 LADDER_UPTO = 5
 ENGINE_DEGREE = 6
 INSTANCES = 30
-
-
-def sampled(rng, field):
-    """A sampler presentation converted to ``field``; spans that are zero
-    or contain a constant there are skipped."""
-    while True:
-        g, elems = random_presentation(rng, tops_at_least_2=rng.random() < 0.7)
-        elems = [Element(field, {w: field.from_fraction(Fraction(s))
-                                 for w, s in e.terms.items()}) for e in elems]
-        try:
-            P = FilteredSubspace(g, elems, field)
-        except InvalidPresentation:
-            continue
-        if P.dim:
-            return P
 
 
 @pytest.mark.parametrize("p", [None, 7])
