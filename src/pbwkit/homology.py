@@ -30,6 +30,14 @@ Both routes build their rows from the integer normal forms of
 its normal forms' denominators.  The bar rows and A^1 K2 only feed ranks
 and containment, which no scale changes; a d2 row enters the left kernel
 with the tag L in place of 1, so the kernel vectors stay exact.
+
+Complexity: certified when a Hilbert scan finds A finite dimensional.
+Before the scan, the support quotient T/J is tried, J the monomial ideal
+generated by the words in the support of the relations: A maps onto T/J,
+so a degree that T/J reaches is nonzero in A, and when T/J reaches the
+scan's top degree the scan would find no zero and is skipped.  Whether T/J reaches a degree is decided over the last L - 1
+letters of the words that avoid J, L the longest support word (the word
+counting of Ufnarovski, Math. Notes 31, 1982), so no ideal is built.
 """
 
 from __future__ import annotations
@@ -388,6 +396,39 @@ def overlap_dimension(rel, g):
     return len(overlap(rel.blocks[n].basis(), g, n, rel.field)[2])
 
 
+def support_reach(rel, upto):
+    """The largest n <= upto such that some word of degree n avoids J, the
+    monomial ideal generated by the words in the support of rel (the same
+    set for every basis of rel).  rel lies in J, so T/<rel> maps onto T/J
+    and every degree that T/J reaches is nonzero in T/<rel>.
+
+    Words that avoid J are followed by their suffixes (Ufnarovski): a word
+    w avoids J iff w minus its last letter does and no suffix of w of
+    length at most L, the longest support word, lies in the support; so
+    the last L - 1 letters of an avoiding word decide its extensions, and
+    a degree is reached iff the set of those suffixes is nonempty there.
+    """
+    g, lens = rel.g, rel.degrees()
+    support = set()
+    for j in lens:
+        basis = DegreeBasis(g, j)
+        support.update(map(basis.word_at, set().union(*rel.blocks[j].rows.values())))
+    keep = max(lens, default=1) - 1
+    states = {()}
+    for n in range(1, upto + 1):
+        nxt = set()
+        for s in states:
+            for i in range(g):
+                w = s + (i,)
+                if not any(w[-k:] in support for k in lens):
+                    # s holds at most keep letters: keep the last keep of w
+                    nxt.add(w[1:] if len(w) > keep else w)
+        if not nxt:
+            return n - 1
+        states = nxt
+    return upto
+
+
 class ComplexityResult:
     def __init__(self, c, certified, table=None, note=""):
         self.c = c
@@ -408,6 +449,13 @@ def complexity(ring, rel, bound_hint=8):
     polynomial ring is Koszul, so the table is 3-pure and the single entry
     is the overlap dimension).  Anything else scans m <= bound_hint and is
     reported uncertified.
+
+    Finite dimension is read from the Hilbert values up to
+    min(max_degree, bound_hint + 3), unless the support quotient reaches
+    that degree (``support_reach``): then A is nonzero there, the values
+    would hold no zero, and the uncertified scan follows at once.  Where
+    the values hold a zero, T/J dies before it (h_{T/J} <= h_A), so the
+    Hilbert scan still runs.
     """
     if rel.max_degree() < 0:
         return ComplexityResult(-1, True, TorTable(3, bound_hint, {}),
@@ -417,16 +465,18 @@ def complexity(ring, rel, bound_hint=8):
         table = TorTable(3, max(bound_hint, 3), {3: d3} if d3 else {})
         c = 2 if d3 else -1
         return ComplexityResult(c, True, table, note="polynomial ring (Koszul, 3-pure)")
-    hil = ring.hilbert(upto=min(ring.max_degree, bound_hint + 3))
-    if hil.finite_dim:
-        bound = hil.c_a + 3
-        table = tor3_resolution(ring, rel, bound)
-        top = table.top_degree()
-        c = top - 1 if top is not None else -1
-        if c > hil.c_a + 2:
-            raise InvariantViolation(f"upper bound c(A) <= c_A + 2 violated: "
-                                     f"c = {c}, c_A = {hil.c_a}")
-        return ComplexityResult(c, True, table, note="finite-dimensional scan")
+    upto = min(ring.max_degree, bound_hint + 3)
+    if support_reach(rel, upto) < upto:
+        hil = ring.hilbert(upto)
+        if hil.finite_dim:
+            bound = hil.c_a + 3
+            table = tor3_resolution(ring, rel, bound)
+            top = table.top_degree()
+            c = top - 1 if top is not None else -1
+            if c > hil.c_a + 2:
+                raise InvariantViolation(f"upper bound c(A) <= c_A + 2 violated: "
+                                         f"c = {c}, c_A = {hil.c_a}")
+            return ComplexityResult(c, True, table, note="finite-dimensional scan")
     table = tor3_resolution(ring, rel, bound_hint)
     top = table.top_degree()
     c = top - 1 if top is not None else -1

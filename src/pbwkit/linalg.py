@@ -10,9 +10,12 @@ its rows as plain Python ints: over Q each row is a primitive integer
 vector (content 1) with a positive pivot entry, and elimination is
 fraction-free, v <- a*v - b*r with gcd(a, b) cancelled and v's content
 divided out after every scaled step (cf. Bareiss, Math. Comp. 22, 1968);
-over F_p each row holds residues in [0, p) with pivot entry 1.  Scalars
-cross the boundary once: an incoming Q vector is scaled to integers by the
-lcm of its denominators, ``ModInt``s are unwrapped to their residues.
+over F_p each row holds residues in [0, p) with pivot entry 1.  One loop
+(``RowSpace._reduce``) does every elimination, along the leading chain or
+at every pivot column; for ``insert`` it stores the remainder, normalised,
+where the chain stops.  Scalars cross the boundary once: an incoming Q
+vector is scaled to integers by the lcm of its denominators, ``ModInt``s
+are unwrapped to their residues.
 What comes out is field-valued again: ``pivots``, ``basis()`` and
 ``reduced_basis()`` give monic rows (the stored rows up to a scalar,
 normalised on first read and cached), and ``reduce_leading`` /
@@ -199,48 +202,6 @@ def _p_ints(vec, p):
     return out
 
 
-def _step_q(vec, row, c):
-    """Clear column c of vec with row: vec <- a*vec - b*row where
-    b/a = vec[c]/row[c] in lowest terms, then divide out vec's content if
-    it was scaled.  Returns (vec, a, content)."""
-    d = gcd(vec[c], row[c])
-    a = row[c] // d
-    b = vec[c] // d
-    if a != 1:
-        vec = {k: a * s for k, s in vec.items()}
-    for k, s in row.items():
-        t = vec.get(k)
-        if t is None:
-            vec[k] = -b * s
-        else:
-            t -= b * s
-            if t:
-                vec[k] = t
-            else:
-                del vec[k]
-    content = 1
-    if a != 1 and vec:
-        content = gcd(*vec.values())
-        if content != 1:
-            vec = {k: s // content for k, s in vec.items()}
-    return vec, a, content
-
-
-def _step_p(vec, row, c, p):
-    """Clear column c of vec with the monic row: vec <- vec - vec[c]*row."""
-    f = p - vec[c]
-    for k, s in row.items():
-        t = vec.get(k)
-        if t is None:
-            vec[k] = f * s % p
-        else:
-            t = (t + f * s) % p
-            if t:
-                vec[k] = t
-            else:
-                del vec[k]
-
-
 def _moved(row, cols):
     """The row with each column c moved to c + ``cols`` (an int offset) or
     to ``cols[c]`` (a sequence)."""
@@ -383,60 +344,82 @@ class RowSpace:
             return _q_ints(vec)
         return _p_ints(vec, p), 1
 
-    def _lead(self, vec):
-        """Leading-chain reduction of an owned integer vector; returns
-        (remainder, scale factor, divisor) with the remainder equal to
-        factor/divisor times the exact one."""
-        rows = self._rows
-        find = self._find if self._shifts else None
-        p = self._p
-        num = den = 1
-        while vec:
-            lead = min(vec)
-            row = rows.get(lead)
-            if row is None:
-                if find is None:
-                    break
-                row = find(lead)
-                if row is None:
-                    break
-            if p is None:
-                vec, a, content = _step_q(vec, row, lead)
-                num *= a
-                den *= content
-            else:
-                _step_p(vec, row, lead, p)
-        return vec, num, den
+    def _reduce(self, vec, full=False, store=False):
+        """Reduce an owned integer vector along its leading chain, or with
+        ``full`` at every pivot column of its support.  Returns (remainder,
+        scale factor, divisor), the remainder being factor/divisor times
+        the exact one.
 
-    def _full(self, vec):
-        """Full reduction of an owned integer vector (see _lead)."""
+        With ``store`` (leading chain only) the scale is not kept: the
+        remainder is stored when it is nonzero (``_put``) and the result is
+        its pivot, or None when it is zero."""
         rows = self._rows
         find = self._find if self._shifts else None
         p = self._p
         num = den = 1
-        heap = list(vec)
-        heapify(heap)
-        while heap:
-            c = heappop(heap)
-            if c not in vec:
-                continue
-            row = rows.get(c)
-            if row is None:
-                if find is None:
+        if full:
+            heap = list(vec)
+            heapify(heap)
+        while vec:
+            if full:
+                if not heap:
+                    break
+                c = heappop(heap)
+                if c not in vec:
                     continue
-                row = find(c)
-                if row is None:
-                    continue
-            for k in row:
-                if k not in vec:
-                    heappush(heap, k)
-            if p is None:
-                vec, a, content = _step_q(vec, row, c)
-                num *= a
-                den *= content
             else:
-                _step_p(vec, row, c, p)
-        return vec, num, den
+                c = min(vec)
+            row = rows.get(c)
+            if row is None and (find is None or (row := find(c)) is None):
+                if full:
+                    continue
+                if store:
+                    self._put(vec, c)
+                    return c
+                break
+            if full:
+                for k in row:
+                    if k not in vec:
+                        heappush(heap, k)
+            if p is None:
+                # vec <- a*vec - b*row with b/a = vec[c]/row[c] in lowest
+                # terms; a scaled vec has its content divided out
+                d = gcd(vec[c], row[c])
+                a = row[c] // d
+                b = vec[c] // d
+                if a != 1:
+                    vec = {k: a * s for k, s in vec.items()}
+                for k, s in row.items():
+                    t = vec.get(k)
+                    if t is None:
+                        vec[k] = -b * s
+                    else:
+                        t -= b * s
+                        if t:
+                            vec[k] = t
+                        else:
+                            del vec[k]
+                if a != 1 and vec:
+                    content = gcd(*vec.values())
+                    if content != 1:
+                        vec = {k: s // content for k, s in vec.items()}
+                    if not store:
+                        num *= a
+                        den *= content
+            else:
+                # vec <- vec - vec[c]*row, the row being monic
+                f = p - vec[c]
+                for k, s in row.items():
+                    t = vec.get(k)
+                    if t is None:
+                        vec[k] = f * s % p
+                    else:
+                        t = (t + f * s) % p
+                        if t:
+                            vec[k] = t
+                        else:
+                            del vec[k]
+        return None if store else (vec, num, den)
 
     def _exact(self, vec, num, den):
         """Field-valued vector vec * den / num."""
@@ -487,7 +470,7 @@ class RowSpace:
         zero iff vec lies in the span; otherwise its leading column is not
         a pivot."""
         ints, scale = self._ints(vec)
-        red, num, den = self._lead(ints)
+        red, num, den = self._reduce(ints)
         return self._exact(red, num * scale, den)
 
     def reduce_full(self, vec, integers=False):
@@ -499,7 +482,7 @@ class RowSpace:
         remainder being the vector divided by d; over F_p the vector holds
         residues and d = 1."""
         ints, scale = self._ints(vec)
-        red, num, den = self._full(ints)
+        red, num, den = self._reduce(ints, full=True)
         num *= scale
         if not integers:
             return self._exact(red, num, den)
@@ -513,12 +496,7 @@ class RowSpace:
     def insert(self, vec):
         """Insert a vector; returns the new pivot column, or None if the
         vector was already in the span."""
-        red = self._lead(self._ints(vec)[0])[0]
-        if not red:
-            return None
-        lead = min(red)
-        self._put(red, lead)
-        return lead
+        return self._reduce(self._ints(vec)[0], store=True)
 
     def relate(self, vec, offset):
         """Tagged reduction, for vectors whose columns >= ``offset`` are
@@ -528,7 +506,7 @@ class RowSpace:
         its tag part is returned, columns moved down by ``offset``, with a
         zero remainder giving {}."""
         ints, scale = self._ints(vec)
-        red, num, den = self._lead(ints)
+        red, num, den = self._reduce(ints)
         if red and min(red) < offset:
             self._put(red, min(red))
             return None
@@ -558,7 +536,7 @@ class RowSpace:
         self._keys.update(moved)
 
     def contains(self, vec):
-        return not self._lead(self._ints(vec)[0])[0]
+        return not self._reduce(self._ints(vec)[0])[0]
 
     def contains_space(self, other):
         return all(self.contains(r) for r in other.rows.values())
@@ -580,7 +558,7 @@ class RowSpace:
         done = RowSpace(self.field)
         for c in sorted(self.rows, reverse=True):
             # rows with larger pivots never touch column c
-            done._put(done._full(dict(self._row(c)))[0], c)
+            done._put(done._reduce(dict(self._row(c)), full=True)[0], c)
         return done.basis()
 
 

@@ -183,6 +183,31 @@ class TestExitCodes:
                      "max_degree = 6\n")
         assert main(["check", str(f)]) == 13
 
+    def test_support_quotient_skips_the_guarded_scan(self, tmp_path, capsys, monkeypatch):
+        # T/(xy) reaches every degree, so complexity skips the Hilbert scan
+        # of A to degree 10 (2^10 columns) and scans Tor_3 to degree 8 only:
+        # under a guard of 256 columns it reports what it reports unguarded.
+        # check also builds the T[z] engine to degree 9 (1023 columns)
+        f = tmp_path / "xy.pbw"
+        f.write_text('generators = ["x", "y"]\ndeformation = ["x*y"]\n')
+
+        def run(cmd, guard=None):
+            if guard is None:
+                monkeypatch.delenv("PBWKIT_MAX_COLUMNS", raising=False)
+            else:
+                monkeypatch.setenv("PBWKIT_MAX_COLUMNS", guard)
+            code = main([cmd, str(f)])
+            out, err = capsys.readouterr()
+            return code, [ln for ln in out.splitlines() if not ln.startswith("timings:")], err
+
+        code, out, _ = run("complexity", "256")
+        assert code == 0 and (code, out) == run("complexity")[:2]
+        assert "c(A) = -1 (bounded-degree)" in out and "note: scan bounded by 8" in out
+        code, out, _ = run("check", "1023")
+        assert code == 0 and (code, out) == run("check")[:2]
+        code, _, err = run("check", "256")
+        assert code == 13 and "T[z]^8 over 2 generators needs 511 columns" in err
+
     def test_bar_strand_guard_code(self, capsys, monkeypatch):
         # a bar strand over the guard ends `tor` with exit 13
         monkeypatch.setattr(homology, "BAR_STRAND_GUARD", 10)

@@ -8,7 +8,8 @@ from pbwkit.errors import NotMinimalRelations, ResourceExceeded
 from pbwkit.freealg import Element, parse_element
 from pbwkit.gradedring import GradedSubspace, PresentedRing
 from pbwkit.homology import (ResolutionSlice, complexity, is_commutator_relations,
-                             overlap_dimension, tor3_resolution, tor_bar)
+                             overlap_dimension, support_reach, tor3_resolution,
+                             tor_bar)
 from pbwkit.linalg import QQ, PrimeField
 
 from conftest import (naive_d2_row, naive_tor3_resolution, naive_tor_bar,
@@ -147,10 +148,17 @@ class TestComplexity:
         assert res.c == 2 and res.certified
         assert res.table.dims == {3: 1}
 
-    def test_infinite_dimensional_unrecognized_is_bounded(self):
+    def test_infinite_dimensional_unrecognized_is_bounded(self, monkeypatch):
         ring, rel = setup(2, ["x*x + y*y", "x*y - y*x"], XY)
+        # the support holds every word of degree 2, so T/J dies there and
+        # the Hilbert scan still runs (to min(max_degree, 6 + 3) = 9)
+        assert support_reach(rel, 9) == 1
+        scans = []
+        hilbert = ring.hilbert
+        monkeypatch.setattr(ring, "hilbert", lambda upto: scans.append(upto) or hilbert(upto))
         res = complexity(ring, rel, bound_hint=6)
-        assert not res.certified
+        assert scans == [9]
+        assert not res.certified and res.note == "scan bounded by 6"
         assert res.c == tor_bar(ring, 3, 6).top_degree() - 1
 
     def test_upper_bound_asserted(self):
@@ -158,6 +166,41 @@ class TestComplexity:
         res = complexity(ring, rel)
         hd = ring.hilbert(6)
         assert res.certified and res.c <= hd.c_a + 2
+
+
+class TestSupportQuotient:
+    """``support_reach`` against h_A: A = T/<rel> maps onto T/J, J the
+    monomial ideal of rel's support words."""
+
+    def test_reached_degrees_are_nonzero_in_a(self):
+        # the 200 rings of the acceptance tests' suite 1 (all of them have
+        # nonzero minimized relations)
+        reached = set()
+        for ring, rel in sampler_rings(QQ, 200, seed=20260810):
+            k = support_reach(rel, 8)
+            assert all(ring.hilbert_value(n) > 0 for n in range(k + 1))
+            reached.add(k)
+        assert {1, 2, 8} <= reached
+
+    def test_exact_on_monomial_relations(self, rng):
+        # T/J is A itself: T/J reaches n iff h_A(n) > 0
+        cases = [(1, ["x*x*x*x"]), (1, ["x*x"]), (2, ["x*y"]), (2, ["x*x", "x*y"]),
+                 (2, ["x*x", "y*y", "x*y*x*y*x"]),
+                 (2, ["x*y", "y*x", "x*x*x", "y*y*y*y"])]
+        rels = [GradedSubspace.from_elements(g, [parse_element(t, XYZ[:g]) for t in texts])
+                for g, texts in cases]
+        for _ in range(40):
+            g = rng.choice([1, 2, 2, 3])
+            words = {tuple(rng.randrange(g) for _ in range(rng.randint(2, 4)))
+                     for _ in range(rng.randint(1, 4))}
+            rels.append(GradedSubspace.from_elements(
+                g, [Element(QQ, {w: QQ.one}) for w in words]))
+        reached = []
+        for rel in rels:
+            ring = PresentedRing(rel.g, rel)
+            reached.append(support_reach(rel, 10))
+            assert reached[-1] == max(n for n in range(11) if ring.hilbert_value(n))
+        assert reached[:6] == [3, 1, 10, 10, 5, 3]
 
 
 class TestPurity:

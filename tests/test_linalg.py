@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -303,18 +303,36 @@ def test_rowspace_matches_dense_oracle(case):
             out[c] = s if p is None else s.v
         return out
 
+    def plain_ints(dense, zero=True):
+        """The row times the lcm of its denominators as plain ints (the
+        same row over F_p, whose p divides none of them); with ``zero`` an
+        explicit 0 entry too, at a zero column or else one past the last."""
+        den = lcm(*[Fraction(x).denominator for x in dense])
+        out = {c: int(Fraction(x) * den) for c, x in enumerate(dense) if x}
+        if zero:
+            out[next((c for c, x in enumerate(dense) if not x), ncols)] = 0
+        return out
+
     sp = RowSpace(field)
     scaled = RowSpace(field)
+    ints = RowSpace(field)
     oracle = DenseEchelon(ncols, p)
     for r in rows:
         expect = oracle.insert([oracle_value(x) for x in r])
-        assert sp.insert(sparse(r)) == expect
-        # insertion does not depend on the scale of its input
+        vec = sparse(r)
+        kept = dict(vec)
+        assert sp.insert(vec) == expect
+        # insertion does not depend on the scale of its input, nor on its
+        # scalars being field elements, and leaves its argument as it was
         scaled.insert({c: s * field.from_fraction(Fraction(-5, 3))
-                       for c, s in sparse(r).items()})
+                       for c, s in vec.items()})
+        vec_ints = plain_ints(r)
+        kept_ints = dict(vec_ints)
+        assert ints.insert(vec_ints) == expect
+        assert vec == kept and vec_ints == kept_ints
     pivots = sorted(oracle.rows)
     assert sorted(sp.pivots) == pivots and sp.rank == len(pivots)
-    assert scaled.rows == sp.rows
+    assert scaled.rows == sp.rows and ints.rows == sp.rows
     assert [as_dense(r) for r in sp.basis()] == [oracle.rows[c] for c in pivots]
     reduced = oracle.reduced()
     assert [as_dense(r) for r in sp.reduced_basis()] == [reduced[c] for c in pivots]
@@ -324,6 +342,9 @@ def test_rowspace_matches_dense_oracle(case):
         assert as_dense(sp.reduce_leading(sparse(r))) == lead
         assert as_dense(sp.reduce_full(sparse(r))) == oracle.reduce_full(dense)
         assert sp.contains(sparse(r)) == (not any(lead))
+        vec_ints = plain_ints(r, zero=False)
+        kept_ints = dict(vec_ints)
+        assert sp.contains(vec_ints) == (not any(lead)) and vec_ints == kept_ints
     for c, row in sp.rows.items():
         assert all(type(s) is int and s for s in row.values())
         if p is None:
