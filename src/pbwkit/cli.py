@@ -3,7 +3,8 @@
 Exit codes: 0 = PBW_CERTIFIED (or a successful non-check command),
 1 = NOT_PBW, 2 = PBW_UP_TO_DEGREE, 11 = parse error, 12 = validation
 (a bad command-line argument too), 13 = resource cap, 14 = any other
-failure (a broken invariant, an I/O error, or an unexpected exception).
+failure (a broken invariant, such as ``tor``'s TOR_MISMATCH, an I/O error,
+or an unexpected exception).
 """
 
 from __future__ import annotations
@@ -132,8 +133,10 @@ def cmd_tor(pres, upto=None):
     agree = table.dims == bar.dims
     notes = [f"resolution and bar routes {'agree' if agree else 'DISAGREE'}",
              f"purity: {table.purity()}"]
+    # two routes to the same Tor disagreeing is a broken invariant: the
+    # report with both tables is printed and the run exits 14
     return Report("TOR_OK" if agree else "TOR_MISMATCH", None, False, {}, None,
-                  dims, timings, notes=notes)
+                  dims, timings, notes=notes, exit_code=0 if agree else 14)
 
 
 def cmd_hilbert(pres, upto=None):

@@ -19,11 +19,23 @@ sum_{d' < d} h(d') cnt(s-1, r-d').  Rows come by recursion on the first
 factor, d(a|x) = mu(a, x_1)|x' - a|d(x): the row of x one strand down,
 moved by an int offset and negated, plus the terms of the structure
 constant mu(a, x_1) = nf(a x_1), read once per pair of degrees.  The rows
-of strands <= n are kept for strand n + 1; those of strand n + 1 go
-straight into their span, last chain first.  That order needs fewer
-reduction steps for the same rank: for Tor_3 of k[x, y, z] (the A of
-``sl2`` and ``heisenberg``) at bound 8 the 61 884 rows take 163 571 steps
-instead of 983 115 in chain order.
+of strands <= n are kept for strand n + 1.
+
+Letter-first rows: each rank of d_s reads only the rows of the chains
+l|x whose first factor l is a letter.  The other rows lie in their span.
+Take a basis word u of degree d - 1 and a letter l; d_s d_{s+1}(u|l|x) = 0
+gives d_s(mu(u, l)|x) = d_s(u|d_s(l|x)), a combination of rows whose
+first factor is u.  Relations have degree >= 2 (``PresentedRing``
+refuses others), so A^d = A^{d-1} A^1 and, rows being linear in the first
+factor, induction on d puts the row of every a|x in the span of the rows
+l|y (Priddy, Trans. AMS 152, 1970, for the complex).  The argument uses
+only d d = 0 and generation in degree 1, neither the relations nor the
+resolution, so the two routes stay independent.  The letter rows are the
+first h(1) cnt(s-1, r-1) chains of a strand; they go into their span last
+chain first, which needs fewer reduction steps for the same rank.  For
+Tor_3 of k[x, y, z] (the A of ``sl2`` and ``heisenberg``) at bound 8 the
+spans take 24 384 rows and 53 686 steps, against 61 884 rows and 150 228
+steps over every chain.
 
 Both routes build their rows from the integer normal forms of
 ``PresentedRing.nf_word``: each row is scaled to integers by the lcm L of
@@ -251,7 +263,15 @@ def tor_bar(ring, hom_degree, bound):
     complex; hom_degree <= 4.  Chains are positions (``_strand_starts``)
     and rows come by recursion on the first factor (see the module
     docstring); each row is scaled to integers by the lcm of its normal
-    forms' denominators, as the rows only feed ranks."""
+    forms' denominators, as the rows only feed ranks.
+
+    Each rank reads only the rows of the chains l|x, l a letter: as
+    d d(u|l|x) = 0 gives d(mu(u, l)|x) = d(u|d(l|x)) and A^d = A^{d-1} A^1,
+    every other row lies in their span (module docstring), over Q and
+    over F_p alike.  Strand n is still built in full below the bound, as
+    the letter row l|x of strand n + 1 reads the row of every x.
+    ``BAR_STRAND_GUARD`` bounds the chains of the whole strands n - 1, n
+    and n + 1, checked before any row is built."""
     if not 1 <= hom_degree <= 4:
         raise ValidationError("tor_bar supports homological degrees 1..4")
     n = hom_degree
@@ -303,13 +323,15 @@ def tor_bar(ring, hom_degree, bound):
             kept[s, r] = out
         return out
 
-    def rows_desc(s, r):
-        """The rows of ``rows_of``, last chain first."""
+    def rows_desc(s, r, top=None):
+        """The rows of ``rows_of``, last chain first; with ``top``, only
+        those of the chains whose first factor has degree <= top."""
         if s == 1:
-            yield from [({}, 1)] * start[1][r][-1]
+            yield from [({}, 1)] * start[1][r][-1 if top is None else min(top, r) + 1]
             return
         here, there = start[s - 1][r], start[s - 2]
-        for d in range(r - s + 1, 0, -1):
+        d0 = r - s + 1 if top is None else min(r - s + 1, top)
+        for d in range(d0, 0, -1):
             if not h[d] or not start[s - 1][r - d][-1]:
                 continue
             xrows = rows_of(s - 1, r - d)
@@ -344,11 +366,13 @@ def tor_bar(ring, hom_degree, bound):
 
     dims = {}
     for m in range(n, bound + 1):
-        # d_n^m is kept for the strands above it; d_n^bound and d_{n+1}^m
-        # go straight into their spans
-        dn = reversed(rows_of(n, m)) if m < bound else rows_desc(n, m)
+        # each rank reads the letter-first rows only (see the docstring);
+        # d_n^m is built in full below the bound, as the letter rows of
+        # d_{n+1}^{m+1} read the row of every chain of strand n
+        dn = (reversed(rows_of(n, m)[:start[n][m][2]]) if m < bound
+              else rows_desc(n, m, 1))
         rank_dn = span(ring.field, (row for row, _ in dn)).rank
-        rank_dn1 = span(ring.field, (row for row, _ in rows_desc(n + 1, m))).rank
+        rank_dn1 = span(ring.field, (row for row, _ in rows_desc(n + 1, m, 1))).rank
         d = start[n][m][-1] - rank_dn - rank_dn1
         if d:
             dims[m] = d

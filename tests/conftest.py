@@ -392,25 +392,35 @@ def naive_strand(ring, n, m):
     return out
 
 
+def naive_bar_rows(ring, dom, below):
+    """The bar differential d(a_1|...|a_k) = sum (-1)^(i-1) (merge at i)
+    of each tuple chain of ``dom``, as rows with field scalars over the
+    positions of the chains ``below``."""
+    index = {t: j for j, t in enumerate(below)}
+    nfs = {}
+    rows = []
+    for chain in dom:
+        out = {}
+        for i in range(len(chain) - 1):
+            sign = 1 if i % 2 == 0 else -1
+            w = chain[i] + chain[i + 1]
+            if w not in nfs:
+                nfs[w] = naive_nf(ring, w)
+            for e, beta in nfs[w].items():
+                key = chain[:i] + (e,) + chain[i + 2:]
+                _accumulate(out, index[key], beta if sign == 1 else -beta)
+        rows.append(out)
+    return rows
+
+
 def naive_tor_bar(ring, n, bound):
     """dim Tor_{n,m}, m <= bound, from bar rows built with field scalars
     over tuple chains."""
     dims = {}
     for m in range(n, bound + 1):
         strands = [naive_strand(ring, k, m) for k in (n - 1, n, n + 1)]
-        ranks = []
-        for k, (below, dom) in ((n, strands[:2]), (n + 1, strands[1:])):
-            index = {t: j for j, t in enumerate(below)}
-            rows = []
-            for chain in dom:
-                out = {}
-                for i in range(k - 1):
-                    sign = 1 if i % 2 == 0 else -1
-                    for e, beta in naive_nf(ring, chain[i] + chain[i + 1]).items():
-                        key = chain[:i] + (e,) + chain[i + 2:]
-                        _accumulate(out, index[key], beta if sign == 1 else -beta)
-                rows.append(out)
-            ranks.append(span(ring.field, rows).rank)
+        ranks = [span(ring.field, naive_bar_rows(ring, dom, below)).rank
+                 for below, dom in (strands[:2], strands[1:])]
         d = len(strands[1]) - sum(ranks)
         if d:
             dims[m] = d

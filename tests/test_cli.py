@@ -214,6 +214,18 @@ class TestExitCodes:
         assert main(["tor", gallery("sl2.pbw"), "--upto", "5"]) == 13
         assert "error[RESOURCE_EXCEEDED]: bar strand" in capsys.readouterr().err
 
+    def test_tor_mismatch_code(self, capsys, monkeypatch):
+        # routes that disagree break an invariant: exit 14, and the report
+        # with both tables still goes to stdout
+        monkeypatch.setattr(cli, "tor_bar",
+                            lambda ring, n, bound: homology.TorTable(n, bound, {3: 99}))
+        assert main(["tor", gallery("sl2.pbw"), "--upto", "4", "--json"]) == 14
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "TOR_MISMATCH"
+        assert report["dims"]["tor3"] == {"3": 1}
+        assert report["dims"]["tor3_bar"] == {"3": 99}
+        assert main(["tor", gallery("sl2.pbw"), "--upto", "4"]) == 14
+        assert "note: resolution and bar routes DISAGREE" in capsys.readouterr().out
 
     @pytest.mark.parametrize("argv", [
         ["check", "--upto", "abc", "FILE"],

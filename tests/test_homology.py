@@ -10,10 +10,11 @@ from pbwkit.gradedring import GradedSubspace, PresentedRing
 from pbwkit.homology import (ResolutionSlice, complexity, is_commutator_relations,
                              overlap_dimension, support_reach, tor3_resolution,
                              tor_bar)
-from pbwkit.linalg import QQ, PrimeField
+from pbwkit.linalg import QQ, PrimeField, span
 
-from conftest import (naive_d2_row, naive_tor3_resolution, naive_tor_bar,
-                      random_homogeneous, sampler_rings)
+from conftest import (naive_bar_rows, naive_d2_row, naive_strand,
+                      naive_tor3_resolution, naive_tor_bar, random_homogeneous,
+                      sampler_rings)
 
 X, XY, XYZ = ["x"], ["x", "y"], ["x", "y", "z"]
 
@@ -287,6 +288,44 @@ def test_integer_tor_rows_match_field_rows(p):
                     assert d == 1 and all(0 < s < p for s in nf.values())
                 want = ring.normal_form(Element(field, {w: field.one})).terms
                 assert {e: field.from_fraction(Fraction(s, d)) for e, s in nf.items()} == want
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_letter_first_rows_span_the_bar_differential(p):
+    # d(u|l|x) gives d(ul|x) = d(u|d(l|x)); with A^d = A^(d-1) A^1 every
+    # row of d_s lies in the span of the rows of the chains l|y, l a letter
+    field = QQ if p is None else PrimeField(p)
+    rings = [ring for ring, _ in sampler_rings(field, 20)]
+    for g, texts, gens in ((3, ["x*y - y*x", "x*z - z*x", "y*z - z*y"], XYZ),
+                           (2, ["x*y*x - y*x*y"], XY)):
+        rel = GradedSubspace.from_elements(
+            g, [parse_element(t, gens, field) for t in texts], field)
+        rings.append(PresentedRing(g, rel, field))
+    for ring in rings:
+        for s in range(1, 6):
+            for r in range(s, 7):
+                below = naive_strand(ring, s - 1, r)
+                dom = naive_strand(ring, s, r)
+                rows = naive_bar_rows(ring, dom, below)
+                letter = [row for chain, row in zip(dom, rows) if len(chain[0]) == 1]
+                assert span(field, letter).rank == span(field, rows).rank, (s, r)
+
+
+def test_bar_spans_read_the_letter_rows(monkeypatch):
+    # each rank span of tor_bar gets the rows of the chains l|x, l a
+    # letter: h(1) cnt(s-1, m-1) of them, for d_3 and d_4 in every degree m
+    ring, rel = setup(3, ["x*y - y*x", "x*z - z*x", "y*z - z*y"], XYZ)
+    sizes = []
+    real_span = homology.span
+
+    def spy(field, rows):
+        rows = list(rows)
+        sizes.append(len(rows))
+        return real_span(field, rows)
+    monkeypatch.setattr(homology, "span", spy)
+    assert tor_bar(ring, 3, 6).dims == {3: 1}
+    assert sizes == [ring.g * len(naive_strand(ring, s - 1, m - 1))
+                     for m in range(3, 7) for s in (3, 4)]
 
 
 def test_bar_strand_guard_before_rows(monkeypatch):

@@ -1,9 +1,10 @@
 """Metamorphic oracle: relabelling the generators is an isomorphism.
 
-Reversing or rotating the generator list changes the letter order, hence
-every column order, pivot choice and witness downstream.  The verdict,
-c(A), its certification, the (J_k) verdicts and the dimension tables are
-isomorphism invariants and must not change.
+Reversing, rotating or shuffling (one seeded permutation) the generator
+list changes the letter order, hence every column order, pivot choice and
+witness downstream.  The verdict,
+c(A), its certification, the (J_k) verdicts, the dimension tables and both
+routes' Tor_3 tables are isomorphism invariants and must not change.
 """
 
 import dataclasses
@@ -23,6 +24,8 @@ from conftest import random_presentation
 ORDERS = {
     "reversed": lambda items: items[::-1],
     "rotated": lambda items: items[1:] + items[:1],
+    # on 3 letters this seed gives [1, 0, 2], which neither order above gives
+    "shuffled": lambda items: random.Random(20261031).sample(items, len(items)),
 }
 
 
@@ -41,6 +44,24 @@ def test_gallery_check_invariant_under_generator_order(name, field):
     for order, relabel in ORDERS.items():
         moved = dataclasses.replace(pres, generators=relabel(pres.generators))
         assert check_invariants(moved) == want, (name, field, order)
+
+
+def tor_invariants(pres):
+    report = run_command("tor", pres)
+    return (report.verdict, report.dims["tor3"], report.dims["tor3_bar"])
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(32003)"])
+@pytest.mark.parametrize("name", pbwkit.gallery_names())
+def test_gallery_tor_invariant_under_generator_order(name, field):
+    # both Tor routes: the resolution and the bar complex's letter rows
+    with open(pbwkit.gallery_path(name), encoding="utf-8") as fh:
+        pres = dataclasses.replace(parse_presentation(fh.read()), field_name=field)
+    want = tor_invariants(pres)
+    assert want[0] == "TOR_OK"
+    for order, relabel in ORDERS.items():
+        moved = dataclasses.replace(pres, generators=relabel(pres.generators))
+        assert tor_invariants(moved) == want, (name, field, order)
 
 
 def relabelled(elems, g, relabel):
