@@ -3,7 +3,8 @@
 Exit codes: 0 = PBW_CERTIFIED (or a successful non-check command),
 1 = NOT_PBW, 2 = PBW_UP_TO_DEGREE, 11 = parse error, 12 = validation
 (a bad command-line argument too), 13 = resource cap, 14 = any other
-failure (a broken invariant, such as ``tor``'s TOR_MISMATCH, an I/O error,
+failure (a broken invariant, such as ``tor``'s TOR_MISMATCH or a ``gr U``
+table of a PBW_CERTIFIED ``check`` that differs from h_A, an I/O error,
 or an unexpected exception).
 """
 
@@ -15,8 +16,8 @@ import sys
 
 from .deformation import (lifted, minimized_ring, pbw_check, pn_ladder, rp_of,
                           timed)
-from .errors import (InvalidPresentation, ParseError, PBWError,
-                     ResourceExceeded, ValidationError)
+from .errors import (InvalidPresentation, InvariantViolation, ParseError,
+                     PBWError, ResourceExceeded, ValidationError)
 from .extension import engine_for, rees_identity_check
 from .freealg import format_element
 from .homology import complexity, tor3_resolution, tor_bar
@@ -79,6 +80,14 @@ def cmd_check(pres, upto=None):
         dims["h_A"] = [g ** n for n in range(bound + 1)]
         dims["D"] = [sum(g ** i for i in range(n + 1)) for n in range(bound + 1)]
         dims["ann"] = [0] * (bound + 1)
+    if (res.verdict == "PBW_CERTIFIED" and dims["gr_U"] is not None
+            and dims["h_A"] is not None):
+        # gr U(P) ≅ A: the engine's table and the graded ring's Hilbert
+        # values are two routes to the same dimensions
+        for n, (u, a) in enumerate(zip(dims["gr_U"], dims["h_A"])):
+            if u != a:
+                raise InvariantViolation(f"PBW_CERTIFIED but dim gr U^{n} = {u} "
+                                         f"!= h_A({n}) = {a}")
     if res.tor3 is not None:
         dims["tor3"] = {str(m): d for m, d in sorted(res.tor3.dims.items())}
     return Report(res.verdict, res.c, res.c_certified, res.jacobi,

@@ -19,11 +19,18 @@ basis of the quotient is the set of non-pivot words of I^n (the
 pivot-greedy complement), so normal forms are canonical full reductions
 and quotient multiplication is word concatenation followed by a normal
 form.
+
+Basis words are served as positions: ``basis(n)`` gives the ascending
+positions of the non-pivot words of I^n and the rank of each, and
+``nf_word(n, p)`` the integer normal form of the word at position p over
+those ranks.  Both Tor routes read this one cache, so a row is built by
+position arithmetic (u·v sits at pos(u) g^|v| + pos(v)) and rank lookups,
+never from word tuples.
 """
 
 from __future__ import annotations
 
-from itertools import compress, product
+from itertools import compress
 
 from .errors import (InvariantViolation, NotHomogeneous, ResourceExceeded,
                      ValidationError)
@@ -132,8 +139,8 @@ class PresentedRing:
         self.max_degree = max_degree
         self._ideal = {0: RowSpace(field), 1: RowSpace(field)}
         self._top = 1
-        self._basis_words = {}
-        self._nf_cache = {}
+        self._basis = {}        # n -> (positions, {position: rank})
+        self._nf = {}           # n -> {position: (integer {rank: c}, d)}
         self._bases = {}        # n -> DegreeBasis(g, n), one per degree
 
     def ideal_component(self, n):
@@ -161,17 +168,18 @@ class PresentedRing:
     def hilbert_value(self, n):
         return self.g ** n - self.ideal_component(n).rank
 
-    def basis_words(self, n):
-        """Words spanning the degree-n complement B^n (non-pivot words)."""
-        words = self._basis_words.get(n)
-        if words is None:
-            # product gives the words in position (lex) order
+    def basis(self, n):
+        """The basis of A^n: the ascending positions of the non-pivot words
+        of I^n, and {position: rank} over them."""
+        got = self._basis.get(n)
+        if got is None:
             keep = bytearray(b"\1") * self.g ** n
             for p in self.ideal_component(n).rows:
                 keep[p] = 0
-            words = list(compress(product(range(self.g), repeat=n), keep))
-            self._basis_words[n] = words
-        return words
+            positions = list(compress(range(self.g ** n), keep))
+            got = positions, {p: k for k, p in enumerate(positions)}
+            self._basis[n] = got
+        return got
 
     def normal_form_vec(self, n, vec):
         """Canonical representative of vec + I^n on the non-pivot words."""
@@ -190,18 +198,33 @@ class PresentedRing:
         red = self.normal_form_vec(n, vec)
         return Element(self.field, {basis.word_at(p): s for p, s in red.items()})
 
-    def nf_word(self, w):
-        """Normal form of a single word as (integer {word: n}, d) with
-        d > 0: the normal form is the dict divided by d.  Over F_p the
-        integers are residues and d = 1."""
-        cached = self._nf_cache.get(w)
-        if cached is None:
-            n = len(w)
-            basis = self._degree_basis(n)
-            red, d = self.ideal_component(n).reduce_full({basis.pos(w): 1}, integers=True)
-            cached = ({basis.word_at(p): s for p, s in red.items()}, d)
-            self._nf_cache[w] = cached
-        return cached
+    def nf_word(self, n, p):
+        """Normal form of the word at position p of degree n as (integer
+        {rank: c}, d) with d > 0 over the ranks of ``basis(n)``: the normal
+        form is the dict divided by d.  Over F_p the integers are residues
+        and d = 1.  A basis word is its own normal form, with no reduction;
+        a remainder column outside the basis raises InvariantViolation."""
+        cache = self._nf.get(n)
+        if cache is None:
+            cache = self._nf[n] = {}
+        got = cache.get(p)
+        if got is None:
+            rank = self.basis(n)[1]
+            k = rank.get(p)
+            if k is not None:
+                got = {k: 1}, 1
+            else:
+                red, d = self.ideal_component(n).reduce_full({p: 1}, integers=True)
+                nf = {}
+                for c, s in red.items():
+                    k = rank.get(c)
+                    if k is None:
+                        raise InvariantViolation(f"normal form of word {p} of degree {n} "
+                                                 f"has column {c} outside the basis")
+                    nf[k] = s
+                got = nf, d
+            cache[p] = got
+        return got
 
     def hilbert(self, upto):
         """Hilbert values h(0..upto) plus the finite-dimension flag and the

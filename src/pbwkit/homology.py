@@ -3,9 +3,20 @@ complexity they bound.
 
 Resolution route: with a bimodule of relations R for A, the start of a
 projective resolution is A (x) R --d2--> A (x) A^1 --d1--> A -> k -> 0 with
-d2(a (x) r) = sum a*nf(u) (x) v over the splittings r = sum u (x) v of each
+d2(a (x) r) = sum nf(a u) (x) v over the splittings r = sum u (x) v of each
 word into (all letters but the last, last letter).  Writing K2 = ker(d2),
 dim Tor_{3,m} = dim K2^m - dim(A^1 K2^{m-1}).
+
+The rows are in the normal-word coordinates of Anick's resolution (Trans.
+AMS 296, 1986), built by position and rank with no word tuples.  A basis
+word of A^n is a position of T^n with a rank in ``PresentedRing.basis(n)``;
+x_i a sits at i g^|a| + pos(a) and a u at pos(a) g^|u| + pos(u).  The domain
+(A (x) R)^m is one block per stored relation row r of degree j, the column
+of a (x) r being the block's offset plus rank(a); the codomain
+(A (x) A^1)^m has b (x) x_i at rank(b) g + i.  The blocks come in the
+order of R's degrees, so a block keeps its index from one degree to the
+next, and the unit columns 1 (x) r are the offsets of the blocks with
+j = m.
 
 Bar route: the normalized bar complex has n-chains (A+)^(x)n with
 differential sum (-1)^(i-1) (merge at i); the internal-degree-m strand is
@@ -37,11 +48,13 @@ Tor_3 of k[x, y, z] (the A of ``sl2`` and ``heisenberg``) at bound 8 the
 spans take 24 384 rows and 53 686 steps, against 61 884 rows and 150 228
 steps over every chain.
 
-Both routes build their rows from the integer normal forms of
-``PresentedRing.nf_word``: each row is scaled to integers by the lcm L of
-its normal forms' denominators.  The bar rows and A^1 K2 only feed ranks
-and containment, which no scale changes; a d2 row enters the left kernel
-with the tag L in place of 1, so the kernel vectors stay exact.
+Both routes read one cache, the integer normal forms of
+``PresentedRing.nf_word`` by degree and position over the ranks of the
+basis; a remainder column outside the basis raises there.  Each row is
+scaled to integers by the lcm L of its normal forms' denominators.  The
+bar rows and A^1 K2 only feed ranks and containment, which no scale
+changes; a d2 row enters the left kernel with the tag L in place of 1, so
+the kernel vectors stay exact.
 
 Complexity: certified when a Hilbert scan finds A finite dimensional.
 Before the scan, the support quotient T/J is tried, J the monomial ideal
@@ -54,6 +67,7 @@ counting of Ufnarovski, Math. Notes 31, 1982), so no ideal is built.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from math import lcm
 
 from .errors import (InvariantViolation, NotMinimalRelations, ResourceExceeded,
@@ -93,101 +107,107 @@ class TorTable:
         return f"TorTable(h={self.hom_degree}, <= {self.bound}, {self.dims})"
 
 
-def _place(out, index, f, nf, pre, post):
-    """out += f * (pre (x) nf (x) post) over the columns
-    ``index[pre + (e,) + post]``; a word missing from the index is a bug."""
-    for e, beta in nf.items():
-        col = index.get(pre + (e,) + post)
-        if col is None:
-            raise InvariantViolation(f"normal form term {e} outside the basis")
-        c = out.get(col, 0) + f * beta
-        if c:
-            out[col] = c
-        else:
-            del out[col]
-
-
-def _nf_row(ring, index, terms):
-    """The row of sum_t s_t * (pre_t (x) nf(w_t) (x) post_t) for integer
-    s_t, scaled to integers: (row, L) with the exact row equal to row / L,
-    L the lcm of the normal forms' denominators.  Over F_p the entries are
-    integers congruent to the exact ones (L = 1), not reduced mod p."""
-    merged = [(s, ring.nf_word(w), pre, post) for s, w, pre, post in terms]
-    den = lcm(*[d for _, (_, d), _, _ in merged])
+def _nf_row(ring, terms, mul=1):
+    """The row of sum_t s_t * nf(word at position p_t of degree n_t) for
+    integer s_t, the basis word of rank k going to column k * mul + a_t;
+    scaled to integers: (row, L) with the exact row equal to row / L, L the
+    lcm of the normal forms' denominators.  ``terms`` holds (s, n, p, a).
+    Over F_p the entries are integers congruent to the exact ones (L = 1),
+    not reduced mod p."""
+    merged = [(s, ring.nf_word(n, p), a) for s, n, p, a in terms]
+    den = lcm(*[d for _, (_, d), _ in merged])
     out = {}
-    for s, (nf, d), pre, post in merged:
-        if nf:
-            _place(out, index, s * (den // d), nf, pre, post)
+    for s, (nf, d), a in merged:
+        f = s * (den // d)
+        for k, beta in nf.items():
+            col = k * mul + a
+            c = out.get(col, 0) + f * beta
+            if c:
+                out[col] = c
+            else:
+                del out[col]
     return out, den
 
 
 class ResolutionSlice:
-    """Degree-m matrices d1, d2 of the special resolution, with kernels.
-    Rows are integer vectors (see ``_nf_row``); a relation is a stored
-    integer row of R's block, so the domain basis is a ⊗ (that row)."""
+    """Degree-m matrices d1, d2 of the special resolution, with kernels, in
+    the coordinates of the module docstring.  Rows are integer vectors (see
+    ``_nf_row``); a relation is a stored integer row of R's block."""
 
     def __init__(self, ring, rel, m):
         self.ring = ring
-        self.rel = rel
         self.m = m
-        self.domain = []        # (a_word, (j, ridx)) indexing (A (x) R)^m
-        self.rel_rows = {}      # (j, ridx) -> {word: integer}
-        self.codomain_index = {}
-        self.codomain = []      # (b_word, letter) indexing (A (x) A^1)^m
-        self.target_index = None  # (a_word,) -> position over A^m, on first d1
-        self._build()
-
-    def _build(self):
-        ring, rel, m = self.ring, self.rel, self.m
-        for b in ring.basis_words(m - 1) if m >= 1 else []:
-            for i in range(ring.g):
-                self.codomain_index[(b, i)] = len(self.codomain)
-                self.codomain.append((b, i))
+        # (j, {position in T^j: integer}, offset): one domain block per row
+        self.blocks = []
+        size = 0
         for j in rel.degrees():
             if j > m:
-                continue
-            basis = DegreeBasis(ring.g, j)
-            for ridx, row in enumerate(rel.blocks[j].raw_basis()):
-                self.rel_rows[(j, ridx)] = {basis.word_at(p): s for p, s in row.items()}
-                for a in ring.basis_words(m - j):
-                    self.domain.append((a, (j, ridx)))
+                break
+            h = len(ring.basis(m - j)[0])
+            for row in rel.blocks[j].raw_basis():
+                self.blocks.append((j, row, size))
+                size += h
+        self.offsets = [off for _, _, off in self.blocks]
 
-    def d2_row(self, a_word, rkey):
-        """Image of a (x) r in (A (x) A^1)^m coordinates, as (row, L)."""
-        return _nf_row(self.ring, self.codomain_index,
-                       [(s, a_word + w[:-1], (), w[-1:])
-                        for w, s in self.rel_rows[rkey].items()])
-
-    def d1_of_codomain_vec(self, vec):
-        """d1(b (x) x_i) = nf(b x_i), applied to an integer codomain vector,
-        as (row, L) over the basis words of A^m."""
-        if self.target_index is None:
-            self.target_index = {(e,): k for k, e in enumerate(self.ring.basis_words(self.m))}
-        terms = []
-        for col, s in vec.items():
-            b, i = self.codomain[col]
-            terms.append((s, b + (i,), (), ()))
-        return _nf_row(self.ring, self.target_index, terms)
+    def d2_rows(self):
+        """The image of each domain column a (x) r in codomain columns, as
+        (row, L), in column order: the word a w[:-1] of each word w of r
+        sits at pos(a) g^(j-1) + pos(w) // g, and its letter is pos(w) % g."""
+        ring, g, m = self.ring, self.ring.g, self.m
+        out = []
+        for j, row, _ in self.blocks:
+            split = [(s, p // g, p % g) for p, s in row.items()]
+            shift = g ** (j - 1)
+            for pa in ring.basis(m - j)[0]:
+                base = pa * shift
+                out.append(_nf_row(ring, [(s, m - 1, base + q, i) for s, q, i in split], g))
+        return out
 
     def kernel_of_d2(self):
-        """Basis of K2^m as coefficient vectors over the domain index.
+        """Basis of K2^m as coefficient vectors over the domain columns.
         Also checks d1 d2 = 0 and K2 ⊆ A+ (x) R on this slice."""
-        field = self.ring.field
+        ring, g, m = self.ring, self.ring.g, self.m
+        field = ring.field
         p = getattr(field, "p", None)
-        rows = [self.d2_row(a, rk) for a, rk in self.domain]
+        rows = self.d2_rows()
+        # d1(b (x) x_i) = nf(b x_i), b x_i at pos(b) g + i in T^m
+        below = ring.basis(m - 1)[0]
         for r, _ in rows:
             # over F_p the entries are congruent to the exact ones
-            image = self.d1_of_codomain_vec(r)[0].values() if r else ()
+            image = _nf_row(ring, [(s, m, below[col // g] * g + col % g, 0)
+                                   for col, s in r.items()])[0].values() if r else ()
             if any(image) if p is None else any(c % p for c in image):
                 raise InvariantViolation("d1 ∘ d2 != 0: resolution slice is broken")
         # row k stands for rows[k][0] / L_k, so it carries the tag L_k
-        ker = left_kernel_basis(field, [r for r, _ in rows], len(self.codomain),
+        ker = left_kernel_basis(field, [r for r, _ in rows], len(below) * g,
                                 tags=[den for _, den in rows])
-        unit_cols = {k for k, (a, rk) in enumerate(self.domain) if a == ()}
+        unit_cols = {off for j, _, off in self.blocks if j == m}
         for v in ker:
             if any(c in unit_cols for c in v):
                 raise InvariantViolation("kernel escapes A+ (x) R: relations not minimal?")
         return ker
+
+    def left_letter_rows(self, below, kernel):
+        """The rows x_i v, i < g, of each vector v of ``kernel`` ⊆ K2^(m-1)
+        on the domain columns of this slice, unscaled; ``below`` is the
+        slice of degree m - 1.  Column off + rank(a) of block b there goes
+        to offsets[b] + rank(nf(x_i a)) here."""
+        ring, g, m = self.ring, self.ring.g, self.m
+        out = []
+        for v in kernel:
+            terms = []
+            for col, s in v.items():
+                b = bisect_right(below.offsets, col) - 1
+                j, _, off = below.blocks[b]
+                n = m - j
+                terms.append((s, n, g ** (n - 1), ring.basis(n - 1)[0][col - off],
+                              self.offsets[b]))
+            for i in range(g):
+                row = _nf_row(ring, [(s, n, i * step + pa, a)
+                                     for s, n, step, pa, a in terms])[0]
+                if row:
+                    out.append(row)
+        return out
 
 
 def tor3_resolution(ring, rel, bound):
@@ -200,27 +220,18 @@ def tor3_resolution(ring, rel, bound):
         return TorTable(3, bound, {})
     prev_slice = None
     prev_kernel = []
-    for m in range(0, bound + 1):
-        if m < 3:
-            # V_n^i = 0 for i <= 1 and K2 lives inside A+ (x) R with R in
-            # degrees >= 2, so Tor_{3,m} vanishes for m <= 2
-            prev_slice, prev_kernel = None, []
-            continue
+    # V_n^i = 0 for i <= 1 and K2 lives inside A+ (x) R with R in degrees
+    # >= 2, so Tor_{3,m} vanishes for m <= 2
+    for m in range(3, bound + 1):
         sl = ResolutionSlice(ring, rel, m)
         ker = sl.kernel_of_d2()
         moved = RowSpace(ring.field)
         if prev_slice is not None:
             # A^1 K2^{m-1} only feeds a rank and a containment, so its rows
             # are built from the kernel scaled to integers
-            dom_index = {key: k for k, key in enumerate(sl.domain)}
-            for v in prev_kernel:
-                terms = [(s, *prev_slice.domain[col]) for col, s in v.items()]
-                for i in range(ring.g):
-                    out = _nf_row(ring, dom_index,
-                                  [(s, (i,) + a, (), (rk,)) for s, a, rk in terms])[0]
-                    if out:
-                        moved.insert(out)
-        if prev_slice is not None and moved.rank:
+            for row in sl.left_letter_rows(prev_slice, prev_kernel):
+                moved.insert(row)
+        if moved.rank:
             ksp = span(ring.field, ker)
             for row in moved.raw_basis():
                 if not ksp.contains(row):
@@ -278,7 +289,7 @@ def tor_bar(ring, hom_degree, bound):
     if bound < n:
         return TorTable(n, bound, {})
     # strands n-1..n+1 in degrees <= bound read h up to bound - max(n-1, 1) + 1
-    words = [None] + [ring.basis_words(d) for d in range(1, bound - max(n - 1, 1) + 2)]
+    words = [None] + [ring.basis(d)[0] for d in range(1, bound - max(n - 1, 1) + 2)]
     h = [0] + [len(ws) for ws in words[1:]]
     start = _strand_starts(h, n + 1, bound)
     for s in (n - 1, n, n + 1):
@@ -290,24 +301,14 @@ def tor_bar(ring, hom_degree, bound):
     mults = {}
 
     def mult(d1, d2):
-        """[i][j] -> (terms, den): nf(w_i w_j) = sum c e_k / den over the
-        degree d1 + d2 basis, terms as (k, c)."""
+        """[i][j] -> ({k: c}, den): nf(w_i w_j) = sum c e_k / den over the
+        ranks of the degree d1 + d2 basis; w_i w_j sits at
+        pos(w_i) g^d2 + pos(w_j)."""
         table = mults.get((d1, d2))
         if table is None:
-            index = {w: k for k, w in enumerate(ring.basis_words(d1 + d2))}
-            table = []
-            for u in words[d1]:
-                line = []
-                for v in words[d2]:
-                    nf, den = ring.nf_word(u + v)
-                    terms = []
-                    for e, c in nf.items():
-                        k = index.get(e)
-                        if k is None:
-                            raise InvariantViolation(f"normal form term {e} outside the basis")
-                        terms.append((k, c))
-                    line.append((terms, den))
-                table.append(line)
+            shift = ring.g ** d2
+            table = [[ring.nf_word(d1 + d2, u * shift + v) for v in words[d2]]
+                     for u in words[d1]]
             mults[(d1, d2)] = table
         return table
 
@@ -347,7 +348,7 @@ def tor_bar(ring, hom_degree, bound):
                     line = mult(d, d1)[i]
                     for j in range(h[d1] - 1, -1, -1):
                         terms, dm = line[j]
-                        cols = [(base + k * n2, c) for k, c in terms]
+                        cols = [(base + k * n2, c) for k, c in terms.items()]
                         for q2 in range(n2 - 1, -1, -1):
                             q -= 1
                             rx, lx = xrows[q]

@@ -237,6 +237,10 @@ class Report:
                 lines.append(f"{label}: {self.dims[key]}")
         if self.dims.get("tor3") is not None:
             lines.append(f"Tor_3 dims: {self.dims['tor3']}")
+        bar = self.dims.get("tor3_bar")
+        if bar is not None and bar != self.dims.get("tor3"):
+            # only a disagreement of the Tor routes shows the bar table
+            lines.append(f"Tor_3 bar dims: {bar}")
         if self.dims.get("rees") is not None:
             lines.append(f"rees identity per degree: {self.dims['rees']}")
         for n in self.notes:

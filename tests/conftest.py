@@ -364,6 +364,13 @@ class NaiveEngine(ExtensionEngine):
 # bar complex written with field arithmetic, the oracle for homology's
 # integer rows.
 
+def basis_words(ring, n):
+    """The basis words of A^n as tuples, in position order: a thin view of
+    ``PresentedRing.basis``."""
+    basis = DegreeBasis(ring.g, n)
+    return [basis.word_at(p) for p in ring.basis(n)[0]]
+
+
 def naive_nf(ring, w):
     """Normal form of a word as {word: field scalar}."""
     basis = DegreeBasis(ring.g, len(w))
@@ -388,7 +395,7 @@ def naive_strand(ring, n, m):
     out = []
     for cuts in combinations(range(1, m), n - 1):
         degs = [b - a for a, b in zip((0,) + cuts, cuts + (m,))]
-        out.extend(product(*[ring.basis_words(d) for d in degs]))
+        out.extend(product(*[basis_words(ring, d) for d in degs]))
     return out
 
 
@@ -444,7 +451,7 @@ def naive_tor3_resolution(ring, rel, bound):
     prev = None
     for m in range(3, bound + 1):
         codomain = {(b, i): k for k, (b, i) in enumerate(
-            (b, i) for b in ring.basis_words(m - 1) for i in range(ring.g))}
+            (b, i) for b in basis_words(ring, m - 1) for i in range(ring.g))}
         domain, rel_rows = [], {}
         for j in rel.degrees():
             if j > m:
@@ -452,7 +459,7 @@ def naive_tor3_resolution(ring, rel, bound):
             basis = DegreeBasis(ring.g, j)
             for ridx, row in enumerate(rel.blocks[j].basis()):
                 rel_rows[(j, ridx)] = {basis.word_at(p): s for p, s in row.items()}
-                domain.extend((a, (j, ridx)) for a in ring.basis_words(m - j))
+                domain.extend((a, (j, ridx)) for a in basis_words(ring, m - j))
         rows = [naive_d2_row(ring, rel_rows[rk], a, codomain) for a, rk in domain]
         ker = left_kernel_basis(ring.field, rows, len(codomain))
         moved = RowSpace(ring.field)

@@ -10,6 +10,7 @@ import pbwkit
 from pbwkit import cli, gradedring, homology
 from pbwkit.cli import COMMANDS, main, run_command
 from pbwkit.errors import InvariantViolation, ParseError, ValidationError
+from pbwkit.extension import ExtensionEngine
 from pbwkit.linalg import RowSpace
 from pbwkit.presentations import parse_presentation
 
@@ -154,14 +155,49 @@ class TestExitCodes:
         # violation (exit 14), not a bad-input error
         real_nf = gradedring.PresentedRing.nf_word
 
-        def broken_nf(ring, w):
-            nf, d = real_nf(ring, w)
-            if len(w) == 3 and w[0] == 0:
-                return {e: 2 * s for e, s in nf.items()}, d
+        def broken_nf(ring, n, p):
+            nf, d = real_nf(ring, n, p)
+            if n == 3 and p < ring.g ** 2:
+                return {k: 2 * s for k, s in nf.items()}, d
             return nf, d
         monkeypatch.setattr(gradedring.PresentedRing, "nf_word", broken_nf)
         assert main(["tor", gallery("sl2.pbw"), "--upto", "4"]) == 14
         assert "error[INVARIANT_VIOLATED]: d1 ∘ d2 != 0" in capsys.readouterr().err
+
+    def test_forged_remainder_column_code(self, capsys, monkeypatch):
+        # a remainder on a pivot column is no normal form: nf_word raises
+        # an invariant violation and tor exits 14
+        real = RowSpace.reduce_full
+
+        def forged(sp, vec, integers=False):
+            out = real(sp, vec, integers)
+            if integers and sp.rows:
+                red, d = out
+                return {**red, min(sp.rows): 1}, d
+            return out
+        monkeypatch.setattr(RowSpace, "reduce_full", forged)
+        assert main(["tor", gallery("sl2.pbw"), "--upto", "4"]) == 14
+        err = capsys.readouterr().err
+        assert "error[INVARIANT_VIOLATED]" in err and "outside the basis" in err
+
+    def test_certified_tables_contradicting_h_a_code(self, capsys, monkeypatch):
+        # under PBW_CERTIFIED gr U(P) ≅ A, so a gr U table that differs
+        # from h_A in a degree both lists hold breaks an invariant
+        real = ExtensionEngine.gr_table
+
+        def wrong(eng, upto, certified=False):
+            table = real(eng, upto, certified)
+            return table[:-1] + [table[-1] + 1]
+        assert main(["check", gallery("heisenberg.pbw")]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(ExtensionEngine, "gr_table", wrong)
+        assert main(["check", gallery("heisenberg.pbw")]) == 14
+        err = capsys.readouterr().err
+        assert "error[INVARIANT_VIOLATED]: PBW_CERTIFIED but dim gr U^6 = 29 != h_A(6) = 28" in err
+        # a withheld table is not compared
+        monkeypatch.setattr(ExtensionEngine, "gr_table", lambda *a, **k: None)
+        assert main(["check", gallery("heisenberg.pbw")]) == 0
+        assert "gr U table withheld" in capsys.readouterr().out
 
     def test_huge_max_degree_exits_quickly(self, tmp_path):
         # Hilbert values up to max_degree cost O(1) each for g = 1; the
@@ -226,6 +262,18 @@ class TestExitCodes:
         assert report["dims"]["tor3_bar"] == {"3": 99}
         assert main(["tor", gallery("sl2.pbw"), "--upto", "4"]) == 14
         assert "note: resolution and bar routes DISAGREE" in capsys.readouterr().out
+
+    def test_tor_mismatch_text_shows_bar_table(self, capsys, monkeypatch):
+        # the text report of a mismatch shows the bar table it disagrees
+        # with; agreeing runs print no such line
+        assert main(["tor", gallery("sl2.pbw"), "--upto", "4"]) == 0
+        assert "bar dims" not in capsys.readouterr().out
+        monkeypatch.setattr(cli, "tor_bar",
+                            lambda ring, n, bound: homology.TorTable(n, bound, {3: 99}))
+        assert main(["tor", gallery("sl2.pbw"), "--upto", "4"]) == 14
+        out = capsys.readouterr().out
+        assert "Tor_3 dims: {'3': 1}" in out
+        assert "Tor_3 bar dims: {'3': 99}" in out
 
     @pytest.mark.parametrize("argv", [
         ["check", "--upto", "abc", "FILE"],

@@ -4,15 +4,15 @@ from itertools import product
 import pytest
 
 from pbwkit import homology
-from pbwkit.errors import NotMinimalRelations, ResourceExceeded
-from pbwkit.freealg import Element, parse_element
+from pbwkit.errors import InvariantViolation, NotMinimalRelations, ResourceExceeded
+from pbwkit.freealg import DegreeBasis, Element, parse_element
 from pbwkit.gradedring import GradedSubspace, PresentedRing
 from pbwkit.homology import (ResolutionSlice, complexity, is_commutator_relations,
                              overlap_dimension, support_reach, tor3_resolution,
                              tor_bar)
-from pbwkit.linalg import QQ, PrimeField, span
+from pbwkit.linalg import QQ, PrimeField, RowSpace, span
 
-from conftest import (naive_bar_rows, naive_d2_row, naive_strand,
+from conftest import (basis_words, naive_bar_rows, naive_d2_row, naive_strand,
                       naive_tor3_resolution, naive_tor_bar, random_homogeneous,
                       sampler_rings)
 
@@ -258,12 +258,14 @@ def _mixed_merge_scales(ring, top=5):
     """True iff some chain a|b|c of degree <= top has merges ab and bc whose
     normal forms have different denominators: then the bar row of a|b|c
     rescales the row of b|c to a new lcm."""
-    words = {d: ring.basis_words(d) for d in range(1, top - 1)}
+    g = ring.g
+    pos = {d: ring.basis(d)[0] for d in range(1, top - 1)}
     for da in range(1, top - 1):
         for db in range(1, top - da):
             for dc in range(1, top - da - db + 1):
-                for a, b, c in product(words[da], words[db], words[dc]):
-                    if ring.nf_word(a + b)[1] != ring.nf_word(b + c)[1]:
+                for a, b, c in product(pos[da], pos[db], pos[dc]):
+                    if (ring.nf_word(da + db, a * g ** db + b)[1]
+                            != ring.nf_word(db + dc, b * g ** dc + c)[1]):
                         return True
     return False
 
@@ -280,14 +282,18 @@ def test_integer_tor_rows_match_field_rows(p):
         assert tor3_resolution(ring, rel, 6).dims == naive_tor3_resolution(ring, rel, 6)
         for n in (1, 2, 3, 4):
             assert tor_bar(ring, n, 5).dims == naive_tor_bar(ring, n, 5), n
-        for n in range(5):
-            for w in product(range(ring.g), repeat=n):
-                nf, d = ring.nf_word(w)
+        for n in range(6):
+            # the integer normal form of the word at each position, over the
+            # ranks of the basis, against the field-scalar normal form
+            words = basis_words(ring, n)
+            for q, w in enumerate(product(range(ring.g), repeat=n)):
+                nf, d = ring.nf_word(n, q)
                 assert d > 0 and all(type(s) is int for s in nf.values())
                 if p is not None:
                     assert d == 1 and all(0 < s < p for s in nf.values())
                 want = ring.normal_form(Element(field, {w: field.one})).terms
-                assert {e: field.from_fraction(Fraction(s, d)) for e, s in nf.items()} == want
+                assert {words[k]: field.from_fraction(Fraction(s, d))
+                        for k, s in nf.items()} == want
 
 
 @pytest.mark.parametrize("p", [None, 7])
@@ -334,7 +340,7 @@ def test_bar_strand_guard_before_rows(monkeypatch):
     ring, rel = setup(2, ["x*y - y*x"], XY)
     calls = []
     monkeypatch.setattr(homology, "BAR_STRAND_GUARD", 10)
-    monkeypatch.setattr(ring, "nf_word", lambda w: calls.append(w))
+    monkeypatch.setattr(ring, "nf_word", lambda n, p: calls.append((n, p)))
     monkeypatch.setattr(homology, "span", lambda *a: calls.append(a))
     with pytest.raises(ResourceExceeded, match="bar strand"):
         tor_bar(ring, 3, 6)
@@ -345,10 +351,21 @@ def test_d2_kernel_exact_for_mixed_row_scales():
     # sample ring 45 is the first whose K2^5 has a vector on d2 rows of
     # different integer scales L: there the tags L keep the kernel exact
     ring, rel = sampler_rings(QQ, 46)[45]
-    sl = ResolutionSlice(ring, rel, 5)
-    scales = [sl.d2_row(a, rk)[1] for a, rk in sl.domain]
-    rows = [naive_d2_row(ring, {w: QQ.from_int(s) for w, s in sl.rel_rows[rk].items()},
-                         a, sl.codomain_index) for a, rk in sl.domain]
+    m, g = 5, ring.g
+    sl = ResolutionSlice(ring, rel, m)
+    scales = [den for _, den in sl.d2_rows()]
+    # the field-scalar rows over the same columns: a (x) r at the block's
+    # offset + rank(a), b (x) x_i at rank(b) g + i
+    codomain = {(b, i): k * g + i
+                for k, b in enumerate(basis_words(ring, m - 1)) for i in range(g)}
+    rows = []
+    for j, row, off in sl.blocks:
+        assert off == len(rows)
+        basis = DegreeBasis(g, j)
+        rel_row = {basis.word_at(p): QQ.from_int(s) for p, s in row.items()}
+        rows.extend(naive_d2_row(ring, rel_row, a, codomain)
+                    for a in basis_words(ring, m - j))
+    assert len(rows) == len(scales)
     ker = sl.kernel_of_d2()
     assert any(len({scales[k] for k in v}) > 1 for v in ker)
     for v in ker:
@@ -357,3 +374,32 @@ def test_d2_kernel_exact_for_mixed_row_scales():
             for col, s in rows[k].items():
                 total[col] = total.get(col, 0) + c * s
         assert not any(total.values())
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_resolution_matches_field_rows_to_degree_8(p):
+    # the uncertified complexity scan reads Tor_3 through degree 8; the
+    # positional rows agree with the field-scalar rows there too
+    field = QQ if p is None else PrimeField(p)
+    rings = [(ring, rel) for ring, rel in sampler_rings(field, 30) if ring.g <= 2]
+    assert len(rings) >= 10
+    for ring, rel in rings:
+        assert tor3_resolution(ring, rel, 8).dims == naive_tor3_resolution(ring, rel, 8)
+
+
+def test_remainder_outside_the_basis_raises(monkeypatch):
+    # a reduction whose remainder holds a pivot column is a broken
+    # elimination, not a normal form: nf_word refuses it
+    ring, rel = setup(2, ["x*y - y*x"], XY)
+    real = RowSpace.reduce_full
+
+    def forged(sp, vec, integers=False):
+        out = real(sp, vec, integers)
+        if integers and sp.rows:
+            red, d = out
+            return {**red, min(sp.rows): 1}, d
+        return out
+    monkeypatch.setattr(RowSpace, "reduce_full", forged)
+    assert ring.nf_word(2, 0) == ({0: 1}, 1)     # xx is a basis word
+    with pytest.raises(InvariantViolation, match="outside the basis"):
+        ring.nf_word(2, min(ring.ideal_component(2).rows))
