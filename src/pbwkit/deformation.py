@@ -5,7 +5,15 @@ basis under the degree-descending word order is simultaneously adapted to
 every T^{<=n}, which makes the top-part extraction R_P, the filtered map
 alpha, and the ladder P_{k+1} = T^1 P_k + P_k T^1 + P^{<=k+1} all plain
 row-space operations.  Condition (J_k) asks that P_{k+1} brings nothing
-new below degree k+1; the first failing row is kept as a witness.
+new below degree k+1.
+
+The ladder is the T[z] engine's ideal recursion (``extension``) read at
+z = 1, one ``linalg.closure_step`` per degree: V·P_k is stored unreduced,
+and only the rows N_k that the step for P_k inserted are inserted again,
+with their products N_k·V.  (J_k) is counted from pivots: it holds iff
+the rows of P_{k+1} with a pivot in T^{<=k} number dim P_k.  The witness
+of a failing (J_k) is canonical: the first row of the reduced echelon
+form of (P_{k+1} ∩ T^{<=k}) modulo P_k, whatever basis the steps stored.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from .freealg import (DegreeBasis, Element, WordBasis, filtration_size,
 from .gradedring import (GradedSubspace, PresentedRing, graded_ideal_step,
                          ideal_chain, minimal_complement)
 from .homology import complexity, overlap
-from .linalg import QQ, RowSpace, coordinate_solver
+from .linalg import QQ, RowSpace, closure_step, coordinate_solver, span
 
 LADDER_DEPTH_CAP = 24
 MIN_TOP_DEGREE = 1      # FilteredSubspace rows live in T^{<=1} at least
@@ -189,17 +197,17 @@ class JacobiLadder:
 def pn_ladder(P, upto):
     """P_0..P_{upto+1} plus the (J_k) verdicts for k <= upto.
 
-    (J_k) holds iff every reduced row of P_{k+1} with pivot degree <= k
-    already lies in P_k; the first counterexample row is the witness.
+    Each P_{k+1} is one ``closure_step`` from P_k, the T[z] engine's
+    recursion read at z = 1: P_k = V·P_{k-1} + span(N_k) with N_k the rows
+    the step for P_k inserted, so P_{k+1} = V·P_k + N_k + N_k·V + P^{(k+1)},
+    P^{(k+1)} being P's rows of degree k+1.  Left multiplication keeps the
+    degree-descending lex order, so V·P_k is stored unreduced; N_k itself
+    (the image of z·N_k) and N_k·V are inserted.
 
-    The step is semi-naive: P_{k+1} starts as a copy of P_k and only the
-    rows P_k added to P_{k-1} (those whose pivot is no pivot of P_{k-1})
-    are multiplied by each x_i on both sides.  This is exact and leaves
-    every stored row unchanged: P_k keeps P_{k-1}'s rows as they are and
-    already contains V·P_{k-1} + P_{k-1}·V, so the skipped products
-    reduced to zero without storing anything.  For the same reason the
-    (J_k) test reduces only the rows P_{k+1} added: the rows it shares with
-    P_k lie in P_k.
+    P_k lies in P_{k+1} ∩ T^{<=k}, which the echelon rows of P_{k+1} with a
+    pivot in the T^{<=k} suffix span, so (J_k) holds iff those pivots number
+    dim P_k.  The witness of the first failing (J_k) is canonical: the
+    first row of the reduced echelon form of those rows reduced modulo P_k.
     """
     if upto + 1 > LADDER_DEPTH_CAP:
         raise ResourceExceeded(f"ladder depth {upto} above cap {LADDER_DEPTH_CAP}")
@@ -207,11 +215,13 @@ def pn_ladder(P, upto):
     shift = P.basis.shift_into(big)
     g = P.g
     field = P.field
-    prows = []
+    lefts, rights = big.mult_maps()
+    rights = [0] + rights               # 0: z·N_k at z = 1
+    gens = {}                           # pivot degree -> P's rows
     for row in P.space.raw_basis():
-        prows.append((P.basis.degree_of_pos(min(row)),
-                      {p + shift: s for p, s in row.items()}))
-    spaces = [RowSpace(field)]       # P_0 = P ∩ T^0 = 0
+        gens.setdefault(P.basis.degree_of_pos(min(row)), []).append(
+            {p + shift: s for p, s in row.items()})
+    spaces = [RowSpace(field)]          # P_0 = P ∩ T^0 = 0
     dims = [0]
     verdicts = {}
     first_failure = None
@@ -219,41 +229,24 @@ def pn_ladder(P, upto):
     full_from = None
     sizes = [filtration_size(g, n) for n in range(upto + 2)]
     for k in range(upto + 1):
-        prev = spaces[k]
         if full_from is not None:
             spaces.append(None)
             dims.append(sizes[k + 1])
             if k >= 1:
                 verdicts[k] = True
             continue
-        # semi-naive: multiply only the rows P_k added to P_{k-1}
-        nxt = prev.copy()
-        older = spaces[k - 1].rows if k else {}
-        for c in sorted(prev.rows):
-            if c in older:
-                continue
-            row = prev.rows[c]
-            for i in range(g):
-                nxt.insert(big.mult_left_vec(i, row))
-                nxt.insert(big.mult_right_vec(row, i))
-        for deg, row in prows:
-            if deg == k + 1 or (k == 0 and deg <= 1):
-                nxt.insert(dict(row))
+        prev = spaces[k]
+        nxt = closure_step(field, prev, lefts, rights, gens.get(k + 1, ()))
         spaces.append(nxt)
         dims.append(nxt.rank)
         if k >= 1:
             start = big.suffix_start(k)
-            ok = True
-            own = prev.rows
-            for piv in sorted(p for p in nxt.rows if p >= start):
-                row = nxt.rows[piv]
-                if own.get(piv) is not row and not prev.contains(row):
-                    ok = False
-                    if first_failure is None:
-                        first_failure = k
-                        witness = big.vec_to_element(nxt.pivots[piv], field)
-                    break
-            verdicts[k] = ok
+            cut = [c for c in nxt.rows if c >= start]
+            verdicts[k] = len(cut) == prev.rank
+            if not verdicts[k] and first_failure is None:
+                first_failure = k
+                new = span(field, (prev.reduce_full(nxt.rows[c]) for c in cut))
+                witness = big.vec_to_element(new.reduced_basis()[0], field)
         if nxt.rank == sizes[k + 1]:
             full_from = k + 1
     return JacobiLadder(g, upto, big, spaces, dims, verdicts,
@@ -276,11 +269,11 @@ def jacobi_verdicts(P, engine, upto):
     Setting z = 1 maps <P_z>^m onto the ladder space P_m, and P_k lies in
     P_{k+1} ∩ T^{<=k}, so (J_k) holds iff the cut dim(P_{k+1} ∩ T^{<=k})
     (the engine's pivots of <P_z>^{k+1} of word degree <= k) equals dim
-    P_k, i.e. iff z has no annihilator in D^k (``annihilator_dim``).  The
-    engine stores its left products unreduced, which makes this cheaper
-    than the ladder, and ``check`` reads its tables from the same engine.
-    When some (J_k) fails the ladder runs for its witness and must give
-    the same verdicts.
+    P_k, i.e. iff z has no annihilator in D^k (``annihilator_dim``).
+    ``check`` reads its tables from the same engine, so the verdicts cost
+    no closure step of their own.  When some (J_k) fails the ladder, the
+    same recursion at z = 1 over word columns, runs for its canonical
+    witness and must give the same verdicts.
     """
     if upto + 1 > LADDER_DEPTH_CAP:
         raise ResourceExceeded(f"ladder depth {upto} above cap {LADDER_DEPTH_CAP}")

@@ -1,12 +1,13 @@
 """The central extension D(P) = T[z]/<P*>, built degree by degree.
 
-This is the independent check against the Jacobi ladder: (J_n) holds iff
-the degree-n annihilator of z in D(P) vanishes, so the two modules must
-agree on every instance.  To keep the cross-check honest the engine uses
-its own monomial representation (word (x) z-power, ordered by descending
-word degree, i.e. ascending z-exponent) and its own ideal recursion in
-T[z]; nothing is shared with the ladder beyond the generic row-space code
-and the count dim T^{<=n}.
+(J_n) holds iff the degree-n annihilator of z in D(P) vanishes, so the
+engine and the Jacobi ladder must agree on every instance.  The engine
+uses its own monomial representation (word (x) z-power, ordered by
+descending word degree, i.e. ascending z-exponent); the ladder
+(``deformation.pn_ladder``) runs the same recursion at z = 1 over word
+columns, and the two share ``linalg.closure_step``.  The independent
+oracles are the naive closures in the tests (``naive_ladder`` and
+``NaiveEngine``), which multiply every row and insert every product.
 
 P_z is always built through alpha_z (never by homogenizing a raw spanning
 set), which is what guarantees <P*> = <P_z>.

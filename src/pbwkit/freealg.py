@@ -209,8 +209,7 @@ class WordBasis:
             off += sizes[n]
         self._words = {}
         self._deg_of = None
-        self._mult_left = None
-        self._mult_right = None
+        self._mult = None
 
     def pos(self, w):
         n = len(w)
@@ -249,40 +248,26 @@ class WordBasis:
             self._deg_of = arr
         return self._deg_of[pos]
 
-    def _build_mult(self):
-        g = self.g
-        left = [[-1] * self.size for _ in range(g)]
-        right = [[-1] * self.size for _ in range(g)]
-        for n in range(self.max_degree):
-            off = self.offsets[n]
-            off1 = self.offsets[n + 1]
-            block = g ** n
-            for p in range(block):
-                pos = off + p
-                for i in range(g):
-                    left[i][pos] = off1 + i * block + p
-                    right[i][pos] = off1 + p * g + i
-        self._mult_left = left
-        self._mult_right = right
-
-    def mult_left_vec(self, i, vec):
-        """x_i * vec, positions only; every entry must have degree < max.
-        Under the degree-descending order the smallest position has the top
-        degree, so one check guards the whole row."""
-        if self._mult_left is None:
-            self._build_mult()
-        if vec and min(vec) < self.offsets[self.max_degree - 1]:
-            raise ValidationError("product would exceed the basis degree")
-        tab = self._mult_left[i]
-        return {tab[p]: s for p, s in vec.items()}
-
-    def mult_right_vec(self, vec, i):
-        if self._mult_right is None:
-            self._build_mult()
-        if vec and min(vec) < self.offsets[self.max_degree - 1]:
-            raise ValidationError("product would exceed the basis degree")
-        tab = self._mult_right[i]
-        return {tab[p]: s for p, s in vec.items()}
+    def mult_maps(self):
+        """(lefts, rights): per letter x_i, the column of x_i·w and of w·x_i
+        for the word w at each column, -1 at the top degree.  Each keeps
+        the columns below the top degree in order, as
+        ``RowSpace.store_shifted`` needs."""
+        if self._mult is None:
+            g = self.g
+            left = [[-1] * self.size for _ in range(g)]
+            right = [[-1] * self.size for _ in range(g)]
+            for n in range(self.max_degree):
+                off = self.offsets[n]
+                off1 = self.offsets[n + 1]
+                block = g ** n
+                for p in range(block):
+                    pos = off + p
+                    for i in range(g):
+                        left[i][pos] = off1 + i * block + p
+                        right[i][pos] = off1 + p * g + i
+            self._mult = left, right
+        return self._mult
 
     def suffix_start(self, n):
         """First column of the T^{<=n} suffix block."""

@@ -21,14 +21,14 @@ What comes out is field-valued again: ``pivots``, ``basis()`` and
 normalised on first read and cached), and ``reduce_leading`` /
 ``reduce_full`` track the scale so their remainders are exact.
 
-Rows are immutable once stored, so a copied space can be extended without
-touching the original, and a stored row may be inserted elsewhere as it is
-(``raw_basis``): insertion does not depend on the scale of its input.  A
-whole space may be stored under a column offset or any other map that
-keeps columns distinct and in order (``store_shifted``): such a map keeps
-its rows echelon and normalised, so they are not reduced.  The space is
-recorded with its map and its moved pivots, not copied; a moved row is
-built the first time a reduction or a reader needs it, and kept.  The
+Rows are immutable once stored, and a stored row may be inserted
+elsewhere as it is (``raw_basis``): insertion does not depend on the
+scale of its input.  A whole space may be stored under a column offset
+or any other map that keeps columns distinct and in order
+(``store_shifted``): such a map keeps its rows echelon and normalised, so
+they are not reduced.  The space is recorded with its map and its moved
+pivots, not copied; a moved row is built the first time a reduction or a
+reader needs it, and kept.  The
 graded ideal recursions store most of each component this way and read
 few of those rows (under 5% on the ``random-homology`` benchmark
 workload).  ``reduce_full(vec, integers=True)`` gives a remainder as
@@ -266,8 +266,7 @@ class RowSpace:
 
     ``rows`` maps a pivot column to its stored integer row (read-only for
     callers); ``pivots`` is the same map with monic field-valued rows.
-    Stored rows are never mutated, so ``copy()`` shares them and the copy
-    may be extended independently of the original.
+    Stored rows are never mutated.
 
     A space stored here by ``store_shifted`` is recorded as (space, map),
     not copied: the kernels look a pivot up among the shifted spaces only
@@ -300,15 +299,6 @@ class RowSpace:
     @property
     def pivots(self):
         return _MonicRows(self)
-
-    def copy(self):
-        other = RowSpace(self.field)
-        other._rows = dict(self._rows)
-        other._inserted = list(self._inserted)
-        other._monic = dict(self._monic)
-        other._shifts = list(self._shifts)
-        other._keys = dict(self._keys)
-        return other
 
     def inserted(self):
         """The rows stored by ``insert`` and ``relate``, i.e. not by

@@ -300,39 +300,63 @@ def certified_cut_dim(eng, n):
 # Naive closures: every row of the previous space times every generator,
 # then insert.  The oracles for the semi-naive ladder and engine steps.
 
+def copied(space):
+    """A space holding the rows of ``space`` that can be extended without
+    changing it: ``space`` stored under the identity map."""
+    out = RowSpace(space.field)
+    out.store_shifted(space, 0)
+    return out
+
+
+def mult_left_vec(basis, i, vec):
+    """x_i * vec over a WordBasis, through the words at the columns."""
+    return {basis.pos((i,) + basis.word_at(c)): s for c, s in vec.items()}
+
+
+def mult_right_vec(basis, vec, i):
+    """vec * x_i over a WordBasis, through the words at the columns."""
+    return {basis.pos(basis.word_at(c) + (i,)): s for c, s in vec.items()}
+
+
 def naive_ladder(P, upto):
-    """(spaces, witness) of the Jacobi ladder P_0..P_{upto+1} built by
-    P_{k+1} = P_k + V·P_k + P_k·V + P^{<=k+1}, inserting the products of
-    every row of P_k, then P's rows.  Stops at the first P_k = T^{<=k}.
-    The witness is the monic row of the least pivot of P_{k+1} ∩ T^{<=k}
-    outside P_k, for the least failing k >= 1."""
+    """(spaces, verdicts, witness) of the Jacobi ladder P_0..P_{upto+1}
+    built by P_{k+1} = P_k + V·P_k + P_k·V + P^{<=k+1}, inserting the
+    products of every row of P_k, then P's rows.  Stops at the first
+    P_k = T^{<=k}.  (J_k) holds iff each row of P_{k+1} with a pivot in
+    T^{<=k} lies in P_k.  For the least failing k >= 1 the witness is the
+    first row of the reduced echelon form of (P_{k+1} ∩ T^{<=k}) modulo
+    P_k: those rows, each reduced fully modulo P_k."""
     g = P.g
     big = WordBasis(g, upto + 1)
     shift = P.basis.shift_into(big)
     prows = [(P.basis.degree_of_pos(min(r)), {c + shift: s for c, s in r.items()})
              for r in P.space.raw_basis()]
     spaces = [RowSpace(P.field)]
+    verdicts = {}
     witness = None
     for k in range(upto + 1):
         prev = spaces[k]
-        nxt = prev.copy()
+        nxt = copied(prev)
         for row in prev.raw_basis():
             for i in range(g):
-                nxt.insert(big.mult_left_vec(i, row))
-                nxt.insert(big.mult_right_vec(row, i))
+                nxt.insert(mult_left_vec(big, i, row))
+                nxt.insert(mult_right_vec(big, row, i))
         for deg, row in prows:
             if deg <= k + 1:
                 nxt.insert(dict(row))
         spaces.append(nxt)
-        if witness is None and k >= 1:
+        if k >= 1:
             start = big.suffix_start(k)
-            for c in sorted(c for c in nxt.rows if c >= start):
-                if not prev.contains(nxt.rows[c]):
-                    witness = big.vec_to_element(nxt.pivots[c], P.field)
-                    break
+            cut = [nxt.rows[c] for c in nxt.rows if c >= start]
+            verdicts[k] = all(prev.contains(r) for r in cut)
+            if witness is None and not verdicts[k]:
+                rest = span(P.field, [prev.reduce_full(r) for r in cut])
+                witness = big.vec_to_element(rest.reduced_basis()[0], P.field)
         if nxt.rank == filtration_size(g, k + 1):
             break
-    return spaces, witness
+    # a full P_k = T^{<=k} makes every later (J_k) hold
+    verdicts.update(dict.fromkeys(range(len(spaces) - 1, upto + 1), True))
+    return spaces, verdicts, witness
 
 
 class NaiveEngine(ExtensionEngine):

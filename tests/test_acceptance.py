@@ -19,11 +19,13 @@ from pbwkit.gradedring import GradedSubspace, PresentedRing
 from pbwkit.homology import complexity, tor3_resolution, tor_bar
 from pbwkit.linalg import QQ
 
-from conftest import annihilator_basis, brute_jacobi, random_presentation
+from conftest import (annihilator_basis, brute_jacobi, naive_ladder,
+                      random_presentation)
 
 SEED = 20260810
 SUITE_SIZE = 200
 EXTRA_DEGREE_ONE = 20
+NAIVE_UPTO = 5
 
 X, XY, XYC, XYZ = ["x"], ["x", "y"], ["x", "y", "c"], ["x", "y", "z"]
 HEISENBERG = ["x*y - y*x - c", "x*c - c*x", "y*c - c*y"]
@@ -90,9 +92,21 @@ def test_criterion_1_jacobi_iff_annihilator(suite1):
             if lad.verdicts[n] != (eng.annihilator_dim(n) == 0):
                 disagreements += 1
     assert disagreements == 0
+    # the ladder and the engine run one recursion, so the naive ladder,
+    # which multiplies every row and tests containment, is the oracle
+    for inst in suite1:
+        P = inst["P"]
+        lad = pn_ladder(P, NAIVE_UPTO)
+        spaces, verdicts, witness = naive_ladder(P, NAIVE_UPTO)
+        assert lad.dims[:len(spaces)] == [sp.rank for sp in spaces], inst["elems"]
+        assert lad.verdicts == verdicts, inst["elems"]
+        assert (lad.witness is None) == (witness is None)
+        if witness is not None:
+            assert lad.witness.terms == witness.terms, inst["elems"]
     print(f"\nACCEPTANCE 1: PASS - (J_n) <=> ann^n = 0 on "
           f"{len(suite1) + EXTRA_DEGREE_ONE} presentations, {checked} "
-          f"degree checks, 0 disagreements")
+          f"degree checks, 0 disagreements; ladder = naive ladder to "
+          f"(J_{NAIVE_UPTO}) on {len(suite1)}")
 
 
 def test_criterion_2_x3_counterexample():

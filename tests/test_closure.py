@@ -1,12 +1,12 @@
 """The semi-naive closure steps against the naive ones, and the engine's
 cuts against the ladder's.
 
-The Jacobi ladder multiplies only the rows P_k added to P_{k-1}, and the
-T[z] engine stores V·<P_z>^{m-1} unreduced and multiplies by z and on the
-right only the rows of <P_z>^{m-1} that V·<P_z>^{m-2} lacks.
-``naive_ladder`` and ``NaiveEngine`` (conftest) multiply every row, as the
-closures did before; the ladder must give the same stored rows and
-witness, the engine the same ideal components and annihilators.  The gr U
+The T[z] engine stores V·<P_z>^{m-1} unreduced and multiplies by z and on
+the right only the rows of <P_z>^{m-1} that V·<P_z>^{m-2} lacks; the
+Jacobi ladder is the same step at z = 1.  ``naive_ladder`` and
+``NaiveEngine`` (conftest) multiply every row, as the closures did before;
+the ladder must give the same spaces, verdicts and canonical witness, the
+engine the same ideal components and annihilators.  The gr U
 tables are read from the engine: dim(P_m ∩ T^{<=n}) is its pivots of
 <P_z>^m of word degree <= n, which must equal the count on the ladder's
 P_m.
@@ -16,10 +16,11 @@ import random
 
 import pytest
 
-from pbwkit.deformation import LADDER_DEPTH_CAP, extract_alpha, pn_ladder, rp_of
+from pbwkit.deformation import (LADDER_DEPTH_CAP, FilteredSubspace,
+                                extract_alpha, pn_ladder, rp_of)
 from pbwkit.extension import GR_TABLE_COLUMN_CAP, engine_for
-from pbwkit.freealg import filtration_size
-from pbwkit.linalg import QQ, PrimeField
+from pbwkit.freealg import filtration_size, parse_element
+from pbwkit.linalg import QQ, PrimeField, RowSpace
 
 from conftest import (NaiveEngine, annihilator_basis, naive_ladder,
                       row_elements, sampled)
@@ -38,14 +39,15 @@ def test_closures_match_naive(p):
         P = sampled(rng, field)
         gens.add(P.g)
         lad = pn_ladder(P, LADDER_UPTO)
-        spaces, witness = naive_ladder(P, LADDER_UPTO)
+        spaces, verdicts, witness = naive_ladder(P, LADDER_UPTO)
         for k, sp in enumerate(lad.spaces):
             if sp is not None:
-                assert sp.rows == spaces[k].rows, (k, row_elements(P))
+                assert sp.equals_space(spaces[k]), (k, row_elements(P))
         top = len(spaces) - 1
         full = top if spaces[top].rank == filtration_size(P.g, top) else None
         assert lad.full_from == full
         assert lad.dims[:top + 1] == [sp.rank for sp in spaces]
+        assert lad.verdicts == verdicts
         assert (lad.witness is None) == (witness is None)
         if witness is not None:
             assert lad.witness.terms == witness.terms
@@ -133,3 +135,54 @@ def test_engine_cuts_match_ladder(p):
                 withheld += want is None
     # the sample reaches the withheld tables too
     assert withheld
+
+
+SL2 = ["e*f - f*e - h", "h*e - e*h - 2*e", "h*f - f*h + 2*f"]
+
+
+def first_not_pbw(seed):
+    """The first sampler presentation over Q whose ladder fails a (J_k)."""
+    rng = random.Random(seed)
+    while True:
+        P = sampled(rng, QQ)
+        if pn_ladder(P, LADDER_UPTO).first_failure is not None:
+            return P
+
+
+@pytest.mark.parametrize("case", ["sl2", "sampled"])
+def test_ladder_inserts_only_the_new_rows(case, monkeypatch):
+    # a ladder step stores V·P_k by the g left maps and inserts only N_k,
+    # N_k·V and P's rows of the new degree: |N_k|·(g+1) + |gens| rows
+    if case == "sl2":
+        P = FilteredSubspace(3, [parse_element(t, ["e", "f", "h"]) for t in SL2])
+    else:
+        P = first_not_pbw(4600)
+    inserts, shifted = [], []
+    real_insert, real_store = RowSpace.insert, RowSpace.store_shifted
+
+    def insert(self, vec):
+        inserts.append(self)
+        return real_insert(self, vec)
+
+    def store_shifted(self, other, cols):
+        shifted.append((self, other))
+        return real_store(self, other, cols)
+    monkeypatch.setattr(RowSpace, "insert", insert)
+    monkeypatch.setattr(RowSpace, "store_shifted", store_shifted)
+    lad = pn_ladder(P, LADDER_UPTO)
+    monkeypatch.undo()
+    gens = {}
+    for row in P.space.raw_basis():
+        deg = P.basis.degree_of_pos(min(row))
+        gens[deg] = gens.get(deg, 0) + 1
+    steps = 0
+    for k in range(LADDER_UPTO + 1):
+        prev, nxt = lad.spaces[k], lad.spaces[k + 1]
+        if nxt is None:
+            break
+        steps += 1
+        assert sum(sp is nxt for sp in inserts) == \
+            len(prev.inserted()) * (P.g + 1) + gens.get(k + 1, 0), k
+        assert [o for sp, o in shifted if sp is nxt] == [prev] * P.g, k
+    assert steps >= 3
+    assert (lad.first_failure is None) == (case == "sl2")

@@ -9,7 +9,7 @@ from pbwkit.errors import ValidationError
 from pbwkit.linalg import (QQ, PrimeField, RowSpace, coordinate_solver,
                            intersection, left_kernel_basis, span)
 
-from conftest import DenseEchelon, dense_rank
+from conftest import DenseEchelon, copied, dense_rank
 
 
 def vecs(entries, field=QQ):
@@ -525,7 +525,7 @@ def test_shifted_spaces_match_eager_copies(case):
     for row in eager.basis():
         oracle.insert(as_dense(row, top_width))
     # lookups first, so they read rows the space has not built yet
-    before = lazy.copy()
+    before = copied(lazy)
     for r in probes:
         vec = sparse(r)
         assert lazy.reduce_full(vec) == eager.reduce_full(vec)
@@ -533,8 +533,9 @@ def test_shifted_spaces_match_eager_copies(case):
             oracle.reduce_full([oracle_value(x) for x in r])
         assert lazy.contains(vec) == eager.contains(vec)
         tagged = {**vec, top_width: field.one}
-        assert lazy.copy().relate(tagged, top_width) == eager.copy().relate(tagged, top_width)
-    grown, grown_eager = lazy.copy(), eager.copy()
+        assert copied(lazy).relate(tagged, top_width) == \
+            copied(eager).relate(tagged, top_width)
+    grown, grown_eager = copied(lazy), copied(eager)
     for r in probes:
         assert grown.insert(sparse(r)) == grown_eager.insert(sparse(r))
     assert grown.rows == grown_eager.rows
