@@ -301,10 +301,12 @@ def certified_cut_dim(eng, n):
 # then insert.  The oracles for the semi-naive ladder and engine steps.
 
 def copied(space):
-    """A space holding the rows of ``space`` that can be extended without
-    changing it: ``space`` stored under the identity map."""
+    """An eager copy of ``space``: a new space that holds its stored rows
+    as its own, inserted in pivot order.  They are echelon and normalised,
+    so no insert reduces them; growing the copy leaves ``space`` as it is."""
     out = RowSpace(space.field)
-    out.store_shifted(space, 0)
+    for row in space.raw_basis():
+        out.insert(dict(row))
     return out
 
 
