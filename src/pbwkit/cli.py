@@ -19,7 +19,7 @@ from .deformation import (lifted, minimized_ring, pbw_check, pn_ladder, rp_of,
 from .errors import (InvalidPresentation, InvariantViolation, ParseError,
                      PBWError, ResourceExceeded, ValidationError)
 from .extension import engine_for, rees_identity_check
-from .freealg import format_element
+from .freealg import column_guard, filtration_size, format_element
 from .homology import complexity, tor3_resolution, tor_bar
 from .presentations import Report, parse_presentation
 
@@ -53,11 +53,22 @@ def _witness_text(pres, element):
 
 def _tables(res, bound):
     """(gr_U, D, ann) through degree bound, from the T[z] engine that the
-    Jacobi verdicts were read from."""
+    Jacobi verdicts were read from.  ann(z)^n reads T[z]^{n+1}, so the
+    lists stop below the first degree whose T[z]^{n+1} the column guard
+    would refuse, with a note: the verdict is finished, and a display
+    table never costs it."""
     eng = res.engine
-    return (eng.gr_table(bound, certified=res.verdict == "PBW_CERTIFIED"),
-            [eng.dim_d(n) for n in range(bound + 1)],
-            [eng.annihilator_dim(n) for n in range(bound + 1)])
+    guard = column_guard()
+    top = bound
+    while top >= 0 and filtration_size(eng.g, top + 1) > guard:
+        top -= 1
+    if top < bound:
+        res.notes.append(f"tables stop at degree {top}: degree {top + 1} needs "
+                         f"T[z]^{top + 2} with {filtration_size(eng.g, top + 2)} "
+                         f"columns, above the column guard {guard}")
+    return (eng.gr_table(top, certified=res.verdict == "PBW_CERTIFIED"),
+            [eng.dim_d(n) for n in range(top + 1)],
+            [eng.annihilator_dim(n) for n in range(top + 1)])
 
 
 def cmd_check(pres, upto=None):

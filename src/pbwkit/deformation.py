@@ -9,8 +9,9 @@ new below degree k+1.
 
 The ladder is the T[z] engine's ideal recursion (``extension``) read at
 z = 1, one ``linalg.closure_step`` per degree: V·P_k is stored unreduced,
-and only the rows N_k that the step for P_k inserted are inserted again,
-with their products N_k·V.  (J_k) is counted from pivots: it holds iff
+and of the rows N_k that the step for P_k inserted only those it did not
+insert as right products are inserted again, with the products N_k·V of
+all of them.  (J_k) is counted from pivots: it holds iff
 the rows of P_{k+1} with a pivot in T^{<=k} number dim P_k.  The witness
 of a failing (J_k) is canonical: the first row of the reduced echelon
 form of (P_{k+1} ∩ T^{<=k}) modulo P_k, whatever basis the steps stored.
@@ -199,10 +200,15 @@ def pn_ladder(P, upto):
 
     Each P_{k+1} is one ``closure_step`` from P_k, the T[z] engine's
     recursion read at z = 1: P_k = V·P_{k-1} + span(N_k) with N_k the rows
-    the step for P_k inserted, so P_{k+1} = V·P_k + N_k + N_k·V + P^{(k+1)},
-    P^{(k+1)} being P's rows of degree k+1.  Left multiplication keeps the
-    degree-descending lex order, so V·P_k is stored unreduced; N_k itself
-    (the image of z·N_k) and N_k·V are inserted.
+    the step for P_k inserted, so P_{k+1} = V·P_k + N'_k + N_k·V +
+    P^{(k+1)}, P^{(k+1)} being P's rows of degree k+1 and N'_k the rows of
+    N_k not inserted as right products.  Left multiplication keeps the
+    degree-descending lex order, so V·P_k is stored unreduced; N'_k (the
+    image of z·N'_k, the central map being the offset 0) and N_k·V are
+    inserted.  A row r of N_k inserted as s·x_i minus rows q of P_k lies
+    in P_{k+1} already: s·x_i is in P_k·V ⊆ V·P_k + N_k·V, and each q is
+    in V·P_{k-1} ⊆ V·P_k or an earlier row of N_k (the engine's proof,
+    ``extension``, at z = 1).
 
     P_k lies in P_{k+1} ∩ T^{<=k}, which the echelon rows of P_{k+1} with a
     pivot in the T^{<=k} suffix span, so (J_k) holds iff those pivots number
@@ -216,7 +222,6 @@ def pn_ladder(P, upto):
     g = P.g
     field = P.field
     lefts, rights = big.mult_maps()
-    rights = [0] + rights               # 0: z·N_k at z = 1
     gens = {}                           # pivot degree -> P's rows
     for row in P.space.raw_basis():
         gens.setdefault(P.basis.degree_of_pos(min(row)), []).append(
@@ -236,7 +241,8 @@ def pn_ladder(P, upto):
                 verdicts[k] = True
             continue
         prev = spaces[k]
-        nxt = closure_step(field, prev, lefts, rights, gens.get(k + 1, ()))
+        # the central map z·, at z = 1, is the offset 0
+        nxt = closure_step(field, prev, lefts, rights, gens.get(k + 1, ()), central=0)
         spaces.append(nxt)
         dims.append(nxt.rank)
         if k >= 1:

@@ -14,10 +14,11 @@ set), which is what guarantees <P*> = <P_z>.
 
 The ideal I = <P_z> is built by the recursion
 
-    I^m = V·I^{m-1} + z·N + N·V + P_z^m,
+    I^m = V·I^{m-1} + z·N' + N·V + P_z^m,
 
-where V = T^1 and N is the set of rows the step for I^{m-1} inserted,
-i.e. the rows of I^{m-1} that are not in V·I^{m-2}.  Left multiplication
+where V = T^1, N is the set of rows the step for I^{m-1} inserted, i.e.
+the rows of I^{m-1} that are not in V·I^{m-2}, and N' those rows of N
+that the step did not insert as right products s·x_i.  Left multiplication
 by x_i keeps the order of the monomials (the word degree goes up by one
 for every term and lex order inside a degree is kept), so
 lead(x_i·r) = x_i·lead(r): the products V·I^{m-1} have distinct pivots,
@@ -27,9 +28,17 @@ reduction first reads it).  The recursion is exact: V·I^{m-2} is stored
 as is inside I^{m-1}, so it and span(N) have disjoint leading columns and
 together span I^{m-1}; z is central, so z·V·I^{m-2} = V·z·I^{m-2} lies in
 V·I^{m-1}, and V·I^{m-2}·V = V·(I^{m-2}·V) does too.  That leaves z·N and
-N·V as the only new products.  One degree is one ``linalg.closure_step``
-with the column maps of ``ZMonomials``: ``left_maps`` for V·, the shift
-by the g^m columns of word degree m for z·, and ``right_maps`` for ·V.
+N·V as the only new products, and of z·N only z·N' is new.  Let r be
+inserted as s·x_i (s in N_{m-2}) minus rows q already in I^{m-1}.  Then
+z·r = (z·s)·x_i - Σ c_q z·q.  Here (z·s)·x_i lies in I^{m-1}·V ⊆
+V·I^{m-1} + N·V, because I^{m-1} = V·I^{m-2} + span(N) and
+V·I^{m-2}·V ⊆ V·I^{m-1}.  Each z·q lies in V·z·I^{m-2} ⊆ V·I^{m-1}, or
+it is the z-product of an earlier row of N, and induction on the
+insertion order covers that case.  So the components, their pivots and
+every count below are those of the full recursion with z·N.  One degree
+is one ``linalg.closure_step`` with the column maps of ``ZMonomials``:
+``left_maps`` for V·, ``right_maps`` for ·V, and as the central map the
+shift by the g^m columns of word degree m for z·.
 
 Setting z = 1 maps <P_z>^m bijectively onto the ladder space P_m, and a
 monomial w z^k to the word w; the elements of P_m in T^{<=n} are the images
@@ -165,14 +174,14 @@ class ExtensionEngine:
         return self._ideal[n]
 
     def _step(self, m):
-        """I^m = V·I^{m-1} + z·N + N·V + P_z^m for I = <P_z> (see the
+        """I^m = V·I^{m-1} + z·N' + N·V + P_z^m for I = <P_z> (see the
         module docstring); z·(w z^k) = w z^(k+1) moves every column by
         the g^m columns of word degree m."""
         mono = ZMonomials(self.g, m)
         prev = ZMonomials(self.g, m - 1)
         sp = closure_step(self.field, self._ideal[m - 1], prev.left_maps(),
-                          [self.g ** m] + prev.right_maps(),
-                          self._pz_by_degree.get(m, ()))
+                          prev.right_maps(), self._pz_by_degree.get(m, ()),
+                          central=self.g ** m)
         if sp.rank == mono.size and self.saturated_at is None:
             self.saturated_at = m
         pivots = set(sp.rows)
@@ -221,8 +230,8 @@ class ExtensionEngine:
         of word degree <= n.  For PBW-certified P, <P> ∩ T^{<=n} = P_n
         exactly, so m = n.  Otherwise the cuts come from the two-step
         stabilization heuristic, extended only while T[z]^m stays under a
-        column cap; if some degree has not stabilized by then the whole
-        table is withheld rather than reported wrong."""
+        column cap and the column guard; if some degree has not stabilized
+        by then the whole table is withheld rather than reported wrong."""
         g = self.g
         if not self.pz:
             return [g ** n for n in range(upto + 1)]
@@ -237,7 +246,8 @@ class ExtensionEngine:
         else:
             cuts = None
             m = max(upto + 1, top) + 1
-            while filtration_size(g, m) <= GR_TABLE_COLUMN_CAP and m <= ENGINE_DEGREE_CAP:
+            cap = min(GR_TABLE_COLUMN_CAP, column_guard())
+            while filtration_size(g, m) <= cap and m <= ENGINE_DEGREE_CAP:
                 now = [self.cut_dim(m, n) for n in range(upto + 1)]
                 full = self.saturated_at is not None and self.saturated_at <= m
                 if full or now == [self.cut_dim(m - 1, n) for n in range(upto + 1)]:

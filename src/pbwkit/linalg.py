@@ -272,17 +272,17 @@ class RowSpace:
     not copied: the kernels look a pivot up among the shifted spaces only
     when it is not one of this space's own rows, and build the moved row
     on that first lookup and keep it.  ``rows``, ``pivots``, ``rank`` and
-    the bases see the whole space; ``inserted()`` gives the rows stored
-    here by ``insert`` and ``relate``.
+    the bases see the whole space.
     """
 
-    __slots__ = ("field", "_rows", "_inserted", "_p", "_monic", "_shifts",
-                 "_keys")
+    __slots__ = ("field", "_rows", "_inserted", "_right", "_p", "_monic",
+                 "_shifts", "_keys")
 
     def __init__(self, field):
         self.field = field
         self._rows = {}            # pivot -> row: inserted, or shifted and built
         self._inserted = []        # pivots of the inserted rows
+        self._right = set()        # pivots closure_step inserted as right products
         self._p = getattr(field, "p", None)
         self._monic = {}
         self._shifts = []          # (space, int offset or list map)
@@ -299,12 +299,6 @@ class RowSpace:
     @property
     def pivots(self):
         return _MonicRows(self)
-
-    def inserted(self):
-        """The rows stored by ``insert`` and ``relate``, i.e. not by
-        ``store_shifted``, sorted by pivot column."""
-        rows = self._rows
-        return [rows[c] for c in sorted(self._inserted)]
 
     # -- shifted spaces ----------------------------------------------------
 
@@ -566,28 +560,40 @@ def span(field, vectors):
     return sp
 
 
-def closure_step(field, prev, lefts, rights, gens):
-    """One degree of a graded ideal closure: I^m = V·I^{m-1} + N·V + G^m,
-    where ``prev`` is I^{m-1}, N = ``prev.inserted()`` and ``gens`` are the
-    rows of G^m.  ``lefts`` and ``rights`` are the column maps from degree
-    m-1 to degree m of the left and right multiplications (int offsets or
-    order-keeping sequences, as in ``store_shifted``); a central factor
-    goes among ``rights``.
+def closure_step(field, prev, lefts, rights, gens, central=None):
+    """One degree of a graded ideal closure: I^m = V·I^{m-1} + z·N' + N·V
+    + G^m, where ``prev`` is I^{m-1}, N the rows ``prev``'s own step
+    inserted, N' those of them it did not insert as right products, and
+    ``gens`` the rows of G^m.  ``lefts`` and ``rights`` are the column maps
+    from degree m-1 to degree m of the left and right multiplications and
+    ``central`` that of a central factor z, or None; a map is an int offset
+    or an order-keeping sequence, as in ``store_shifted``.
 
-    Every left image of ``prev`` is stored as it is.  Then the images of
-    each row of N under ``rights`` are inserted, all images of one row
-    together and the rows last pivot first, and ``gens`` last.  This is
+    Every left image of ``prev`` is stored as it is.  Then each row of N
+    is taken, last pivot first: its z-image, if it is in N', and its
+    right images are inserted, and ``gens`` last.  The products are fresh
+    moves of stored rows, so they go to the kernel as they are.  This is
     exact when I^{m-1} was made by the same step: its rows outside N are
     left products V·I^{m-2}, whose right and central products already lie
-    in V·I^{m-1}.  The order matters: on U(gl2), ``check`` to degree 8
-    takes 0.10 M reduction steps with it and 3.5 M with the rows first
-    pivot first."""
+    in V·I^{m-1}.  And z·N ⊆ I^m: a row r of N inserted as s·x_i minus
+    rows q already in I^{m-1} has z·r = (z·s)·x_i - Σ c_q z·q, where (z·s)·x_i
+    lies in I^{m-1}·V ⊆ V·I^{m-1} + N·V, and each z·q lies in
+    V·z·I^{m-2} ⊆ V·I^{m-1} or is the z-image of an earlier row of N
+    (induction on the insertion order).  The order of the rows matters:
+    on U(gl2), ``check`` to degree 8 takes 0.10 M reduction steps with it
+    and 3.5 M with the rows first pivot first."""
     sp = RowSpace(field)
     for cols in lefts:
         sp.store_shifted(prev, cols)
-    for row in reversed(prev.inserted()):
+    reduce, right, rows, skip = sp._reduce, sp._right, prev._rows, prev._right
+    for c in sorted(prev._inserted, reverse=True):
+        row = rows[c]
+        if central is not None and c not in skip:
+            reduce(_moved(row, central), store=True)
         for cols in rights:
-            sp.insert(_moved(row, cols))
+            lead = reduce(_moved(row, cols), store=True)
+            if lead is not None:
+                right.add(lead)
     for vec in gens:
         sp.insert(vec)
     return sp

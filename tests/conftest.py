@@ -300,6 +300,18 @@ def certified_cut_dim(eng, n):
 # Naive closures: every row of the previous space times every generator,
 # then insert.  The oracles for the semi-naive ladder and engine steps.
 
+def inserted(space):
+    """The rows ``space`` stored by ``insert`` (not by ``store_shifted``),
+    sorted by pivot column: the rows N a closure step multiplies."""
+    return [space.rows[c] for c in sorted(space._inserted)]
+
+
+def right_products(space):
+    """The pivots of the rows ``closure_step`` inserted into ``space`` as
+    right products, the rows whose central product the next step skips."""
+    return space._right
+
+
 def copied(space):
     """An eager copy of ``space``: a new space that holds its stored rows
     as its own, inserted in pivot order.  They are echelon and normalised,

@@ -219,11 +219,37 @@ class TestExitCodes:
                      "max_degree = 6\n")
         assert main(["check", str(f)]) == 13
 
+    def test_tables_stop_below_the_guard(self, tmp_path, capsys, monkeypatch):
+        # the graded branch certifies T/(xy) to max_degree 7 within a guard
+        # of 256 columns; ann(z)^7 would read T[z]^8 (511 columns), so the
+        # tables stop at degree 6 with a note instead of exiting 13
+        f = tmp_path / "xy.pbw"
+        f.write_text('generators = ["x", "y"]\ndeformation = ["x*y"]\n'
+                     "max_degree = 7\n")
+        monkeypatch.setenv("PBWKIT_MAX_COLUMNS", "256")
+        assert main(["check", str(f), "--json"]) == 0
+        dims = json.loads(capsys.readouterr().out)["dims"]
+        assert dims["h_A"] == list(range(1, 9))
+        assert dims["gr_U"] == list(range(1, 8))
+        assert dims["D"] == [(n + 1) * (n + 2) // 2 for n in range(7)]
+        assert dims["ann"] == [0] * 7
+        assert main(["check", str(f)]) == 0
+        out = capsys.readouterr().out
+        assert "verdict: PBW_CERTIFIED" in out
+        assert ("note: tables stop at degree 6: degree 7 needs T[z]^8 with 511 "
+                "columns, above the column guard 256") in out
+        # unguarded, the tables reach max_degree
+        monkeypatch.delenv("PBWKIT_MAX_COLUMNS")
+        assert main(["check", str(f), "--json"]) == 0
+        dims = json.loads(capsys.readouterr().out)["dims"]
+        assert len(dims["gr_U"]) == len(dims["D"]) == len(dims["ann"]) == 8
+
     def test_support_quotient_skips_the_guarded_scan(self, tmp_path, capsys, monkeypatch):
         # T/(xy) reaches every degree, so complexity skips the Hilbert scan
         # of A to degree 10 (2^10 columns) and scans Tor_3 to degree 8 only:
         # under a guard of 256 columns it reports what it reports unguarded.
-        # check also builds the T[z] engine to degree 9 (1023 columns)
+        # check also builds the T[z] engine to degree 9 (1023 columns) for
+        # its tables; under the guard of 256 they stop at degree 6
         f = tmp_path / "xy.pbw"
         f.write_text('generators = ["x", "y"]\ndeformation = ["x*y"]\n')
 
@@ -241,8 +267,13 @@ class TestExitCodes:
         assert "c(A) = -1 (bounded-degree)" in out and "note: scan bounded by 8" in out
         code, out, _ = run("check", "1023")
         assert code == 0 and (code, out) == run("check")[:2]
-        code, _, err = run("check", "256")
-        assert code == 13 and "T[z]^8 over 2 generators needs 511 columns" in err
+        code, out, err = run("check", "256")
+        full = run("check")[1]
+        assert code == 0 and not err
+        assert out[:3] == full[:3]      # verdict, c(A) and h_A
+        assert "dim D: [1, 3, 6, 10, 15, 21, 28]" in out
+        assert "note: tables stop at degree 6: degree 7 needs T[z]^8 with 511 " \
+            "columns, above the column guard 256" in out
 
     def test_bar_strand_guard_code(self, capsys, monkeypatch):
         # a bar strand over the guard ends `tor` with exit 13

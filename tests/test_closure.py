@@ -1,9 +1,10 @@
 """The semi-naive closure steps against the naive ones, and the engine's
 cuts against the ladder's.
 
-The T[z] engine stores V·<P_z>^{m-1} unreduced and multiplies by z and on
-the right only the rows of <P_z>^{m-1} that V·<P_z>^{m-2} lacks; the
-Jacobi ladder is the same step at z = 1.  ``naive_ladder`` and
+The T[z] engine stores V·<P_z>^{m-1} unreduced and multiplies on the
+right only the rows of <P_z>^{m-1} that V·<P_z>^{m-2} lacks, and by z
+only those of them it did not insert as right products; the Jacobi ladder
+is the same step at z = 1.  ``naive_ladder`` and
 ``NaiveEngine`` (conftest) multiply every row, as the closures did before;
 the ladder must give the same spaces, verdicts and canonical witness, the
 engine the same ideal components and annihilators.  The gr U
@@ -22,8 +23,8 @@ from pbwkit.extension import GR_TABLE_COLUMN_CAP, engine_for
 from pbwkit.freealg import filtration_size, parse_element
 from pbwkit.linalg import QQ, PrimeField, RowSpace
 
-from conftest import (NaiveEngine, annihilator_basis, naive_ladder,
-                      row_elements, sampled)
+from conftest import (NaiveEngine, annihilator_basis, inserted, naive_ladder,
+                      right_products, row_elements, sampled)
 
 LADDER_UPTO = 5
 ENGINE_DEGREE = 6
@@ -151,26 +152,39 @@ def first_not_pbw(seed):
 
 @pytest.mark.parametrize("case", ["sl2", "sampled"])
 def test_ladder_inserts_only_the_new_rows(case, monkeypatch):
-    # a ladder step stores V·P_k by the g left maps and inserts only N_k,
-    # N_k·V and P's rows of the new degree: |N_k|·(g+1) + |gens| rows
+    # a ladder or engine step stores the previous space by the g left maps
+    # and inserts only N, N·V, z·N' and the generators of the new degree,
+    # N' being the rows of N not inserted as right products R:
+    # |N|·g + |N \ R| + |gens| rows
     if case == "sl2":
         P = FilteredSubspace(3, [parse_element(t, ["e", "f", "h"]) for t in SL2])
     else:
         P = first_not_pbw(4600)
     inserts, shifted = [], []
-    real_insert, real_store = RowSpace.insert, RowSpace.store_shifted
+    real_reduce, real_store = RowSpace._reduce, RowSpace.store_shifted
 
-    def insert(self, vec):
-        inserts.append(self)
-        return real_insert(self, vec)
+    def reduce(self, vec, full=False, store=False):
+        if store:
+            inserts.append(self)
+        return real_reduce(self, vec, full, store)
 
     def store_shifted(self, other, cols):
         shifted.append((self, other))
         return real_store(self, other, cols)
-    monkeypatch.setattr(RowSpace, "insert", insert)
+    monkeypatch.setattr(RowSpace, "_reduce", reduce)
     monkeypatch.setattr(RowSpace, "store_shifted", store_shifted)
     lad = pn_ladder(P, LADDER_UPTO)
+    eng = engine_for(P)
+    eng.ideal_component(ENGINE_DEGREE)
     monkeypatch.undo()
+
+    def check_step(prev, nxt, gens, at):
+        assert [o for sp, o in shifted if sp is nxt] == [prev] * P.g, at
+        new = {min(row) for row in inserted(prev)}
+        assert right_products(prev) <= new, at
+        assert sum(sp is nxt for sp in inserts) == \
+            len(new) * P.g + len(new - right_products(prev)) + gens, at
+
     gens = {}
     for row in P.space.raw_basis():
         deg = P.basis.degree_of_pos(min(row))
@@ -181,8 +195,42 @@ def test_ladder_inserts_only_the_new_rows(case, monkeypatch):
         if nxt is None:
             break
         steps += 1
-        assert sum(sp is nxt for sp in inserts) == \
-            len(prev.inserted()) * (P.g + 1) + gens.get(k + 1, 0), k
-        assert [o for sp, o in shifted if sp is nxt] == [prev] * P.g, k
+        check_step(prev, nxt, gens.get(k + 1, 0), k)
     assert steps >= 3
+    for m in range(1, ENGINE_DEGREE + 1):
+        check_step(eng.ideal_component(m - 1), eng.ideal_component(m),
+                   len(eng._pz_by_degree.get(m, ())), m)
+    # both cases skip some central products
+    assert any(right_products(sp) for sp in lad.spaces if sp is not None)
     assert (lad.first_failure is None) == (case == "sl2")
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_skipped_central_products_lie_in_the_component(p):
+    # closure_step skips z·r for every row r it inserted as a right
+    # product s·x_i: z·r = (z·s)·x_i - Σ c_q z·q is in the next component
+    # already.  Check each skipped product against the finished component,
+    # on the sample of test_closures_match_naive
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(4400 + (p or 0))
+    skipped = 0
+    for _ in range(INSTANCES):
+        P = sampled(rng, field)
+        lad = pn_ladder(P, LADDER_UPTO)
+        for k in range(LADDER_UPTO + 1):
+            prev, nxt = lad.spaces[k], lad.spaces[k + 1]
+            if nxt is None:
+                break
+            for c in right_products(prev):
+                # z = 1 moves no column
+                assert nxt.contains(prev.rows[c]), (k, row_elements(P))
+                skipped += 1
+        eng = engine_for(P)
+        for m in range(1, ENGINE_DEGREE + 1):
+            prev, comp = eng.ideal_component(m - 1), eng.ideal_component(m)
+            shift = P.g ** m        # z· moves past the g^m words of degree m
+            for c in right_products(prev):
+                assert comp.contains({q + shift: s for q, s in prev.rows[c].items()}), \
+                    (m, row_elements(P))
+                skipped += 1
+    assert skipped

@@ -9,7 +9,7 @@ from pbwkit.errors import ValidationError
 from pbwkit.linalg import (QQ, PrimeField, RowSpace, coordinate_solver,
                            intersection, left_kernel_basis, span)
 
-from conftest import DenseEchelon, copied, dense_rank
+from conftest import DenseEchelon, copied, dense_rank, inserted
 
 
 def vecs(entries, field=QQ):
@@ -519,10 +519,10 @@ def test_shifted_spaces_match_eager_copies(case):
                 nxt_eager.insert({move(c): s for c, s in row.items()})
         for r in extra:
             assert nxt_lazy.insert(sparse(r)) == nxt_eager.insert(sparse(r))
-        assert nxt_lazy.inserted() == [nxt_eager.rows[c] for c in
-                                       sorted(set(nxt_eager.rows) - set(
-                                           c for cols in maps for c in map(
-                                               moved_by(cols), lazy.rows)))]
+        assert inserted(nxt_lazy) == [nxt_eager.rows[c] for c in
+                                      sorted(set(nxt_eager.rows) - set(
+                                          c for cols in maps for c in map(
+                                              moved_by(cols), lazy.rows)))]
         if lazy.rank:
             with pytest.raises(ValidationError):
                 nxt_lazy.store_shifted(lazy, maps[0])
