@@ -9,9 +9,10 @@ new below degree k+1.
 
 The ladder is the T[z] engine's ideal recursion (``extension``) read at
 z = 1, one ``linalg.closure_step`` per degree: V·P_k is stored unreduced,
-and of the rows N_k that the step for P_k inserted only those it did not
-insert as right products are inserted again, with the products N_k·V of
-all of them.  (J_k) is counted from pivots: it holds iff
+the rows N_k that the step for P_k inserted are inserted again, and each
+row g of P is multiplied on the right only by the standard words β,
+through a representative of g·β modulo V·P_k + P_k.  (J_k) is counted
+from pivots: it holds iff
 the rows of P_{k+1} with a pivot in T^{<=k} number dim P_k.  The witness
 of a failing (J_k) is canonical: the first row of the reduced echelon
 form of (P_{k+1} ∩ T^{<=k}) modulo P_k, whatever basis the steps stored.
@@ -26,8 +27,8 @@ from dataclasses import dataclass, field as dc_field
 from .errors import (DomainMismatch, InvalidPresentation, InvariantViolation,
                      NotPure, ResourceExceeded, ValidationError)
 from .extension import ExtensionEngine, engine_for
-from .freealg import (DegreeBasis, Element, WordBasis, filtration_size,
-                      project)
+from .freealg import (DegreeBasis, Element, WordBasis, column_guard,
+                      filtration_size, project)
 from .gradedring import (GradedSubspace, PresentedRing, graded_ideal_step,
                          ideal_chain, minimal_complement)
 from .homology import complexity, overlap
@@ -200,15 +201,15 @@ def pn_ladder(P, upto):
 
     Each P_{k+1} is one ``closure_step`` from P_k, the T[z] engine's
     recursion read at z = 1: P_k = V·P_{k-1} + span(N_k) with N_k the rows
-    the step for P_k inserted, so P_{k+1} = V·P_k + N'_k + N_k·V +
-    P^{(k+1)}, P^{(k+1)} being P's rows of degree k+1 and N'_k the rows of
-    N_k not inserted as right products.  Left multiplication keeps the
-    degree-descending lex order, so V·P_k is stored unreduced; N'_k (the
-    image of z·N'_k, the central map being the offset 0) and N_k·V are
-    inserted.  A row r of N_k inserted as s·x_i minus rows q of P_k lies
-    in P_{k+1} already: s·x_i is in P_k·V ⊆ V·P_k + N_k·V, and each q is
-    in V·P_{k-1} ⊆ V·P_k or an earlier row of N_k (the engine's proof,
-    ``extension``, at z = 1).
+    the step for P_k inserted, so P_{k+1} = V·P_k + N_k + span{ĉ(g, β)},
+    g running over P's rows of degree <= k+1 and β over the words of
+    length k+1 - deg g that are not a pivot of P_{|β|}, and ĉ(g, β) being
+    congruent to g·β modulo V·P_k + P_k.  Left multiplication keeps the
+    degree-descending lex order, so V·P_k is stored unreduced; N_k (the
+    image of z·N_k, the central map being the offset 0) and the ĉ(g, β)
+    are inserted.  The engine's proof (``extension``) holds at z = 1, as
+    setting z = 1 maps the columns of T[z]^m onto those of T^{<=m} in
+    order.
 
     P_k lies in P_{k+1} ∩ T^{<=k}, which the echelon rows of P_{k+1} with a
     pivot in the T^{<=k} suffix span, so (J_k) holds iff those pivots number
@@ -233,6 +234,9 @@ def pn_ladder(P, upto):
     witness = None
     full_from = None
     sizes = [filtration_size(g, n) for n in range(upto + 2)]
+
+    def standard(n, i):
+        return big.offsets[n] + i not in spaces[n].rows
     for k in range(upto + 1):
         if full_from is not None:
             spaces.append(None)
@@ -242,7 +246,8 @@ def pn_ladder(P, upto):
             continue
         prev = spaces[k]
         # the central map z·, at z = 1, is the offset 0
-        nxt = closure_step(field, prev, lefts, rights, gens.get(k + 1, ()), central=0)
+        nxt = closure_step(field, prev, lefts, rights, gens.get(k + 1, ()),
+                           standard, central=0)
         spaces.append(nxt)
         dims.append(nxt.rank)
         if k >= 1:
@@ -553,8 +558,16 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
         rmin, ring = timed(timings, "minimize", minimized_ring, rp, max_degree)
         cres = timed(timings, "complexity", complexity, ring, rmin,
                      bound_hint=tor_bound or 8)
-        hilbert = timed(timings, "hilbert", ring.hilbert,
-                        min(ring.max_degree, max(max_degree, d)))
+        # h_A is only displayed, so it stops below the first degree whose
+        # g^n columns the column guard would refuse, with a note
+        top = want = min(ring.max_degree, max(max_degree, d))
+        guard = column_guard()
+        while top > 0 and g ** top > guard:
+            top -= 1
+        if top < want:
+            notes.append(f"h_A stops at degree {top}: degree {top + 1} needs "
+                         f"{g ** (top + 1)} columns, above the column guard {guard}")
+        hilbert = timed(timings, "hilbert", ring.hilbert, top)
         found.update(tor3=cres.table, hilbert=hilbert)
 
     if alpha_is_inclusion(alpha):

@@ -14,31 +14,41 @@ set), which is what guarantees <P*> = <P_z>.
 
 The ideal I = <P_z> is built by the recursion
 
-    I^m = V·I^{m-1} + z·N' + N·V + P_z^m,
+    I^m = V·I^{m-1} + z·N + span{ĉ(g, β)},
 
 where V = T^1, N is the set of rows the step for I^{m-1} inserted, i.e.
-the rows of I^{m-1} that are not in V·I^{m-2}, and N' those rows of N
-that the step did not insert as right products s·x_i.  Left multiplication
-by x_i keeps the order of the monomials (the word degree goes up by one
-for every term and lex order inside a degree is kept), so
+the rows of I^{m-1} that are not in V·I^{m-2}, g runs over the generators
+P_z and β over the words of length m - deg g that are not a pivot of the
+finished component I^{|β|} (the standard words), and ĉ(g, β) is any
+element congruent to g·β modulo V·I^{m-1} + z·I^{m-1}.  Left
+multiplication by x_i keeps the order of the monomials (the word degree
+goes up by one for every term and lex order inside a degree is kept), so
 lead(x_i·r) = x_i·lead(r): the products V·I^{m-1} have distinct pivots,
 stay echelon and are stored as they are, unreduced
 (``RowSpace.store_shifted`` records them and builds a moved row when a
-reduction first reads it).  The recursion is exact: V·I^{m-2} is stored
-as is inside I^{m-1}, so it and span(N) have disjoint leading columns and
-together span I^{m-1}; z is central, so z·V·I^{m-2} = V·z·I^{m-2} lies in
-V·I^{m-1}, and V·I^{m-2}·V = V·(I^{m-2}·V) does too.  That leaves z·N and
-N·V as the only new products, and of z·N only z·N' is new.  Let r be
-inserted as s·x_i (s in N_{m-2}) minus rows q already in I^{m-1}.  Then
-z·r = (z·s)·x_i - Σ c_q z·q.  Here (z·s)·x_i lies in I^{m-1}·V ⊆
-V·I^{m-1} + N·V, because I^{m-1} = V·I^{m-2} + span(N) and
-V·I^{m-2}·V ⊆ V·I^{m-1}.  Each z·q lies in V·z·I^{m-2} ⊆ V·I^{m-1}, or
-it is the z-product of an earlier row of N, and induction on the
-insertion order covers that case.  So the components, their pivots and
-every count below are those of the full recursion with z·N.  One degree
-is one ``linalg.closure_step`` with the column maps of ``ZMonomials``:
-``left_maps`` for V·, ``right_maps`` for ·V, and as the central map the
-shift by the g^m columns of word degree m for z·.
+reduction first reads it).  The recursion is exact:
+
+- I^m is spanned by V·I^{m-1}, z·I^{m-1} and the products g·β: a
+  product a·g·b of monomials lies in V·I^{m-1} or z·I^{m-1} unless a = 1
+  and b is a word.
+- If β = ω·lead(h)·ω' for a monic h in I, then g·β = g·ω·h·ω' -
+  g·ω·(h - lead h)·ω'.  The first term lies in V·I^{m-1} + z·I^{m-1},
+  every term of g starting with a letter or with z, and the rest are
+  multiples g·β'' with β'' after β, as left, right and z multiplication
+  keep the column order.  Induction on the columns drops g·β.
+- z·I^{m-1} ⊆ V·I^{m-1} + z·N: V·I^{m-2} is stored as is inside I^{m-1},
+  so I^{m-1} = V·I^{m-2} + span(N), and z·V·I^{m-2} = V·z·I^{m-2} lies
+  in V·I^{m-1}, z being central.
+
+A word β'x is standard only if β' is, and ĉ(g, β'x) is ĉ(g, β')·x
+reduced by the step's kernel, read before it meets a pivot that another
+candidate of the step inserted (``linalg.closure_step``).  So the
+components, their pivots and every count below are those of the full
+recursion.  One degree is one ``linalg.closure_step`` with the column
+maps of ``ZMonomials``: ``left_maps`` for V·, ``right_maps`` for ·x,
+and as the central map the shift by the g^m columns of word degree m for
+z·; the word β of length n with lex index i is the monomial β z^0 at
+position i of T[z]^n, the first block.
 
 Setting z = 1 maps <P_z>^m bijectively onto the ladder space P_m, and a
 monomial w z^k to the word w; the elements of P_m in T^{<=n} are the images
@@ -174,14 +184,16 @@ class ExtensionEngine:
         return self._ideal[n]
 
     def _step(self, m):
-        """I^m = V·I^{m-1} + z·N' + N·V + P_z^m for I = <P_z> (see the
+        """I^m = V·I^{m-1} + z·N + span{ĉ(g, β)} for I = <P_z> (see the
         module docstring); z·(w z^k) = w z^(k+1) moves every column by
         the g^m columns of word degree m."""
         mono = ZMonomials(self.g, m)
         prev = ZMonomials(self.g, m - 1)
-        sp = closure_step(self.field, self._ideal[m - 1], prev.left_maps(),
+        ideal = self._ideal
+        # the word of length n with lex index i is w z^0, at position i
+        sp = closure_step(self.field, ideal[m - 1], prev.left_maps(),
                           prev.right_maps(), self._pz_by_degree.get(m, ()),
-                          central=self.g ** m)
+                          lambda n, i: i not in ideal[n].rows, central=self.g ** m)
         if sp.rank == mono.size and self.saturated_at is None:
             self.saturated_at = m
         pivots = set(sp.rows)

@@ -170,10 +170,12 @@ def homogenize(e):
 # Column indexing.
 
 def filtration_size(g, n):
-    """dim T^{<=n} = sum of g^i for i <= n."""
+    """dim T^{<=n} = sum of g^i for i <= n, in closed form."""
     if n < 0:
         return 0
-    return sum(g ** i for i in range(n + 1))
+    if g == 1:
+        return n + 1
+    return (g ** (n + 1) - 1) // (g - 1)
 
 
 class WordBasis:

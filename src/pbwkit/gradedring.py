@@ -1,20 +1,22 @@
 """Per-degree engine for a presented connected graded ring F/<G>.
 
 All computations are degree-local.  The graded ideal component I^n comes
-from the two below it by the recursion
+from the one below it by the recursion
 
-    I^n = F¹I^{n-1} + N F¹ + G^n,
+    I^n = F¹I^{n-1} + span{ĉ(g, β)},
 
-where N is the set of rows the step for I^{n-1} inserted, i.e. the rows
-of I^{n-1} that are not in F¹I^{n-2}.  It is exact for any echelon bases:
-F¹I^{n-2} is stored in I^{n-1} as it is, so it and span(N) have disjoint
-leading columns and together span I^{n-1}; and F¹I^{n-2}F¹ ⊆ F¹I^{n-1},
-so of I^{n-1}F¹ only N F¹ is new.  Left multiplication by x_i moves
-column c to i g^{n-1} + c and right multiplication moves it to c g + i;
-both keep columns distinct and in order.  One degree is one
-``linalg.closure_step`` with these maps: F¹I^{n-1} is stored shifted
-(``RowSpace.store_shifted``: recorded, and a moved row is built only when
-a reduction first reads it); only N F¹ and G^n are reduced.  The degree-n
+where g runs over the relations G and β over the words of length
+n - deg g that are not a pivot of I^{|β|} (the standard words), ĉ(g, β)
+being congruent to g·β modulo F¹I^{n-1}.  It is the T[z] engine's
+recursion with no z, exact by the same proof (``extension``): a product
+a·g·b of words lies in F¹I^{n-1} unless a = 1, and g·β with β =
+ω·lead(h)·ω', h in I monic, is g·ω·h·ω' in F¹I^{n-1} minus multiples
+g·β'' with β'' after β.  Left multiplication by x_i moves column c to
+i g^{n-1} + c and right multiplication moves it to c g + i; both keep
+columns distinct and in order.  One degree is one ``linalg.closure_step``
+with these maps: F¹I^{n-1} is stored shifted (``RowSpace.store_shifted``:
+recorded, and a moved row is built only when a reduction first reads
+it); only the ĉ(g, β) and G^n are reduced.  The degree-n
 basis of the quotient is the set of non-pivot words of I^n (the
 pivot-greedy complement), so normal forms are canonical full reductions
 and quotient multiplication is word concatenation followed by a normal
@@ -109,16 +111,19 @@ class GradedSubspace:
 
 
 def graded_ideal_step(chain, gens_block, g, n1, field):
-    """Echelon basis of I^{n1} = F¹I^{n1-1} + N F¹ + G^{n1} (see the module
-    docstring); ``chain[m]`` is the echelon basis of I^m for m < n1 and
-    ``gens_block`` the degree-n1 generator block, or None."""
+    """Echelon basis of I^{n1} = F¹I^{n1-1} + span{ĉ(g, β)} (see the
+    module docstring); ``chain[m]`` is the echelon basis of I^m for m < n1
+    and ``gens_block`` the degree-n1 generator block, or None (then the
+    result is F¹I^{n1-1} + I^{n1-1}F¹).  The word of length n with lex
+    index i is at position i of I^n."""
     if g ** n1 > column_guard():
         raise ResourceExceeded(f"degree {n1} needs {g ** n1} columns")
     # the word w at position p goes to i g^{n1-1} + p under x_i·w and to
     # p g + i under w·x_i
     return closure_step(field, chain[n1 - 1], [i * g ** (n1 - 1) for i in range(g)],
                         [range(i, g ** n1, g) for i in range(g)],
-                        gens_block.raw_basis() if gens_block is not None else ())
+                        gens_block.raw_basis() if gens_block is not None else (),
+                        lambda n, i: i not in chain[n].rows)
 
 
 class PresentedRing:

@@ -74,7 +74,8 @@ from .errors import (InvariantViolation, NotMinimalRelations, ResourceExceeded,
                      ValidationError)
 from .freealg import DegreeBasis
 from .gradedring import is_minimal_relations
-from .linalg import RowSpace, integer_vector, intersection, left_kernel_basis, span
+from .linalg import (RowSpace, integer_rank, integer_vector, intersection,
+                     left_kernel_basis, span)
 
 BAR_STRAND_GUARD = 200000
 
@@ -369,11 +370,12 @@ def tor_bar(ring, hom_degree, bound):
     for m in range(n, bound + 1):
         # each rank reads the letter-first rows only (see the docstring);
         # d_n^m is built in full below the bound, as the letter rows of
-        # d_{n+1}^{m+1} read the row of every chain of strand n
-        dn = (reversed(rows_of(n, m)[:start[n][m][2]]) if m < bound
-              else rows_desc(n, m, 1))
-        rank_dn = span(ring.field, (row for row, _ in dn)).rank
-        rank_dn1 = span(ring.field, (row for row, _ in rows_desc(n + 1, m, 1))).rank
+        # d_{n+1}^{m+1} read the row of every chain of strand n, so those
+        # kept rows go to the kernel, which changes its rows, as copies
+        dn = ((dict(row) for row, _ in reversed(rows_of(n, m)[:start[n][m][2]]))
+              if m < bound else (row for row, _ in rows_desc(n, m, 1)))
+        rank_dn = integer_rank(ring.field, dn)
+        rank_dn1 = integer_rank(ring.field, (row for row, _ in rows_desc(n + 1, m, 1)))
         d = start[n][m][-1] - rank_dn - rank_dn1
         if d:
             dims[m] = d

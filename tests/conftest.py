@@ -306,10 +306,12 @@ def inserted(space):
     return [space.rows[c] for c in sorted(space._inserted)]
 
 
-def right_products(space):
-    """The pivots of the rows ``closure_step`` inserted into ``space`` as
-    right products, the rows whose central product the next step skips."""
-    return space._right
+def representatives(space):
+    """The representatives ``closure_step`` kept in ``space``, as (row,
+    generator row, n, i): the row is congruent to g·β modulo the left and
+    central products, g the generator row and β the i-th word of length n
+    in lex order."""
+    return space._reps
 
 
 def copied(space):

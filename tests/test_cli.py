@@ -213,11 +213,15 @@ class TestExitCodes:
         assert "ladder depth 100000 above cap 24" in proc.stderr
 
     def test_resource_code(self, tmp_path, capsys, monkeypatch):
-        monkeypatch.setenv("PBWKIT_MAX_COLUMNS", "10")
+        # a guard inside a decision stage exits 13: (J_1) and (J_2) of
+        # k[x,y,z] (c(A) = 2) read the T[z] engine to degree 3, 40 columns
+        monkeypatch.setenv("PBWKIT_MAX_COLUMNS", "20")
         f = tmp_path / "big.pbw"
-        f.write_text('generators = ["x", "y"]\ndeformation = ["x*y - y*x"]\n'
+        f.write_text('generators = ["x", "y", "z"]\n'
+                     'deformation = ["x*y - y*x", "x*z - z*x", "y*z - z*y"]\n'
                      "max_degree = 6\n")
         assert main(["check", str(f)]) == 13
+        assert "T[z]^3 over 3 generators needs 40 columns" in capsys.readouterr().err
 
     def test_tables_stop_below_the_guard(self, tmp_path, capsys, monkeypatch):
         # the graded branch certifies T/(xy) to max_degree 7 within a guard
@@ -243,6 +247,30 @@ class TestExitCodes:
         assert main(["check", str(f), "--json"]) == 0
         dims = json.loads(capsys.readouterr().out)["dims"]
         assert len(dims["gr_U"]) == len(dims["D"]) == len(dims["ann"]) == 8
+
+    def test_h_a_stops_below_the_guard(self, tmp_path, capsys, monkeypatch):
+        # k[x,y,z] is certified to max_degree 7 within a guard of 1000
+        # columns; h_A(7) would read 3^7 = 2187 words, so the h_A list
+        # stops at degree 6 with a note instead of exiting 13
+        f = tmp_path / "xyz.pbw"
+        f.write_text('generators = ["x", "y", "z"]\n'
+                     'deformation = ["x*y - y*x", "x*z - z*x", "y*z - z*y"]\n'
+                     "max_degree = 7\n")
+        monkeypatch.setenv("PBWKIT_MAX_COLUMNS", "1000")
+        assert main(["check", str(f), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["verdict"] == "PBW_CERTIFIED"
+        assert report["dims"]["h_A"] == [(n + 1) * (n + 2) // 2 for n in range(7)]
+        assert main(["check", str(f)]) == 0
+        assert ("note: h_A stops at degree 6: degree 7 needs 2187 columns, above "
+                "the column guard 1000") in capsys.readouterr().out
+        # unguarded, h_A reaches max_degree
+        monkeypatch.delenv("PBWKIT_MAX_COLUMNS")
+        assert main(["check", str(f), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["dims"]["h_A"] == [(n + 1) * (n + 2) // 2 for n in range(8)]
+        assert main(["check", str(f)]) == 0
+        assert "h_A stops" not in capsys.readouterr().out
 
     def test_support_quotient_skips_the_guarded_scan(self, tmp_path, capsys, monkeypatch):
         # T/(xy) reaches every degree, so complexity skips the Hilbert scan

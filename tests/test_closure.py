@@ -1,10 +1,12 @@
-"""The semi-naive closure steps against the naive ones, and the engine's
-cuts against the ladder's.
+"""The closure steps by standard words against the naive ones, and the
+engine's cuts against the ladder's.
 
-The T[z] engine stores V·<P_z>^{m-1} unreduced and multiplies on the
-right only the rows of <P_z>^{m-1} that V·<P_z>^{m-2} lacks, and by z
-only those of them it did not insert as right products; the Jacobi ladder
-is the same step at z = 1.  ``naive_ladder`` and
+The T[z] engine stores V·<P_z>^{m-1} unreduced, multiplies by z the rows
+of <P_z>^{m-1} that V·<P_z>^{m-2} lacks, and multiplies each generator g
+on the right only by the standard words β, carried as representatives
+ĉ(g, β) modulo the left and central products; the Jacobi ladder is the
+same step at z = 1 and the graded ideal <R> the step with no z.
+``naive_ladder`` and
 ``NaiveEngine`` (conftest) multiply every row, as the closures did before;
 the ladder must give the same spaces, verdicts and canonical witness, the
 engine the same ideal components and annihilators.  The gr U
@@ -19,12 +21,14 @@ import pytest
 
 from pbwkit.deformation import (LADDER_DEPTH_CAP, FilteredSubspace,
                                 extract_alpha, pn_ladder, rp_of)
-from pbwkit.extension import GR_TABLE_COLUMN_CAP, engine_for
-from pbwkit.freealg import filtration_size, parse_element
+from pbwkit.extension import GR_TABLE_COLUMN_CAP, ZMonomials, engine_for
+from pbwkit.freealg import DegreeBasis, filtration_size, parse_element
+from pbwkit.gradedring import GradedSubspace, ideal_chain
 from pbwkit.linalg import QQ, PrimeField, RowSpace
 
-from conftest import (NaiveEngine, annihilator_basis, inserted, naive_ladder,
-                      right_products, row_elements, sampled)
+from conftest import (NaiveEngine, annihilator_basis, inserted, mult_left_vec,
+                      mult_right_vec, naive_ladder, representatives,
+                      row_elements, sampled, zword_at)
 
 LADDER_UPTO = 5
 ENGINE_DEGREE = 6
@@ -150,23 +154,97 @@ def first_not_pbw(seed):
             return P
 
 
+class Closure:
+    """The components I^0..I^top of one closure, with word-level column
+    arithmetic of its own: ``col(n, w)`` is the column of the word w in
+    I^n, ``left``, ``right`` and ``central`` move a degree-n vector to
+    degree n + 1 through the words at its columns (``central`` is None
+    without z), and ``gens[m]`` are the generator rows of degree m that
+    the step for I^m was given."""
+
+    def __init__(self, g, comps, col, left, right, central, gens):
+        self.g, self.comps, self.col = g, comps, col
+        self.left, self.right, self.central, self.gens = left, right, central, gens
+
+    @classmethod
+    def ladder(cls, P, lad):
+        big = lad.basis
+        shift = P.basis.shift_into(big)
+        gens = {}
+        for row in P.space.raw_basis():
+            gens.setdefault(P.basis.degree_of_pos(min(row)), []).append(
+                {c + shift: s for c, s in row.items()})
+        comps = lad.spaces[:lad.spaces.index(None)] if None in lad.spaces else lad.spaces
+        return cls(P.g, comps, lambda n, w: big.pos(w),
+                   lambda x, vec, n: mult_left_vec(big, x, vec),
+                   lambda vec, n, x: mult_right_vec(big, vec, x),
+                   lambda vec, n: dict(vec), gens)       # z = 1 moves no column
+
+    @classmethod
+    def engine(cls, eng, top):
+        g = eng.g
+
+        def move(vec, n, word):
+            mono = ZMonomials(g, n + 1)
+            return {mono.pos_of_word(word(zword_at(g, n, c))): s for c, s in vec.items()}
+        return cls(g, [eng.ideal_component(m) for m in range(top + 1)],
+                   lambda n, w: ZMonomials(g, n).pos_of_word(w),
+                   lambda x, vec, n: move(vec, n, lambda w: (x,) + w),
+                   lambda vec, n, x: move(vec, n, lambda w: w + (x,)),
+                   lambda vec, n: move(vec, n, lambda w: w), eng._pz_by_degree)
+
+    @classmethod
+    def graded(cls, rel, top):
+        g = rel.g
+
+        def move(vec, n, word):
+            src, dst = DegreeBasis(g, n), DegreeBasis(g, n + 1)
+            return {dst.pos(word(src.word_at(c))): s for c, s in vec.items()}
+        return cls(g, ideal_chain(rel, top), lambda n, w: DegreeBasis(g, n).pos(w),
+                   lambda x, vec, n: move(vec, n, lambda w: (x,) + w),
+                   lambda vec, n, x: move(vec, n, lambda w: w + (x,)), None,
+                   {n: rel.blocks[n].raw_basis() for n in rel.degrees()})
+
+    def word(self, n, i):
+        """The i-th word of length n in lex order."""
+        out = []
+        for _ in range(n):
+            i, x = divmod(i, self.g)
+            out.append(x)
+        return tuple(reversed(out))
+
+    def standard(self, n, w):
+        return self.col(n, w) not in self.comps[n].rows
+
+    def steps(self):
+        """(m, I^{m-1}, I^m) for every step."""
+        return [(m, self.comps[m - 1], self.comps[m]) for m in range(1, len(self.comps))]
+
+
+def graded_case(g, names, rels, field=QQ):
+    return GradedSubspace.from_elements(
+        g, [parse_element(t, names, field) for t in rels], field)
+
+
 @pytest.mark.parametrize("case", ["sl2", "sampled"])
 def test_ladder_inserts_only_the_new_rows(case, monkeypatch):
-    # a ladder or engine step stores the previous space by the g left maps
-    # and inserts only N, N·V, z·N' and the generators of the new degree,
-    # N' being the rows of N not inserted as right products R:
-    # |N|·g + |N \ R| + |gens| rows
+    # a step stores the previous component by the g left maps and makes one
+    # kernel reduction per z-product of N, per representative ĉ(g, β) kept
+    # by the previous step and letter x with βx standard, and per generator
+    # of the new degree: the ladder, the engine and a graded ideal
     if case == "sl2":
         P = FilteredSubspace(3, [parse_element(t, ["e", "f", "h"]) for t in SL2])
+        rel = graded_case(2, ["x", "y"], ["x*y - y*x - x*x", "y*y*x - x*y*y"])
     else:
         P = first_not_pbw(4600)
+        rel = rp_of(P)
     inserts, shifted = [], []
     real_reduce, real_store = RowSpace._reduce, RowSpace.store_shifted
 
-    def reduce(self, vec, full=False, store=False):
+    def reduce(self, vec, full=False, store=False, stop=None):
         if store:
             inserts.append(self)
-        return real_reduce(self, vec, full, store)
+        return real_reduce(self, vec, full, store, stop)
 
     def store_shifted(self, other, cols):
         shifted.append((self, other))
@@ -176,61 +254,72 @@ def test_ladder_inserts_only_the_new_rows(case, monkeypatch):
     lad = pn_ladder(P, LADDER_UPTO)
     eng = engine_for(P)
     eng.ideal_component(ENGINE_DEGREE)
+    graded = Closure.graded(rel, ENGINE_DEGREE)
     monkeypatch.undo()
 
-    def check_step(prev, nxt, gens, at):
-        assert [o for sp, o in shifted if sp is nxt] == [prev] * P.g, at
-        new = {min(row) for row in inserted(prev)}
-        assert right_products(prev) <= new, at
-        assert sum(sp is nxt for sp in inserts) == \
-            len(new) * P.g + len(new - right_products(prev)) + gens, at
-
-    gens = {}
-    for row in P.space.raw_basis():
-        deg = P.basis.degree_of_pos(min(row))
-        gens[deg] = gens.get(deg, 0) + 1
-    steps = 0
-    for k in range(LADDER_UPTO + 1):
-        prev, nxt = lad.spaces[k], lad.spaces[k + 1]
-        if nxt is None:
-            break
-        steps += 1
-        check_step(prev, nxt, gens.get(k + 1, 0), k)
-    assert steps >= 3
-    for m in range(1, ENGINE_DEGREE + 1):
-        check_step(eng.ideal_component(m - 1), eng.ideal_component(m),
-                   len(eng._pz_by_degree.get(m, ())), m)
-    # both cases skip some central products
-    assert any(right_products(sp) for sp in lad.spaces if sp is not None)
+    skipped = 0
+    for cl in (Closure.ladder(P, lad), Closure.engine(eng, ENGINE_DEGREE), graded):
+        assert len(cl.steps()) >= 3
+        for m, prev, nxt in cl.steps():
+            assert [o for sp, o in shifted if sp is nxt] == [prev] * cl.g, m
+            want = len(inserted(prev)) if cl.central else 0
+            for row, gen, n, i in representatives(prev):
+                w = cl.word(n, i)
+                letters = sum(cl.standard(n + 1, w + (x,)) for x in range(cl.g))
+                want += letters
+                skipped += cl.g - letters
+            want += len(cl.gens.get(m, ()))
+            assert sum(sp is nxt for sp in inserts) == want, m
+    # the sample skips some products g·β, β not standard
+    assert skipped
     assert (lad.first_failure is None) == (case == "sl2")
 
 
+def proportional(a, b):
+    """a = λ b for some nonzero λ, a and b nonzero."""
+    if not a or a.keys() != b.keys():
+        return False
+    c0 = min(a)
+    return all(a[c] * b[c0] == b[c] * a[c0] for c in a)
+
+
 @pytest.mark.parametrize("p", [None, 7])
-def test_skipped_central_products_lie_in_the_component(p):
-    # closure_step skips z·r for every row r it inserted as a right
-    # product s·x_i: z·r = (z·s)·x_i - Σ c_q z·q is in the next component
-    # already.  Check each skipped product against the finished component,
-    # on the sample of test_closures_match_naive
+def test_representatives_and_skipped_multiples(p):
+    # every multiple ĉ(g, β)·x that a step skips (βx not standard) lies in
+    # the finished component, and every representative the step keeps is a
+    # nonzero multiple of g·β modulo V·I^{m-1} + z·I^{m-1}, that space
+    # built here from the words; on the sample of test_closures_match_naive,
+    # ladder to P_6, engine and the graded ideal <R_P> to degree 6
     field = QQ if p is None else PrimeField(p)
     rng = random.Random(4400 + (p or 0))
-    skipped = 0
+    skipped = kept = early = 0
     for _ in range(INSTANCES):
         P = sampled(rng, field)
-        lad = pn_ladder(P, LADDER_UPTO)
-        for k in range(LADDER_UPTO + 1):
-            prev, nxt = lad.spaces[k], lad.spaces[k + 1]
-            if nxt is None:
-                break
-            for c in right_products(prev):
-                # z = 1 moves no column
-                assert nxt.contains(prev.rows[c]), (k, row_elements(P))
-                skipped += 1
-        eng = engine_for(P)
-        for m in range(1, ENGINE_DEGREE + 1):
-            prev, comp = eng.ideal_component(m - 1), eng.ideal_component(m)
-            shift = P.g ** m        # z· moves past the g^m words of degree m
-            for c in right_products(prev):
-                assert comp.contains({q + shift: s for q, s in prev.rows[c].items()}), \
-                    (m, row_elements(P))
-                skipped += 1
-    assert skipped
+        for cl in (Closure.ladder(P, pn_ladder(P, LADDER_UPTO)),
+                   Closure.engine(engine_for(P), ENGINE_DEGREE),
+                   Closure.graded(rp_of(P), ENGINE_DEGREE)):
+            for m, prev, nxt in cl.steps():
+                for row, gen, n, i in representatives(prev):
+                    w = cl.word(n, i)
+                    for x in range(cl.g):
+                        if not cl.standard(n + 1, w + (x,)):
+                            assert nxt.contains(cl.right(row, m - 1, x)), \
+                                (m, row_elements(P))
+                            skipped += 1
+                base = RowSpace(field)
+                for r in prev.basis():
+                    for x in range(cl.g):
+                        base.insert(cl.left(x, r, m - 1))
+                    if cl.central:
+                        base.insert(cl.central(r, m - 1))
+                for row, gen, n, i in representatives(nxt):
+                    g_beta = gen
+                    for k, x in enumerate(cl.word(n, i)):
+                        g_beta = cl.right(g_beta, m - n + k, x)
+                    assert proportional(base.reduce_full(row), base.reduce_full(g_beta)), \
+                        (m, n, i, row_elements(P))
+                    kept += 1
+                    # a representative read where its chain met another
+                    # candidate's pivot is not the row the step stored
+                    early += nxt.rows.get(min(row)) is not row
+    assert skipped and kept and early

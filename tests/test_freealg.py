@@ -2,9 +2,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbwkit.errors import HomogenizeZero, ParseError
-from pbwkit.freealg import (Element, WordBasis, format_element, homogenize,
-                            leading_homogeneous, multiply, parse_element,
-                            project, word_key)
+from pbwkit.freealg import (Element, WordBasis, filtration_size, format_element,
+                            homogenize, leading_homogeneous, multiply,
+                            parse_element, project, word_key)
 from pbwkit.linalg import QQ
 
 from conftest import eval_z
@@ -136,6 +136,15 @@ class TestWordOrder:
         basis = WordBasis(2, 3)
         start = basis.suffix_start(1)
         assert {basis.word_at(p) for p in range(start, basis.size)} == {(), (0,), (1,)}
+
+
+    def test_filtration_size_counts_the_words(self):
+        # the closed form is dim T^{<=n}, the size of WordBasis(g, n)
+        for g in range(1, 5):
+            assert filtration_size(g, -1) == 0
+            for n in range(8):
+                assert filtration_size(g, n) == sum(g ** i for i in range(n + 1)) \
+                    == WordBasis(g, n).size
 
 
 class TestElementSyntax:

@@ -318,17 +318,17 @@ def test_letter_first_rows_span_the_bar_differential(p):
 
 
 def test_bar_spans_read_the_letter_rows(monkeypatch):
-    # each rank span of tor_bar gets the rows of the chains l|x, l a
+    # each rank of tor_bar reads the rows of the chains l|x, l a
     # letter: h(1) cnt(s-1, m-1) of them, for d_3 and d_4 in every degree m
     ring, rel = setup(3, ["x*y - y*x", "x*z - z*x", "y*z - z*y"], XYZ)
     sizes = []
-    real_span = homology.span
+    real_rank = homology.integer_rank
 
     def spy(field, rows):
         rows = list(rows)
         sizes.append(len(rows))
-        return real_span(field, rows)
-    monkeypatch.setattr(homology, "span", spy)
+        return real_rank(field, rows)
+    monkeypatch.setattr(homology, "integer_rank", spy)
     assert tor_bar(ring, 3, 6).dims == {3: 1}
     assert sizes == [ring.g * len(naive_strand(ring, s - 1, m - 1))
                      for m in range(3, 7) for s in (3, 4)]
@@ -341,7 +341,7 @@ def test_bar_strand_guard_before_rows(monkeypatch):
     calls = []
     monkeypatch.setattr(homology, "BAR_STRAND_GUARD", 10)
     monkeypatch.setattr(ring, "nf_word", lambda n, p: calls.append((n, p)))
-    monkeypatch.setattr(homology, "span", lambda *a: calls.append(a))
+    monkeypatch.setattr(homology, "integer_rank", lambda *a: calls.append(a))
     with pytest.raises(ResourceExceeded, match="bar strand"):
         tor_bar(ring, 3, 6)
     assert calls == []
