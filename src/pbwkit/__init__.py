@@ -4,8 +4,8 @@ presented connected graded algebras over Q or F_p.
 The decision pipeline extracts the top-part relations R_P of a filtered
 deformation P, minimizes them to a bimodule of relations, bounds the
 number of Jacobi conditions by the homological complexity of the
-associated graded algebra, and cross-validates every Jacobi verdict
-against the annihilator of the central variable in the extension
+associated graded algebra, and reads every Jacobi verdict, with its
+witness, from the annihilator of the central variable in the extension
 T[z]/<P*>.
 """
 

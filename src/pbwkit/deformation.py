@@ -7,15 +7,12 @@ alpha, and the ladder P_{k+1} = T^1 P_k + P_k T^1 + P^{<=k+1} all plain
 row-space operations.  Condition (J_k) asks that P_{k+1} brings nothing
 new below degree k+1.
 
-The ladder is the T[z] engine's ideal recursion (``extension``) read at
-z = 1, one ``linalg.closure_step`` per degree: V·P_k is stored unreduced,
-the rows N_k that the step for P_k inserted are inserted again, and each
-row g of P is multiplied on the right only by the standard words β,
-through a representative of g·β modulo V·P_k + P_k.  (J_k) is counted
-from pivots: it holds iff
-the rows of P_{k+1} with a pivot in T^{<=k} number dim P_k.  The witness
-of a failing (J_k) is canonical: the first row of the reduced echelon
-form of (P_{k+1} ∩ T^{<=k}) modulo P_k, whatever basis the steps stored.
+The ladder is read from the T[z] engine of P (``extension``), the one
+route to (J_k): setting z = 1 maps <P_z>^m onto P_m, so dim P_k is the
+engine's cut_dim(k, k) and (J_k) holds iff z has no annihilator in D^k.
+The witness of a failing (J_k) is canonical: the first row of the
+reduced echelon form of (P_{k+1} ∩ T^{<=k}) modulo P_k, whatever basis
+the engine stored.
 """
 
 from __future__ import annotations
@@ -25,16 +22,15 @@ import time
 from dataclasses import dataclass, field as dc_field
 
 from .errors import (DomainMismatch, InvalidPresentation, InvariantViolation,
-                     NotPure, ResourceExceeded, ValidationError)
-from .extension import ExtensionEngine, engine_for
-from .freealg import (DegreeBasis, Element, WordBasis, column_guard,
-                      filtration_size, project)
+                     NotPure, ValidationError)
+from .extension import (ENGINE_DEGREE_CAP, ExtensionEngine, ZMonomials,
+                        check_depth, engine_for)
+from .freealg import DegreeBasis, Element, WordBasis, column_guard, project
 from .gradedring import (GradedSubspace, PresentedRing, graded_ideal_step,
                          ideal_chain, minimal_complement)
 from .homology import complexity, overlap
-from .linalg import QQ, RowSpace, closure_step, coordinate_solver, span
+from .linalg import QQ, RowSpace, coordinate_solver, span
 
-LADDER_DEPTH_CAP = 24
 MIN_TOP_DEGREE = 1      # FilteredSubspace rows live in T^{<=1} at least
 
 
@@ -176,126 +172,52 @@ def alpha_is_inclusion(alpha):
 
 @dataclass
 class JacobiLadder:
-    g: int
-    upto: int
-    basis: WordBasis
-    spaces: list            # index k: RowSpace for P_k (None once saturated)
-    dims: list              # dim P_k
+    dims: list              # dim P_k for k <= upto + 1
     verdicts: dict          # k -> bool for 1 <= k <= upto
     first_failure: int | None
     witness: Element | None
     full_from: int | None   # least k with P_k = T^{<=k}, if reached
 
-    def contains_filtered(self, m, P_other):
-        """True iff P_other (a FilteredSubspace) lies inside P_m."""
-        if self.full_from is not None and m >= self.full_from:
-            return P_other.max_degree <= m
-        sp = self.spaces[m]
-        shift = P_other.basis.shift_into(self.basis)
-        return all(sp.contains({p + shift: s for p, s in row.items()})
-                   for row in P_other.space.basis())
 
+def pn_ladder(P, upto, engine=None):
+    """P_0..P_{upto+1} plus the (J_k) verdicts for k <= upto, read from
+    ``engine``, the T[z] engine of P (``engine_for(P)`` when None).
 
-def pn_ladder(P, upto):
-    """P_0..P_{upto+1} plus the (J_k) verdicts for k <= upto.
+    dim P_k is cut_dim(k, k), and (J_k) holds iff annihilator_dim(k)
+    vanishes (see ``extension``).  Neither builds a component past the
+    first full one, where the ladder reaches T^{<=k} (``full_from``).  A
+    depth whose T[z]^{upto+1} the column guard refuses is refused before
+    anything is built.
 
-    Each P_{k+1} is one ``closure_step`` from P_k, the T[z] engine's
-    recursion read at z = 1: P_k = V·P_{k-1} + span(N_k) with N_k the rows
-    the step for P_k inserted, so P_{k+1} = V·P_k + N_k + span{ĉ(g, β)},
-    g running over P's rows of degree <= k+1 and β over the words of
-    length k+1 - deg g that are not a pivot of P_{|β|}, and ĉ(g, β) being
-    congruent to g·β modulo V·P_k + P_k.  Left multiplication keeps the
-    degree-descending lex order, so V·P_k is stored unreduced; N_k (the
-    image of z·N_k, the central map being the offset 0) and the ĉ(g, β)
-    are inserted.  The engine's proof (``extension``) holds at z = 1, as
-    setting z = 1 maps the columns of T[z]^m onto those of T^{<=m} in
-    order.
-
-    P_k lies in P_{k+1} ∩ T^{<=k}, which the echelon rows of P_{k+1} with a
-    pivot in the T^{<=k} suffix span, so (J_k) holds iff those pivots number
-    dim P_k.  The witness of the first failing (J_k) is canonical: the
-    first row of the reduced echelon form of those rows reduced modulo P_k.
+    The witness of the first failing (J_k) is canonical: the rows of
+    <P_z>^{k+1} with a pivot among the last dim T^{<=k} columns are z·u,
+    u in T[z]^k, and the u reduced fully modulo <P_z>^k span (P_{k+1} ∩
+    T^{<=k}) / P_k; the witness is the first row of their reduced echelon
+    form, read as an element since T[z]^k and ``WordBasis(g, k)`` share
+    one column layout.  That span must have dimension annihilator_dim(k).
     """
-    if upto + 1 > LADDER_DEPTH_CAP:
-        raise ResourceExceeded(f"ladder depth {upto} above cap {LADDER_DEPTH_CAP}")
-    big = WordBasis(P.g, upto + 1)
-    shift = P.basis.shift_into(big)
-    g = P.g
-    field = P.field
-    lefts, rights = big.mult_maps()
-    gens = {}                           # pivot degree -> P's rows
-    for row in P.space.raw_basis():
-        gens.setdefault(P.basis.degree_of_pos(min(row)), []).append(
-            {p + shift: s for p, s in row.items()})
-    spaces = [RowSpace(field)]          # P_0 = P ∩ T^0 = 0
-    dims = [0]
-    verdicts = {}
-    first_failure = None
-    witness = None
-    full_from = None
-    sizes = [filtration_size(g, n) for n in range(upto + 2)]
-
-    def standard(n, i):
-        return big.offsets[n] + i not in spaces[n].rows
-    for k in range(upto + 1):
-        if full_from is not None:
-            spaces.append(None)
-            dims.append(sizes[k + 1])
-            if k >= 1:
-                verdicts[k] = True
-            continue
-        prev = spaces[k]
-        # the central map z·, at z = 1, is the offset 0
-        nxt = closure_step(field, prev, lefts, rights, gens.get(k + 1, ()),
-                           standard, central=0)
-        spaces.append(nxt)
-        dims.append(nxt.rank)
-        if k >= 1:
-            start = big.suffix_start(k)
-            cut = [c for c in nxt.rows if c >= start]
-            verdicts[k] = len(cut) == prev.rank
-            if not verdicts[k] and first_failure is None:
-                first_failure = k
-                new = span(field, (prev.reduce_full(nxt.rows[c]) for c in cut))
-                witness = big.vec_to_element(new.reduced_basis()[0], field)
-        if nxt.rank == sizes[k + 1]:
-            full_from = k + 1
-    return JacobiLadder(g, upto, big, spaces, dims, verdicts,
-                        first_failure, witness, full_from)
-
-
-@dataclass
-class JacobiVerdicts:
-    """(J_1)..(J_upto) that all hold, as ``jacobi_verdicts`` reads them
-    from the engine: the fields of a JacobiLadder that a verdict reports."""
-    verdicts: dict          # k -> True for 1 <= k <= upto
-    first_failure: None = None
-    witness: None = None
-
-
-def jacobi_verdicts(P, engine, upto):
-    """The (J_1)..(J_upto) of ``pn_ladder(P, upto)``, read from the T[z]
-    engine of P (``engine_for(P)``).
-
-    Setting z = 1 maps <P_z>^m onto the ladder space P_m, and P_k lies in
-    P_{k+1} ∩ T^{<=k}, so (J_k) holds iff the cut dim(P_{k+1} ∩ T^{<=k})
-    (the engine's pivots of <P_z>^{k+1} of word degree <= k) equals dim
-    P_k, i.e. iff z has no annihilator in D^k (``annihilator_dim``).
-    ``check`` reads its tables from the same engine, so the verdicts cost
-    no closure step of their own.  When some (J_k) fails the ladder, the
-    same recursion at z = 1 over word columns, runs for its canonical
-    witness and must give the same verdicts.
-    """
-    if upto + 1 > LADDER_DEPTH_CAP:
-        raise ResourceExceeded(f"ladder depth {upto} above cap {LADDER_DEPTH_CAP}")
+    check_depth(upto)
+    ZMonomials(P.g, upto + 1)       # the column guard, before any step
+    engine = engine_for(P) if engine is None else engine
+    dims = [engine.cut_dim(k, k) for k in range(upto + 2)]
     verdicts = {k: engine.annihilator_dim(k) == 0 for k in range(1, upto + 1)}
-    if all(verdicts.values()):
-        return JacobiVerdicts(verdicts)
-    ladder = pn_ladder(P, upto)
-    if ladder.verdicts != verdicts:
-        raise InvariantViolation("the T[z] engine and the Jacobi ladder "
-                                 "disagree on (J_k)")
-    return ladder
+    first_failure = next((k for k, ok in verdicts.items() if not ok), None)
+    witness = None
+    if first_failure is not None:
+        k = first_failure
+        low, top = engine.ideal_component(k), engine.ideal_component(k + 1)
+        shift = P.g ** (k + 1)      # z·(w z^j) lies g^(k+1) columns after w z^j
+        cut = (top.rows[p] for p in top.rows if p >= shift)
+        new = span(P.field, (low.reduce_full({c - shift: s for c, s in row.items()})
+                             for row in cut))
+        ann = engine.annihilator_dim(k)
+        if new.rank != ann:
+            raise InvariantViolation(f"(J_{k}): the witness space has dimension "
+                                     f"{new.rank}, ann(z)^{k} has {ann}")
+        witness = WordBasis(P.g, k).vec_to_element(new.reduced_basis()[0], P.field)
+    full = engine.saturated_at
+    return JacobiLadder(dims, verdicts, first_failure, witness,
+                        full if full is not None and full <= upto + 1 else None)
 
 
 def minimize_relations(rel):
@@ -322,7 +244,9 @@ def pure_jacobi_check(alpha):
 
     The containment is the Jacobi ladder's (J_N): for N-pure P the ladder
     has P_k = 0 for k < N and P_N = P, so P_{N+1} ∩ T^{<=N} ⊆ P_N says
-    exactly (V P + P V)^{<=N} ⊆ P.  Hence N is bounded by LADDER_DEPTH_CAP.
+    exactly (V P + P V)^{<=N} ⊆ P, and every (J_k) with k < N holds.  It
+    is read from the T[z] engine of P as ann(z)^N = 0, so N + 1 is bounded
+    by ENGINE_DEGREE_CAP.
 
     Returns {"conditions": {i: bool}, "containment": bool, "equivalent": bool,
     "N": N}.
@@ -379,7 +303,7 @@ def pure_jacobi_check(alpha):
                 conditions[i] = False
 
     # containment form: (V P + P V)^{<=N} ⊆ P is the ladder's (J_N)
-    containment = pn_ladder(apply_alpha(alpha, rel), N).first_failure is None
+    containment = engine_for(apply_alpha(alpha, rel)).annihilator_dim(N) == 0
     return {
         "N": N,
         "conditions": conditions,
@@ -513,8 +437,8 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
     (J_1)..(J_c) on the alpha-associated subspace P' = alpha(R); when
     P' != P the generation <P'> = <P> is certified through P'_d membership.
     A failing (J_k) on P itself is always a definitive NOT_PBW.  The
-    (J_k) on P are read from its T[z] engine (``jacobi_verdicts``), which
-    the result keeps for ``check``'s tables.  The result's ``timings``
+    (J_k) on P are read from its T[z] engine (``pn_ladder``), which the
+    result keeps for ``check``'s tables.  The result's ``timings``
     holds the wall time of every stage that ran.
     """
     notes = []
@@ -551,7 +475,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
     rp, alpha = engine.rel, engine.alpha
     found["engine"] = engine
     d = P.max_degree
-    depth_bound = max(d, 2, min(max_degree, LADDER_DEPTH_CAP - 1))
+    depth_bound = max(d, 2, min(max_degree, ENGINE_DEGREE_CAP - 1))
     low = rp.degrees()[0] <= 1
 
     if not low:
@@ -577,8 +501,8 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
         jac = {}
         checked = 0
         if c_val is not None and c_val >= 1:
-            checked = min(c_val, LADDER_DEPTH_CAP - 1)
-            ladder = timed(timings, "ladder", jacobi_verdicts, P, engine, checked)
+            checked = min(c_val, ENGINE_DEGREE_CAP - 1)
+            ladder = timed(timings, "ladder", pn_ladder, P, checked, engine)
             jac = ladder.verdicts
             if ladder.first_failure is not None:
                 raise InvariantViolation("graded deformation failed "
@@ -590,7 +514,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
     if low:
         # top components in degree <= 1: the homological certificate assumes
         # relations in degrees >= 2, so only a bounded claim is offered
-        ladder = timed(timings, "ladder", jacobi_verdicts, P, engine, depth_bound)
+        ladder = timed(timings, "ladder", pn_ladder, P, depth_bound, engine)
         notes.append("deformation has top components of degree <= 1; "
                      "certification falls back to the bounded Jacobi scan")
         verdict = "PBW_UP_TO_DEGREE" if ladder.first_failure is None else "NOT_PBW"
@@ -601,12 +525,12 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
 
     if cres.certified and cres.c >= -1:
         K = max(cres.c, 1) if same else max(cres.c, d, 1)
-        K = min(K, LADDER_DEPTH_CAP - 1)
+        K = min(K, ENGINE_DEGREE_CAP - 1)
     else:
         K = depth_bound
 
     if same:
-        ladder = timed(timings, "ladder", jacobi_verdicts, P, engine, K)
+        ladder = timed(timings, "ladder", pn_ladder, P, K, engine)
         if ladder.first_failure is not None:
             return result("NOT_PBW", K, cres.c, cres.certified, ladder.verdicts, ladder)
         if certified_c:
@@ -620,16 +544,18 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
     Pp = apply_alpha(alpha, rmin)
     notes.append("R_P is not a bimodule of relations; Jacobi certificate runs "
                  "on the minimized alpha-image P'")
-    ladder_p = timed(timings, "ladder", pn_ladder, Pp, K)
+    engine_p = timed(timings, "ladder", engine_for, Pp)
+    ladder_p = timed(timings, "ladder", pn_ladder, Pp, K, engine_p)
     if ladder_p.first_failure is None and certified_c:
-        if ladder_p.contains_filtered(d, P):
+        # P's columns, WordBasis(g, d), are those of T[z]^d
+        if all(map(engine_p.ideal_component(d).contains, P.space.basis())):
             # P' is of PBW type and generates <P>, hence <P'> = <P> and the
             # verdict transfers to P
             notes.append("generation of <P> by P' certified")
             return result("PBW_CERTIFIED", K, cres.c, True, ladder_p.verdicts, ladder_p)
         notes.append("minimized P' is of PBW type but does not generate <P>; "
                      "only a bounded claim is possible for P")
-    ladder = timed(timings, "ladder", jacobi_verdicts, P, engine, K)
+    ladder = timed(timings, "ladder", pn_ladder, P, K, engine)
     if ladder.first_failure is not None:
         return result("NOT_PBW", K, cres.c, cres.certified, ladder.verdicts, ladder)
     if ladder_p.first_failure is not None:

@@ -1,12 +1,11 @@
 """The central extension D(P) = T[z]/<P*>, built degree by degree.
 
-(J_n) holds iff the degree-n annihilator of z in D(P) vanishes, so the
-engine and the Jacobi ladder must agree on every instance.  The engine
-uses its own monomial representation (word (x) z-power, ordered by
-descending word degree, i.e. ascending z-exponent); the ladder
-(``deformation.pn_ladder``) runs the same recursion at z = 1 over word
-columns, and the two share ``linalg.closure_step``.  The independent
-oracles are the naive closures in the tests (``naive_ladder`` and
+(J_n) holds iff the degree-n annihilator of z in D(P) vanishes, and this
+engine is the one route to (J_n): ``deformation.pn_ladder`` reads the
+ladder's dims, verdicts and witness from it.  The engine uses its own
+monomial representation (word (x) z-power, ordered by descending word
+degree, i.e. ascending z-exponent).  The independent oracles are the
+naive closures in the tests (``naive_ladder`` over word columns and
 ``NaiveEngine``), which multiply every row and insert every product.
 
 P_z is always built through alpha_z (never by homogenizing a raw spanning
@@ -48,13 +47,18 @@ recursion.  One degree is one ``linalg.closure_step`` with the column
 maps of ``ZMonomials``: ``left_maps`` for V·, ``right_maps`` for ·x,
 and as the central map the shift by the g^m columns of word degree m for
 z·; the word β of length n with lex index i is the monomial β z^0 at
-position i of T[z]^n, the first block.
+position i of T[z]^n, the first block.  Once a component is all of
+T[z]^m, so is every later one (z·T[z]^m and V·T[z]^m cover T[z]^{m+1}),
+and no count reads a component past the first full one
+(``saturated_at``).
 
-Setting z = 1 maps <P_z>^m bijectively onto the ladder space P_m, and a
-monomial w z^k to the word w; the elements of P_m in T^{<=n} are the images
-of those supported on word degrees <= n, the last columns.  So
-dim(P_m ∩ T^{<=n}) is the number of pivots of <P_z>^m of word degree
-<= n (``cut_dim``), and the gr U(P) tables are read from the engine.
+Setting z = 1 maps <P_z>^m bijectively onto the ladder space P_m =
+T^1 P_{m-1} + P_{m-1} T^1 + P^{<=m}, and the monomial w z^(m-|w|) to the
+word w, in column order: T[z]^m and ``WordBasis(g, m)`` share one layout.
+The elements of P_m in T^{<=n} are the images of those supported on word
+degrees <= n, the last columns.  So dim(P_m ∩ T^{<=n}) is the number of
+pivots of <P_z>^m of word degree <= n (``cut_dim``), and the gr U(P)
+tables are read from the engine.
 
 The annihilator of z is read from the same pivots, with no reduction:
 z maps T[z]^n onto the monomials of T[z]^{n+1} of z-exponent >= 1, the
@@ -62,7 +66,9 @@ last dim T^{<=n} columns, and in echelon form the rows of <P_z>^{n+1}
 with a pivot there span its part in them, so rank(z: D^n -> D^{n+1}) =
 dim T^{<=n} - cut_dim(n+1, n).  As dim D^n = dim T^{<=n} - dim P_n,
 ann(z)^n ≅ (P_{n+1} ∩ T^{<=n}) / P_n has dimension cut_dim(n+1, n) -
-dim P_n, which vanishes exactly when (J_n) holds.
+dim P_n, which vanishes exactly when (J_n) holds.  Each of those rows is
+z·u, u in T[z]^n, so the u taken modulo <P_z>^n span that quotient: the
+witness of a failing (J_n).
 """
 
 from __future__ import annotations
@@ -76,6 +82,13 @@ from .linalg import RowSpace, closure_step
 
 ENGINE_DEGREE_CAP = 24
 GR_TABLE_COLUMN_CAP = 12000
+
+
+def check_depth(depth):
+    """Refuse a ladder P_0..P_{depth+1}: its top component would be engine
+    degree depth + 1, above the cap."""
+    if depth + 1 > ENGINE_DEGREE_CAP:
+        raise ResourceExceeded(f"ladder depth {depth} above cap {ENGINE_DEGREE_CAP}")
 
 
 def build_pz(alpha, rel):
@@ -106,14 +119,13 @@ class ZMonomials:
         if self.size > column_guard():
             raise ResourceExceeded(
                 f"T[z]^{n} over {g} generators needs {self.size} columns")
-        # first position of the word-degree-d block
-        self._block_start = [self.size - filtration_size(g, d) for d in range(n + 1)]
 
     def pos_of_word(self, w):
         p = 0
         for letter in w:
             p = p * self.g + letter
-        return self._block_start[len(w)] + p
+        # the word-degree-|w| block starts after the words of degree > |w|
+        return self.size - filtration_size(self.g, len(w)) + p
 
     def left_maps(self):
         """One list per letter x_i: entry p is the position in T[z]^{n+1}
@@ -200,17 +212,23 @@ class ExtensionEngine:
         self._dbasis[m] = [p for p in range(mono.size) if p not in pivots]
         return sp
 
+    def _full(self, n):
+        """Whether <P_z>^n = T[z]^n, building the components through degree
+        n but none past the first full one (``saturated_at``)."""
+        while self.saturated_at is None and max(self._ideal) < n:
+            self.ideal_component(max(self._ideal) + 1)
+        return self.saturated_at is not None and self.saturated_at <= n
+
     # -- quotient data -----------------------------------------------------
 
     def dim_d(self, n):
-        self.ideal_component(n)
-        return len(self._dbasis[n])
+        return 0 if self._full(n) else len(self._dbasis[n])
 
     def annihilator_dim(self, n):
         """dim ker(z . (-) : D^n -> D^{n+1}) = dim(P_{n+1} ∩ T^{<=n}) -
         dim P_n (see the module docstring); z is n-regular iff this
         vanishes for all degrees <= n."""
-        return self.cut_dim(n + 1, n) - self.ideal_component(n).rank
+        return self.cut_dim(n + 1, n) - self.cut_dim(n, n)
 
     # -- the quotient by z: dims of A -------------------------------------
 
@@ -228,9 +246,8 @@ class ExtensionEngine:
         positions among them, found by bisecting the ascending
         ``_dbasis[m]``."""
         width = filtration_size(self.g, n)
-        if self.saturated_at is not None and self.saturated_at <= m:
+        if self._full(m):
             return width
-        self.ideal_component(m)
         dbasis = self._dbasis[m]
         start = filtration_size(self.g, m) - width
         return width - (len(dbasis) - bisect_left(dbasis, start))
@@ -249,11 +266,7 @@ class ExtensionEngine:
             return [g ** n for n in range(upto + 1)]
         top = self.rel.max_degree()
         if certified:
-            depth = max(upto, top)
-            if depth + 1 > ENGINE_DEGREE_CAP:
-                # the cap and message of pn_ladder(P, depth), whose spaces
-                # P_n these cuts count
-                raise ResourceExceeded(f"ladder depth {depth} above cap {ENGINE_DEGREE_CAP}")
+            check_depth(max(upto, top))    # the ladder whose P_n these cuts count
             cuts = [self.cut_dim(n, n) for n in range(upto + 1)]
         else:
             cuts = None
@@ -261,8 +274,7 @@ class ExtensionEngine:
             cap = min(GR_TABLE_COLUMN_CAP, column_guard())
             while filtration_size(g, m) <= cap and m <= ENGINE_DEGREE_CAP:
                 now = [self.cut_dim(m, n) for n in range(upto + 1)]
-                full = self.saturated_at is not None and self.saturated_at <= m
-                if full or now == [self.cut_dim(m - 1, n) for n in range(upto + 1)]:
+                if self._full(m) or now == [self.cut_dim(m - 1, n) for n in range(upto + 1)]:
                     cuts = now
                     break
                 m += 1

@@ -211,7 +211,6 @@ class WordBasis:
             off += sizes[n]
         self._words = {}
         self._deg_of = None
-        self._mult = None
 
     def pos(self, w):
         n = len(w)
@@ -250,44 +249,11 @@ class WordBasis:
             self._deg_of = arr
         return self._deg_of[pos]
 
-    def mult_maps(self):
-        """(lefts, rights): per letter x_i, the column of x_i·w and of w·x_i
-        for the word w at each column, -1 at the top degree.  Each keeps
-        the columns below the top degree in order, as
-        ``RowSpace.store_shifted`` needs."""
-        if self._mult is None:
-            g = self.g
-            left = [[-1] * self.size for _ in range(g)]
-            right = [[-1] * self.size for _ in range(g)]
-            for n in range(self.max_degree):
-                off = self.offsets[n]
-                off1 = self.offsets[n + 1]
-                block = g ** n
-                for p in range(block):
-                    pos = off + p
-                    for i in range(g):
-                        left[i][pos] = off1 + i * block + p
-                        right[i][pos] = off1 + p * g + i
-            self._mult = left, right
-        return self._mult
-
-    def suffix_start(self, n):
-        """First column of the T^{<=n} suffix block."""
-        if n >= self.max_degree:
-            return 0
-        return self.offsets[n]
-
     def element_to_vec(self, e):
         return {self.pos(w): s for w, s in e.terms.items()}
 
     def vec_to_element(self, vec, field):
         return Element(field, {self.word_at(p): s for p, s in vec.items()})
-
-    def shift_into(self, bigger):
-        """Position offset mapping this basis into a bigger one (same g)."""
-        if bigger.g != self.g or bigger.max_degree < self.max_degree:
-            raise ValidationError("incompatible word bases")
-        return bigger.size - self.size
 
 
 class DegreeBasis:

@@ -334,6 +334,11 @@ def mult_right_vec(basis, vec, i):
     return {basis.pos(basis.word_at(c) + (i,)): s for c, s in vec.items()}
 
 
+def suffix_start(basis, n):
+    """First column of the T^{<=n} suffix block of a WordBasis."""
+    return 0 if n >= basis.max_degree else basis.offsets[n]
+
+
 def naive_ladder(P, upto):
     """(spaces, verdicts, witness) of the Jacobi ladder P_0..P_{upto+1}
     built by P_{k+1} = P_k + V·P_k + P_k·V + P^{<=k+1}, inserting the
@@ -344,7 +349,7 @@ def naive_ladder(P, upto):
     P_k: those rows, each reduced fully modulo P_k."""
     g = P.g
     big = WordBasis(g, upto + 1)
-    shift = P.basis.shift_into(big)
+    shift = big.size - P.basis.size     # P's columns are the last ones of big
     prows = [(P.basis.degree_of_pos(min(r)), {c + shift: s for c, s in r.items()})
              for r in P.space.raw_basis()]
     spaces = [RowSpace(P.field)]
@@ -362,7 +367,7 @@ def naive_ladder(P, upto):
                 nxt.insert(dict(row))
         spaces.append(nxt)
         if k >= 1:
-            start = big.suffix_start(k)
+            start = suffix_start(big, k)
             cut = [nxt.rows[c] for c in nxt.rows if c >= start]
             verdicts[k] = all(prev.contains(r) for r in cut)
             if witness is None and not verdicts[k]:

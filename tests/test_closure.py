@@ -1,34 +1,31 @@
 """The closure steps by standard words against the naive ones, and the
-engine's cuts against the ladder's.
+engine's cuts against the naive ladder's.
 
 The T[z] engine stores V·<P_z>^{m-1} unreduced, multiplies by z the rows
 of <P_z>^{m-1} that V·<P_z>^{m-2} lacks, and multiplies each generator g
 on the right only by the standard words β, carried as representatives
-ĉ(g, β) modulo the left and central products; the Jacobi ladder is the
-same step at z = 1 and the graded ideal <R> the step with no z.
-``naive_ladder`` and
-``NaiveEngine`` (conftest) multiply every row, as the closures did before;
-the ladder must give the same spaces, verdicts and canonical witness, the
-engine the same ideal components and annihilators.  The gr U
-tables are read from the engine: dim(P_m ∩ T^{<=n}) is its pivots of
-<P_z>^m of word degree <= n, which must equal the count on the ladder's
-P_m.
+ĉ(g, β) modulo the left and central products; the graded ideal <R> is the
+same step with no z.  ``NaiveEngine`` (conftest) multiplies every row, as
+the closures did before; the engine must give the same ideal components
+and annihilators.  The Jacobi ladder and the gr U tables are read from the
+engine: dim(P_m ∩ T^{<=n}) is its pivots of <P_z>^m of word degree <= n,
+which must equal the count on the naive ladder's P_m (``naive_ladder``,
+over word columns).
 """
 
 import random
 
 import pytest
 
-from pbwkit.deformation import (LADDER_DEPTH_CAP, FilteredSubspace,
-                                extract_alpha, pn_ladder, rp_of)
-from pbwkit.extension import GR_TABLE_COLUMN_CAP, ZMonomials, engine_for
+from pbwkit.deformation import FilteredSubspace, extract_alpha, pn_ladder, rp_of
+from pbwkit.extension import (ENGINE_DEGREE_CAP, GR_TABLE_COLUMN_CAP, ZMonomials,
+                              engine_for)
 from pbwkit.freealg import DegreeBasis, filtration_size, parse_element
 from pbwkit.gradedring import GradedSubspace, ideal_chain
 from pbwkit.linalg import QQ, PrimeField, RowSpace
 
-from conftest import (NaiveEngine, annihilator_basis, inserted, mult_left_vec,
-                      mult_right_vec, naive_ladder, representatives,
-                      row_elements, sampled, zword_at)
+from conftest import (NaiveEngine, annihilator_basis, inserted, naive_ladder,
+                      representatives, row_elements, sampled, zword_at)
 
 LADDER_UPTO = 5
 ENGINE_DEGREE = 6
@@ -43,26 +40,12 @@ def test_closures_match_naive(p):
     for _ in range(INSTANCES):
         P = sampled(rng, field)
         gens.add(P.g)
-        lad = pn_ladder(P, LADDER_UPTO)
-        spaces, verdicts, witness = naive_ladder(P, LADDER_UPTO)
-        for k, sp in enumerate(lad.spaces):
-            if sp is not None:
-                assert sp.equals_space(spaces[k]), (k, row_elements(P))
-        top = len(spaces) - 1
-        full = top if spaces[top].rank == filtration_size(P.g, top) else None
-        assert lad.full_from == full
-        assert lad.dims[:top + 1] == [sp.rank for sp in spaces]
-        assert lad.verdicts == verdicts
-        assert (lad.witness is None) == (witness is None)
-        if witness is not None:
-            assert lad.witness.terms == witness.terms
-            not_pbw += 1
-
         eng = engine_for(P)
         naive = NaiveEngine(P.g, extract_alpha(P), rp_of(P), field)
         for n in range(ENGINE_DEGREE):
             assert eng.annihilator_dim(n) == naive.annihilator_dim(n)
             assert annihilator_basis(eng, n) == annihilator_basis(naive, n)
+        not_pbw += any(eng.annihilator_dim(n) for n in range(ENGINE_DEGREE))
         for m in range(ENGINE_DEGREE + 1):
             mine, theirs = eng.ideal_component(m), naive.ideal_component(m)
             assert sorted(mine.rows) == sorted(theirs.rows), m
@@ -76,33 +59,47 @@ def test_closures_match_naive(p):
     assert saturated
 
 
-def ladder_cut(lad, m, n):
-    """dim(P_m ∩ T^{<=n}) counted on the ladder's P_m."""
-    sp = lad.spaces[m]
-    if sp is None:      # P_m = T^{<=m} once the ladder is full
-        return filtration_size(lad.g, min(m, n))
-    start = lad.basis.suffix_start(n)
-    return sum(1 for c in sp.rows if c >= start)
+class NaiveCuts:
+    """cut(m, n) = dim(P_m ∩ T^{<=n}), counted on the pivots of the naive
+    ladder's P_m; the ladder is rebuilt deeper when m needs it."""
+
+    def __init__(self, P):
+        self.P = P
+        self._build(7)
+
+    def _build(self, depth):
+        self.depth, self.spaces = depth, naive_ladder(self.P, depth)[0]
+
+    def __call__(self, m, n):
+        if m > self.depth + 1:
+            self._build(m - 1)
+        if self.full(m):
+            return filtration_size(self.P.g, n)
+        start = filtration_size(self.P.g, self.depth + 1) - filtration_size(self.P.g, n)
+        return sum(1 for c in self.spaces[m].rows if c >= start)
+
+    def full(self, m):
+        """P_m = T^{<=m}: the naive ladder stops at its first full space."""
+        top = len(self.spaces) - 1
+        return m >= top and self.spaces[top].rank == filtration_size(self.P.g, top)
 
 
-def ladder_gr_table(P, upto, certified, ladder):
-    """gr U(P) as gr_table built it from ladders: cuts P_n ∩ T^{<=n} when
-    certified, else the first m (under the column cap) at which the ladder
-    is full or the cuts agree with those at m - 1.  ``ladder(m)`` is a
-    ladder that holds P_m."""
+def ladder_gr_table(P, upto, certified, cut):
+    """gr U(P) as gr_table builds it, from the cuts ``cut(m, n)`` of the
+    naive ladder: P_n ∩ T^{<=n} when certified, else the first m (under
+    the column cap) at which the ladder is full or the cuts agree with
+    those at m - 1."""
     g = P.g
     if certified:
-        cuts = [ladder_cut(ladder(n), n, n) for n in range(upto + 1)]
+        cuts = [cut(n, n) for n in range(upto + 1)]
     else:
         cuts = None
         depth = max(upto + 1, P.max_degree)
         while filtration_size(g, depth + 1) <= GR_TABLE_COLUMN_CAP \
-                and depth < LADDER_DEPTH_CAP:
+                and depth < ENGINE_DEGREE_CAP:
             m = depth + 1
-            lad = ladder(m)
-            now = [ladder_cut(lad, m, n) for n in range(upto + 1)]
-            if lad.full_from is not None and lad.full_from <= m or \
-                    now == [ladder_cut(lad, m - 1, n) for n in range(upto + 1)]:
+            now = [cut(m, n) for n in range(upto + 1)]
+            if cut.full(m) or now == [cut(m - 1, n) for n in range(upto + 1)]:
                 cuts = now
                 break
             depth += 1
@@ -120,22 +117,14 @@ def test_engine_cuts_match_ladder(p):
     withheld = 0
     for _ in range(INSTANCES):
         P = sampled(rng, field)
-        lad = pn_ladder(P, 6)
+        cut = NaiveCuts(P)
         eng = engine_for(P)
         for m in range(8):
             for n in range(m + 1):
-                assert eng.cut_dim(m, n) == ladder_cut(lad, m, n), (m, n, row_elements(P))
-
-        ladders = [lad]
-
-        def ladder(m):
-            if m > ladders[-1].upto + 1:
-                ladders.append(pn_ladder(P, m - 1))
-            return ladders[-1]
-
+                assert eng.cut_dim(m, n) == cut(m, n), (m, n, row_elements(P))
         for upto in (3, 5, 6):
             for certified in (False, True):
-                want = ladder_gr_table(P, upto, certified, ladder)
+                want = ladder_gr_table(P, upto, certified, cut)
                 assert eng.gr_table(upto, certified) == want, (upto, certified)
                 withheld += want is None
     # the sample reaches the withheld tables too
@@ -165,20 +154,6 @@ class Closure:
     def __init__(self, g, comps, col, left, right, central, gens):
         self.g, self.comps, self.col = g, comps, col
         self.left, self.right, self.central, self.gens = left, right, central, gens
-
-    @classmethod
-    def ladder(cls, P, lad):
-        big = lad.basis
-        shift = P.basis.shift_into(big)
-        gens = {}
-        for row in P.space.raw_basis():
-            gens.setdefault(P.basis.degree_of_pos(min(row)), []).append(
-                {c + shift: s for c, s in row.items()})
-        comps = lad.spaces[:lad.spaces.index(None)] if None in lad.spaces else lad.spaces
-        return cls(P.g, comps, lambda n, w: big.pos(w),
-                   lambda x, vec, n: mult_left_vec(big, x, vec),
-                   lambda vec, n, x: mult_right_vec(big, vec, x),
-                   lambda vec, n: dict(vec), gens)       # z = 1 moves no column
 
     @classmethod
     def engine(cls, eng, top):
@@ -227,11 +202,11 @@ def graded_case(g, names, rels, field=QQ):
 
 
 @pytest.mark.parametrize("case", ["sl2", "sampled"])
-def test_ladder_inserts_only_the_new_rows(case, monkeypatch):
+def test_closure_steps_insert_only_the_new_rows(case, monkeypatch):
     # a step stores the previous component by the g left maps and makes one
     # kernel reduction per z-product of N, per representative ĉ(g, β) kept
     # by the previous step and letter x with βx standard, and per generator
-    # of the new degree: the ladder, the engine and a graded ideal
+    # of the new degree: the engine and a graded ideal
     if case == "sl2":
         P = FilteredSubspace(3, [parse_element(t, ["e", "f", "h"]) for t in SL2])
         rel = graded_case(2, ["x", "y"], ["x*y - y*x - x*x", "y*y*x - x*y*y"])
@@ -251,14 +226,13 @@ def test_ladder_inserts_only_the_new_rows(case, monkeypatch):
         return real_store(self, other, cols)
     monkeypatch.setattr(RowSpace, "_reduce", reduce)
     monkeypatch.setattr(RowSpace, "store_shifted", store_shifted)
-    lad = pn_ladder(P, LADDER_UPTO)
     eng = engine_for(P)
     eng.ideal_component(ENGINE_DEGREE)
     graded = Closure.graded(rel, ENGINE_DEGREE)
     monkeypatch.undo()
 
     skipped = 0
-    for cl in (Closure.ladder(P, lad), Closure.engine(eng, ENGINE_DEGREE), graded):
+    for cl in (Closure.engine(eng, ENGINE_DEGREE), graded):
         assert len(cl.steps()) >= 3
         for m, prev, nxt in cl.steps():
             assert [o for sp, o in shifted if sp is nxt] == [prev] * cl.g, m
@@ -272,7 +246,7 @@ def test_ladder_inserts_only_the_new_rows(case, monkeypatch):
             assert sum(sp is nxt for sp in inserts) == want, m
     # the sample skips some products g·β, β not standard
     assert skipped
-    assert (lad.first_failure is None) == (case == "sl2")
+    assert (pn_ladder(P, LADDER_UPTO, eng).first_failure is None) == (case == "sl2")
 
 
 def proportional(a, b):
@@ -289,14 +263,13 @@ def test_representatives_and_skipped_multiples(p):
     # the finished component, and every representative the step keeps is a
     # nonzero multiple of g·β modulo V·I^{m-1} + z·I^{m-1}, that space
     # built here from the words; on the sample of test_closures_match_naive,
-    # ladder to P_6, engine and the graded ideal <R_P> to degree 6
+    # engine and the graded ideal <R_P> to degree 6
     field = QQ if p is None else PrimeField(p)
     rng = random.Random(4400 + (p or 0))
     skipped = kept = early = 0
     for _ in range(INSTANCES):
         P = sampled(rng, field)
-        for cl in (Closure.ladder(P, pn_ladder(P, LADDER_UPTO)),
-                   Closure.engine(engine_for(P), ENGINE_DEGREE),
+        for cl in (Closure.engine(engine_for(P), ENGINE_DEGREE),
                    Closure.graded(rp_of(P), ENGINE_DEGREE)):
             for m, prev, nxt in cl.steps():
                 for row, gen, n, i in representatives(prev):

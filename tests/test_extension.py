@@ -3,10 +3,11 @@ from pbwkit.gradedring import PresentedRing
 from pbwkit.deformation import (FilteredSubspace, extract_alpha, pn_ladder,
                                 minimize_relations, rp_of)
 from pbwkit.errors import InvalidPresentation
-from pbwkit.extension import ZMonomials, build_pz, engine_for, rees_identity_check
+from pbwkit.extension import (ExtensionEngine, ZMonomials, build_pz, engine_for,
+                              rees_identity_check)
 from pbwkit.linalg import QQ
 
-from conftest import (annihilator_basis, certified_cut_dim, eval_z,
+from conftest import (NaiveEngine, annihilator_basis, certified_cut_dim, eval_z,
                       random_presentation, zword_at)
 
 X, XY, XYC = ["x"], ["x", "y"], ["x", "y", "c"]
@@ -136,6 +137,32 @@ class TestAnnihilator:
     def test_heisenberg_regular_up_to_6(self):
         eng = engine_for(fs(HEISENBERG, XYC))
         assert [eng.annihilator_dim(n) for n in range(7)] == [0] * 7
+
+
+def test_counts_stop_at_saturation(monkeypatch):
+    # x^2 = -1 and x^3 = 0 give 1 = 0: <P_z>^4 is all of T[z]^4.  No count
+    # and no ladder builds a component past it, and the counts are those
+    # of the naive engine's components, built here past degree 4
+    P = fs(["x*x + 1", "x*x*x"], X)
+    steps = []
+    real = ExtensionEngine._step
+    monkeypatch.setattr(ExtensionEngine, "_step",
+                        lambda self, m: steps.append(m) or real(self, m))
+    eng = engine_for(P)
+    lad = pn_ladder(P, 10, eng)
+    naive = NaiveEngine(P.g, extract_alpha(P), rp_of(P), QQ)
+    comps = [naive.ideal_component(m) for m in range(13)]
+    for m in range(12):
+        assert eng.dim_d(m) == filtration_size(1, m) - comps[m].rank
+        assert eng.annihilator_dim(m) == sum(c >= 1 for c in comps[m + 1].rows) \
+            - comps[m].rank
+        for n in range(m + 1):
+            assert eng.cut_dim(m, n) == sum(c >= m - n for c in comps[m].rows)
+    assert rees_identity_check(eng, 12)[2] == 3
+    assert eng.gr_table(8) == [0] * 9        # U(P) = 0
+    assert steps == [1, 2, 3, 4] and eng.saturated_at == lad.full_from == 4
+    assert lad.dims == [comps[k].rank for k in range(12)]
+    assert lad.first_failure == 2
 
 
 class TestReesIdentity:

@@ -7,7 +7,7 @@ from pbwkit.freealg import (Element, WordBasis, filtration_size, format_element,
                             parse_element, project, word_key)
 from pbwkit.linalg import QQ
 
-from conftest import eval_z
+from conftest import eval_z, suffix_start
 
 X, Y = ["x"], ["x", "y"]
 
@@ -134,7 +134,7 @@ class TestWordOrder:
 
     def test_suffix_is_filtration(self):
         basis = WordBasis(2, 3)
-        start = basis.suffix_start(1)
+        start = suffix_start(basis, 1)
         assert {basis.word_at(p) for p in range(start, basis.size)} == {(), (0,), (1,)}
 
 

@@ -1,62 +1,57 @@
-"""The (J_k) verdicts that ``pbw_check`` reads from the T[z] engine.
+"""The Jacobi ladder that ``pn_ladder`` reads from the T[z] engine.
 
-``jacobi_verdicts`` decides (J_k) by comparing the engine's cut
-dim(P_{k+1} ∩ T^{<=k}) with dim P_k, and runs the Jacobi ladder only when
-some (J_k) fails, for its witness.  Its verdicts, first failure and witness
-must be the ladder's on every sampled presentation, and a disagreement
-between the two must raise instead of picking one.
+``pn_ladder`` counts dim P_k and (J_k) from the engine's pivots, and reads
+the witness of the first failing (J_k) from the rows of <P_z>^{k+1} that
+are z times an element of T[z]^k, reduced modulo <P_z>^k.  Its dims,
+verdicts, first failure and witness must be those of the naive ladder
+(conftest), which multiplies every row of P_k over word columns, on every
+sampled presentation; a witness space whose dimension is not
+dim ann(z)^k must raise instead of giving a witness.
 """
 
 import random
-from fractions import Fraction
 
 import pytest
 
-from pbwkit.deformation import FilteredSubspace, jacobi_verdicts, pn_ladder
-from pbwkit.errors import InvalidPresentation, InvariantViolation, ResourceExceeded
-from pbwkit.extension import engine_for
-from pbwkit.freealg import Element, parse_element
+from pbwkit.cli import main
+from pbwkit.deformation import FilteredSubspace, pn_ladder
+from pbwkit.errors import InvariantViolation, ResourceExceeded
+from pbwkit.extension import ExtensionEngine, engine_for
+from pbwkit.freealg import filtration_size, parse_element
 from pbwkit.linalg import QQ, PrimeField
 
-from conftest import random_presentation, row_elements
+from conftest import naive_ladder, row_elements, sampled
 
 UPTO = 5
 INSTANCES = 40
-
-
-def sampled(rng, field):
-    """A sampler presentation over ``field``, tops of degree 1 allowed;
-    spans that are zero or contain a constant there are skipped."""
-    while True:
-        g, elems = random_presentation(rng, tops_at_least_2=rng.random() < 0.7)
-        elems = [Element(field, {w: field.from_fraction(Fraction(s))
-                                 for w, s in e.terms.items()}) for e in elems]
-        try:
-            P = FilteredSubspace(g, elems, field)
-        except InvalidPresentation:
-            continue
-        if P.dim:
-            return P
 
 
 @pytest.mark.parametrize("p", [None, 7])
 def test_engine_verdicts_match_ladder(p):
     field = QQ if p is None else PrimeField(p)
     rng = random.Random(4700 + (p or 0))
-    failed = 0
+    failed = full = 0
     for _ in range(INSTANCES):
         P = sampled(rng, field)
         lad = pn_ladder(P, UPTO)
-        got = jacobi_verdicts(P, engine_for(P), UPTO)
-        assert got.verdicts == lad.verdicts, row_elements(P)
-        assert got.first_failure == lad.first_failure
-        if lad.witness is None:
-            assert got.witness is None
+        spaces, verdicts, witness = naive_ladder(P, UPTO)
+        top = len(spaces) - 1
+        assert lad.dims[:top + 1] == [sp.rank for sp in spaces], row_elements(P)
+        assert lad.dims[top + 1:] == [filtration_size(P.g, k)
+                                      for k in range(top + 1, UPTO + 2)]
+        assert lad.full_from == (top if spaces[top].rank == filtration_size(P.g, top)
+                                 else None)
+        assert lad.verdicts == verdicts
+        assert lad.first_failure == next((k for k, ok in verdicts.items() if not ok), None)
+        if witness is None:
+            assert lad.witness is None
         else:
-            assert got.witness.terms == lad.witness.terms
+            assert lad.witness.terms == witness.terms, row_elements(P)
             failed += 1
-    # the sample reaches both outcomes
+        full += lad.full_from is not None
+    # the sample reaches both outcomes and a ladder that fills T^{<=k}
     assert 0 < failed < INSTANCES
+    assert full
 
 
 def weyl():
@@ -65,17 +60,35 @@ def weyl():
 
 
 def test_disagreement_raises(monkeypatch):
-    # the Weyl algebra passes every (J_k); an engine that reports one cut
-    # too many makes every verdict fail, and the ladder then contradicts it
+    # the Weyl algebra passes every (J_k); an engine that counts one pivot
+    # too many in each cut P_{k+1} ∩ T^{<=k} reports a failing (J_1), and
+    # the witness space, which is zero, then contradicts it
     P = weyl()
     eng = engine_for(P)
     cut = eng.cut_dim
-    monkeypatch.setattr(eng, "cut_dim", lambda m, n: cut(m, n) + 1)
-    with pytest.raises(InvariantViolation, match="disagree"):
-        jacobi_verdicts(P, eng, 3)
+    monkeypatch.setattr(eng, "cut_dim", lambda m, n: cut(m, n) + (m > n))
+    with pytest.raises(InvariantViolation, match="witness space has dimension 0, "):
+        pn_ladder(P, 3, eng)
 
 
 def test_depth_cap_is_the_ladders():
     P = weyl()
     with pytest.raises(ResourceExceeded, match="ladder depth 24 above cap 24"):
-        jacobi_verdicts(P, engine_for(P), 24)
+        pn_ladder(P, 24, engine_for(P))
+
+
+def test_guard_refuses_before_any_step(tmp_path, capsys, monkeypatch):
+    # jacobi --upto 6 on two letters needs T[z]^7, 255 columns: under a
+    # guard of 200 it exits 13 before the engine builds a component
+    f = tmp_path / "weyl.pbw"
+    f.write_text('generators = ["x", "y"]\ndeformation = ["x*y - y*x - 1"]\n')
+    steps = []
+    real = ExtensionEngine._step
+    monkeypatch.setattr(ExtensionEngine, "_step",
+                        lambda self, m: steps.append(m) or real(self, m))
+    monkeypatch.setenv("PBWKIT_MAX_COLUMNS", "200")
+    assert main(["jacobi", str(f), "--upto", "6"]) == 13
+    assert "T[z]^7 over 2 generators needs 255 columns" in capsys.readouterr().err
+    assert steps == []
+    assert main(["jacobi", str(f), "--upto", "5"]) == 0
+    assert steps == [1, 2, 3, 4, 5, 6]

@@ -1,13 +1,21 @@
-"""Metamorphic oracle: relabelling the generators is an isomorphism.
+"""Metamorphic oracles: relabelling the generators is an isomorphism, and
+P does not depend on the spanning set it is given by.
 
 Reversing, rotating or shuffling (one seeded permutation) the generator
 list changes the letter order, hence every column order, pivot choice and
 witness downstream.  The verdict,
 c(A), its certification, the (J_k) verdicts, the dimension tables and both
 routes' Tor_3 tables are isomorphism invariants and must not change.
+
+A seeded invertible integer combination of the deformation's elements
+spans the same P but changes the rows every stage inserts, in value and
+order.  Everything ``check`` and ``jacobi`` report must stay the same,
+the witness included: it is canonical, the first row of the reduced
+echelon form of (P_{k+1} ∩ T^{<=k}) modulo P_k.
 """
 
 import dataclasses
+import json
 import random
 
 import pytest
@@ -16,10 +24,11 @@ import pbwkit
 from pbwkit.cli import run_command
 from pbwkit.deformation import FilteredSubspace, pbw_check
 from pbwkit.errors import InvalidPresentation
-from pbwkit.freealg import Element
-from pbwkit.presentations import parse_presentation
+from pbwkit.freealg import Element, format_element
+from pbwkit.linalg import QQ
+from pbwkit.presentations import Presentation, parse_presentation
 
-from conftest import random_presentation
+from conftest import random_presentation, row_elements, sampled
 
 ORDERS = {
     "reversed": lambda items: items[::-1],
@@ -93,3 +102,64 @@ def test_pbw_check_invariant_under_generator_order():
                             tor_bound=4)
             assert pbw_invariants(res) == want, (done, order)
         done += 1
+
+
+def recombined(elems, seed):
+    """Each element times ±1 plus integer multiples of the ones before it
+    (a unit triangular matrix up to signs, invertible over every field),
+    in a seeded order."""
+    rng = random.Random(seed)
+    out = []
+    for i, e in enumerate(elems):
+        f = e.scale(e.field.from_int(rng.choice((1, -1))))
+        for prev in elems[:i]:
+            f = f + prev.scale(e.field.from_int(rng.randint(-2, 2)))
+        out.append(f)
+    rng.shuffle(out)
+    return out
+
+
+def respanned(pres, seed):
+    elems = recombined(pres.parsed_deformation(), seed)
+    return dataclasses.replace(pres, deformation=[format_element(e, pres.generators)
+                                                  for e in elems])
+
+
+def reports(pres):
+    """``check --json`` and ``jacobi --json`` without timings, with the exit
+    codes and notes."""
+    out = []
+    for cmd in ("check", "jacobi"):
+        report = run_command(cmd, pres)
+        payload = json.loads(report.to_json())
+        del payload["timings"]
+        out.append((payload, report.exit_code, report.notes))
+    return out
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp(32003)"])
+@pytest.mark.parametrize("name", pbwkit.gallery_names())
+def test_gallery_invariant_under_spanning_set(name, field):
+    with open(pbwkit.gallery_path(name), encoding="utf-8") as fh:
+        pres = dataclasses.replace(parse_presentation(fh.read()), field_name=field)
+    want = reports(pres)
+    for seed in (1, 2):
+        assert reports(respanned(pres, seed)) == want, (name, field, seed)
+
+
+def test_sampled_invariant_under_spanning_set():
+    # the 30 sampler presentations of test_closure, as presentations whose
+    # deformation is the reduced rows of P
+    rng = random.Random(4400)
+    failed = 0
+    for i in range(30):
+        P = sampled(rng, QQ)
+        names = [f"x{k}" for k in range(P.g)]
+        pres = Presentation("Q", names, [], [format_element(e, names)
+                                             for e in row_elements(P)],
+                            max_degree=5, tor_bound=4)
+        want = reports(pres)
+        assert reports(respanned(pres, i)) == want, (i, pres.deformation)
+        failed += want[1][0]["witness"] is not None
+    # the sample reaches failing (J_k), whose witness is compared
+    assert failed
