@@ -91,19 +91,16 @@ def check_depth(depth):
         raise ResourceExceeded(f"ladder depth {depth} above cap {ENGINE_DEGREE_CAP}")
 
 
-def build_pz(alpha, rel):
-    """alpha_z(r) = sum alpha_i(r) z^i for each basis element r of rel.
+def build_pz(alpha):
+    """alpha_z(r) = sum alpha_i(r) z^i for each domain row r of alpha, a
+    basis of the relations R.
 
     Since alpha_0 is the inclusion these are exactly the external
-    homogenizations of the alpha images, homogeneous of total degree
-    deg(r); evaluating z := 1 recovers alpha(r) and z := 0 recovers r.
+    homogenizations of the stored alpha images, homogeneous of total
+    degree deg(r); evaluating z := 1 recovers alpha(r) and z := 0
+    recovers r.
     """
-    out = []
-    for n in rel.degrees():
-        for row in rel.blocks[n].basis():
-            image = alpha.apply_vec(n, row)
-            out.append(homogenize(image))
-    return out
+    return [homogenize(img) for n in sorted(alpha.images) for img in alpha.images[n]]
 
 
 class ZMonomials:
@@ -161,14 +158,15 @@ class ZMonomials:
 class ExtensionEngine:
     """Caches, per degree n, the ideal component <P_z>^n and the quotient
     basis of D^n; dim D^n, the cuts and the annihilator dimension of z are
-    counted from them.  Single-writer; completed degrees are frozen."""
+    counted from them.  ``rel`` is the domain of ``alpha``, R.
+    Single-writer; completed degrees are frozen."""
 
     def __init__(self, g, alpha, rel, field):
         self.g = g
         self.field = field
         self.rel = rel
         self.alpha = alpha
-        self.pz = build_pz(alpha, rel)
+        self.pz = build_pz(alpha)
         # group alpha_z generators by total degree, as position vectors
         self._pz_by_degree = {}
         for h in self.pz:

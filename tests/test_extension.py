@@ -68,18 +68,18 @@ def _divides(a, b):
 class TestBuildPz:
     def test_tail_gets_z_squared(self):
         P = fs(["x*x + 1"], X)
-        pz = build_pz(extract_alpha(P), rp_of(P))
+        pz = build_pz(extract_alpha(P))
         assert len(pz) == 1
         assert pz[0].terms == {((0, 0), 0): QQ.one, ((), 2): QQ.one}
 
     def test_inclusion_keeps_no_z(self):
         P = fs(["x*y - y*x"], XY)
-        pz = build_pz(extract_alpha(P), rp_of(P))
+        pz = build_pz(extract_alpha(P))
         assert all(k == 0 for h in pz for (_, k) in h.terms)
 
     def test_degree_one_tail(self):
         P = fs(HEISENBERG, XYC)
-        pz = build_pz(extract_alpha(P), rp_of(P))
+        pz = build_pz(extract_alpha(P))
         comm = next(h for h in pz if len(h.terms) == 3)
         assert ((2,), 1) in comm.terms  # the c z term
 
@@ -87,7 +87,7 @@ class TestBuildPz:
         P = fs(["x*y - y*x - x", "x*x"], XY)
         alpha = extract_alpha(P)
         rel = rp_of(P)
-        for h in build_pz(alpha, rel):
+        for h in build_pz(alpha):
             e1 = eval_z(h, QQ.one)
             assert P.space.contains(P.basis.element_to_vec(e1))
             e0 = eval_z(h, QQ.zero)
