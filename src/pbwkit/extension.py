@@ -43,10 +43,10 @@ A word β'x is standard only if β' is, and ĉ(g, β'x) is ĉ(g, β')·x
 reduced by the step's kernel, read before it meets a pivot that another
 candidate of the step inserted (``linalg.closure_step``).  So the
 components, their pivots and every count below are those of the full
-recursion.  One degree is one ``linalg.closure_step`` with the column
-maps of ``ZMonomials``: ``left_maps`` for V·, ``right_maps`` for ·x,
-and as the central map the shift by the g^m columns of word degree m for
-z·; the word β of length n with lex index i is the monomial β z^0 at
+recursion.  One degree is one ``linalg.closure_step`` with
+``ZMonomials.left_maps`` for V· and the shift by the g^m columns of word
+degree m for z·; ·x moves column c to g·c + x, which the step computes
+itself.  The word β of length n with lex index i is the monomial β z^0 at
 position i of T[z]^n, the first block.  Once a component is all of
 T[z]^m, so is every later one (z·T[z]^m and V·T[z]^m cover T[z]^{m+1}),
 and no count reads a component past the first full one
@@ -74,6 +74,7 @@ witness of a failing (J_n).
 from __future__ import annotations
 
 from bisect import bisect_left
+from itertools import accumulate
 
 from .errors import ResourceExceeded, ValidationError
 from .freealg import column_guard, filtration_size, homogenize
@@ -109,11 +110,11 @@ class ZMonomials:
     lex inside a degree.  High-degree pivots keep the echelon rows sparse;
     multiplication by z into degree n+1 is a constant position shift."""
 
-    def __init__(self, g, n):
+    def __init__(self, g, n, guard=None):
         self.g = g
         self.n = n
         self.size = filtration_size(g, n)
-        if self.size > column_guard():
+        if self.size > (column_guard() if guard is None else guard):
             raise ResourceExceeded(
                 f"T[z]^{n} over {g} generators needs {self.size} columns")
 
@@ -139,27 +140,12 @@ class ZMonomials:
             maps.append(cols)
         return maps
 
-    def right_maps(self):
-        """One list per letter x_i: entry p is the position in T[z]^{n+1}
-        of the monomial at position p times x_i, (w x_i) z^k for w z^k.
-        Each map keeps positions in order."""
-        g = self.g
-        top = filtration_size(g, self.n + 1)
-        maps = []
-        for i in range(g):
-            cols = []
-            for d in range(self.n, -1, -1):
-                start = top - filtration_size(g, d + 1) + i
-                cols.extend(range(start, start + g ** (d + 1), g))
-            maps.append(cols)
-        return maps
-
 
 class ExtensionEngine:
-    """Caches, per degree n, the ideal component <P_z>^n and the quotient
-    basis of D^n; dim D^n, the cuts and the annihilator dimension of z are
-    counted from them.  ``rel`` is the domain of ``alpha``, R.
-    Single-writer; completed degrees are frozen."""
+    """Caches, per degree n, the ideal component <P_z>^n and its cuts
+    (``cut_dim``), which give dim D^n and the annihilator dimension of z.
+    ``rel`` is the domain of ``alpha``, R.  The column guard is read once,
+    here.  Single-writer; completed degrees are frozen."""
 
     def __init__(self, g, alpha, rel, field):
         self.g = g
@@ -167,15 +153,16 @@ class ExtensionEngine:
         self.rel = rel
         self.alpha = alpha
         self.pz = build_pz(alpha)
+        self._guard = column_guard()
         # group alpha_z generators by total degree, as position vectors
         self._pz_by_degree = {}
         for h in self.pz:
             n = h.total_degree
-            mono = ZMonomials(g, n)
+            mono = ZMonomials(g, n, self._guard)
             vec = {mono.pos_of_word(w): s for (w, k), s in h.terms.items()}
             self._pz_by_degree.setdefault(n, []).append(vec)
         self._ideal = {0: RowSpace(field)}
-        self._dbasis = {0: [0]}        # positions of quotient basis monomials
+        self._cuts = {0: [0]}          # m -> [cut_dim(m, n) for n <= m]
         self.saturated_at = None
 
     # -- ideal components -------------------------------------------------
@@ -196,18 +183,20 @@ class ExtensionEngine:
     def _step(self, m):
         """I^m = V·I^{m-1} + z·N + span{ĉ(g, β)} for I = <P_z> (see the
         module docstring); z·(w z^k) = w z^(k+1) moves every column by
-        the g^m columns of word degree m."""
-        mono = ZMonomials(self.g, m)
-        prev = ZMonomials(self.g, m - 1)
-        ideal = self._ideal
+        the g^m columns of word degree m.  Of its pivots of word degree
+        <= n, g·cut_dim(m-1, n-1) are left images (x_i· adds one to the
+        word degree) and the rest are bisected on the sorted new ones."""
+        g, ideal = self.g, self._ideal
+        size = ZMonomials(g, m, self._guard).size
         # the word of length n with lex index i is w z^0, at position i
-        sp = closure_step(self.field, ideal[m - 1], prev.left_maps(),
-                          prev.right_maps(), self._pz_by_degree.get(m, ()),
-                          lambda n, i: i not in ideal[n].rows, central=self.g ** m)
-        if sp.rank == mono.size and self.saturated_at is None:
+        sp = closure_step(self.field, ideal[m - 1],
+                          ZMonomials(g, m - 1, self._guard).left_maps(),
+                          self._pz_by_degree.get(m, ()), ideal, central=g ** m)
+        if sp.rank == size and self.saturated_at is None:
             self.saturated_at = m
-        pivots = set(sp.rows)
-        self._dbasis[m] = [p for p in range(mono.size) if p not in pivots]
+        new, below = sorted(sp.inserted), [0] + self._cuts[m - 1]
+        self._cuts[m] = [g * below[n] + len(new) - bisect_left(new, size - width)
+                         for n, width in enumerate(accumulate(g ** n for n in range(m + 1)))]
         return sp
 
     def _full(self, n):
@@ -220,7 +209,7 @@ class ExtensionEngine:
     # -- quotient data -----------------------------------------------------
 
     def dim_d(self, n):
-        return 0 if self._full(n) else len(self._dbasis[n])
+        return 0 if self._full(n) else filtration_size(self.g, n) - self._cuts[n][n]
 
     def annihilator_dim(self, n):
         """dim ker(z . (-) : D^n -> D^{n+1}) = dim(P_{n+1} ∩ T^{<=n}) -
@@ -240,15 +229,10 @@ class ExtensionEngine:
     def cut_dim(self, m, n):
         """dim(P_m ∩ T^{<=n}) for n <= m, which every caller keeps: the
         number of pivots of <P_z>^m of word degree <= n, i.e. in the last
-        dim T^{<=n} columns.  That is those columns less the D^m basis
-        positions among them, found by bisecting the ascending
-        ``_dbasis[m]``."""
-        width = filtration_size(self.g, n)
+        dim T^{<=n} columns, counted when the component was built."""
         if self._full(m):
-            return width
-        dbasis = self._dbasis[m]
-        start = filtration_size(self.g, m) - width
-        return width - (len(dbasis) - bisect_left(dbasis, start))
+            return filtration_size(self.g, n)
+        return self._cuts[m][n]
 
     def gr_table(self, upto, certified=False):
         """dim gr^n U(P) for n = 0..upto, or None when not computable cheaply.
@@ -269,7 +253,7 @@ class ExtensionEngine:
         else:
             cuts = None
             m = max(upto + 1, top) + 1
-            cap = min(GR_TABLE_COLUMN_CAP, column_guard())
+            cap = min(GR_TABLE_COLUMN_CAP, self._guard)
             while filtration_size(g, m) <= cap and m <= ENGINE_DEGREE_CAP:
                 now = [self.cut_dim(m, n) for n in range(upto + 1)]
                 if self._full(m) or now == [self.cut_dim(m - 1, n) for n in range(upto + 1)]:

@@ -26,12 +26,13 @@ DIGITS = frozenset("0123456789")
 
 def column_guard():
     raw = os.environ.get("PBWKIT_MAX_COLUMNS")
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise ValidationError(f"PBWKIT_MAX_COLUMNS={raw!r} is not an integer")
-    return DEFAULT_COLUMN_GUARD
+    try:
+        guard = int(raw) if raw else DEFAULT_COLUMN_GUARD
+    except ValueError:
+        raise ValidationError(f"PBWKIT_MAX_COLUMNS={raw!r} is not an integer")
+    if guard < 1:
+        raise ValidationError(f"PBWKIT_MAX_COLUMNS={raw!r} is below 1")
+    return guard
 
 
 def word_key(w):

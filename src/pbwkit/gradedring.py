@@ -14,9 +14,10 @@ a·g·b of words lies in F¹I^{n-1} unless a = 1, and g·β with β =
 g·β'' with β'' after β.  Left multiplication by x_i moves column c to
 i g^{n-1} + c and right multiplication moves it to c g + i; both keep
 columns distinct and in order.  One degree is one ``linalg.closure_step``
-with these maps: F¹I^{n-1} is stored shifted (``RowSpace.store_shifted``:
-recorded, and a moved row is built only when a reduction first reads
-it); only the ĉ(g, β) and G^n are reduced.  The degree-n
+with the left maps (it moves right products itself): F¹I^{n-1} is stored
+shifted (``RowSpace.store_shifted``: recorded, and a moved row is built
+only when a reduction first reads it); only the ĉ(g, β) and G^n are
+inserted.  The degree-n
 basis of the quotient is the set of non-pivot words of I^n (the
 pivot-greedy complement), so normal forms are canonical full reductions
 and quotient multiplication is word concatenation followed by a normal
@@ -118,12 +119,9 @@ def graded_ideal_step(chain, gens_block, g, n1, field):
     index i is at position i of I^n."""
     if g ** n1 > column_guard():
         raise ResourceExceeded(f"degree {n1} needs {g ** n1} columns")
-    # the word w at position p goes to i g^{n1-1} + p under x_i·w and to
-    # p g + i under w·x_i
+    # the word w at position p goes to i g^{n1-1} + p under x_i·w
     return closure_step(field, chain[n1 - 1], [i * g ** (n1 - 1) for i in range(g)],
-                        [range(i, g ** n1, g) for i in range(g)],
-                        gens_block.raw_basis() if gens_block is not None else (),
-                        lambda n, i: i not in chain[n].rows)
+                        gens_block.raw_basis() if gens_block is not None else (), chain)
 
 
 class PresentedRing:

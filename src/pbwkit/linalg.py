@@ -58,6 +58,7 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from itertools import chain
 from math import gcd, lcm
+from operator import itemgetter
 
 from .errors import ValidationError
 
@@ -250,8 +251,7 @@ class _AllRows(Mapping):
         return row
 
     def __contains__(self, c):
-        sp = self._space
-        return c in sp._rows or c in sp._keys
+        return self._space.is_pivot(c)
 
     def __iter__(self):
         sp = self._space
@@ -299,6 +299,13 @@ class RowSpace:
     @property
     def pivots(self):
         return _MonicRows(self)
+
+    @property
+    def inserted(self):
+        return self._inserted      # pivots of the rows not stored shifted
+
+    def is_pivot(self, c):
+        return c in self._rows or c in self._keys
 
     # -- shifted spaces ----------------------------------------------------
 
@@ -441,6 +448,19 @@ class RowSpace:
         self._rows[lead] = vec
         self._inserted.append(lead)
 
+    def _store(self, vec, lead, stop, normal=False):
+        """Store a product with leading column ``lead`` as ``_reduce`` with
+        ``store`` and ``stop`` would: when lead is no pivot, the vector as it
+        is if ``normal`` says it is normalised, else through ``_put``."""
+        if self.is_pivot(lead):
+            return self._reduce(vec, store=True, stop=stop)
+        if normal:
+            self._rows[lead] = vec
+            self._inserted.append(lead)
+        else:
+            self._put(vec, lead)
+        return lead, None
+
     def _monic_row(self, c):
         row = self._monic.get(c)
         if row is None:
@@ -581,7 +601,7 @@ def integer_rank(field, rows):
     return sp.rank
 
 
-def closure_step(field, prev, lefts, rights, gens, standard, central=None):
+def closure_step(field, prev, lefts, gens, comps, central=None):
     """One degree of a graded ideal closure, by standard words:
 
         I^m = V·I^{m-1} + z·N + span{ĉ(g, β)},
@@ -589,13 +609,15 @@ def closure_step(field, prev, lefts, rights, gens, standard, central=None):
     where ``prev`` is I^{m-1}, N the rows ``prev``'s own step inserted, g
     runs over the generators and β over the standard words of length
     m - deg g: the words that are not a pivot of the finished component
-    I^{|β|}, ``standard(n, i)`` telling whether the i-th word of length n
-    in lex order is one.  ĉ(g, β) is any element congruent to g·β modulo
-    V·I^{m-1} + z·I^{m-1}.  ``lefts`` and ``rights`` are the column maps
-    from degree m-1 to degree m of the left and right multiplications by
-    the letters, ``central`` that of a central factor z, or None; a map is
-    an int offset or an order-keeping sequence, as in ``store_shifted``.
-    ``gens`` are the rows of the generators of degree m.
+    I^{|β|} = ``comps[|β|]``, the word of length n with lex index i being
+    at column i of I^n.  ĉ(g, β) is any element congruent to g·β modulo
+    V·I^{m-1} + z·I^{m-1}.  ``lefts`` are the column maps from degree m-1
+    to degree m of the left multiplications by the letters, each an int
+    offset or an order-keeping sequence as in ``store_shifted``, and
+    ``central`` the offset of a central factor z, or None.  ·x moves
+    column c to G·c + x (G letters) in both layouts the steps use, the
+    words of length n in lex order and T[z]^n (|T[z]^n| = G·|T[z]^{n-1}|
+    + 1).  ``gens`` are the rows of the generators of degree m.
 
     This is exact.  I^m is spanned by V·I^{m-1}, z·I^{m-1} and the g·β.
     If β = ω·lead(h)·ω' for a monic h in I, then g·β = g·ω·h·ω' -
@@ -615,29 +637,34 @@ def closure_step(field, prev, lefts, rights, gens, standard, central=None):
     candidate inserted.  The step keeps it there as the representative
     for the next degree: the stored row when the chain meets no such
     pivot, nothing when it reduces to zero first.  One kernel reduction
-    serves both (``RowSpace._reduce`` with ``stop``).  The products are
-    fresh moves of stored rows, so they go to the kernel as they are.
-    The order of the representatives matters: on U(gl2), ``check`` to
-    degree 8 takes 23 k reduction steps with it and 188 k in the order
-    the step made them."""
+    serves both (``RowSpace._reduce`` with ``stop``).  Every product is
+    a fresh move of a stored row or representative, with a leading
+    column known from its source, and goes through ``RowSpace._store``:
+    one whose leading column is no pivot skips the kernel, stored as it
+    is when it moves a row ``prev`` holds (normalised), else normalised,
+    the row the kernel would store.  The order of the representatives
+    matters: on U(gl2), ``check`` to degree 8 takes 23 k reduction steps
+    with it and 188 k in the order the step made them."""
     sp = RowSpace(field)
     for cols in lefts:
         sp.store_shifted(prev, cols)
-    reduce = sp._reduce
+    put, rows = sp._store, prev._rows
     if central is not None:
-        rows = prev._rows
         for c in sorted(prev._inserted, reverse=True):
-            reduce(_moved(rows[c], central), store=True)
-    g = len(rights)
-    last_first = sorted(prev._reps, key=lambda rep: min(rep[0]), reverse=True)
-    cands = chain(((_moved(row, rights[x]), gen, n + 1, i * g + x)
-                   for row, gen, n, i in last_first
-                   for x in range(g) if standard(n + 1, i * g + x)),
-                  ((sp._ints(vec)[0], vec, 0, 0) for vec in gens))
+            put(_moved(rows[c], central), c + central, (), normal=True)
+    g = len(lefts)
+    last_first = sorted([(min(rep[0]), rep) for rep in prev._reps],
+                        key=itemgetter(0), reverse=True)
+    ints = [sp._ints(vec)[0] for vec in gens]
+    cands = chain(((g * lead + x, {g * c + x: s for c, s in row.items()},
+                    rows.get(lead) is row, gen, n + 1, i * g + x)
+                   for lead, (row, gen, n, i) in last_first
+                   for x in range(g) if not comps[n + 1].is_pivot(i * g + x)),
+                  ((min(vec), vec, False, gen, 0, 0) for vec, gen in zip(ints, gens)))
     made = set()              # the pivots the candidates inserted
     reps = sp._reps = []      # (ĉ(g, β), g, |β|, lex index of β)
-    for vec, gen, n, i in cands:
-        lead, rep = reduce(vec, store=True, stop=made)
+    for lead, vec, normal, gen, n, i in cands:
+        lead, rep = put(vec, lead, made, normal)
         if lead is not None:
             made.add(lead)
             if rep is None:

@@ -7,6 +7,7 @@ results are checked against a second arithmetic path.
 
 from __future__ import annotations
 
+import functools
 import random
 from fractions import Fraction
 from itertools import combinations, product
@@ -15,7 +16,7 @@ import pytest
 
 from pbwkit.deformation import FilteredSubspace, minimize_relations, rp_of
 from pbwkit.errors import InvalidPresentation
-from pbwkit.extension import ExtensionEngine, ZMonomials
+from pbwkit.extension import ExtensionEngine
 from pbwkit.freealg import (DegreeBasis, Element, WordBasis, filtration_size,
                             multiply, project)
 from pbwkit.gradedring import PresentedRing
@@ -255,17 +256,32 @@ def zword_at(g, n, pos):
     return tuple(reversed(letters))
 
 
+@functools.cache
+def zcolumns(g, n):
+    """word -> position of its monomial in T[z]^n, the inverse of
+    ``zword_at``: the oracles' own column index, apart from the engine's
+    ``ZMonomials``."""
+    return {zword_at(g, n, p): p for p in range(filtration_size(g, n))}
+
+
+def quotient_positions(eng, n):
+    """The positions of the D^n basis monomials: the non-pivots of
+    <P_z>^n, ascending."""
+    comp = eng.ideal_component(n)
+    return [p for p in range(filtration_size(eng.g, n)) if p not in comp.rows]
+
+
 def z_images(eng, n):
     """The images under multiplication by z of the engine's D^n basis
     monomials, each reduced in full modulo <P_z>^{n+1}: vectors over the
     T[z]^{n+1} positions of the D^{n+1} basis.  The oracle for
     ``annihilator_dim``: dim ann(z)^n is the number of images less their
     rank."""
-    eng.ideal_component(n)
+    positions = quotient_positions(eng, n)
     nxt = eng.ideal_component(n + 1)
     zshift = eng.g ** (n + 1)
     # z * (w z^k) keeps the word part: the position moves by one block
-    return [nxt.reduce_full({p + zshift: eng.field.one}) for p in eng._dbasis[n]]
+    return [nxt.reduce_full({p + zshift: eng.field.one}) for p in positions]
 
 
 def annihilator_basis(eng, n):
@@ -274,7 +290,7 @@ def annihilator_basis(eng, n):
     z-images."""
     images = z_images(eng, n)
     combos = left_kernel_basis(eng.field, images, filtration_size(eng.g, n + 1))
-    positions = eng._dbasis[n]
+    positions = quotient_positions(eng, n)
     out = []
     for combo in combos:
         words = [(zword_at(eng.g, n, positions[k]), s) for k, s in sorted(combo.items())]
@@ -383,25 +399,37 @@ def naive_ladder(P, upto):
 class NaiveEngine(ExtensionEngine):
     """The T[z] engine with the naive closure step: z·r, x_i·r and r·x_i
     inserted for every row r of <P_z>^{m-1}, then the degree-m part of
-    P_z."""
+    P_z.  Products are moved through the words at their columns
+    (``zcolumns``), and the cuts and dim D^n are counted on the rows of
+    each component."""
 
     def _step(self, m):
         g = self.g
         prev = self._ideal[m - 1]
-        mono = ZMonomials(g, m)
+        col = zcolumns(g, m)
         sp = RowSpace(self.field)
         for row in prev.raw_basis():
-            sp.insert({c + g ** m: s for c, s in row.items()})
             words = [(zword_at(g, m - 1, c), s) for c, s in row.items()]
+            # z·(w z^k) = w z^(k+1): the same word, one degree up
+            sp.insert({col[w]: s for w, s in words})
             for i in range(g):
-                sp.insert({mono.pos_of_word((i,) + w): s for w, s in words})
-                sp.insert({mono.pos_of_word(w + (i,)): s for w, s in words})
+                sp.insert({col[(i,) + w]: s for w, s in words})
+                sp.insert({col[w + (i,)]: s for w, s in words})
         for vec in self._pz_by_degree.get(m, []):
             sp.insert(dict(vec))
-        if sp.rank == mono.size and self.saturated_at is None:
+        if sp.rank == len(col) and self.saturated_at is None:
             self.saturated_at = m
-        self._dbasis[m] = [c for c in range(mono.size) if c not in sp.rows]
         return sp
+
+    def cut_dim(self, m, n):
+        width = filtration_size(self.g, n)
+        if self._full(m):
+            return width
+        start = filtration_size(self.g, m) - width
+        return sum(1 for c in self._ideal[m].rows if c >= start)
+
+    def dim_d(self, n):
+        return 0 if self._full(n) else filtration_size(self.g, n) - self._ideal[n].rank
 
 
 # ---------------------------------------------------------------------------

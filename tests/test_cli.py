@@ -223,6 +223,14 @@ class TestExitCodes:
         assert main(["check", str(f)]) == 13
         assert "T[z]^3 over 3 generators needs 40 columns" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("guard", ["0", "-3"])
+    def test_guard_below_one_code(self, guard, capsys, monkeypatch):
+        # a column guard below 1 is a bad setting (exit 12), not a refused
+        # input (exit 13)
+        monkeypatch.setenv("PBWKIT_MAX_COLUMNS", guard)
+        assert main(["check", gallery("sl2.pbw")]) == 12
+        assert f"PBWKIT_MAX_COLUMNS='{guard}' is below 1" in capsys.readouterr().err
+
     def test_tables_stop_below_the_guard(self, tmp_path, capsys, monkeypatch):
         # the graded branch certifies T/(xy) to max_degree 7 within a guard
         # of 256 columns; ann(z)^7 would read T[z]^8 (511 columns), so the

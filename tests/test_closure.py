@@ -14,22 +14,73 @@ over word columns).
 """
 
 import random
+from math import gcd
 
 import pytest
 
 from pbwkit.deformation import FilteredSubspace, extract_alpha, pn_ladder, rp_of
-from pbwkit.extension import (ENGINE_DEGREE_CAP, GR_TABLE_COLUMN_CAP, ZMonomials,
-                              engine_for)
+from pbwkit.extension import ENGINE_DEGREE_CAP, GR_TABLE_COLUMN_CAP, engine_for
 from pbwkit.freealg import DegreeBasis, filtration_size, parse_element
 from pbwkit.gradedring import GradedSubspace, ideal_chain
 from pbwkit.linalg import QQ, PrimeField, RowSpace
 
 from conftest import (NaiveEngine, annihilator_basis, inserted, naive_ladder,
-                      representatives, row_elements, sampled, zword_at)
+                      representatives, row_elements, sampled, zcolumns, zword_at)
 
 LADDER_UPTO = 5
 ENGINE_DEGREE = 6
 INSTANCES = 30
+SL2 = ["e*f - f*e - h", "h*e - e*h - 2*e", "h*f - f*h + 2*f"]
+
+
+def normal_row(row, c, p):
+    """Whether the row leads at c and is primitive with a positive pivot
+    entry over Q, monic with residues in [0, p) over F_p."""
+    vals = list(row.values())
+    if min(row) != c:
+        return False
+    if p is None:
+        return all(type(s) is int for s in vals) and gcd(*vals) == 1 and row[c] > 0
+    return row[c] == 1 and all(0 < s < p for s in vals)
+
+
+@pytest.mark.parametrize("p, seed", [(None, 2), (7, 4703)])
+def test_stored_rows_are_normalised(p, seed, monkeypatch):
+    # a product whose leading column is no pivot is stored without a
+    # kernel pass, so it must be the row the kernel stores: normalised,
+    # checked as RowSpace._store stores it (a row that is not would derail
+    # the next reduction that reads it) and again on every component of
+    # the engine to degree 6 and of the graded ideal; the engine's cut
+    # counts must equal those the naive engine counts on its rows
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(seed)
+    sl2 = FilteredSubspace(3, [parse_element(t, ["e", "f", "h"], field) for t in SL2], field)
+    real, raw = RowSpace._store, []
+
+    def put(self, vec, lead, stop, normal=False):
+        if not self.is_pivot(lead) and not normal_row(vec, lead, p):
+            raw.append(lead)
+        out = real(self, vec, lead, stop, normal)
+        if out[0] is not None:
+            assert normal_row(self._rows[out[0]], out[0], p)
+        return out
+    monkeypatch.setattr(RowSpace, "_store", put)
+    for P in [sl2] + [sampled(rng, field) for _ in range(INSTANCES)]:
+        eng = engine_for(P)
+        naive = NaiveEngine(P.g, extract_alpha(P), rp_of(P), field)
+        for m in range(ENGINE_DEGREE + 1):
+            comp = eng.ideal_component(m)
+            assert all(normal_row(row, c, p)
+                       for c, row in zip(sorted(comp.rows), comp.raw_basis()))
+            assert eng.dim_d(m) == naive.dim_d(m), m
+            assert [eng.cut_dim(m, n) for n in range(m + 1)] == \
+                [naive.cut_dim(m, n) for n in range(m + 1)], m
+        for comp in ideal_chain(rp_of(P), ENGINE_DEGREE):
+            assert all(normal_row(row, c, p)
+                       for c, row in zip(sorted(comp.rows), comp.raw_basis()))
+    # the sample reaches a candidate that meets no pivot and arrives
+    # unnormalised (a representative read partway along its chain)
+    assert raw
 
 
 @pytest.mark.parametrize("p", [None, 7])
@@ -131,9 +182,6 @@ def test_engine_cuts_match_ladder(p):
     assert withheld
 
 
-SL2 = ["e*f - f*e - h", "h*e - e*h - 2*e", "h*f - f*h + 2*f"]
-
-
 def first_not_pbw(seed):
     """The first sampler presentation over Q whose ladder fails a (J_k)."""
     rng = random.Random(seed)
@@ -160,10 +208,10 @@ class Closure:
         g = eng.g
 
         def move(vec, n, word):
-            mono = ZMonomials(g, n + 1)
-            return {mono.pos_of_word(word(zword_at(g, n, c))): s for c, s in vec.items()}
+            col = zcolumns(g, n + 1)
+            return {col[word(zword_at(g, n, c))]: s for c, s in vec.items()}
         return cls(g, [eng.ideal_component(m) for m in range(top + 1)],
-                   lambda n, w: ZMonomials(g, n).pos_of_word(w),
+                   lambda n, w: zcolumns(g, n)[w],
                    lambda x, vec, n: move(vec, n, lambda w: (x,) + w),
                    lambda vec, n, x: move(vec, n, lambda w: w + (x,)),
                    lambda vec, n: move(vec, n, lambda w: w), eng._pz_by_degree)
@@ -203,10 +251,11 @@ def graded_case(g, names, rels, field=QQ):
 
 @pytest.mark.parametrize("case", ["sl2", "sampled"])
 def test_closure_steps_insert_only_the_new_rows(case, monkeypatch):
-    # a step stores the previous component by the g left maps and makes one
-    # kernel reduction per z-product of N, per representative ĉ(g, β) kept
-    # by the previous step and letter x with βx standard, and per generator
-    # of the new degree: the engine and a graded ideal
+    # a step stores the previous component by the g left maps and passes
+    # to RowSpace._store, the entry of every product, one z-product per row
+    # of N, one product per representative ĉ(g, β) kept by the previous
+    # step and letter x with βx standard, and one per generator of the new
+    # degree: the engine and a graded ideal
     if case == "sl2":
         P = FilteredSubspace(3, [parse_element(t, ["e", "f", "h"]) for t in SL2])
         rel = graded_case(2, ["x", "y"], ["x*y - y*x - x*x", "y*y*x - x*y*y"])
@@ -214,17 +263,16 @@ def test_closure_steps_insert_only_the_new_rows(case, monkeypatch):
         P = first_not_pbw(4600)
         rel = rp_of(P)
     inserts, shifted = [], []
-    real_reduce, real_store = RowSpace._reduce, RowSpace.store_shifted
+    real_put, real_store = RowSpace._store, RowSpace.store_shifted
 
-    def reduce(self, vec, full=False, store=False, stop=None):
-        if store:
-            inserts.append(self)
-        return real_reduce(self, vec, full, store, stop)
+    def put(self, vec, lead, stop, normal=False):
+        inserts.append(self)
+        return real_put(self, vec, lead, stop, normal)
 
     def store_shifted(self, other, cols):
         shifted.append((self, other))
         return real_store(self, other, cols)
-    monkeypatch.setattr(RowSpace, "_reduce", reduce)
+    monkeypatch.setattr(RowSpace, "_store", put)
     monkeypatch.setattr(RowSpace, "store_shifted", store_shifted)
     eng = engine_for(P)
     eng.ideal_component(ENGINE_DEGREE)

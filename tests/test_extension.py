@@ -1,3 +1,5 @@
+from itertools import product
+
 from pbwkit.freealg import filtration_size, parse_element
 from pbwkit.gradedring import PresentedRing
 from pbwkit.deformation import (FilteredSubspace, extract_alpha, pn_ladder,
@@ -8,25 +10,35 @@ from pbwkit.extension import (ExtensionEngine, ZMonomials, build_pz, engine_for,
 from pbwkit.linalg import QQ
 
 from conftest import (NaiveEngine, annihilator_basis, certified_cut_dim, eval_z,
-                      random_presentation, zword_at)
+                      random_presentation)
 
 X, XY, XYC = ["x"], ["x", "y"], ["x", "y", "c"]
 HEISENBERG = ["x*y - y*x - c", "x*c - c*x", "y*c - c*y"]
 
 
+def zwords(g, n):
+    """The words of the monomials of T[z]^n in column order: word degree
+    from n down to 0, lex inside a degree."""
+    return [w for d in range(n, -1, -1) for w in product(range(g), repeat=d)]
+
+
 def test_column_maps_multiply_monomials():
-    # entry p of the i-th left (right) map is the position of x_i·w z^k
-    # (w x_i z^k) for the monomial w z^k at position p; the closure step
-    # stores left images unreduced, which needs the order kept
+    # entry p of the i-th left map is the position of x_i·w z^k for the
+    # monomial w z^k at position p; the closure step stores left images
+    # unreduced, which needs the order kept.  It moves the column c of a
+    # right product by x to g·c + x, in T[z]^n and in T^n alike
     for g in (1, 2, 3):
         for n in range(4):
-            up = ZMonomials(g, n + 1)
-            words = [zword_at(g, n, p) for p in range(filtration_size(g, n))]
-            mono = ZMonomials(g, n)
-            for i, (left, right) in enumerate(zip(mono.left_maps(), mono.right_maps())):
-                assert left == [up.pos_of_word((i,) + w) for w in words]
-                assert right == [up.pos_of_word(w + (i,)) for w in words]
-                assert left == sorted(left) and right == sorted(right)
+            words = zwords(g, n)
+            up = {w: p for p, w in enumerate(zwords(g, n + 1))}
+            for i, left in enumerate(ZMonomials(g, n).left_maps()):
+                assert left == [up[(i,) + w] for w in words]
+                assert left == sorted(left)
+            flat = list(product(range(g), repeat=n))
+            flat_up = {w: p for p, w in enumerate(product(range(g), repeat=n + 1))}
+            for x in range(g):
+                assert [up[w + (x,)] for w in words] == [g * c + x for c in range(len(words))]
+                assert [flat_up[w + (x,)] for w in flat] == [g * c + x for c in range(len(flat))]
 
 
 def els(texts, gens):
