@@ -29,7 +29,7 @@ from .freealg import DegreeBasis, Element, WordBasis, column_guard, project
 from .gradedring import (GradedSubspace, PresentedRing, graded_ideal_step,
                          ideal_chain, minimal_complement)
 from .homology import complexity, overlap
-from .linalg import QQ, RowSpace, coordinate_solver, span
+from .linalg import QQ, RowSpace, span
 
 MIN_TOP_DEGREE = 1      # FilteredSubspace rows live in T^{<=1} at least
 
@@ -66,50 +66,40 @@ class FilteredSubspace:
 
 def rp_of(P):
     """R_P: per degree n, the projections p^n of the rows of P ∩ T^{<=n}
-    whose top degree is exactly n."""
-    out = GradedSubspace(P.g, P.field)
-    for row in P.space.basis():
-        n = P.basis.degree_of_pos(min(row))
-        off = P.basis.offsets[n]
-        top = {p - off: s for p, s in row.items() if P.basis.degree_of_pos(p) == n}
-        out.block(n).insert(top)
-    return out
+    whose top degree is exactly n; the domain of ``extract_alpha(P)``."""
+    return extract_alpha(P).domain()
 
 
 class FilteredMap:
     """A filtered map alpha on a graded domain with alpha_0 = inclusion.
 
-    Stored per degree as parallel lists (reduced domain row, image element);
-    images satisfy LH(image) = domain row.  alpha is applied to arbitrary
-    domain vectors by coordinate solving against the reduced rows, with one
-    solver per degree built on first use.
+    Stored per degree as parallel lists (domain row, image element); the
+    domain rows are the reduced echelon rows of the domain in pivot order,
+    and LH(image) = domain row.  A degree-n domain vector v is then
+    sum_k v[pivot_k]·row_k, so alpha(v) = sum_k v[pivot_k]·image_k: alpha
+    is applied by reading v at the pivots.
     """
 
     def __init__(self, g, field):
         self.g = g
         self.field = field
+        self.rel = GradedSubspace(g, field)     # the domain
         self.graded_rows = {}   # n -> list of {local pos: scalar}, RREF
         self.images = {}        # n -> list of Element
-        self._solvers = {}      # n -> coordinate solver over graded_rows[n]
 
     def domain(self):
-        dom = GradedSubspace(self.g, self.field)
-        for n, rows in self.graded_rows.items():
-            for r in rows:
-                dom.block(n).insert(dict(r))
-        return dom
+        return self.rel
 
     def apply_vec(self, n, vec):
         """alpha on a degree-n domain vector; DomainMismatch if outside."""
-        if n not in self._solvers:
-            self._solvers[n] = coordinate_solver(
-                self.field, self.graded_rows.get(n, []), self.g ** n)
-        cs = self._solvers[n](vec)
-        if cs is None:
+        block = self.rel.blocks.get(n)
+        if vec and (block is None or not block.contains(vec)):
             raise DomainMismatch(f"vector of degree {n} outside the map's domain")
         out = Element(self.field)
-        for k, c in sorted(cs.items()):
-            out = out + self.images[n][k].scale(c)
+        for row, img in zip(self.graded_rows.get(n, ()), self.images.get(n, ())):
+            c = vec.get(min(row))
+            if c:
+                out = out + img.scale(c)
         return out
 
     def apply_element(self, e):
@@ -128,38 +118,35 @@ class FilteredMap:
 
 
 def extract_alpha(P):
-    """The canonical filtered map with alpha(R_P) = P: each reduced row v
-    of P has LH(v) a basis vector of R_P; alpha(LH(v)) := v.  Over a field
-    this always exists, and the reduced basis makes it reproducible."""
+    """The canonical filtered map with alpha(R_P) = P, built together with
+    its domain R_P in one pass over the reduced rows v of P: LH(v) is a
+    reduced row of R_P (the rows of P with pivots in degree n vanish at
+    each other's pivots, and so do their tops), and alpha(LH(v)) := v.
+    Over a field this always exists, and the reduced basis makes it
+    reproducible."""
     alpha = FilteredMap(P.g, P.field)
-    by_degree = {}
-    for row in P.reduced_rows():
+    for row in P.reduced_rows():        # pivot order: by degree, then lex
         n = P.basis.degree_of_pos(min(row))
-        by_degree.setdefault(n, []).append(row)
-    for n, rows in sorted(by_degree.items()):
         off = P.basis.offsets[n]
-        dom = []
-        imgs = []
-        for row in rows:
-            top = {p - off: s for p, s in row.items() if P.basis.degree_of_pos(p) == n}
-            dom.append(top)
-            imgs.append(P.basis.vec_to_element(row, P.field))
-        order = sorted(range(len(dom)), key=lambda k: min(dom[k]))
-        alpha.graded_rows[n] = [dom[k] for k in order]
-        alpha.images[n] = [imgs[k] for k in order]
+        top = {p - off: s for p, s in row.items() if P.basis.degree_of_pos(p) == n}
+        alpha.rel.block(n).insert(top)
+        alpha.graded_rows.setdefault(n, []).append(top)
+        alpha.images.setdefault(n, []).append(P.basis.vec_to_element(row, P.field))
     return alpha
 
 
 def apply_alpha(alpha, rel):
-    """P = span alpha(rel); asserts the round trip rp_of(P) = rel."""
-    spanning = []
-    for n in rel.degrees():
-        for row in rel.blocks[n].basis():
-            spanning.append(alpha.apply_vec(n, row))
-    P = FilteredSubspace(alpha.g, spanning, alpha.field)
-    back = rp_of(P)
-    if not back.equals(rel):
-        raise ValidationError("alpha image does not recover the domain tops")
+    """P = span alpha(rel) for rel inside alpha's domain, each row read at
+    the domain's pivots (``FilteredMap.apply_vec``).  A row of rel that is
+    one of the domain's reduced rows, as every row of
+    ``minimize_relations(R_P)`` is, maps to its stored image, so P' =
+    alpha(R) is a selection of P's reduced rows.  The round trip
+    rp_of(P) = rel holds whenever rel lies in the domain, so a failure is
+    an InvariantViolation."""
+    P = FilteredSubspace(alpha.g, [alpha.apply_vec(n, row) for n in rel.degrees()
+                                   for row in rel.blocks[n].basis()], alpha.field)
+    if not rp_of(P).equals(rel):
+        raise InvariantViolation("alpha image does not recover the domain tops")
     return P
 
 
@@ -230,7 +217,7 @@ def minimize_relations(rel):
     d = rel.max_degree()
     if d >= 0 and not all(a.equals_space(b) for a, b in
                           zip(ideal_chain(rel, d), ideal_chain(out, d))):
-        raise ValidationError("minimization changed the ideal")
+        raise InvariantViolation("minimization changed the ideal")
     return out
 
 
@@ -241,6 +228,13 @@ def pure_jacobi_check(alpha):
     """The (J'_0)..(J'_N) conditions for alpha on an N-pure domain (the
     Berger–Ginzburg and Cassidy–Shelton setting), plus the containment
     form (V P + P V)^{<=N} ⊆ P, P = alpha(rel), they are equivalent to.
+
+    The conditions are evaluated on the overlap space X = (R⊗V) ∩ (V⊗R)
+    with no solving: with r_k the reduced rows of R and π_k their pivots,
+    the rows r_k⊗x_j and x_j⊗r_k are reduced echelon in T^{N+1}, with
+    pivots π_k·g + j and j·g^N + π_k, so the coordinates of x in X are its
+    entries at those columns; alpha_i(r_k) is p^{N-i} of r_k's stored
+    image.
 
     The containment is the Jacobi ladder's (J_N): for N-pure P the ladder
     has P_k = 0 for k < N and P_N = P, so P_{N+1} ∩ T^{<=N} ⊆ P_N says
@@ -258,38 +252,32 @@ def pure_jacobi_check(alpha):
     N = degs[0]
     g = alpha.g
     field = alpha.field
-    # X = (R (x) V) ∩ (V (x) R) from the reduced rows, R (x) V tagged first
-    size = g ** (N + 1)
-    rel_rows = rel.blocks[N].reduced_basis()
-    rv_rows, vr_rows, x_basis = overlap(rel_rows, g, N, field)
-
-    coords_v = coordinate_solver(field, vr_rows, size)
-    coords_r = coordinate_solver(field, rv_rows, size)
+    rows, images = alpha.graded_rows[N], alpha.images[N]
+    pivots = [min(r) for r in rows]
+    shift = g ** N                          # x_j (x) w sits at j·g^N + pos(w)
 
     @functools.cache
-    def comp(ridx, i):
-        """alpha_i applied to the ridx-th relation row."""
-        return alpha.component(i, rel.element_of(N, rel_rows[ridx]))
+    def comp(k, i):
+        """alpha_i(r_k)."""
+        return project(images[k], N - i).terms
 
     def mixed(x_vec, i):
         """(V (x) alpha_i - alpha_i (x) V)(x) as an Element of degree N+1-i."""
-        cv, cr = coords_v(x_vec), coords_r(x_vec)
-        if cv is None or cr is None:
-            raise ValidationError("vector outside span")
         out = Element(field)
-        for k, c in cv.items():                  # x = sum c * x_j . r
-            ridx, j = divmod(k, g)
-            term = comp(ridx, i)
-            out = out + Element(field, {(j,) + w: c * s for w, s in term.terms.items()})
-        for k, c in cr.items():                  # x = sum c * r . x_j
-            ridx, j = divmod(k, g)
-            term = comp(ridx, i)
-            out = out - Element(field, {w + (j,): c * s for w, s in term.terms.items()})
+        for k, pk in enumerate(pivots):
+            term = comp(k, i)
+            for j in range(g):
+                c = x_vec.get(j * shift + pk)           # x = ... + c·x_j r_k
+                if c:
+                    out = out + Element(field, {(j,) + w: c * s for w, s in term.items()})
+                c = x_vec.get(pk * g + j)               # x = ... + c·r_k x_j
+                if c:
+                    out = out - Element(field, {w + (j,): c * s for w, s in term.items()})
         return out
 
     rel_space = rel.blocks[N]
     conditions = {i: True for i in range(N + 1)}
-    for x_vec in x_basis:
+    for x_vec in overlap(rows, g, N, field):
         t1 = mixed(x_vec, 1)
         in_rel = t1.is_zero() or (t1.degree() == N and
                                   rel_space.contains(rel.vec_of(t1)))

@@ -291,8 +291,8 @@ def rees_identity_check(engine, upto):
 
 
 def engine_for(P):
-    """Engine for D(P) built from the deformation's own alpha and R_P."""
-    from .deformation import extract_alpha, rp_of
-    rel = rp_of(P)
+    """Engine for D(P) built from the deformation's own alpha and its
+    domain R_P, read in one pass over P's reduced rows."""
+    from .deformation import extract_alpha
     alpha = extract_alpha(P)
-    return ExtensionEngine(P.g, alpha, rel, P.field)
+    return ExtensionEngine(P.g, alpha, alpha.domain(), P.field)

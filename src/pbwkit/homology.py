@@ -406,12 +406,12 @@ def is_commutator_relations(rel, g):
 
 
 def overlap(rel_rows, g, n, field):
-    """The overlap space X = (R (x) V) ∩ (V (x) R) in T^{n+1} for
-    independent rows of R ⊆ T^n.  Returns (rv, vr, X basis): row
-    k = r*g + i of rv is rel_rows[r] (x) x_i, of vr it is x_i (x) rel_rows[r]."""
+    """A basis of the overlap space X = (R (x) V) ∩ (V (x) R) in T^{n+1}
+    for independent rows of R ⊆ T^n: r (x) x_i has the columns p*g + i,
+    x_i (x) r the columns i*g^n + p, for the columns p of r."""
     rv = [{p * g + i: s for p, s in row.items()} for row in rel_rows for i in range(g)]
     vr = [{i * g ** n + p: s for p, s in row.items()} for row in rel_rows for i in range(g)]
-    return rv, vr, intersection(field, rv, vr, g ** (n + 1))
+    return intersection(field, rv, vr, g ** (n + 1))
 
 
 def overlap_dimension(rel, g):
@@ -420,7 +420,7 @@ def overlap_dimension(rel, g):
     if len(degs) != 1:
         raise ValidationError("overlap needs a pure relation space")
     n = degs[0]
-    return len(overlap(rel.blocks[n].basis(), g, n, rel.field)[2])
+    return len(overlap(rel.blocks[n].basis(), g, n, rel.field))
 
 
 def support_reach(rel, upto):

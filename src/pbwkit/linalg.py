@@ -18,8 +18,8 @@ vector is scaled to integers by the lcm of its denominators, ``ModInt``s
 are unwrapped to their residues.
 What comes out is field-valued again: ``pivots``, ``basis()`` and
 ``reduced_basis()`` give monic rows (the stored rows up to a scalar,
-normalised on first read and cached), and ``reduce_leading`` /
-``reduce_full`` track the scale so their remainders are exact.
+normalised on first read and cached), and ``reduce_full`` and
+``relate`` track the scale so their remainders are exact.
 
 Rows are immutable once stored, and a stored row may be inserted
 elsewhere as it is (``raw_basis``): insertion does not depend on the
@@ -39,9 +39,9 @@ Tagged rows carry tag columns at and above an offset that record how they
 were made.  ``RowSpace.relate`` reduces such a vector and, when its
 untagged part reduces to zero, reports the tags instead of storing it:
 ``left_kernel_basis`` (unit tags) and ``intersection`` (Zassenhaus: the
-tags repeat the row) use it.  ``coordinate_solver`` gives rows unit tags
-once and then only reduces (``reduce_leading``), storing nothing; the
-filtered maps and the pure-relations route solve through it.
+tags repeat the row) use it.  Coordinates need no tags where the rows
+are reduced echelon: they are the entries at the pivots, which is how the
+filtered maps and the pure-relations route read them.
 
 Measured on a 2-core x86-64 host under CPython 3.11.7, against rows of
 Fractions: the seeded 200-instance fixture of the acceptance tests takes
@@ -60,7 +60,7 @@ from itertools import chain
 from math import gcd, lcm
 from operator import itemgetter
 
-from .errors import ValidationError
+from .errors import InvariantViolation, ValidationError
 
 
 class ModInt:
@@ -451,10 +451,15 @@ class RowSpace:
     def _store(self, vec, lead, stop, normal=False):
         """Store a product with leading column ``lead`` as ``_reduce`` with
         ``store`` and ``stop`` would: when lead is no pivot, the vector as it
-        is if ``normal`` says it is normalised, else through ``_put``."""
+        is if ``normal`` says it is normalised, else through ``_put``.  A
+        vector said to be normalised whose pivot entry is not 1 over F_p,
+        or not positive over Q, raises: ``_reduce`` clears an F_p column
+        only against a monic row, and would loop forever."""
         if self.is_pivot(lead):
             return self._reduce(vec, store=True, stop=stop)
         if normal:
+            if (vec[lead] < 1) if self._p is None else (vec[lead] != 1):
+                raise InvariantViolation(f"row with pivot {lead} is not normalised")
             self._rows[lead] = vec
             self._inserted.append(lead)
         else:
@@ -478,14 +483,6 @@ class RowSpace:
         return row
 
     # -- public contract ---------------------------------------------------
-
-    def reduce_leading(self, vec):
-        """Leading-chain reduction (returns a new dict).  The result is
-        zero iff vec lies in the span; otherwise its leading column is not
-        a pivot."""
-        ints, scale = self._ints(vec)
-        red, num, den = self._reduce(ints)
-        return self._exact(red, num * scale, den)
 
     def reduce_full(self, vec, integers=False):
         """Eliminate every pivot column from the support.  The result is
@@ -709,19 +706,3 @@ def intersection(field, a_rows, b_rows, offset):
         if x:
             out.append(x)
     return out
-
-
-def coordinate_solver(field, rows, offset):
-    """coords(vec): a {k: c_k} with vec = sum_k c_k rows[k], or None when
-    vec lies outside their span; ``offset`` must exceed every column used.
-    Row k carries the unit tag offset + k, so reducing vec clears its
-    untagged part exactly when vec lies in the span, and leaves -c in the
-    tags."""
-    sp = span(field, [{**r, offset + k: field.one} for k, r in enumerate(rows)])
-
-    def coords(vec):
-        red = sp.reduce_leading(vec)
-        if red and min(red) < offset:
-            return None
-        return {c - offset: -s for c, s in red.items()}
-    return coords

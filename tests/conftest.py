@@ -596,14 +596,37 @@ def random_presentation(rng, max_g=3, max_elems=4, max_degree=3,
     return g, elems
 
 
+def to_field(field, elems):
+    """Elements over Q converted to ``field``."""
+    return [Element(field, {w: field.from_fraction(s) for w, s in e.terms.items()})
+            for e in elems]
+
+
+def acceptance_sample(rng, tops_at_least_2=True):
+    """(g, elements, P): the next presentation of the acceptance sampler
+    with P != 0 and, by default, R_P in degrees >= 2."""
+    while True:
+        g, elems = random_presentation(rng, tops_at_least_2=tops_at_least_2)
+        try:
+            P = FilteredSubspace(g, elems)
+        except InvalidPresentation:
+            continue
+        if P.dim == 0:
+            continue
+        if tops_at_least_2:
+            rp = rp_of(P)
+            if rp.degrees() and rp.degrees()[0] < 2:
+                continue
+        return g, elems, P
+
+
 def sampled(rng, field):
     """A sampler presentation converted to ``field``, as a filtered
     subspace; spans that are zero or contain a constant there are
     skipped."""
     while True:
         g, elems = random_presentation(rng, tops_at_least_2=rng.random() < 0.7)
-        elems = [Element(field, {w: field.from_fraction(Fraction(s))
-                                 for w, s in e.terms.items()}) for e in elems]
+        elems = to_field(field, elems)
         try:
             P = FilteredSubspace(g, elems, field)
         except InvalidPresentation:
@@ -619,8 +642,7 @@ def sampler_rings(field, count, seed=20260810 + 2):
     out = []
     while len(out) < count:
         g, elems = random_presentation(rng)
-        elems = [Element(field, {w: field.from_fraction(s) for w, s in e.terms.items()})
-                 for e in elems]
+        elems = to_field(field, elems)
         try:
             P = FilteredSubspace(g, elems, field)
         except InvalidPresentation:

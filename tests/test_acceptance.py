@@ -19,8 +19,8 @@ from pbwkit.gradedring import GradedSubspace, PresentedRing
 from pbwkit.homology import complexity, tor3_resolution, tor_bar
 from pbwkit.linalg import QQ
 
-from conftest import (annihilator_basis, brute_jacobi, naive_ladder,
-                      random_presentation)
+from conftest import acceptance_sample as _sample   # bench/test_bench.py imports it
+from conftest import annihilator_basis, brute_jacobi, naive_ladder
 
 SEED = 20260810
 SUITE_SIZE = 200
@@ -36,22 +36,6 @@ BINOMIALS = [1, 3, 6, 10, 15, 21, 28]
 
 def els(texts, gens):
     return [parse_element(t, gens) for t in texts]
-
-
-def _sample(rng, tops_at_least_2=True):
-    while True:
-        g, elems = random_presentation(rng, tops_at_least_2=tops_at_least_2)
-        try:
-            P = FilteredSubspace(g, elems)
-        except InvalidPresentation:
-            continue
-        if P.dim == 0:
-            continue
-        if tops_at_least_2:
-            rp = rp_of(P)
-            if rp.degrees() and rp.degrees()[0] < 2:
-                continue
-        return g, elems, P
 
 
 @pytest.fixture(scope="module")

@@ -7,11 +7,11 @@ import sys
 import pytest
 
 import pbwkit
-from pbwkit import cli, gradedring, homology
+from pbwkit import cli, deformation, gradedring, homology
 from pbwkit.cli import COMMANDS, main, run_command
 from pbwkit.errors import InvariantViolation, ParseError, ValidationError
 from pbwkit.extension import ExtensionEngine
-from pbwkit.linalg import RowSpace
+from pbwkit.linalg import RowSpace, span
 from pbwkit.presentations import parse_presentation
 
 HEISENBERG_TEXT = """\
@@ -148,6 +148,22 @@ class TestExitCodes:
                 1, [pbwkit.parse_element("x*x", ["x"])])).hilbert(4)
         assert main(["hilbert", gallery("kx-mod-x2.pbw"), "--upto", "4"]) == 14
         assert "error[INVARIANT_VIOLATED]" in capsys.readouterr().err
+
+    def test_minimization_fault_code(self, capsys, monkeypatch):
+        # a minimization that drops a row changes the ideal: a program
+        # fault (exit 14), not invalid input (exit 12)
+        real = deformation.minimal_complement
+
+        def dropping(rel):
+            out = real(rel)
+            n = out.degrees()[-1]
+            out.blocks[n] = span(out.field, out.blocks[n].basis()[1:])
+            return out
+        monkeypatch.setattr(deformation, "minimal_complement", dropping)
+        assert main(["check", gallery("sl2.pbw")]) == 14
+        err = capsys.readouterr().err
+        assert "error[INVARIANT_VIOLATED]" in err
+        assert "minimization changed the ideal" in err
 
     def test_broken_normal_form_code(self, capsys, monkeypatch):
         # doubling the normal forms of the degree-3 words that start with

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
-from pbwkit.errors import DomainMismatch, InvalidPresentation, NotPure
+from pbwkit.errors import (DomainMismatch, InvalidPresentation,
+                           InvariantViolation, NotPure)
 from pbwkit.freealg import format_element, parse_element
 from pbwkit.gradedring import GradedSubspace
 from pbwkit.deformation import (FilteredSubspace, alpha_is_inclusion,
@@ -11,12 +14,14 @@ from pbwkit.extension import engine_for
 from pbwkit.freealg import filtration_size
 from pbwkit.linalg import QQ, PrimeField
 
-from conftest import (brute_jacobi, certified_cut_dim,
-                      random_deformation_element, random_presentation)
+from conftest import (acceptance_sample, brute_jacobi, certified_cut_dim,
+                      random_deformation_element, random_presentation,
+                      sampled, to_field)
 
 X, XY, XYC = ["x"], ["x", "y"], ["x", "y", "c"]
 HEISENBERG = ["x*y - y*x - c", "x*c - c*x", "y*c - c*y"]
 BRACKET = ["x*y - y*x - z", "y*z - z*y - x", "z*x - x*z + x"]
+SL2 = ["e*f - f*e - h", "h*e - e*h - 2*e", "h*f - f*h + 2*f"]
 
 
 def els(texts, gens):
@@ -73,6 +78,16 @@ class TestRpOf:
         assert rp.blocks[2].contains(rp.vec_of(parse_element("x*y - y*x", XY)))
 
 
+def oracle_image(P, n, row):
+    """alpha(r) for a domain row r of degree n, by an independent route:
+    r placed at its degree's columns, minus its normal form modulo P.  r
+    is the top of the reduced row v = r + l of P, l on columns that are
+    no pivot of P, so r - NF(r) = r + l = v."""
+    r = {c + P.basis.offsets[n]: s for c, s in row.items()}
+    to = P.basis.vec_to_element
+    return to(r, P.field) - to(P.space.reduce_full(r), P.field)
+
+
 class TestAlpha:
     def test_single_row(self):
         P = fs(["x*x + 1"], X)
@@ -101,6 +116,13 @@ class TestAlpha:
         with pytest.raises(DomainMismatch):
             apply_alpha(alpha, stranger)
 
+    def test_apply_alpha_round_trip_fault(self):
+        # an image whose top is not its domain row is a program fault
+        alpha = extract_alpha(fs(["x*x + 1", "x*y - y*x"], XY))
+        alpha.images[2][0] = parse_element("y*y + 1", XY)
+        with pytest.raises(InvariantViolation):
+            apply_alpha(alpha, alpha.domain())
+
     def test_round_trip_randomized(self, rng):
         for _ in range(10):
             g, elems = random_presentation(rng)
@@ -112,6 +134,33 @@ class TestAlpha:
                 continue
             alpha = extract_alpha(P)
             assert same_space(apply_alpha(alpha, rp_of(P)), P)
+
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_images_and_alpha_image_against_normal_forms(self, p):
+        field = QQ if p is None else PrimeField(p)
+        rng = random.Random(20260810 + 26)
+        cases = [FilteredSubspace(3, to_field(field, els(SL2, ["e", "f", "h"])), field)]
+        cases += [sampled(rng, field) for _ in range(30)]
+        rows = non_minimal = 0
+        for P in cases:
+            alpha = extract_alpha(P)
+            rp = alpha.domain()
+            for n, domain_rows in alpha.graded_rows.items():
+                assert domain_rows == rp.blocks[n].reduced_basis()
+                for k, row in enumerate(domain_rows):
+                    want = oracle_image(P, n, row)
+                    assert alpha.images[n][k] == want
+                    assert alpha.apply_vec(n, row) == want
+                    rows += 1
+            rmin = minimize_relations(rp)
+            if all(rmin.dim(n) == rp.dim(n) for n in rp.degrees()):
+                continue
+            # P' = alpha(R) is spanned by the oracle's images of R's rows
+            want = FilteredSubspace(P.g, [oracle_image(P, n, row) for n in rmin.degrees()
+                                          for row in rmin.blocks[n].basis()], field)
+            assert same_space(apply_alpha(alpha, rmin), want)
+            non_minimal += 1
+        assert rows == 73 and non_minimal == 16
 
 
 class TestLadder:
@@ -321,6 +370,27 @@ class TestPureRoute:
             res = pbw_check(2, els(texts, XY))
             assert all(out["conditions"].values()) == (res.verdict == "PBW_CERTIFIED")
             assert out["equivalent"]
+
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_acceptance_sample(self, p):
+        # every N-pure instance among the first 200 acceptance-sampler
+        # presentations, cubic relations among them
+        field = QQ if p is None else PrimeField(p)
+        rng = random.Random(20260810)
+        degrees = []
+        for _ in range(200):
+            g, elems, _ = acceptance_sample(rng)
+            try:
+                P = FilteredSubspace(g, to_field(field, elems), field)
+            except InvalidPresentation:
+                continue
+            alpha = extract_alpha(P)
+            if len(alpha.domain().degrees()) != 1:
+                continue
+            out = pure_jacobi_check(alpha)
+            assert out["equivalent"], elems
+            degrees.append(out["N"])
+        assert len(degrees) == 95 and 3 in degrees
 
     def test_not_pure_rejected(self):
         with pytest.raises(NotPure):
