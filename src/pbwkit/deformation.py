@@ -23,9 +23,8 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import (DomainMismatch, InvalidPresentation, InvariantViolation,
                      NotPure, ValidationError)
-from .extension import (ENGINE_DEGREE_CAP, ExtensionEngine, ZMonomials,
-                        check_depth, engine_for)
-from .freealg import DegreeBasis, Element, WordBasis, column_guard, project
+from .extension import ENGINE_DEGREE_CAP, ExtensionEngine, check_depth, engine_for
+from .freealg import Element, WordBasis, column_guard, project
 from .gradedring import (GradedSubspace, PresentedRing, graded_ideal_step,
                          ideal_chain, minimal_complement)
 from .homology import complexity, overlap
@@ -107,9 +106,7 @@ class FilteredMap:
             return e
         if not e.is_homogeneous():
             raise DomainMismatch("alpha acts on homogeneous domain elements")
-        n = e.degree()
-        basis = DegreeBasis(self.g, n)
-        return self.apply_vec(n, {basis.pos(w): s for w, s in e.terms.items()})
+        return self.apply_vec(e.degree(), self.rel.vec_of(e))
 
     def component(self, i, e):
         """alpha_i(e) = p^{n-i}(alpha(e)) for homogeneous e of degree n."""
@@ -125,13 +122,15 @@ def extract_alpha(P):
     Over a field this always exists, and the reduced basis makes it
     reproducible."""
     alpha = FilteredMap(P.g, P.field)
+    cols = P.basis
     for row in P.reduced_rows():        # pivot order: by degree, then lex
-        n = P.basis.degree_of_pos(min(row))
-        off = P.basis.offsets[n]
-        top = {p - off: s for p, s in row.items() if P.basis.degree_of_pos(p) == n}
+        n, off = cols.block(min(row))
+        # the pivot is the least column, so the top is the row inside its block
+        end = off + P.g ** n
+        top = {p - off: s for p, s in row.items() if p < end}
         alpha.rel.block(n).insert(top)
         alpha.graded_rows.setdefault(n, []).append(top)
-        alpha.images.setdefault(n, []).append(P.basis.vec_to_element(row, P.field))
+        alpha.images.setdefault(n, []).append(cols.vec_to_element(row, P.field))
     return alpha
 
 
@@ -180,11 +179,11 @@ def pn_ladder(P, upto, engine=None):
     <P_z>^{k+1} with a pivot among the last dim T^{<=k} columns are z·u,
     u in T[z]^k, and the u reduced fully modulo <P_z>^k span (P_{k+1} ∩
     T^{<=k}) / P_k; the witness is the first row of their reduced echelon
-    form, read as an element since T[z]^k and ``WordBasis(g, k)`` share
-    one column layout.  That span must have dimension annihilator_dim(k).
+    form, read as an element over ``WordBasis(g, k)``, the columns of
+    T[z]^k.  That span must have dimension annihilator_dim(k).
     """
     check_depth(upto)
-    ZMonomials(P.g, upto + 1)       # the column guard, before any step
+    WordBasis(P.g, upto + 1)        # the column guard on T[z]^{upto+1}, before any step
     engine = engine_for(P) if engine is None else engine
     dims = [engine.cut_dim(k, k) for k in range(upto + 2)]
     verdicts = {k: engine.annihilator_dim(k) == 0 for k in range(1, upto + 1)}
@@ -212,11 +211,13 @@ def minimize_relations(rel):
     complement of rel ∩ (F¹I + IF¹) inside rel, I = <rel>.  The equality of
     ideals <result> = <rel> is certified degree-wise up to the top degree d
     of rel; both ideals are generated in degrees <= d, so agreement up to d
-    propagates through the recursion I^{n+1} = F¹Iⁿ + IⁿF¹ for n >= d."""
-    out = minimal_complement(rel)
+    propagates through the recursion I^{n+1} = F¹Iⁿ + IⁿF¹ for n >= d.
+    The chain of <rel> is built once, for the complement and the check."""
     d = rel.max_degree()
+    chain = ideal_chain(rel, d)
+    out = minimal_complement(rel, chain)
     if d >= 0 and not all(a.equals_space(b) for a, b in
-                          zip(ideal_chain(rel, d), ideal_chain(out, d))):
+                          zip(chain, ideal_chain(out, d))):
         raise InvariantViolation("minimization changed the ideal")
     return out
 
@@ -535,7 +536,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
     engine_p = timed(timings, "ladder", engine_for, Pp)
     ladder_p = timed(timings, "ladder", pn_ladder, Pp, K, engine_p)
     if ladder_p.first_failure is None and certified_c:
-        # P's columns, WordBasis(g, d), are those of T[z]^d
+        # P's rows lie over WordBasis(g, d), which lays out T[z]^d too
         if all(map(engine_p.ideal_component(d).contains, P.space.basis())):
             # P' is of PBW type and generates <P>, hence <P'> = <P> and the
             # verdict transfers to P

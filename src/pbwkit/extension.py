@@ -2,11 +2,12 @@
 
 (J_n) holds iff the degree-n annihilator of z in D(P) vanishes, and this
 engine is the one route to (J_n): ``deformation.pn_ladder`` reads the
-ladder's dims, verdicts and witness from it.  The engine uses its own
-monomial representation (word (x) z-power, ordered by descending word
-degree, i.e. ascending z-exponent).  The independent oracles are the
-naive closures in the tests (``naive_ladder`` over word columns and
-``NaiveEngine``), which multiply every row and insert every product.
+ladder's dims, verdicts and witness from it.  The monomial w z^(n-|w|) of
+T[z]^n sits at the column of w in ``freealg.WordBasis(g, n)``: word
+degree descending, i.e. z-exponent ascending, lex inside a degree.  The
+independent oracles are the naive closures in the tests
+(``naive_ladder`` and ``NaiveEngine``), which multiply every row, insert
+every product and index the columns on their own (``zword_at``).
 
 P_z is always built through alpha_z (never by homogenizing a raw spanning
 set), which is what guarantees <P*> = <P_z>.
@@ -44,7 +45,7 @@ reduced by the step's kernel, read before it meets a pivot that another
 candidate of the step inserted (``linalg.closure_step``).  So the
 components, their pivots and every count below are those of the full
 recursion.  One degree is one ``linalg.closure_step`` with
-``ZMonomials.left_maps`` for V· and the shift by the g^m columns of word
+``WordBasis.left_maps`` for V· and the shift by the g^m columns of word
 degree m for z·; ·x moves column c to g·c + x, which the step computes
 itself.  The word β of length n with lex index i is the monomial β z^0 at
 position i of T[z]^n, the first block.  Once a component is all of
@@ -54,7 +55,7 @@ and no count reads a component past the first full one
 
 Setting z = 1 maps <P_z>^m bijectively onto the ladder space P_m =
 T^1 P_{m-1} + P_{m-1} T^1 + P^{<=m}, and the monomial w z^(m-|w|) to the
-word w, in column order: T[z]^m and ``WordBasis(g, m)`` share one layout.
+word w, in column order: both have the columns of ``WordBasis(g, m)``.
 The elements of P_m in T^{<=n} are the images of those supported on word
 degrees <= n, the last columns.  So dim(P_m ∩ T^{<=n}) is the number of
 pivots of <P_z>^m of word degree <= n (``cut_dim``), and the gr U(P)
@@ -74,10 +75,8 @@ witness of a failing (J_n).
 from __future__ import annotations
 
 from bisect import bisect_left
-from itertools import accumulate
-
 from .errors import ResourceExceeded, ValidationError
-from .freealg import column_guard, filtration_size, homogenize
+from .freealg import WordBasis, column_guard, filtration_size, homogenize
 from .gradedring import ideal_chain
 from .linalg import RowSpace, closure_step
 
@@ -104,43 +103,6 @@ def build_pz(alpha):
     return [homogenize(img) for n in sorted(alpha.images) for img in alpha.images[n]]
 
 
-class ZMonomials:
-    """Position indexing for T[z]^n: monomial w z^(n-|w|) for every word w
-    of degree <= n, ordered by word degree descending (z-power ascending),
-    lex inside a degree.  High-degree pivots keep the echelon rows sparse;
-    multiplication by z into degree n+1 is a constant position shift."""
-
-    def __init__(self, g, n, guard=None):
-        self.g = g
-        self.n = n
-        self.size = filtration_size(g, n)
-        if self.size > (column_guard() if guard is None else guard):
-            raise ResourceExceeded(
-                f"T[z]^{n} over {g} generators needs {self.size} columns")
-
-    def pos_of_word(self, w):
-        p = 0
-        for letter in w:
-            p = p * self.g + letter
-        # the word-degree-|w| block starts after the words of degree > |w|
-        return self.size - filtration_size(self.g, len(w)) + p
-
-    def left_maps(self):
-        """One list per letter x_i: entry p is the position in T[z]^{n+1}
-        of x_i times the monomial at position p, (x_i w) z^k for w z^k.
-        Each map keeps positions in order."""
-        g = self.g
-        top = filtration_size(g, self.n + 1)
-        maps = []
-        for i in range(g):
-            cols = []
-            for d in range(self.n, -1, -1):     # block order: degree descending
-                start = top - filtration_size(g, d + 1) + i * g ** d
-                cols.extend(range(start, start + g ** d))
-            maps.append(cols)
-        return maps
-
-
 class ExtensionEngine:
     """Caches, per degree n, the ideal component <P_z>^n and its cuts
     (``cut_dim``), which give dim D^n and the annihilator dimension of z.
@@ -158,8 +120,8 @@ class ExtensionEngine:
         self._pz_by_degree = {}
         for h in self.pz:
             n = h.total_degree
-            mono = ZMonomials(g, n, self._guard)
-            vec = {mono.pos_of_word(w): s for (w, k), s in h.terms.items()}
+            cols = WordBasis(g, n, self._guard)
+            vec = {cols.pos(w): s for (w, k), s in h.terms.items()}
             self._pz_by_degree.setdefault(n, []).append(vec)
         self._ideal = {0: RowSpace(field)}
         self._cuts = {0: [0]}          # m -> [cut_dim(m, n) for n <= m]
@@ -187,16 +149,16 @@ class ExtensionEngine:
         <= n, g·cut_dim(m-1, n-1) are left images (x_i· adds one to the
         word degree) and the rest are bisected on the sorted new ones."""
         g, ideal = self.g, self._ideal
-        size = ZMonomials(g, m, self._guard).size
+        cols = WordBasis(g, m, self._guard)
         # the word of length n with lex index i is w z^0, at position i
         sp = closure_step(self.field, ideal[m - 1],
-                          ZMonomials(g, m - 1, self._guard).left_maps(),
+                          WordBasis(g, m - 1, self._guard).left_maps(),
                           self._pz_by_degree.get(m, ()), ideal, central=g ** m)
-        if sp.rank == size and self.saturated_at is None:
+        if sp.rank == cols.size and self.saturated_at is None:
             self.saturated_at = m
         new, below = sorted(sp.inserted), [0] + self._cuts[m - 1]
-        self._cuts[m] = [g * below[n] + len(new) - bisect_left(new, size - width)
-                         for n, width in enumerate(accumulate(g ** n for n in range(m + 1)))]
+        self._cuts[m] = [g * below[n] + len(new) - bisect_left(new, cols.start(n))
+                         for n in range(m + 1)]
         return sp
 
     def _full(self, n):

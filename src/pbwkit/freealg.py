@@ -169,6 +169,33 @@ def homogenize(e):
 
 # ---------------------------------------------------------------------------
 # Column indexing.
+#
+# One column layout serves the filtration pieces T^{<=n}, their
+# homogenization T[z]^n and the graded pieces T^n.  The words of degree <= n
+# are listed in blocks by word degree, from n down to 0, lex inside a block:
+# the column set of T^{<=d} is a suffix for every d <= n, which is what makes
+# one echelon basis adapted to the whole filtration.  Setting z := 1 sends
+# the monomial w z^(n-|w|) of T[z]^n to w, in the same order, so T[z]^n has
+# these columns too, and T^n is the first block, at column 0.  ``lex_pos``
+# and ``lex_word`` are the one place where words are encoded and decoded as
+# base-g digits.
+
+def lex_pos(w, g):
+    """Lex position of the word w among the g^|w| words of its length."""
+    p = 0
+    for letter in w:
+        p = p * g + letter
+    return p
+
+
+def lex_word(p, g, n):
+    """The word of length n at lex position p, the inverse of ``lex_pos``."""
+    letters = []
+    for _ in range(n):
+        p, letter = divmod(p, g)
+        letters.append(letter)
+    return tuple(reversed(letters))
+
 
 def filtration_size(g, n):
     """dim T^{<=n} = sum of g^i for i <= n, in closed form."""
@@ -179,76 +206,62 @@ def filtration_size(g, n):
     return (g ** (n + 1) - 1) // (g - 1)
 
 
+def graded_size(g, n):
+    """dim T^n = g^n, the first block of ``WordBasis(g, n)``; refused above
+    the column guard."""
+    size = g ** n
+    guard = column_guard()
+    if size > guard:
+        raise ResourceExceeded(
+            f"T^{n} over {g} generators needs {size} columns (guard {guard})")
+    return size
+
+
 class WordBasis:
-    """Columns for T^{<=max_degree}: degree-descending blocks, lex inside.
+    """The columns of T^{<=n}, which are also those of T[z]^n (see above),
+    refused above the column guard (read here unless ``guard`` is given).
+    The word-degree-d block starts at column F(n) - F(d), F =
+    ``filtration_size``; everything else is lex arithmetic inside a block."""
 
-    Because blocks are listed from the top degree down, the column set of
-    T^{<=n} is a suffix for every n <= max_degree, which is what makes one
-    echelon basis adapted to the whole filtration.
-    """
-
-    def __init__(self, g, max_degree):
+    def __init__(self, g, n, guard=None):
         if g < 1:
             raise ValidationError("need at least one generator")
-        guard = column_guard()
         self.g = g
-        self.max_degree = max_degree
-        total = 0
-        sizes = []
-        for n in range(max_degree + 1):
-            size = g ** n
-            sizes.append(size)
-            total += size
-            if total > guard:
-                raise ResourceExceeded(
-                    f"T^<={max_degree} over {g} generators needs {total}+ columns"
-                    f" (guard {guard}; set PBWKIT_MAX_COLUMNS to raise)")
-        self.size = total
-        # offset of the degree-n block, blocks stored from degree max down to 0
-        self.offsets = {}
-        off = 0
-        for n in range(max_degree, -1, -1):
-            self.offsets[n] = off
-            off += sizes[n]
-        self._words = {}
-        self._deg_of = None
+        self.n = n
+        self.size = filtration_size(g, n)
+        guard = column_guard() if guard is None else guard
+        if self.size > guard:
+            raise ResourceExceeded(
+                f"T[z]^{n} over {g} generators needs {self.size} columns, as "
+                f"T^<={n} does (guard {guard}; set PBWKIT_MAX_COLUMNS to raise)")
+
+    def start(self, d):
+        """First column of the word-degree-d block, and of the T^{<=d}
+        suffix."""
+        return self.size - filtration_size(self.g, d)
 
     def pos(self, w):
-        n = len(w)
-        off = self.offsets.get(n)
-        if off is None:
-            raise ValidationError(f"word degree {n} exceeds basis bound {self.max_degree}")
-        p = 0
-        for letter in w:
-            p = p * self.g + letter
-        return off + p
+        if len(w) > self.n:
+            raise ValidationError(f"word degree {len(w)} exceeds basis bound {self.n}")
+        return self.start(len(w)) + lex_pos(w, self.g)
+
+    def block(self, pos):
+        """(d, start(d)) for the column ``pos``: its word degree d and the
+        first column of its block, walking the blocks of width g^d from
+        the top."""
+        if not 0 <= pos < self.size:
+            raise ValidationError(f"position {pos} out of range")
+        g, d, start = self.g, self.n, 0
+        width = g ** d
+        while pos >= start + width:
+            start += width
+            d -= 1
+            width //= g
+        return d, start
 
     def word_at(self, pos):
-        w = self._words.get(pos)
-        if w is not None:
-            return w
-        for n in range(self.max_degree, -1, -1):
-            off = self.offsets[n]
-            if off <= pos < off + self.g ** n:
-                rem = pos - off
-                letters = []
-                for _ in range(n):
-                    letters.append(rem % self.g)
-                    rem //= self.g
-                w = tuple(reversed(letters))
-                self._words[pos] = w
-                return w
-        raise ValidationError(f"position {pos} out of range")
-
-    def degree_of_pos(self, pos):
-        if self._deg_of is None:
-            arr = [0] * self.size
-            for n in range(self.max_degree + 1):
-                off = self.offsets[n]
-                for p in range(off, off + self.g ** n):
-                    arr[p] = n
-            self._deg_of = arr
-        return self._deg_of[pos]
+        d, start = self.block(pos)
+        return lex_word(pos - start, self.g, d)
 
     def element_to_vec(self, e):
         return {self.pos(w): s for w, s in e.terms.items()}
@@ -256,34 +269,20 @@ class WordBasis:
     def vec_to_element(self, vec, field):
         return Element(field, {self.word_at(p): s for p, s in vec.items()})
 
-
-class DegreeBasis:
-    """Columns for the single homogeneous component T^n (lex order)."""
-
-    def __init__(self, g, n):
-        guard = column_guard()
-        if g ** n > guard:
-            raise ResourceExceeded(
-                f"T^{n} over {g} generators needs {g ** n} columns (guard {guard})")
-        self.g = g
-        self.n = n
-        self.size = g ** n
-
-    def pos(self, w):
-        if len(w) != self.n:
-            raise ValidationError("word degree mismatch")
-        p = 0
-        for letter in w:
-            p = p * self.g + letter
-        return p
-
-    def word_at(self, pos):
-        rem = pos
-        letters = []
-        for _ in range(self.n):
-            letters.append(rem % self.g)
-            rem //= self.g
-        return tuple(reversed(letters))
+    def left_maps(self):
+        """One list per letter x_i: entry p is the column in WordBasis(g, n
+        + 1) of x_i times the word at column p (of (x_i w) z^k for w z^k).
+        Each map keeps positions in order."""
+        g = self.g
+        top = filtration_size(g, self.n + 1)
+        maps = []
+        for i in range(g):
+            cols = []
+            for d in range(self.n, -1, -1):     # block order: degree descending
+                start = top - filtration_size(g, d + 1) + i * g ** d
+                cols.extend(range(start, start + g ** d))
+            maps.append(cols)
+        return maps
 
 
 # ---------------------------------------------------------------------------

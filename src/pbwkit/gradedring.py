@@ -37,7 +37,7 @@ from itertools import compress
 
 from .errors import (InvariantViolation, NotHomogeneous, ResourceExceeded,
                      ValidationError)
-from .freealg import DegreeBasis, Element, column_guard
+from .freealg import Element, graded_size, lex_pos, lex_word
 from .linalg import QQ, RowSpace, closure_step
 
 DEFAULT_MAX_DEGREE = 10
@@ -47,7 +47,8 @@ class GradedSubspace:
     """Graded subspace of the free algebra: one echelon block per degree.
 
     Blocks are RowSpaces over the lex word basis of each homogeneous
-    component; absent degrees are zero.
+    component T^n, the first block of ``freealg.WordBasis(g, n)``; absent
+    degrees are zero.
     """
 
     def __init__(self, g, field=QQ):
@@ -78,13 +79,15 @@ class GradedSubspace:
         return sp
 
     def vec_of(self, e):
-        n = e.degree()
-        basis = DegreeBasis(self.g, n)
-        return {basis.pos(w): s for w, s in e.terms.items()}
+        """e over the g^n lex columns of T^n, n = deg e; a word of another
+        degree would take another word's column, so it is refused."""
+        graded_size(self.g, e.degree())
+        if not e.is_homogeneous():
+            raise ValidationError("word degree mismatch")
+        return {lex_pos(w, self.g): s for w, s in e.terms.items()}
 
     def element_of(self, n, vec):
-        basis = DegreeBasis(self.g, n)
-        return Element(self.field, {basis.word_at(p): s for p, s in vec.items()})
+        return Element(self.field, {lex_word(p, self.g, n): s for p, s in vec.items()})
 
     def dim(self, n):
         sp = self.blocks.get(n)
@@ -117,8 +120,7 @@ def graded_ideal_step(chain, gens_block, g, n1, field):
     and ``gens_block`` the degree-n1 generator block, or None (then the
     result is F¹I^{n1-1} + I^{n1-1}F¹).  The word of length n with lex
     index i is at position i of I^n."""
-    if g ** n1 > column_guard():
-        raise ResourceExceeded(f"degree {n1} needs {g ** n1} columns")
+    graded_size(g, n1)
     # the word w at position p goes to i g^{n1-1} + p under x_i·w
     return closure_step(field, chain[n1 - 1], [i * g ** (n1 - 1) for i in range(g)],
                         gens_block.raw_basis() if gens_block is not None else (), chain)
@@ -144,7 +146,6 @@ class PresentedRing:
         self._top = 1
         self._basis = {}        # n -> (positions, {position: rank})
         self._nf = {}           # n -> {position: (integer {rank: c}, d)}
-        self._bases = {}        # n -> DegreeBasis(g, n), one per degree
 
     def ideal_component(self, n):
         """Echelon basis of <G>^n; dim I^n + h(n) = g^n."""
@@ -162,11 +163,6 @@ class PresentedRing:
                 # strong grading: once a component dies it stays dead
                 raise InvariantViolation(f"strong grading violated in degree {m}")
         return self._ideal[n]
-
-    def _degree_basis(self, n):
-        if n not in self._bases:
-            self._bases[n] = DegreeBasis(self.g, n)
-        return self._bases[n]
 
     def hilbert_value(self, n):
         return self.g ** n - self.ideal_component(n).rank
@@ -196,10 +192,9 @@ class PresentedRing:
         if not e.is_homogeneous():
             raise NotHomogeneous("normal_form needs a homogeneous element")
         n = e.degree()
-        basis = self._degree_basis(n)
-        vec = {basis.pos(w): s for w, s in e.terms.items()}
-        red = self.normal_form_vec(n, vec)
-        return Element(self.field, {basis.word_at(p): s for p, s in red.items()})
+        # vec_of refuses g^n columns above the guard before any component
+        red = self.normal_form_vec(n, self.relations.vec_of(e))
+        return self.relations.element_of(n, red)
 
     def nf_word(self, n, p):
         """Normal form of the word at position p of degree n as (integer
@@ -271,15 +266,17 @@ def ideal_chain(rel, upto):
     return chain
 
 
-def minimal_complement(rel):
+def minimal_complement(rel, chain=None):
     """A graded complement of (rel ∩ Ĩ) inside rel, where Ĩ = F¹I + IF¹ and
     I = <rel>: a bimodule of relations generating the same ideal.  Rows are
     picked greedily from rel's reduced bases in pivot order, so the result
-    is deterministic."""
+    is deterministic.  ``chain`` is ``ideal_chain(rel, rel.max_degree())``
+    when the caller has built it."""
     d = rel.max_degree()
     if d < 0:
         return GradedSubspace(rel.g, rel.field)
-    chain = ideal_chain(rel, d)
+    if chain is None:
+        chain = ideal_chain(rel, d)
     out = GradedSubspace(rel.g, rel.field)
     for n in rel.degrees():
         acc = graded_ideal_step(chain, None, rel.g, n, rel.field)

@@ -72,7 +72,7 @@ from math import lcm
 
 from .errors import (InvariantViolation, NotMinimalRelations, ResourceExceeded,
                      ValidationError)
-from .freealg import DegreeBasis
+from .freealg import lex_pos, lex_word
 from .gradedring import is_minimal_relations
 from .linalg import (RowSpace, integer_rank, integer_vector, intersection,
                      left_kernel_basis, span)
@@ -395,11 +395,10 @@ def is_commutator_relations(rel, g):
     if want == 0 or rel.dim(2) != want:
         return False
     block = rel.blocks[2]
-    basis = DegreeBasis(g, 2)
     one = rel.field.one
     for i in range(g):
         for j in range(i + 1, g):
-            vec = {basis.pos((i, j)): one, basis.pos((j, i)): -one}
+            vec = {lex_pos((i, j), g): one, lex_pos((j, i), g): -one}
             if not block.contains(vec):
                 return False
     return True
@@ -438,8 +437,7 @@ def support_reach(rel, upto):
     g, lens = rel.g, rel.degrees()
     support = set()
     for j in lens:
-        basis = DegreeBasis(g, j)
-        support.update(map(basis.word_at, set().union(*rel.blocks[j].rows.values())))
+        support.update(lex_word(p, g, j) for p in set().union(*rel.blocks[j].rows.values()))
     keep = max(lens, default=1) - 1
     states = {()}
     for n in range(1, upto + 1):

@@ -17,8 +17,7 @@ import pytest
 from pbwkit.deformation import FilteredSubspace, minimize_relations, rp_of
 from pbwkit.errors import InvalidPresentation
 from pbwkit.extension import ExtensionEngine
-from pbwkit.freealg import (DegreeBasis, Element, WordBasis, filtration_size,
-                            multiply, project)
+from pbwkit.freealg import Element, filtration_size, multiply, project
 from pbwkit.gradedring import PresentedRing
 from pbwkit.linalg import QQ, RowSpace, left_kernel_basis, span
 
@@ -259,9 +258,28 @@ def zword_at(g, n, pos):
 @functools.cache
 def zcolumns(g, n):
     """word -> position of its monomial in T[z]^n, the inverse of
-    ``zword_at``: the oracles' own column index, apart from the engine's
-    ``ZMonomials``."""
+    ``zword_at``: the oracles' own column index of T[z]^n and T^{<=n},
+    apart from pbwkit's ``WordBasis``."""
     return {zword_at(g, n, p): p for p in range(filtration_size(g, n))}
+
+
+def zelement(g, n, vec, field):
+    """A vector over the columns of T^{<=n} as an Element, through
+    ``zword_at``."""
+    return Element(field, {zword_at(g, n, c): s for c, s in vec.items()})
+
+
+@functools.cache
+def lex_words(g, n):
+    """The words of length n in lex order, from ``itertools.product``:
+    the oracles' own index of the columns of T^n."""
+    return tuple(product(range(g), repeat=n))
+
+
+@functools.cache
+def lex_columns(g, n):
+    """word -> column in T^n, the inverse of ``lex_words``."""
+    return {w: p for p, w in enumerate(lex_words(g, n))}
 
 
 def quotient_positions(eng, n):
@@ -340,19 +358,24 @@ def copied(space):
     return out
 
 
-def mult_left_vec(basis, i, vec):
-    """x_i * vec over a WordBasis, through the words at the columns."""
-    return {basis.pos((i,) + basis.word_at(c)): s for c, s in vec.items()}
+def mult_left_vec(g, n, i, vec):
+    """x_i * vec over the columns of T^{<=n}, through the words at the
+    columns (``zword_at``, ``zcolumns``)."""
+    col = zcolumns(g, n)
+    return {col[(i,) + zword_at(g, n, c)]: s for c, s in vec.items()}
 
 
-def mult_right_vec(basis, vec, i):
-    """vec * x_i over a WordBasis, through the words at the columns."""
-    return {basis.pos(basis.word_at(c) + (i,)): s for c, s in vec.items()}
+def mult_right_vec(g, n, vec, i):
+    """vec * x_i over the columns of T^{<=n}, through the words at the
+    columns (``zword_at``, ``zcolumns``)."""
+    col = zcolumns(g, n)
+    return {col[zword_at(g, n, c) + (i,)]: s for c, s in vec.items()}
 
 
-def suffix_start(basis, n):
-    """First column of the T^{<=n} suffix block of a WordBasis."""
-    return 0 if n >= basis.max_degree else basis.offsets[n]
+def suffix_start(g, n, d):
+    """First column of the T^{<=d} suffix of the columns of T^{<=n}, d <=
+    n: the number of words of degree d + 1..n."""
+    return sum(g ** k for k in range(d + 1, n + 1))
 
 
 def naive_ladder(P, upto):
@@ -363,10 +386,9 @@ def naive_ladder(P, upto):
     T^{<=k} lies in P_k.  For the least failing k >= 1 the witness is the
     first row of the reduced echelon form of (P_{k+1} ∩ T^{<=k}) modulo
     P_k: those rows, each reduced fully modulo P_k."""
-    g = P.g
-    big = WordBasis(g, upto + 1)
-    shift = big.size - P.basis.size     # P's columns are the last ones of big
-    prows = [(P.basis.degree_of_pos(min(r)), {c + shift: s for c, s in r.items()})
+    g, top, d = P.g, upto + 1, P.max_degree
+    shift = suffix_start(g, top, d)     # P's columns are the last ones
+    prows = [(len(zword_at(g, d, min(r))), {c + shift: s for c, s in r.items()})
              for r in P.space.raw_basis()]
     spaces = [RowSpace(P.field)]
     verdicts = {}
@@ -376,19 +398,19 @@ def naive_ladder(P, upto):
         nxt = copied(prev)
         for row in prev.raw_basis():
             for i in range(g):
-                nxt.insert(mult_left_vec(big, i, row))
-                nxt.insert(mult_right_vec(big, row, i))
+                nxt.insert(mult_left_vec(g, top, i, row))
+                nxt.insert(mult_right_vec(g, top, row, i))
         for deg, row in prows:
             if deg <= k + 1:
                 nxt.insert(dict(row))
         spaces.append(nxt)
         if k >= 1:
-            start = suffix_start(big, k)
+            start = suffix_start(g, top, k)
             cut = [nxt.rows[c] for c in nxt.rows if c >= start]
             verdicts[k] = all(prev.contains(r) for r in cut)
             if witness is None and not verdicts[k]:
                 rest = span(P.field, [prev.reduce_full(r) for r in cut])
-                witness = big.vec_to_element(rest.reduced_basis()[0], P.field)
+                witness = zelement(g, top, rest.reduced_basis()[0], P.field)
         if nxt.rank == filtration_size(g, k + 1):
             break
     # a full P_k = T^{<=k} makes every later (J_k) hold
@@ -439,16 +461,16 @@ class NaiveEngine(ExtensionEngine):
 
 def basis_words(ring, n):
     """The basis words of A^n as tuples, in position order: a thin view of
-    ``PresentedRing.basis``."""
-    basis = DegreeBasis(ring.g, n)
-    return [basis.word_at(p) for p in ring.basis(n)[0]]
+    ``PresentedRing.basis`` over ``lex_words``."""
+    words = lex_words(ring.g, n)
+    return [words[p] for p in ring.basis(n)[0]]
 
 
 def naive_nf(ring, w):
     """Normal form of a word as {word: field scalar}."""
-    basis = DegreeBasis(ring.g, len(w))
-    red = ring.normal_form_vec(len(w), {basis.pos(w): ring.field.one})
-    return {basis.word_at(p): s for p, s in red.items()}
+    words = lex_words(ring.g, len(w))
+    red = ring.normal_form_vec(len(w), {lex_columns(ring.g, len(w))[w]: ring.field.one})
+    return {words[p]: s for p, s in red.items()}
 
 
 def _accumulate(out, col, s):
@@ -529,9 +551,9 @@ def naive_tor3_resolution(ring, rel, bound):
         for j in rel.degrees():
             if j > m:
                 continue
-            basis = DegreeBasis(ring.g, j)
+            words = lex_words(ring.g, j)
             for ridx, row in enumerate(rel.blocks[j].basis()):
-                rel_rows[(j, ridx)] = {basis.word_at(p): s for p, s in row.items()}
+                rel_rows[(j, ridx)] = {words[p]: s for p, s in row.items()}
                 domain.extend((a, (j, ridx)) for a in basis_words(ring, m - j))
         rows = [naive_d2_row(ring, rel_rows[rk], a, codomain) for a, rk in domain]
         ker = left_kernel_basis(ring.field, rows, len(codomain))

@@ -154,8 +154,8 @@ class TestExitCodes:
         # fault (exit 14), not invalid input (exit 12)
         real = deformation.minimal_complement
 
-        def dropping(rel):
-            out = real(rel)
+        def dropping(rel, chain=None):
+            out = real(rel, chain)
             n = out.degrees()[-1]
             out.blocks[n] = span(out.field, out.blocks[n].basis()[1:])
             return out

@@ -20,12 +20,13 @@ import pytest
 
 from pbwkit.deformation import FilteredSubspace, extract_alpha, pn_ladder, rp_of
 from pbwkit.extension import ENGINE_DEGREE_CAP, GR_TABLE_COLUMN_CAP, engine_for
-from pbwkit.freealg import DegreeBasis, filtration_size, parse_element
+from pbwkit.freealg import filtration_size, parse_element
 from pbwkit.gradedring import GradedSubspace, ideal_chain
 from pbwkit.linalg import QQ, PrimeField, RowSpace
 
-from conftest import (NaiveEngine, annihilator_basis, inserted, naive_ladder,
-                      representatives, row_elements, sampled, zcolumns, zword_at)
+from conftest import (NaiveEngine, annihilator_basis, inserted, lex_columns, lex_words,
+                      naive_ladder, representatives, row_elements, sampled, zcolumns,
+                      zword_at)
 
 LADDER_UPTO = 5
 ENGINE_DEGREE = 6
@@ -221,9 +222,9 @@ class Closure:
         g = rel.g
 
         def move(vec, n, word):
-            src, dst = DegreeBasis(g, n), DegreeBasis(g, n + 1)
-            return {dst.pos(word(src.word_at(c))): s for c, s in vec.items()}
-        return cls(g, ideal_chain(rel, top), lambda n, w: DegreeBasis(g, n).pos(w),
+            src, dst = lex_words(g, n), lex_columns(g, n + 1)
+            return {dst[word(src[c])]: s for c, s in vec.items()}
+        return cls(g, ideal_chain(rel, top), lambda n, w: lex_columns(g, n)[w],
                    lambda x, vec, n: move(vec, n, lambda w: (x,) + w),
                    lambda vec, n, x: move(vec, n, lambda w: w + (x,)), None,
                    {n: rel.blocks[n].raw_basis() for n in rel.degrees()})

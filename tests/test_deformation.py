@@ -14,9 +14,9 @@ from pbwkit.extension import engine_for
 from pbwkit.freealg import filtration_size
 from pbwkit.linalg import QQ, PrimeField
 
-from conftest import (acceptance_sample, brute_jacobi, certified_cut_dim,
+from conftest import (acceptance_sample, brute_jacobi, certified_cut_dim, lex_words,
                       random_deformation_element, random_presentation,
-                      sampled, to_field)
+                      sampled, to_field, zcolumns, zelement)
 
 X, XY, XYC = ["x"], ["x", "y"], ["x", "y", "c"]
 HEISENBERG = ["x*y - y*x - c", "x*c - c*x", "y*c - c*y"]
@@ -83,9 +83,11 @@ def oracle_image(P, n, row):
     r placed at its degree's columns, minus its normal form modulo P.  r
     is the top of the reduced row v = r + l of P, l on columns that are
     no pivot of P, so r - NF(r) = r + l = v."""
-    r = {c + P.basis.offsets[n]: s for c, s in row.items()}
-    to = P.basis.vec_to_element
-    return to(r, P.field) - to(P.space.reduce_full(r), P.field)
+    g, d = P.g, P.max_degree
+    cols, words = zcolumns(g, d), lex_words(g, n)
+    r = {cols[words[c]]: s for c, s in row.items()}
+    return (zelement(g, d, r, P.field)
+            - zelement(g, d, P.space.reduce_full(r), P.field))
 
 
 class TestAlpha:

@@ -1,12 +1,11 @@
 from itertools import product
 
-from pbwkit.freealg import filtration_size, parse_element
+from pbwkit.freealg import WordBasis, filtration_size, parse_element
 from pbwkit.gradedring import PresentedRing
 from pbwkit.deformation import (FilteredSubspace, extract_alpha, pn_ladder,
                                 minimize_relations, rp_of)
 from pbwkit.errors import InvalidPresentation
-from pbwkit.extension import (ExtensionEngine, ZMonomials, build_pz, engine_for,
-                              rees_identity_check)
+from pbwkit.extension import ExtensionEngine, build_pz, engine_for, rees_identity_check
 from pbwkit.linalg import QQ
 
 from conftest import (NaiveEngine, annihilator_basis, certified_cut_dim, eval_z,
@@ -31,7 +30,7 @@ def test_column_maps_multiply_monomials():
         for n in range(4):
             words = zwords(g, n)
             up = {w: p for p, w in enumerate(zwords(g, n + 1))}
-            for i, left in enumerate(ZMonomials(g, n).left_maps()):
+            for i, left in enumerate(WordBasis(g, n).left_maps()):
                 assert left == [up[(i,) + w] for w in words]
                 assert left == sorted(left)
             flat = list(product(range(g), repeat=n))

@@ -1,13 +1,15 @@
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pbwkit.errors import HomogenizeZero, ParseError
+from pbwkit.errors import HomogenizeZero, ParseError, ResourceExceeded, ValidationError
 from pbwkit.freealg import (Element, WordBasis, filtration_size, format_element,
                             homogenize, leading_homogeneous, multiply,
-                            parse_element, project, word_key)
+                            lex_pos, lex_word, parse_element, project, word_key)
 from pbwkit.linalg import QQ
 
-from conftest import eval_z, suffix_start
+from conftest import eval_z, lex_columns, lex_words, suffix_start, zcolumns, zword_at
 
 X, Y = ["x"], ["x", "y"]
 
@@ -134,7 +136,7 @@ class TestWordOrder:
 
     def test_suffix_is_filtration(self):
         basis = WordBasis(2, 3)
-        start = suffix_start(basis, 1)
+        start = suffix_start(2, 3, 1)
         assert {basis.word_at(p) for p in range(start, basis.size)} == {(), (0,), (1,)}
 
 
@@ -145,6 +147,51 @@ class TestWordOrder:
             for n in range(8):
                 assert filtration_size(g, n) == sum(g ** i for i in range(n + 1)) \
                     == WordBasis(g, n).size
+
+
+class TestWordBasis:
+    """The one column layout of T^{<=n}, T[z]^n and T^n, against the
+    tests' own indices: ``zword_at``/``zcolumns`` and ``itertools.product``."""
+
+    def test_columns_match_the_oracle_index(self):
+        for g in (1, 2, 3):
+            for n in range(6):
+                basis, col = WordBasis(g, n), zcolumns(g, n)
+                assert basis.size == len(col)
+                for p in range(basis.size):
+                    w = zword_at(g, n, p)
+                    assert basis.word_at(p) == w
+                    assert basis.pos(w) == col[w] == p
+                    assert basis.block(p) == (len(w), col[(0,) * len(w)])
+
+    def test_first_block_is_product_order(self):
+        # T^n is the first block, in itertools.product order
+        for g in (1, 2, 3):
+            for n in range(6):
+                basis, flat = WordBasis(g, n), list(product(range(g), repeat=n))
+                assert [basis.word_at(p) for p in range(g ** n)] == flat
+                assert list(lex_words(g, n)) == flat
+                assert [lex_word(p, g, n) for p in range(g ** n)] == flat
+                assert [lex_pos(w, g) for w in flat] == list(range(g ** n))
+                assert all(lex_columns(g, n)[w] == basis.pos(w) for w in flat)
+
+    def test_out_of_range(self):
+        basis = WordBasis(2, 2)
+        with pytest.raises(ValidationError):
+            basis.pos((0, 1, 0))
+        for p in (-1, 7):
+            with pytest.raises(ValidationError):
+                basis.word_at(p)
+
+    def test_guard_counts_every_column(self, monkeypatch):
+        # T^{<=3} over two letters has 1 + 2 + 4 + 8 = 15 columns
+        monkeypatch.setenv("PBWKIT_MAX_COLUMNS", "15")
+        assert WordBasis(2, 3).size == 15
+        monkeypatch.setenv("PBWKIT_MAX_COLUMNS", "14")
+        with pytest.raises(ResourceExceeded,
+                           match=r"T\[z\]\^3 over 2 generators needs 15 columns"):
+            WordBasis(2, 3)
+        assert WordBasis(2, 3, guard=15).size == 15
 
 
 class TestElementSyntax:

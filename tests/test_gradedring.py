@@ -5,13 +5,13 @@ from itertools import product
 import pytest
 
 from pbwkit.errors import NotHomogeneous, ResourceExceeded, ValidationError
-from pbwkit.freealg import DegreeBasis, Element, parse_element
+from pbwkit.freealg import Element, parse_element
 from pbwkit.gradedring import (GradedSubspace, PresentedRing, ideal_chain,
                                is_minimal_relations, minimal_complement)
 from pbwkit.linalg import QQ, PrimeField
 
-from conftest import (DenseEchelon, basis_words, brute_ideal_dim, random_homogeneous,
-                      sampler_rings)
+from conftest import (DenseEchelon, basis_words, brute_ideal_dim, lex_columns,
+                      random_homogeneous, sampler_rings)
 
 X, XY = ["x"], ["x", "y"]
 
@@ -86,6 +86,40 @@ class TestNormalForm:
         ring = ring_of(2, ["x*y - y*x"], XY)
         assert ring.normal_form(parse_element("x*y*x - y*x*x", XY)).is_zero()
         assert not ring.normal_form(parse_element("x*y*x", XY)).is_zero()
+
+
+class TestGradedColumns:
+    """T^n has the g^n lex columns of the first block of WordBasis(g, n),
+    and the guard counts those, not the F(n) columns of T^{<=n}."""
+
+    def test_relation_guard_counts_g_to_the_n(self, monkeypatch):
+        # one degree-3 relation over two letters: 2^3 = 8 columns
+        rel = [parse_element("x*y*x - y*x*y", XY)]
+        monkeypatch.setenv("PBWKIT_MAX_COLUMNS", "8")
+        assert GradedSubspace.from_elements(2, rel).dim(3) == 1
+        monkeypatch.setenv("PBWKIT_MAX_COLUMNS", "7")
+        with pytest.raises(ResourceExceeded, match=r"T\^3 over 2 generators needs 8 columns"):
+            GradedSubspace.from_elements(2, rel)
+
+    def test_normal_form_guard_before_any_component(self, monkeypatch):
+        ring = ring_of(2, ["x*y - y*x"], XY)
+        e = parse_element("x*y*x", XY)
+        monkeypatch.setenv("PBWKIT_MAX_COLUMNS", "7")
+        with pytest.raises(ResourceExceeded):
+            ring.normal_form(e)
+        assert sorted(ring._ideal) == [0, 1]
+        monkeypatch.setenv("PBWKIT_MAX_COLUMNS", "8")
+        assert not ring.normal_form(e).is_zero()
+
+    def test_vec_of_refuses_another_degree(self):
+        # x*y sits at lex column 1 of T^2 and y at lex column 1 of T^1: kept
+        # together they would share a column
+        sub = GradedSubspace(2)
+        e = parse_element("x*y + y", XY)
+        for take in (sub.vec_of, sub.insert_element):
+            with pytest.raises(ValidationError, match="word degree mismatch"):
+                take(e)
+        assert sub.degrees() == []
 
 
 class TestHilbert:
@@ -228,14 +262,14 @@ def test_ideal_components_match_dense_products(p, g):
         ring = PresentedRing(g, GradedSubspace.from_elements(g, elements, field), field)
         chain = ideal_chain(ring.relations, top)
         for n in range(top + 1):
-            basis = DegreeBasis(g, n)
+            cols = lex_columns(g, n)
             oracle = DenseEchelon(g ** n, p)
             for e in elements:
                 j = e.degree()
                 for a in range(n - j + 1):
                     for u in product(range(g), repeat=a):
                         for v in product(range(g), repeat=n - j - a):
-                            oracle.insert(dense({basis.pos(u + w + v): s
+                            oracle.insert(dense({cols[u + w + v]: s
                                                  for w, s in e.terms.items()}, n))
             sp = ring.ideal_component(n)
             assert sorted(sp.rows) == sorted(oracle.rows)
