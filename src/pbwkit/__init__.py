@@ -14,7 +14,7 @@ from importlib import resources
 from .deformation import (CheckResult, FilteredSubspace, FilteredMap,
                           JacobiLadder, apply_alpha, extract_alpha,
                           lift_presentation, minimize_relations, pbw_check,
-                          pn_ladder, pure_jacobi_check, rp_of)
+                          pn_ladder, rp_of)
 from .errors import PBWError
 from .extension import ExtensionEngine, build_pz, engine_for, rees_identity_check
 from .freealg import (Element, HomogenizedElement, format_element, homogenize,

@@ -19,7 +19,7 @@ from .deformation import (lifted, minimized_ring, pbw_check, pn_ladder, rp_of,
 from .errors import (InvalidPresentation, InvariantViolation, ParseError,
                      PBWError, ResourceExceeded, ValidationError)
 from .extension import engine_for, rees_identity_check
-from .freealg import column_guard, filtration_size, format_element
+from .freealg import column_guard, filtration_size, format_element, guard_reach
 from .homology import complexity, tor3_resolution, tor_bar
 from .presentations import Report, parse_presentation
 
@@ -59,9 +59,7 @@ def _tables(res, bound):
     table never costs it."""
     eng = res.engine
     guard = column_guard()
-    top = bound
-    while top >= 0 and filtration_size(eng.g, top + 1) > guard:
-        top -= 1
+    top = guard_reach(eng.g, bound + 1, guard) - 1
     if top < bound:
         res.notes.append(f"tables stop at degree {top}: degree {top + 1} needs "
                          f"T[z]^{top + 2} with {filtration_size(eng.g, top + 2)} "

@@ -17,17 +17,15 @@ the engine stored.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass, field as dc_field
 
-from .errors import (DomainMismatch, InvalidPresentation, InvariantViolation,
-                     NotPure, ValidationError)
+from .errors import DomainMismatch, InvalidPresentation, InvariantViolation, ValidationError
 from .extension import ENGINE_DEGREE_CAP, ExtensionEngine, check_depth, engine_for
-from .freealg import Element, WordBasis, column_guard, project
+from .freealg import Element, WordBasis, column_guard, guard_reach, project
 from .gradedring import (GradedSubspace, PresentedRing, graded_ideal_step,
                          ideal_chain, minimal_complement)
-from .homology import complexity, overlap
+from .homology import complexity
 from .linalg import QQ, RowSpace, span
 
 MIN_TOP_DEGREE = 1      # FilteredSubspace rows live in T^{<=1} at least
@@ -72,46 +70,35 @@ def rp_of(P):
 class FilteredMap:
     """A filtered map alpha on a graded domain with alpha_0 = inclusion.
 
-    Stored per degree as parallel lists (domain row, image element); the
-    domain rows are the reduced echelon rows of the domain in pivot order,
-    and LH(image) = domain row.  A degree-n domain vector v is then
-    sum_k v[pivot_k]·row_k, so alpha(v) = sum_k v[pivot_k]·image_k: alpha
-    is applied by reading v at the pivots.
+    Stored per degree as the list of images of the domain block's reduced
+    echelon rows, in pivot order, with LH(image) = domain row.  A degree-n
+    domain vector v is then sum_k v[pivot_k]·row_k, so alpha(v) =
+    sum_k v[pivot_k]·image_k: alpha is applied by reading v at the block's
+    pivots.
     """
 
     def __init__(self, g, field):
         self.g = g
         self.field = field
         self.rel = GradedSubspace(g, field)     # the domain
-        self.graded_rows = {}   # n -> list of {local pos: scalar}, RREF
-        self.images = {}        # n -> list of Element
+        self.images = {}        # n -> list of Element, by domain pivot
 
     def domain(self):
         return self.rel
 
     def apply_vec(self, n, vec):
         """alpha on a degree-n domain vector; DomainMismatch if outside."""
-        block = self.rel.blocks.get(n)
-        if vec and (block is None or not block.contains(vec)):
-            raise DomainMismatch(f"vector of degree {n} outside the map's domain")
         out = Element(self.field)
-        for row, img in zip(self.graded_rows.get(n, ()), self.images.get(n, ())):
-            c = vec.get(min(row))
+        if not vec:
+            return out
+        block = self.rel.blocks.get(n)
+        if block is None or not block.contains(vec):
+            raise DomainMismatch(f"vector of degree {n} outside the map's domain")
+        for pivot, img in zip(sorted(block.rows), self.images[n]):
+            c = vec.get(pivot)
             if c:
                 out = out + img.scale(c)
         return out
-
-    def apply_element(self, e):
-        if e.is_zero():
-            return e
-        if not e.is_homogeneous():
-            raise DomainMismatch("alpha acts on homogeneous domain elements")
-        return self.apply_vec(e.degree(), self.rel.vec_of(e))
-
-    def component(self, i, e):
-        """alpha_i(e) = p^{n-i}(alpha(e)) for homogeneous e of degree n."""
-        n = e.degree()
-        return project(self.apply_element(e), n - i)
 
 
 def extract_alpha(P):
@@ -119,6 +106,7 @@ def extract_alpha(P):
     its domain R_P in one pass over the reduced rows v of P: LH(v) is a
     reduced row of R_P (the rows of P with pivots in degree n vanish at
     each other's pivots, and so do their tops), and alpha(LH(v)) := v.
+    The rows come in pivot order, so images[n] follows the block's pivots.
     Over a field this always exists, and the reduced basis makes it
     reproducible."""
     alpha = FilteredMap(P.g, P.field)
@@ -129,7 +117,6 @@ def extract_alpha(P):
         end = off + P.g ** n
         top = {p - off: s for p, s in row.items() if p < end}
         alpha.rel.block(n).insert(top)
-        alpha.graded_rows.setdefault(n, []).append(top)
         alpha.images.setdefault(n, []).append(cols.vec_to_element(row, P.field))
     return alpha
 
@@ -220,85 +207,6 @@ def minimize_relations(rel):
                           zip(chain, ideal_chain(out, d))):
         raise InvariantViolation("minimization changed the ideal")
     return out
-
-
-# ---------------------------------------------------------------------------
-# Pure-relations route.
-
-def pure_jacobi_check(alpha):
-    """The (J'_0)..(J'_N) conditions for alpha on an N-pure domain (the
-    Berger–Ginzburg and Cassidy–Shelton setting), plus the containment
-    form (V P + P V)^{<=N} ⊆ P, P = alpha(rel), they are equivalent to.
-
-    The conditions are evaluated on the overlap space X = (R⊗V) ∩ (V⊗R)
-    with no solving: with r_k the reduced rows of R and π_k their pivots,
-    the rows r_k⊗x_j and x_j⊗r_k are reduced echelon in T^{N+1}, with
-    pivots π_k·g + j and j·g^N + π_k, so the coordinates of x in X are its
-    entries at those columns; alpha_i(r_k) is p^{N-i} of r_k's stored
-    image.
-
-    The containment is the Jacobi ladder's (J_N): for N-pure P the ladder
-    has P_k = 0 for k < N and P_N = P, so P_{N+1} ∩ T^{<=N} ⊆ P_N says
-    exactly (V P + P V)^{<=N} ⊆ P, and every (J_k) with k < N holds.  It
-    is read from the T[z] engine of P as ann(z)^N = 0, so N + 1 is bounded
-    by ENGINE_DEGREE_CAP.
-
-    Returns {"conditions": {i: bool}, "containment": bool, "equivalent": bool,
-    "N": N}.
-    """
-    rel = alpha.domain()
-    degs = rel.degrees()
-    if len(degs) != 1:
-        raise NotPure("pure route needs relations concentrated in one degree")
-    N = degs[0]
-    g = alpha.g
-    field = alpha.field
-    rows, images = alpha.graded_rows[N], alpha.images[N]
-    pivots = [min(r) for r in rows]
-    shift = g ** N                          # x_j (x) w sits at j·g^N + pos(w)
-
-    @functools.cache
-    def comp(k, i):
-        """alpha_i(r_k)."""
-        return project(images[k], N - i).terms
-
-    def mixed(x_vec, i):
-        """(V (x) alpha_i - alpha_i (x) V)(x) as an Element of degree N+1-i."""
-        out = Element(field)
-        for k, pk in enumerate(pivots):
-            term = comp(k, i)
-            for j in range(g):
-                c = x_vec.get(j * shift + pk)           # x = ... + c·x_j r_k
-                if c:
-                    out = out + Element(field, {(j,) + w: c * s for w, s in term.items()})
-                c = x_vec.get(pk * g + j)               # x = ... + c·r_k x_j
-                if c:
-                    out = out - Element(field, {w + (j,): c * s for w, s in term.items()})
-        return out
-
-    rel_space = rel.blocks[N]
-    conditions = {i: True for i in range(N + 1)}
-    for x_vec in overlap(rows, g, N, field):
-        t1 = mixed(x_vec, 1)
-        in_rel = t1.is_zero() or (t1.degree() == N and
-                                  rel_space.contains(rel.vec_of(t1)))
-        if not in_rel:
-            conditions[0] = False
-            continue
-        for i in range(1, N + 1):
-            lhs = alpha.component(i, t1) if not t1.is_zero() else Element(field)
-            rhs = -mixed(x_vec, i + 1) if i < N else Element(field)
-            if lhs != rhs:
-                conditions[i] = False
-
-    # containment form: (V P + P V)^{<=N} ⊆ P is the ladder's (J_N)
-    containment = engine_for(apply_alpha(alpha, rel)).annihilator_dim(N) == 0
-    return {
-        "N": N,
-        "conditions": conditions,
-        "containment": containment,
-        "equivalent": all(conditions.values()) == containment,
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -473,10 +381,9 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
                      bound_hint=tor_bound or 8)
         # h_A is only displayed, so it stops below the first degree whose
         # g^n columns the column guard would refuse, with a note
-        top = want = min(ring.max_degree, max(max_degree, d))
+        want = min(ring.max_degree, max(max_degree, d))
         guard = column_guard()
-        while top > 0 and g ** top > guard:
-            top -= 1
+        top = guard_reach(g, want, guard, pow)
         if top < want:
             notes.append(f"h_A stops at degree {top}: degree {top + 1} needs "
                          f"{g ** (top + 1)} columns, above the column guard {guard}")

@@ -26,10 +26,6 @@ class DomainMismatch(PBWError):
     code = "DOMAIN_MISMATCH"
 
 
-class NotPure(PBWError):
-    code = "NOT_PURE"
-
-
 class NotMinimalRelations(PBWError):
     code = "NOT_MINIMAL_RELATIONS"
 

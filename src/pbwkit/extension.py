@@ -76,7 +76,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from .errors import ResourceExceeded, ValidationError
-from .freealg import WordBasis, column_guard, filtration_size, homogenize
+from .freealg import WordBasis, column_guard, filtration_size, guard_reach, homogenize
 from .gradedring import ideal_chain
 from .linalg import RowSpace, closure_step
 
@@ -215,8 +215,8 @@ class ExtensionEngine:
         else:
             cuts = None
             m = max(upto + 1, top) + 1
-            cap = min(GR_TABLE_COLUMN_CAP, self._guard)
-            while filtration_size(g, m) <= cap and m <= ENGINE_DEGREE_CAP:
+            last = guard_reach(g, ENGINE_DEGREE_CAP, min(GR_TABLE_COLUMN_CAP, self._guard))
+            while m <= last:
                 now = [self.cut_dim(m, n) for n in range(upto + 1)]
                 if self._full(m) or now == [self.cut_dim(m - 1, n) for n in range(upto + 1)]:
                     cuts = now

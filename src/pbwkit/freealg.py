@@ -206,12 +206,25 @@ def filtration_size(g, n):
     return (g ** (n + 1) - 1) // (g - 1)
 
 
+def guard_reach(g, upto, guard, size=filtration_size):
+    """The largest n <= upto whose size(g, n) columns the column guard
+    allows: ``filtration_size`` counts T^{<=n} and T[z]^n, ``pow`` counts
+    T^n.  Degree 0 needs one column, which every guard allows.  Every
+    comparison with the guard reads it: ``graded_size`` and ``WordBasis``
+    refuse a degree above it, and h_A, check's tables and the gr U
+    stabilization stop at it."""
+    n = upto
+    while n > 0 and size(g, n) > guard:
+        n -= 1
+    return n
+
+
 def graded_size(g, n):
     """dim T^n = g^n, the first block of ``WordBasis(g, n)``; refused above
     the column guard."""
     size = g ** n
     guard = column_guard()
-    if size > guard:
+    if guard_reach(g, n, guard, pow) < n:
         raise ResourceExceeded(
             f"T^{n} over {g} generators needs {size} columns (guard {guard})")
     return size
@@ -230,7 +243,7 @@ class WordBasis:
         self.n = n
         self.size = filtration_size(g, n)
         guard = column_guard() if guard is None else guard
-        if self.size > guard:
+        if guard_reach(g, n, guard) < n:
             raise ResourceExceeded(
                 f"T[z]^{n} over {g} generators needs {self.size} columns, as "
                 f"T^<={n} does (guard {guard}; set PBWKIT_MAX_COLUMNS to raise)")

@@ -68,14 +68,13 @@ counting of Ufnarovski, Math. Notes 31, 1982), so no ideal is built.
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import lcm
+from math import comb, lcm
 
 from .errors import (InvariantViolation, NotMinimalRelations, ResourceExceeded,
                      ValidationError)
 from .freealg import lex_pos, lex_word
 from .gradedring import is_minimal_relations
-from .linalg import (RowSpace, integer_rank, integer_vector, intersection,
-                     left_kernel_basis, span)
+from .linalg import RowSpace, integer_rank, integer_vector, left_kernel_basis, span
 
 BAR_STRAND_GUARD = 200000
 
@@ -404,24 +403,6 @@ def is_commutator_relations(rel, g):
     return True
 
 
-def overlap(rel_rows, g, n, field):
-    """A basis of the overlap space X = (R (x) V) ∩ (V (x) R) in T^{n+1}
-    for independent rows of R ⊆ T^n: r (x) x_i has the columns p*g + i,
-    x_i (x) r the columns i*g^n + p, for the columns p of r."""
-    rv = [{p * g + i: s for p, s in row.items()} for row in rel_rows for i in range(g)]
-    vr = [{i * g ** n + p: s for p, s in row.items()} for row in rel_rows for i in range(g)]
-    return intersection(field, rv, vr, g ** (n + 1))
-
-
-def overlap_dimension(rel, g):
-    """dim of (rel (x) V) ∩ (V (x) rel) in degree N+1 for N-pure rel."""
-    degs = rel.degrees()
-    if len(degs) != 1:
-        raise ValidationError("overlap needs a pure relation space")
-    n = degs[0]
-    return len(overlap(rel.blocks[n].basis(), g, n, rel.field))
-
-
 def support_reach(rel, upto):
     """The largest n <= upto such that some word of degree n avoids J, the
     monomial ideal generated by the words in the support of rel (the same
@@ -470,10 +451,11 @@ def complexity(ring, rel, bound_hint=8):
     """c(A) = sup{m-1 : Tor_{3,m} != 0} with a certification flag.
 
     Certified routes: A finite-dimensional (scan m <= c_A + 3, enough since
-    c(A) <= c_A + 2), or rel recognized as the full commutator space (the
-    polynomial ring is Koszul, so the table is 3-pure and the single entry
-    is the overlap dimension).  Anything else scans m <= bound_hint and is
-    reported uncertified.
+    c(A) <= c_A + 2), or rel recognized as the full commutator space.  Then
+    A is the polynomial ring k[x_1..x_g], whose Koszul complex resolves k
+    over any field: Tor_3 is Λ³V, in internal degree 3 only, of dimension
+    C(g, 3), so c = 2 (or -1 when g < 3) with no scan.  Anything else
+    scans m <= bound_hint and is reported uncertified.
 
     Finite dimension is read from the Hilbert values up to
     min(max_degree, bound_hint + 3), unless the support quotient reaches
@@ -486,7 +468,7 @@ def complexity(ring, rel, bound_hint=8):
         return ComplexityResult(-1, True, TorTable(3, bound_hint, {}),
                                 note="free: no relations")
     if is_commutator_relations(rel, ring.g):
-        d3 = overlap_dimension(rel, ring.g)
+        d3 = comb(ring.g, 3)
         table = TorTable(3, max(bound_hint, 3), {3: d3} if d3 else {})
         c = 2 if d3 else -1
         return ComplexityResult(c, True, table, note="polynomial ring (Koszul, 3-pure)")

@@ -38,10 +38,9 @@ arithmetic.
 Tagged rows carry tag columns at and above an offset that record how they
 were made.  ``RowSpace.relate`` reduces such a vector and, when its
 untagged part reduces to zero, reports the tags instead of storing it:
-``left_kernel_basis`` (unit tags) and ``intersection`` (Zassenhaus: the
-tags repeat the row) use it.  Coordinates need no tags where the rows
-are reduced echelon: they are the entries at the pivots, which is how the
-filtered maps and the pure-relations route read them.
+``left_kernel_basis`` (unit tags, or a row's scale) uses it.  Coordinates
+need no tags where the rows are reduced echelon: they are the entries at
+the pivots, which is how the filtered map alpha reads them.
 
 Measured on a 2-core x86-64 host under CPython 3.11.7, against rows of
 Fractions: the seeded 200-instance fixture of the acceptance tests takes
@@ -687,22 +686,4 @@ def left_kernel_basis(field, rows, tag_offset, tags=None):
         combo = sp.relate(aug, tag_offset)
         if combo is not None:
             out.append(combo)
-    return out
-
-
-def intersection(field, a_rows, b_rows, offset):
-    """Zassenhaus: vectors spanning span(a_rows) ∩ span(b_rows), a basis
-    when ``b_rows`` are independent.  ``offset`` must exceed every column
-    used.  The rows [a | a] are inserted first; a row [b | 0] whose left
-    half then reduces to zero leaves an intersection vector in the tags."""
-    sp = RowSpace(field)
-    for r in a_rows:
-        aug = dict(r)
-        aug.update({c + offset: s for c, s in r.items()})
-        sp.insert(aug)
-    out = []
-    for r in b_rows:
-        x = sp.relate(r, offset)
-        if x:
-            out.append(x)
     return out

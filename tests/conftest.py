@@ -14,9 +14,9 @@ from itertools import combinations, product
 
 import pytest
 
-from pbwkit.deformation import FilteredSubspace, minimize_relations, rp_of
+from pbwkit.deformation import FilteredSubspace, apply_alpha, minimize_relations, rp_of
 from pbwkit.errors import InvalidPresentation
-from pbwkit.extension import ExtensionEngine
+from pbwkit.extension import ExtensionEngine, engine_for
 from pbwkit.freealg import Element, filtration_size, multiply, project
 from pbwkit.gradedring import PresentedRing
 from pbwkit.linalg import QQ, RowSpace, left_kernel_basis, span
@@ -452,6 +452,129 @@ class NaiveEngine(ExtensionEngine):
 
     def dim_d(self, n):
         return 0 if self._full(n) else filtration_size(self.g, n) - self._ideal[n].rank
+
+
+# ---------------------------------------------------------------------------
+# The pure-relations route: the (J'_0)..(J'_N) conditions of Braverman-
+# Gaitsgory and Berger-Ginzburg, evaluated by formula with no ideal
+# closure, an oracle for the (J_k) that ``check`` reads from the engine.
+
+class NotPure(Exception):
+    """The relations of the pure route lie in more than one degree."""
+
+
+def intersection(field, a_rows, b_rows, offset):
+    """Zassenhaus: vectors spanning span(a_rows) ∩ span(b_rows), a basis
+    when ``b_rows`` are independent.  ``offset`` must exceed every column
+    used.  The rows [a | a] are inserted first; a row [b | 0] whose left
+    half then reduces to zero leaves an intersection vector in the tags
+    (``RowSpace.relate``)."""
+    sp = RowSpace(field)
+    for r in a_rows:
+        aug = dict(r)
+        aug.update({c + offset: s for c, s in r.items()})
+        sp.insert(aug)
+    out = []
+    for r in b_rows:
+        x = sp.relate(r, offset)
+        if x:
+            out.append(x)
+    return out
+
+
+def overlap(rel_rows, g, n, field):
+    """A basis of the overlap space X = (R (x) V) ∩ (V (x) R) in T^{n+1}
+    for independent rows of R ⊆ T^n: r (x) x_i has the columns p*g + i,
+    x_i (x) r the columns i*g^n + p, for the columns p of r."""
+    rv = [{p * g + i: s for p, s in row.items()} for row in rel_rows for i in range(g)]
+    vr = [{i * g ** n + p: s for p, s in row.items()} for row in rel_rows for i in range(g)]
+    return intersection(field, rv, vr, g ** (n + 1))
+
+
+def overlap_dimension(rel, g):
+    """dim of (rel (x) V) ∩ (V (x) rel) in degree N+1 for N-pure rel."""
+    degs = rel.degrees()
+    if len(degs) != 1:
+        raise NotPure("overlap needs a pure relation space")
+    n = degs[0]
+    return len(overlap(rel.blocks[n].basis(), g, n, rel.field))
+
+
+def pure_jacobi_check(alpha):
+    """The (J'_0)..(J'_N) conditions for alpha on an N-pure domain (the
+    Berger–Ginzburg and Cassidy–Shelton setting), plus the containment
+    form (V P + P V)^{<=N} ⊆ P, P = alpha(rel), they are equivalent to.
+
+    The conditions are evaluated on the overlap space X = (R⊗V) ∩ (V⊗R)
+    with no solving: with r_k the reduced rows of R and π_k their pivots,
+    the rows r_k⊗x_j and x_j⊗r_k are reduced echelon in T^{N+1}, with
+    pivots π_k·g + j and j·g^N + π_k, so the coordinates of x in X are its
+    entries at those columns; alpha_i(r_k) is p^{N-i} of r_k's stored
+    image.
+
+    The containment is the Jacobi ladder's (J_N): for N-pure P the ladder
+    has P_k = 0 for k < N and P_N = P, so P_{N+1} ∩ T^{<=N} ⊆ P_N says
+    exactly (V P + P V)^{<=N} ⊆ P, and every (J_k) with k < N holds.  It
+    is read from the T[z] engine of P as ann(z)^N = 0.
+
+    Returns {"conditions": {i: bool}, "containment": bool, "equivalent": bool,
+    "N": N}.
+    """
+    rel = alpha.domain()
+    degs = rel.degrees()
+    if len(degs) != 1:
+        raise NotPure("pure route needs relations concentrated in one degree")
+    N = degs[0]
+    g = alpha.g
+    field = alpha.field
+    rows, images = rel.blocks[N].basis(), alpha.images[N]
+    pivots = [min(r) for r in rows]
+    shift = g ** N                          # x_j (x) w sits at j·g^N + pos(w)
+
+    @functools.cache
+    def comp(k, i):
+        """alpha_i(r_k)."""
+        return project(images[k], N - i).terms
+
+    def mixed(x_vec, i):
+        """(V (x) alpha_i - alpha_i (x) V)(x) as an Element of degree N+1-i."""
+        out = Element(field)
+        for k, pk in enumerate(pivots):
+            term = comp(k, i)
+            for j in range(g):
+                c = x_vec.get(j * shift + pk)           # x = ... + c·x_j r_k
+                if c:
+                    out = out + Element(field, {(j,) + w: c * s for w, s in term.items()})
+                c = x_vec.get(pk * g + j)               # x = ... + c·r_k x_j
+                if c:
+                    out = out - Element(field, {w + (j,): c * s for w, s in term.items()})
+        return out
+
+    rel_space = rel.blocks[N]
+    conditions = {i: True for i in range(N + 1)}
+    for x_vec in overlap(rows, g, N, field):
+        t1 = mixed(x_vec, 1)
+        in_rel = t1.is_zero() or (t1.degree() == N and
+                                  rel_space.contains(rel.vec_of(t1)))
+        if not in_rel:
+            conditions[0] = False
+            continue
+        # alpha(t1), whose p^{N-i} is alpha_i(t1)
+        image = alpha.apply_vec(N, rel.vec_of(t1)) if not t1.is_zero() else Element(field)
+        for i in range(1, N + 1):
+            lhs = project(image, N - i)
+            rhs = -mixed(x_vec, i + 1) if i < N else Element(field)
+            if lhs != rhs:
+                conditions[i] = False
+
+    # containment form: (V P + P V)^{<=N} ⊆ P is the ladder's (J_N)
+    containment = engine_for(apply_alpha(alpha, rel)).annihilator_dim(N) == 0
+    return {
+        "N": N,
+        "conditions": conditions,
+        "containment": containment,
+        "equivalent": all(conditions.values()) == containment,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from pbwkit.errors import HomogenizeZero, ParseError, ResourceExceeded, ValidationError
 from pbwkit.freealg import (Element, WordBasis, filtration_size, format_element,
-                            homogenize, leading_homogeneous, multiply,
-                            lex_pos, lex_word, parse_element, project, word_key)
+                            graded_size, guard_reach, homogenize, leading_homogeneous,
+                            multiply, lex_pos, lex_word, parse_element, project,
+                            word_key)
 from pbwkit.linalg import QQ
 
 from conftest import eval_z, lex_columns, lex_words, suffix_start, zcolumns, zword_at
@@ -192,6 +193,33 @@ class TestWordBasis:
                            match=r"T\[z\]\^3 over 2 generators needs 15 columns"):
             WordBasis(2, 3)
         assert WordBasis(2, 3, guard=15).size == 15
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_guard_reach_is_where_the_refusals_start(g, monkeypatch):
+    # for guards one below, at and one above each degree's count, the last
+    # degree guard_reach allows is the last one whose count (summed here
+    # from g^i) fits the guard, and the last at which graded_size (T^n)
+    # or WordBasis (T^{<=n}, T[z]^n) does not raise
+    upto = 6
+    cases = [(pow, graded_size, lambda n: g ** n),
+             (filtration_size, WordBasis, lambda n: sum(g ** i for i in range(n + 1)))]
+
+    def allowed(make, n):
+        try:
+            make(g, n)
+        except ResourceExceeded:
+            return False
+        return True
+
+    for size, make, count in cases:
+        for n in range(upto + 1):
+            for guard in {count(n) - 1, count(n), count(n) + 1} - {0}:
+                monkeypatch.setenv("PBWKIT_MAX_COLUMNS", str(guard))
+                want = max(m for m in range(upto + 1) if count(m) <= guard)
+                assert guard_reach(g, upto, guard, size) == want
+                assert [allowed(make, m) for m in range(upto + 1)] == \
+                    [m <= want for m in range(upto + 1)]
 
 
 class TestElementSyntax:

@@ -8,13 +8,12 @@ from pbwkit.errors import InvariantViolation, NotMinimalRelations, ResourceExcee
 from pbwkit.freealg import Element, parse_element
 from pbwkit.gradedring import GradedSubspace, PresentedRing
 from pbwkit.homology import (ResolutionSlice, complexity, is_commutator_relations,
-                             overlap_dimension, support_reach, tor3_resolution,
-                             tor_bar)
+                             support_reach, tor3_resolution, tor_bar)
 from pbwkit.linalg import QQ, PrimeField, RowSpace, span
 
 from conftest import (basis_words, lex_words, naive_bar_rows, naive_d2_row, naive_strand,
-                      naive_tor3_resolution, naive_tor_bar, random_homogeneous,
-                      sampler_rings)
+                      naive_tor3_resolution, naive_tor_bar, overlap_dimension,
+                      random_homogeneous, sampler_rings)
 
 X, XY, XYZ = ["x"], ["x", "y"], ["x", "y", "z"]
 
@@ -241,14 +240,27 @@ class TestCommutatorRecognition:
             2, [parse_element("x*y - y*x", XY), parse_element("x*x", XY)])
         assert not is_commutator_relations(rel, 2)
 
-    def test_overlap_matches_lambda3(self):
-        for g, gens in ((2, XY), (3, XYZ)):
+    @pytest.mark.parametrize("p", [None, 2, 3])
+    def test_commutator_certificate_is_lambda3(self, p):
+        # k[x_1..x_g] is Koszul over every field, so Tor_3 = Λ³V: one entry
+        # C(g, 3) in internal degree 3, as the resolution and the overlap
+        # space (R⊗V) ∩ (V⊗R) count it too
+        field = QQ if p is None else PrimeField(p)
+        for g in range(1, 5):
+            gens = [f"x{i}" for i in range(g)]
             texts = [f"{a}*{b} - {b}*{a}"
                      for i, a in enumerate(gens) for b in gens[i + 1:]]
             rel = GradedSubspace.from_elements(
-                g, [parse_element(t, gens) for t in texts])
+                g, [parse_element(t, gens, field) for t in texts], field)
+            ring = PresentedRing(g, rel, field)
             want = g * (g - 1) * (g - 2) // 6
-            assert overlap_dimension(rel, g) == want
+            table = {3: want} if want else {}
+            res = complexity(ring, rel, bound_hint=5)
+            assert res.certified and res.c == (2 if want else -1)
+            assert res.table.dims == table
+            assert tor3_resolution(ring, rel, 5).dims == table
+            if g > 1:       # one letter has no commutator: R = 0 is not 2-pure
+                assert overlap_dimension(rel, g) == want
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbwkit.errors import InvariantViolation, ValidationError
-from pbwkit.linalg import (QQ, PrimeField, RowSpace, intersection,
-                           left_kernel_basis, span)
+from pbwkit.linalg import QQ, PrimeField, RowSpace, left_kernel_basis, span
 
-from conftest import DenseEchelon, copied, dense_rank, inserted
+from conftest import DenseEchelon, copied, dense_rank, inserted, intersection
 
 
 def vecs(entries, field=QQ):
