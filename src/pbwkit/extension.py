@@ -24,9 +24,9 @@ element congruent to g·β modulo V·I^{m-1} + z·I^{m-1}.  Left
 multiplication by x_i keeps the order of the monomials (the word degree
 goes up by one for every term and lex order inside a degree is kept), so
 lead(x_i·r) = x_i·lead(r): the products V·I^{m-1} have distinct pivots,
-stay echelon and are stored as they are, unreduced
-(``RowSpace.store_shifted`` records them and builds a moved row when a
-reduction first reads it).  The recursion is exact:
+stay echelon and are held as they are, unreduced (I^m's pivot bytes
+repeat I^{m-1}'s, and a product row is built when a reduction first
+reads it).  The recursion is exact:
 
 - I^m is spanned by V·I^{m-1}, z·I^{m-1} and the products g·β: a
   product a·g·b of monomials lies in V·I^{m-1} or z·I^{m-1} unless a = 1
@@ -44,14 +44,15 @@ A word β'x is standard only if β' is, and ĉ(g, β'x) is ĉ(g, β')·x
 reduced by the step's kernel, read before it meets a pivot that another
 candidate of the step inserted (``linalg.closure_step``).  So the
 components, their pivots and every count below are those of the full
-recursion.  One degree is one ``linalg.closure_step`` with
-``WordBasis.left_maps`` for V· and the shift by the g^m columns of word
-degree m for z·; ·x moves column c to g·c + x, which the step computes
-itself.  The word β of length n with lex index i is the monomial β z^0 at
-position i of T[z]^n, the first block.  Once a component is all of
-T[z]^m, so is every later one (z·T[z]^m and V·T[z]^m cover T[z]^{m+1}),
-and no count reads a component past the first full one
-(``saturated_at``).
+recursion.  One degree is one ``linalg.closure_step`` over the
+|T[z]^m| columns: x_i· sends the word-degree-d block of T[z]^{m-1} to the
+i-th run of g^d columns of the block of degree d + 1, z· moves a column
+by the g^m columns of word degree m, and ·x moves column c to g·c + x,
+all computed by the step.  The word β of length n with lex index i is
+the monomial β z^0 at position i of T[z]^n, the first block.  Once a
+component is all of T[z]^m, so is every later one (z·T[z]^m and
+V·T[z]^m cover T[z]^{m+1}), and no count reads a component past the
+first full one (``saturated_at``).
 
 Setting z = 1 maps <P_z>^m bijectively onto the ladder space P_m =
 T^1 P_{m-1} + P_{m-1} T^1 + P^{<=m}, and the monomial w z^(m-|w|) to the
@@ -151,9 +152,8 @@ class ExtensionEngine:
         g, ideal = self.g, self._ideal
         cols = WordBasis(g, m, self._guard)
         # the word of length n with lex index i is w z^0, at position i
-        sp = closure_step(self.field, ideal[m - 1],
-                          WordBasis(g, m - 1, self._guard).left_maps(),
-                          self._pz_by_degree.get(m, ()), ideal, central=g ** m)
+        sp = closure_step(self.field, ideal[m - 1], g, m, cols.size,
+                          self._pz_by_degree.get(m, ()), ideal)
         if sp.rank == cols.size and self.saturated_at is None:
             self.saturated_at = m
         new, below = sorted(sp.inserted), [0] + self._cuts[m - 1]

@@ -282,21 +282,6 @@ class WordBasis:
     def vec_to_element(self, vec, field):
         return Element(field, {self.word_at(p): s for p, s in vec.items()})
 
-    def left_maps(self):
-        """One list per letter x_i: entry p is the column in WordBasis(g, n
-        + 1) of x_i times the word at column p (of (x_i w) z^k for w z^k).
-        Each map keeps positions in order."""
-        g = self.g
-        top = filtration_size(g, self.n + 1)
-        maps = []
-        for i in range(g):
-            cols = []
-            for d in range(self.n, -1, -1):     # block order: degree descending
-                start = top - filtration_size(g, d + 1) + i * g ** d
-                cols.extend(range(start, start + g ** d))
-            maps.append(cols)
-        return maps
-
 
 # ---------------------------------------------------------------------------
 # Element text syntax.

@@ -14,10 +14,10 @@ a·g·b of words lies in F¹I^{n-1} unless a = 1, and g·β with β =
 g·β'' with β'' after β.  Left multiplication by x_i moves column c to
 i g^{n-1} + c and right multiplication moves it to c g + i; both keep
 columns distinct and in order.  One degree is one ``linalg.closure_step``
-with the left maps (it moves right products itself): F¹I^{n-1} is stored
-shifted (``RowSpace.store_shifted``: recorded, and a moved row is built
-only when a reduction first reads it); only the ĉ(g, β) and G^n are
-inserted.  The degree-n
+over the g^n columns, which moves left and right products itself:
+F¹I^{n-1} is held as I^n's pivot bytes, those of I^{n-1} repeated g
+times, and a product row is built only when a reduction first reads it;
+only the ĉ(g, β) and G^n are inserted.  The degree-n
 basis of the quotient is the set of non-pivot words of I^n (the
 pivot-greedy complement), so normal forms are canonical full reductions
 and quotient multiplication is word concatenation followed by a normal
@@ -120,9 +120,7 @@ def graded_ideal_step(chain, gens_block, g, n1, field):
     and ``gens_block`` the degree-n1 generator block, or None (then the
     result is F¹I^{n1-1} + I^{n1-1}F¹).  The word of length n with lex
     index i is at position i of I^n."""
-    graded_size(g, n1)
-    # the word w at position p goes to i g^{n1-1} + p under x_i·w
-    return closure_step(field, chain[n1 - 1], [i * g ** (n1 - 1) for i in range(g)],
+    return closure_step(field, chain[n1 - 1], g, n1, graded_size(g, n1),
                         gens_block.raw_basis() if gens_block is not None else (), chain)
 
 

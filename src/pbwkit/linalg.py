@@ -23,17 +23,17 @@ normalised on first read and cached), and ``reduce_full`` and
 
 Rows are immutable once stored, and a stored row may be inserted
 elsewhere as it is (``raw_basis``): insertion does not depend on the
-scale of its input.  A whole space may be stored under a column offset
-or any other map that keeps columns distinct and in order
-(``store_shifted``): such a map keeps its rows echelon and normalised, so
-they are not reduced.  The space is recorded with its map and its moved
-pivots, not copied; a moved row is built the first time a reduction or a
-reader needs it, and kept.  The
-graded ideal recursions store most of each component this way and read
-few of those rows (under 5% on the ``random-homology`` benchmark
-workload).  ``reduce_full(vec, integers=True)`` gives a remainder as
-integers over one denominator, for callers that go on in integer
-arithmetic.
+scale of its input.  A component I^m of a graded ideal closure
+(``closure_step``) holds the left products V·I^{m-1} without copying
+them: x_i· keeps columns distinct and in order, so the products stay
+echelon and normalised and are not reduced.  The component keeps its
+pivots as one byte per column, the blocks of I^{m-1}'s bytes repeated g
+times, and builds a product row from the row below it the first time a
+reduction or a reader needs it, and keeps it.  The graded ideal
+recursions read few of those rows (under 5% on the ``random-homology``
+benchmark workload).  ``reduce_full(vec, integers=True)`` gives a
+remainder as integers over one denominator, for callers that go on in
+integer arithmetic.
 
 Tagged rows carry tag columns at and above an offset that record how they
 were made.  ``RowSpace.relate`` reduces such a vector and, when its
@@ -51,11 +51,11 @@ engine on that suite's slowest instance (618-bit rows at degree 7) took
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from itertools import chain
+from itertools import accumulate, chain, compress, count
 from math import gcd, lcm
 from operator import itemgetter
 
@@ -202,14 +202,6 @@ def _p_ints(vec, p):
     return out
 
 
-def _moved(row, cols):
-    """The row with each column c moved to c + ``cols`` (an int offset) or
-    to ``cols[c]`` (a sequence)."""
-    if type(cols) is int:
-        return {c + cols: s for c, s in row.items()}
-    return {cols[c]: s for c, s in row.items()}
-
-
 class _MonicRows(Mapping):
     """Read-only view of a RowSpace: pivot column -> monic row with field
     scalars, built from the stored row on first access."""
@@ -233,10 +225,10 @@ class _MonicRows(Mapping):
 
 
 class _AllRows(Mapping):
-    """Read-only view of a RowSpace that holds shifted spaces: pivot column
-    -> stored integer row.  Membership and iteration read the pivots of the
-    shifted spaces without building their rows; a lookup builds the row
-    once and keeps it."""
+    """Read-only view of a closure component: pivot column -> stored
+    integer row.  Membership and iteration read the pivot bytes without
+    building the left products; a lookup builds the row once and keeps
+    it."""
 
     __slots__ = ("_space",)
 
@@ -253,8 +245,7 @@ class _AllRows(Mapping):
         return self._space.is_pivot(c)
 
     def __iter__(self):
-        sp = self._space
-        return chain(sp._keys, sp._inserted)
+        return compress(count(), self._space._mask)
 
     def __len__(self):
         return self._space.rank
@@ -267,33 +258,36 @@ class RowSpace:
     callers); ``pivots`` is the same map with monic field-valued rows.
     Stored rows are never mutated.
 
-    A space stored here by ``store_shifted`` is recorded as (space, map),
-    not copied: the kernels look a pivot up among the shifted spaces only
-    when it is not one of this space's own rows, and build the moved row
-    on that first lookup and keep it.  ``rows``, ``pivots``, ``rank`` and
-    the bases see the whole space.
+    A closure component (``closure_step``) has a pivot byte per column
+    and holds the left products of the component below it without
+    copying them: the kernels look a pivot up there only when it is not
+    one of this space's own rows, and build the product row on that first
+    lookup and keep it.  ``rows``, ``pivots``, ``rank`` and the bases see
+    the whole space.
     """
 
     __slots__ = ("field", "_rows", "_inserted", "_reps", "_p", "_monic",
-                 "_shifts", "_keys")
+                 "_mask", "_below", "_layout", "_shifted")
 
     def __init__(self, field):
         self.field = field
-        self._rows = {}            # pivot -> row: inserted, or shifted and built
+        self._rows = {}            # pivot -> row: inserted, or a left product built
         self._inserted = []        # pivots of the inserted rows
         self._reps = ()            # closure_step's representatives of the g·β
         self._p = getattr(field, "p", None)
         self._monic = {}
-        self._shifts = []          # (space, int offset or list map)
-        self._keys = {}            # pivot of a shifted space -> its shift
+        self._mask = None          # closure components: one pivot byte per column
+        self._below = None         # the component whose left products these are
+        self._layout = None
+        self._shifted = 0          # the number of left products
 
     @property
     def rank(self):
-        return len(self._inserted) + len(self._keys)
+        return self._shifted + len(self._inserted)
 
     @property
     def rows(self):
-        return _AllRows(self) if self._shifts else self._rows
+        return self._rows if self._mask is None else _AllRows(self)
 
     @property
     def pivots(self):
@@ -301,27 +295,34 @@ class RowSpace:
 
     @property
     def inserted(self):
-        return self._inserted      # pivots of the rows not stored shifted
+        return self._inserted      # pivots of the rows that are no left product
 
     def is_pivot(self, c):
-        return c in self._rows or c in self._keys
-
-    # -- shifted spaces ----------------------------------------------------
+        mask = self._mask
+        return c in self._rows if mask is None else c < len(mask) and mask[c] == 1
 
     def _find(self, c):
-        """The shifted row with pivot c, for a c not among the held rows:
-        built, kept and returned; None when c is no pivot."""
-        i = self._keys.get(c)
-        if i is None:
+        """The left product with pivot c, for a c not among the held rows:
+        built from the row below, kept and returned; None when c is no
+        pivot.  A pivot byte with no row below it, or a product that does
+        not lead at c, is a fault, and raises: ``_reduce`` would loop on
+        such a row forever."""
+        mask = self._mask
+        if c >= len(mask) or not mask[c]:
             return None
-        other, cols = self._shifts[i]
-        j = c - cols if type(cols) is int else bisect_left(cols, c)
-        row = self._rows[c] = _moved(other._row(j), cols)
+        i, source = self._layout.source(c)
+        row = self._below._row(source)
+        if row is None:
+            raise InvariantViolation(f"pivot {c} has no row {source} below it")
+        row = self._layout.move(row, i)
+        if min(row) != c:
+            raise InvariantViolation(f"left product at pivot {c} leads at {min(row)}")
+        self._rows[c] = row
         return row
 
     def _row(self, c):
         row = self._rows.get(c)
-        if row is None and self._shifts:
+        if row is None and self._mask is not None:
             row = self._find(c)
         return row
 
@@ -347,7 +348,7 @@ class RowSpace:
         the vector as it was when the chain first met a pivot in ``stop``,
         or None when it met none."""
         rows = self._rows
-        find = self._find if self._shifts else None
+        find = None if self._mask is None else self._find
         p = self._p
         num = den = 1
         seen = None
@@ -430,22 +431,25 @@ class RowSpace:
             return {c: Fraction(s) for c, s in vec.items()}
         return {c: Fraction(s * den, num) for c, s in vec.items()}
 
-    def _put(self, vec, lead):
+    def _put(self, vec, lead, normal=False):
         """Store a nonzero integer vector with leading column ``lead``,
-        normalised: primitive with positive pivot over Q, monic over F_p."""
+        normalised (primitive with positive pivot over Q, monic over F_p)
+        unless ``normal`` says it is."""
         p = self._p
-        if p is None:
+        if not normal and p is None:
             content = gcd(*vec.values())
             if vec[lead] < 0:
                 content = -content
             if content != 1:
                 vec = {c: s // content for c, s in vec.items()}
-        else:
+        elif not normal:
             inv = pow(vec[lead], -1, p)
             if inv != 1:
                 vec = {c: s * inv % p for c, s in vec.items()}
         self._rows[lead] = vec
         self._inserted.append(lead)
+        if self._mask is not None:
+            self._mask[lead] = 1
 
     def _store(self, vec, lead, stop, normal=False):
         """Store a product with leading column ``lead`` as ``_reduce`` with
@@ -456,13 +460,9 @@ class RowSpace:
         only against a monic row, and would loop forever."""
         if self.is_pivot(lead):
             return self._reduce(vec, store=True, stop=stop)
-        if normal:
-            if (vec[lead] < 1) if self._p is None else (vec[lead] != 1):
-                raise InvariantViolation(f"row with pivot {lead} is not normalised")
-            self._rows[lead] = vec
-            self._inserted.append(lead)
-        else:
-            self._put(vec, lead)
+        if normal and ((vec[lead] < 1) if self._p is None else (vec[lead] != 1)):
+            raise InvariantViolation(f"row with pivot {lead} is not normalised")
+        self._put(vec, lead, normal)
         return lead, None
 
     def _monic_row(self, c):
@@ -522,29 +522,6 @@ class RowSpace:
             return None
         return {c - offset: s for c, s in self._exact(red, num * scale, den).items()}
 
-    def store_shifted(self, other, cols):
-        """Store the rows of ``other`` with each column c moved to
-        ``cols[c]``, or to c + ``cols`` when ``cols`` is an int offset.
-        The map must keep columns distinct and in order; then the moved
-        rows stay echelon and normalised and are stored as they are,
-        unreduced.  None of their pivots may be a pivot here yet.
-
-        ``other`` is recorded with the map and its moved pivots, not
-        copied: a moved row is built when a lookup first needs it (the row
-        a copy would hold).  Rows are never changed and the pivots are
-        taken now, so rows ``other`` gains later do not show here."""
-        if other._p != self._p:
-            raise ValidationError("rows over a different field")
-        if not other.rank:
-            return
-        moved = dict.fromkeys(map(cols.__add__ if type(cols) is int else cols.__getitem__,
-                                  other.rows), len(self._shifts))
-        taken = moved.keys() & self._keys.keys() or moved.keys() & self._inserted
-        if taken:
-            raise ValidationError(f"column {min(taken)} is already a pivot")
-        self._shifts.append((other, cols))
-        self._keys.update(moved)
-
     def contains(self, vec):
         return not self._reduce(self._ints(vec)[0])[0]
 
@@ -597,23 +574,61 @@ def integer_rank(field, rows):
     return sp.rank
 
 
-def closure_step(field, prev, lefts, gens, comps, central=None):
+class _Layout:
+    """The blocks of the columns of I^m that left products fill, by word
+    degree from m down: T[z]^m (``size`` F(m) = g·F(m-1) + 1, blocks of
+    degree m..1 and the z^m column after them) or T^m (``size`` g^m, one
+    block).  x_i· sends the block of I^{m-1} at start/g, of width w, to
+    columns start + i·w .. start + (i+1)·w - 1 of the block at start, in
+    order; the source of a column drops its word's first letter."""
+
+    __slots__ = ("g", "starts", "subs", "units", "offs")
+
+    def __init__(self, g, m, size):
+        # the blocks of I^{m-1} that move: their widths and starts
+        self.g, self.units = g, [g ** (m - 1 - k) for k in range(m if size > g ** m else 1)]
+        self.subs = list(accumulate(self.units[:-1], initial=0))
+        self.starts, self.offs = [g * t for t in self.subs], {}
+
+    def mask(self, below, size):
+        """The pivot bytes of x_0·I^{m-1} + ... + x_{g-1}·I^{m-1} over the
+        ``size`` columns of I^m, from those of I^{m-1} (``below``)."""
+        out = bytearray().join([below[t:t + u] * self.g for t, u in zip(self.subs, self.units)])
+        out.extend(bytes(size - len(out)))
+        return out
+
+    def source(self, c):
+        """(i, c') with column c of I^m = x_i · column c' of I^{m-1}."""
+        k = bisect_right(self.starts, c) - 1
+        i, p = divmod(c - self.starts[k], self.units[k])
+        return i, self.subs[k] + p
+
+    def move(self, row, i):
+        """x_i·row for a row of I^{m-1}."""
+        subs, offs = self.subs, self.offs.get(i)
+        if offs is None:    # offs[k + 1] moves block k, k + 1 = bisect_right(subs, c)
+            offs = self.offs[i] = [None] + [(self.g - 1) * t + i * u
+                                            for t, u in zip(subs, self.units)]
+        return {c + offs[bisect_right(subs, c)]: s for c, s in row.items()}
+
+
+def closure_step(field, prev, g, m, size, gens, comps):
     """One degree of a graded ideal closure, by standard words:
 
         I^m = V·I^{m-1} + z·N + span{ĉ(g, β)},
 
-    where ``prev`` is I^{m-1}, N the rows ``prev``'s own step inserted, g
+    where ``prev`` is I^{m-1} (built by this step, or empty), N the rows
+    ``prev``'s own step inserted, g
     runs over the generators and β over the standard words of length
     m - deg g: the words that are not a pivot of the finished component
     I^{|β|} = ``comps[|β|]``, the word of length n with lex index i being
     at column i of I^n.  ĉ(g, β) is any element congruent to g·β modulo
-    V·I^{m-1} + z·I^{m-1}.  ``lefts`` are the column maps from degree m-1
-    to degree m of the left multiplications by the letters, each an int
-    offset or an order-keeping sequence as in ``store_shifted``, and
-    ``central`` the offset of a central factor z, or None.  ·x moves
-    column c to G·c + x (G letters) in both layouts the steps use, the
-    words of length n in lex order and T[z]^n (|T[z]^n| = G·|T[z]^{n-1}|
-    + 1).  ``gens`` are the rows of the generators of degree m.
+    V·I^{m-1} + z·I^{m-1}.  The columns of I^m are those of T[z]^m,
+    ``size`` = |T[z]^m|, or, with no z, those of T^m, ``size`` = g^m
+    (``_Layout``, over g letters).  z· moves a column by the g^m columns
+    of word degree m, and ·x moves column c to g·c + x in both layouts
+    (|T[z]^n| = g·|T[z]^{n-1}| + 1).  ``gens`` are the rows of the
+    generators of degree m.
 
     This is exact.  I^m is spanned by V·I^{m-1}, z·I^{m-1} and the g·β.
     If β = ω·lead(h)·ω' for a monic h in I, then g·β = g·ω·h·ω' -
@@ -623,7 +638,7 @@ def closure_step(field, prev, lefts, gens, comps, central=None):
     columns g·β is not needed.  As I^{m-1} = V·I^{m-2} + span(N), the z
     being central, z·I^{m-1} ⊆ V·I^{m-1} + z·N.
 
-    Every left image of ``prev`` is stored as it is, then z·N is
+    Every left product of ``prev`` is held as it is, then z·N is
     inserted, last pivot first, and then the candidates: ĉ(g, β')·x for
     each representative ĉ(g, β') that ``prev`` keeps, last leading column
     first, and each letter x with β'x standard, then the generators,
@@ -642,13 +657,13 @@ def closure_step(field, prev, lefts, gens, comps, central=None):
     matters: on U(gl2), ``check`` to degree 8 takes 23 k reduction steps
     with it and 188 k in the order the step made them."""
     sp = RowSpace(field)
-    for cols in lefts:
-        sp.store_shifted(prev, cols)
-    put, rows = sp._store, prev._rows
-    if central is not None:
+    layout = sp._layout = _Layout(g, m, size)
+    below = prev._mask or bytearray(sum(layout.units))     # an empty I^0
+    sp._mask, sp._below, sp._shifted = layout.mask(below, size), prev, g * prev.rank
+    put, rows, z = sp._store, prev._rows, g ** m
+    if size > z:
         for c in sorted(prev._inserted, reverse=True):
-            put(_moved(rows[c], central), c + central, (), normal=True)
-    g = len(lefts)
+            put({k + z: s for k, s in rows[c].items()}, c + z, (), normal=True)
     last_first = sorted([(min(rep[0]), rep) for rep in prev._reps],
                         key=itemgetter(0), reverse=True)
     ints = [sp._ints(vec)[0] for vec in gens]

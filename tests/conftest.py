@@ -335,7 +335,7 @@ def certified_cut_dim(eng, n):
 # then insert.  The oracles for the semi-naive ladder and engine steps.
 
 def inserted(space):
-    """The rows ``space`` stored by ``insert`` (not by ``store_shifted``),
+    """The rows ``space`` inserted (not the left products it holds),
     sorted by pivot column: the rows N a closure step multiplies."""
     return [space.rows[c] for c in sorted(space._inserted)]
 

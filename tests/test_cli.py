@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import pbwkit
-from pbwkit import cli, deformation, gradedring, homology
+from pbwkit import cli, deformation, gradedring, homology, linalg
 from pbwkit.cli import COMMANDS, main, run_command
 from pbwkit.errors import InvariantViolation, ParseError, ValidationError
 from pbwkit.extension import ExtensionEngine
@@ -164,6 +164,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error[INVARIANT_VIOLATED]" in err
         assert "minimization changed the ideal" in err
+
+    def test_broken_left_product_code(self, capsys, monkeypatch):
+        # a left product moved from the row one column past its source
+        # does not lead at its pivot (or has no row): a program fault
+        # (exit 14), where the kernel would loop on it
+        real = linalg._Layout.source
+
+        def off_by_one(layout, c):
+            i, source = real(layout, c)
+            return i, source + 1
+        monkeypatch.setattr(linalg._Layout, "source", off_by_one)
+        for field in ("Q", "Fp:7"):
+            assert main(["check", gallery("sl2.pbw"), "--field", field]) == 14
+            assert "error[INVARIANT_VIOLATED]" in capsys.readouterr().err
 
     def test_broken_normal_form_code(self, capsys, monkeypatch):
         # doubling the normal forms of the degree-3 words that start with

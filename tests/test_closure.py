@@ -252,29 +252,24 @@ def graded_case(g, names, rels, field=QQ):
 
 @pytest.mark.parametrize("case", ["sl2", "sampled"])
 def test_closure_steps_insert_only_the_new_rows(case, monkeypatch):
-    # a step stores the previous component by the g left maps and passes
-    # to RowSpace._store, the entry of every product, one z-product per row
-    # of N, one product per representative ĉ(g, β) kept by the previous
-    # step and letter x with βx standard, and one per generator of the new
-    # degree: the engine and a graded ideal
+    # a step holds the left products of the previous component, the one
+    # below it, and passes to RowSpace._store, the entry of every product,
+    # one z-product per row of N, one product per representative ĉ(g, β)
+    # kept by the previous step and letter x with βx standard, and one per
+    # generator of the new degree: the engine and a graded ideal
     if case == "sl2":
         P = FilteredSubspace(3, [parse_element(t, ["e", "f", "h"]) for t in SL2])
         rel = graded_case(2, ["x", "y"], ["x*y - y*x - x*x", "y*y*x - x*y*y"])
     else:
         P = first_not_pbw(4600)
         rel = rp_of(P)
-    inserts, shifted = [], []
-    real_put, real_store = RowSpace._store, RowSpace.store_shifted
+    inserts = []
+    real_put = RowSpace._store
 
     def put(self, vec, lead, stop, normal=False):
         inserts.append(self)
         return real_put(self, vec, lead, stop, normal)
-
-    def store_shifted(self, other, cols):
-        shifted.append((self, other))
-        return real_store(self, other, cols)
     monkeypatch.setattr(RowSpace, "_store", put)
-    monkeypatch.setattr(RowSpace, "store_shifted", store_shifted)
     eng = engine_for(P)
     eng.ideal_component(ENGINE_DEGREE)
     graded = Closure.graded(rel, ENGINE_DEGREE)
@@ -284,7 +279,8 @@ def test_closure_steps_insert_only_the_new_rows(case, monkeypatch):
     for cl in (Closure.engine(eng, ENGINE_DEGREE), graded):
         assert len(cl.steps()) >= 3
         for m, prev, nxt in cl.steps():
-            assert [o for sp, o in shifted if sp is nxt] == [prev] * cl.g, m
+            assert nxt._below is prev, m
+            assert nxt.rank == cl.g * prev.rank + len(nxt.inserted), m
             want = len(inserted(prev)) if cl.central else 0
             for row, gen, n, i in representatives(prev):
                 w = cl.word(n, i)

@@ -1,43 +1,45 @@
-from itertools import product
-
-from pbwkit.freealg import WordBasis, filtration_size, parse_element
+from pbwkit.freealg import filtration_size, parse_element
 from pbwkit.gradedring import PresentedRing
 from pbwkit.deformation import (FilteredSubspace, extract_alpha, pn_ladder,
                                 minimize_relations, rp_of)
 from pbwkit.errors import InvalidPresentation
 from pbwkit.extension import ExtensionEngine, build_pz, engine_for, rees_identity_check
-from pbwkit.linalg import QQ
+from pbwkit.linalg import QQ, _Layout
 
-from conftest import (NaiveEngine, annihilator_basis, certified_cut_dim, eval_z,
-                      random_presentation)
+from conftest import (NaiveEngine, annihilator_basis, certified_cut_dim, eval_z, lex_columns,
+                      random_presentation, zcolumns)
 
 X, XY, XYC = ["x"], ["x", "y"], ["x", "y", "c"]
 HEISENBERG = ["x*y - y*x - c", "x*c - c*x", "y*c - c*y"]
 
 
-def zwords(g, n):
-    """The words of the monomials of T[z]^n in column order: word degree
-    from n down to 0, lex inside a degree."""
-    return [w for d in range(n, -1, -1) for w in product(range(g), repeat=d)]
-
-
 def test_column_maps_multiply_monomials():
-    # entry p of the i-th left map is the position of x_i·w z^k for the
-    # monomial w z^k at position p; the closure step stores left images
-    # unreduced, which needs the order kept.  It moves the column c of a
+    # x_i· moves the monomial w z^k at column p of T[z]^n to the column of
+    # x_i w z^k in T[z]^(n+1), and the word at p of T^n to x_i w in
+    # T^(n+1), keeping the order, and the source of that column is (i, p);
+    # a column of I^(n+1) is a pivot byte of the left products iff its
+    # source is one of I^n.  The closure step moves the column c of a
     # right product by x to g·c + x, in T[z]^n and in T^n alike
     for g in (1, 2, 3):
         for n in range(4):
-            words = zwords(g, n)
-            up = {w: p for p, w in enumerate(zwords(g, n + 1))}
-            for i, left in enumerate(WordBasis(g, n).left_maps()):
-                assert left == [up[(i,) + w] for w in words]
-                assert left == sorted(left)
-            flat = list(product(range(g), repeat=n))
-            flat_up = {w: p for p, w in enumerate(product(range(g), repeat=n + 1))}
-            for x in range(g):
-                assert [up[w + (x,)] for w in words] == [g * c + x for c in range(len(words))]
-                assert [flat_up[w + (x,)] for w in flat] == [g * c + x for c in range(len(flat))]
+            for cols, up, size in ((zcolumns(g, n), zcolumns(g, n + 1), filtration_size(g, n + 1)),
+                                   (lex_columns(g, n), lex_columns(g, n + 1), g ** (n + 1))):
+                layout = _Layout(g, n + 1, size)
+                words = sorted(cols, key=cols.get)
+                for i in range(g):
+                    moved = [up[(i,) + w] for w in words]
+                    assert moved == sorted(moved)
+                    assert layout.move(dict.fromkeys(range(len(words)), 1), i) == \
+                        dict.fromkeys(moved, 1)
+                    assert [layout.source(c) for c in moved] == [(i, p) for p in range(len(words))]
+                below = bytearray(p % 3 == 1 for p in range(len(words)))
+                want = bytearray(size)
+                for p, w in enumerate(words):
+                    for i in range(g):
+                        want[up[(i,) + w]] = below[p]
+                assert layout.mask(below, size) == want
+                for x in range(g):
+                    assert [up[w + (x,)] for w in words] == [g * c + x for c in range(len(words))]
 
 
 def els(texts, gens):

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pbwkit.errors import InvariantViolation, ValidationError
-from pbwkit.linalg import QQ, PrimeField, RowSpace, left_kernel_basis, span
+from pbwkit.freealg import filtration_size
+from pbwkit.linalg import QQ, PrimeField, RowSpace, closure_step, left_kernel_basis, span
 
-from conftest import DenseEchelon, copied, dense_rank, inserted, intersection
+from conftest import (DenseEchelon, dense_rank, intersection, lex_columns, lex_words, zcolumns,
+                      zword_at)
 
 
 def vecs(entries, field=QQ):
@@ -381,177 +383,135 @@ def test_reduce_full_integers_matches_exact(p):
             == sp.reduce_full(probe)
 
 
-@pytest.mark.parametrize("p", [None, 7])
-def test_store_shifted(p):
-    field = QQ if p is None else PrimeField(p)
-    rng = random.Random(5)
-    src = RowSpace(field)
-    for _ in range(4):
-        src.insert({c: field.from_int(rng.randint(-4, 4)) for c in range(5)})
-    sp = RowSpace(field)
-    sp.store_shifted(src, 0)
-    sp.store_shifted(src, 5)
-    direct = RowSpace(field)
-    for off in (0, 5):
-        for row in src.basis():
-            direct.insert({c + off: s for c, s in row.items()})
-    # the shifted rows are already echelon and normalised
-    assert sp.rows == direct.rows
-    assert sp.basis() == direct.basis()
-    with pytest.raises(ValidationError):
-        sp.store_shifted(src, 5)
-    with pytest.raises(ValidationError):
-        sp.store_shifted(RowSpace(PrimeField(11)), 20)
-    assert sp.rows == direct.rows
-
-
-@pytest.mark.parametrize("p", [None, 7])
-def test_store_shifted_by_map(p):
-    # an order-keeping column map given as a list: the moved rows are
-    # stored as they are and equal the rows a direct insertion gives
-    field = QQ if p is None else PrimeField(p)
-    rng = random.Random(6)
-    src = RowSpace(field)
-    for _ in range(4):
-        src.insert({c: field.from_int(rng.randint(-4, 4)) for c in range(6)})
-    cols = [1, 2, 4, 7, 8, 11]
-    sp = RowSpace(field)
-    sp.store_shifted(src, cols)
-    direct = RowSpace(field)
-    for row in src.basis():
-        direct.insert({cols[c]: s for c, s in row.items()})
-    assert sp.rows == direct.rows
-    with pytest.raises(ValidationError):
-        sp.store_shifted(src, cols)
-
-
 # ---------------------------------------------------------------------------
-# Shifted spaces against eager copies and the dense oracle.
+# Closure components against eager copies.
 
-SHIFT_ENTRIES = [0, 0, 0, 1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]
-
-
-def moved_by(cols):
-    """The column map of an int offset or a list map, as a function."""
-    return cols.__add__ if isinstance(cols, int) else cols.__getitem__
+COMPONENT_TOP = 4
+COMPONENT_ENTRIES = [1, -1, 2, 3, Fraction(1, 2), Fraction(-2, 3)]
 
 
-def layout(kind, copies, width):
-    """``copies`` order-keeping maps of ``width`` columns into
-    copies * width columns with disjoint images: offsets or blocks for
-    "offset", interleaved lists (as the engine's letter maps) for "map"."""
-    if kind == "offset":
-        return [i * width for i in range(copies)]
-    return [[c * copies + i for c in range(width)] for i in range(copies)]
+def component_size(g, m, engine):
+    return filtration_size(g, m) if engine else g ** m
 
 
-def viewed(space):
-    """``space`` stored under the identity map in a new space: a lazy view
-    that can be extended without changing ``space``."""
-    out = RowSpace(space.field)
-    out.store_shifted(space, 0)
+def word_index(g, m, engine):
+    """(words in column order, word -> column) of I^m from the tests' own
+    index: T[z]^m through ``zword_at``/``zcolumns``, T^m through
+    ``lex_words``/``lex_columns``."""
+    if engine:
+        return [zword_at(g, m, c) for c in range(filtration_size(g, m))], zcolumns(g, m)
+    return lex_words(g, m), lex_columns(g, m)
+
+
+def closure_components(field, g, engine, gens, top=COMPONENT_TOP):
+    """I^0..I^top of the closure of ``gens`` (degree -> vectors) built by
+    ``closure_step`` over T[z]^m (``engine``) or T^m."""
+    comps = [RowSpace(field)]
+    for m in range(1, top + 1):
+        comps.append(closure_step(field, comps[m - 1], g, m, component_size(g, m, engine),
+                                  gens.get(m, ()), comps))
+    return comps
+
+
+def eager_copy(lazy, below, g, m, engine):
+    """I^m built by inserting every left product x_i·r of the rows r of
+    ``below``, an eager I^{m-1}, moved through the tests' word index, and
+    then the rows ``lazy`` inserted, in its order."""
+    words, _ = word_index(g, m - 1, engine)
+    _, up = word_index(g, m, engine)
+    out = RowSpace(lazy.field)
+    for i in range(g):
+        for row in below.raw_basis():
+            assert out.insert({up[(i,) + words[c]]: s for c, s in row.items()}) is not None
+    for c in lazy.inserted:
+        assert out.insert(dict(lazy.rows[c])) == c
     return out
 
 
+def sparse_rows(field, entries):
+    return [{c: field.from_fraction(Fraction(x)) for c, x in vec.items()} for vec in entries]
+
+
 @st.composite
-def shift_case(draw):
-    p = draw(st.sampled_from([None, 7]))
-    width = draw(st.integers(1, 4))
-    kinds = draw(st.lists(st.sampled_from(["offset", "map"]), min_size=2, max_size=2))
-    copies = draw(st.lists(st.integers(1, 3), min_size=2, max_size=2))
+def component_case(draw):
+    g = draw(st.integers(1, 3))
+    engine = draw(st.booleans())
 
-    def vectors(ncols, most):
-        return draw(st.lists(st.lists(st.sampled_from(SHIFT_ENTRIES), min_size=ncols,
-                                      max_size=ncols), max_size=most))
-
-    src = vectors(width, 4)
-    mid = vectors(width * copies[0], 3)
-    top_width = width * copies[0] * copies[1]
-    top = vectors(top_width, 3)
-    probes = vectors(top_width, 4)
-    return p, width, kinds, copies, src, mid, top, probes
+    def vectors(m, most):
+        size = component_size(g, m, engine)
+        return draw(st.lists(st.dictionaries(st.integers(0, size - 1),
+                                             st.sampled_from(COMPONENT_ENTRIES),
+                                             min_size=1, max_size=3), max_size=most))
+    gens = {m: vectors(m, 2) for m in (1, 2, 3)}
+    return g, engine, gens, vectors(COMPONENT_TOP, 4)
 
 
-@settings(max_examples=150, deadline=None)
-@given(shift_case())
-def test_shifted_spaces_match_eager_copies(case):
-    # src -> mid (shifted copies of src plus inserted rows) -> top (shifted
-    # copies of mid, a view of a view, plus inserted rows); every lazy
-    # space is compared with the same space built by inserting moved rows
-    p, width, kinds, copies, src_rows, mid_rows, top_rows, probes = case
+@pytest.mark.parametrize("p", [None, 7])
+@settings(max_examples=200, deadline=None)
+@given(component_case())
+def test_closure_components_match_eager_copies(p, case):
+    # every component of an engine or graded closure against an eager
+    # copy that inserts every left product: the pivot bytes, rank, rows,
+    # bases and reductions, and each row built on lookup; the top is read
+    # first, so its reads build rows the components below have not built
+    g, engine, gens, probes = case
     field = QQ if p is None else PrimeField(p)
-    top_width = width * copies[0] * copies[1]
+    comps = closure_components(field, g, engine,
+                               {m: sparse_rows(field, vecs) for m, vecs in gens.items()})
+    eagers = [comps[0]]
+    for m in range(1, COMPONENT_TOP + 1):
+        eagers.append(eager_copy(comps[m], eagers[m - 1], g, m, engine))
+    for vec in sparse_rows(field, probes):
+        assert comps[-1].reduce_full(vec) == eagers[-1].reduce_full(vec)
+        assert comps[-1].reduce_full(vec, integers=True) == \
+            eagers[-1].reduce_full(vec, integers=True)
+        assert comps[-1].contains(vec) == eagers[-1].contains(vec)
+    for m in range(COMPONENT_TOP, 0, -1):
+        lazy, eager = comps[m], eagers[m]
+        assert all(row == eager.rows[c] for c, row in lazy._rows.items()), m
+        assert lazy._mask == bytearray(c in eager.rows
+                                       for c in range(component_size(g, m, engine))), m
+        assert lazy.rank == eager.rank == g * comps[m - 1].rank + len(lazy.inserted), m
+        assert list(lazy.rows) == sorted(eager.rows), m
+        assert lazy.raw_basis() == eager.raw_basis(), m
+        assert lazy.rows == eager.rows, m
+        assert lazy.basis() == eager.basis(), m
+        assert lazy.reduced_basis() == eager.reduced_basis(), m
 
-    def sparse(dense):
-        out = {}
-        for c, x in enumerate(dense):
-            s = field.from_fraction(Fraction(x))
-            if s:
-                out[c] = s
-        return out
 
-    def as_dense(vec, ncols):
-        out = [0] * ncols
-        for c, s in vec.items():
-            out[c] = s if p is None else s.v
-        return out
+@pytest.mark.parametrize("engine", [True, False])
+@pytest.mark.parametrize("p", [None, 7])
+def test_left_product_built_three_components_down(p, engine):
+    # x_0 + 2 x_1 generates degree 1; the row of x_0 x_0 x_0 (x_0 + 2 x_1)
+    # in I^4 is read before the components between have built theirs, so
+    # one lookup builds it and the two rows it moves, down to the row I^1
+    # inserted
+    field = QQ if p is None else PrimeField(p)
+    comps = closure_components(field, 2, engine, {1: [{0: field.one, 1: field.from_int(2)}]})
+    assert 0 in comps[1].inserted
+    assert all(0 not in comps[m]._rows for m in (2, 3, 4))
+    _, cols = word_index(2, 4, engine)
+    assert comps[4].rows[0] == {cols[(0, 0, 0, 0)]: 1, cols[(0, 0, 0, 1)]: 2}
+    assert all(0 in comps[m]._rows for m in (2, 3))
 
-    def oracle_value(x):
-        x = Fraction(x)
-        return x if p is None else x.numerator * pow(x.denominator, -1, p) % p
 
-    src = span(field, [sparse(r) for r in src_rows])
-    lazy, eager = src, src
-    for kind, k, extra, ncols in ((kinds[0], copies[0], mid_rows, width * copies[0]),
-                                  (kinds[1], copies[1], top_rows, top_width)):
-        maps = layout(kind, k, ncols // k)
-        nxt_lazy, nxt_eager = RowSpace(field), RowSpace(field)
-        for cols in maps:
-            nxt_lazy.store_shifted(lazy, cols)
-            move = moved_by(cols)
-            for row in eager.basis():
-                nxt_eager.insert({move(c): s for c, s in row.items()})
-        for r in extra:
-            assert nxt_lazy.insert(sparse(r)) == nxt_eager.insert(sparse(r))
-        assert inserted(nxt_lazy) == [nxt_eager.rows[c] for c in
-                                      sorted(set(nxt_eager.rows) - set(
-                                          c for cols in maps for c in map(
-                                              moved_by(cols), lazy.rows)))]
-        if lazy.rank:
-            with pytest.raises(ValidationError):
-                nxt_lazy.store_shifted(lazy, maps[0])
-        # a row the stored space gains later does not show in the view
-        lazy.insert({c: field.one for c in range(ncols // k)})
-        lazy, eager = nxt_lazy, nxt_eager
-    oracle = DenseEchelon(top_width, p)
-    for row in eager.basis():
-        oracle.insert(as_dense(row, top_width))
-    # lookups first, so they read rows the space has not built yet
-    before = viewed(lazy)
-    for r in probes:
-        vec = sparse(r)
-        assert lazy.reduce_full(vec) == eager.reduce_full(vec)
-        assert as_dense(lazy.reduce_full(vec), top_width) == \
-            oracle.reduce_full([oracle_value(x) for x in r])
-        assert lazy.contains(vec) == eager.contains(vec)
-        tagged = {**vec, top_width: field.one}
-        assert viewed(lazy).relate(tagged, top_width) == \
-            copied(eager).relate(tagged, top_width)
-    grown, grown_eager = viewed(lazy), copied(eager)
-    for r in probes:
-        assert grown.insert(sparse(r)) == grown_eager.insert(sparse(r))
-    assert grown.rows == grown_eager.rows
-    # the copies grew; the spaces they were copied from did not
-    assert lazy.rank == before.rank == eager.rank == len(oracle.rows)
-    assert sorted(lazy.pivots) == sorted(oracle.rows)
-    assert lazy.rows == eager.rows
-    assert lazy.basis() == eager.basis()
-    assert [as_dense(r, top_width) for r in lazy.basis()] == \
-        [oracle.rows[c] for c in sorted(oracle.rows)]
-    assert lazy.reduced_basis() == eager.reduced_basis()
-    # no read changed a stored row: each is still the oracle's REF row
-    assert lazy.raw_basis() == eager.raw_basis()
-    for c, row in zip(sorted(oracle.rows), lazy.raw_basis()):
-        assert as_dense({k: field.from_fraction(Fraction(s, row[c])) for k, s in row.items()},
-                        top_width) == oracle.rows[c]
-    assert all(lazy.pivots[c] == eager.pivots[c] for c in eager.rows)
+@pytest.mark.parametrize("p", [None, 7])
+def test_broken_left_products_raise(p):
+    # a pivot byte with no row below it, and a row below that does not lead
+    # at its pivot, raise InvariantViolation when a lookup or a reduction
+    # reaches them: the kernel would loop forever on such an F_p row
+    field = QQ if p is None else PrimeField(p)
+    gens = {1: [{0: field.one, 1: field.from_int(2)}]}
+    comps = closure_components(field, 2, True, gens, 3)
+    top = comps[3]
+    c = next(c for c in range(8) if not top.is_pivot(c))
+    top._mask[c] = 1
+    for read in (lambda: top.rows[c], lambda: top.reduce_full({c: field.one}),
+                 lambda: top.insert({c: field.one})):
+        with pytest.raises(InvariantViolation, match=f"pivot {c} has no row"):
+            read()
+    comps = closure_components(field, 2, True, gens, 3)
+    comps[1]._rows[0] = {1: 1}
+    for read in (lambda: comps[2].rows[0], lambda: comps[3].insert({0: field.one})):
+        with pytest.raises(InvariantViolation, match="leads at"):
+            read()
