@@ -114,7 +114,7 @@ def cmd_jacobi(pres, upto=None):
     dims["P_k"] = list(ladder.dims)
     ok = ladder.first_failure is None
     verdict = f"JACOBI_OK_UP_TO({upto})" if ok else f"JACOBI_FAILS({ladder.first_failure})"
-    notes = [] if lift.identity else [lift.note] if lift.note else []
+    notes = [lift.note] if lift.note else []
     return Report(verdict, None, False, ladder.verdicts,
                   _witness_text(pres, ladder.witness), dims, timings,
                   notes=notes, first_failure=ladder.first_failure,
@@ -133,7 +133,7 @@ def cmd_complexity(pres, upto=None):
                 min(ring.max_degree, pres.max_degree))
     dims["h_A"] = hil.values
     notes = [cres.note] if cres.note else []
-    if not lift.identity and lift.note:
+    if lift.note:
         notes.append(lift.note)
     return Report("COMPLEXITY", cres.c, cres.certified, {}, None, dims, timings,
                   notes=notes)

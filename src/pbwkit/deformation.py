@@ -215,7 +215,6 @@ def minimize_relations(rel):
 @dataclass
 class LiftResult:
     spanning: list                  # elements over the free algebra
-    ambient_relations: list         # minimized ambient relation elements
     minimal_ok: bool = True
     note: str = ""
     identity: bool = False
@@ -234,7 +233,7 @@ def lift_presentation(g, ambient_elements, deformation_elements, field=QQ):
     claims.  A graded deformation is of PBW type whatever the lift.
     """
     if not ambient_elements:
-        return LiftResult(list(deformation_elements), [], True, "", identity=True)
+        return LiftResult(list(deformation_elements), True, "", identity=True)
     raw = GradedSubspace.from_elements(g, ambient_elements, field)
     for n in raw.degrees():
         if n < 2:
@@ -268,7 +267,7 @@ def lift_presentation(g, ambient_elements, deformation_elements, field=QQ):
         "deformation gets no certificate on R_P or on the alpha-image P', so "
         "a positive verdict on it is a bounded-degree claim; a graded "
         "deformation is of PBW type regardless")
-    return LiftResult(spanning, k0.elements(), minimal_ok, note)
+    return LiftResult(spanning, minimal_ok, note)
 
 
 # ---------------------------------------------------------------------------
@@ -419,9 +418,8 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
     certified_c = cres.certified and rational and lift.minimal_ok
     same = all(rmin.dim(n) == rp.dim(n) for n in rp.degrees())
 
-    if cres.certified and cres.c >= -1:
-        K = max(cres.c, 1) if same else max(cres.c, d, 1)
-        K = min(K, ENGINE_DEGREE_CAP - 1)
+    if cres.certified:
+        K = min(max(cres.c, 1 if same else d), ENGINE_DEGREE_CAP - 1)
     else:
         K = depth_bound
 

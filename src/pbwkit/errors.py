@@ -14,10 +14,6 @@ class PBWError(Exception):
         super().__init__(message or self.code)
 
 
-class HomogenizeZero(PBWError):
-    code = "HOMOGENIZE_ZERO"
-
-
 class NotHomogeneous(PBWError):
     code = "NOT_HOMOGENEOUS"
 

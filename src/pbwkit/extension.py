@@ -10,7 +10,9 @@ independent oracles are the naive closures in the tests
 every product and index the columns on their own (``zword_at``).
 
 P_z is always built through alpha_z (never by homogenizing a raw spanning
-set), which is what guarantees <P*> = <P_z>.
+set), which is what guarantees <P*> = <P_z>.  Its rows are alpha's
+degree-n images read over the columns of ``WordBasis(g, n)``, the word w
+standing for w z^(n-|w|) (``ExtensionEngine``).
 
 The ideal I = <P_z> is built by the recursion
 
@@ -77,7 +79,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from .errors import ResourceExceeded, ValidationError
-from .freealg import WordBasis, column_guard, filtration_size, guard_reach, homogenize
+from .freealg import WordBasis, column_guard, filtration_size, guard_reach
 from .gradedring import ideal_chain
 from .linalg import RowSpace, closure_step
 
@@ -92,38 +94,30 @@ def check_depth(depth):
         raise ResourceExceeded(f"ladder depth {depth} above cap {ENGINE_DEGREE_CAP}")
 
 
-def build_pz(alpha):
-    """alpha_z(r) = sum alpha_i(r) z^i for each domain row r of alpha, a
-    basis of the relations R.
-
-    Since alpha_0 is the inclusion these are exactly the external
-    homogenizations of the stored alpha images, homogeneous of total
-    degree deg(r); evaluating z := 1 recovers alpha(r) and z := 0
-    recovers r.
-    """
-    return [homogenize(img) for n in sorted(alpha.images) for img in alpha.images[n]]
-
-
 class ExtensionEngine:
     """Caches, per degree n, the ideal component <P_z>^n and its cuts
     (``cut_dim``), which give dim D^n and the annihilator dimension of z.
     ``rel`` is the domain of ``alpha``, R.  The column guard is read once,
-    here.  Single-writer; completed degrees are frozen."""
+    here.  Single-writer; completed degrees are frozen.
+
+    The generators of degree n are alpha_z(r) = sum alpha_i(r) z^i for the
+    domain rows r of alpha of degree n, in the domain's pivot order.  As
+    alpha_0 is the inclusion, they are the external homogenizations of the
+    stored images alpha(r): the word w of an image carries z^(n-|w|), which
+    the column of w in ``WordBasis(g, n)`` already says, so each image is
+    read as a row over T[z]^n with no z-exponent kept."""
 
     def __init__(self, g, alpha, rel, field):
         self.g = g
         self.field = field
         self.rel = rel
         self.alpha = alpha
-        self.pz = build_pz(alpha)
         self._guard = column_guard()
-        # group alpha_z generators by total degree, as position vectors
         self._pz_by_degree = {}
-        for h in self.pz:
-            n = h.total_degree
+        for n in sorted(alpha.images):
             cols = WordBasis(g, n, self._guard)
-            vec = {cols.pos(w): s for (w, k), s in h.terms.items()}
-            self._pz_by_degree.setdefault(n, []).append(vec)
+            self._pz_by_degree[n] = [{cols.pos(w): s for w, s in img.terms.items()}
+                                     for img in alpha.images[n]]
         self._ideal = {0: RowSpace(field)}
         self._cuts = {0: [0]}          # m -> [cut_dim(m, n) for n <= m]
         self.saturated_at = None
@@ -206,7 +200,7 @@ class ExtensionEngine:
         column cap and the column guard; if some degree has not stabilized
         by then the whole table is withheld rather than reported wrong."""
         g = self.g
-        if not self.pz:
+        if not self._pz_by_degree:
             return [g ** n for n in range(upto + 1)]
         top = self.rel.max_degree()
         if certified:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import os
 from fractions import Fraction
 
-from .errors import HomogenizeZero, ParseError, ResourceExceeded, ValidationError
+from .errors import ParseError, ResourceExceeded, ValidationError
 from .linalg import QQ
 
 DEFAULT_COLUMN_GUARD = 2 * 10**6
@@ -127,44 +127,6 @@ def leading_homogeneous(e):
     if d is None:
         return Element(e.field)
     return project(e, d)
-
-
-class HomogenizedElement:
-    """Element of T[z], homogeneous in total degree = word degree + z power."""
-
-    __slots__ = ("field", "total_degree", "terms")
-
-    def __init__(self, field, total_degree, terms):
-        self.field = field
-        self.total_degree = total_degree
-        self.terms = {}
-        for (w, k), s in terms.items():
-            if len(w) + k != total_degree:
-                raise ValidationError("term not homogeneous in total degree")
-            if s:
-                self.terms[(tuple(w), k)] = s
-
-    def __eq__(self, other):
-        return (isinstance(other, HomogenizedElement)
-                and self.total_degree == other.total_degree and self.terms == other.terms)
-
-    def __repr__(self):
-        bits = []
-        for (w, k), s in sorted(self.terms.items(), key=lambda it: (word_key(it[0][0]), it[0][1])):
-            word = "*".join(f"g{i}" for i in w) if w else ""
-            zpart = f"z^{k}" if k > 1 else ("z" if k == 1 else "")
-            mono = "*".join(x for x in (word, zpart) if x) or "1"
-            bits.append(f"{s}*{mono}")
-        return " + ".join(bits) or "0"
-
-
-def homogenize(e):
-    """External homogenization e* in T[z]: each degree-i part is padded with
-    z^(d-i).  Substituting z := 1 recovers e; z := 0 recovers LH(e)."""
-    d = e.degree()
-    if d is None:
-        raise HomogenizeZero("cannot homogenize the zero element")
-    return HomogenizedElement(e.field, d, {(w, d - len(w)): s for w, s in e.terms.items()})
 
 
 # ---------------------------------------------------------------------------

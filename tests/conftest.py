@@ -229,17 +229,6 @@ def row_elements(P):
     return [P.basis.vec_to_element(r, P.field) for r in P.reduced_rows()]
 
 
-def eval_z(h, value):
-    """A HomogenizedElement with z := value (a field scalar), as an Element
-    of T: ev_1 recovers the inhomogeneous element, ev_0 its top part."""
-    out = Element(h.field)
-    for (w, k), s in h.terms.items():
-        for _ in range(k):
-            s = s * value
-        out = out + Element(h.field, {w: s})
-    return out
-
-
 def zword_at(g, n, pos):
     """The word w of the monomial w z^(n-|w|) at position ``pos`` of
     T[z]^n, where the word-degree blocks run from n down to 0, lex inside
@@ -261,6 +250,46 @@ def zcolumns(g, n):
     ``zword_at``: the oracles' own column index of T[z]^n and T^{<=n},
     apart from pbwkit's ``WordBasis``."""
     return {zword_at(g, n, p): p for p in range(filtration_size(g, n))}
+
+
+def homogenize(e):
+    """The external homogenization e* in T[z] of a nonzero element of
+    degree d, as {(w, k): s}: the term s·w gets z^k, k = d - |w|."""
+    d = e.degree()
+    return {(w, d - len(w)): s for w, s in e.terms.items()}
+
+
+def eval_z(terms, value, field):
+    """The T[z] element {(w, k): s} with z := value (a field scalar), as an
+    Element of T: ev_1 recovers the inhomogeneous element, ev_0 its top
+    part."""
+    out = Element(field)
+    for (w, k), s in terms.items():
+        for _ in range(k):
+            s = s * value
+        out = out + Element(field, {w: s})
+    return out
+
+
+def pz_rows(alpha):
+    """alpha_z as rows over T[z]^n, grouped by total degree n: the oracle
+    for the engine's generator rows.  Each image alpha(r), r a domain row
+    in pivot order, is homogenized, and the monomial w z^k is placed at
+    its column of T[z]^(|w|+k) (``zcolumns``)."""
+    out = {}
+    for n in sorted(alpha.images):
+        for img in alpha.images[n]:
+            terms = homogenize(img)
+            row = {zcolumns(alpha.g, len(w) + k)[w]: s for (w, k), s in terms.items()}
+            out.setdefault(img.degree(), []).append(row)
+    return out
+
+
+def zterms(g, n, vec):
+    """A row over T[z]^n read back as {(w, k): s}, the monomial at column c
+    being w z^(n-|w|), w = ``zword_at(g, n, c)``."""
+    words = ((zword_at(g, n, c), s) for c, s in vec.items())
+    return {(w, n - len(w)): s for w, s in words}
 
 
 def zelement(g, n, vec, field):
@@ -322,7 +351,7 @@ def certified_cut_dim(eng, n):
     that dimension makes at most that many strict steps."""
     width = filtration_size(eng.g, n)
     cut = 0
-    if eng.pz:
+    if eng._pz_by_degree:
         for m in range(n, n + width + 1):
             cut = eng.cut_dim(m, n)
             if cut == width:
@@ -423,7 +452,12 @@ class NaiveEngine(ExtensionEngine):
     inserted for every row r of <P_z>^{m-1}, then the degree-m part of
     P_z.  Products are moved through the words at their columns
     (``zcolumns``), and the cuts and dim D^n are counted on the rows of
-    each component."""
+    each component.  Its generator rows are the tests' own
+    (``pz_rows``)."""
+
+    def __init__(self, g, alpha, rel, field):
+        super().__init__(g, alpha, rel, field)
+        self.gens = pz_rows(alpha)
 
     def _step(self, m):
         g = self.g
@@ -437,7 +471,7 @@ class NaiveEngine(ExtensionEngine):
             for i in range(g):
                 sp.insert({col[(i,) + w]: s for w, s in words})
                 sp.insert({col[w + (i,)]: s for w, s in words})
-        for vec in self._pz_by_degree.get(m, []):
+        for vec in self.gens.get(m, []):
             sp.insert(dict(vec))
         if sp.rank == len(col) and self.saturated_at is None:
             self.saturated_at = m

@@ -112,6 +112,49 @@ class TestExitCodes:
         f.write_text('generators = ["x"]\ndeformation = ["3"]\n')
         assert main(["check", str(f)]) == 12
 
+    @pytest.mark.parametrize("cmd, text, args, env, message", [
+        pytest.param("check", None, ["--field", "Fp:abc"], None,
+                     "bad --field 'Fp:abc'; use Q or Fp:PRIME", id="field-flag-not-digits"),
+        pytest.param("check", None, ["--field", "Fp:8"], None, "8 is not prime",
+                     id="field-flag-composite"),
+        pytest.param("check", None, ["--field", "R"], None,
+                     "bad --field 'R'; use Q or Fp:PRIME", id="field-flag-unknown"),
+        pytest.param("check", 'field = "R"\ngenerators = ["x"]\ndeformation = ["x*x"]\n', [],
+                     None, "unknown field 'R'; use \"Q\" or \"Fp(p)\"", id="field-in-file"),
+        pytest.param("check", 'generators = ["x", "x"]\ndeformation = ["x*x"]\n', [], None,
+                     "generator names must be unique", id="duplicate-generators"),
+        pytest.param("check", 'generators = []\ndeformation = []\n', [], None,
+                     "generators must be a nonempty list of names", id="no-generators"),
+        pytest.param("check", 'generators = ["x"]\ndeformation = ["x*x"]\nmax_degree = 0\n',
+                     [], None, "max_degree must be a positive integer", id="max-degree-0"),
+        pytest.param("check", 'generators = ["x"]\ndeformation = ["x*x"]\ntor_bound = 2\n',
+                     [], None, "tor_bound must be an integer >= 3", id="tor-bound-2"),
+        pytest.param("check", 'generators = ["x"]\ndeformation = ["x - x"]\n', [], None,
+                     "deformation element 'x - x' is zero", id="zero-deformation"),
+        pytest.param("check", 'generators = ["x"]\nambient_relations = ["x*x - x*x"]\n'
+                     'deformation = ["x*x"]\n', [], None,
+                     "ambient relation 'x*x - x*x' is zero", id="zero-ambient"),
+        pytest.param("check", None, [], "abc", "PBWKIT_MAX_COLUMNS='abc' is not an integer",
+                     id="guard-not-int"),
+        *[pytest.param(cmd, 'generators = ["x", "y"]\ndeformation = ["x + 1"]\n', [], None,
+                       "top components of degree <= 1: homological commands need "
+                       "relations in degrees >= 2", id=f"{cmd}-degree-one-tops")
+          for cmd in ("complexity", "tor", "hilbert")],
+    ])
+    def test_refusal_codes(self, cmd, text, args, env, message, tmp_path, capsys,
+                           monkeypatch):
+        # every refusal of an input, a flag or a setting exits 12 with its
+        # message, before any verdict
+        path = gallery("heisenberg.pbw")
+        if text is not None:
+            path = tmp_path / "in.pbw"
+            path.write_text(text)
+        if env is not None:
+            monkeypatch.setenv("PBWKIT_MAX_COLUMNS", env)
+        assert main([cmd, str(path), *args]) == 12
+        out, err = capsys.readouterr()
+        assert err == f"error[VALIDATION_ERROR]: {message}\n" and not out
+
     def test_missing_file(self, capsys):
         assert main(["check", "/nonexistent/nothing.pbw"]) == 14
 

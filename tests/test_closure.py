@@ -25,8 +25,8 @@ from pbwkit.gradedring import GradedSubspace, ideal_chain
 from pbwkit.linalg import QQ, PrimeField, RowSpace
 
 from conftest import (NaiveEngine, annihilator_basis, inserted, lex_columns, lex_words,
-                      naive_ladder, representatives, row_elements, sampled, zcolumns,
-                      zword_at)
+                      naive_ladder, pz_rows, representatives, row_elements, sampled,
+                      zcolumns, zword_at)
 
 LADDER_UPTO = 5
 ENGINE_DEGREE = 6
@@ -215,7 +215,7 @@ class Closure:
                    lambda n, w: zcolumns(g, n)[w],
                    lambda x, vec, n: move(vec, n, lambda w: (x,) + w),
                    lambda vec, n, x: move(vec, n, lambda w: w + (x,)),
-                   lambda vec, n: move(vec, n, lambda w: w), eng._pz_by_degree)
+                   lambda vec, n: move(vec, n, lambda w: w), pz_rows(eng.alpha))
 
     @classmethod
     def graded(cls, rel, top):

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from pbwkit.errors import DomainMismatch, InvalidPresentation, InvariantViolation
+from pbwkit.errors import (DomainMismatch, InvalidPresentation, InvariantViolation,
+                          ResourceExceeded)
 from pbwkit.freealg import format_element, parse_element, project
 from pbwkit.gradedring import GradedSubspace
 from pbwkit.deformation import (FilteredSubspace, alpha_is_inclusion,
                                 apply_alpha, extract_alpha, lift_presentation,
                                 minimize_relations, pbw_check, pn_ladder, rp_of)
-from pbwkit.extension import engine_for
+from pbwkit.extension import ENGINE_DEGREE_CAP, engine_for
 from pbwkit.freealg import filtration_size
 from pbwkit.linalg import QQ, PrimeField
 
@@ -193,6 +194,14 @@ class TestLadder:
         lad = pn_ladder(P, 2)
         assert lad.verdicts == {1: True, 2: True}
 
+    def test_depth_cap_is_inclusive(self):
+        # the deepest ladder reads T[z]^24, the engine's cap; one more
+        # degree is refused by check_depth before anything is built
+        P = fs(["x*x - x"], X)
+        assert len(pn_ladder(P, ENGINE_DEGREE_CAP - 1).dims) == ENGINE_DEGREE_CAP + 1
+        with pytest.raises(ResourceExceeded, match="ladder depth 24 above cap 24"):
+            pn_ladder(P, ENGINE_DEGREE_CAP)
+
     def test_verdicts_match_dense_oracle_randomized(self, rng):
         for _ in range(10):
             g, elems = random_presentation(rng, max_g=2)
@@ -300,6 +309,11 @@ class TestPbwCheck:
         res = pbw_check(2, els(["x*y - y*x - 1", "x"], XY))
         assert res.verdict in ("PBW_UP_TO_DEGREE", "NOT_PBW")
         assert res.c is None
+
+    def test_degree_one_tops_scan_at_least_to_j2(self):
+        # the bounded scan of degree-one tops runs to max(d, 2, max_degree)
+        res = pbw_check(2, els(["x + 1"], XY), max_degree=1)
+        assert res.checked_upto == 2 and sorted(res.jacobi) == [1, 2]
 
     @pytest.mark.parametrize("p", [None, 32003])
     def test_minimized_alpha_image_route(self, p):

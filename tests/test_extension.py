@@ -1,13 +1,19 @@
+import random
+
+import pytest
+
+from pbwkit import gallery_names, gallery_path
 from pbwkit.freealg import filtration_size, parse_element
 from pbwkit.gradedring import PresentedRing
-from pbwkit.deformation import (FilteredSubspace, extract_alpha, pn_ladder,
+from pbwkit.deformation import (FilteredSubspace, extract_alpha, lifted, pn_ladder,
                                 minimize_relations, rp_of)
 from pbwkit.errors import InvalidPresentation
-from pbwkit.extension import ExtensionEngine, build_pz, engine_for, rees_identity_check
-from pbwkit.linalg import QQ, _Layout
+from pbwkit.extension import ExtensionEngine, engine_for, rees_identity_check
+from pbwkit.linalg import QQ, PrimeField, _Layout
+from pbwkit.presentations import parse_presentation
 
-from conftest import (NaiveEngine, annihilator_basis, certified_cut_dim, eval_z, lex_columns,
-                      random_presentation, zcolumns)
+from conftest import (NaiveEngine, annihilator_basis, certified_cut_dim, eval_z, homogenize,
+                      lex_columns, pz_rows, random_presentation, sampled, zcolumns, zterms)
 
 X, XY, XYC = ["x"], ["x", "y"], ["x", "y", "c"]
 HEISENBERG = ["x*y - y*x - c", "x*c - c*x", "y*c - c*y"]
@@ -79,32 +85,78 @@ def _divides(a, b):
 
 
 class TestBuildPz:
+    """The engine's generator rows against the tests' homogenization of
+    alpha's images (``pz_rows``): x^2 + 1 is x^2 + z^2, a graded relation
+    keeps no z, and Heisenberg's c becomes c·z."""
+
     def test_tail_gets_z_squared(self):
         P = fs(["x*x + 1"], X)
-        pz = build_pz(extract_alpha(P))
-        assert len(pz) == 1
-        assert pz[0].terms == {((0, 0), 0): QQ.one, ((), 2): QQ.one}
+        img, = extract_alpha(P).images[2]
+        assert homogenize(img) == {((0, 0), 0): QQ.one, ((), 2): QQ.one}
+        eng = engine_for(P)
+        assert eng._pz_by_degree == {2: [{zcolumns(1, 2)[(0, 0)]: QQ.one,
+                                         zcolumns(1, 2)[()]: QQ.one}]}
+        assert zterms(1, 2, eng._pz_by_degree[2][0]) == homogenize(img)
 
     def test_inclusion_keeps_no_z(self):
         P = fs(["x*y - y*x"], XY)
-        pz = build_pz(extract_alpha(P))
-        assert all(k == 0 for h in pz for (_, k) in h.terms)
+        alpha = extract_alpha(P)
+        assert all(k == 0 for imgs in alpha.images.values() for img in imgs
+                   for (_, k) in homogenize(img))
+        rows = engine_for(P)._pz_by_degree
+        assert all(k == 0 for n, vecs in rows.items() for vec in vecs
+                   for (_, k) in zterms(2, n, vec))
 
     def test_degree_one_tail(self):
         P = fs(HEISENBERG, XYC)
-        pz = build_pz(extract_alpha(P))
-        comm = next(h for h in pz if len(h.terms) == 3)
-        assert ((2,), 1) in comm.terms  # the c z term
+        comm = next(img for img in extract_alpha(P).images[2] if len(img.terms) == 3)
+        assert ((2,), 1) in homogenize(comm)  # the c z term
+        vec = next(v for v in engine_for(P)._pz_by_degree[2] if len(v) == 3)
+        assert zterms(3, 2, vec) == homogenize(comm)
 
     def test_ev_identities(self):
+        # ev_1 of a generator row lies in P, ev_0 in R_P
         P = fs(["x*y - y*x - x", "x*x"], XY)
-        alpha = extract_alpha(P)
         rel = rp_of(P)
-        for h in build_pz(alpha):
-            e1 = eval_z(h, QQ.one)
-            assert P.space.contains(P.basis.element_to_vec(e1))
-            e0 = eval_z(h, QQ.zero)
-            assert rel.blocks[e0.degree()].contains(rel.vec_of(e0))
+        for n, vecs in engine_for(P)._pz_by_degree.items():
+            for vec in vecs:
+                h = zterms(2, n, vec)
+                e1 = eval_z(h, QQ.one, QQ)
+                assert P.space.contains(P.basis.element_to_vec(e1))
+                e0 = eval_z(h, QQ.zero, QQ)
+                assert e0.degree() == n
+                assert rel.blocks[n].contains(rel.vec_of(e0))
+
+
+def gallery_subspaces(field):
+    """The gallery's deformations over ``field``, lifted to the free
+    algebra, as filtered subspaces."""
+    out = []
+    for name in gallery_names():
+        with open(gallery_path(name), encoding="utf-8") as fh:
+            pres = parse_presentation(fh.read())
+        pres.field_name = field.name
+        out.append(lifted(len(pres.generators), pres.parsed_deformation(),
+                          pres.parsed_ambient(), field)[0])
+    return out
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_generator_rows_match_the_homogenization_oracle(p):
+    # the rows the engine's closure steps are given are alpha's images
+    # homogenized and placed by the tests' own column index, row for row
+    # and in order, on the gallery and the sampler
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(3100 + (p or 0))
+    subspaces = gallery_subspaces(field) + [sampled(rng, field) for _ in range(40)]
+    tails = 0
+    for P in subspaces:
+        eng = engine_for(P)
+        assert eng._pz_by_degree == pz_rows(eng.alpha)
+        tails += any(c >= P.g ** n for n, vecs in eng._pz_by_degree.items()
+                     for vec in vecs for c in vec)
+    # the sample reaches rows with a z term
+    assert tails
 
 
 class TestExtensionDegrees:

@@ -290,9 +290,10 @@ def test_ideal_components_match_dense_products(p, g):
 
 
 def test_shifted_rows_are_built_on_lookup():
-    # I^10 holds F¹I^9 as three shifted spaces, not as copies: after
-    # hilbert(10) it has its full rank (the rank an eager copy gives) while
-    # it holds only the rows it inserted and the few its reductions read
+    # I^10 holds F¹I^9 as its pivot mask, not as copies of I^9's rows:
+    # after hilbert(10) it has its full rank (the rank an eager copy gives)
+    # while it holds only the rows it inserted and the few left products
+    # its reductions read
     ring = next(ring for ring, rel in sampler_rings(QQ, 10)
                 if ring.g == 3 and rel.degrees() == [2, 3])
     assert ring.hilbert(10).values[10] == 596
