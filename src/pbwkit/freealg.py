@@ -174,11 +174,25 @@ def guard_reach(g, upto, guard, size=filtration_size):
     T^n.  Degree 0 needs one column, which every guard allows.  Every
     comparison with the guard reads it: ``graded_size`` and ``WordBasis``
     refuse a degree above it, and h_A, check's tables and the gr U
-    stabilization stop at it."""
-    n = upto
-    while n > 0 and size(g, n) > guard:
-        n -= 1
-    return n
+    stabilization stop at it.
+
+    Both sizes grow with n, so the degree is found in O(log upto) sizes:
+    doubling from degree 1 to the first degree above the guard (or past
+    upto), then bisecting below it."""
+    if upto <= 0:
+        return upto
+    # degree lo is reached; degree hi is not, or lies past upto
+    lo, hi = 0, 1
+    while hi <= upto and size(g, hi) <= guard:
+        lo, hi = hi, 2 * hi
+    hi = min(hi, upto + 1)
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if size(g, mid) <= guard:
+            lo = mid
+        else:
+            hi = mid
+    return lo
 
 
 def graded_size(g, n):

@@ -143,7 +143,7 @@ class PresentedRing:
         self._ideal = {0: RowSpace(field), 1: RowSpace(field)}
         self._top = 1
         self._basis = {}        # n -> (positions, {position: rank})
-        self._nf = {}           # n -> {position: (integer {rank: c}, d)}
+        self._nf = {}           # n -> {reduced position: (integer {rank: c}, d)}
 
     def ideal_component(self, n):
         """Echelon basis of <G>^n; dim I^n + h(n) = g^n."""
@@ -198,8 +198,9 @@ class PresentedRing:
         """Normal form of the word at position p of degree n as (integer
         {rank: c}, d) with d > 0 over the ranks of ``basis(n)``: the normal
         form is the dict divided by d.  Over F_p the integers are residues
-        and d = 1.  A basis word is its own normal form, with no reduction;
-        a remainder column outside the basis raises InvariantViolation."""
+        and d = 1.  A basis word is its own normal form, with no reduction
+        and no cache entry: the cache holds only the words it reduced.  A
+        remainder column outside the basis raises InvariantViolation."""
         cache = self._nf.get(n)
         if cache is None:
             cache = self._nf[n] = {}
@@ -208,18 +209,16 @@ class PresentedRing:
             rank = self.basis(n)[1]
             k = rank.get(p)
             if k is not None:
-                got = {k: 1}, 1
-            else:
-                red, d = self.ideal_component(n).reduce_full({p: 1}, integers=True)
-                nf = {}
-                for c, s in red.items():
-                    k = rank.get(c)
-                    if k is None:
-                        raise InvariantViolation(f"normal form of word {p} of degree {n} "
-                                                 f"has column {c} outside the basis")
-                    nf[k] = s
-                got = nf, d
-            cache[p] = got
+                return {k: 1}, 1
+            red, d = self.ideal_component(n).reduce_full({p: 1}, integers=True)
+            nf = {}
+            for c, s in red.items():
+                k = rank.get(c)
+                if k is None:
+                    raise InvariantViolation(f"normal form of word {p} of degree {n} "
+                                             f"has column {c} outside the basis")
+                nf[k] = s
+            got = cache[p] = nf, d
         return got
 
     def hilbert(self, upto):

@@ -50,7 +50,10 @@ steps over every chain.
 
 Both routes read one cache, the integer normal forms of
 ``PresentedRing.nf_word`` by degree and position over the ranks of the
-basis; a remainder column outside the basis raises there.  Each row is
+basis; it holds only the words that were reduced, a basis word being its
+own normal form, and a remainder column outside the basis raises there.
+The resolution checks d1 d2 = 0 on each degree-m row by membership in
+I^m, which builds no normal form of degree m.  Each row is
 scaled to integers by the lcm L of its normal forms' denominators.  The
 bar rows and A^1 K2 only feed ranks and containment, which no scale
 changes; a d2 row enters the left kernel with the tag L in place of 1, so
@@ -165,21 +168,28 @@ class ResolutionSlice:
 
     def kernel_of_d2(self):
         """Basis of K2^m as coefficient vectors over the domain columns.
-        Also checks d1 d2 = 0 and K2 ⊆ A+ (x) R on this slice."""
+        Also checks d1 d2 = 0 and K2 ⊆ A+ (x) R on this slice.
+
+        d1(b (x) x_i) = nf(b x_i) and nf has kernel I^m, so d1 d2 = 0 on a
+        row iff the sum of its entries times the words b x_i lies in I^m:
+        one leading-chain reduction per row, with no normal form of degree
+        m.  A row built from a wrong normal form is caught here when its
+        words leave I^m.  A fault that only scales whole rows, as one that
+        doubles the normal form of every word a row reads, keeps them in
+        I^m and keeps every rank; the kernel it gives has the wrong scales,
+        and ``tor3_resolution`` finds A^1 K2^{m-1} outside K2^m one degree
+        up."""
         ring, g, m = self.ring, self.ring.g, self.m
-        field = ring.field
-        p = getattr(field, "p", None)
         rows = self.d2_rows()
-        # d1(b (x) x_i) = nf(b x_i), b x_i at pos(b) g + i in T^m
+        # b (x) x_i at column rank(b) g + i is the word at pos(b) g + i of
+        # T^m; ``contains`` reads the integer entries mod p over F_p
         below = ring.basis(m - 1)[0]
         for r, _ in rows:
-            # over F_p the entries are congruent to the exact ones
-            image = _nf_row(ring, [(s, m, below[col // g] * g + col % g, 0)
-                                   for col, s in r.items()])[0].values() if r else ()
-            if any(image) if p is None else any(c % p for c in image):
+            if r and not ring.ideal_component(m).contains(
+                    {below[col // g] * g + col % g: s for col, s in r.items()}):
                 raise InvariantViolation("d1 ∘ d2 != 0: resolution slice is broken")
         # row k stands for rows[k][0] / L_k, so it carries the tag L_k
-        ker = left_kernel_basis(field, [r for r, _ in rows], len(below) * g,
+        ker = left_kernel_basis(ring.field, [r for r, _ in rows], len(below) * g,
                                 tags=[den for _, den in rows])
         unit_cols = {off for j, _, off in self.blocks if j == m}
         for v in ker:

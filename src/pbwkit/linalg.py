@@ -490,13 +490,13 @@ class RowSpace:
 
         With ``integers`` it comes as (integer vector, d) with d > 0, the
         remainder being the vector divided by d; over F_p the vector holds
-        residues and d = 1."""
+        residues and d = 1, and a zero remainder is ({}, 1)."""
         ints, scale = self._ints(vec)
         red, num, den = self._reduce(ints, full=True)
         num *= scale
         if not integers:
             return self._exact(red, num, den)
-        if num == den:
+        if num == den or not red:
             return red, 1
         k = gcd(num, den)
         if k != den:

@@ -224,13 +224,31 @@ class TestExitCodes:
 
     def test_broken_normal_form_code(self, capsys, monkeypatch):
         # doubling the normal forms of the degree-3 words that start with
-        # e breaks d1 ∘ d2 = 0; the self-check raises an invariant
-        # violation (exit 14), not a bad-input error
+        # e raises an invariant violation (exit 14), not a bad-input error.
+        # d1 ∘ d2 = 0 is checked by membership in I^m, which reads no
+        # normal form of degree m: a d2 row of degree 4 reads either only
+        # doubled words (a starts with e) or none, so it is a scaled copy
+        # of the right row and stays in I^4.  The kernel it gives has the
+        # wrong scales, which A^1 K2^3 ⊆ K2^4 catches
         real_nf = gradedring.PresentedRing.nf_word
 
         def broken_nf(ring, n, p):
             nf, d = real_nf(ring, n, p)
             if n == 3 and p < ring.g ** 2:
+                return {k: 2 * s for k, s in nf.items()}, d
+            return nf, d
+        monkeypatch.setattr(gradedring.PresentedRing, "nf_word", broken_nf)
+        assert main(["tor", gallery("sl2.pbw"), "--upto", "4"]) == 14
+        assert "error[INVARIANT_VIOLATED]: A^1 K2^{m-1} escapes K2^m" in capsys.readouterr().err
+
+    def test_broken_one_word_normal_form_code(self, capsys, monkeypatch):
+        # doubling the normal form of the one word eee leaves the d2 rows
+        # that read it outside I^4: d1 ∘ d2 != 0 (exit 14)
+        real_nf = gradedring.PresentedRing.nf_word
+
+        def broken_nf(ring, n, p):
+            nf, d = real_nf(ring, n, p)
+            if (n, p) == (3, 0):
                 return {k: 2 * s for k, s in nf.items()}, d
             return nf, d
         monkeypatch.setattr(gradedring.PresentedRing, "nf_word", broken_nf)
@@ -328,6 +346,31 @@ class TestExitCodes:
         assert main(["check", str(f), "--json"]) == 0
         dims = json.loads(capsys.readouterr().out)["dims"]
         assert len(dims["gr_U"]) == len(dims["D"]) == len(dims["ann"]) == 8
+
+    def test_deep_max_degree_under_the_guard(self, tmp_path):
+        # guard_reach finds the last guarded degree in O(log max_degree)
+        # sizes, so sl2 with max_degree 100000 under a guard of 300 columns
+        # reports what it reports with max_degree 3000: h_A to degree 5
+        # and the tables to degree 3
+        src = pathlib.Path(pbwkit.__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(src), PBWKIT_MAX_COLUMNS="300")
+        text = pathlib.Path(gallery("sl2.pbw")).read_text()
+        assert "max_degree = 6" in text
+        reports = []
+        for depth in (3000, 100000):
+            f = tmp_path / f"sl2-{depth}.pbw"
+            f.write_text(text.replace("max_degree = 6", f"max_degree = {depth}"))
+            proc = subprocess.run([sys.executable, "-m", "pbwkit.cli", "check", "--json",
+                                   str(f)], env=env, capture_output=True, text=True,
+                                  timeout=60)
+            assert proc.returncode == 0 and not proc.stderr
+            report = json.loads(proc.stdout)
+            del report["timings"]
+            reports.append(report)
+        assert reports[0] == reports[1]
+        dims = reports[1]["dims"]
+        assert dims["h_A"] == [1, 3, 6, 10, 15, 21]
+        assert dims["gr_U"] == [1, 3, 6, 10] and len(dims["D"]) == len(dims["ann"]) == 4
 
     def test_h_a_stops_below_the_guard(self, tmp_path, capsys, monkeypatch):
         # k[x,y,z] is certified to max_degree 7 within a guard of 1000

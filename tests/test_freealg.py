@@ -220,6 +220,46 @@ def test_guard_reach_is_where_the_refusals_start(g, monkeypatch):
                     [m <= want for m in range(upto + 1)]
 
 
+def _walk_down(g, upto, guard, size):
+    """The last reached degree by a walk down from upto, one size a step."""
+    n = upto
+    while n > 0 and size(g, n) > guard:
+        n -= 1
+    return n
+
+
+def test_guard_reach_matches_the_walk_down():
+    guards = [*range(1, 60), 100, 1000, 2 * 10 ** 6]
+    for size in (pow, filtration_size):
+        for g in range(1, 6):
+            for upto in range(40):
+                for guard in guards:
+                    assert guard_reach(g, upto, guard, size) == _walk_down(g, upto, guard, size)
+
+
+@pytest.mark.parametrize("g", [1, 2, 3])
+def test_guard_reach_reads_few_sizes(g):
+    # upto = 10^6 < 2^20: doubling and bisection read at most 2 * 20 sizes,
+    # none above twice the degree reached, so no g^(10^6) is ever built
+    upto = 10 ** 6
+    for size in (pow, filtration_size):
+        for guard in (1, 300, 2 * 10 ** 6):
+            calls = []
+
+            def counted(g, n):
+                calls.append(n)
+                return size(g, n)
+            n = guard_reach(g, upto, guard, counted)
+            if g == 1:      # 1^n = 1 column, and n + 1 of them up to degree n
+                want = upto if size is pow else min(guard - 1, upto)
+            else:
+                want = 0
+                while want < upto and size(g, want + 1) <= guard:
+                    want += 1
+            assert n == want
+            assert len(calls) <= 40 and max(calls) <= max(1, 2 * n)
+
+
 class TestElementSyntax:
     def test_round_trip(self):
         for text in ["x*y - y*x - 1/2*x", "x*x + 1", "2*x*y + 3/4*y", "1", "-x + y"]:

@@ -358,6 +358,16 @@ def test_reduce_full_integers_cancels_the_content():
     assert sp.reduce_full({0: 1, 1: -3}) == {1: Fraction(-27, 10)}
 
 
+def test_reduce_full_integers_zero_has_denominator_one():
+    # {0: 1} reduces to zero through the row with pivot entry 2, which
+    # scales the chain by 2; a zero remainder keeps no such scale
+    sp = span(QQ, [{0: 2, 1: 1}, {1: 1}])
+    assert sp.reduce_full({0: 1}, integers=True) == ({}, 1)
+    assert sp.reduce_full({0: Fraction(1, 3), 1: 5}, integers=True) == ({}, 1)
+    fp = span(PrimeField(7), [{0: 2, 1: 1}, {1: 1}])
+    assert fp.reduce_full({0: 1}, integers=True) == ({}, 1)
+
+
 @pytest.mark.parametrize("p", [None, 7])
 def test_reduce_full_integers_matches_exact(p):
     field = QQ if p is None else PrimeField(p)
@@ -377,6 +387,7 @@ def test_reduce_full_integers_matches_exact(p):
         probe = vec(ncols)
         red, d = sp.reduce_full(probe, integers=True)
         assert d > 0 and all(type(s) is int and s for s in red.values())
+        assert red or d == 1
         if p is not None:
             assert d == 1 and all(0 < s < p for s in red.values())
         assert {c: field.from_int(s) / field.from_int(d) for c, s in red.items()} \
