@@ -11,10 +11,9 @@ T[z]/<P*>.
 
 from importlib import resources
 
-from .deformation import (CheckResult, FilteredSubspace, FilteredMap,
-                          JacobiLadder, apply_alpha, extract_alpha,
-                          lift_presentation, minimize_relations, pbw_check,
-                          pn_ladder, rp_of)
+from .deformation import (CheckResult, FilteredSubspace, JacobiLadder,
+                          apply_alpha, lift_presentation, minimize_relations,
+                          pbw_check, pn_ladder, rp_of)
 from .errors import PBWError
 from .extension import ExtensionEngine, engine_for, rees_identity_check
 from .freealg import (Element, format_element, leading_homogeneous, multiply,

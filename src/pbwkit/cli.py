@@ -87,7 +87,7 @@ def cmd_check(pres, upto=None):
         g = res.P.g
         dims["gr_U"] = [g ** n for n in range(bound + 1)]
         dims["h_A"] = [g ** n for n in range(bound + 1)]
-        dims["D"] = [sum(g ** i for i in range(n + 1)) for n in range(bound + 1)]
+        dims["D"] = [filtration_size(g, n) for n in range(bound + 1)]
         dims["ann"] = [0] * (bound + 1)
     if (res.verdict == "PBW_CERTIFIED" and dims["gr_U"] is not None
             and dims["h_A"] is not None):
@@ -102,7 +102,7 @@ def cmd_check(pres, upto=None):
     return Report(res.verdict, res.c, res.c_certified, res.jacobi,
                   _witness_text(pres, res.witness), dims, res.timings,
                   notes=res.notes, first_failure=res.first_failure,
-                  checked_upto=res.checked_upto, exit_code=res.exit_code)
+                  exit_code=res.exit_code)
 
 
 def cmd_jacobi(pres, upto=None):
@@ -117,8 +117,7 @@ def cmd_jacobi(pres, upto=None):
     notes = [lift.note] if lift.note else []
     return Report(verdict, None, False, ladder.verdicts,
                   _witness_text(pres, ladder.witness), dims, timings,
-                  notes=notes, first_failure=ladder.first_failure,
-                  checked_upto=upto)
+                  notes=notes, first_failure=ladder.first_failure)
 
 
 def cmd_complexity(pres, upto=None):

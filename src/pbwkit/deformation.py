@@ -2,9 +2,10 @@
 
 A deformation P is a filtered subspace of the free algebra; its echelon
 basis under the degree-descending word order is simultaneously adapted to
-every T^{<=n}, which makes the top-part extraction R_P, the filtered map
-alpha, and the ladder P_{k+1} = T^1 P_k + P_k T^1 + P^{<=k+1} all plain
-row-space operations.  Condition (J_k) asks that P_{k+1} brings nothing
+every T^{<=n}.  So P is the graph of a filtered map alpha on R_P, and both
+are read off P's reduced rows (``FilteredSubspace.rel`` and ``images``),
+and the ladder P_{k+1} = T^1 P_k + P_k T^1 + P^{<=k+1} is a plain
+row-space operation.  Condition (J_k) asks that P_{k+1} brings nothing
 new below degree k+1.
 
 The ladder is read from the T[z] engine of P (``extension``), the one
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 from .errors import DomainMismatch, InvalidPresentation, InvariantViolation, ValidationError
 from .extension import ENGINE_DEGREE_CAP, ExtensionEngine, check_depth, engine_for
@@ -32,11 +34,24 @@ MIN_TOP_DEGREE = 1      # FilteredSubspace rows live in T^{<=1} at least
 
 
 class FilteredSubspace:
-    """Echelon basis of an inhomogeneous subspace P with P ∩ T^0 = 0.
+    """Echelon basis of an inhomogeneous subspace P with P ∩ T^0 = 0, and
+    the R_P and alpha it is the graph of.
 
     Rows are stored over WordBasis(g, d) where d is the top degree of the
     spanning set; with the degree-descending column order, the rows whose
     pivot has degree <= n are an echelon basis of P ∩ T^{<=n}.
+
+    R_P and alpha are a reading of P's reduced rows v.  The rows with a
+    pivot in degree n vanish at each other's pivots, and so do their tops
+    LH(v), so the tops are the reduced rows of R_P's degree-n block, and
+    alpha(LH(v)) := v is the canonical filtered map with alpha(R_P) = P
+    and alpha_0 the inclusion.  A word of degree <= n sits start(n) =
+    F(d) - F(n) columns later in WordBasis(g, d) than in WordBasis(g, n),
+    so such a v moved back by start(n) is a row over WordBasis(g, n), the
+    columns of T[z]^n, whose top is its entries below column g^n: the
+    row of alpha_z(LH(v)), the word w standing for w z^(n-|w|).  Over a
+    field alpha always exists, and the reduced basis makes it
+    reproducible.
     """
 
     def __init__(self, g, elements, field=QQ):
@@ -57,87 +72,64 @@ class FilteredSubspace:
     def dim(self):
         return self.space.rank
 
-    def reduced_rows(self):
-        return self.space.reduced_basis()
+    @cached_property
+    def images(self):
+        """n -> P's reduced rows of top degree n, in pivot order, each over
+        WordBasis(g, n): the images alpha(r) of R_P's reduced rows r."""
+        out = {}
+        for row in self.space.reduced_basis():     # pivot order: by degree, then lex
+            n, off = self.basis.block(min(row))
+            out.setdefault(n, []).append({p - off: s for p, s in row.items()})
+        return out
+
+    @cached_property
+    def rel(self):
+        """R_P: per degree n, the tops of ``images[n]``."""
+        rel = GradedSubspace(self.g, self.field)
+        for n, rows in self.images.items():
+            top = rel.block(n)
+            for row in rows:
+                top.insert({p: s for p, s in row.items() if p < self.g ** n})
+        return rel
+
+    def apply(self, n, vec):
+        """alpha on a degree-n vector of R_P, as a row over WordBasis(g, n):
+        sum_k vec[pivot_k]·images[n][k], read at the block's pivots;
+        DomainMismatch outside R_P."""
+        if not vec:
+            return {}
+        block = self.rel.blocks.get(n)
+        if block is None or not block.contains(vec):
+            raise DomainMismatch(f"vector of degree {n} outside R_P")
+        out, zero = {}, self.field.zero
+        for pivot, img in zip(sorted(block.rows), self.images[n]):
+            c = vec.get(pivot)
+            if c:
+                for p, s in img.items():
+                    out[p] = out.get(p, zero) + c * s
+        return {p: s for p, s in out.items() if s}
 
 
 def rp_of(P):
     """R_P: per degree n, the projections p^n of the rows of P ∩ T^{<=n}
-    whose top degree is exactly n; the domain of ``extract_alpha(P)``."""
-    return extract_alpha(P).domain()
+    whose top degree is exactly n; P's own, so a caller that grows it
+    owns P."""
+    return P.rel
 
 
-class FilteredMap:
-    """A filtered map alpha on a graded domain with alpha_0 = inclusion.
-
-    Stored per degree as the list of images of the domain block's reduced
-    echelon rows, in pivot order, with LH(image) = domain row.  A degree-n
-    domain vector v is then sum_k v[pivot_k]·row_k, so alpha(v) =
-    sum_k v[pivot_k]·image_k: alpha is applied by reading v at the block's
-    pivots.
-    """
-
-    def __init__(self, g, field):
-        self.g = g
-        self.field = field
-        self.rel = GradedSubspace(g, field)     # the domain
-        self.images = {}        # n -> list of Element, by domain pivot
-
-    def domain(self):
-        return self.rel
-
-    def apply_vec(self, n, vec):
-        """alpha on a degree-n domain vector; DomainMismatch if outside."""
-        out = Element(self.field)
-        if not vec:
-            return out
-        block = self.rel.blocks.get(n)
-        if block is None or not block.contains(vec):
-            raise DomainMismatch(f"vector of degree {n} outside the map's domain")
-        for pivot, img in zip(sorted(block.rows), self.images[n]):
-            c = vec.get(pivot)
-            if c:
-                out = out + img.scale(c)
-        return out
-
-
-def extract_alpha(P):
-    """The canonical filtered map with alpha(R_P) = P, built together with
-    its domain R_P in one pass over the reduced rows v of P: LH(v) is a
-    reduced row of R_P (the rows of P with pivots in degree n vanish at
-    each other's pivots, and so do their tops), and alpha(LH(v)) := v.
-    The rows come in pivot order, so images[n] follows the block's pivots.
-    Over a field this always exists, and the reduced basis makes it
-    reproducible."""
-    alpha = FilteredMap(P.g, P.field)
-    cols = P.basis
-    for row in P.reduced_rows():        # pivot order: by degree, then lex
-        n, off = cols.block(min(row))
-        # the pivot is the least column, so the top is the row inside its block
-        end = off + P.g ** n
-        top = {p - off: s for p, s in row.items() if p < end}
-        alpha.rel.block(n).insert(top)
-        alpha.images.setdefault(n, []).append(cols.vec_to_element(row, P.field))
-    return alpha
-
-
-def apply_alpha(alpha, rel):
-    """P = span alpha(rel) for rel inside alpha's domain, each row read at
-    the domain's pivots (``FilteredMap.apply_vec``).  A row of rel that is
-    one of the domain's reduced rows, as every row of
-    ``minimize_relations(R_P)`` is, maps to its stored image, so P' =
-    alpha(R) is a selection of P's reduced rows.  The round trip
-    rp_of(P) = rel holds whenever rel lies in the domain, so a failure is
-    an InvariantViolation."""
-    P = FilteredSubspace(alpha.g, [alpha.apply_vec(n, row) for n in rel.degrees()
-                                   for row in rel.blocks[n].basis()], alpha.field)
-    if not rp_of(P).equals(rel):
+def apply_alpha(P, rel):
+    """P' = span alpha(rel) for rel inside R_P, each row read at R_P's
+    pivots (``FilteredSubspace.apply``).  A row of rel that is one of R_P's
+    reduced rows, as every row of ``minimize_relations(R_P)`` is, maps to
+    its image, so P' = alpha(R) is a selection of P's reduced rows.  The
+    round trip rp_of(P') = rel holds whenever rel lies in R_P, so a
+    failure is an InvariantViolation."""
+    Pp = FilteredSubspace(P.g, [WordBasis(P.g, n).vec_to_element(P.apply(n, row), P.field)
+                                for n in rel.degrees() for row in rel.blocks[n].basis()],
+                          P.field)
+    if not Pp.rel.equals(rel):
         raise InvariantViolation("alpha image does not recover the domain tops")
-    return P
-
-
-def alpha_is_inclusion(alpha):
-    return all(img.is_homogeneous() for imgs in alpha.images.values() for img in imgs)
+    return Pp
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +141,6 @@ class JacobiLadder:
     verdicts: dict          # k -> bool for 1 <= k <= upto
     first_failure: int | None
     witness: Element | None
-    full_from: int | None   # least k with P_k = T^{<=k}, if reached
 
 
 def pn_ladder(P, upto, engine=None):
@@ -158,9 +149,9 @@ def pn_ladder(P, upto, engine=None):
 
     dim P_k is cut_dim(k, k), and (J_k) holds iff annihilator_dim(k)
     vanishes (see ``extension``).  Neither builds a component past the
-    first full one, where the ladder reaches T^{<=k} (``full_from``).  A
-    depth whose T[z]^{upto+1} the column guard refuses is refused before
-    anything is built.
+    first full one, where the ladder reaches T^{<=k} (the engine's
+    ``saturated_at``).  A depth whose T[z]^{upto+1} the column guard
+    refuses is refused before anything is built.
 
     The witness of the first failing (J_k) is canonical: the rows of
     <P_z>^{k+1} with a pivot among the last dim T^{<=k} columns are z·u,
@@ -188,9 +179,7 @@ def pn_ladder(P, upto, engine=None):
             raise InvariantViolation(f"(J_{k}): the witness space has dimension "
                                      f"{new.rank}, ann(z)^{k} has {ann}")
         witness = WordBasis(P.g, k).vec_to_element(new.reduced_basis()[0], P.field)
-    full = engine.saturated_at
-    return JacobiLadder(dims, verdicts, first_failure, witness,
-                        full if full is not None and full <= upto + 1 else None)
+    return JacobiLadder(dims, verdicts, first_failure, witness)
 
 
 def minimize_relations(rel):
@@ -250,7 +239,8 @@ def lift_presentation(g, ambient_elements, deformation_elements, field=QQ):
         if not total.is_zero():
             reduced.append(total)
     spanning = reduced + k0.elements()
-    # side condition: K0 ∩ I~ = 0 with I = <R_lift> and R_lift = R_P + K0
+    # side condition: K0 ∩ I~ = 0 with I = <R_lift> and R_lift = R_P + K0;
+    # rp_of returns P_sigma's own R_P, which this local P_sigma lets K0 grow
     P_sigma = FilteredSubspace(g, reduced, field) if reduced else None
     r_lift = rp_of(P_sigma) if P_sigma is not None else GradedSubspace(g, field)
     for el in k0.elements():
@@ -368,7 +358,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
     # the T[z] engine of P: the (J_k) on P are read from it, and check's
     # tables from the same engine
     engine = timed(timings, "extract", engine_for, P)
-    rp, alpha = engine.rel, engine.alpha
+    rp = engine.rel
     found["engine"] = engine
     d = P.max_degree
     depth_bound = max(d, 2, min(max_degree, ENGINE_DEGREE_CAP - 1))
@@ -389,9 +379,10 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
         hilbert = timed(timings, "hilbert", ring.hilbert, top)
         found.update(tor3=cres.table, hilbert=hilbert)
 
-    if alpha_is_inclusion(alpha):
-        # P graded: P_m ∩ T^{<=n} = P_{min(m,n)}, so every (J_k) holds and
-        # P is of PBW-type outright.
+    if all(max(row) < g ** n for n, rows in P.images.items() for row in rows):
+        # every image lies below column g^n, the top block: alpha is the
+        # inclusion and P graded, so P_m ∩ T^{<=n} = P_{min(m,n)}, every
+        # (J_k) holds and P is of PBW-type outright.
         c_val, c_cert = (None, False) if low else (cres.c, cres.certified)
         jac = {}
         checked = 0
@@ -435,7 +426,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
                       ladder.verdicts, ladder)
 
     # R_P is not minimal: check the alpha-associated P' = alpha(R) first
-    Pp = apply_alpha(alpha, rmin)
+    Pp = apply_alpha(P, rmin)
     notes.append("R_P is not a bimodule of relations; Jacobi certificate runs "
                  "on the minimized alpha-image P'")
     engine_p = timed(timings, "ladder", engine_for, Pp)

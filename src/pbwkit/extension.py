@@ -10,9 +10,10 @@ independent oracles are the naive closures in the tests
 every product and index the columns on their own (``zword_at``).
 
 P_z is always built through alpha_z (never by homogenizing a raw spanning
-set), which is what guarantees <P*> = <P_z>.  Its rows are alpha's
-degree-n images read over the columns of ``WordBasis(g, n)``, the word w
-standing for w z^(n-|w|) (``ExtensionEngine``).
+set), which is what guarantees <P*> = <P_z>.  R_P and alpha are read off
+P's reduced rows, and alpha's degree-n images are already rows over the
+columns of ``WordBasis(g, n)``, the word w standing for w z^(n-|w|)
+(``deformation.FilteredSubspace``): they are P_z's rows as they are.
 
 The ideal I = <P_z> is built by the recursion
 
@@ -97,28 +98,22 @@ def check_depth(depth):
 class ExtensionEngine:
     """Caches, per degree n, the ideal component <P_z>^n and its cuts
     (``cut_dim``), which give dim D^n and the annihilator dimension of z.
-    ``rel`` is the domain of ``alpha``, R.  The column guard is read once,
-    here.  Single-writer; completed degrees are frozen.
+    ``rel`` is P's R_P.  The column guard is read once, here.
+    Single-writer; completed degrees are frozen.
 
     The generators of degree n are alpha_z(r) = sum alpha_i(r) z^i for the
-    domain rows r of alpha of degree n, in the domain's pivot order.  As
-    alpha_0 is the inclusion, they are the external homogenizations of the
-    stored images alpha(r): the word w of an image carries z^(n-|w|), which
-    the column of w in ``WordBasis(g, n)`` already says, so each image is
-    read as a row over T[z]^n with no z-exponent kept."""
+    reduced rows r of R_P of degree n, in pivot order.  As alpha_0 is the
+    inclusion, they are the external homogenizations of the images
+    alpha(r), which P keeps over ``WordBasis(g, n)``: the column of a word
+    w there is that of w z^(n-|w|) in T[z]^n."""
 
-    def __init__(self, g, alpha, rel, field):
-        self.g = g
-        self.field = field
-        self.rel = rel
-        self.alpha = alpha
+    def __init__(self, P):
+        self.g = P.g
+        self.field = P.field
+        self.rel = P.rel
         self._guard = column_guard()
-        self._pz_by_degree = {}
-        for n in sorted(alpha.images):
-            cols = WordBasis(g, n, self._guard)
-            self._pz_by_degree[n] = [{cols.pos(w): s for w, s in img.terms.items()}
-                                     for img in alpha.images[n]]
-        self._ideal = {0: RowSpace(field)}
+        self._pz_by_degree = P.images
+        self._ideal = {0: RowSpace(P.field)}
         self._cuts = {0: [0]}          # m -> [cut_dim(m, n) for n <= m]
         self.saturated_at = None
 
@@ -247,8 +242,5 @@ def rees_identity_check(engine, upto):
 
 
 def engine_for(P):
-    """Engine for D(P) built from the deformation's own alpha and its
-    domain R_P, read in one pass over P's reduced rows."""
-    from .deformation import extract_alpha
-    alpha = extract_alpha(P)
-    return ExtensionEngine(P.g, alpha, alpha.domain(), P.field)
+    """Engine for D(P), its generators read off P's reduced rows."""
+    return ExtensionEngine(P)

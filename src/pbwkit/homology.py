@@ -388,6 +388,9 @@ def tor_bar(ring, hom_degree, bound):
         d = start[n][m][-1] - rank_dn - rank_dn1
         if d:
             dims[m] = d
+    # rows_of and rows_desc refer to each other: unbinding one breaks the
+    # cycle, so the kept rows and the product tables go when tor_bar returns
+    rows_of = None
     return TorTable(n, bound, dims)
 
 

@@ -202,7 +202,6 @@ class Report:
     timings: dict
     notes: list = dc_field(default_factory=list)
     first_failure: int | None = None
-    checked_upto: int | None = None
     exit_code: int = 0
 
     def to_json_dict(self):

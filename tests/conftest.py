@@ -225,8 +225,14 @@ def brute_ideal_dim(g, gen_elements, n):
 # Thin views over pbwkit objects that only the tests read.
 
 def row_elements(P):
-    """The reduced rows of a FilteredSubspace as Elements."""
-    return [P.basis.vec_to_element(r, P.field) for r in P.reduced_rows()]
+    """The reduced rows of a FilteredSubspace as Elements (``zelement``)."""
+    return [zelement(P.g, P.max_degree, r, P.field) for r in P.space.reduced_basis()]
+
+
+def image_elements(P, n):
+    """alpha's images of R_P's degree-n reduced rows, in pivot order, as
+    Elements: ``P.images[n]`` read through ``zelement``."""
+    return [zelement(P.g, n, row, P.field) for row in P.images[n]]
 
 
 def zword_at(g, n, pos):
@@ -271,17 +277,30 @@ def eval_z(terms, value, field):
     return out
 
 
-def pz_rows(alpha):
+def pz_rows(P):
     """alpha_z as rows over T[z]^n, grouped by total degree n: the oracle
-    for the engine's generator rows.  Each image alpha(r), r a domain row
-    in pivot order, is homogenized, and the monomial w z^k is placed at
-    its column of T[z]^(|w|+k) (``zcolumns``)."""
+    for the engine's generator rows, rebuilt from P's span and not from
+    its ``images``.  P's rows are brought to reduced echelon form by
+    ``DenseEchelon`` over T^{<=d}, whose columns ``zword_at`` names; then
+    the image alpha(r) of each R_P row r is the reduced row with top r
+    (pivot order by degree, then lex), which is homogenized, and the
+    monomial w z^k is placed at its column of T[z]^(|w|+k)
+    (``zcolumns``)."""
+    g, d, field = P.g, P.max_degree, P.field
+    p = getattr(field, "p", None)
+    dense = DenseEchelon(filtration_size(g, d), p)
+    for row in P.space.basis():
+        vec = [0] * dense.ncols
+        for c, s in row.items():
+            vec[c] = s if p is None else s.v
+        dense.insert(vec)
+    scalar = field.from_fraction if p is None else field.from_int
     out = {}
-    for n in sorted(alpha.images):
-        for img in alpha.images[n]:
-            terms = homogenize(img)
-            row = {zcolumns(alpha.g, len(w) + k)[w]: s for (w, k), s in terms.items()}
-            out.setdefault(img.degree(), []).append(row)
+    for _, row in sorted(dense.reduced().items()):
+        img = Element(field, {zword_at(g, d, c): scalar(s) for c, s in enumerate(row) if s})
+        terms = homogenize(img)
+        vec = {zcolumns(g, len(w) + k)[w]: s for (w, k), s in terms.items()}
+        out.setdefault(img.degree(), []).append(vec)
     return out
 
 
@@ -455,9 +474,9 @@ class NaiveEngine(ExtensionEngine):
     each component.  Its generator rows are the tests' own
     (``pz_rows``)."""
 
-    def __init__(self, g, alpha, rel, field):
-        super().__init__(g, alpha, rel, field)
-        self.gens = pz_rows(alpha)
+    def __init__(self, P):
+        super().__init__(P)
+        self.gens = pz_rows(P)
 
     def _step(self, m):
         g = self.g
@@ -534,8 +553,8 @@ def overlap_dimension(rel, g):
     return len(overlap(rel.blocks[n].basis(), g, n, rel.field))
 
 
-def pure_jacobi_check(alpha):
-    """The (J'_0)..(J'_N) conditions for alpha on an N-pure domain (the
+def pure_jacobi_check(P):
+    """The (J'_0)..(J'_N) conditions for P's alpha on an N-pure R_P (the
     Berger–Ginzburg and Cassidy–Shelton setting), plus the containment
     form (V P + P V)^{<=N} ⊆ P, P = alpha(rel), they are equivalent to.
 
@@ -543,8 +562,8 @@ def pure_jacobi_check(alpha):
     with no solving: with r_k the reduced rows of R and π_k their pivots,
     the rows r_k⊗x_j and x_j⊗r_k are reduced echelon in T^{N+1}, with
     pivots π_k·g + j and j·g^N + π_k, so the coordinates of x in X are its
-    entries at those columns; alpha_i(r_k) is p^{N-i} of r_k's stored
-    image.
+    entries at those columns; alpha_i(r_k) is p^{N-i} of r_k's image
+    (``image_elements``).
 
     The containment is the Jacobi ladder's (J_N): for N-pure P the ladder
     has P_k = 0 for k < N and P_N = P, so P_{N+1} ∩ T^{<=N} ⊆ P_N says
@@ -554,14 +573,14 @@ def pure_jacobi_check(alpha):
     Returns {"conditions": {i: bool}, "containment": bool, "equivalent": bool,
     "N": N}.
     """
-    rel = alpha.domain()
+    rel = rp_of(P)
     degs = rel.degrees()
     if len(degs) != 1:
         raise NotPure("pure route needs relations concentrated in one degree")
     N = degs[0]
-    g = alpha.g
-    field = alpha.field
-    rows, images = rel.blocks[N].basis(), alpha.images[N]
+    g = P.g
+    field = P.field
+    rows, images = rel.blocks[N].basis(), image_elements(P, N)
     pivots = [min(r) for r in rows]
     shift = g ** N                          # x_j (x) w sits at j·g^N + pos(w)
 
@@ -594,7 +613,8 @@ def pure_jacobi_check(alpha):
             conditions[0] = False
             continue
         # alpha(t1), whose p^{N-i} is alpha_i(t1)
-        image = alpha.apply_vec(N, rel.vec_of(t1)) if not t1.is_zero() else Element(field)
+        image = (zelement(g, N, P.apply(N, rel.vec_of(t1)), field)
+                 if not t1.is_zero() else Element(field))
         for i in range(1, N + 1):
             lhs = project(image, N - i)
             rhs = -mixed(x_vec, i + 1) if i < N else Element(field)
@@ -602,7 +622,7 @@ def pure_jacobi_check(alpha):
                 conditions[i] = False
 
     # containment form: (V P + P V)^{<=N} ⊆ P is the ladder's (J_N)
-    containment = engine_for(apply_alpha(alpha, rel)).annihilator_dim(N) == 0
+    containment = engine_for(apply_alpha(P, rel)).annihilator_dim(N) == 0
     return {
         "N": N,
         "conditions": conditions,

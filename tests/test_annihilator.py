@@ -13,7 +13,7 @@ import random
 import pytest
 
 import pbwkit
-from pbwkit.deformation import FilteredSubspace, extract_alpha, lifted, rp_of
+from pbwkit.deformation import FilteredSubspace, lifted
 from pbwkit.extension import engine_for
 from pbwkit.freealg import parse_element
 from pbwkit.linalg import QQ, PrimeField, span
@@ -68,7 +68,7 @@ def test_saturating_annihilators(field):
     # reads the full degrees from ``saturated_at``
     f = FIELDS[field]
     P = FilteredSubspace(1, [parse_element(t, ["x"], f) for t in ("x*x - 1", "x*x*x")], f)
-    for eng in (engine_for(P), NaiveEngine(1, extract_alpha(P), rp_of(P), f)):
+    for eng in (engine_for(P), NaiveEngine(P)):
         assert [eng.dim_d(n) for n in range(7)] == [1, 2, 2, 1, 0, 0, 0]
         assert [eng.annihilator_dim(n) for n in range(6)] == [0, 0, 1, 1, 0, 0]
         assert [dense_ann(eng, n) for n in range(6)] == [0, 0, 1, 1, 0, 0]

@@ -18,7 +18,7 @@ from math import gcd
 
 import pytest
 
-from pbwkit.deformation import FilteredSubspace, extract_alpha, pn_ladder, rp_of
+from pbwkit.deformation import FilteredSubspace, pn_ladder, rp_of
 from pbwkit.extension import ENGINE_DEGREE_CAP, GR_TABLE_COLUMN_CAP, engine_for
 from pbwkit.freealg import filtration_size, parse_element
 from pbwkit.gradedring import GradedSubspace, ideal_chain
@@ -68,7 +68,7 @@ def test_stored_rows_are_normalised(p, seed, monkeypatch):
     monkeypatch.setattr(RowSpace, "_store", put)
     for P in [sl2] + [sampled(rng, field) for _ in range(INSTANCES)]:
         eng = engine_for(P)
-        naive = NaiveEngine(P.g, extract_alpha(P), rp_of(P), field)
+        naive = NaiveEngine(P)
         for m in range(ENGINE_DEGREE + 1):
             comp = eng.ideal_component(m)
             assert all(normal_row(row, c, p)
@@ -93,7 +93,7 @@ def test_closures_match_naive(p):
         P = sampled(rng, field)
         gens.add(P.g)
         eng = engine_for(P)
-        naive = NaiveEngine(P.g, extract_alpha(P), rp_of(P), field)
+        naive = NaiveEngine(P)
         for n in range(ENGINE_DEGREE):
             assert eng.annihilator_dim(n) == naive.annihilator_dim(n)
             assert annihilator_basis(eng, n) == annihilator_basis(naive, n)
@@ -205,7 +205,7 @@ class Closure:
         self.left, self.right, self.central, self.gens = left, right, central, gens
 
     @classmethod
-    def engine(cls, eng, top):
+    def engine(cls, P, eng, top):
         g = eng.g
 
         def move(vec, n, word):
@@ -215,7 +215,7 @@ class Closure:
                    lambda n, w: zcolumns(g, n)[w],
                    lambda x, vec, n: move(vec, n, lambda w: (x,) + w),
                    lambda vec, n, x: move(vec, n, lambda w: w + (x,)),
-                   lambda vec, n: move(vec, n, lambda w: w), pz_rows(eng.alpha))
+                   lambda vec, n: move(vec, n, lambda w: w), pz_rows(P))
 
     @classmethod
     def graded(cls, rel, top):
@@ -276,7 +276,7 @@ def test_closure_steps_insert_only_the_new_rows(case, monkeypatch):
     monkeypatch.undo()
 
     skipped = 0
-    for cl in (Closure.engine(eng, ENGINE_DEGREE), graded):
+    for cl in (Closure.engine(P, eng, ENGINE_DEGREE), graded):
         assert len(cl.steps()) >= 3
         for m, prev, nxt in cl.steps():
             assert nxt._below is prev, m
@@ -314,7 +314,7 @@ def test_representatives_and_skipped_multiples(p):
     skipped = kept = early = 0
     for _ in range(INSTANCES):
         P = sampled(rng, field)
-        for cl in (Closure.engine(engine_for(P), ENGINE_DEGREE),
+        for cl in (Closure.engine(P, engine_for(P), ENGINE_DEGREE),
                    Closure.graded(rp_of(P), ENGINE_DEGREE)):
             for m, prev, nxt in cl.steps():
                 for row, gen, n, i in representatives(prev):

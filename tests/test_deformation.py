@@ -6,16 +6,16 @@ from pbwkit.errors import (DomainMismatch, InvalidPresentation, InvariantViolati
                           ResourceExceeded)
 from pbwkit.freealg import format_element, parse_element, project
 from pbwkit.gradedring import GradedSubspace
-from pbwkit.deformation import (FilteredSubspace, alpha_is_inclusion,
-                                apply_alpha, extract_alpha, lift_presentation,
+from pbwkit.deformation import (FilteredSubspace, apply_alpha, lift_presentation,
                                 minimize_relations, pbw_check, pn_ladder, rp_of)
 from pbwkit.extension import ENGINE_DEGREE_CAP, engine_for
-from pbwkit.freealg import filtration_size
+from pbwkit.freealg import WordBasis, filtration_size
 from pbwkit.linalg import QQ, PrimeField
 
 from conftest import (NotPure, acceptance_sample, brute_jacobi, certified_cut_dim,
-                      lex_words, pure_jacobi_check, random_deformation_element,
-                      random_presentation, sampled, to_field, zcolumns, zelement)
+                      image_elements, lex_words, pure_jacobi_check,
+                      random_deformation_element, random_presentation, sampled, to_field,
+                      zcolumns, zelement)
 
 X, XY, XYC = ["x"], ["x", "y"], ["x", "y", "c"]
 HEISENBERG = ["x*y - y*x - c", "x*c - c*x", "y*c - c*y"]
@@ -55,8 +55,13 @@ class TestFilteredSubspace:
         assert P.dim == 2
 
     def test_graded_detection(self):
-        assert alpha_is_inclusion(extract_alpha(fs(["x*y - y*x"], XY)))
-        assert not alpha_is_inclusion(extract_alpha(fs(["x*x + 1"], X)))
+        # a graded P keeps no image below its top block, g^n columns wide
+        assert fs(["x*y - y*x"], XY).images == {2: [{1: QQ.one, 2: -QQ.one}]}
+        assert fs(["x*x + 1"], X).images == {2: [{0: QQ.one, 2: QQ.one}]}
+        graded = "homogeneous deformation: graded, hence of PBW type"
+        assert graded in pbw_check(2, els(["x*y - y*x"], XY)).notes
+        # x sits at column 1 = g^2 of T[z]^2, just below the top block
+        assert graded not in pbw_check(1, els(["x*x + x"], X)).notes
 
 
 class TestRpOf:
@@ -92,38 +97,35 @@ def oracle_image(P, n, row):
 class TestAlpha:
     def test_single_row(self):
         P = fs(["x*x + 1"], X)
-        alpha = extract_alpha(P)
-        img = alpha.apply_vec(2, alpha.domain().vec_of(parse_element("x*x", X)))
+        img = zelement(1, 2, P.apply(2, P.rel.vec_of(parse_element("x*x", X))), QQ)
         assert img == parse_element("x*x + 1", X)
         # alpha_2(x*x) = p^0(alpha(x*x))
         assert project(img, 0) == parse_element("1", X)
 
     def test_graded_gives_inclusion(self):
         P = fs(["x*y - y*x"], XY)
-        alpha = extract_alpha(P)
         e = parse_element("x*y - y*x", XY)
-        assert alpha.apply_vec(2, alpha.domain().vec_of(e)) == e
+        assert zelement(2, 2, P.apply(2, P.rel.vec_of(e)), QQ) == e
 
     def test_extract_apply_round_trip(self):
         # [DERIVED] alpha(R) = P and rp_of(alpha(R)) = R, by rank
         P = fs(["x*y - y*x - x", "x*x"], XY)
-        alpha = extract_alpha(P)
-        back = apply_alpha(alpha, rp_of(P))
+        back = apply_alpha(P, rp_of(P))
         assert same_space(back, P)
 
     def test_apply_alpha_domain_mismatch(self):
         P = fs(["x*x + 1"], X)
-        alpha = extract_alpha(P)
         stranger = GradedSubspace.from_elements(1, [parse_element("x*x*x", X)])
         with pytest.raises(DomainMismatch):
-            apply_alpha(alpha, stranger)
+            apply_alpha(P, stranger)
 
     def test_apply_alpha_round_trip_fault(self):
-        # an image whose top is not its domain row is a program fault
-        alpha = extract_alpha(fs(["x*x + 1", "x*y - y*x"], XY))
-        alpha.images[2][0] = parse_element("y*y + 1", XY)
+        # an image whose top is not its R_P row is a program fault
+        P = fs(["x*x + 1", "x*y - y*x"], XY)
+        rel = P.rel
+        P.images[2][0] = WordBasis(2, 2).element_to_vec(parse_element("y*y + 1", XY))
         with pytest.raises(InvariantViolation):
-            apply_alpha(alpha, alpha.domain())
+            apply_alpha(P, rel)
 
     def test_round_trip_randomized(self, rng):
         for _ in range(10):
@@ -134,8 +136,7 @@ class TestAlpha:
                 continue
             if P.dim == 0:
                 continue
-            alpha = extract_alpha(P)
-            assert same_space(apply_alpha(alpha, rp_of(P)), P)
+            assert same_space(apply_alpha(P, rp_of(P)), P)
 
     @pytest.mark.parametrize("p", [None, 7])
     def test_images_and_alpha_image_against_normal_forms(self, p):
@@ -145,15 +146,15 @@ class TestAlpha:
         cases += [sampled(rng, field) for _ in range(30)]
         rows = non_minimal = 0
         for P in cases:
-            alpha = extract_alpha(P)
-            rp = alpha.domain()
+            rp = rp_of(P)
             for n in rp.degrees():
                 domain_rows = rp.blocks[n].reduced_basis()
-                assert len(domain_rows) == len(alpha.images[n])
+                images = image_elements(P, n)
+                assert len(domain_rows) == len(images)
                 for k, row in enumerate(domain_rows):
                     want = oracle_image(P, n, row)
-                    assert alpha.images[n][k] == want
-                    assert alpha.apply_vec(n, row) == want
+                    assert images[k] == want
+                    assert zelement(P.g, n, P.apply(n, row), field) == want
                     rows += 1
             rmin = minimize_relations(rp)
             if all(rmin.dim(n) == rp.dim(n) for n in rp.degrees()):
@@ -161,7 +162,7 @@ class TestAlpha:
             # P' = alpha(R) is spanned by the oracle's images of R's rows
             want = FilteredSubspace(P.g, [oracle_image(P, n, row) for n in rmin.degrees()
                                           for row in rmin.blocks[n].basis()], field)
-            assert same_space(apply_alpha(alpha, rmin), want)
+            assert same_space(apply_alpha(P, rmin), want)
             non_minimal += 1
         assert rows == 73 and non_minimal == 16
 
@@ -356,16 +357,16 @@ class TestPbwCheck:
 class TestPureRoute:
     def test_inclusion_trivial(self):
         P = fs(["x*y - y*x", "x*x"], XY)
-        out = pure_jacobi_check(extract_alpha(P))
+        out = pure_jacobi_check(P)
         assert all(out["conditions"].values()) and out["containment"]
         assert out["equivalent"]
 
     def test_lie_bracket_jacobi(self):
-        out = pure_jacobi_check(extract_alpha(fs(HEISENBERG, XYC)))
+        out = pure_jacobi_check(fs(HEISENBERG, XYC))
         assert all(out["conditions"].values()) and out["equivalent"]
 
     def test_bracket_fails_j1(self):
-        out = pure_jacobi_check(extract_alpha(fs(BRACKET, ["x", "y", "z"])))
+        out = pure_jacobi_check(fs(BRACKET, ["x", "y", "z"]))
         assert out["conditions"][1] is False
         assert out["containment"] is False and out["equivalent"]
 
@@ -382,7 +383,7 @@ class TestPureRoute:
             texts = [minus("x*x", a), minus("y*y", b),
                      minus("x*y + y*x", 2 * c)]
             P = fs(texts, XY)
-            out = pure_jacobi_check(extract_alpha(P))
+            out = pure_jacobi_check(P)
             res = pbw_check(2, els(texts, XY))
             assert all(out["conditions"].values()) == (res.verdict == "PBW_CERTIFIED")
             assert out["equivalent"]
@@ -400,17 +401,16 @@ class TestPureRoute:
                 P = FilteredSubspace(g, to_field(field, elems), field)
             except InvalidPresentation:
                 continue
-            alpha = extract_alpha(P)
-            if len(alpha.domain().degrees()) != 1:
+            if len(rp_of(P).degrees()) != 1:
                 continue
-            out = pure_jacobi_check(alpha)
+            out = pure_jacobi_check(P)
             assert out["equivalent"], elems
             degrees.append(out["N"])
         assert len(degrees) == 95 and 3 in degrees
 
     def test_not_pure_rejected(self):
         with pytest.raises(NotPure):
-            pure_jacobi_check(extract_alpha(fs(["x*x", "x*x*y + 1"], XY)))
+            pure_jacobi_check(fs(["x*x", "x*x*y + 1"], XY))
 
     def test_agrees_with_ladder_on_pure_instances(self, rng):
         for _ in range(8):
@@ -423,7 +423,7 @@ class TestPureRoute:
             rp = rp_of(P)
             if rp.degrees() != [2]:
                 continue
-            out = pure_jacobi_check(extract_alpha(P))
+            out = pure_jacobi_check(P)
             lad = pn_ladder(P, 2)
             assert all(out["conditions"].values()) == (lad.first_failure is None)
 

@@ -5,15 +5,15 @@ import pytest
 from pbwkit import gallery_names, gallery_path
 from pbwkit.freealg import filtration_size, parse_element
 from pbwkit.gradedring import PresentedRing
-from pbwkit.deformation import (FilteredSubspace, extract_alpha, lifted, pn_ladder,
-                                minimize_relations, rp_of)
+from pbwkit.deformation import FilteredSubspace, lifted, pn_ladder, minimize_relations, rp_of
 from pbwkit.errors import InvalidPresentation
 from pbwkit.extension import ExtensionEngine, engine_for, rees_identity_check
 from pbwkit.linalg import QQ, PrimeField, _Layout
 from pbwkit.presentations import parse_presentation
 
 from conftest import (NaiveEngine, annihilator_basis, certified_cut_dim, eval_z, homogenize,
-                      lex_columns, pz_rows, random_presentation, sampled, zcolumns, zterms)
+                      image_elements, lex_columns, pz_rows, random_presentation, sampled,
+                      zcolumns, zterms)
 
 X, XY, XYC = ["x"], ["x", "y"], ["x", "y", "c"]
 HEISENBERG = ["x*y - y*x - c", "x*c - c*x", "y*c - c*y"]
@@ -91,7 +91,7 @@ class TestBuildPz:
 
     def test_tail_gets_z_squared(self):
         P = fs(["x*x + 1"], X)
-        img, = extract_alpha(P).images[2]
+        img, = image_elements(P, 2)
         assert homogenize(img) == {((0, 0), 0): QQ.one, ((), 2): QQ.one}
         eng = engine_for(P)
         assert eng._pz_by_degree == {2: [{zcolumns(1, 2)[(0, 0)]: QQ.one,
@@ -100,8 +100,7 @@ class TestBuildPz:
 
     def test_inclusion_keeps_no_z(self):
         P = fs(["x*y - y*x"], XY)
-        alpha = extract_alpha(P)
-        assert all(k == 0 for imgs in alpha.images.values() for img in imgs
+        assert all(k == 0 for n in P.images for img in image_elements(P, n)
                    for (_, k) in homogenize(img))
         rows = engine_for(P)._pz_by_degree
         assert all(k == 0 for n, vecs in rows.items() for vec in vecs
@@ -109,7 +108,7 @@ class TestBuildPz:
 
     def test_degree_one_tail(self):
         P = fs(HEISENBERG, XYC)
-        comm = next(img for img in extract_alpha(P).images[2] if len(img.terms) == 3)
+        comm = next(img for img in image_elements(P, 2) if len(img.terms) == 3)
         assert ((2,), 1) in homogenize(comm)  # the c z term
         vec = next(v for v in engine_for(P)._pz_by_degree[2] if len(v) == 3)
         assert zterms(3, 2, vec) == homogenize(comm)
@@ -152,7 +151,7 @@ def test_generator_rows_match_the_homogenization_oracle(p):
     tails = 0
     for P in subspaces:
         eng = engine_for(P)
-        assert eng._pz_by_degree == pz_rows(eng.alpha)
+        assert eng._pz_by_degree == pz_rows(P)
         tails += any(c >= P.g ** n for n, vecs in eng._pz_by_degree.items()
                      for vec in vecs for c in vec)
     # the sample reaches rows with a z term
@@ -215,7 +214,7 @@ def test_counts_stop_at_saturation(monkeypatch):
                         lambda self, m: steps.append(m) or real(self, m))
     eng = engine_for(P)
     lad = pn_ladder(P, 10, eng)
-    naive = NaiveEngine(P.g, extract_alpha(P), rp_of(P), QQ)
+    naive = NaiveEngine(P)
     comps = [naive.ideal_component(m) for m in range(13)]
     for m in range(12):
         assert eng.dim_d(m) == filtration_size(1, m) - comps[m].rank
@@ -225,7 +224,7 @@ def test_counts_stop_at_saturation(monkeypatch):
             assert eng.cut_dim(m, n) == sum(c >= m - n for c in comps[m].rows)
     assert rees_identity_check(eng, 12)[2] == 3
     assert eng.gr_table(8) == [0] * 9        # U(P) = 0
-    assert steps == [1, 2, 3, 4] and eng.saturated_at == lad.full_from == 4
+    assert steps == [1, 2, 3, 4] and eng.saturated_at == 4
     assert lad.dims == [comps[k].rank for k in range(12)]
     assert lad.first_failure == 2
 

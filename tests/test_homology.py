@@ -1,3 +1,4 @@
+import gc
 from fractions import Fraction
 from itertools import product
 
@@ -418,3 +419,16 @@ def test_remainder_outside_the_basis_raises(monkeypatch):
     assert ring.nf_word(2, 0) == ({0: 1}, 1)     # xx is a basis word
     with pytest.raises(InvariantViolation, match="outside the basis"):
         ring.nf_word(2, min(ring.ideal_component(2).rows))
+
+
+def test_tor_bar_leaves_no_reference_cycle():
+    # the kept rows and product tables of tor_bar go when it returns, not
+    # when the cyclic collector next runs
+    ring, rel = setup(3, ["x*y - y*x", "x*z - z*x", "y*z - z*y"], XYZ)
+    gc.collect()
+    gc.disable()
+    try:
+        assert tor_bar(ring, 3, 5).dims == {3: 1}
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -33,14 +33,17 @@ def test_engine_verdicts_match_ladder(p):
     failed = full = 0
     for _ in range(INSTANCES):
         P = sampled(rng, field)
-        lad = pn_ladder(P, UPTO)
+        eng = engine_for(P)
+        lad = pn_ladder(P, UPTO, eng)
         spaces, verdicts, witness = naive_ladder(P, UPTO)
         top = len(spaces) - 1
         assert lad.dims[:top + 1] == [sp.rank for sp in spaces], row_elements(P)
         assert lad.dims[top + 1:] == [filtration_size(P.g, k)
                                       for k in range(top + 1, UPTO + 2)]
-        assert lad.full_from == (top if spaces[top].rank == filtration_size(P.g, top)
-                                 else None)
+        # the ladder builds no component past T[z]^{UPTO+1}, nor past the
+        # first full one
+        assert eng.saturated_at == (top if spaces[top].rank == filtration_size(P.g, top)
+                                    else None)
         assert lad.verdicts == verdicts
         assert lad.first_failure == next((k for k, ok in verdicts.items() if not ok), None)
         if witness is None:
@@ -48,7 +51,7 @@ def test_engine_verdicts_match_ladder(p):
         else:
             assert lad.witness.terms == witness.terms, row_elements(P)
             failed += 1
-        full += lad.full_from is not None
+        full += eng.saturated_at is not None
     # the sample reaches both outcomes and a ladder that fills T^{<=k}
     assert 0 < failed < INSTANCES
     assert full

@@ -40,8 +40,11 @@ ORDERS = {
 
 def check_invariants(pres):
     report = run_command("check", pres)
+    res = pbw_check(len(pres.generators), pres.parsed_deformation(),
+                    ambient=pres.parsed_ambient(), field=pres.field(),
+                    max_degree=pres.max_degree, tor_bound=pres.tor_bound)
     return (report.verdict, report.c, report.certified, report.jacobi,
-            report.dims, report.first_failure, report.checked_upto)
+            report.dims, report.first_failure, res.checked_upto)
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp(32003)"])
