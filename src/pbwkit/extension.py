@@ -45,7 +45,9 @@ reads it).  The recursion is exact:
 
 A word β'x is standard only if β' is, and ĉ(g, β'x) is ĉ(g, β')·x
 reduced by the step's kernel, read before it meets a pivot that another
-candidate of the step inserted (``linalg.closure_step``).  So the
+candidate of the step inserted.  Taken in descending signature (the
+column of lead(g)·β, then |β|), a candidate that reduces to zero keeps
+no representative (``linalg.closure_step`` has the proof).  So the
 components, their pivots and every count below are those of the full
 recursion.  One degree is one ``linalg.closure_step`` over the
 |T[z]^m| columns: x_i· sends the word-degree-d block of T[z]^{m-1} to the

@@ -389,10 +389,11 @@ def inserted(space):
 
 
 def representatives(space):
-    """The representatives ``closure_step`` kept in ``space``, as (row,
-    generator row, n, i): the row is congruent to g·β modulo the left and
-    central products, g the generator row and β the i-th word of length n
-    in lex order."""
+    """The representatives ``closure_step`` kept in ``space``, as (row, c,
+    n), in the order the step stored them: the row is congruent to g·β
+    modulo the left and central products, β a word of length n and c the
+    column of lead(g)·β (``Closure.named`` in test_closure reads g and β
+    off them)."""
     return space._reps
 
 

@@ -4,8 +4,9 @@ engine's cuts against the naive ladder's.
 The T[z] engine stores V·<P_z>^{m-1} unreduced, multiplies by z the rows
 of <P_z>^{m-1} that V·<P_z>^{m-2} lacks, and multiplies each generator g
 on the right only by the standard words β, carried as representatives
-ĉ(g, β) modulo the left and central products; the graded ideal <R> is the
-same step with no z.  ``NaiveEngine`` (conftest) multiplies every row, as
+ĉ(g, β) modulo the left and central products, in descending signature
+and with none kept for a candidate that reduced to zero; the graded ideal
+<R> is the same step with no z.  ``NaiveEngine`` (conftest) multiplies every row, as
 the closures did before; the engine must give the same ideal components
 and annihilators.  The Jacobi ladder and the gr U tables are read from the
 engine: dim(P_m ∩ T^{<=n}) is its pivots of <P_z>^m of word degree <= n,
@@ -14,7 +15,9 @@ over word columns).
 """
 
 import random
+from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 import pytest
 
@@ -22,7 +25,7 @@ from pbwkit.deformation import FilteredSubspace, pn_ladder, rp_of
 from pbwkit.extension import ENGINE_DEGREE_CAP, GR_TABLE_COLUMN_CAP, engine_for
 from pbwkit.freealg import filtration_size, parse_element
 from pbwkit.gradedring import GradedSubspace, ideal_chain
-from pbwkit.linalg import QQ, PrimeField, RowSpace
+from pbwkit.linalg import QQ, ModInt, PrimeField, RowSpace
 
 from conftest import (NaiveEngine, annihilator_basis, inserted, lex_columns, lex_words,
                       naive_ladder, pz_rows, representatives, row_elements, sampled,
@@ -45,6 +48,15 @@ def normal_row(row, c, p):
     return row[c] == 1 and all(0 < s < p for s in vals)
 
 
+def sl2_and_sampled(p, seed):
+    """sl2 and the first INSTANCES sampler presentations at ``seed``, over
+    Q (p None) or F_p."""
+    field = QQ if p is None else PrimeField(p)
+    rng = random.Random(seed)
+    sl2 = FilteredSubspace(3, [parse_element(t, ["e", "f", "h"], field) for t in SL2], field)
+    return [sl2] + [sampled(rng, field) for _ in range(INSTANCES)]
+
+
 @pytest.mark.parametrize("p, seed", [(None, 2), (7, 4703)])
 def test_stored_rows_are_normalised(p, seed, monkeypatch):
     # a product whose leading column is no pivot is stored without a
@@ -53,20 +65,17 @@ def test_stored_rows_are_normalised(p, seed, monkeypatch):
     # the next reduction that reads it) and again on every component of
     # the engine to degree 6 and of the graded ideal; the engine's cut
     # counts must equal those the naive engine counts on its rows
-    field = QQ if p is None else PrimeField(p)
-    rng = random.Random(seed)
-    sl2 = FilteredSubspace(3, [parse_element(t, ["e", "f", "h"], field) for t in SL2], field)
-    real, raw = RowSpace._store, []
+    real, partway, raw = RowSpace._store, [], []
 
     def put(self, vec, lead, stop, normal=False):
-        if not self.is_pivot(lead) and not normal_row(vec, lead, p):
-            raw.append(lead)
+        if not normal_row(vec, lead, p):
+            (partway if self.is_pivot(lead) else raw).append(lead)
         out = real(self, vec, lead, stop, normal)
         if out[0] is not None:
             assert normal_row(self._rows[out[0]], out[0], p)
         return out
     monkeypatch.setattr(RowSpace, "_store", put)
-    for P in [sl2] + [sampled(rng, field) for _ in range(INSTANCES)]:
+    for P in sl2_and_sampled(p, seed):
         eng = engine_for(P)
         naive = NaiveEngine(P)
         for m in range(ENGINE_DEGREE + 1):
@@ -79,9 +88,14 @@ def test_stored_rows_are_normalised(p, seed, monkeypatch):
         for comp in ideal_chain(rp_of(P), ENGINE_DEGREE):
             assert all(normal_row(row, c, p)
                        for c, row in zip(sorted(comp.rows), comp.raw_basis()))
-    # the sample reaches a candidate that meets no pivot and arrives
-    # unnormalised (a representative read partway along its chain)
-    assert raw
+    # a product arrives unnormalised only as a multiple ĉ(g, β)·x of a
+    # representative read partway along its chain, where it met the pivot
+    # L of a row r that a candidate of larger signature stored.  r·x leads
+    # at g·L + x and lies in V·I^{m-1} + z·I^{m-1} plus the span of the
+    # products of signature larger than that of (g, βx), all in the space
+    # when ĉ(g, β)·x comes (closure_step's proof), so g·L + x is a pivot
+    # by then: the sample reaches such products, and all meet a pivot
+    assert partway and not raw
 
 
 @pytest.mark.parametrize("p", [None, 7])
@@ -240,6 +254,25 @@ class Closure:
     def standard(self, n, w):
         return self.col(n, w) not in self.comps[n].rows
 
+    def signature(self, gen, d, word):
+        """(column of lead(gen)·word, |word|) for a generator row of degree
+        d, lead(gen) moved by this closure's own right products."""
+        vec = {min(gen): 1}
+        for k, x in enumerate(word):
+            vec = self.right(vec, d + k, x)
+        return min(vec), len(word)
+
+    def named(self, m, c, n):
+        """The generator row and the word (g, β) of a representative of
+        I^m that ``closure_step`` keeps with (c, n): β the word of length n
+        with lex index c mod g^n and g the one generator of degree m - n
+        with lead(g)·β at column c."""
+        beta = self.word(n, c % self.g ** n)
+        found = [gen for gen in self.gens.get(m - n, ())
+                 if self.signature(gen, m - n, beta) == (c, n)]
+        assert len(found) == 1, (m, c, n)
+        return found[0], beta
+
     def steps(self):
         """(m, I^{m-1}, I^m) for every step."""
         return [(m, self.comps[m - 1], self.comps[m]) for m in range(1, len(self.comps))]
@@ -282,8 +315,8 @@ def test_closure_steps_insert_only_the_new_rows(case, monkeypatch):
             assert nxt._below is prev, m
             assert nxt.rank == cl.g * prev.rank + len(nxt.inserted), m
             want = len(inserted(prev)) if cl.central else 0
-            for row, gen, n, i in representatives(prev):
-                w = cl.word(n, i)
+            for row, c, n in representatives(prev):
+                w = cl.named(m - 1, c, n)[1]
                 letters = sum(cl.standard(n + 1, w + (x,)) for x in range(cl.g))
                 want += letters
                 skipped += cl.g - letters
@@ -317,8 +350,8 @@ def test_representatives_and_skipped_multiples(p):
         for cl in (Closure.engine(P, engine_for(P), ENGINE_DEGREE),
                    Closure.graded(rp_of(P), ENGINE_DEGREE)):
             for m, prev, nxt in cl.steps():
-                for row, gen, n, i in representatives(prev):
-                    w = cl.word(n, i)
+                for row, c, n in representatives(prev):
+                    w = cl.named(m - 1, c, n)[1]
                     for x in range(cl.g):
                         if not cl.standard(n + 1, w + (x,)):
                             assert nxt.contains(cl.right(row, m - 1, x)), \
@@ -330,14 +363,141 @@ def test_representatives_and_skipped_multiples(p):
                         base.insert(cl.left(x, r, m - 1))
                     if cl.central:
                         base.insert(cl.central(r, m - 1))
-                for row, gen, n, i in representatives(nxt):
-                    g_beta = gen
-                    for k, x in enumerate(cl.word(n, i)):
+                for row, c, n in representatives(nxt):
+                    g_beta, w = cl.named(m, c, n)
+                    for k, x in enumerate(w):
                         g_beta = cl.right(g_beta, m - n + k, x)
                     assert proportional(base.reduce_full(row), base.reduce_full(g_beta)), \
-                        (m, n, i, row_elements(P))
+                        (m, c, n, row_elements(P))
                     kept += 1
                     # a representative read where its chain met another
                     # candidate's pivot is not the row the step stored
                     early += nxt.rows.get(min(row)) is not row
     assert skipped and kept and early
+
+
+def monic_key(vec, p):
+    """vec up to a nonzero scalar: its entries over the one at its leading
+    column, sorted by column."""
+    if p is None:
+        lead = Fraction(vec[min(vec)])
+        return tuple(sorted((c, Fraction(s) / lead) for c, s in vec.items() if s))
+    res = {c: s.v if isinstance(s, ModInt) else s % p for c, s in vec.items()}
+    inv = pow(res[min(vec)], -1, p)
+    return tuple(sorted((c, s * inv % p) for c, s in res.items() if s))
+
+
+def spy_candidates(monkeypatch, p):
+    """Record the candidates of every closure step as ``RowSpace._store``
+    is given them, the products passed with the set of the step's own
+    pivots: (space, ``monic_key`` of the product, whether it reduced to
+    zero), in order."""
+    calls, real = [], RowSpace._store
+
+    def put(self, vec, lead, stop, normal=False):
+        key = monic_key(vec, p) if isinstance(stop, set) else None
+        out = real(self, vec, lead, stop, normal)
+        if key is not None:
+            calls.append((self, key, out[0] is None))
+        return out
+    monkeypatch.setattr(RowSpace, "_store", put)
+    return calls
+
+
+def step_candidates(cl, m, prev, nxt, calls, p):
+    """The candidates of the step for I^m in the order it processed them,
+    as ((deg g, lead column of g, β), signature, reduced to zero), each
+    named and made with the closure's own products: ĉ(g, β)·x for each
+    representative ĉ(g, β) of ``prev`` and letter x with βx standard, and
+    the generators of degree m.  Each is processed once.  A generator and
+    a multiple ĉ(g, β)·x may be equal up to a scalar; such candidates are
+    told apart by taking their names in descending signature."""
+    want, made = {}, 0
+    for row, c, n in representatives(prev):
+        gen, beta = cl.named(m - 1, c, n)
+        for x in range(cl.g):
+            if cl.standard(n + 1, beta + (x,)):
+                word = beta + (x,)
+                want.setdefault(monic_key(cl.right(row, m - 1, x), p), []).append(
+                    ((m - 1 - n, min(gen), word), cl.signature(gen, m - 1 - n, word)))
+                made += 1
+    for gen in cl.gens.get(m, ()):
+        want.setdefault(monic_key(gen, p), []).append(
+            ((m, min(gen), ()), cl.signature(gen, m, ())))
+        made += 1
+    for names in want.values():
+        names.sort(key=itemgetter(1), reverse=True)
+    got = [want[key].pop(0) + (zero,) for space, key, zero in calls if space is nxt]
+    assert len(got) == made and not any(want.values()), m
+    return got
+
+
+@pytest.mark.parametrize("p, seed", [(None, 4400), (7, 4407)])
+def test_candidates_in_descending_signature(p, seed, monkeypatch):
+    # closure_step's zero criterion is exact only when every candidate
+    # ĉ(g, β) is processed after all those of larger signature (c, |β|),
+    # c the column of lead(g)·β: named from the representatives and the
+    # generators with this file's own column arithmetic, the candidates
+    # of every step of the engine and of the graded ideal <R_P> to degree
+    # 6 must fall strictly in signature, in the order RowSpace._store is
+    # given them
+    calls = spy_candidates(monkeypatch, p)
+    steps = early = 0
+    for P in sl2_and_sampled(p, seed):
+        for cl in (Closure.engine(P, engine_for(P), ENGINE_DEGREE),
+                   Closure.graded(rp_of(P), ENGINE_DEGREE)):
+            for m, prev, nxt in cl.steps():
+                got = step_candidates(cl, m, prev, nxt, calls, p)
+                sigs = [sig for _, sig, _ in got]
+                assert all(a > b for a, b in zip(sigs, sigs[1:])), (m, sigs, row_elements(P))
+                steps += len(sigs) > 1
+                # a generator processed before some multiple ĉ(g, β)·x
+                words = [name[2] for name, _, _ in got]
+                early += () in words[:-1] and any(words[words.index(()) + 1:])
+        calls.clear()
+    # the sample reaches steps of several candidates, and generators that
+    # go before multiples of smaller signature
+    assert steps and early
+
+
+@pytest.mark.parametrize("p, seed", [(None, 4400), (7, 4407)])
+def test_zero_candidates_keep_no_multiples(p, seed, monkeypatch):
+    # a candidate ĉ(g, β) that reduced to zero keeps no representative, so
+    # no ĉ(g, β)·x is processed at the next degree, and the components are
+    # still the naive closures': every cut of the engine equals
+    # NaiveEngine's, and the graded ideal <R_P> has the pivots of the span
+    # of all left and right products and generators
+    calls = spy_candidates(monkeypatch, p)
+    skipped = 0
+    for P in sl2_and_sampled(p, seed):
+        eng = engine_for(P)
+        for cl in (Closure.engine(P, eng, ENGINE_DEGREE),
+                   Closure.graded(rp_of(P), ENGINE_DEGREE)):
+            zeros = set()
+            for m, prev, nxt in cl.steps():
+                got = step_candidates(cl, m, prev, nxt, calls, p)
+                for (d, lead, word), _, _ in got:
+                    assert (d, lead, word[:-1]) not in zeros, (m, word, row_elements(P))
+                # the multiples ĉ(g, β)·x, βx standard, that a step
+                # without the criterion would make
+                skipped += sum(cl.standard(len(w) + 1, w + (x,)) for d, lead, w in zeros
+                               for x in range(cl.g))
+                zeros = {name for name, _, zero in got if zero}
+            if cl.central is None:
+                naive = RowSpace(P.field)
+                for m, prev, nxt in cl.steps():
+                    below, naive = naive, RowSpace(P.field)
+                    for r in below.basis():
+                        for x in range(cl.g):
+                            naive.insert(cl.left(x, r, m - 1))
+                            naive.insert(cl.right(r, m - 1, x))
+                    for gen in cl.gens.get(m, ()):
+                        naive.insert(gen)
+                    assert sorted(naive.rows) == sorted(nxt.rows), m
+        calls.clear()
+        naive = NaiveEngine(P)
+        for m in range(ENGINE_DEGREE + 1):
+            assert [eng.cut_dim(m, n) for n in range(m + 1)] == \
+                [naive.cut_dim(m, n) for n in range(m + 1)], m
+    # the sample has zero candidates whose multiples the criterion skips
+    assert skipped
