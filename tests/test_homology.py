@@ -12,8 +12,8 @@ from pbwkit.homology import (ResolutionSlice, complexity, is_commutator_relation
                              support_reach, tor3_resolution, tor_bar)
 from pbwkit.linalg import QQ, PrimeField, RowSpace, span
 
-from conftest import (basis_words, lex_words, naive_bar_rows, naive_d2_row, naive_strand,
-                      naive_tor3_resolution, naive_tor_bar, overlap_dimension,
+from conftest import (basis_words, lex_words, naive_bar_rows, naive_d2_row, naive_nf,
+                      naive_strand, naive_tor3_resolution, naive_tor_bar, overlap_dimension,
                       random_homogeneous, sampler_rings)
 
 X, XY, XYZ = ["x"], ["x", "y"], ["x", "y", "z"]
@@ -335,7 +335,9 @@ def test_letter_first_rows_span_the_bar_differential(p):
 
 def test_bar_spans_read_the_letter_rows(monkeypatch):
     # each rank of tor_bar reads the rows of the chains l|x, l a
-    # letter: h(1) cnt(s-1, m-1) of them, for d_3 and d_4 in every degree m
+    # letter: h(1) cnt(s-1, m-1) of them, for d_3 and d_4 in every degree
+    # m, first chain first (their order is pinned by
+    # test_bar_letter_rows_lead_at_their_merged_chain)
     ring, rel = setup(3, ["x*y - y*x", "x*z - z*x", "y*z - z*y"], XYZ)
     sizes = []
     real_rank = homology.integer_rank
@@ -348,6 +350,121 @@ def test_bar_spans_read_the_letter_rows(monkeypatch):
     assert tor_bar(ring, 3, 6).dims == {3: 1}
     assert sizes == [ring.g * len(naive_strand(ring, s - 1, m - 1))
                      for m in range(3, 7) for s in (3, 4)]
+
+
+def _chain_key(ring):
+    """The order of ``homology._strand_starts`` on tuple chains: the
+    degree, then the rank in the basis, of each factor in turn."""
+    ranks = {}
+
+    def key(chain):
+        out = []
+        for w in chain:
+            if len(w) not in ranks:
+                ranks[len(w)] = {u: i for i, u in enumerate(basis_words(ring, len(w)))}
+            out += (len(w), ranks[len(w)][w])
+        return tuple(out)
+    return key
+
+
+def test_strand_starts_place_the_naive_chains():
+    # start[s][r][d] counts the chains of the (s, r) strand whose first
+    # factor has degree < d, the empty chain of strand 0 counting as
+    # degree 0, and ends with the strand's size; the chain a|x sits at
+    # start[s][r][d] + i cnt(s-1, r-d) + pos(x), a the i-th basis word of
+    # degree d, which orders the chains by (degree, rank) of each factor
+    # in turn.  A strand is listed up to the degree its h values reach
+    finite = sampler_rings(QQ, 18)[17][0]
+    assert finite.hilbert(8).finite_dim
+    rings = [setup(3, ["x*y - y*x", "x*z - z*x", "y*z - z*y"], XYZ)[0],
+             setup(2, ["x*y*x - y*x*y"], XY)[0], finite]
+    bound, top = 7, 4
+    for ring in rings:
+        key = _chain_key(ring)
+        for reach in (bound, 5):
+            h = [0] + [len(ring.basis(d)[0]) for d in range(1, reach + 1)]
+            start = homology._strand_starts(h, top, bound)
+
+            def pos(s, r, chain):
+                if not chain:
+                    return 0
+                d, i = key(chain[:1])
+                return start[s][r][d] + i * start[s - 1][r - d][-1] + pos(s - 1, r - d, chain[1:])
+            assert len(start) == top + 1
+            for s in range(top + 1):
+                assert len(start[s]) == (bound if s == 0 else min(bound, reach - 1 + s)) + 1
+                for r, st in enumerate(start[s]):
+                    # naive_strand(ring, 1, 0) is the empty word, outside A+
+                    chains = sorted((c for c in naive_strand(ring, s, r) if all(c)), key=key)
+                    first = [len(c[0]) if c else 0 for c in chains]
+                    assert st == [sum(f < d for f in first)
+                                  for d in range(max(r - s + 2, 1) if s else 1)] + [len(chains)]
+                    assert [pos(s, r, c) for c in chains] == list(range(len(chains)))
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_bar_letter_rows_lead_at_their_merged_chain(p, monkeypatch):
+    # the chain at position q of a strand is column -q, so a letter row
+    # d(l|x) = mu(l, x_1)|x' - l|d(x) leads at its largest chain: past
+    # every chain l|y, the merged chain at the top basis word of nf(l x_1).
+    # The rows come first chain first.  Where l x_1 is a normal word that
+    # chain determines l, x_1 and x', so those rows lead at distinct
+    # columns; a row whose l x_1 reduces may have taken the column before
+    # (x|y|x' leads where y|x|x' does in k[x, y, z], nf(xy) = yx)
+    field = QQ if p is None else PrimeField(p)
+    comm = GradedSubspace.from_elements(
+        3, [parse_element(t, XYZ, field) for t in ("x*y - y*x", "x*z - z*x", "y*z - z*y")],
+        field)
+    kxyz = PresentedRing(3, comm, field)
+    ranks = []
+    real_rank = homology.integer_rank
+
+    def spy(field, rows):
+        rows = [dict(row) for row in rows]
+        ranks.append(rows)
+        return real_rank(field, [dict(row) for row in rows])
+    monkeypatch.setattr(homology, "integer_rank", spy)
+
+    def monic(row):
+        if not row:
+            return row
+        lead = row[min(row)]
+        return {c: s / lead for c, s in row.items()}
+    for ring in [ring for ring, _ in sampler_rings(field, 20)] + [kxyz]:
+        key = _chain_key(ring)
+        ranks.clear()
+        assert tor_bar(ring, 3, 5).dims == naive_tor_bar(ring, 3, 5)
+        got = iter(ranks)
+        for m in range(3, 6):
+            for s in (3, 4):
+                below = sorted(naive_strand(ring, s - 1, m), key=key)
+                index = {c: q for q, c in enumerate(below)}
+                dom = sorted((c for c in naive_strand(ring, s, m) if len(c[0]) == 1), key=key)
+                rows = next(got)
+                assert len(rows) == len(dom)
+                normal_leads = set()
+                for chain, row, want in zip(dom, rows, naive_bar_rows(ring, dom, below)):
+                    assert monic({c: field.from_int(x) for c, x in row.items()}) == \
+                        monic({-q: x for q, x in want.items()}), chain
+                    merged = chain[0] + chain[1]
+                    nf = naive_nf(ring, merged)
+                    if nf:
+                        top = max(nf, key=lambda w: key((w,)))
+                        assert min(row) == -index[(top,) + chain[2:]], chain
+                    if merged in basis_words(ring, len(merged)):
+                        assert min(row) not in normal_leads, chain
+                        normal_leads.add(min(row))
+    # the rows of k[x, y, z] at bound 8 whose leading column is already a
+    # pivot when they come, the count of BENCH_bar_pivots.json
+    ranks.clear()
+    assert tor_bar(kxyz, 3, 8).dims == {3: 1}
+    colliding = 0
+    for rows in ranks:
+        sp = RowSpace(field)
+        for row in rows:
+            colliding += sp.is_pivot(min(row)) if row else 0
+            sp.insert(row)
+    assert colliding == 10703
 
 
 def test_bar_strand_guard_before_rows(monkeypatch):

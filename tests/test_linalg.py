@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from pbwkit.errors import InvariantViolation, ValidationError
 from pbwkit.freealg import filtration_size
-from pbwkit.linalg import QQ, PrimeField, RowSpace, closure_step, left_kernel_basis, span
+from pbwkit.linalg import (QQ, PrimeField, RowSpace, closure_step, integer_rank,
+                           left_kernel_basis, span)
 
 from conftest import (DenseEchelon, dense_rank, intersection, lex_columns, lex_words, zcolumns,
                       zword_at)
@@ -348,6 +349,52 @@ def test_rowspace_matches_dense_oracle(case):
         else:
             assert row[c] == 1 and all(0 < s < p for s in row.values())
         assert sp.pivots[c][c] == field.one
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_rowspace_accepts_negative_columns(p):
+    # the bar oracle puts the chain at position q on column -q, so its
+    # pivots, the least columns of their rows, are negative.  Column c of
+    # a dense row goes to -c; the oracle reads the dense row reversed, its
+    # column k being -(ncols - 1 - k), and the rows come in a seeded order
+    field = QQ if p is None else PrimeField(p)
+    entries = [0, 0, 0, 1, -1, 2, 3, -5, 7, 10**20 + 7]
+    for seed in range(20):
+        rng = random.Random(seed)
+        ncols = rng.randint(1, 8)
+        rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(rng.randint(1, 7))]
+        # combinations of earlier rows, so that some rows reduce to zero
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.choice(entries), rng.choice(entries)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        rng.shuffle(rows)
+        probes = [[rng.choice(entries) for _ in range(ncols)] for _ in range(3)]
+
+        def negated(dense):
+            out = {-c: field.from_int(x) for c, x in enumerate(dense)}
+            return {c: s for c, s in out.items() if s}
+
+        def mirrored(vec):
+            out = [0] * ncols
+            for c, s in vec.items():
+                out[ncols - 1 + c] = s if p is None else s.v
+            return out
+
+        oracle = DenseEchelon(ncols, p)
+        sp = RowSpace(field)
+        for r in rows:
+            lead = oracle.insert(r[::-1])
+            assert sp.insert(negated(r)) == (None if lead is None else lead - ncols + 1)
+        ints = [{-c: x for c, x in enumerate(r) if x} for r in rows]
+        rank = len(oracle.rows)
+        assert integer_rank(field, [r for r in ints if r]) == rank == sp.rank
+        if p is None:
+            assert dense_rank(rows) == rank
+        for r in rows + probes:
+            dense = r[::-1]
+            assert sp.contains(negated(r)) == (not any(oracle.reduce_leading(dense)))
+            assert mirrored(sp.reduce_full(negated(r))) == oracle.reduce_full(dense)
 
 
 def test_reduce_full_integers_cancels_the_content():
