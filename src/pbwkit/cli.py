@@ -36,12 +36,12 @@ def _lift(pres, timings):
                  pres.parsed_deformation(), pres.parsed_ambient(), pres.field())
 
 
-def _ring(pres, timings, max_degree):
+def _ring(pres, timings, max_degree, tor_bound=0):
     """The stages every homological command starts with: lift, extract R_P,
     minimize it; returns (LiftResult, R, ring)."""
     P, lift = _lift(pres, timings)
     rp = timed(timings, "extract", rp_of, P)
-    rmin, ring = timed(timings, "minimize", minimized_ring, rp, max_degree)
+    rmin, ring = timed(timings, "minimize", minimized_ring, rp, max_degree, tor_bound)
     return lift, rmin, ring
 
 
@@ -122,14 +122,13 @@ def cmd_jacobi(pres, upto=None):
 
 def cmd_complexity(pres, upto=None):
     timings = {}
-    lift, rmin, ring = _ring(pres, timings, pres.max_degree)
-    cres = timed(timings, "complexity", complexity, ring, rmin,
-                 bound_hint=pres.tor_bound or 8)
+    bound = pres.tor_bound or 8
+    lift, rmin, ring = _ring(pres, timings, pres.max_degree, bound)
+    cres = timed(timings, "complexity", complexity, ring, rmin, bound_hint=bound)
     dims = _empty_dims()
     dims["tor3"] = {str(m): d for m, d in sorted(cres.table.dims.items())} \
         if cres.table else {}
-    hil = timed(timings, "hilbert", ring.hilbert,
-                min(ring.max_degree, pres.max_degree))
+    hil = timed(timings, "hilbert", ring.hilbert, pres.max_degree)
     dims["h_A"] = hil.values
     notes = [cres.note] if cres.note else []
     if lift.note:
@@ -141,7 +140,7 @@ def cmd_complexity(pres, upto=None):
 def cmd_tor(pres, upto=None):
     bound = upto if upto is not None else (pres.tor_bound or 8)
     timings = {}
-    lift, rmin, ring = _ring(pres, timings, pres.max_degree)
+    lift, rmin, ring = _ring(pres, timings, pres.max_degree, bound)
     table = timed(timings, "resolution", tor3_resolution, ring, rmin, bound)
     bar = timed(timings, "bar", tor_bar, ring, 3, bound)
     dims = _empty_dims()

@@ -25,8 +25,8 @@ from functools import cached_property
 from .errors import DomainMismatch, InvalidPresentation, InvariantViolation, ValidationError
 from .extension import ENGINE_DEGREE_CAP, ExtensionEngine, check_depth, engine_for
 from .freealg import Element, WordBasis, column_guard, guard_reach, project
-from .gradedring import (GradedSubspace, PresentedRing, graded_ideal_step,
-                         ideal_chain, minimal_complement)
+from .gradedring import (DEFAULT_MAX_DEGREE, GradedSubspace, PresentedRing,
+                         graded_ideal_step, ideal_chain, minimal_complement)
 from .homology import complexity
 from .linalg import QQ, RowSpace, span
 
@@ -228,7 +228,8 @@ def lift_presentation(g, ambient_elements, deformation_elements, field=QQ):
         if n < 2:
             raise ValidationError("ambient relations must be homogeneous of degree >= 2")
     k0 = minimal_complement(raw)
-    ambient_ring = PresentedRing(g, k0, field)
+    ambient_ring = PresentedRing(g, k0, field, max(
+        [DEFAULT_MAX_DEGREE] + [e.degree() for e in deformation_elements if not e.is_zero()]))
     reduced = []
     for e in deformation_elements:
         total = Element(field)
@@ -280,17 +281,17 @@ def lifted(g, deformation, ambient, field):
     return FilteredSubspace(g, lift.spanning, field), lift
 
 
-def minimized_ring(rp, max_degree):
+def minimized_ring(rp, max_degree, tor_bound=0):
     """(R, A): R_P minimized to a bimodule of relations R, and A = T/<R>
-    with its degree cap max(10, max_degree + 1).  The homological stages
-    need R_P in degrees >= 2."""
+    with its degree cap max(10, max_degree + 1, tor_bound), tor_bound the
+    Tor_3 bound scanned.  The homological stages need R_P in degrees >= 2."""
     if rp.degrees() and rp.degrees()[0] <= 1:
         raise ValidationError(
             "top components of degree <= 1: homological commands need "
             "relations in degrees >= 2")
     rmin = minimize_relations(rp)
-    return rmin, PresentedRing(rp.g, rmin, rp.field,
-                               max_degree=max(10, max_degree + 1))
+    return rmin, PresentedRing(rp.g, rmin, rp.field, max_degree=max(
+        DEFAULT_MAX_DEGREE, max_degree + 1, tor_bound))
 
 
 @dataclass
@@ -365,9 +366,9 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
     low = rp.degrees()[0] <= 1
 
     if not low:
-        rmin, ring = timed(timings, "minimize", minimized_ring, rp, max_degree)
-        cres = timed(timings, "complexity", complexity, ring, rmin,
-                     bound_hint=tor_bound or 8)
+        bound = tor_bound or 8
+        rmin, ring = timed(timings, "minimize", minimized_ring, rp, max_degree, bound)
+        cres = timed(timings, "complexity", complexity, ring, rmin, bound_hint=bound)
         # h_A is only displayed, so it stops below the first degree whose
         # g^n columns the column guard would refuse, with a note
         want = min(ring.max_degree, max(max_degree, d))

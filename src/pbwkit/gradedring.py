@@ -282,9 +282,3 @@ def minimal_complement(rel, chain=None):
             if acc.insert(row) is not None:
                 keep.insert(row)
     return out
-
-
-def is_minimal_relations(rel):
-    """True iff rel ∩ (F¹<rel> + <rel>F¹) = 0 degree-wise."""
-    comp = minimal_complement(rel)
-    return all(comp.dim(n) == rel.dim(n) for n in rel.degrees())

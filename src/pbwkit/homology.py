@@ -16,7 +16,8 @@ of a (x) r being the block's offset plus rank(a); the codomain
 (A (x) A^1)^m has b (x) x_i at rank(b) g + i.  The blocks come in the
 order of R's degrees, so a block keeps its index from one degree to the
 next, and the unit columns 1 (x) r are the offsets of the blocks with
-j = m.
+j = m.  The kernel decides minimality: R^m meets F¹I + IF¹ iff a vector
+of K2^m has a unit column (``ResolutionSlice.kernel_of_d2``).
 
 Bar route: the normalized bar complex has n-chains (A+)^(x)n with
 differential sum (-1)^(i-1) (merge at i); the internal-degree-m strand is
@@ -54,19 +55,20 @@ Both routes read one cache, the integer normal forms of
 basis; it holds only the words that were reduced, a basis word being its
 own normal form, and a remainder column outside the basis raises there.
 The resolution checks d1 d2 = 0 on each degree-m row by membership in
-I^m, which builds no normal form of degree m.  Each row is
-scaled to integers by the lcm L of its normal forms' denominators.  The
-bar rows and A^1 K2 only feed ranks and containment, which no scale
-changes; a d2 row enters the left kernel with the tag L in place of 1, so
-the kernel vectors stay exact.
+I^m, which builds no normal form of degree m.  Each row is scaled to
+integers by the lcm L of its normal forms' denominators.  The bar rows
+and A^1 K2 only feed ranks and containment, which no scale changes; a d2
+row enters the left kernel with the tag L in place of 1, so the kernel
+vectors stay exact.
 
 Complexity: certified when a Hilbert scan finds A finite dimensional.
 Before the scan, the support quotient T/J is tried, J the monomial ideal
 generated by the words in the support of the relations: A maps onto T/J,
 so a degree that T/J reaches is nonzero in A, and when T/J reaches the
-scan's top degree the scan would find no zero and is skipped.  Whether T/J reaches a degree is decided over the last L - 1
-letters of the words that avoid J, L the longest support word (the word
-counting of Ufnarovski, Math. Notes 31, 1982), so no ideal is built.
+scan's top degree the scan would find no zero and is skipped.  Whether
+T/J reaches a degree is decided over the last L - 1 letters of the words
+that avoid J, L the longest support word (the word counting of
+Ufnarovski, Math. Notes 31, 1982), so no ideal is built.
 """
 
 from __future__ import annotations
@@ -77,7 +79,6 @@ from math import comb, lcm
 from .errors import (InvariantViolation, NotMinimalRelations, ResourceExceeded,
                      ValidationError)
 from .freealg import lex_pos, lex_word
-from .gradedring import is_minimal_relations
 from .linalg import RowSpace, integer_rank, integer_vector, left_kernel_basis, span
 
 BAR_STRAND_GUARD = 200000
@@ -169,17 +170,23 @@ class ResolutionSlice:
 
     def kernel_of_d2(self):
         """Basis of K2^m as coefficient vectors over the domain columns.
-        Also checks d1 d2 = 0 and K2 ⊆ A+ (x) R on this slice.
+        Also checks d1 d2 = 0, and that R^m ∩ Ĩ^m = 0, Ĩ = F¹I + IF¹: a
+        unit column in the kernel raises NotMinimalRelations.
 
-        d1(b (x) x_i) = nf(b x_i) and nf has kernel I^m, so d1 d2 = 0 on a
-        row iff the sum of its entries times the words b x_i lies in I^m:
-        one leading-chain reduction per row, with no normal form of degree
-        m.  A row built from a wrong normal form is caught here when its
-        words leave I^m.  A fault that only scales whole rows, as one that
-        doubles the normal form of every word a row reads, keeps them in
-        I^m and keeps every rank; the kernel it gives has the wrong scales,
-        and ``tor3_resolution`` finds A^1 K2^{m-1} outside K2^m one degree
-        up."""
+        A sum of a (x) r lies in K2 iff its lift sum a r in T lies in IF¹
+        (d2 reads off the last letter), so a kernel vector with unit part r
+        gives r ∈ IF¹ + F¹I.  Conversely, R generating I, r ∈ R^m ∩ Ĩ^m is
+        sum x_i f_i + e, e ∈ IF¹, f_i = lift(κ_i) mod IF¹, κ_i ∈ (A (x)
+        R)^(m-1), and 1 (x) r - sum x_i κ_i ∈ K2^m has unit part r.
+
+        d1(b (x) x_i) = nf(b x_i) has kernel I^m, so d1 d2 = 0 on a row iff
+        the sum of its entries times the words b x_i lies in I^m: one
+        leading-chain reduction per row, with no normal form of degree m.
+        A row built from a wrong normal form is caught here when its words
+        leave I^m.  A fault that only scales whole rows, as one doubling
+        the normal form of every word a row reads, keeps them in I^m and
+        every rank; the kernel it gives has the wrong scales, and
+        ``tor3_resolution`` finds A^1 K2^{m-1} outside K2^m one degree up."""
         ring, g, m = self.ring, self.ring.g, self.m
         rows = self.d2_rows()
         # b (x) x_i at column rank(b) g + i is the word at pos(b) g + i of
@@ -195,7 +202,8 @@ class ResolutionSlice:
         unit_cols = {off for j, _, off in self.blocks if j == m}
         for v in ker:
             if any(c in unit_cols for c in v):
-                raise InvariantViolation("kernel escapes A+ (x) R: relations not minimal?")
+                raise NotMinimalRelations(f"relations of degree {m} meet F¹I + IF¹: "
+                                          "not a bimodule of relations")
         return ker
 
     def left_letter_rows(self, below, kernel):
@@ -222,17 +230,14 @@ class ResolutionSlice:
 
 
 def tor3_resolution(ring, rel, bound):
-    """dim Tor_{3,m} for m <= bound via K2, requiring rel to be a bimodule
-    of relations for the ring (checked; NOT_MINIMAL_RELATIONS otherwise)."""
-    if rel.max_degree() >= 0 and not is_minimal_relations(rel):
-        raise NotMinimalRelations("relations are not a bimodule of relations")
+    """dim Tor_{3,m} for m <= bound via K2, rel being a bimodule of
+    relations for the ring up to the bound, as each slice checks
+    (NOT_MINIMAL_RELATIONS otherwise); Ĩ^m = K2^m = 0 for m <= 2."""
     dims = {}
     if rel.max_degree() < 0:
         return TorTable(3, bound, {})
     prev_slice = None
     prev_kernel = []
-    # V_n^i = 0 for i <= 1 and K2 lives inside A+ (x) R with R in degrees
-    # >= 2, so Tor_{3,m} vanishes for m <= 2
     for m in range(3, bound + 1):
         sl = ResolutionSlice(ring, rel, m)
         ker = sl.kernel_of_d2()

@@ -638,6 +638,35 @@ class TestCommands:
         assert "graded deformation is of PBW type regardless" in note
         assert "positive verdicts are degraded" not in note
 
+    def test_lift_ring_reaches_the_deformation_degree(self, tmp_path, capsys):
+        # the lift takes normal forms modulo K0 up to the deformation's top
+        # degree 11, above the default ring cap of 10; the same algebra
+        # written over the free algebra gives the same report
+        deformation = '"x*x*x*x*x*x*x*x*x*x*x - y"'
+        reports = []
+        for ambient, extra in (('"x*y - y*x"', ""), ("", '"x*y - y*x", ')):
+            f = tmp_path / "deep.pbw"
+            f.write_text(f'generators = ["x", "y"]\nambient_relations = [{ambient}]\n'
+                         f"deformation = [{extra}{deformation}]\nmax_degree = 12\n")
+            assert main(["check", str(f), "--json"]) == 2
+            report = json.loads(capsys.readouterr().out)
+            reports.append({k: v for k, v in report.items() if k != "timings"})
+        assert reports[0] == reports[1]
+        assert reports[0]["dims"]["h_A"] == list(range(1, 12)) + [11, 11]
+
+    @pytest.mark.parametrize("cmd, key, args, code", [
+        ("check", "tor_bound = 11\n", [], 2),
+        ("complexity", "tor_bound = 11\n", [], 0),
+        ("tor", "", ["--upto", "12"], 0)], ids=["check", "complexity", "tor"])
+    def test_ring_reaches_the_tor_bound(self, cmd, key, args, code, tmp_path, capsys):
+        # the quantum plane x y = 2 y x at max_degree = 4: the Tor_3 scan to
+        # the bound reads I^11 (I^12 for tor), past max(10, max_degree + 1)
+        f = tmp_path / "plane.pbw"
+        f.write_text('generators = ["x", "y"]\ndeformation = ["x*y - 2*y*x - 1"]\n'
+                     f"max_degree = 4\n{key}")
+        assert main([cmd, str(f), "--json", *args]) == code
+        assert json.loads(capsys.readouterr().out)["dims"]["tor3"] == {}
+
     def test_field_override(self, capsys):
         assert main(["check", gallery("heisenberg.pbw"), "--field", "Fp:7"]) == 2
         out = capsys.readouterr().out
@@ -645,6 +674,18 @@ class TestCommands:
 
     def test_bad_field_flag(self, capsys):
         assert main(["check", gallery("heisenberg.pbw"), "--field", "Fp:6"]) == 12
+
+
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+@pytest.mark.parametrize("name, upto", [
+    *((name, None) for name in pbwkit.gallery_names()),
+    # k[x, y, z] at bound 9: the deepest strands of the bar oracle
+    ("sl2.pbw", 9)])
+def test_tor_routes_agree(name, upto, field, capsys):
+    # resolution and bar at tor's default bound on every gallery file
+    upto = [] if upto is None else ["--upto", str(upto)]
+    assert main(["tor", gallery(name), "--field", field, *upto]) == 0
+    assert "resolution and bar routes agree" in capsys.readouterr().out
 
 
 class TestRunCommand:

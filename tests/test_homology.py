@@ -6,15 +6,15 @@ import pytest
 
 from pbwkit import homology
 from pbwkit.errors import InvariantViolation, NotMinimalRelations, ResourceExceeded
-from pbwkit.freealg import Element, parse_element
-from pbwkit.gradedring import GradedSubspace, PresentedRing
+from pbwkit.freealg import Element, multiply, parse_element
+from pbwkit.gradedring import GradedSubspace, PresentedRing, minimal_complement
 from pbwkit.homology import (ResolutionSlice, complexity, is_commutator_relations,
                              support_reach, tor3_resolution, tor_bar)
 from pbwkit.linalg import QQ, PrimeField, RowSpace, span
 
 from conftest import (basis_words, lex_words, naive_bar_rows, naive_d2_row, naive_nf,
                       naive_strand, naive_tor3_resolution, naive_tor_bar, overlap_dimension,
-                      random_homogeneous, sampler_rings)
+                      random_homogeneous, sampler_rings, to_field)
 
 X, XY, XYZ = ["x"], ["x", "y"], ["x", "y", "z"]
 
@@ -54,6 +54,56 @@ class TestTor3Resolution:
             1, [parse_element("x*x", X), parse_element("x*x*x", X)])
         with pytest.raises(NotMinimalRelations):
             tor3_resolution(PresentedRing(1, fat), fat, 5)
+
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_non_minimal_relation_above_the_bound(self, p):
+        # x^3 (x y - y x) lies in F¹I + IF¹ and enters no slice below its
+        # degree 5: to bound 4 the table is that of k[x, y, z]
+        field = QQ if p is None else PrimeField(p)
+        comm = ["x*y - y*x", "x*z - z*x", "y*z - z*y"]
+
+        def rel_of(texts):
+            return GradedSubspace.from_elements(
+                3, to_field(field, [parse_element(t, XYZ) for t in texts]), field)
+
+        fat, thin = rel_of(comm + ["x*x*x*x*y - x*x*x*y*x"]), rel_of(comm)
+        ring = PresentedRing(3, fat, field)
+        assert tor3_resolution(ring, fat, 4).dims == {3: 1}
+        assert tor3_resolution(PresentedRing(3, thin, field), thin, 4).dims == {3: 1}
+        with pytest.raises(NotMinimalRelations):
+            tor3_resolution(ring, fat, 5)
+
+    @pytest.mark.parametrize("p", [None, 7])
+    def test_kernel_decides_minimality(self, p, rng):
+        # random relations, some with a letter times an earlier one: the
+        # resolution refuses them iff the closure finds R^n ∩ (F¹I + IF¹)
+        # != 0 in some degree n <= bound
+        field = QQ if p is None else PrimeField(p)
+        seen = set()
+        for _ in range(30):
+            g = rng.choice([1, 2, 2, 3])
+            elems = []
+            for _ in range(rng.randint(1, 3)):
+                if elems and rng.random() < 0.5:
+                    x = Element(QQ, {(rng.randrange(g),): QQ.one})
+                    e = rng.choice(elems)
+                    elems.append(multiply(x, e) if rng.random() < 0.5 else multiply(e, x))
+                else:
+                    elems.append(random_homogeneous(rng, g, rng.randint(2, 3), 2))
+            rel = GradedSubspace.from_elements(g, to_field(field, elems), field)
+            if not rel.degrees():
+                continue
+            bound = rng.choice([3, 4])
+            comp = minimal_complement(rel)
+            minimal = all(comp.dim(n) == rel.dim(n) for n in rel.degrees() if n <= bound)
+            try:
+                tor3_resolution(PresentedRing(g, rel, field), rel, bound)
+                refused = False
+            except NotMinimalRelations:
+                refused = True
+            assert refused != minimal, [str(e) for e in elems]
+            seen.add((refused, any(n > bound for n in rel.degrees())))
+        assert seen >= {(True, False), (False, False), (False, True)}
 
 
 class TestTorBar:
@@ -112,8 +162,8 @@ class TestOracleEquivalence:
             assert res.dims == bar.dims, texts
 
     def test_k2_inside_aplus_r_and_d1d2_zero(self):
-        # these structural facts are asserted inside the slice builder;
-        # running it over the gallery cases exercises the assertions
+        # the slice builder checks these structural facts and raises on a
+        # failure; running it over the gallery cases exercises the checks
         for g, texts, gens in ((1, ["x*x"], X), (2, ["x*x", "x*y"], XY)):
             ring, rel = setup(g, texts, gens)
             tor3_resolution(ring, rel, 6)

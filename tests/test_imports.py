@@ -1,9 +1,15 @@
-"""No module of pbwkit imports a name it does not use, and every public
-function or method it defines is read somewhere in the package.
+"""No module of pbwkit imports a name it does not use, every public
+function or method it defines is read somewhere in the package, and no
+module holds code that ``python -O`` strips.
 
 Names imported relatively into ``__init__.py`` are the package's public
 surface (re-exports): they are exempt from the first check and count as
 reads for the second.
+
+With no ``assert`` statement and no read of ``__debug__``, the package runs
+the same code with and without ``-O``, so one tier-1 run under ``-O``
+covers both: pytest rewrites the asserts of the test modules and of
+``conftest.py``, which then still fire.
 """
 
 import ast
@@ -92,3 +98,35 @@ def test_detects_an_unread_definition(tmp_path):
         "    def _private(self):\n        return 0\n")
     assert unread_definitions(sorted(tmp_path.glob("*.py"))) == [
         ("mod.py", "orphan"), ("mod.py", "recursive")]
+
+
+def debug_only_code(path):
+    """(line, what) of each ``assert`` statement and each read of
+    ``__debug__`` in the module at path: the code ``python -O`` strips or
+    turns off."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Assert):
+            found.append((node.lineno, "assert"))
+        elif (isinstance(node, ast.Name) and node.id == "__debug__"
+              or isinstance(node, ast.Attribute) and node.attr == "__debug__"):
+            found.append((node.lineno, "__debug__"))
+    return sorted(found)
+
+
+def test_no_debug_only_code():
+    found = {str(path.relative_to(SRC)): debug_only_code(path)
+             for path in sorted(SRC.rglob("*.py"))}
+    assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def test_detects_debug_only_code(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        '"""assert in a docstring is text."""\n'
+        "import builtins\n\n"
+        "def f(x):\n    assert x > 0, 'positive'\n    return x\n\n"
+        "if __debug__:\n    print('checked')\n"
+        "# assert in a comment is text\n"
+        "print(builtins.__debug__)\n")
+    assert debug_only_code(mod) == [(5, "assert"), (8, "__debug__"), (11, "__debug__")]
