@@ -46,9 +46,14 @@ resolution, so the two routes stay independent.  The letter rows are the
 first h(1) cnt(s-1, r-1) chains of a strand; they go into their span
 first chain first, the chain at position p being column -p: a row then
 leads at mu(l, x_1)|x' at the top word of nf(l x_1), which no other row
-with a normal l x_1 shares.  For Tor_3 of k[x, y, z] (the A of ``sl2``)
-at bound 8 the spans take 24 384 rows and 28 858 steps, 49 060 on
-columns p last chain first.
+with a normal l x_1 shares.  That lead needs no row, so the letter rows
+that no strand above reads go to the rank unbuilt, and a row is built
+only when a reduction reads its pivot or another row meets its lead.
+For Tor_3 of k[x, y, z] (the A of ``sl2``) at bound 8 the spans take
+24 384 rows and 28 858 steps, 49 060 on columns p last chain first, and
+build 17 955 of the 22 113 rows handed unbuilt; on the 16 rings of the
+``random-homology`` benchmark at bound 6 they take 37 028 rows and 5 041
+steps, and build 5 298 of 32 433.
 
 Both routes read one cache, the integer normal forms of
 ``PresentedRing.nf_word`` by degree and position over the ranks of the
@@ -75,6 +80,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from math import comb, lcm
+from types import MethodType
 
 from .errors import (InvariantViolation, NotMinimalRelations, ResourceExceeded,
                      ValidationError)
@@ -261,6 +267,26 @@ def tor3_resolution(ring, rel, bound):
 # ---------------------------------------------------------------------------
 # Normalized bar complex (the oracle).
 
+def _bar_row(part):
+    """The integer row fm·mu(a, x_1)|x' - fx·a|d(x) of a chain a|x, on
+    columns -position, from its parts (rx, off, cols, q2, fx, fm): x's
+    row ``rx`` moved by a's offset ``off``, and the merged terms ``cols``
+    (column, integer) moved by the position q2 of x'.  Plain loops, not
+    comprehensions: the rows are short (under three entries on average on
+    k[x, y, z]), and under CPython 3.11 each comprehension is a call."""
+    rx, off, cols, q2, fx, fm = part
+    row = {}
+    if fx == 1:
+        for col, c in rx.items():
+            row[col - off] = -c
+    else:
+        for col, c in rx.items():
+            row[col - off] = -fx * c
+    for col, c in cols:
+        row[col - q2] = fm * c
+    return row
+
+
 def _strand_starts(h, top, bound):
     """Chain positions of the strands (A+)^(x)s, s <= top, in internal
     degree r <= bound, from h[d] = dim A^d (d >= 1; h[0] unused).
@@ -297,7 +323,11 @@ def tor_bar(ring, hom_degree, bound):
     every other row lies in their span (module docstring), over Q and
     over F_p alike, first chain first on columns -p.  Strand n is still
     built in full below the bound, as the letter row l|x of strand n + 1
-    reads the row of every x.
+    reads the row of every x; its letter rows go to the rank as they are.
+    The letter rows that no strand reads, those of strand n + 1 and of
+    strand n at the bound, go as (leading column, builder) pairs, and
+    the rank builds one only when a reduction reads its pivot or another
+    row meets its lead (``integer_rank``).
     ``BAR_STRAND_GUARD`` bounds the chains of the whole strands n - 1, n
     and n + 1, checked before any row is built."""
     if not 1 <= hom_degree <= 4:
@@ -339,11 +369,20 @@ def tor_bar(ring, hom_degree, bound):
             out = kept[s, r] = list(rows(s, r))
         return out
 
-    def rows(s, r, top=None):
+    def rows(s, r, top=None, lazy=False):
         """The rows of ``rows_of``, first chain first; with ``top``, only
-        those of the chains whose first factor has degree <= top."""
+        those of the chains whose first factor has degree <= top.  With
+        ``lazy`` a row comes unbuilt, as a pair (leading column, builder)
+        for ``integer_rank``, or as {} when it is zero.  Its lead is the
+        merged chain at the top basis word of nf(a x_1) when that is
+        nonzero, else the lead of x's row moved by a's offset: the merged
+        chains come after every chain a|y, and the two parts hold nonzero
+        integers (nonzero residues over F_p) at disjoint chains, so
+        nothing cancels."""
         if s == 1:
-            yield from [({}, 1)] * start[1][r][-1 if top is None else min(top, r) + 1]
+            # d_1 = 0
+            size = start[1][r][-1 if top is None else min(top, r) + 1]
+            yield from [{} if lazy else ({}, 1)] * size
             return
         here, there = start[s - 1][r], start[s - 2]
         d0 = r - s + 1 if top is None else min(r - s + 1, top)
@@ -364,32 +403,37 @@ def tor_bar(ring, hom_degree, bound):
                     for j in range(h[d1]):
                         terms, dm = line[j]
                         cols = [(-base - k * n2, c) for k, c in terms.items()]
+                        top_col = min(cols)[0] if cols else None
                         for q2 in range(n2):
                             rx, lx = xrows[q]
                             q += 1
                             if lx == dm:
-                                row = {col - off: -c for col, c in rx.items()}
-                                for col, c in cols:
-                                    row[col - q2] = c
-                                yield row, dm
+                                den, fx, fm = dm, 1, 1
                             else:
                                 den = lcm(dm, lx)
-                                f, g = den // dm, den // lx
-                                row = {col - off: -g * c for col, c in rx.items()}
-                                for col, c in cols:
-                                    row[col - q2] = f * c
-                                yield row, den
+                                fx, fm = den // lx, den // dm
+                            part = rx, off, cols, q2, fx, fm
+                            if not lazy:
+                                yield _bar_row(part), den
+                            elif cols or rx:
+                                # the builder is _bar_row bound to the parts:
+                                # one object, where a partial makes three
+                                lead = top_col - q2 if cols else min(rx) - off
+                                yield lead, MethodType(_bar_row, part)
+                            else:
+                                yield {}
 
     dims = {}
     for m in range(n, bound + 1):
         # each rank reads the letter-first rows only (see the docstring);
         # d_n^m is built in full below the bound, as the letter rows of
-        # d_{n+1}^{m+1} read the row of every chain of strand n, so those
-        # kept rows go to the kernel, which changes its rows, as copies
-        dn = ((dict(row) for row, _ in rows_of(n, m)[:start[n][m][2]])
-              if m < bound else (row for row, _ in rows(n, m, 1)))
+        # d_{n+1}^{m+1} read the row of every chain of strand n, and those
+        # kept rows go to the rank as they are, never changed there; the
+        # letter rows no strand reads go unbuilt
+        dn = ((row for row, _ in rows_of(n, m)[:start[n][m][2]])
+              if m < bound else rows(n, m, 1, True))
         rank_dn = integer_rank(ring.field, dn)
-        rank_dn1 = integer_rank(ring.field, (row for row, _ in rows(n + 1, m, 1)))
+        rank_dn1 = integer_rank(ring.field, rows(n + 1, m, 1, True))
         d = start[n][m][-1] - rank_dn - rank_dn1
         if d:
             dims[m] = d

@@ -35,6 +35,13 @@ benchmark workload).  ``reduce_full(vec, integers=True)`` gives a
 remainder as integers over one denominator, for callers that go on in
 integer arithmetic.
 
+``integer_rank`` keeps a space of its own that the caller never sees.
+It stores a row whose leading column is free as it is handed over,
+unnormalised over Q (the fraction-free step takes any nonzero pivot
+entry), and takes rows as (lead, builder) pairs, building such a row
+only when a reduction reads its pivot or another row meets its lead, as
+closure components build their left products.
+
 Tagged rows carry tag columns at and above an offset that record how they
 were made.  ``RowSpace.relate`` reduces such a vector and, when its
 untagged part reduces to zero, reports the tags instead of storing it:
@@ -267,7 +274,7 @@ class RowSpace:
     """
 
     __slots__ = ("field", "_rows", "_inserted", "_reps", "_p", "_monic",
-                 "_mask", "_below", "_layout", "_shifted")
+                 "_mask", "_below", "_layout", "_shifted", "_lazy")
 
     def __init__(self, field):
         self.field = field
@@ -280,6 +287,7 @@ class RowSpace:
         self._below = None         # the component whose left products these are
         self._layout = None
         self._shifted = 0          # the number of left products
+        self._lazy = None          # integer_rank: pivot -> builder of a row not built yet
 
     @property
     def rank(self):
@@ -302,12 +310,31 @@ class RowSpace:
         return c in self._rows if mask is None else c < len(mask) and mask[c] == 1
 
     def _find(self, c):
-        """The left product with pivot c, for a c not among the held rows:
-        built from the row below, kept and returned; None when c is no
-        pivot.  A pivot byte with no row below it, or a product that does
-        not lead at c, is a fault, and raises: ``_reduce`` would loop on
-        such a row forever."""
+        """The row with pivot c, for a c not among the held rows: built,
+        kept and returned; None when c is no pivot.  A closure component
+        builds the left product from the row below; the space of
+        ``integer_rank`` calls the builder it was handed for c, and keeps
+        the row as it is over Q, monic over F_p.  A pivot byte with no row
+        below it, or a row that does not lead at c, is a fault, and raises:
+        ``_reduce`` would loop on such a row forever.  (``is_pivot``,
+        ``rows`` and the bases do not see unbuilt rows; ``integer_rank``
+        reads none of them.)"""
         mask = self._mask
+        if mask is None:
+            build = self._lazy.pop(c, None)
+            if build is None:
+                return None
+            row, p = build(), self._p
+            if p is not None:
+                row = _p_ints(row, p)
+            lead = min(row) if row else None
+            if lead != c:
+                raise InvariantViolation(f"row built for pivot {c} leads at {lead}")
+            if p is not None and row[c] != 1:
+                inv = pow(row[c], -1, p)
+                row = {k: s * inv % p for k, s in row.items()}
+            self._rows[c] = row
+            return row
         if c >= len(mask) or not mask[c]:
             return None
         i, source = self._layout.source(c)
@@ -348,7 +375,7 @@ class RowSpace:
         the vector as it was when the chain first met a pivot in ``stop``,
         or None when it met none."""
         rows = self._rows
-        find = None if self._mask is None else self._find
+        find = None if self._mask is None and self._lazy is None else self._find
         p = self._p
         num = den = 1
         seen = None
@@ -564,13 +591,44 @@ def span(field, vectors):
 
 
 def integer_rank(field, rows):
-    """Rank of the span of integer vectors with no zero entry, which the
-    caller gives up: over Q each goes to the kernel as it is, with no
-    copy, and may be changed there; over F_p its residues go."""
+    """Rank of the span of integer rows with no zero entry.  A row is a
+    dict, or a pair (lead, build): build() makes a fresh dict row with
+    leading (least) column lead, nonzero mod p there over F_p.
+
+    A dict is read and never changed.  One whose leading column holds no
+    row yet is stored as it is, with no copy and no kernel call: over Q
+    unnormalised, as the fraction-free step takes any nonzero pivot
+    entry, over F_p as residues made monic.  Only one that meets a pivot
+    is copied into the kernel.  A pair on a free leading column keeps its
+    builder in the rank's own space, which builds the row the first time
+    a reduction reads that pivot (``RowSpace._find``); a pair that meets
+    a pivot is built and reduced at once.  A row built on lookup that does
+    not lead at its lead raises InvariantViolation, where a reduction on
+    it would not end."""
     sp = RowSpace(field)
-    reduce, p = sp._reduce, sp._p
+    sp._lazy = lazy = {}
+    held, inserted, reduce, p = sp._rows, sp._inserted, sp._reduce, sp._p
     for row in rows:
-        reduce(row if p is None else _p_ints(row, p), store=True)
+        if type(row) is tuple:
+            lead, build = row
+            if lead in held or lead in lazy:
+                reduce(build() if p is None else _p_ints(build(), p), store=True)
+            else:
+                lazy[lead] = build
+                inserted.append(lead)
+            continue
+        if p is not None:
+            row = _p_ints(row, p)
+        if not row:
+            continue
+        lead = min(row)
+        if lead in held or lead in lazy:
+            reduce(dict(row) if p is None else row, store=True)
+        elif p is None:
+            held[lead] = row
+            inserted.append(lead)
+        else:
+            sp._put(row, lead)
     return sp.rank
 
 

@@ -265,9 +265,9 @@ class TestPurity:
         t = tor3_resolution(ring, rel, 5)
         assert t.purity() == "zero"
 
-    def test_non_koszul_quadratic_sample(self):
-        # [DERIVED by both routes] <x^2, xy> is a non-Koszul quadratic
-        # monomial algebra; classify whatever the table says
+    def test_quadratic_monomial_sample(self):
+        # [DERIVED by both routes] <x^2, xy> is a quadratic monomial
+        # algebra, so Koszul: both routes give Tor_3 = {3: 2} to degree 7
         ring, rel = setup(2, ["x*x", "x*y"], XY)
         t = tor3_resolution(ring, rel, 6)
         bar = tor_bar(ring, 3, 6)
@@ -383,21 +383,48 @@ def test_letter_first_rows_span_the_bar_differential(p):
                 assert span(field, letter).rank == span(field, rows).rank, (s, r)
 
 
+def _spy_ranks(monkeypatch):
+    """Wrap ``homology.integer_rank``.  Each rank's rows are recorded as
+    dicts in the list returned: a (lead, builder) pair is built, and must
+    lead at lead.  The rank itself gets builders that count their calls in
+    the list's ``built`` attribute."""
+
+    class Ranks(list):
+        built = 0
+    ranks = Ranks()
+    real_rank = homology.integer_rank
+
+    def counted(build):
+        def counting():
+            ranks.built += 1
+            return build()
+        return counting
+
+    def spy(field, rows):
+        rows, out = list(rows), []
+        for row in rows:
+            if type(row) is tuple:
+                lead, build = row
+                row = build()
+                assert min(row) == lead
+            out.append(dict(row))
+        ranks.append(out)
+        return real_rank(field, [(row[0], counted(row[1])) if type(row) is tuple else row
+                                 for row in rows])
+    monkeypatch.setattr(homology, "integer_rank", spy)
+    return ranks
+
+
 def test_bar_spans_read_the_letter_rows(monkeypatch):
     # each rank of tor_bar reads the rows of the chains l|x, l a
     # letter: h(1) cnt(s-1, m-1) of them, for d_3 and d_4 in every degree
     # m, first chain first (their order is pinned by
-    # test_bar_letter_rows_lead_at_their_merged_chain)
+    # test_bar_letter_rows_lead_at_their_merged_chain); a row handed
+    # unbuilt leads at its lead
     ring, rel = setup(3, ["x*y - y*x", "x*z - z*x", "y*z - z*y"], XYZ)
-    sizes = []
-    real_rank = homology.integer_rank
-
-    def spy(field, rows):
-        rows = list(rows)
-        sizes.append(len(rows))
-        return real_rank(field, rows)
-    monkeypatch.setattr(homology, "integer_rank", spy)
+    ranks = _spy_ranks(monkeypatch)
     assert tor_bar(ring, 3, 6).dims == {3: 1}
+    sizes = [len(rows) for rows in ranks]
     assert sizes == [ring.g * len(naive_strand(ring, s - 1, m - 1))
                      for m in range(3, 7) for s in (3, 4)]
 
@@ -466,21 +493,18 @@ def test_bar_letter_rows_lead_at_their_merged_chain(p, monkeypatch):
         3, [parse_element(t, XYZ, field) for t in ("x*y - y*x", "x*z - z*x", "y*z - z*y")],
         field)
     kxyz = PresentedRing(3, comm, field)
-    ranks = []
-    real_rank = homology.integer_rank
-
-    def spy(field, rows):
-        rows = [dict(row) for row in rows]
-        ranks.append(rows)
-        return real_rank(field, [dict(row) for row in rows])
-    monkeypatch.setattr(homology, "integer_rank", spy)
+    # the Jordan plane: nf(xy) = yx + y^2 has two words, the sampled
+    # rings' letter rows have at most one merged word
+    jordan = PresentedRing(2, GradedSubspace.from_elements(
+        2, [parse_element("x*y - y*x - y*y", XY, field)], field), field)
+    ranks = _spy_ranks(monkeypatch)
 
     def monic(row):
         if not row:
             return row
         lead = row[min(row)]
         return {c: s / lead for c, s in row.items()}
-    for ring in [ring for ring, _ in sampler_rings(field, 20)] + [kxyz]:
+    for ring in [ring for ring, _ in sampler_rings(field, 20)] + [kxyz, jordan]:
         key = _chain_key(ring)
         ranks.clear()
         assert tor_bar(ring, 3, 5).dims == naive_tor_bar(ring, 3, 5)
@@ -505,8 +529,10 @@ def test_bar_letter_rows_lead_at_their_merged_chain(p, monkeypatch):
                         assert min(row) not in normal_leads, chain
                         normal_leads.add(min(row))
     # the rows of k[x, y, z] at bound 8 whose leading column is already a
-    # pivot when they come, the count of BENCH_bar_pivots.json
+    # pivot when they come, the count of BENCH_bar_pivots.json, and the
+    # rows the ranks build of those handed unbuilt (BENCH_bar_rows.json)
     ranks.clear()
+    ranks.built = 0
     assert tor_bar(kxyz, 3, 8).dims == {3: 1}
     colliding = 0
     for rows in ranks:
@@ -515,6 +541,9 @@ def test_bar_letter_rows_lead_at_their_merged_chain(p, monkeypatch):
             colliding += sp.is_pivot(min(row)) if row else 0
             sp.insert(row)
     assert colliding == 10703
+    # of the 22 113 rows handed unbuilt (strand 4, and strand 3 at the
+    # bound), a reduction reads or meets 17 955
+    assert ranks.built == 17955
 
 
 def test_bar_strand_guard_before_rows(monkeypatch):

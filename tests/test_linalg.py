@@ -397,6 +397,74 @@ def test_rowspace_accepts_negative_columns(p):
             assert mirrored(sp.reduce_full(negated(r))) == oracle.reduce_full(dense)
 
 
+@pytest.mark.parametrize("p", [None, 7])
+def test_integer_rank_builds_only_read_rows(p):
+    # integer_rank takes dict rows and (lead, builder) pairs.  A dict is
+    # never changed; a pair's builder runs only when a reduction reads its
+    # pivot or the pair's lead is a pivot when it comes.  The dense oracle
+    # replays the same leading-chain reductions (its rows are the stored
+    # rows up to scale), which read the same pivots, and gives the rank
+    field = QQ if p is None else PrimeField(p)
+    entries = [0, 0, 0, 1, -1, 2, 3, -5, 7, 10**20 + 7]
+    seen = {"negative pivot": 0, "built at hand-over": 0, "built when read": 0, "unbuilt": 0}
+    for seed in range(40):
+        rng = random.Random(seed)
+        ncols = rng.randint(1, 8)
+        rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(rng.randint(1, 9))]
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.choice(entries), rng.choice(entries)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        rows.append([0] * ncols)
+        rng.shuffle(rows)
+        oracle = DenseEchelon(ncols, p)
+        items, dicts, calls, want, pending = [], [], {}, set(), {}
+        for i, r in enumerate(rows):
+            lead = next((c for c, x in enumerate(r) if (x if p is None else x % p)), None)
+            row = {c: x for c, x in enumerate(r) if x}
+            if lead is not None and rng.random() < 0.6:
+                def build(i=i, row=row):
+                    calls[i] = calls.get(i, 0) + 1
+                    return dict(row)
+                items.append((lead, build))
+            else:
+                items.append(row)
+                dicts.append((row, dict(row)))
+            if lead is None:
+                continue
+            seen["negative pivot"] += r[lead] < 0
+            pair = type(items[-1]) is tuple
+            if lead in oracle.rows:
+                if pair:
+                    want.add(i)
+                    seen["built at hand-over"] += 1
+                # the pivots the leading chain reads, as the kernel reads them
+                v = [oracle._norm(x) for x in r]
+                while any(v):
+                    c = next(k for k, x in enumerate(v) if x)
+                    if c not in oracle.rows:
+                        break
+                    if c in pending:
+                        want.add(pending.pop(c))
+                        seen["built when read"] += 1
+                    v = oracle._axpy(v, v[c], oracle.rows[c])
+            elif pair:
+                pending[lead] = i
+            oracle.insert(r)
+        seen["unbuilt"] += len(pending)
+        assert integer_rank(field, items) == len(oracle.rows), seed
+        if p is None:
+            assert dense_rank(rows) == len(oracle.rows)
+        assert set(calls) == want and set(calls.values()) <= {1}, seed
+        assert all(row == before for row, before in dicts)
+    assert all(seen.values()), seen
+    # a builder whose row does not lead at its lead raises when the row is
+    # read, where a reduction on it would not end
+    for lead, wrong in ((0, {1: 1, 2: 3}), (2, {0: 1, 2: 5}), (1, {})):
+        with pytest.raises(InvariantViolation, match="leads at"):
+            integer_rank(field, [(lead, lambda row=wrong: dict(row)), {lead: 2, 3: 1}])
+
+
 def test_reduce_full_integers_cancels_the_content():
     # {0: 1, 1: -3} reduces to {1: -27} with scale 10 and content 27, so
     # the integer remainder takes the content back over the denominator 10
