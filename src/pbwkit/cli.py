@@ -20,7 +20,7 @@ from .errors import (InvalidPresentation, InvariantViolation, ParseError,
                      PBWError, ResourceExceeded, ValidationError)
 from .extension import engine_for, rees_identity_check
 from .freealg import column_guard, filtration_size, format_element, guard_reach
-from .homology import complexity, tor3_resolution, tor_bar
+from .homology import TOR_BOUND, complexity, tor3_resolution, tor_bar
 from .presentations import Report, parse_presentation
 
 COMMANDS = ("check", "jacobi", "complexity", "tor", "hilbert", "rees")
@@ -122,7 +122,7 @@ def cmd_jacobi(pres, upto=None):
 
 def cmd_complexity(pres, upto=None):
     timings = {}
-    bound = pres.tor_bound or 8
+    bound = pres.tor_bound or TOR_BOUND
     lift, rmin, ring = _ring(pres, timings, pres.max_degree, bound)
     cres = timed(timings, "complexity", complexity, ring, rmin, bound_hint=bound)
     dims = _empty_dims()
@@ -138,7 +138,7 @@ def cmd_complexity(pres, upto=None):
 
 
 def cmd_tor(pres, upto=None):
-    bound = upto if upto is not None else (pres.tor_bound or 8)
+    bound = upto if upto is not None else (pres.tor_bound or TOR_BOUND)
     timings = {}
     lift, rmin, ring = _ring(pres, timings, pres.max_degree, bound)
     table = timed(timings, "resolution", tor3_resolution, ring, rmin, bound)

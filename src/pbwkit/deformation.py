@@ -27,8 +27,9 @@ from .extension import ENGINE_DEGREE_CAP, ExtensionEngine, check_depth, engine_f
 from .freealg import Element, WordBasis, column_guard, guard_reach, project
 from .gradedring import (DEFAULT_MAX_DEGREE, GradedSubspace, PresentedRing,
                          graded_ideal_step, ideal_chain, minimal_complement)
-from .homology import complexity
+from .homology import TOR_BOUND, complexity
 from .linalg import QQ, RowSpace, span
+from .presentations import MAX_DEGREE
 
 MIN_TOP_DEGREE = 1      # FilteredSubspace rows live in T^{<=1} at least
 
@@ -316,7 +317,7 @@ class CheckResult:
         return {"PBW_CERTIFIED": 0, "NOT_PBW": 1, "PBW_UP_TO_DEGREE": 2}[self.verdict]
 
 
-def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None):
+def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=MAX_DEGREE, tor_bound=None):
     """Decide whether U(P) = T/<P> is a PBW-deformation of A = T/<R_P>.
 
     The positive certificate follows the homological route: minimize R_P to
@@ -366,7 +367,7 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=8, tor_bound=None
     low = rp.degrees()[0] <= 1
 
     if not low:
-        bound = tor_bound or 8
+        bound = tor_bound or TOR_BOUND
         rmin, ring = timed(timings, "minimize", minimized_ring, rp, max_degree, bound)
         cres = timed(timings, "complexity", complexity, ring, rmin, bound_hint=bound)
         # h_A is only displayed, so it stops below the first degree whose

@@ -46,14 +46,16 @@ resolution, so the two routes stay independent.  The letter rows are the
 first h(1) cnt(s-1, r-1) chains of a strand; they go into their span
 first chain first, the chain at position p being column -p: a row then
 leads at mu(l, x_1)|x' at the top word of nf(l x_1), which no other row
-with a normal l x_1 shares.  That lead needs no row, so the letter rows
-that no strand above reads go to the rank unbuilt, and a row is built
-only when a reduction reads its pivot or another row meets its lead.
+with a normal l x_1 shares.  Every row goes to the rank as a pair (lead,
+builder), and the rank builds it only when a reduction reads its pivot
+or another row meets its lead (``linalg.integer_rank``).  The lead of a
+letter row that no strand above reads needs no row, so such a row is
+never built unless the rank asks; a kept row is handed as a copy.
 For Tor_3 of k[x, y, z] (the A of ``sl2``) at bound 8 the spans take
 24 384 rows and 28 858 steps, 49 060 on columns p last chain first, and
-build 17 955 of the 22 113 rows handed unbuilt; on the 16 rings of the
-``random-homology`` benchmark at bound 6 they take 37 028 rows and 5 041
-steps, and build 5 298 of 32 433.
+build 19 866 of them (17 955 of the 22 113 letter rows no strand reads);
+on the 16 rings of the ``random-homology`` benchmark at bound 6 they take
+37 028 rows and 5 041 steps, and build 5 298 of the 32 433 such rows.
 
 Both routes read one cache, the integer normal forms of
 ``PresentedRing.nf_word`` by degree and position over the ranks of the
@@ -88,6 +90,7 @@ from .freealg import lex_pos, lex_word
 from .linalg import RowSpace, integer_rank, integer_vector, left_kernel_basis, span
 
 BAR_STRAND_GUARD = 200000
+TOR_BOUND = 8           # the top internal degree of a Tor_3 scan unless one is given
 
 
 class TorTable:
@@ -321,13 +324,15 @@ def tor_bar(ring, hom_degree, bound):
     Each rank reads only the rows of the chains l|x, l a letter: as
     d d(u|l|x) = 0 gives d(mu(u, l)|x) = d(u|d(l|x)) and A^d = A^{d-1} A^1,
     every other row lies in their span (module docstring), over Q and
-    over F_p alike, first chain first on columns -p.  Strand n is still
+    over F_p alike, first chain first on columns -p.  The rank takes
+    (leading column, builder) pairs and builds a row only when a
+    reduction reads its pivot or another row meets its lead
+    (``integer_rank``); zero rows are not handed over.  Strand n is still
     built in full below the bound, as the letter row l|x of strand n + 1
-    reads the row of every x; its letter rows go to the rank as they are.
-    The letter rows that no strand reads, those of strand n + 1 and of
-    strand n at the bound, go as (leading column, builder) pairs, and
-    the rank builds one only when a reduction reads its pivot or another
-    row meets its lead (``integer_rank``).
+    reads the row of every x, so its letter rows go as (min(row),
+    row.copy): the rank may keep or change what a builder returns.  The
+    letter rows that no strand reads, those of strand n + 1 and of strand
+    n at the bound, go unbuilt.
     ``BAR_STRAND_GUARD`` bounds the chains of the whole strands n - 1, n
     and n + 1, checked before any row is built."""
     if not 1 <= hom_degree <= 4:
@@ -372,17 +377,17 @@ def tor_bar(ring, hom_degree, bound):
     def rows(s, r, top=None, lazy=False):
         """The rows of ``rows_of``, first chain first; with ``top``, only
         those of the chains whose first factor has degree <= top.  With
-        ``lazy`` a row comes unbuilt, as a pair (leading column, builder)
-        for ``integer_rank``, or as {} when it is zero.  Its lead is the
-        merged chain at the top basis word of nf(a x_1) when that is
-        nonzero, else the lead of x's row moved by a's offset: the merged
-        chains come after every chain a|y, and the two parts hold nonzero
-        integers (nonzero residues over F_p) at disjoint chains, so
-        nothing cancels."""
+        ``lazy`` a nonzero row comes unbuilt, as a pair (leading column,
+        builder) for ``integer_rank``, and a zero row not at all.  Its
+        lead is the merged chain at the top basis word of nf(a x_1) when
+        that is nonzero, else the lead of x's row moved by a's offset:
+        the merged chains come after every chain a|y, and the two parts
+        hold nonzero integers (nonzero residues over F_p) at disjoint
+        chains, so nothing cancels."""
         if s == 1:
             # d_1 = 0
-            size = start[1][r][-1 if top is None else min(top, r) + 1]
-            yield from [{} if lazy else ({}, 1)] * size
+            if not lazy:
+                yield from [({}, 1)] * start[1][r][-1]
             return
         here, there = start[s - 1][r], start[s - 2]
         d0 = r - s + 1 if top is None else min(r - s + 1, top)
@@ -420,17 +425,15 @@ def tor_bar(ring, hom_degree, bound):
                                 # one object, where a partial makes three
                                 lead = top_col - q2 if cols else min(rx) - off
                                 yield lead, MethodType(_bar_row, part)
-                            else:
-                                yield {}
 
     dims = {}
     for m in range(n, bound + 1):
         # each rank reads the letter-first rows only (see the docstring);
         # d_n^m is built in full below the bound, as the letter rows of
-        # d_{n+1}^{m+1} read the row of every chain of strand n, and those
-        # kept rows go to the rank as they are, never changed there; the
-        # letter rows no strand reads go unbuilt
-        dn = ((row for row, _ in rows_of(n, m)[:start[n][m][2]])
+        # d_{n+1}^{m+1} read the row of every chain of strand n, and the
+        # rank gets a fresh copy of each kept row it reads; the letter
+        # rows no strand reads go unbuilt
+        dn = (((min(row), row.copy) for row, _ in rows_of(n, m)[:start[n][m][2]] if row)
               if m < bound else rows(n, m, 1, True))
         rank_dn = integer_rank(ring.field, dn)
         rank_dn1 = integer_rank(ring.field, rows(n + 1, m, 1, True))
@@ -509,7 +512,7 @@ class ComplexityResult:
         return f"ComplexityResult(c={self.c}, {flag})"
 
 
-def complexity(ring, rel, bound_hint=8):
+def complexity(ring, rel, bound_hint=TOR_BOUND):
     """c(A) = sup{m-1 : Tor_{3,m} != 0} with a certification flag.
 
     Certified routes: A finite-dimensional (scan m <= c_A + 3, enough since

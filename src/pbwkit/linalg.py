@@ -35,12 +35,17 @@ benchmark workload).  ``reduce_full(vec, integers=True)`` gives a
 remainder as integers over one denominator, for callers that go on in
 integer arithmetic.
 
-``integer_rank`` keeps a space of its own that the caller never sees.
-It stores a row whose leading column is free as it is handed over,
-unnormalised over Q (the fraction-free step takes any nonzero pivot
-entry), and takes rows as (lead, builder) pairs, building such a row
-only when a reduction reads its pivot or another row meets its lead, as
-closure components build their left products.
+A row is built on first read in one way.  A space may hold pivots
+whose rows are not built yet; its one hook, ``RowSpace._source``, maps a
+column to the unbuilt row with that pivot (or None), and
+``RowSpace._find`` builds it when a reduction or a reader first looks
+the pivot up, checks that it leads there and keeps it.  A closure
+component's hook makes the left product from the row below.
+``integer_rank`` keeps a space of its own that the caller never sees,
+takes rows as (lead, builder) pairs, and its hook calls the builder of
+a pair whose lead was free when it came: such a row is built only when
+a reduction reads its pivot, and kept as built, unnormalised over Q
+(the fraction-free step takes any nonzero pivot entry).
 
 Tagged rows carry tag columns at and above an offset that record how they
 were made.  ``RowSpace.relate`` reduces such a vector and, when its
@@ -267,14 +272,13 @@ class RowSpace:
 
     A closure component (``closure_step``) has a pivot byte per column
     and holds the left products of the component below it without
-    copying them: the kernels look a pivot up there only when it is not
-    one of this space's own rows, and build the product row on that first
-    lookup and keep it.  ``rows``, ``pivots``, ``rank`` and the bases see
-    the whole space.
+    copying them: the kernels build a product row on the first lookup of
+    a pivot that is not one of this space's own rows (``_find``) and keep
+    it.  ``rows``, ``pivots``, ``rank`` and the bases see the whole space.
     """
 
     __slots__ = ("field", "_rows", "_inserted", "_reps", "_p", "_monic",
-                 "_mask", "_below", "_layout", "_shifted", "_lazy")
+                 "_mask", "_shifted", "_source")
 
     def __init__(self, field):
         self.field = field
@@ -284,10 +288,8 @@ class RowSpace:
         self._p = getattr(field, "p", None)
         self._monic = {}
         self._mask = None          # closure components: one pivot byte per column
-        self._below = None         # the component whose left products these are
-        self._layout = None
         self._shifted = 0          # the number of left products
-        self._lazy = None          # integer_rank: pivot -> builder of a row not built yet
+        self._source = None        # c -> the unbuilt row with pivot c, or None
 
     @property
     def rank(self):
@@ -310,46 +312,26 @@ class RowSpace:
         return c in self._rows if mask is None else c < len(mask) and mask[c] == 1
 
     def _find(self, c):
-        """The row with pivot c, for a c not among the held rows: built,
-        kept and returned; None when c is no pivot.  A closure component
-        builds the left product from the row below; the space of
-        ``integer_rank`` calls the builder it was handed for c, and keeps
-        the row as it is over Q, monic over F_p.  A pivot byte with no row
-        below it, or a row that does not lead at c, is a fault, and raises:
-        ``_reduce`` would loop on such a row forever.  (``is_pivot``,
-        ``rows`` and the bases do not see unbuilt rows; ``integer_rank``
-        reads none of them.)"""
-        mask = self._mask
-        if mask is None:
-            build = self._lazy.pop(c, None)
-            if build is None:
-                return None
-            row, p = build(), self._p
-            if p is not None:
-                row = _p_ints(row, p)
-            lead = min(row) if row else None
-            if lead != c:
-                raise InvariantViolation(f"row built for pivot {c} leads at {lead}")
-            if p is not None and row[c] != 1:
-                inv = pow(row[c], -1, p)
-                row = {k: s * inv % p for k, s in row.items()}
-            self._rows[c] = row
-            return row
-        if c >= len(mask) or not mask[c]:
-            return None
-        i, source = self._layout.source(c)
-        row = self._below._row(source)
+        """The row with pivot c, for a c not among the held rows, from the
+        hook ``_source``: built, kept and returned; None when c is no
+        pivot.  This is the one place where a row is built on lookup: a
+        closure component's left product, or a row ``integer_rank`` was
+        handed unbuilt.  A row that does not lead at c is a fault, and
+        raises: ``_reduce`` would loop on such a row forever.
+        (``is_pivot``, ``rows`` and the bases of an ``integer_rank`` space
+        do not see its unbuilt rows; it reads none of them.)"""
+        row = self._source(c)
         if row is None:
-            raise InvariantViolation(f"pivot {c} has no row {source} below it")
-        row = self._layout.move(row, i)
-        if min(row) != c:
-            raise InvariantViolation(f"left product at pivot {c} leads at {min(row)}")
+            return None
+        lead = min(row) if row else None
+        if lead != c:
+            raise InvariantViolation(f"row built for pivot {c} leads at {lead}")
         self._rows[c] = row
         return row
 
     def _row(self, c):
         row = self._rows.get(c)
-        if row is None and self._mask is not None:
+        if row is None and self._source is not None:
             row = self._find(c)
         return row
 
@@ -375,7 +357,7 @@ class RowSpace:
         the vector as it was when the chain first met a pivot in ``stop``,
         or None when it met none."""
         rows = self._rows
-        find = None if self._mask is None and self._lazy is None else self._find
+        find = None if self._source is None else self._find
         p = self._p
         num = den = 1
         seen = None
@@ -591,44 +573,39 @@ def span(field, vectors):
 
 
 def integer_rank(field, rows):
-    """Rank of the span of integer rows with no zero entry.  A row is a
-    dict, or a pair (lead, build): build() makes a fresh dict row with
-    leading (least) column lead, nonzero mod p there over F_p.
+    """Rank of the span of nonzero integer rows, each handed over as a
+    pair (lead, build): build() returns a fresh dict row with no zero
+    entry and leading (least) column lead, nonzero mod p there over F_p.
+    The rank may keep that dict or change it.
 
-    A dict is read and never changed.  One whose leading column holds no
-    row yet is stored as it is, with no copy and no kernel call: over Q
-    unnormalised, as the fraction-free step takes any nonzero pivot
-    entry, over F_p as residues made monic.  Only one that meets a pivot
-    is copied into the kernel.  A pair on a free leading column keeps its
-    builder in the rank's own space, which builds the row the first time
-    a reduction reads that pivot (``RowSpace._find``); a pair that meets
-    a pivot is built and reduced at once.  A row built on lookup that does
-    not lead at its lead raises InvariantViolation, where a reduction on
-    it would not end."""
+    A pair on a free leading column costs nothing when it comes: the
+    rank's own space keeps its builder, and its hook (``RowSpace._source``)
+    builds the row the first time a reduction reads that pivot, kept as
+    it is over Q, as the fraction-free step takes any nonzero pivot
+    entry, and made monic over F_p.  A pair that meets a pivot is built
+    and reduced at once.  A row built on lookup that does not lead at
+    its lead raises InvariantViolation (``RowSpace._find``), where a
+    reduction on it would not end."""
     sp = RowSpace(field)
-    sp._lazy = lazy = {}
-    held, inserted, reduce, p = sp._rows, sp._inserted, sp._reduce, sp._p
-    for row in rows:
-        if type(row) is tuple:
-            lead, build = row
-            if lead in held or lead in lazy:
-                reduce(build() if p is None else _p_ints(build(), p), store=True)
-            else:
-                lazy[lead] = build
-                inserted.append(lead)
-            continue
-        if p is not None:
-            row = _p_ints(row, p)
-        if not row:
-            continue
-        lead = min(row)
-        if lead in held or lead in lazy:
-            reduce(dict(row) if p is None else row, store=True)
-        elif p is None:
-            held[lead] = row
-            inserted.append(lead)
+    unbuilt, p = {}, sp._p
+
+    def source(c):
+        build = unbuilt.pop(c, None)
+        if build is None:
+            return None
+        if p is None:
+            return build()
+        row = _p_ints(build(), p)
+        inv = pow(row.get(c) or 1, -1, p)      # a row without c is _find's to refuse
+        return row if inv == 1 else {k: s * inv % p for k, s in row.items()}
+    sp._source = source
+    held, inserted, reduce = sp._rows, sp._inserted, sp._reduce
+    for lead, build in rows:
+        if lead in held or lead in unbuilt:
+            reduce(build() if p is None else _p_ints(build(), p), store=True)
         else:
-            sp._put(row, lead)
+            unbuilt[lead] = build
+            inserted.append(lead)
     return sp.rank
 
 
@@ -739,9 +716,21 @@ def closure_step(field, prev, g, m, size, gens, comps):
     taken last leading column first, with those of zeros kept, took
     22 759 and 349 414."""
     sp = RowSpace(field)
-    layout = sp._layout = _Layout(g, m, size)
+    layout = _Layout(g, m, size)
     below = prev._mask or bytearray(sum(layout.units))     # an empty I^0
-    sp._mask, sp._below, sp._shifted = layout.mask(below, size), prev, g * prev.rank
+    mask = sp._mask = layout.mask(below, size)
+    sp._shifted = g * prev.rank
+
+    def product(c):
+        """x_i·(the row of I^{m-1} below c), or None when c is no pivot."""
+        if c >= len(mask) or not mask[c]:
+            return None
+        i, source = layout.source(c)
+        row = prev._row(source)
+        if row is None:
+            raise InvariantViolation(f"pivot {c} has no row {source} below it")
+        return layout.move(row, i)
+    sp._source = product
     put, rows, z = sp._store, prev._rows, g ** m
     if size > z:
         for c in sorted(prev._inserted, reverse=True):

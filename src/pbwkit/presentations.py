@@ -23,6 +23,7 @@ from .freealg import parse_element
 from .linalg import QQ, PrimeField
 
 IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*$")
+MAX_DEGREE = 8          # the degree a check reaches unless max_degree says otherwise
 
 KNOWN_KEYS = ("field", "generators", "ambient_relations", "deformation",
               "max_degree", "tor_bound")
@@ -35,7 +36,7 @@ class Presentation:
     generators: list
     ambient_relations: list      # element strings
     deformation: list            # element strings
-    max_degree: int = 8
+    max_degree: int = MAX_DEGREE
     tor_bound: int | None = None
 
     def field(self):
@@ -142,7 +143,7 @@ def parse_presentation(text):
         generators=seen["generators"],
         ambient_relations=seen.get("ambient_relations", []),
         deformation=seen["deformation"],
-        max_degree=seen.get("max_degree", 8),
+        max_degree=seen.get("max_degree", MAX_DEGREE),
         tor_bound=seen.get("tor_bound"),
     )
     validate_presentation(pres, where)

@@ -312,7 +312,11 @@ def test_closure_steps_insert_only_the_new_rows(case, monkeypatch):
     for cl in (Closure.engine(P, eng, ENGINE_DEGREE), graded):
         assert len(cl.steps()) >= 3
         for m, prev, nxt in cl.steps():
-            assert nxt._below is prev, m
+            # the step holds x·r for every row r of the one below it
+            for row in prev.rows.values():
+                for x in range(cl.g):
+                    moved = cl.left(x, row, m - 1)
+                    assert nxt.rows[min(moved)] == moved, m
             assert nxt.rank == cl.g * prev.rank + len(nxt.inserted), m
             want = len(inserted(prev)) if cl.central else 0
             for row, c, n in representatives(prev):

@@ -1,6 +1,7 @@
 """No module of pbwkit imports a name it does not use, every public
-function or method it defines is read somewhere in the package, and no
-module holds code that ``python -O`` strips.
+function or method it defines is read somewhere in the package, no
+module holds code that ``python -O`` strips, and only the kernel,
+``linalg.py``, reaches into another object's private attributes.
 
 Names imported relatively into ``__init__.py`` are the package's public
 surface (re-exports): they are exempt from the first check and count as
@@ -130,3 +131,35 @@ def test_detects_debug_only_code(tmp_path):
         "# assert in a comment is text\n"
         "print(builtins.__debug__)\n")
     assert debug_only_code(mod) == [(5, "assert"), (8, "__debug__"), (11, "__debug__")]
+
+
+def private_attributes(path):
+    """(line, name) of each read or write, in the module at path, of a
+    ``_``-prefixed attribute (dunders aside) of anything but ``self``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
+                and not (node.attr.startswith("__") and node.attr.endswith("__"))
+                and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
+            found.append((node.lineno, node.attr))
+    return sorted(found)
+
+
+def test_private_attributes_stay_in_the_kernel():
+    # RowSpace's slots (its rows, pivot bytes and the ``_source`` hook
+    # that builds a row on lookup) are read and set in linalg.py only
+    found = {str(path.relative_to(SRC)): private_attributes(path)
+             for path in sorted(SRC.rglob("*.py")) if path.name != "linalg.py"}
+    assert {name: bad for name, bad in found.items() if bad} == {}
+
+
+def test_detects_a_private_attribute(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "class A:\n"
+        "    def __init__(self, other):\n"
+        "        self._own = other._theirs\n"
+        "        other._source = self._own\n"
+        "        print(type(self).__name__, self.__class__)\n"
+        "        del other.inner._rows\n")
+    assert private_attributes(mod) == [(3, "_theirs"), (4, "_source"), (6, "_rows")]

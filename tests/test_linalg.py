@@ -386,9 +386,9 @@ def test_rowspace_accepts_negative_columns(p):
         for r in rows:
             lead = oracle.insert(r[::-1])
             assert sp.insert(negated(r)) == (None if lead is None else lead - ncols + 1)
-        ints = [{-c: x for c, x in enumerate(r) if x} for r in rows]
+        ints = [{-c: x for c, x in enumerate(r) if (x if p is None else x % p)} for r in rows]
         rank = len(oracle.rows)
-        assert integer_rank(field, [r for r in ints if r]) == rank == sp.rank
+        assert integer_rank(field, [(min(r), r.copy) for r in ints if r]) == rank == sp.rank
         if p is None:
             assert dense_rank(rows) == rank
         for r in rows + probes:
@@ -399,11 +399,11 @@ def test_rowspace_accepts_negative_columns(p):
 
 @pytest.mark.parametrize("p", [None, 7])
 def test_integer_rank_builds_only_read_rows(p):
-    # integer_rank takes dict rows and (lead, builder) pairs.  A dict is
-    # never changed; a pair's builder runs only when a reduction reads its
-    # pivot or the pair's lead is a pivot when it comes.  The dense oracle
-    # replays the same leading-chain reductions (its rows are the stored
-    # rows up to scale), which read the same pivots, and gives the rank
+    # integer_rank takes (lead, builder) pairs.  A builder runs only when
+    # a reduction reads its pivot or the pair's lead is a pivot when it
+    # comes.  The dense oracle replays the same leading-chain reductions
+    # (its rows are the stored rows up to scale), which read the same
+    # pivots, and gives the rank; a zero row is not handed over
     field = QQ if p is None else PrimeField(p)
     entries = [0, 0, 0, 1, -1, 2, 3, -5, 7, 10**20 + 7]
     seen = {"negative pivot": 0, "built at hand-over": 0, "built when read": 0, "unbuilt": 0}
@@ -418,26 +418,20 @@ def test_integer_rank_builds_only_read_rows(p):
         rows.append([0] * ncols)
         rng.shuffle(rows)
         oracle = DenseEchelon(ncols, p)
-        items, dicts, calls, want, pending = [], [], {}, set(), {}
+        items, calls, want, pending = [], {}, set(), {}
         for i, r in enumerate(rows):
             lead = next((c for c, x in enumerate(r) if (x if p is None else x % p)), None)
-            row = {c: x for c, x in enumerate(r) if x}
-            if lead is not None and rng.random() < 0.6:
-                def build(i=i, row=row):
-                    calls[i] = calls.get(i, 0) + 1
-                    return dict(row)
-                items.append((lead, build))
-            else:
-                items.append(row)
-                dicts.append((row, dict(row)))
             if lead is None:
                 continue
+
+            def build(i=i, row={c: x for c, x in enumerate(r) if x}):
+                calls[i] = calls.get(i, 0) + 1
+                return dict(row)
+            items.append((lead, build))
             seen["negative pivot"] += r[lead] < 0
-            pair = type(items[-1]) is tuple
             if lead in oracle.rows:
-                if pair:
-                    want.add(i)
-                    seen["built at hand-over"] += 1
+                want.add(i)
+                seen["built at hand-over"] += 1
                 # the pivots the leading chain reads, as the kernel reads them
                 v = [oracle._norm(x) for x in r]
                 while any(v):
@@ -448,7 +442,7 @@ def test_integer_rank_builds_only_read_rows(p):
                         want.add(pending.pop(c))
                         seen["built when read"] += 1
                     v = oracle._axpy(v, v[c], oracle.rows[c])
-            elif pair:
+            else:
                 pending[lead] = i
             oracle.insert(r)
         seen["unbuilt"] += len(pending)
@@ -456,13 +450,48 @@ def test_integer_rank_builds_only_read_rows(p):
         if p is None:
             assert dense_rank(rows) == len(oracle.rows)
         assert set(calls) == want and set(calls.values()) <= {1}, seed
-        assert all(row == before for row, before in dicts)
     assert all(seen.values()), seen
     # a builder whose row does not lead at its lead raises when the row is
     # read, where a reduction on it would not end
     for lead, wrong in ((0, {1: 1, 2: 3}), (2, {0: 1, 2: 5}), (1, {})):
         with pytest.raises(InvariantViolation, match="leads at"):
-            integer_rank(field, [(lead, lambda row=wrong: dict(row)), {lead: 2, 3: 1}])
+            integer_rank(field, [(lead, lambda row=wrong: dict(row)),
+                                 (lead, lambda: {lead: 2, 3: 1})])
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_integer_rank_keeps_the_rows_it_builds(p, monkeypatch):
+    # build() returns a fresh dict, which the rank may keep or change.  A
+    # row built on a free lead is kept as its builder returned it: over Q
+    # that very dict, unnormalised (a negative pivot entry, content 2), and
+    # never changed by the reductions that read it; over F_p its residues,
+    # made monic.  So a builder that hands out a dict its caller still
+    # reads must hand out a copy
+    field = QQ if p is None else PrimeField(p)
+    spaces, real_find = [], RowSpace._find
+
+    def find(self, c):
+        spaces.append(self)
+        return real_find(self, c)
+    monkeypatch.setattr(RowSpace, "_find", find)
+    given = {0: {0: -2, 1: 4, 3: 6}, 1: {0: 1, 1: 1}, 2: {1: 3, 2: -9}, 3: {1: 5, 3: 1}}
+    built = {}
+
+    def builder(i):
+        def build():
+            built[i] = dict(given[i])
+            return built[i]
+        return build
+    # row 1 meets row 0's pivot and reads it; rows 2 and 3 meet the pivot
+    # that row 1's remainder took
+    assert integer_rank(field, [(min(row), builder(i)) for i, row in given.items()]) == 4
+    assert set(built) == {0, 1, 2, 3} and {id(sp) for sp in spaces} == {id(spaces[0])}
+    kept = spaces[0]._rows[0]
+    assert built[0] == given[0]
+    if p is None:
+        assert kept is built[0]
+    else:
+        assert kept == {0: 1, 1: 4 * pow(-2, -1, p) % p, 3: 6 * pow(-2, -1, p) % p}
 
 
 def test_reduce_full_integers_cancels_the_content():
