@@ -45,11 +45,15 @@ reads it).  The recursion is exact:
 
 A word β'x is standard only if β' is, and ĉ(g, β'x) is ĉ(g, β')·x
 reduced by the step's kernel, read before it meets a pivot that another
-candidate of the step inserted.  Taken in descending signature (the
-column of lead(g)·β, then |β|), a candidate that reduces to zero keeps
-no representative (``linalg.closure_step`` has the proof).  So the
-components, their pivots and every count below are those of the full
-recursion.  One degree is one ``linalg.closure_step`` over the
+candidate of the step inserted.  Every product g·β·z^k has a signature
+(the column of lead(g)·β·z^k, then |β|), and a step takes z·N and then
+the candidates in descending signature.  A candidate that reduces to
+zero keeps no representative, and a central product (g, β₀ω, k) is
+skipped once (g, β₀, k₀), k₀ <= k, reduced to zero in a lower degree, as
+in signature-based Gröbner bases (``linalg.closure_step`` has the
+proof).  Every product whose leading column is free is held unbuilt and
+built when a reduction first reads it.  So the components, their pivots
+and every count below are those of the full recursion.  One degree is one ``linalg.closure_step`` over the
 |T[z]^m| columns: x_i· sends the word-degree-d block of T[z]^{m-1} to the
 i-th run of g^d columns of the block of degree d + 1, z· moves a column
 by the g^m columns of word degree m, and ·x moves column c to g·c + x,

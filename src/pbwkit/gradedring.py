@@ -17,11 +17,11 @@ columns distinct and in order.  One degree is one ``linalg.closure_step``
 over the g^n columns, which moves left and right products itself:
 F¹I^{n-1} is held as I^n's pivot bytes, those of I^{n-1} repeated g
 times, and a product row is built only when a reduction first reads it;
-only the ĉ(g, β) and G^n are inserted.  The degree-n
-basis of the quotient is the set of non-pivot words of I^n (the
-pivot-greedy complement), so normal forms are canonical full reductions
-and quotient multiplication is word concatenation followed by a normal
-form.
+only the ĉ(g, β) and G^n are inserted, and those on a free leading
+column are held unbuilt the same way.  The degree-n basis of the
+quotient is the set of non-pivot words of I^n (the pivot-greedy
+complement), so normal forms are canonical full reductions and quotient
+multiplication is word concatenation followed by a normal form.
 
 Basis words are served as positions: ``basis(n)`` gives the ascending
 positions of the non-pivot words of I^n and the rank of each, and

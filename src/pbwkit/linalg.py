@@ -29,9 +29,11 @@ them: x_i· keeps columns distinct and in order, so the products stay
 echelon and normalised and are not reduced.  The component keeps its
 pivots as one byte per column, the blocks of I^{m-1}'s bytes repeated g
 times, and builds a product row from the row below it the first time a
-reduction or a reader needs it, and keeps it.  The graded ideal
-recursions read few of those rows (under 5% on the ``random-homology``
-benchmark workload).  ``reduce_full(vec, integers=True)`` gives a
+reduction or a reader needs it, and keeps it.  It holds every other
+product whose leading column is free when it comes the same way, as
+the row or pivot it moves and the move.  The graded ideal recursions
+read few of those rows (under 5% on the ``random-homology`` benchmark
+workload).  ``reduce_full(vec, integers=True)`` gives a
 remainder as integers over one denominator, for callers that go on in
 integer arithmetic.
 
@@ -40,7 +42,9 @@ whose rows are not built yet; its one hook, ``RowSpace._source``, maps a
 column to the unbuilt row with that pivot (or None), and
 ``RowSpace._find`` builds it when a reduction or a reader first looks
 the pivot up, checks that it leads there and keeps it.  A closure
-component's hook makes the left product from the row below.
+component's hook (``_Products``) makes a left product from the row
+below, and any other product it holds from the row or representative
+it moves, normalised as ``RowSpace._put`` stores rows.
 ``integer_rank`` keeps a space of its own that the caller never sees,
 takes rows as (lead, builder) pairs, and its hook calls the builder of
 a pair whose lead was free when it came: such a row is built only when
@@ -66,6 +70,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from collections.abc import Mapping
 from fractions import Fraction
+from functools import cache
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, compress, count
 from math import gcd, lcm
@@ -115,14 +120,33 @@ class ModInt:
         return f"{self.v} (mod {self.p})"
 
 
+# Miller-Rabin on the first 13 prime bases is exact for every p below
+# this bound (Sorenson and Webster, Math. Comp. 86, 2017).
+PRIME_TEST_BOUND = 3317044064679887385961981
+_PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def _is_prime(p):
+    """Whether p is prime, for p < PRIME_TEST_BOUND: trial division by the
+    bases, then Miller-Rabin to each of them."""
     if p < 2:
         return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
+    for a in _PRIME_BASES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _PRIME_BASES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 
@@ -155,6 +179,9 @@ class PrimeField:
     """The field F_p for a prime p; scalars are ModInt."""
 
     def __init__(self, p):
+        if p >= PRIME_TEST_BOUND:
+            raise ValidationError(f"{p} is not below {PRIME_TEST_BOUND}, the bound of the "
+                                  "exact primality test")
         if not _is_prime(p):
             raise ValidationError(f"{p} is not prime")
         self.p = p
@@ -214,6 +241,19 @@ def _p_ints(vec, p):
     return out
 
 
+def _normal(vec, lead, p):
+    """A nonzero integer vector with leading column ``lead``, normalised as
+    the kernel stores rows: primitive with a positive pivot entry over Q
+    (p None), residues made monic over F_p."""
+    if p is None:
+        content = gcd(*vec.values())
+        if vec[lead] < 0:
+            content = -content
+        return vec if content == 1 else {c: s // content for c, s in vec.items()}
+    inv = pow(vec[lead], -1, p)
+    return vec if inv == 1 else {c: s * inv % p for c, s in vec.items()}
+
+
 class _MonicRows(Mapping):
     """Read-only view of a RowSpace: pivot column -> monic row with field
     scalars, built from the stored row on first access."""
@@ -239,8 +279,8 @@ class _MonicRows(Mapping):
 class _AllRows(Mapping):
     """Read-only view of a closure component: pivot column -> stored
     integer row.  Membership and iteration read the pivot bytes without
-    building the left products; a lookup builds the row once and keeps
-    it."""
+    building the products it holds; a lookup builds the row once and
+    keeps it."""
 
     __slots__ = ("_space",)
 
@@ -271,20 +311,20 @@ class RowSpace:
     Stored rows are never mutated.
 
     A closure component (``closure_step``) has a pivot byte per column
-    and holds the left products of the component below it without
-    copying them: the kernels build a product row on the first lookup of
-    a pivot that is not one of this space's own rows (``_find``) and keep
-    it.  ``rows``, ``pivots``, ``rank`` and the bases see the whole space.
+    and holds the left products of the component below it, and every
+    other product whose leading column was free, without building them:
+    the kernels build a product row on the first lookup of a pivot that
+    is not one of this space's own rows (``_find``) and keep it.
+    ``rows``, ``pivots``, ``rank`` and the bases see the whole space.
     """
 
-    __slots__ = ("field", "_rows", "_inserted", "_reps", "_p", "_monic",
+    __slots__ = ("field", "_rows", "_inserted", "_p", "_monic",
                  "_mask", "_shifted", "_source")
 
     def __init__(self, field):
         self.field = field
-        self._rows = {}            # pivot -> row: inserted, or a left product built
+        self._rows = {}            # pivot -> row: inserted, or a product built
         self._inserted = []        # pivots of the inserted rows
-        self._reps = ()            # closure_step's representatives of the g·β
         self._p = getattr(field, "p", None)
         self._monic = {}
         self._mask = None          # closure components: one pivot byte per column
@@ -315,17 +355,20 @@ class RowSpace:
         """The row with pivot c, for a c not among the held rows, from the
         hook ``_source``: built, kept and returned; None when c is no
         pivot.  This is the one place where a row is built on lookup: a
-        closure component's left product, or a row ``integer_rank`` was
-        handed unbuilt.  A row that does not lead at c is a fault, and
-        raises: ``_reduce`` would loop on such a row forever.
-        (``is_pivot``, ``rows`` and the bases of an ``integer_rank`` space
-        do not see its unbuilt rows; it reads none of them.)"""
+        product a closure component holds, or a row ``integer_rank`` was
+        handed unbuilt.  A row that does not lead at c, or an F_p row whose
+        entry there is not 1, is a fault, and raises: ``_reduce`` would
+        loop on such a row forever.  (``is_pivot``, ``rows`` and the bases
+        of an ``integer_rank`` space do not see its unbuilt rows; it reads
+        none of them.)"""
         row = self._source(c)
         if row is None:
             return None
         lead = min(row) if row else None
         if lead != c:
             raise InvariantViolation(f"row built for pivot {c} leads at {lead}")
+        if self._p is not None and row[c] != 1:
+            raise InvariantViolation(f"row built for pivot {c} is not monic")
         self._rows[c] = row
         return row
 
@@ -440,39 +483,14 @@ class RowSpace:
             return {c: Fraction(s) for c, s in vec.items()}
         return {c: Fraction(s * den, num) for c, s in vec.items()}
 
-    def _put(self, vec, lead, normal=False):
+    def _put(self, vec, lead):
         """Store a nonzero integer vector with leading column ``lead``,
-        normalised (primitive with positive pivot over Q, monic over F_p)
-        unless ``normal`` says it is."""
-        p = self._p
-        if not normal and p is None:
-            content = gcd(*vec.values())
-            if vec[lead] < 0:
-                content = -content
-            if content != 1:
-                vec = {c: s // content for c, s in vec.items()}
-        elif not normal:
-            inv = pow(vec[lead], -1, p)
-            if inv != 1:
-                vec = {c: s * inv % p for c, s in vec.items()}
+        normalised (``_normal``)."""
+        vec = _normal(vec, lead, self._p)
         self._rows[lead] = vec
         self._inserted.append(lead)
         if self._mask is not None:
             self._mask[lead] = 1
-
-    def _store(self, vec, lead, stop, normal=False):
-        """Store a product with leading column ``lead`` as ``_reduce`` with
-        ``store`` and ``stop`` would: when lead is no pivot, the vector as it
-        is if ``normal`` says it is normalised, else through ``_put``.  A
-        vector said to be normalised whose pivot entry is not 1 over F_p,
-        or not positive over Q, raises: ``_reduce`` clears an F_p column
-        only against a monic row, and would loop forever."""
-        if self.is_pivot(lead):
-            return self._reduce(vec, store=True, stop=stop)
-        if normal and ((vec[lead] < 1) if self._p is None else (vec[lead] != 1)):
-            raise InvariantViolation(f"row with pivot {lead} is not normalised")
-        self._put(vec, lead, normal)
-        return lead, None
 
     def _monic_row(self, c):
         row = self._monic.get(c)
@@ -596,8 +614,7 @@ def integer_rank(field, rows):
         if p is None:
             return build()
         row = _p_ints(build(), p)
-        inv = pow(row.get(c) or 1, -1, p)      # a row without c is _find's to refuse
-        return row if inv == 1 else {k: s * inv % p for k, s in row.items()}
+        return _normal(row, c, p) if c in row else row    # a row without c: _find refuses it
     sp._source = source
     held, inserted, reduce = sp._rows, sp._inserted, sp._reduce
     for lead, build in rows:
@@ -647,109 +664,173 @@ class _Layout:
         return {c + offs[bisect_right(subs, c)]: s for c, s in row.items()}
 
 
+_layout = cache(_Layout)     # one per (g, m, size), shared by the steps of every closure
+
+
+class _Products:
+    """The hook ``RowSpace._source`` of a closure component I^m, and what
+    the next step reads from it.
+
+    A left product x_i·r of a row r of I^{m-1} (``below``) is held by its
+    pivot byte alone; any other product whose leading column was free
+    (``take``) is held as (src, a, b) in ``held``: the row src, or the row
+    of I^{m-1} with pivot src, moved by column k -> a·k + b.  The hook
+    builds either on first lookup as ``RowSpace._put`` would store it (a
+    move of a row of I^{m-1} is normalised already).
+
+    ``reps``: the representatives (ĉ(g, β), c, |β|) in descending
+    signature, ĉ(g, β) a row read partway or the pivot of the stored row.
+    ``sigs`` (over T[z]): (k, c, |β|, pivot) for each inserted row, the
+    product g·β·z^k it stands for, c the column of lead(g)·β in the words
+    of its length.  ``zeros``: (deg g, |β|, c) -> the least k of a central
+    g·β·z^k that reduced to zero, one map for the steps of a closure."""
+
+    __slots__ = ("below", "layout", "mask", "p", "held", "reps", "sigs", "zeros")
+
+    def __init__(self, below, layout, mask, p, sigs, zeros):
+        self.below, self.layout, self.mask, self.p = below, layout, mask, p
+        self.held, self.reps, self.sigs, self.zeros = {}, [], sigs, zeros
+
+    def _from_below(self, src, c):
+        row = self.below._row(src)
+        if row is None:
+            raise InvariantViolation(f"pivot {c} has no row {src} below it")
+        return row
+
+    def __call__(self, c):
+        """The unbuilt row with pivot c, or None when c is no pivot."""
+        held = self.held.pop(c, None)
+        if held is not None:
+            src, a, b = held
+            if type(src) is dict:
+                return _normal({a * k + b: s for k, s in src.items()}, c, self.p)
+            return {a * k + b: s for k, s in self._from_below(src, c).items()}
+        mask = self.mask
+        if c >= len(mask) or not mask[c]:
+            return None
+        i, src = self.layout.source(c)
+        return self.layout.move(self._from_below(src, c), i)
+
+    def take(self, sp, lead, src, a, b, stop):
+        """Store in sp the product src moved by k -> a·k + b (src as in
+        ``held``), which leads at ``lead``, as ``sp._reduce`` with ``store``
+        and ``stop`` would: when lead is no pivot, hold it unbuilt."""
+        mask = self.mask
+        if mask[lead]:
+            row = src if type(src) is dict else self._from_below(src, lead)
+            return sp._reduce({a * k + b: s for k, s in row.items()}, store=True, stop=stop)
+        self.held[lead] = src, a, b
+        mask[lead] = 1
+        sp._inserted.append(lead)
+        return lead, None
+
+
 def closure_step(field, prev, g, m, size, gens, comps):
     """One degree of a graded ideal closure, by standard words:
 
         I^m = V·I^{m-1} + z·N + span{ĉ(g, β)},
 
     where ``prev`` is I^{m-1} (built by this step, or empty), N the rows
-    ``prev``'s own step inserted, g
-    runs over the generators and β over the standard words of length
-    m - deg g: the words that are not a pivot of the finished component
-    I^{|β|} = ``comps[|β|]``, the word of length n with lex index i being
-    at column i of I^n.  ĉ(g, β) is any element congruent to g·β modulo
-    V·I^{m-1} + z·I^{m-1}.  The columns of I^m are those of T[z]^m,
-    ``size`` = |T[z]^m|, or, with no z, those of T^m, ``size`` = g^m
-    (``_Layout``, over g letters).  z· moves a column by the g^m columns
-    of word degree m, and ·x moves column c to g·c + x in both layouts
-    (|T[z]^n| = g·|T[z]^{n-1}| + 1).  ``gens`` are the rows of the
-    generators of degree m.
+    ``prev``'s own step inserted, g runs over the generators and β over
+    the standard words of length m - deg g: the words that are not a
+    pivot of the finished component I^{|β|} = ``comps[|β|]``, the word of
+    length n with lex index i being at column i of I^n.  ĉ(g, β) is any
+    element congruent to g·β modulo V·I^{m-1} + z·I^{m-1}.  The columns
+    of I^m are those of T[z]^m, ``size`` = |T[z]^m|, or, with no z, those
+    of T^m, ``size`` = g^m (``_Layout``, over g letters).  z· moves a
+    column by the g^m columns of word degree m, and ·x moves column c to
+    g·c + x in both layouts (|T[z]^n| = g·|T[z]^{n-1}| + 1).  ``gens``
+    are the rows of the generators of degree m, which lead at distinct
+    columns of word degree m.
 
-    This is exact.  I^m is spanned by V·I^{m-1}, z·I^{m-1} and the g·β.
-    If β = ω·lead(h)·ω' for a monic h in I, then g·β = g·ω·h·ω' -
-    g·ω·(h - lead h)·ω': the first term lies in V·I^{m-1} + z·I^{m-1},
-    and the rest are multiples g·β'' with β'' after β, as left, right and
-    z multiplication keep the column order; so by induction on the
-    columns g·β is not needed.  As I^{m-1} = V·I^{m-2} + span(N), the z
-    being central, z·I^{m-1} ⊆ V·I^{m-1} + z·N.
+    A product g·β·z^k of degree m has the signature (column of
+    lead(g)·β·z^k, |β|), which names it; left, right and z multiplication
+    keep the order of signatures strict (·x: c -> g·c + x; z·: c -> c +
+    g^m).  The left products of ``prev`` are held as they are.  Then the
+    central products z·r go in, r in N standing for the product σ' its
+    step stored it for, and then the candidates: ĉ(g, β')·x for each
+    representative ĉ(g, β') that ``prev`` keeps and each letter x with
+    β'x standard, and the generators, ĉ(g, ∅) = g.  Each part goes in
+    strictly descending signature, the central ones all larger (columns
+    >= g^m).  A central product (g, β₀ω, k) is skipped when (g, β₀, k₀),
+    k₀ <= k, reduced to zero in a lower degree; only one whose leading
+    column is a pivot is tested, as a skipped product would reduce to
+    zero.  A candidate stays a ĉ(g, β) along its leading chain until it
+    meets a pivot that another candidate inserted, and is kept there as
+    the representative for the next degree; one that reduces to zero
+    keeps none, so none of its multiples is made.
 
-    Every left product of ``prev`` is held as it is, then z·N is
-    inserted, last pivot first, and then the candidates, in strictly
-    descending signature: ĉ(g, β')·x for each representative ĉ(g, β')
-    that ``prev`` keeps and each letter x with β'x standard, and the
-    generators, ĉ(g, ∅) = g.  The signature of (g, β) is the pair
-    (c, |β|), c = lead(g)·g^|β| + lex(β) being the column of lead(g)·β;
-    it names (g, β), the generators of one degree having distinct leading
-    columns.  Up to the candidates the space holds exactly V·I^{m-1} +
-    z·I^{m-1}, so a candidate stays a ĉ(g, β) along its leading chain
-    until the chain first meets a pivot that another candidate inserted.
-    A candidate that is stored is kept there as the representative for
-    the next degree (the stored row when the chain meets no such pivot);
-    one that reduces to zero keeps none, so none of its multiples
-    ĉ(g, β)·x is made at the next degree.
+    This is exact.  Let Z(σ) be V·I^{m-1} plus the span of the products
+    of degree m of larger signature; the space built before σ lies in
+    Z(σ).  Each σ lies in Z(σ) or has a row that is a nonzero multiple of
+    it modulo Z(σ):
 
-    That is exact too.  Call (g, β), β standard, idle when its candidate
-    reduced to zero or was never made.  An idle g·β lies in V·I^{m-1} +
-    z·I^{m-1} plus the span of products g'·β' of larger signature.  A
-    candidate that reduced to zero lies in V·I^{m-1} + z·I^{m-1} plus the
-    span of the candidates processed before it, each a ĉ(g', β') of
-    larger signature.  One never made is (g, β₀x) with (g, β₀) idle in
-    the degree below; right multiplication by x maps V·I^{m-2} +
-    z·I^{m-2} into V·I^{m-1} + z·I^{m-1} and keeps the order of
-    signatures strict (c moves to g·c + x), so by induction on m g·β₀·x
-    is of that form too.  The standard-word argument above also moves
-    only to larger signatures (β'' after β, the same g).  Now take, in
-    some degree, the g·β of largest signature, β standard, outside the
-    component built.  Every product of larger signature lies in the
-    component, by that choice and the standard-word argument, so g·β
-    does too: through its stored ĉ(g, β), or as an idle g·β.  So no such
-    g·β exists, and the component is I^m.
+    (a) I^m = V·I^{m-1} + span{g·β·z^k}, z being central.
+    (b) If β = ω·lead(h)·ω' for a monic h in I, g·β = g·ω·h·ω' -
+        g·ω·(h - lead h)·ω' lies in V·I^{m-1} + z·I^{m-1} plus products
+        of larger signature.
+    (c) I^{m-1} = V·I^{m-2} + span(N) and z·V = V·z, so z·I^{m-1} ⊆
+        V·I^{m-1} + z·N.  z·r is a nonzero multiple of z·σ' modulo
+        Z(z·σ'), and z·σ' lies in z·Z(σ') ⊆ Z(z·σ') when σ' has no row.
+        So before the candidates the space is V·I^{m-1} + z·I^{m-1},
+        which lies in Z(σ) for every candidate σ.
+    (d) A standard (g, β) whose candidate reduced to zero or was never
+        made lies in V·I^{m-1} + z·I^{m-1} plus products of larger
+        signature: one never made is (g, β₀x) with (g, β₀) such a pair
+        in the degree below, and right multiplication by x carries the
+        relation up.
+    (e) A central product of degree d that reduced to zero lies in Z of
+        its signature; right multiplication by ω·z^(k-k₀) maps V·I^{d-1}
+        into V·I^{m-1} and keeps signatures strictly ordered, so a
+        skipped product lies in Z of its signature too.
+
+    The product of largest signature outside the component would have Z
+    of its signature inside it, and so itself: the component is I^m.
 
     One kernel reduction serves the stored row and the representative
-    (``RowSpace._reduce`` with ``stop``).  Every product is a fresh move
-    of a stored row or representative, with a leading column known from
-    its source, and goes through ``RowSpace._store``: one whose leading
-    column is no pivot skips the kernel, stored as it is when it moves a
-    row ``prev`` holds (normalised), else normalised, the row the kernel
-    would store.  ``check`` takes 55 elimination steps on U(gl2) to
-    degree 8 and 1 038 on U(gl3) to degree 6, where the representatives
-    taken last leading column first, with those of zeros kept, took
-    22 759 and 349 414."""
+    (``RowSpace._reduce`` with ``stop``).  Every product is a move of a
+    row or representative with a leading column known from its source,
+    and goes through ``_Products.take``, which holds it unbuilt when that
+    column is no pivot.  ``check`` takes 55 elimination steps on U(gl2)
+    to degree 8 and 1 038 on U(gl3) to degree 6, where the
+    representatives taken last leading column first, with those of zeros
+    kept, took 22 759 and 349 414."""
     sp = RowSpace(field)
-    layout = _Layout(g, m, size)
+    layout = _layout(g, m, size)
     below = prev._mask or bytearray(sum(layout.units))     # an empty I^0
     mask = sp._mask = layout.mask(below, size)
     sp._shifted = g * prev.rank
-
-    def product(c):
-        """x_i·(the row of I^{m-1} below c), or None when c is no pivot."""
-        if c >= len(mask) or not mask[c]:
-            return None
-        i, source = layout.source(c)
-        row = prev._row(source)
-        if row is None:
-            raise InvariantViolation(f"pivot {c} has no row {source} below it")
-        return layout.move(row, i)
-    sp._source = product
-    put, rows, z = sp._store, prev._rows, g ** m
-    if size > z:
-        for c in sorted(prev._inserted, reverse=True):
-            put({k + z: s for k, s in rows[c].items()}, c + z, (), normal=True)
-    # (c, |β|, row to move by x, its leading column, whether it is stored, x)
-    cands = [(min(v), 0, v, min(v), False, None) for v in (sp._ints(vec)[0] for vec in gens)]
-    for row, c, n in prev._reps:
-        lead, std, i = min(row), comps[n + 1], (c % g ** n) * g
-        cands += [(g * c + x, n + 1, row, g * lead + x, rows.get(lead) is row, x)
+    last = None if prev._mask is None else prev._source    # what prev's step kept
+    z, zeros = g ** m, {} if last is None else last.zeros
+    sigs = [] if size > z else None                        # None: no z, no central products
+    step = sp._source = _Products(prev, layout, mask, sp._p, sigs, zeros)
+    take = step.take
+    for k, c, n, src in sorted(last.sigs, reverse=True) if last and sigs is not None else ():
+        lead, d = src + z, m - 1 - k - n
+        if mask[lead] and zeros and any(zeros.get((d, n - j, c // g ** j), m) <= k + 1
+                                        for j in range(n + 1)):
+            continue
+        lead = take(sp, lead, src, 1, z, ())[0]
+        if lead is None:
+            zeros.setdefault((d, n, c), k + 1)
+        else:
+            sigs.append((k + 1, c, n, lead))
+    # (c, |β|, the row or pivot to move by x, its leading column, a, b)
+    cands = [(min(v), 0, v, min(v), 1, 0) for v in (sp._ints(vec)[0] for vec in gens)]
+    for src, c, n in () if last is None else last.reps:
+        lead, std, i = src if type(src) is int else min(src), comps[n + 1], (c % g ** n) * g
+        cands += [(g * c + x, n + 1, src, g * lead + x, g, x)
                   for x in range(g) if not std.is_pivot(i + x)]
     cands.sort(key=itemgetter(0, 1), reverse=True)
     made = set()              # the pivots the candidates inserted
-    reps = sp._reps = []      # (ĉ(g, β), c, |β|), in descending signature
-    for c, n, row, lead, normal, x in cands:
-        vec = row if x is None else {g * k + x: s for k, s in row.items()}
-        lead, rep = put(vec, lead, made, normal)
+    reps = step.reps
+    for c, n, src, lead, a, b in cands:
+        lead, rep = take(sp, lead, src, a, b, made)
         if lead is not None:
             made.add(lead)
-            reps.append((sp._rows[lead] if rep is None else rep, c, n))
+            reps.append((lead if rep is None else rep, c, n))
+            if sigs is not None:
+                sigs.append((0, c, n, lead))
     return sp
 
 

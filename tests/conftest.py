@@ -393,8 +393,12 @@ def representatives(space):
     n), in the order the step stored them: the row is congruent to g·β
     modulo the left and central products, β a word of length n and c the
     column of lead(g)·β (``Closure.named`` in test_closure reads g and β
-    off them)."""
-    return space._reps
+    off them).  A representative the step keeps by its pivot is read as
+    the row ``space`` holds there."""
+    step = space._source
+    if step is None:
+        return []
+    return [(space.rows[rep] if type(rep) is int else rep, c, n) for rep, c, n in step.reps]
 
 
 def copied(space):

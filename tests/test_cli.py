@@ -3,6 +3,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -117,6 +118,9 @@ class TestExitCodes:
                      "bad --field 'Fp:abc'; use Q or Fp:PRIME", id="field-flag-not-digits"),
         pytest.param("check", None, ["--field", "Fp:8"], None, "8 is not prime",
                      id="field-flag-composite"),
+        pytest.param("check", None, ["--field", "Fp:3317044064679887385961981"], None,
+                     "3317044064679887385961981 is not below 3317044064679887385961981, "
+                     "the bound of the exact primality test", id="field-flag-above-prime-bound"),
         pytest.param("check", None, ["--field", "R"], None,
                      "bad --field 'R'; use Q or Fp:PRIME", id="field-flag-unknown"),
         pytest.param("check", 'field = "R"\ngenerators = ["x"]\ndeformation = ["x*x"]\n', [],
@@ -674,6 +678,15 @@ class TestCommands:
 
     def test_bad_field_flag(self, capsys):
         assert main(["check", gallery("heisenberg.pbw"), "--field", "Fp:6"]) == 12
+
+    def test_large_prime_field(self, capsys):
+        # primality is decided by Miller-Rabin, not trial division, so the
+        # Mersenne prime 2^61 - 1 is accepted at once
+        start = time.perf_counter()
+        assert main(["check", gallery("heisenberg.pbw"), "--field",
+                     "Fp:2305843009213693951"]) == 2
+        assert time.perf_counter() - start < 1.0
+        assert "Fp(2305843009213693951)" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:32003"])

@@ -25,7 +25,7 @@ from pbwkit.deformation import FilteredSubspace, pn_ladder, rp_of
 from pbwkit.extension import ENGINE_DEGREE_CAP, GR_TABLE_COLUMN_CAP, engine_for
 from pbwkit.freealg import filtration_size, parse_element
 from pbwkit.gradedring import GradedSubspace, ideal_chain
-from pbwkit.linalg import QQ, ModInt, PrimeField, RowSpace
+from pbwkit.linalg import QQ, ModInt, PrimeField, RowSpace, _Products
 
 from conftest import (NaiveEngine, annihilator_basis, inserted, lex_columns, lex_words,
                       naive_ladder, pz_rows, representatives, row_elements, sampled,
@@ -48,6 +48,13 @@ def normal_row(row, c, p):
     return row[c] == 1 and all(0 < s < p for s in vals)
 
 
+def given(step, src, a, b):
+    """The product ``_Products.take`` is given: the row src, or the row of
+    the component below with pivot src, moved by column k -> a·k + b."""
+    row = src if type(src) is dict else step.below.rows[src]
+    return {a * k + b: s for k, s in row.items()}
+
+
 def sl2_and_sampled(p, seed):
     """sl2 and the first INSTANCES sampler presentations at ``seed``, over
     Q (p None) or F_p."""
@@ -59,22 +66,23 @@ def sl2_and_sampled(p, seed):
 
 @pytest.mark.parametrize("p, seed", [(None, 2), (7, 4703)])
 def test_stored_rows_are_normalised(p, seed, monkeypatch):
-    # a product whose leading column is no pivot is stored without a
-    # kernel pass, so it must be the row the kernel stores: normalised,
-    # checked as RowSpace._store stores it (a row that is not would derail
-    # the next reduction that reads it) and again on every component of
-    # the engine to degree 6 and of the graded ideal; the engine's cut
-    # counts must equal those the naive engine counts on its rows
-    real, partway, raw = RowSpace._store, [], []
+    # a product whose leading column is no pivot is held without a
+    # kernel pass and built on first read, so it must be built as the row
+    # the kernel stores: normalised, checked as _Products.take stores it
+    # (a row that is not would derail the next reduction that reads it)
+    # and again on every component of the engine to degree 6 and of the
+    # graded ideal; the engine's cut counts must equal those the naive
+    # engine counts on its rows
+    real, partway, raw = _Products.take, [], []
 
-    def put(self, vec, lead, stop, normal=False):
-        if not normal_row(vec, lead, p):
-            (partway if self.is_pivot(lead) else raw).append(lead)
-        out = real(self, vec, lead, stop, normal)
+    def put(self, sp, lead, src, a, b, stop):
+        if not normal_row(given(self, src, a, b), lead, p):
+            (partway if sp.is_pivot(lead) else raw).append(lead)
+        out = real(self, sp, lead, src, a, b, stop)
         if out[0] is not None:
-            assert normal_row(self._rows[out[0]], out[0], p)
+            assert normal_row(sp.rows[out[0]], out[0], p)
         return out
-    monkeypatch.setattr(RowSpace, "_store", put)
+    monkeypatch.setattr(_Products, "take", put)
     for P in sl2_and_sampled(p, seed):
         eng = engine_for(P)
         naive = NaiveEngine(P)
@@ -286,29 +294,32 @@ def graded_case(g, names, rels, field=QQ):
 @pytest.mark.parametrize("case", ["sl2", "sampled"])
 def test_closure_steps_insert_only_the_new_rows(case, monkeypatch):
     # a step holds the left products of the previous component, the one
-    # below it, and passes to RowSpace._store, the entry of every product,
-    # one z-product per row of N, one product per representative ĉ(g, β)
-    # kept by the previous step and letter x with βx standard, and one per
-    # generator of the new degree: the engine and a graded ideal
+    # below it, and passes to _Products.take, the entry of every product,
+    # one z-product per row of N, but for those it skips, which lie in the
+    # component, one product per representative ĉ(g, β) kept by the
+    # previous step and letter x with βx standard, and one per generator of
+    # the new degree: the engine and a graded ideal
     if case == "sl2":
         P = FilteredSubspace(3, [parse_element(t, ["e", "f", "h"]) for t in SL2])
         rel = graded_case(2, ["x", "y"], ["x*y - y*x - x*x", "y*y*x - x*y*y"])
     else:
         P = first_not_pbw(4600)
         rel = rp_of(P)
-    inserts = []
-    real_put = RowSpace._store
+    inserts, central = [], []
+    real_put = _Products.take
 
-    def put(self, vec, lead, stop, normal=False):
-        inserts.append(self)
-        return real_put(self, vec, lead, stop, normal)
-    monkeypatch.setattr(RowSpace, "_store", put)
+    def put(self, sp, lead, src, a, b, stop):
+        inserts.append(sp)
+        if not isinstance(stop, set):
+            central.append((sp, monic_key(given(self, src, a, b), None)))
+        return real_put(self, sp, lead, src, a, b, stop)
+    monkeypatch.setattr(_Products, "take", put)
     eng = engine_for(P)
     eng.ideal_component(ENGINE_DEGREE)
     graded = Closure.graded(rel, ENGINE_DEGREE)
     monkeypatch.undo()
 
-    skipped = 0
+    skipped = central_skipped = 0
     for cl in (Closure.engine(P, eng, ENGINE_DEGREE), graded):
         assert len(cl.steps()) >= 3
         for m, prev, nxt in cl.steps():
@@ -318,7 +329,17 @@ def test_closure_steps_insert_only_the_new_rows(case, monkeypatch):
                     moved = cl.left(x, row, m - 1)
                     assert nxt.rows[min(moved)] == moved, m
             assert nxt.rank == cl.g * prev.rank + len(nxt.inserted), m
-            want = len(inserted(prev)) if cl.central else 0
+            want = 0
+            if cl.central:
+                products = [cl.central(r, m - 1) for r in inserted(prev)]
+                given_keys = [key for sp, key in central if sp is nxt]
+                left = [monic_key(vec, None) for vec in products]
+                for key in given_keys:
+                    left.remove(key)
+                assert all(nxt.contains(vec) for vec in products
+                           if monic_key(vec, None) in left), m
+                want += len(given_keys)
+                central_skipped += len(left)
             for row, c, n in representatives(prev):
                 w = cl.named(m - 1, c, n)[1]
                 letters = sum(cl.standard(n + 1, w + (x,)) for x in range(cl.g))
@@ -326,8 +347,9 @@ def test_closure_steps_insert_only_the_new_rows(case, monkeypatch):
                 skipped += cl.g - letters
             want += len(cl.gens.get(m, ()))
             assert sum(sp is nxt for sp in inserts) == want, m
-    # the sample skips some products g·β, β not standard
-    assert skipped
+    # the sample skips some products g·β, β not standard, and the sampled
+    # engine some central products (sl2's engine skips none)
+    assert skipped and bool(central_skipped) == (case == "sampled")
     assert (pn_ladder(P, LADDER_UPTO, eng).first_failure is None) == (case == "sl2")
 
 
@@ -392,19 +414,19 @@ def monic_key(vec, p):
 
 
 def spy_candidates(monkeypatch, p):
-    """Record the candidates of every closure step as ``RowSpace._store``
+    """Record the candidates of every closure step as ``_Products.take``
     is given them, the products passed with the set of the step's own
     pivots: (space, ``monic_key`` of the product, whether it reduced to
     zero), in order."""
-    calls, real = [], RowSpace._store
+    calls, real = [], _Products.take
 
-    def put(self, vec, lead, stop, normal=False):
-        key = monic_key(vec, p) if isinstance(stop, set) else None
-        out = real(self, vec, lead, stop, normal)
+    def put(self, sp, lead, src, a, b, stop):
+        key = monic_key(given(self, src, a, b), p) if isinstance(stop, set) else None
+        out = real(self, sp, lead, src, a, b, stop)
         if key is not None:
-            calls.append((self, key, out[0] is None))
+            calls.append((sp, key, out[0] is None))
         return out
-    monkeypatch.setattr(RowSpace, "_store", put)
+    monkeypatch.setattr(_Products, "take", put)
     return calls
 
 
@@ -443,7 +465,7 @@ def test_candidates_in_descending_signature(p, seed, monkeypatch):
     # c the column of lead(g)·β: named from the representatives and the
     # generators with this file's own column arithmetic, the candidates
     # of every step of the engine and of the graded ideal <R_P> to degree
-    # 6 must fall strictly in signature, in the order RowSpace._store is
+    # 6 must fall strictly in signature, in the order _Products.take is
     # given them
     calls = spy_candidates(monkeypatch, p)
     steps = early = 0
@@ -505,3 +527,50 @@ def test_zero_candidates_keep_no_multiples(p, seed, monkeypatch):
                 [naive.cut_dim(m, n) for n in range(m + 1)], m
     # the sample has zero candidates whose multiples the criterion skips
     assert skipped
+
+
+# (skipped, zero) central products per degree 0..ENGINE_DEGREE of the
+# engines of test_skipped_central_products_reduce_to_zero
+CENTRAL_COUNTS = {
+    None: ([0, 0, 0, 0, 0, 5, 17], [0, 0, 0, 3, 6, 45, 69]),
+    7: ([0, 0, 0, 0, 0, 5, 47], [0, 0, 0, 3, 18, 61, 68]),
+}
+
+
+@pytest.mark.parametrize("p, seed", [(None, 2), (7, 4703)])
+def test_skipped_central_products_reduce_to_zero(p, seed, monkeypatch):
+    # a central product z·r, r in N, is skipped when a central product of
+    # a lower degree reduced to zero whose generator is r's, whose word is
+    # a prefix of r's and whose power of z is no larger (closure_step's
+    # case (e)): every product a step skips lies in its finished
+    # component, the engine's cuts are the naive engine's, and the counts
+    # of skipped and of zero central products per degree are pinned
+    calls, real = [], _Products.take
+
+    def put(self, sp, lead, src, a, b, stop):
+        out = real(self, sp, lead, src, a, b, stop)
+        if not isinstance(stop, set):
+            calls.append((sp, monic_key(given(self, src, a, b), p), out[0] is None))
+        return out
+    monkeypatch.setattr(_Products, "take", put)
+    skipped, zeros = [0] * (ENGINE_DEGREE + 1), [0] * (ENGINE_DEGREE + 1)
+    for P in sl2_and_sampled(p, seed):
+        eng = engine_for(P)
+        cl = Closure.engine(P, eng, ENGINE_DEGREE)
+        naive = NaiveEngine(P)
+        for m, prev, nxt in cl.steps():
+            products = {}
+            for r in inserted(prev):
+                vec = cl.central(r, m - 1)
+                products[monic_key(vec, p)] = vec
+            for sp, key, zero in calls:
+                if sp is nxt:
+                    del products[key]
+                    zeros[m] += zero
+            for vec in products.values():
+                assert nxt.contains(vec), (m, row_elements(P))
+            skipped[m] += len(products)
+            assert [eng.cut_dim(m, n) for n in range(m + 1)] == \
+                [naive.cut_dim(m, n) for n in range(m + 1)], m
+        calls.clear()
+    assert (skipped, zeros) == CENTRAL_COUNTS[p]

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from pbwkit.errors import InvariantViolation, ValidationError
 from pbwkit.freealg import filtration_size
-from pbwkit.linalg import (QQ, PrimeField, RowSpace, closure_step, integer_rank,
-                           left_kernel_basis, span)
+from pbwkit.linalg import (PRIME_TEST_BOUND, QQ, PrimeField, RowSpace, _is_prime, closure_step,
+                           integer_rank, left_kernel_basis, span)
 
 from conftest import (DenseEchelon, dense_rank, intersection, lex_columns, lex_words, zcolumns,
                       zword_at)
@@ -239,16 +239,47 @@ def test_relate_coords_round_trip(case):
         assert acc.rank == len(rows) + 1
 
 
-def test_unnormalised_store_raises():
+def test_unnormalised_row_built_on_lookup_raises():
     # an F_p row must be monic, else _reduce never clears its pivot
-    # column; a Q row needs a positive pivot entry
-    for field, vec in ((PrimeField(7), {0: 3, 2: 1}), (QQ, {0: -1, 2: 1})):
-        sp = RowSpace(field)
-        with pytest.raises(InvariantViolation):
-            sp._store(vec, 0, (), normal=True)
-        assert sp.rank == 0
-    sp = RowSpace(PrimeField(7))
-    assert sp._store({0: 1, 2: 3}, 0, (), normal=True) == (0, None)
+    # column: a closure component's product built from a row below that is
+    # not monic raises when first read, the left product x_0·r of a graded
+    # closure and, over T[z], also the central product z·r held unbuilt
+    field = PrimeField(7)
+    for engine, built in ((False, (0,)), (True, (0, 4))):
+        comps = closure_components(field, 2, engine,
+                                   {1: [{0: field.one, 1: field.from_int(2)}]}, 2)
+        assert not any(c in comps[2]._rows for c in built)
+        comps[1]._rows[0] = {0: 3, 1: 6}
+        for c in built:
+            with pytest.raises(InvariantViolation, match="not monic"):
+                comps[2].rows[c]
+
+
+def trial_division(p):
+    if p < 2:
+        return False
+    d = 2
+    while d * d <= p:
+        if p % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def test_primality_matches_trial_division():
+    # Miller-Rabin on the prime bases 2..41 against trial division below
+    # 10^5, on the Carmichael number 561, on 3215031751 = 151·751·28351 (a
+    # strong pseudoprime to the bases 2, 3, 5 and 7), and on 2^61 ± 1
+    assert [p for p in range(10 ** 5) if _is_prime(p)] == \
+        [p for p in range(10 ** 5) if trial_division(p)]
+    for p in (561, 3215031751, 2 ** 61 + 1):
+        assert not trial_division(p) and not _is_prime(p)
+    assert _is_prime(2 ** 61 - 1)
+    assert PrimeField(2 ** 61 - 1).p == 2 ** 61 - 1
+    with pytest.raises(ValidationError, match="not below"):
+        PrimeField(PRIME_TEST_BOUND)
+    with pytest.raises(ValidationError, match="not prime"):
+        PrimeField(2 ** 61 + 1)
 
 
 def test_prime_field_validation():
