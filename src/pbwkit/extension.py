@@ -29,19 +29,8 @@ goes up by one for every term and lex order inside a degree is kept), so
 lead(x_i·r) = x_i·lead(r): the products V·I^{m-1} have distinct pivots,
 stay echelon and are held as they are, unreduced (I^m's pivot bytes
 repeat I^{m-1}'s, and a product row is built when a reduction first
-reads it).  The recursion is exact:
-
-- I^m is spanned by V·I^{m-1}, z·I^{m-1} and the products g·β: a
-  product a·g·b of monomials lies in V·I^{m-1} or z·I^{m-1} unless a = 1
-  and b is a word.
-- If β = ω·lead(h)·ω' for a monic h in I, then g·β = g·ω·h·ω' -
-  g·ω·(h - lead h)·ω'.  The first term lies in V·I^{m-1} + z·I^{m-1},
-  every term of g starting with a letter or with z, and the rest are
-  multiples g·β'' with β'' after β, as left, right and z multiplication
-  keep the column order.  Induction on the columns drops g·β.
-- z·I^{m-1} ⊆ V·I^{m-1} + z·N: V·I^{m-2} is stored as is inside I^{m-1},
-  so I^{m-1} = V·I^{m-2} + span(N), and z·V·I^{m-2} = V·z·I^{m-2} lies
-  in V·I^{m-1}, z being central.
+reads it).  The recursion is exact (``closure.Component`` has the
+proof).
 
 A word β'x is standard only if β' is, and ĉ(g, β'x) is ĉ(g, β')·x
 reduced by the step's kernel, read before it meets a pivot that another
@@ -50,14 +39,14 @@ candidate of the step inserted.  Every product g·β·z^k has a signature
 the candidates in descending signature.  A candidate that reduces to
 zero keeps no representative, and a central product (g, β₀ω, k) is
 skipped once (g, β₀, k₀), k₀ <= k, reduced to zero in a lower degree, as
-in signature-based Gröbner bases (``linalg.closure_step`` has the
-proof).  Every product whose leading column is free is held unbuilt and
-built when a reduction first reads it.  So the components, their pivots
-and every count below are those of the full recursion.  One degree is one ``linalg.closure_step`` over the
-|T[z]^m| columns: x_i· sends the word-degree-d block of T[z]^{m-1} to the
-i-th run of g^d columns of the block of degree d + 1, z· moves a column
-by the g^m columns of word degree m, and ·x moves column c to g·c + x,
-all computed by the step.  The word β of length n with lex index i is
+in signature-based Gröbner bases.  Every product whose leading column is
+free is held unbuilt and built when a reduction first reads it.  So the
+components, their pivots and every count below are those of the full
+recursion.  One degree is one ``closure.Component`` over the |T[z]^m|
+columns: x_i· sends the word-degree-d block of T[z]^{m-1} to the i-th
+run of g^d columns of the block of degree d + 1, z· moves a column by
+the g^m columns of word degree m, and ·x moves column c to g·c + x, all
+computed by the step.  The word β of length n with lex index i is
 the monomial β z^0 at position i of T[z]^n, the first block.  Once a
 component is all of T[z]^m, so is every later one (z·T[z]^m and
 V·T[z]^m cover T[z]^{m+1}), and no count reads a component past the
@@ -88,7 +77,8 @@ from bisect import bisect_left
 from .errors import ResourceExceeded, ValidationError
 from .freealg import WordBasis, column_guard, filtration_size, guard_reach
 from .gradedring import ideal_chain
-from .linalg import RowSpace, closure_step
+from .closure import Component
+from .linalg import RowSpace
 
 ENGINE_DEGREE_CAP = 24
 GR_TABLE_COLUMN_CAP = 12000
@@ -147,8 +137,8 @@ class ExtensionEngine:
         g, ideal = self.g, self._ideal
         cols = WordBasis(g, m, self._guard)
         # the word of length n with lex index i is w z^0, at position i
-        sp = closure_step(self.field, ideal[m - 1], g, m, cols.size,
-                          self._pz_by_degree.get(m, ()), ideal)
+        sp = Component(self.field, ideal[m - 1], g, m, cols.size,
+                       self._pz_by_degree.get(m, ()), ideal)
         if sp.rank == cols.size and self.saturated_at is None:
             self.saturated_at = m
         new, below = sorted(sp.inserted), [0] + self._cuts[m - 1]

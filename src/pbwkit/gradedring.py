@@ -8,17 +8,12 @@ from the one below it by the recursion
 where g runs over the relations G and β over the words of length
 n - deg g that are not a pivot of I^{|β|} (the standard words), ĉ(g, β)
 being congruent to g·β modulo F¹I^{n-1}.  It is the T[z] engine's
-recursion with no z, exact by the same proof (``extension``): a product
-a·g·b of words lies in F¹I^{n-1} unless a = 1, and g·β with β =
-ω·lead(h)·ω', h in I monic, is g·ω·h·ω' in F¹I^{n-1} minus multiples
-g·β'' with β'' after β.  Left multiplication by x_i moves column c to
-i g^{n-1} + c and right multiplication moves it to c g + i; both keep
-columns distinct and in order.  One degree is one ``linalg.closure_step``
-over the g^n columns, which moves left and right products itself:
-F¹I^{n-1} is held as I^n's pivot bytes, those of I^{n-1} repeated g
-times, and a product row is built only when a reduction first reads it;
-only the ĉ(g, β) and G^n are inserted, and those on a free leading
-column are held unbuilt the same way.  The degree-n basis of the
+recursion with no z, exact by the same proof (``closure.Component``).
+Left multiplication by x_i moves column c to i g^{n-1} + c and right
+multiplication moves it to c g + i; both keep columns distinct and in
+order.  One degree is one ``closure.Component`` over the g^n columns,
+which moves left and right products itself, holds F¹I^{n-1} as pivot
+bytes and inserts only the ĉ(g, β) and G^n.  The degree-n basis of the
 quotient is the set of non-pivot words of I^n (the pivot-greedy
 complement), so normal forms are canonical full reductions and quotient
 multiplication is word concatenation followed by a normal form.
@@ -38,7 +33,8 @@ from itertools import compress
 from .errors import (InvariantViolation, NotHomogeneous, ResourceExceeded,
                      ValidationError)
 from .freealg import Element, graded_size, lex_pos, lex_word
-from .linalg import QQ, RowSpace, closure_step
+from .closure import Component
+from .linalg import QQ, RowSpace
 
 DEFAULT_MAX_DEGREE = 10
 
@@ -120,8 +116,8 @@ def graded_ideal_step(chain, gens_block, g, n1, field):
     and ``gens_block`` the degree-n1 generator block, or None (then the
     result is F¹I^{n1-1} + I^{n1-1}F¹).  The word of length n with lex
     index i is at position i of I^n."""
-    return closure_step(field, chain[n1 - 1], g, n1, graded_size(g, n1),
-                        gens_block.raw_basis() if gens_block is not None else (), chain)
+    return Component(field, chain[n1 - 1], g, n1, graded_size(g, n1),
+                     gens_block.raw_basis() if gens_block is not None else (), chain)
 
 
 class PresentedRing:

@@ -38,9 +38,13 @@ class Presentation:
     deformation: list            # element strings
     max_degree: int = MAX_DEGREE
     tor_bound: int | None = None
+    _field: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
 
     def field(self):
-        return parse_field_name(self.field_name)
+        """The field ``field_name`` names, parsed once per name."""
+        if self._field[0] != self.field_name:
+            self._field = self.field_name, parse_field_name(self.field_name)
+        return self._field[1]
 
     def parsed_ambient(self):
         f = self.field()

@@ -14,6 +14,7 @@ from itertools import combinations, product
 
 import pytest
 
+from pbwkit.closure import Component
 from pbwkit.deformation import FilteredSubspace, apply_alpha, minimize_relations, rp_of
 from pbwkit.errors import InvalidPresentation
 from pbwkit.extension import ExtensionEngine, engine_for
@@ -389,16 +390,15 @@ def inserted(space):
 
 
 def representatives(space):
-    """The representatives ``closure_step`` kept in ``space``, as (row, c,
+    """The representatives ``Component`` kept in ``space``, as (row, c,
     n), in the order the step stored them: the row is congruent to g·β
     modulo the left and central products, β a word of length n and c the
     column of lead(g)·β (``Closure.named`` in test_closure reads g and β
     off them).  A representative the step keeps by its pivot is read as
     the row ``space`` holds there."""
-    step = space._source
-    if step is None:
+    if not isinstance(space, Component):
         return []
-    return [(space.rows[rep] if type(rep) is int else rep, c, n) for rep, c, n in step.reps]
+    return [(space.rows[rep] if type(rep) is int else rep, c, n) for rep, c, n in space.reps]
 
 
 def copied(space):

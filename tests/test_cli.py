@@ -8,11 +8,11 @@ import time
 import pytest
 
 import pbwkit
-from pbwkit import cli, deformation, gradedring, homology, linalg
+from pbwkit import cli, closure, deformation, gradedring, homology
 from pbwkit.cli import COMMANDS, main, run_command
 from pbwkit.errors import InvariantViolation, ParseError, ValidationError
 from pbwkit.extension import ExtensionEngine
-from pbwkit.linalg import RowSpace, span
+from pbwkit.linalg import PrimeField, RowSpace, span
 from pbwkit.presentations import parse_presentation
 
 HEISENBERG_TEXT = """\
@@ -216,12 +216,12 @@ class TestExitCodes:
         # a left product moved from the row one column past its source
         # does not lead at its pivot (or has no row): a program fault
         # (exit 14), where the kernel would loop on it
-        real = linalg._Layout.source
+        real = closure._Layout.source
 
         def off_by_one(layout, c):
             i, source = real(layout, c)
             return i, source + 1
-        monkeypatch.setattr(linalg._Layout, "source", off_by_one)
+        monkeypatch.setattr(closure._Layout, "source", off_by_one)
         for field in ("Q", "Fp:7"):
             assert main(["check", gallery("sl2.pbw"), "--field", field]) == 14
             assert "error[INVARIANT_VIOLATED]" in capsys.readouterr().err
@@ -687,6 +687,21 @@ class TestCommands:
                      "Fp:2305843009213693951"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "Fp(2305843009213693951)" in capsys.readouterr().out
+
+    def test_field_is_parsed_once(self, capsys, monkeypatch):
+        # a check over F_p builds its PrimeField, and runs the primality
+        # test, once per presentation, not once per stage that reads it
+        real, made = PrimeField.__init__, []
+
+        def counted(field, p):
+            made.append(p)
+            real(field, p)
+        monkeypatch.setattr(PrimeField, "__init__", counted)
+        for name in pbwkit.gallery_names():
+            made.clear()
+            assert main(["check", gallery(name), "--json", "--field", "Fp:32003"]) in (0, 1, 2)
+            assert made == [32003], name
+        capsys.readouterr()
 
 
 @pytest.mark.parametrize("field", ["Q", "Fp:32003"])

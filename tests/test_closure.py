@@ -25,7 +25,8 @@ from pbwkit.deformation import FilteredSubspace, pn_ladder, rp_of
 from pbwkit.extension import ENGINE_DEGREE_CAP, GR_TABLE_COLUMN_CAP, engine_for
 from pbwkit.freealg import filtration_size, parse_element
 from pbwkit.gradedring import GradedSubspace, ideal_chain
-from pbwkit.linalg import QQ, ModInt, PrimeField, RowSpace, _Products
+from pbwkit.closure import Component
+from pbwkit.linalg import QQ, ModInt, PrimeField, RowSpace
 
 from conftest import (NaiveEngine, annihilator_basis, inserted, lex_columns, lex_words,
                       naive_ladder, pz_rows, representatives, row_elements, sampled,
@@ -48,10 +49,10 @@ def normal_row(row, c, p):
     return row[c] == 1 and all(0 < s < p for s in vals)
 
 
-def given(step, src, a, b):
-    """The product ``_Products.take`` is given: the row src, or the row of
+def given(comp, src, a, b):
+    """The product ``Component.take`` is given: the row src, or the row of
     the component below with pivot src, moved by column k -> a·k + b."""
-    row = src if type(src) is dict else step.below.rows[src]
+    row = src if type(src) is dict else comp.below.rows[src]
     return {a * k + b: s for k, s in row.items()}
 
 
@@ -68,21 +69,21 @@ def sl2_and_sampled(p, seed):
 def test_stored_rows_are_normalised(p, seed, monkeypatch):
     # a product whose leading column is no pivot is held without a
     # kernel pass and built on first read, so it must be built as the row
-    # the kernel stores: normalised, checked as _Products.take stores it
+    # the kernel stores: normalised, checked as Component.take stores it
     # (a row that is not would derail the next reduction that reads it)
     # and again on every component of the engine to degree 6 and of the
     # graded ideal; the engine's cut counts must equal those the naive
     # engine counts on its rows
-    real, partway, raw = _Products.take, [], []
+    real, partway, raw = Component.take, [], []
 
-    def put(self, sp, lead, src, a, b, stop):
+    def put(self, lead, src, a, b, stop):
         if not normal_row(given(self, src, a, b), lead, p):
-            (partway if sp.is_pivot(lead) else raw).append(lead)
-        out = real(self, sp, lead, src, a, b, stop)
+            (partway if self.is_pivot(lead) else raw).append(lead)
+        out = real(self, lead, src, a, b, stop)
         if out[0] is not None:
-            assert normal_row(sp.rows[out[0]], out[0], p)
+            assert normal_row(self.rows[out[0]], out[0], p)
         return out
-    monkeypatch.setattr(_Products, "take", put)
+    monkeypatch.setattr(Component, "take", put)
     for P in sl2_and_sampled(p, seed):
         eng = engine_for(P)
         naive = NaiveEngine(P)
@@ -101,7 +102,7 @@ def test_stored_rows_are_normalised(p, seed, monkeypatch):
     # L of a row r that a candidate of larger signature stored.  r·x leads
     # at g·L + x and lies in V·I^{m-1} + z·I^{m-1} plus the span of the
     # products of signature larger than that of (g, βx), all in the space
-    # when ĉ(g, β)·x comes (closure_step's proof), so g·L + x is a pivot
+    # when ĉ(g, β)·x comes (Component's proof), so g·L + x is a pivot
     # by then: the sample reaches such products, and all meet a pivot
     assert partway and not raw
 
@@ -272,7 +273,7 @@ class Closure:
 
     def named(self, m, c, n):
         """The generator row and the word (g, β) of a representative of
-        I^m that ``closure_step`` keeps with (c, n): β the word of length n
+        I^m that ``Component`` keeps with (c, n): β the word of length n
         with lex index c mod g^n and g the one generator of degree m - n
         with lead(g)·β at column c."""
         beta = self.word(n, c % self.g ** n)
@@ -294,7 +295,7 @@ def graded_case(g, names, rels, field=QQ):
 @pytest.mark.parametrize("case", ["sl2", "sampled"])
 def test_closure_steps_insert_only_the_new_rows(case, monkeypatch):
     # a step holds the left products of the previous component, the one
-    # below it, and passes to _Products.take, the entry of every product,
+    # below it, and passes to Component.take, the entry of every product,
     # one z-product per row of N, but for those it skips, which lie in the
     # component, one product per representative ĉ(g, β) kept by the
     # previous step and letter x with βx standard, and one per generator of
@@ -306,14 +307,14 @@ def test_closure_steps_insert_only_the_new_rows(case, monkeypatch):
         P = first_not_pbw(4600)
         rel = rp_of(P)
     inserts, central = [], []
-    real_put = _Products.take
+    real_put = Component.take
 
-    def put(self, sp, lead, src, a, b, stop):
-        inserts.append(sp)
+    def put(self, lead, src, a, b, stop):
+        inserts.append(self)
         if not isinstance(stop, set):
-            central.append((sp, monic_key(given(self, src, a, b), None)))
-        return real_put(self, sp, lead, src, a, b, stop)
-    monkeypatch.setattr(_Products, "take", put)
+            central.append((self, monic_key(given(self, src, a, b), None)))
+        return real_put(self, lead, src, a, b, stop)
+    monkeypatch.setattr(Component, "take", put)
     eng = engine_for(P)
     eng.ideal_component(ENGINE_DEGREE)
     graded = Closure.graded(rel, ENGINE_DEGREE)
@@ -414,19 +415,19 @@ def monic_key(vec, p):
 
 
 def spy_candidates(monkeypatch, p):
-    """Record the candidates of every closure step as ``_Products.take``
+    """Record the candidates of every closure step as ``Component.take``
     is given them, the products passed with the set of the step's own
     pivots: (space, ``monic_key`` of the product, whether it reduced to
     zero), in order."""
-    calls, real = [], _Products.take
+    calls, real = [], Component.take
 
-    def put(self, sp, lead, src, a, b, stop):
+    def put(self, lead, src, a, b, stop):
         key = monic_key(given(self, src, a, b), p) if isinstance(stop, set) else None
-        out = real(self, sp, lead, src, a, b, stop)
+        out = real(self, lead, src, a, b, stop)
         if key is not None:
-            calls.append((sp, key, out[0] is None))
+            calls.append((self, key, out[0] is None))
         return out
-    monkeypatch.setattr(_Products, "take", put)
+    monkeypatch.setattr(Component, "take", put)
     return calls
 
 
@@ -460,12 +461,12 @@ def step_candidates(cl, m, prev, nxt, calls, p):
 
 @pytest.mark.parametrize("p, seed", [(None, 4400), (7, 4407)])
 def test_candidates_in_descending_signature(p, seed, monkeypatch):
-    # closure_step's zero criterion is exact only when every candidate
+    # Component's zero criterion is exact only when every candidate
     # ĉ(g, β) is processed after all those of larger signature (c, |β|),
     # c the column of lead(g)·β: named from the representatives and the
     # generators with this file's own column arithmetic, the candidates
     # of every step of the engine and of the graded ideal <R_P> to degree
-    # 6 must fall strictly in signature, in the order _Products.take is
+    # 6 must fall strictly in signature, in the order Component.take is
     # given them
     calls = spy_candidates(monkeypatch, p)
     steps = early = 0
@@ -541,18 +542,18 @@ CENTRAL_COUNTS = {
 def test_skipped_central_products_reduce_to_zero(p, seed, monkeypatch):
     # a central product z·r, r in N, is skipped when a central product of
     # a lower degree reduced to zero whose generator is r's, whose word is
-    # a prefix of r's and whose power of z is no larger (closure_step's
+    # a prefix of r's and whose power of z is no larger (Component's
     # case (e)): every product a step skips lies in its finished
     # component, the engine's cuts are the naive engine's, and the counts
     # of skipped and of zero central products per degree are pinned
-    calls, real = [], _Products.take
+    calls, real = [], Component.take
 
-    def put(self, sp, lead, src, a, b, stop):
-        out = real(self, sp, lead, src, a, b, stop)
+    def put(self, lead, src, a, b, stop):
+        out = real(self, lead, src, a, b, stop)
         if not isinstance(stop, set):
-            calls.append((sp, monic_key(given(self, src, a, b), p), out[0] is None))
+            calls.append((self, monic_key(given(self, src, a, b), p), out[0] is None))
         return out
-    monkeypatch.setattr(_Products, "take", put)
+    monkeypatch.setattr(Component, "take", put)
     skipped, zeros = [0] * (ENGINE_DEGREE + 1), [0] * (ENGINE_DEGREE + 1)
     for P in sl2_and_sampled(p, seed):
         eng = engine_for(P)

@@ -8,7 +8,8 @@ from pbwkit.gradedring import PresentedRing
 from pbwkit.deformation import FilteredSubspace, lifted, pn_ladder, minimize_relations, rp_of
 from pbwkit.errors import InvalidPresentation
 from pbwkit.extension import ExtensionEngine, engine_for, rees_identity_check
-from pbwkit.linalg import QQ, PrimeField, _Layout
+from pbwkit.closure import _Layout
+from pbwkit.linalg import QQ, PrimeField
 from pbwkit.presentations import parse_presentation
 
 from conftest import (NaiveEngine, annihilator_basis, certified_cut_dim, eval_z, homogenize,

@@ -1,7 +1,8 @@
 """No module of pbwkit imports a name it does not use, every public
 function or method it defines is read somewhere in the package, no
 module holds code that ``python -O`` strips, and only the kernel,
-``linalg.py``, reaches into another object's private attributes.
+``linalg.py``, reaches into another object's private attributes or
+imports a private name from another module of the package.
 
 Names imported relatively into ``__init__.py`` are the package's public
 surface (re-exports): they are exempt from the first check and count as
@@ -133,21 +134,29 @@ def test_detects_debug_only_code(tmp_path):
     assert debug_only_code(mod) == [(5, "assert"), (8, "__debug__"), (11, "__debug__")]
 
 
+def private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def private_attributes(path):
     """(line, name) of each read or write, in the module at path, of a
-    ``_``-prefixed attribute (dunders aside) of anything but ``self``."""
+    ``_``-prefixed attribute (dunders aside) of anything but ``self``, and
+    of each ``_``-prefixed name it imports from a pbwkit module."""
     found = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-        if (isinstance(node, ast.Attribute) and node.attr.startswith("_")
-                and not (node.attr.startswith("__") and node.attr.endswith("__"))
+        if (isinstance(node, ast.Attribute) and private(node.attr)
                 and not (isinstance(node.value, ast.Name) and node.value.id == "self")):
             found.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").split(".")[0] == "pbwkit"):
+            found += [(node.lineno, alias.name) for alias in node.names if private(alias.name)]
     return sorted(found)
 
 
 def test_private_attributes_stay_in_the_kernel():
-    # RowSpace's slots (its rows, pivot bytes and the ``_source`` hook
-    # that builds a row on lookup) are read and set in linalg.py only
+    # RowSpace's slots (its rows and the ``_source`` hook that builds a
+    # row on lookup) are read and set in linalg.py only; closure.py's
+    # Component, a RowSpace, reaches them through ``self``
     found = {str(path.relative_to(SRC)): private_attributes(path)
              for path in sorted(SRC.rglob("*.py")) if path.name != "linalg.py"}
     assert {name: bad for name, bad in found.items() if bad} == {}
@@ -156,10 +165,15 @@ def test_private_attributes_stay_in_the_kernel():
 def test_detects_a_private_attribute(tmp_path):
     mod = tmp_path / "mod.py"
     mod.write_text(
+        "from __future__ import annotations\n"
+        "from os import _exit\n"
+        "from .linalg import RowSpace, _normal as normal, __all__\n"
+        "from pbwkit.closure import _layout\n"
         "class A:\n"
         "    def __init__(self, other):\n"
         "        self._own = other._theirs\n"
         "        other._source = self._own\n"
         "        print(type(self).__name__, self.__class__)\n"
         "        del other.inner._rows\n")
-    assert private_attributes(mod) == [(3, "_theirs"), (4, "_source"), (6, "_rows")]
+    assert private_attributes(mod) == [(3, "_normal"), (4, "_layout"), (7, "_theirs"),
+                                       (8, "_source"), (10, "_rows")]

@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from pbwkit.errors import InvariantViolation, ValidationError
 from pbwkit.freealg import filtration_size
-from pbwkit.linalg import (PRIME_TEST_BOUND, QQ, PrimeField, RowSpace, _is_prime, closure_step,
-                           integer_rank, left_kernel_basis, span)
+from pbwkit.closure import Component
+from pbwkit.linalg import (PRIME_TEST_BOUND, QQ, PrimeField, RowSpace, _is_prime, integer_rank,
+                           left_kernel_basis, span)
 
 from conftest import (DenseEchelon, dense_rank, intersection, lex_columns, lex_words, zcolumns,
                       zword_at)
@@ -591,11 +592,11 @@ def word_index(g, m, engine):
 
 def closure_components(field, g, engine, gens, top=COMPONENT_TOP):
     """I^0..I^top of the closure of ``gens`` (degree -> vectors) built by
-    ``closure_step`` over T[z]^m (``engine``) or T^m."""
+    ``Component`` over T[z]^m (``engine``) or T^m."""
     comps = [RowSpace(field)]
     for m in range(1, top + 1):
-        comps.append(closure_step(field, comps[m - 1], g, m, component_size(g, m, engine),
-                                  gens.get(m, ()), comps))
+        comps.append(Component(field, comps[m - 1], g, m, component_size(g, m, engine),
+                               gens.get(m, ()), comps))
     return comps
 
 
@@ -655,7 +656,7 @@ def test_closure_components_match_eager_copies(p, case):
     for m in range(COMPONENT_TOP, 0, -1):
         lazy, eager = comps[m], eagers[m]
         assert all(row == eager.rows[c] for c, row in lazy._rows.items()), m
-        assert lazy._mask == bytearray(c in eager.rows
+        assert lazy.mask == bytearray(c in eager.rows
                                        for c in range(component_size(g, m, engine))), m
         assert lazy.rank == eager.rank == g * comps[m - 1].rank + len(lazy.inserted), m
         assert list(lazy.rows) == sorted(eager.rows), m
@@ -691,7 +692,7 @@ def test_broken_left_products_raise(p):
     comps = closure_components(field, 2, True, gens, 3)
     top = comps[3]
     c = next(c for c in range(8) if not top.is_pivot(c))
-    top._mask[c] = 1
+    top.mask[c] = 1
     for read in (lambda: top.rows[c], lambda: top.reduce_full({c: field.one}),
                  lambda: top.insert({c: field.one})):
         with pytest.raises(InvariantViolation, match=f"pivot {c} has no row"):
