@@ -42,20 +42,25 @@ refuses others), so A^d = A^{d-1} A^1 and, rows being linear in the first
 factor, induction on d puts the row of every a|x in the span of the rows
 l|y (Priddy, Trans. AMS 152, 1970, for the complex).  The argument uses
 only d d = 0 and generation in degree 1, neither the relations nor the
-resolution, so the two routes stay independent.  The letter rows are the
-first h(1) cnt(s-1, r-1) chains of a strand; they go into their span
-first chain first, the chain at position p being column -p: a row then
-leads at mu(l, x_1)|x' at the top word of nf(l x_1), which no other row
-with a normal l x_1 shares.  Every row goes to the rank as a pair (lead,
-builder), and the rank builds it only when a reduction reads its pivot
-or another row meets its lead (``linalg.integer_rank``).  The lead of a
-letter row that no strand above reads needs no row, so such a row is
-never built unless the rank asks; a kept row is handed as a copy.
-For Tor_3 of k[x, y, z] (the A of ``sl2``) at bound 8 the spans take
-24 384 rows and 28 858 steps, 49 060 on columns p last chain first, and
-build 19 866 of them (17 955 of the 22 113 letter rows no strand reads);
-on the 16 rings of the ``random-homology`` benchmark at bound 6 they take
-37 028 rows and 5 041 steps, and build 5 298 of the 32 433 such rows.
+resolution, so the two routes stay independent.
+
+Counted rows: the letter rows of the chains l|w|x' whose product l w is a
+basis word are the matched cells of an algebraic Morse matching on the
+bar complex (Jöllenbeck–Welker, Mem. AMS 197, 2009; Sköldberg, Trans.
+AMS 358, 2006).  Pivots are lex-least words and u f v leads at
+u lead(f) v, so normal words are closed under subwords: each basis word
+e of degree 1 + d1 is l w, w a basis word of degree d1.  The row of
+l|w|x' has the unit merged part e|x', on a chain whose first factor has
+degree >= 2, where every other letter row has only its merged part.  So
+these rows are independent, and stay so beside the other letter rows
+once those have their merged parts cleared by them: they are counted,
+and only those residual rows go to a rank (``tor_bar``), as pairs (lead,
+builder) that the rank builds only when a reduction reads the pivot or
+another row meets the lead (``linalg.integer_rank``).  For Tor_3 of
+k[x, y, z] (the A of ``sl2``) at bound 8 the ranks take 10 703 residual
+rows of the 24 384 letter rows, in 20 829 steps, over Q and F_32003
+alike; on the 16 rings of the ``random-homology`` benchmark at bound 6
+they take 4 653 of 36 517, in 3 710 steps.
 
 Both routes read one cache, the integer normal forms of
 ``PresentedRing.nf_word`` by degree and position over the ranks of the
@@ -82,7 +87,6 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from math import comb, lcm
-from types import MethodType
 
 from .errors import (InvariantViolation, NotMinimalRelations, ResourceExceeded,
                      ValidationError)
@@ -270,14 +274,13 @@ def tor3_resolution(ring, rel, bound):
 # ---------------------------------------------------------------------------
 # Normalized bar complex (the oracle).
 
-def _bar_row(part):
+def _bar_row(rx, off, cols, q2, fx, fm):
     """The integer row fm·mu(a, x_1)|x' - fx·a|d(x) of a chain a|x, on
-    columns -position, from its parts (rx, off, cols, q2, fx, fm): x's
-    row ``rx`` moved by a's offset ``off``, and the merged terms ``cols``
-    (column, integer) moved by the position q2 of x'.  Plain loops, not
-    comprehensions: the rows are short (under three entries on average on
-    k[x, y, z]), and under CPython 3.11 each comprehension is a call."""
-    rx, off, cols, q2, fx, fm = part
+    columns -position: x's row ``rx`` moved by a's offset ``off``, and the
+    merged terms ``cols`` (column, integer) moved by the position q2 of x'.
+    Plain loops, not comprehensions: the rows are short (under three
+    entries on average on k[x, y, z]), and under CPython 3.11 each
+    comprehension is a call."""
     row = {}
     if fx == 1:
         for col, c in rx.items():
@@ -321,18 +324,23 @@ def tor_bar(ring, hom_degree, bound):
     docstring); each row is scaled to integers by the lcm of its normal
     forms' denominators, as the rows only feed ranks.
 
-    Each rank reads only the rows of the chains l|x, l a letter: as
-    d d(u|l|x) = 0 gives d(mu(u, l)|x) = d(u|d(l|x)) and A^d = A^{d-1} A^1,
-    every other row lies in their span (module docstring), over Q and
-    over F_p alike, first chain first on columns -p.  The rank takes
-    (leading column, builder) pairs and builds a row only when a
-    reduction reads its pivot or another row meets its lead
-    (``integer_rank``); zero rows are not handed over.  Strand n is still
-    built in full below the bound, as the letter row l|x of strand n + 1
-    reads the row of every x, so its letter rows go as (min(row),
-    row.copy): the rank may keep or change what a builder returns.  The
-    letter rows that no strand reads, those of strand n + 1 and of strand
-    n at the bound, go unbuilt.
+    The rank of d_s on the (s, r) strand is that of its letter rows
+    l|w|x', w of degree d1: the sum_d1 h(1 + d1) cnt(s-2, r-1-d1) counted
+    rows (module docstring), those whose l w is the k-th basis word
+    e_k = l_{a_k} w_{b_k} of degree 1 + d1, read off e_k's position, plus
+    the rank of the residual rows.  Each other pair (l_i, w_j), with
+    nf(l_i w_j) = sum c_k e_k, gives per x' the residual row
+
+        -l_i|d(w_j|x') + sum c_k l_{a_k}|d(w_{b_k}|x'),
+
+    its letter row minus the c_k-combination of counted rows, whose merged
+    part is zero.  It is built from the kept rows of strand s - 1, kept in
+    full below the bound, and scaled to integers; no elimination of the
+    product table is needed.
+
+    A basis word of degree 1 + d1 with its suffix of degree d1 outside the
+    basis, or a count of residual pairs other than h(1) h(d1) - h(1 + d1),
+    raises InvariantViolation: the basis and the normal forms disagree.
     ``BAR_STRAND_GUARD`` bounds the chains of the whole strands n - 1, n
     and n + 1, checked before any row is built."""
     if not 1 <= hom_degree <= 4:
@@ -349,6 +357,21 @@ def tor_bar(ring, hom_degree, bound):
             size = start[s][m][-1]
             if size > BAR_STRAND_GUARD:
                 raise ResourceExceeded(f"bar strand (n={s}, m={m}) has {size} chains")
+    g, field = ring.g, ring.field
+    over_fp = getattr(field, "p", None) is not None
+    # splits[d1][k] = (a, b): the k-th basis word of degree 1 + d1 is l_a w_b,
+    # read off its position before any normal form is read
+    splits = [None]
+    for d1 in range(1, len(h) - 1):
+        shift, rank = g ** d1, ring.basis(d1)[1]
+        split = []
+        for pos in words[1 + d1]:
+            a, b = divmod(pos, shift)
+            if b not in rank:
+                raise InvariantViolation(f"basis word {pos} of degree {1 + d1} has a "
+                                         "suffix outside the basis")
+            split.append((a, rank[b]))
+        splits.append(split)
 
     mults = {}
 
@@ -358,11 +381,32 @@ def tor_bar(ring, hom_degree, bound):
         pos(w_i) g^d2 + pos(w_j)."""
         table = mults.get((d1, d2))
         if table is None:
-            shift = ring.g ** d2
+            shift = g ** d2
             table = [[ring.nf_word(d1 + d2, u * shift + v) for v in words[d2]]
                      for u in words[d1]]
             mults[(d1, d2)] = table
         return table
+
+    residuals = {}
+
+    def residual(d1):
+        """(i, j, [(a_k, b_k, c_k)], dm) for each pair whose product l_i w_j
+        is not the basis word e_k = l_{a_k} w_{b_k} of ``splits`` at its
+        position: nf(l_i w_j) = sum c_k e_k / dm."""
+        out = residuals.get(d1)
+        if out is None:
+            split = splits[d1]
+            home = {pair: k for k, pair in enumerate(split)}
+            out = residuals[d1] = []
+            for i, line in enumerate(mult(1, d1)):
+                for j, (terms, dm) in enumerate(line):
+                    k = home.get((i, j))
+                    if k is None or dm != 1 or terms != {k: 1}:
+                        out.append((i, j, [(*split[e], c) for e, c in terms.items()], dm))
+            if len(out) != g * h[d1] - h[1 + d1]:
+                raise InvariantViolation(f"{len(out)} residual pairs in degree {1 + d1}, "
+                                         f"not h(1) h({d1}) - h({1 + d1})")
+        return out
 
     kept = {}
 
@@ -370,28 +414,15 @@ def tor_bar(ring, hom_degree, bound):
         """Rows (row, L) of d_s on the (s, r) strand in chain order, the
         exact row being row / L on columns -p; kept for the strand above."""
         out = kept.get((s, r))
-        if out is None:
-            out = kept[s, r] = list(rows(s, r))
-        return out
-
-    def rows(s, r, top=None, lazy=False):
-        """The rows of ``rows_of``, first chain first; with ``top``, only
-        those of the chains whose first factor has degree <= top.  With
-        ``lazy`` a nonzero row comes unbuilt, as a pair (leading column,
-        builder) for ``integer_rank``, and a zero row not at all.  Its
-        lead is the merged chain at the top basis word of nf(a x_1) when
-        that is nonzero, else the lead of x's row moved by a's offset:
-        the merged chains come after every chain a|y, and the two parts
-        hold nonzero integers (nonzero residues over F_p) at disjoint
-        chains, so nothing cancels."""
+        if out is not None:
+            return out
         if s == 1:
             # d_1 = 0
-            if not lazy:
-                yield from [({}, 1)] * start[1][r][-1]
-            return
+            out = kept[s, r] = [({}, 1)] * start[1][r][-1]
+            return out
+        out = kept[s, r] = []
         here, there = start[s - 1][r], start[s - 2]
-        d0 = r - s + 1 if top is None else min(r - s + 1, top)
-        for d in range(1, d0 + 1):
+        for d in range(1, r - s + 2):
             if not h[d] or not start[s - 1][r - d][-1]:
                 continue
             xrows = rows_of(s - 1, r - d)
@@ -408,40 +439,75 @@ def tor_bar(ring, hom_degree, bound):
                     for j in range(h[d1]):
                         terms, dm = line[j]
                         cols = [(-base - k * n2, c) for k, c in terms.items()]
-                        top_col = min(cols)[0] if cols else None
                         for q2 in range(n2):
                             rx, lx = xrows[q]
                             q += 1
                             if lx == dm:
-                                den, fx, fm = dm, 1, 1
+                                out.append((_bar_row(rx, off, cols, q2, 1, 1), dm))
                             else:
                                 den = lcm(dm, lx)
-                                fx, fm = den // lx, den // dm
-                            part = rx, off, cols, q2, fx, fm
-                            if not lazy:
-                                yield _bar_row(part), den
-                            elif cols or rx:
-                                # the builder is _bar_row bound to the parts:
-                                # one object, where a partial makes three
-                                lead = top_col - q2 if cols else min(rx) - off
-                                yield lead, MethodType(_bar_row, part)
+                                out.append((_bar_row(rx, off, cols, q2, den // lx,
+                                                     den // dm), den))
+        return out
+
+    def residual_rows(s, r):
+        """(lead, builder) for each nonzero residual row of d_s on the
+        (s, r) strand, per pair of ``residual`` and per x': the row times
+        dm and the lcm of the kept rows' scales, from the kept rows of the
+        (s - 1, r - 1) strand; l_a|y sits at a cnt(s-2, r-1) + pos(y), the
+        letter chains coming first."""
+        xrows = rows_of(s - 1, r - 1)
+        scaled = any(lx != 1 for _, lx in xrows)
+        there, below = start[s - 1][r - 1], start[s - 2]
+        ny = below[r - 1][-1]
+        for d1 in range(1, r - s + 2):
+            nx = below[r - 1 - d1][-1]
+            if not nx:
+                continue
+            base = there[d1]
+            for i, j, terms, dm in residual(d1):
+                parts = [(i * ny, base + j * nx, -dm)]
+                parts += [(a * ny, base + b * nx, c) for a, b, c in terms]
+                for q2 in range(nx):
+                    den = lcm(*[xrows[src + q2][1] for _, src, _ in parts]) if scaled else 1
+                    row = {}
+                    for off, src, f in parts:
+                        rx, lx = xrows[src + q2]
+                        if lx != den:
+                            f *= den // lx
+                        for col, c in rx.items():
+                            col -= off
+                            t = row.get(col)
+                            if t is None:
+                                row[col] = f * c
+                            else:
+                                t += f * c
+                                if t:
+                                    row[col] = t
+                                else:
+                                    del row[col]
+                    if over_fp:
+                        # residues: the sums may vanish mod p
+                        row = integer_vector(field, row)
+                    if row:
+                        yield min(row), row.copy
+
+    def letter_rank(s, r):
+        """Rank of the letter rows of d_s on the (s, r) strand: the count
+        of the rows with a normal product plus the rank of the rest."""
+        if s == 1:
+            return 0        # d_1 = 0
+        below = start[s - 2]
+        count = sum(h[1 + d1] * below[r - 1 - d1][-1] for d1 in range(1, r - s + 2))
+        return count + integer_rank(field, residual_rows(s, r))
 
     dims = {}
     for m in range(n, bound + 1):
-        # each rank reads the letter-first rows only (see the docstring);
-        # d_n^m is built in full below the bound, as the letter rows of
-        # d_{n+1}^{m+1} read the row of every chain of strand n, and the
-        # rank gets a fresh copy of each kept row it reads; the letter
-        # rows no strand reads go unbuilt
-        dn = (((min(row), row.copy) for row, _ in rows_of(n, m)[:start[n][m][2]] if row)
-              if m < bound else rows(n, m, 1, True))
-        rank_dn = integer_rank(ring.field, dn)
-        rank_dn1 = integer_rank(ring.field, rows(n + 1, m, 1, True))
-        d = start[n][m][-1] - rank_dn - rank_dn1
+        d = start[n][m][-1] - letter_rank(n, m) - letter_rank(n + 1, m)
         if d:
             dims[m] = d
-    # rows_of and rows refer to each other: unbinding one breaks the
-    # cycle, so the kept rows and the product tables go when tor_bar returns
+    # rows_of refers to itself: unbinding it breaks the cycle, so the kept
+    # rows and the product tables go when tor_bar returns
     rows_of = None
     return TorTable(n, bound, dims)
 

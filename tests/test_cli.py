@@ -716,6 +716,26 @@ def test_tor_routes_agree(name, upto, field, capsys):
     assert "resolution and bar routes agree" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("field", ["Q", "Fp:32003"])
+def test_tor_report_is_the_same_under_two_hash_seeds(field):
+    # no dict or set order that the hash seed moves reaches a Tor table:
+    # the --json report of the bar's deepest default run, timings dropped,
+    # is the same under PYTHONHASHSEED 0 and 1
+    src = pathlib.Path(pbwkit.__file__).resolve().parent.parent
+    reports = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(src), PYTHONHASHSEED=seed)
+        proc = subprocess.run([sys.executable, "-m", "pbwkit.cli", "tor", gallery("sl2.pbw"),
+                               "--upto", "8", "--json", "--field", field],
+                              env=env, capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0 and not proc.stderr
+        report = json.loads(proc.stdout)
+        del report["timings"]
+        reports.append(report)
+    assert reports[0] == reports[1]
+    assert reports[0]["dims"]["tor3"] == reports[0]["dims"]["tor3_bar"] == {"3": 1}
+
+
 class TestRunCommand:
     def test_programmatic(self):
         pres = parse_presentation(HEISENBERG_TEXT)

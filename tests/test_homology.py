@@ -4,7 +4,7 @@ from itertools import product
 
 import pytest
 
-from pbwkit import homology
+from pbwkit import cli, gallery_path, homology, linalg
 from pbwkit.errors import InvariantViolation, NotMinimalRelations, ResourceExceeded
 from pbwkit.freealg import Element, multiply, parse_element
 from pbwkit.gradedring import GradedSubspace, PresentedRing, minimal_complement
@@ -386,7 +386,8 @@ def test_letter_first_rows_span_the_bar_differential(p):
 def _spy_ranks(monkeypatch):
     """Wrap ``homology.integer_rank``.  Each rank's rows are recorded as
     dicts in the list returned: every (lead, builder) pair is built, and
-    must lead at lead.  The rank itself gets builders that count their
+    must lead at lead and build a fresh dict at each call, as the rank may
+    change what it gets.  The rank itself gets builders that count their
     calls in the list's ``built`` attribute."""
 
     class Ranks(list):
@@ -404,7 +405,7 @@ def _spy_ranks(monkeypatch):
         rows, out = list(rows), []
         for lead, build in rows:
             row = build()
-            assert min(row) == lead
+            assert min(row) == lead and build() is not row
             out.append(row)
         ranks.append(out)
         return real_rank(field, [(lead, counted(build)) for lead, build in rows])
@@ -412,19 +413,49 @@ def _spy_ranks(monkeypatch):
     return ranks
 
 
+def _count_steps(monkeypatch):
+    """Count the elimination steps of ``integer_rank``: the rows its
+    reductions subtract, each read from its space's rows or built by the
+    space's hook.  Returns a list whose one item is the count."""
+    steps = [0]
+
+    class Held(dict):
+        def get(self, c, default=None):
+            row = dict.get(self, c, default)
+            steps[0] += row is not None
+            return row
+    real_init, real_source = linalg._Builders.__init__, linalg._Builders._source
+
+    def init(sp, field):
+        real_init(sp, field)
+        sp._rows = Held()
+
+    def source(sp, c):
+        row = real_source(sp, c)
+        steps[0] += row is not None
+        return row
+    monkeypatch.setattr(linalg._Builders, "__init__", init)
+    monkeypatch.setattr(linalg._Builders, "_source", source)
+    return steps
+
+
 def test_bar_spans_read_the_letter_rows(monkeypatch):
-    # each rank of tor_bar reads the rows of the chains l|x, l a
-    # letter: h(1) cnt(s-1, m-1) of them, for d_3 and d_4 in every degree
-    # m, first chain first (their order is pinned by
-    # test_bar_letter_rows_lead_at_their_merged_chain); every row leads
-    # at the lead it is handed with.  A zero row is not handed over, and
-    # k[x, y, z] has none: nf(l x_1) is never zero there
+    # each rank of tor_bar reads the letter rows l|w|x' whose product l w
+    # is no basis word, as residual rows: sum_d1 (h(1) h(d1) - h(1 + d1))
+    # cnt(s-2, m-1-d1) of them for d_3 and d_4 in every degree m, w of
+    # degree d1 (their rows are pinned by
+    # test_bar_ranks_count_the_normal_product_rows); every row leads at the
+    # lead it is handed with.  A zero row is not handed over, and k[x, y, z]
+    # has none
     ring, rel = setup(3, ["x*y - y*x", "x*z - z*x", "y*z - z*y"], XYZ)
     ranks = _spy_ranks(monkeypatch)
     assert tor_bar(ring, 3, 6).dims == {3: 1}
+    h = [len(basis_words(ring, d)) for d in range(7)]
     sizes = [len(rows) for rows in ranks]
-    assert sizes == [ring.g * len(naive_strand(ring, s - 1, m - 1))
+    assert sizes == [sum((ring.g * h[d1] - h[1 + d1]) * len(naive_strand(ring, s - 2, m - 1 - d1))
+                         for d1 in range(1, m - 1))
                      for m in range(3, 7) for s in (3, 4)]
+    assert sizes == [9, 0, 42, 27, 123, 180, 287, 711]
 
 
 def _chain_key(ring):
@@ -477,76 +508,122 @@ def test_strand_starts_place_the_naive_chains():
                     assert [pos(s, r, c) for c in chains] == list(range(len(chains)))
 
 
+def _bar_rings(field):
+    """The first 20 sampler rings, k[x, y, z] and the Jordan plane over
+    ``field``: nf(xy) = yx + y^2 there has two words, the sampled rings'
+    products of two words at most one."""
+    kxyz = PresentedRing(3, GradedSubspace.from_elements(
+        3, [parse_element(t, XYZ, field) for t in ("x*y - y*x", "x*z - z*x", "y*z - z*y")],
+        field), field)
+    jordan = PresentedRing(2, GradedSubspace.from_elements(
+        2, [parse_element("x*y - y*x - y*y", XY, field)], field), field)
+    return [ring for ring, _ in sampler_rings(field, 20)] + [kxyz, jordan]
+
+
+def _naive_letter_rows(ring, s, r, key):
+    """The letter chains l|w|x' of the (s, r) strand in chain order; their
+    naive rows, the chain at place q of the (s-1, r) strand being column
+    -q; and the residual row of each chain whose l w is no basis word: its
+    row minus sum c_k times the row of l_k|w_k|x', nf(l w) = sum c_k l_k w_k."""
+    zero = ring.field.zero
+    normal = {d: set(basis_words(ring, d)) for d in range(2, r + 1)}
+    below = sorted(naive_strand(ring, s - 1, r), key=key)
+    dom = sorted((c for c in naive_strand(ring, s, r) if len(c[0]) == 1), key=key)
+    rows = {c: {-q: x for q, x in row.items()}
+            for c, row in zip(dom, naive_bar_rows(ring, dom, below))}
+    residual = {}
+    for c in dom:
+        lw = c[0] + c[1]
+        if lw in normal[len(lw)]:
+            continue
+        row = dict(rows[c])
+        for e, beta in naive_nf(ring, lw).items():
+            for col, x in rows[(e[:1], e[1:]) + c[2:]].items():
+                row[col] = row.get(col, zero) - beta * x
+        residual[c] = {col: x for col, x in row.items() if x}
+    return dom, rows, residual
+
+
+def _monic(row):
+    if not row:
+        return row
+    lead = row[min(row)]
+    return {c: s / lead for c, s in row.items()}
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_bar_ranks_count_the_normal_product_rows(p, monkeypatch):
+    # a letter row of l|w|x' whose product l w is a basis word is counted;
+    # every other one goes to the rank as its residual row.  For d_2, d_3
+    # and d_4 to degree 6 the count plus the rank of the rows handed over
+    # is the rank of the naive letter rows, and the rows handed over are
+    # the nonzero naive residual rows up to scale, in the order of the
+    # degree of w, then l, w and x'.  Over F_7 the residual rows cancel
+    # mod 7 where the integers do not
+    field = QQ if p is None else PrimeField(p)
+    ranks = _spy_ranks(monkeypatch)
+    for ring in _bar_rings(field):
+        key = _chain_key(ring)
+        for n in (2, 3):
+            ranks.clear()
+            tor_bar(ring, n, 6)
+            got = iter(ranks)
+            for m in range(n, 7):
+                for s in (n, n + 1):
+                    handed = [{c: field.from_int(x) for c, x in row.items()}
+                              for row in next(got)]
+                    if s == 3 and n == 3:
+                        continue        # checked from tor_bar(ring, 2, 6)
+                    dom, rows, residual = _naive_letter_rows(ring, s, m, key)
+                    order = sorted(residual, key=lambda c: (len(c[1]), key(c)))
+                    want = [residual[c] for c in order if residual[c]]
+                    assert [_monic(row) for row in handed] == [_monic(row) for row in want]
+                    count = len(dom) - len(residual)
+                    assert count + span(field, handed).rank == span(field, rows.values()).rank
+
+
 @pytest.mark.parametrize("p", [None, 7])
 def test_bar_letter_rows_lead_at_their_merged_chain(p, monkeypatch):
     # the chain at position q of a strand is column -q, so a letter row
     # d(l|x) = mu(l, x_1)|x' - l|d(x) leads at its largest chain: past
     # every chain l|y, the merged chain at the top basis word of nf(l x_1).
-    # The rows come first chain first.  Where l x_1 is a normal word that
-    # chain determines l, x_1 and x', so those rows lead at distinct
-    # columns; a row whose l x_1 reduces may have taken the column before
-    # (x|y|x' leads where y|x|x' does in k[x, y, z], nf(xy) = yx)
+    # Where l x_1 is a basis word e that chain is e|x', with entry 1, and
+    # those rows lead at distinct columns, while a residual row has terms
+    # on the chains l|y alone: so the rows tor_bar counts are independent
+    # of each other and of the residual rows
     field = QQ if p is None else PrimeField(p)
-    comm = GradedSubspace.from_elements(
-        3, [parse_element(t, XYZ, field) for t in ("x*y - y*x", "x*z - z*x", "y*z - z*y")],
-        field)
-    kxyz = PresentedRing(3, comm, field)
-    # the Jordan plane: nf(xy) = yx + y^2 has two words, the sampled
-    # rings' letter rows have at most one merged word
-    jordan = PresentedRing(2, GradedSubspace.from_elements(
-        2, [parse_element("x*y - y*x - y*y", XY, field)], field), field)
-    ranks = _spy_ranks(monkeypatch)
-
-    def monic(row):
-        if not row:
-            return row
-        lead = row[min(row)]
-        return {c: s / lead for c, s in row.items()}
-    for ring in [ring for ring, _ in sampler_rings(field, 20)] + [kxyz, jordan]:
+    rings = _bar_rings(field)
+    for ring in rings:
         key = _chain_key(ring)
-        ranks.clear()
         assert tor_bar(ring, 3, 5).dims == naive_tor_bar(ring, 3, 5)
-        got = iter(ranks)
         for m in range(3, 6):
             for s in (3, 4):
                 below = sorted(naive_strand(ring, s - 1, m), key=key)
                 index = {c: q for q, c in enumerate(below)}
-                dom = sorted((c for c in naive_strand(ring, s, m) if len(c[0]) == 1), key=key)
-                # the nonzero rows, in chain order: a zero row is not handed over
-                nonzero = [(chain, want) for chain, want in
-                           zip(dom, naive_bar_rows(ring, dom, below)) if want]
-                rows = next(got)
-                assert len(rows) == len(nonzero)
-                normal_leads = set()
-                for (chain, want), row in zip(nonzero, rows):
-                    assert monic({c: field.from_int(x) for c, x in row.items()}) == \
-                        monic({-q: x for q, x in want.items()}), chain
-                    merged = chain[0] + chain[1]
-                    nf = naive_nf(ring, merged)
+                letters = sum(len(c[0]) == 1 for c in below)
+                dom, rows, residual = _naive_letter_rows(ring, s, m, key)
+                counted = set()
+                for chain in dom:
+                    row = rows[chain]
+                    nf = naive_nf(ring, chain[0] + chain[1])
                     if nf:
                         top = max(nf, key=lambda w: key((w,)))
                         assert min(row) == -index[(top,) + chain[2:]], chain
-                    if merged in basis_words(ring, len(merged)):
-                        assert min(row) not in normal_leads, chain
-                        normal_leads.add(min(row))
-    # the rows of k[x, y, z] at bound 8 whose leading column is already a
-    # pivot when they come, the count of BENCH_bar_pivots.json, and the
-    # rows the ranks build of those handed over (BENCH_bar_rows.json counts
-    # the unbuilt ones)
-    ranks.clear()
-    ranks.built = 0
-    assert tor_bar(kxyz, 3, 8).dims == {3: 1}
-    colliding = 0
-    for rows in ranks:
-        sp = RowSpace(field)
-        for row in rows:
-            colliding += sp.is_pivot(min(row))
-            sp.insert(row)
-    assert colliding == 10703
-    # of the 24 384 rows handed over, a reduction reads or meets 19 866:
-    # 17 955 of the 22 113 letter rows no strand reads (strand 4, and
-    # strand 3 at the bound), and 1 911 of the 2 271 kept rows of strand 3
-    assert ranks.built == 19866
+                    if chain not in residual:
+                        lead = -index[(chain[0] + chain[1],) + chain[2:]]
+                        assert min(row) == lead and row[lead] == field.one, chain
+                        assert lead not in counted
+                        counted.add(lead)
+                for row in residual.values():
+                    assert all(-c < letters for c in row)
+    # k[x, y, z] at bound 8: the ranks take 10 703 residual rows, build
+    # 10 676 of them and take 20 829 elimination steps
+    ranks = _spy_ranks(monkeypatch)
+    steps = _count_steps(monkeypatch)
+    assert tor_bar(rings[-2], 3, 8).dims == {3: 1}
+    assert sum(map(len, ranks)) == 10703
+    assert ranks.built == 10676
+    assert steps == [20829]
 
 
 def test_bar_strand_guard_before_rows(monkeypatch):
@@ -560,6 +637,53 @@ def test_bar_strand_guard_before_rows(monkeypatch):
     with pytest.raises(ResourceExceeded, match="bar strand"):
         tor_bar(ring, 3, 6)
     assert calls == []
+
+
+def _forge_basis(monkeypatch, ring):
+    """Put in the basis of degree 3 a word whose suffix of degree 2 holds
+    the first pivot of I^2, in place of the first basis word."""
+    real = ring.basis
+    bad = min(ring.ideal_component(2).rows)
+
+    def forged(n):
+        if n != 3:
+            return real(n)
+        positions = sorted([bad] + real(3)[0][1:])
+        return positions, {pos: k for k, pos in enumerate(positions)}
+    monkeypatch.setattr(ring, "basis", forged)
+
+
+def _forge_nf(monkeypatch, ring):
+    """Make the first basis word of degree 2 normalise to zero."""
+    real = ring.nf_word
+    word = ring.basis(2)[0][0]
+    monkeypatch.setattr(ring, "nf_word",
+                        lambda n, p: ({}, 1) if (n, p) == (2, word) else real(n, p))
+
+
+@pytest.mark.parametrize("forge, message", [(_forge_basis, "suffix outside the basis"),
+                                            (_forge_nf, "residual pairs")],
+                         ids=["basis", "nf_word"])
+def test_bar_split_disagreeing_with_the_basis_raises(forge, message, monkeypatch, capsys):
+    # tor_bar counts the rows of the pairs l w that are basis words; a
+    # basis word with no basis suffix, or a count of the other pairs other
+    # than h(1) h(d1) - h(1 + d1), is a basis and normal forms that
+    # disagree, and raises; ``pbwkit tor`` exits 14 on it.  In the CLI the
+    # forgery comes after the resolution, so only the bar sees it
+    ring, rel = setup(3, ["x*y - y*x", "x*z - z*x", "y*z - z*y"], XYZ)
+    forge(monkeypatch, ring)
+    with pytest.raises(InvariantViolation, match=message):
+        tor_bar(ring, 3, 5)
+    real = cli.tor3_resolution
+
+    def resolution_then_forge(ring, rel, bound):
+        table = real(ring, rel, bound)
+        forge(monkeypatch, ring)
+        return table
+    monkeypatch.setattr(cli, "tor3_resolution", resolution_then_forge)
+    assert cli.main(["tor", str(gallery_path("sl2.pbw")), "--upto", "5"]) == 14
+    err = capsys.readouterr().err
+    assert "error[INVARIANT_VIOLATED]" in err and message in err
 
 
 def test_d2_kernel_exact_for_mixed_row_scales():
