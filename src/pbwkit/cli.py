@@ -3,9 +3,10 @@
 Exit codes: 0 = PBW_CERTIFIED (or a successful non-check command),
 1 = NOT_PBW, 2 = PBW_UP_TO_DEGREE, 11 = parse error, 12 = validation
 (a bad command-line argument too), 13 = resource cap, 14 = any other
-failure (a broken invariant, such as ``tor``'s TOR_MISMATCH or a ``gr U``
-table of a PBW_CERTIFIED ``check`` that differs from h_A, an I/O error,
-or an unexpected exception).
+failure (a broken invariant, such as ``tor``'s TOR_MISMATCH, a ``gr U``
+table of a PBW_CERTIFIED ``check`` that differs from h_A or a ``D`` table
+that breaks the exactness identity, an I/O error, or an unexpected
+exception).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .errors import (InvalidPresentation, InvariantViolation, ParseError,
 from .extension import engine_for, rees_identity_check
 from .freealg import column_guard, filtration_size, format_element, guard_reach
 from .homology import TOR_BOUND, complexity, tor3_resolution, tor_bar
-from .presentations import Report, parse_presentation
+from .presentations import Report, read_presentation, validate_presentation
 
 COMMANDS = ("check", "jacobi", "complexity", "tor", "hilbert", "rees")
 UPTO_COMMANDS = ("jacobi", "tor", "hilbert", "rees")    # the readers of --upto
@@ -69,6 +70,25 @@ def _tables(res, bound):
             [eng.annihilator_dim(n) for n in range(top + 1)])
 
 
+def _check_exactness(dims):
+    """Raise InvariantViolation unless dim D^n = h_A(n) + dim D^(n-1) -
+    ann^(n-1) in each degree n >= 1 where the three tables hold a value.
+    D/zD = A, so 0 -> ann(z)^(n-1) -> D^(n-1) --z--> D^n -> A^n -> 0 is
+    exact for every P, and h_A comes from the graded ring of the
+    minimized R, another ideal in another column layout: a count fault of
+    the T[z] engine breaks it.  It is blind to z-torsion faults: the
+    sequence is exact for any graded quotient of T[z], so an engine that
+    drops rows of <P_z> but keeps <P_z> + (z) right satisfies it."""
+    h, d, ann = dims["h_A"], dims["D"], dims["ann"]
+    if None in (h, d, ann):
+        return
+    for n in range(1, min(len(h), len(d), len(ann) + 1)):
+        want = h[n] + d[n - 1] - ann[n - 1]
+        if d[n] != want:
+            raise InvariantViolation(f"dim D^{n} = {d[n]} != h_A({n}) + dim D^{n - 1} "
+                                     f"- dim ann(z)^{n - 1} = {want}")
+
+
 def cmd_check(pres, upto=None):
     res = pbw_check(len(pres.generators), pres.parsed_deformation(),
                     ambient=pres.parsed_ambient(), field=pres.field(),
@@ -97,6 +117,7 @@ def cmd_check(pres, upto=None):
             if u != a:
                 raise InvariantViolation(f"PBW_CERTIFIED but dim gr U^{n} = {u} "
                                          f"!= h_A({n}) = {a}")
+    _check_exactness(dims)
     if res.tor3 is not None:
         dims["tor3"] = {str(m): d for m, d in sorted(res.tor3.dims.items())}
     return Report(res.verdict, res.c, res.c_certified, res.jacobi,
@@ -224,7 +245,7 @@ def main(argv=None):
                                   f"only {', '.join(UPTO_COMMANDS)} do")
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-        pres = parse_presentation(text)
+        pres = read_presentation(text)
         if args.field:
             m = re.fullmatch(r"Fp:(\d+)", args.field)
             if m:
@@ -233,7 +254,8 @@ def main(argv=None):
                 pres.field_name = "Q"
             else:
                 raise ValidationError(f"bad --field {args.field!r}; use Q or Fp:PRIME")
-            pres.field()  # validate
+        # the elements are parsed and checked once, over the field that runs
+        validate_presentation(pres)
         report = run_command(args.command, pres, args.upto)
     except ParseError as exc:
         print(f"error[{exc.code}]: {exc}", file=sys.stderr)

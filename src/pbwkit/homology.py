@@ -5,7 +5,10 @@ Resolution route: with a bimodule of relations R for A, the start of a
 projective resolution is A (x) R --d2--> A (x) A^1 --d1--> A -> k -> 0 with
 d2(a (x) r) = sum nf(a u) (x) v over the splittings r = sum u (x) v of each
 word into (all letters but the last, last letter).  Writing K2 = ker(d2),
-dim Tor_{3,m} = dim K2^m - dim(A^1 K2^{m-1}).
+dim Tor_{3,m} = dim K2^m - dim(A^1 K2^{m-1}).  The sequence is exact at
+A (x) A^1 (Polishchuk–Positselski, Quadratic Algebras, ch. 1): dim K2^m
+= sum_j dim R^j h(m-j) - g h(m-1) + h(m), so a kernel is eliminated
+only where its vectors are read (``tor3_resolution``).
 
 The rows are in the normal-word coordinates of Anick's resolution (Trans.
 AMS 296, 1986), built by position and rank with no word tuples.  A basis
@@ -66,12 +69,10 @@ Both routes read one cache, the integer normal forms of
 ``PresentedRing.nf_word`` by degree and position over the ranks of the
 basis; it holds only the words that were reduced, a basis word being its
 own normal form, and a remainder column outside the basis raises there.
-The resolution checks d1 d2 = 0 on each degree-m row by membership in
-I^m, which builds no normal form of degree m.  Each row is scaled to
-integers by the lcm L of its normal forms' denominators.  The bar rows
-and A^1 K2 only feed ranks and containment, which no scale changes; a d2
-row enters the left kernel with the tag L in place of 1, so the kernel
-vectors stay exact.
+Each row is scaled to integers by the lcm L of its normal forms'
+denominators.  The bar rows and A^1 K2 only feed ranks and d2, which no
+scale changes; a d2 row enters the left kernel with the tag L in place
+of 1, so the kernel vectors stay exact.
 
 Complexity: certified when a Hilbert scan finds A finite dimensional.
 Before the scan, the support quotient T/J is tried, J the monomial ideal
@@ -91,7 +92,7 @@ from math import comb, lcm
 from .errors import (InvariantViolation, NotMinimalRelations, ResourceExceeded,
                      ValidationError)
 from .freealg import lex_pos, lex_word
-from .linalg import RowSpace, integer_rank, integer_vector, left_kernel_basis, span
+from .linalg import RowSpace, integer_rank, integer_vector, left_kernel_basis
 
 BAR_STRAND_GUARD = 200000
 TOR_BOUND = 8           # the top internal degree of a Tor_3 scan unless one is given
@@ -150,7 +151,15 @@ def _nf_row(ring, terms, mul=1):
 class ResolutionSlice:
     """Degree-m matrices d1, d2 of the special resolution, with kernels, in
     the coordinates of the module docstring.  Rows are integer vectors (see
-    ``_nf_row``); a relation is a stored integer row of R's block."""
+    ``_nf_row``); a relation is a stored integer row of R's block.
+
+    ``rows`` holds the d2 rows, each checked for d1 d2 = 0: the sum of
+    its entries times the words b x_i must lie in I^m = ker d1, one
+    leading-chain reduction and no normal form of degree m.  A wrong
+    normal form shows there when its words leave I^m.  A fault that only
+    scales whole rows, as doubling the normal form of every word a row
+    reads, stays in I^m and every rank: ``is_cycle`` finds A^1 K2^{m-1}
+    outside K2^m one degree up."""
 
     def __init__(self, ring, rel, m):
         self.ring = ring
@@ -166,6 +175,15 @@ class ResolutionSlice:
                 self.blocks.append((j, row, size))
                 size += h
         self.offsets = [off for _, _, off in self.blocks]
+        self.rows = self.d2_rows()
+        # b (x) x_i at column rank(b) g + i is the word at pos(b) g + i of
+        # T^m; ``contains`` reads the integer entries mod p over F_p
+        g, below, ideal = ring.g, ring.basis(m - 1)[0], ring.ideal_component(m)
+        self.width = g * len(below)     # dim (A (x) A^1)^m
+        for r, _ in self.rows:
+            if r and not ideal.contains(
+                    {below[col // g] * g + col % g: s for col, s in r.items()}):
+                raise InvariantViolation("d1 ∘ d2 != 0: resolution slice is broken")
 
     def d2_rows(self):
         """The image of each domain column a (x) r in codomain columns, as
@@ -183,34 +201,17 @@ class ResolutionSlice:
 
     def kernel_of_d2(self):
         """Basis of K2^m as coefficient vectors over the domain columns.
-        Also checks d1 d2 = 0, and that R^m ∩ Ĩ^m = 0, Ĩ = F¹I + IF¹: a
-        unit column in the kernel raises NotMinimalRelations.
+        Also checks that R^m ∩ Ĩ^m = 0, Ĩ = F¹I + IF¹: a unit column in
+        the kernel raises NotMinimalRelations.
 
         A sum of a (x) r lies in K2 iff its lift sum a r in T lies in IF¹
         (d2 reads off the last letter), so a kernel vector with unit part r
         gives r ∈ IF¹ + F¹I.  Conversely, R generating I, r ∈ R^m ∩ Ĩ^m is
         sum x_i f_i + e, e ∈ IF¹, f_i = lift(κ_i) mod IF¹, κ_i ∈ (A (x)
-        R)^(m-1), and 1 (x) r - sum x_i κ_i ∈ K2^m has unit part r.
-
-        d1(b (x) x_i) = nf(b x_i) has kernel I^m, so d1 d2 = 0 on a row iff
-        the sum of its entries times the words b x_i lies in I^m: one
-        leading-chain reduction per row, with no normal form of degree m.
-        A row built from a wrong normal form is caught here when its words
-        leave I^m.  A fault that only scales whole rows, as one doubling
-        the normal form of every word a row reads, keeps them in I^m and
-        every rank; the kernel it gives has the wrong scales, and
-        ``tor3_resolution`` finds A^1 K2^{m-1} outside K2^m one degree up."""
-        ring, g, m = self.ring, self.ring.g, self.m
-        rows = self.d2_rows()
-        # b (x) x_i at column rank(b) g + i is the word at pos(b) g + i of
-        # T^m; ``contains`` reads the integer entries mod p over F_p
-        below = ring.basis(m - 1)[0]
-        for r, _ in rows:
-            if r and not ring.ideal_component(m).contains(
-                    {below[col // g] * g + col % g: s for col, s in r.items()}):
-                raise InvariantViolation("d1 ∘ d2 != 0: resolution slice is broken")
+        R)^(m-1), and 1 (x) r - sum x_i κ_i ∈ K2^m has unit part r."""
+        m, rows = self.m, self.rows
         # row k stands for rows[k][0] / L_k, so it carries the tag L_k
-        ker = left_kernel_basis(ring.field, [r for r, _ in rows], len(below) * g,
+        ker = left_kernel_basis(self.ring.field, [r for r, _ in rows], self.width,
                                 tags=[den for _, den in rows])
         unit_cols = {off for j, _, off in self.blocks if j == m}
         for v in ker:
@@ -218,6 +219,16 @@ class ResolutionSlice:
                 raise NotMinimalRelations(f"relations of degree {m} meet F¹I + IF¹: "
                                           "not a bimodule of relations")
         return ker
+
+    def is_cycle(self, v):
+        """d2(v) = 0, v an integer vector over the domain columns."""
+        den = lcm(*[self.rows[c][1] for c in v])
+        out = {}
+        for c, s in v.items():
+            r, d = self.rows[c]
+            for col, t in r.items():
+                out[col] = out.get(col, 0) + s * (den // d) * t
+        return not integer_vector(self.ring.field, out)
 
     def left_letter_rows(self, below, kernel):
         """The rows x_i v, i < g, of each vector v of ``kernel`` ⊆ K2^(m-1)
@@ -245,29 +256,38 @@ class ResolutionSlice:
 def tor3_resolution(ring, rel, bound):
     """dim Tor_{3,m} for m <= bound via K2, rel being a bimodule of
     relations for the ring up to the bound, as each slice checks
-    (NOT_MINIMAL_RELATIONS otherwise); Ĩ^m = K2^m = 0 for m <= 2."""
+    (NOT_MINIMAL_RELATIONS otherwise); Ĩ^m = K2^m = 0 for m <= 2.
+
+    dim K2^m needs no kernel: d1 maps onto A^m for m >= 1 and R
+    generates I, so rank d2^m = g h(m-1) - h(m), h(m) the rank of the
+    ``ring.ideal_component(m)`` the membership check reads and slice m + 1
+    reads as ``basis(m)``.  d2(v) = 0 on its echelon rows puts
+    A^1 K2^{m-1} in K2^m; of equal dimension, it is K2^m, and its rows
+    are the basis slice m + 1 multiplies.  So the kernel runs only where
+    a new syzygy is read (m < bound) or R^m has unit columns, and its
+    size must be dim K2^m."""
     dims = {}
     if rel.max_degree() < 0:
         return TorTable(3, bound, {})
-    prev_slice = None
-    prev_kernel = []
+    prev_slice, basis = None, []
     for m in range(3, bound + 1):
         sl = ResolutionSlice(ring, rel, m)
-        ker = sl.kernel_of_d2()
         moved = RowSpace(ring.field)
-        if prev_slice is not None:
-            # A^1 K2^{m-1} only feeds a rank and a containment, so its rows
-            # are built from the kernel scaled to integers
-            for row in sl.left_letter_rows(prev_slice, prev_kernel):
-                moved.insert(row)
-        if moved.rank:
-            ksp = span(ring.field, ker)
-            for row in moved.raw_basis():
-                if not ksp.contains(row):
-                    raise InvariantViolation("A^1 K2^{m-1} escapes K2^m")
-        dims[m] = len(ker) - moved.rank
+        for row in sl.left_letter_rows(prev_slice, basis):
+            moved.insert(row)
+        dim = len(sl.rows) - sl.width + ring.hilbert_value(m)
+        basis = moved.raw_basis()
+        if moved.rank > dim:
+            raise InvariantViolation(f"rank A^1 K2^{m - 1} > dim K2^{m} = {dim}")
+        if not all(map(sl.is_cycle, basis)):
+            raise InvariantViolation("A^1 K2^{m-1} escapes K2^m")
+        if rel.dim(m) or (m < bound and dim > moved.rank):
+            ker = sl.kernel_of_d2()
+            if len(ker) != dim:
+                raise InvariantViolation(f"dim K2^{m} = {len(ker)}, not {dim} by exactness")
+            basis = [integer_vector(ring.field, v) for v in ker]
+        dims[m] = dim - moved.rank
         prev_slice = sl
-        prev_kernel = [integer_vector(ring.field, v) for v in ker]
     return TorTable(3, bound, dims)
 
 

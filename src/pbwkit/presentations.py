@@ -38,21 +38,54 @@ class Presentation:
     deformation: list            # element strings
     max_degree: int = MAX_DEGREE
     tor_bound: int | None = None
-    _field: tuple = dc_field(default=(None, None), init=False, repr=False, compare=False)
+    # list key -> the (line, col) in the file of each of its strings
+    positions: dict = dc_field(default_factory=dict, init=False, repr=False, compare=False)
+    # (name, field, ambient elements, deformation elements) of the last
+    # field_name read
+    _field: tuple = dc_field(default=(None,), init=False, repr=False, compare=False)
+
+    def _parsed(self):
+        """The field ``field_name`` names and the elements over it, parsed
+        and validated once per name."""
+        if self._field[0] != self.field_name:
+            f = parse_field_name(self.field_name)
+            self._field = (self.field_name, f, *self._elements(f))
+        return self._field
+
+    def _elements(self, field):
+        """(ambient, deformation) elements over ``field``, each string
+        parsed at its file position; one that is zero, constant or
+        inhomogeneous over that field raises ValidationError."""
+        def parsed(key, strings):
+            spots = self.positions.get(key) or [(1, 1)] * len(strings)
+            for s, (line, col) in zip(strings, spots):
+                yield s, parse_element(s, self.generators, field, line, col)
+
+        ambient, deformation = [], []
+        for s, e in parsed("ambient_relations", self.ambient_relations):
+            if e.is_zero():
+                raise ValidationError(f"ambient relation {s!r} is zero")
+            if not e.is_homogeneous() or e.degree() < 2:
+                raise ValidationError(
+                    f"ambient relation {s!r} must be homogeneous of degree >= 2")
+            ambient.append(e)
+        for s, e in parsed("deformation", self.deformation):
+            if e.is_zero():
+                raise ValidationError(f"deformation element {s!r} is zero")
+            if e.degree() < 1:
+                raise ValidationError(
+                    f"deformation element {s!r} is a constant (P ∩ S must be 0)")
+            deformation.append(e)
+        return ambient, deformation
 
     def field(self):
-        """The field ``field_name`` names, parsed once per name."""
-        if self._field[0] != self.field_name:
-            self._field = self.field_name, parse_field_name(self.field_name)
-        return self._field[1]
+        return self._parsed()[1]
 
     def parsed_ambient(self):
-        f = self.field()
-        return [parse_element(s, self.generators, f) for s in self.ambient_relations]
+        return list(self._parsed()[2])
 
     def parsed_deformation(self):
-        f = self.field()
-        return [parse_element(s, self.generators, f) for s in self.deformation]
+        return list(self._parsed()[3])
 
     def to_text(self):
         def strlist(xs):
@@ -123,6 +156,14 @@ def parse_presentation(text):
     Raises ParseError(line, col, message) for malformed text and
     ValidationError for well-formed but algebraically invalid data.
     """
+    return validate_presentation(read_presentation(text))
+
+
+def read_presentation(text):
+    """A presentation file's keys as a Presentation, with no validation:
+    ``validate_presentation`` follows once its field is set.  Raises
+    ParseError for malformed text and ValidationError for a missing key.
+    """
     seen = {}
     where = {}
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
@@ -150,14 +191,15 @@ def parse_presentation(text):
         max_degree=seen.get("max_degree", MAX_DEGREE),
         tor_bound=seen.get("tor_bound"),
     )
-    validate_presentation(pres, where)
+    pres.positions = where
     return pres
 
 
-def validate_presentation(pres, where=None):
-    """Check a Presentation; ``where`` maps a list key to the (line, col)
-    of each of its strings in the file, so that parse errors inside an
-    element point into the file (default: positions within the string)."""
+def validate_presentation(pres):
+    """Check a Presentation under its ``field_name``: the elements are
+    parsed and checked over that field, once per field name, a parse
+    error inside an element pointing into the file by ``positions``
+    (default: positions within the string)."""
     if not isinstance(pres.generators, list) or not pres.generators:
         raise ValidationError("generators must be a nonempty list of names")
     for name in pres.generators:
@@ -170,26 +212,7 @@ def validate_presentation(pres, where=None):
     if pres.tor_bound is not None and (not isinstance(pres.tor_bound, int)
                                        or pres.tor_bound < 3):
         raise ValidationError("tor_bound must be an integer >= 3")
-    field = pres.field()
-    where = where or {}
-
-    def parsed(key, strings):
-        spots = where.get(key) or [(1, 1)] * len(strings)
-        for s, (line, col) in zip(strings, spots):
-            yield s, parse_element(s, pres.generators, field, line, col)
-
-    for s, e in parsed("ambient_relations", pres.ambient_relations):
-        if e.is_zero():
-            raise ValidationError(f"ambient relation {s!r} is zero")
-        if not e.is_homogeneous() or e.degree() < 2:
-            raise ValidationError(
-                f"ambient relation {s!r} must be homogeneous of degree >= 2")
-    for s, e in parsed("deformation", pres.deformation):
-        if e.is_zero():
-            raise ValidationError(f"deformation element {s!r} is zero")
-        if e.degree() < 1:
-            raise ValidationError(
-                f"deformation element {s!r} is a constant (P ∩ S must be 0)")
+    pres.field()
     return pres
 
 

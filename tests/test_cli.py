@@ -8,7 +8,7 @@ import time
 import pytest
 
 import pbwkit
-from pbwkit import cli, closure, deformation, gradedring, homology
+from pbwkit import cli, closure, deformation, gradedring, homology, presentations
 from pbwkit.cli import COMMANDS, main, run_command
 from pbwkit.errors import InvariantViolation, ParseError, ValidationError
 from pbwkit.extension import ExtensionEngine
@@ -211,6 +211,17 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "error[INVARIANT_VIOLATED]" in err
         assert "minimization changed the ideal" in err
+
+    def test_d_count_fault_breaks_exactness(self, capsys, monkeypatch):
+        # 0 -> ann(z)^(n-1) -> D^(n-1) -> D^n -> A^n -> 0 is exact for every
+        # P: a D table one off at n = 3 fails it there, whatever the verdict
+        real = ExtensionEngine.dim_d
+        monkeypatch.setattr(ExtensionEngine, "dim_d",
+                            lambda eng, n: real(eng, n) + (n == 3))
+        for name in pbwkit.gallery_names():
+            assert main(["check", gallery(name)]) == 14, name
+            err = capsys.readouterr().err
+            assert "error[INVARIANT_VIOLATED]: dim D^3 = " in err, name
 
     def test_broken_left_product_code(self, capsys, monkeypatch):
         # a left product moved from the row one column past its source
@@ -687,6 +698,54 @@ class TestCommands:
                      "Fp:2305843009213693951"]) == 2
         assert time.perf_counter() - start < 1.0
         assert "Fp(2305843009213693951)" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("key, element, code, message", [
+        ("deformation", "7*x*x", 12, "deformation element '7*x*x' is zero"),
+        ("ambient_relations", "x*y - y*x + 7*x", 2, "")])
+    def test_field_flag_validates_like_the_file(self, key, element, code, message,
+                                                tmp_path, capsys):
+        # the elements are checked over the field the command runs in,
+        # whether the file or --field names it: 7 x x is zero over F_7, and
+        # x y - y x + 7 x is homogeneous there
+        body = {"deformation": ["x*x"], "ambient_relations": [], key: [element]}
+        text = ('generators = ["x", "y"]\n'
+                f'ambient_relations = {json.dumps(body["ambient_relations"])}\n'
+                f'deformation = {json.dumps(body["deformation"])}\n')
+        flag, infile = tmp_path / "flag.pbw", tmp_path / "file.pbw"
+        flag.write_text(text)
+        infile.write_text('field = "Fp(7)"\n' + text)
+        for argv in ([str(flag), "--field", "Fp:7"], [str(infile)]):
+            assert main(["check", *argv]) == code
+            err = capsys.readouterr().err
+            assert err == (f"error[VALIDATION_ERROR]: {message}\n" if message else "")
+        # over Q the one is a graded deformation, the other inhomogeneous
+        assert main(["check", str(flag)]) == (0 if message else 12)
+        capsys.readouterr()
+
+    def test_element_position_under_field_flag(self, tmp_path, capsys):
+        # an element that fails to parse under --field points into the file
+        f = tmp_path / "bad.pbw"
+        f.write_text('generators = ["x"]\ndeformation = ["x*x - ²"]\n')
+        assert main(["check", str(f), "--field", "Fp:7"]) == 11
+        assert "line 2, col 23" in capsys.readouterr().err
+
+    def test_elements_are_parsed_once(self, capsys, monkeypatch):
+        # validation parses each element string once, over the field that
+        # runs, and the check reads those elements instead of parsing again
+        real, parsed = presentations.parse_element, []
+
+        def counted(text, *args):
+            parsed.append(text)
+            return real(text, *args)
+        monkeypatch.setattr(presentations, "parse_element", counted)
+        for name in pbwkit.gallery_names():
+            with open(gallery(name), encoding="utf-8") as fh:
+                pres = parse_presentation(fh.read())
+            for field in ([], ["--field", "Fp:32003"]):
+                parsed.clear()
+                assert main(["check", gallery(name), "--json", *field]) in (0, 1, 2)
+                assert parsed == pres.ambient_relations + pres.deformation, name
+        capsys.readouterr()
 
     def test_field_is_parsed_once(self, capsys, monkeypatch):
         # a check over F_p builds its PrimeField, and runs the primality

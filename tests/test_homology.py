@@ -718,12 +718,87 @@ def test_d2_kernel_exact_for_mixed_row_scales():
 @pytest.mark.parametrize("p", [None, 7])
 def test_resolution_matches_field_rows_to_degree_8(p):
     # the uncertified complexity scan reads Tor_3 through degree 8; the
-    # positional rows agree with the field-scalar rows there too
+    # positional rows agree with the field-scalar rows there too, on g <= 2
+    # and on the 8 rings with g = 3, where K2^m is read from exactness
+    # past the last kernel (ring 6: Tor_{3,8} = 1 with no kernel at m = 8)
     field = QQ if p is None else PrimeField(p)
-    rings = [(ring, rel) for ring, rel in sampler_rings(field, 30) if ring.g <= 2]
-    assert len(rings) >= 10
+    rings = sampler_rings(field, 30)
+    assert sum(ring.g == 3 for ring, _ in rings) == 8
     for ring, rel in rings:
         assert tor3_resolution(ring, rel, 8).dims == naive_tor3_resolution(ring, rel, 8)
+
+
+def _kernel_degrees(monkeypatch):
+    """The list that receives, at each call of the tagged kernel, the
+    degree m of the slice it eliminates: the last slice made."""
+    made, ran = [], []
+    init, kernel = ResolutionSlice.__init__, homology.left_kernel_basis
+
+    def counted_init(sl, ring, rel, m):
+        made.append(m)
+        init(sl, ring, rel, m)
+
+    def spy(*args, **kwargs):
+        ran.append(made[-1])
+        return kernel(*args, **kwargs)
+    monkeypatch.setattr(ResolutionSlice, "__init__", counted_init)
+    monkeypatch.setattr(homology, "left_kernel_basis", spy)
+    return ran
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_kernel_runs_only_where_its_vectors_are_read(p, monkeypatch):
+    # dim K2^m comes from exactness; d2's kernel is eliminated only where
+    # slice m + 1 reads a syzygy outside A^1 K2^{m-1} or R^m has unit
+    # columns, and never at m = bound for minimality's sake alone
+    field = QQ if p is None else PrimeField(p)
+    ran = _kernel_degrees(monkeypatch)
+
+    def ring_of(g, texts, gens):
+        rel = GradedSubspace.from_elements(
+            g, to_field(field, [parse_element(t, gens) for t in texts]), field)
+        return PresentedRing(g, rel, field), rel
+
+    comm = ["x*y - y*x", "x*z - z*x", "y*z - z*y"]
+    cases = [
+        # k[x, y, z]: K2^m = A^1 K2^{m-1} from m = 4 on
+        (ring_of(3, comm, XYZ), 8, {3: 1}, [3]),
+        # R^3 has unit columns at m = 3; the syzygy of Tor_{3,4} is new
+        (ring_of(1, ["x*x*x"], X), 8, {4: 1}, [3, 4]),
+        # new syzygies at m = 4 and 7 below the bound
+        (sampler_rings(field, 5)[4], 8, {4: 1, 7: 1}, [3, 4, 7]),
+        # Tor_{3,8} = 1 at the bound, with no kernel there
+        (sampler_rings(field, 7)[6], 8, {7: 1, 8: 1}, [3, 7]),
+        # the relation of degree 5 lies above the bound
+        (ring_of(3, comm + ["x*x*x*x*y - x*x*x*y*x"], XYZ), 4, {3: 1}, [3]),
+    ]
+    for (ring, rel), bound, dims, degrees in cases:
+        ran.clear()
+        assert tor3_resolution(ring, rel, bound).dims == dims
+        assert ran == degrees
+    # its unit columns at m = 5 run the kernel that refuses it
+    ran.clear()
+    ring, rel = ring_of(3, comm + ["x*x*x*x*y - x*x*x*y*x"], XYZ)
+    with pytest.raises(NotMinimalRelations):
+        tor3_resolution(ring, rel, 5)
+    assert ran == [3, 5]
+
+
+def test_forged_hilbert_value_breaks_exactness(monkeypatch, capsys):
+    # below the bound, a false h(m) meets a kernel of another size; at the
+    # bound no kernel runs and dims[bound] is false, which the bar route,
+    # reading h only up to bound - 1, contradicts: tor exits 14
+    ring, rel = setup(3, ["x*y - y*x", "x*z - z*x", "y*z - z*y"], XYZ)
+    real = ring.hilbert_value
+    monkeypatch.setattr(ring, "hilbert_value", lambda n: real(n) + (n == 3))
+    with pytest.raises(InvariantViolation, match="dim K2\\^3 = 1, not 2 by exactness"):
+        tor3_resolution(ring, rel, 8)
+    real_value = PresentedRing.hilbert_value
+    monkeypatch.setattr(PresentedRing, "hilbert_value",
+                        lambda ring, n: real_value(ring, n) + (n == 5))
+    assert cli.main(["tor", str(gallery_path("sl2.pbw")), "--upto", "5"]) == 14
+    out = capsys.readouterr().out
+    assert "verdict: TOR_MISMATCH" in out and "Tor_3 dims: {'3': 1, '5': 1}" in out
 
 
 def test_remainder_outside_the_basis_raises(monkeypatch):
