@@ -16,10 +16,10 @@ import re
 import sys
 
 from .deformation import (lifted, minimized_ring, pbw_check, pn_ladder, rp_of,
-                          timed)
+                          shown_hilbert, timed)
 from .errors import (InvalidPresentation, InvariantViolation, ParseError,
                      PBWError, ResourceExceeded, ValidationError)
-from .extension import engine_for, rees_identity_check
+from .extension import engine_for, rees_identity
 from .freealg import column_guard, filtration_size, format_element, guard_reach
 from .homology import TOR_BOUND, complexity, tor3_resolution, tor_bar
 from .presentations import Report, read_presentation, validate_presentation
@@ -149,11 +149,10 @@ def cmd_complexity(pres, upto=None):
     dims = _empty_dims()
     dims["tor3"] = {str(m): d for m, d in sorted(cres.table.dims.items())} \
         if cres.table else {}
-    hil = timed(timings, "hilbert", ring.hilbert, pres.max_degree)
-    dims["h_A"] = hil.values
     notes = [cres.note] if cres.note else []
     if lift.note:
         notes.append(lift.note)
+    dims["h_A"] = timed(timings, "hilbert", shown_hilbert, ring, pres.max_degree, notes).values
     return Report("COMPLEXITY", cres.c, cres.certified, {}, None, dims, timings,
                   notes=notes)
 
@@ -196,11 +195,12 @@ def cmd_rees(pres, upto=None):
     timings = {}
     P, lift = _lift(pres, timings)
     eng = timed(timings, "extract", engine_for, P)
-    holds, per, first_bad = timed(timings, "rees", rees_identity_check, eng, bound)
     dims = _empty_dims()
-    dims["D"] = [eng.dim_d(n) for n in range(bound + 1)]
+    dims["h_A"] = timed(timings, "rees", eng.a_dims, bound)
+    dims["D"] = timed(timings, "rees", list, map(eng.dim_d, range(bound + 1)))
     dims["ann"] = [eng.annihilator_dim(n) for n in range(bound)]
-    dims["h_A"] = eng.a_dims(bound)
+    _check_exactness(dims)
+    holds, per, first_bad = rees_identity(dims["h_A"], dims["D"])
     dims["rees"] = per
     verdict = "REES_OK" if holds else f"REES_FAILS({first_bad})"
     return Report(verdict, None, False, {}, None, dims, timings,

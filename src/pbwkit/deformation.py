@@ -295,6 +295,18 @@ def minimized_ring(rp, max_degree, tor_bound=0):
         DEFAULT_MAX_DEGREE, max_degree + 1, tor_bound))
 
 
+def shown_hilbert(ring, upto, notes):
+    """h_A through degree upto, for ``check`` and ``complexity``, which
+    only display it: it stops below the first degree whose g^n columns the
+    column guard would refuse, with a note in notes."""
+    guard = column_guard()
+    top = guard_reach(ring.g, upto, guard, pow)
+    if top < upto:
+        notes.append(f"h_A stops at degree {top}: degree {top + 1} needs "
+                     f"{ring.g ** (top + 1)} columns, above the column guard {guard}")
+    return ring.hilbert(top)
+
+
 @dataclass
 class CheckResult:
     verdict: str                     # PBW_CERTIFIED | NOT_PBW | PBW_UP_TO_DEGREE
@@ -370,15 +382,8 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=MAX_DEGREE, tor_b
         bound = tor_bound or TOR_BOUND
         rmin, ring = timed(timings, "minimize", minimized_ring, rp, max_degree, bound)
         cres = timed(timings, "complexity", complexity, ring, rmin, bound_hint=bound)
-        # h_A is only displayed, so it stops below the first degree whose
-        # g^n columns the column guard would refuse, with a note
-        want = min(ring.max_degree, max(max_degree, d))
-        guard = column_guard()
-        top = guard_reach(g, want, guard, pow)
-        if top < want:
-            notes.append(f"h_A stops at degree {top}: degree {top + 1} needs "
-                         f"{g ** (top + 1)} columns, above the column guard {guard}")
-        hilbert = timed(timings, "hilbert", ring.hilbert, top)
+        hilbert = timed(timings, "hilbert", shown_hilbert, ring,
+                        min(ring.max_degree, max(max_degree, d)), notes)
         found.update(tor3=cres.table, hilbert=hilbert)
 
     if all(max(row) < g ** n for n, rows in P.images.items() for row in rows):

@@ -217,24 +217,21 @@ class ExtensionEngine:
         return out
 
 
-def rees_identity_check(engine, upto):
-    """Check dim D^n = dim A^n + dim D^{n-1} for n <= upto.
+def rees_identity(a, d):
+    """Check dim D^n = dim A^n + dim D^{n-1} on the tables a[n] = dim A^n
+    and d[n] = dim D^n, n = 0, 1, ...
 
     Under regularity this follows from the exact sequences
     0 -> D^{n-1} --z--> D^n -> A^n -> 0; the first failing degree is a
     regularity witness.  Returns (holds, per_degree, first_failure)."""
-    a = engine.a_dims(upto)
-    per = []
-    first_bad = None
-    prev = 0
-    for n in range(upto + 1):
-        dn = engine.dim_d(n)
-        ok = (dn == a[n] + prev)
-        per.append(ok)
-        if not ok and first_bad is None:
-            first_bad = n
-        prev = dn
+    per = [dn == an + prev for an, dn, prev in zip(a, d, [0] + d)]
+    first_bad = per.index(False) if False in per else None
     return first_bad is None, per, first_bad
+
+
+def rees_identity_check(engine, upto):
+    """``rees_identity`` on the engine's tables for n <= upto."""
+    return rees_identity(engine.a_dims(upto), [engine.dim_d(n) for n in range(upto + 1)])
 
 
 def engine_for(P):

@@ -27,14 +27,13 @@ scale of its input.  ``reduce_full(vec, integers=True)`` gives a
 remainder as integers over one denominator, for callers that go on in
 integer arithmetic.
 
-A row is built on first read in one way.  A space may hold pivots
-whose rows are not built yet: its class defines the one hook,
-``RowSpace._source``, which maps a column to the unbuilt row with that
-pivot (or None), and ``RowSpace._find`` builds it when a reduction or a
-reader (``RowSpace.row``) first looks the pivot up, checks that it leads
-there and keeps it.  The closure components of ``closure`` hold rows
-so, and so does the space of ``integer_rank``, which takes its rows as
-(lead, builder) pairs.
+A row is built on first read in one way, by the closure components of
+``closure`` alone.  They hold pivots whose rows are not built yet, and
+define the one hook, ``RowSpace._source``, which maps a column to the
+unbuilt row with that pivot (or None); ``RowSpace._find`` builds it when
+a reduction or a reader (``RowSpace.row``) first looks the pivot up,
+checks that it leads there and keeps it.  A plain ``RowSpace`` holds
+every row built; ``integer_rank`` inserts plain integer rows into one.
 
 Tagged rows carry tag columns at and above an offset that record how they
 were made.  ``RowSpace.relate`` reduces such a vector and, when its
@@ -253,7 +252,7 @@ class RowSpace:
     """
 
     __slots__ = ("field", "_rows", "_inserted", "_p", "_monic")
-    _source = None     # a subclass's hook: c -> the unbuilt row with pivot c, or None
+    _source = None     # closure.Component's hook: c -> the unbuilt row with pivot c, or None
 
     def __init__(self, field):
         self.field = field
@@ -284,13 +283,10 @@ class RowSpace:
     def _find(self, c):
         """The row with pivot c, for a c not among the held rows, from the
         hook ``_source``: built, kept and returned; None when c is no
-        pivot.  This is the one place where a row is built on lookup: a
-        product a closure component holds, or a row ``integer_rank`` was
-        handed unbuilt.  A row that does not lead at c, or an F_p row whose
-        entry there is not 1, is a fault, and raises: ``_reduce`` would
-        loop on such a row forever.  (``is_pivot``, ``rows`` and the bases
-        of an ``integer_rank`` space do not see its unbuilt rows; it reads
-        none of them.)"""
+        pivot.  This is the one place where a row is built on lookup, a
+        product a closure component holds.  A row that does not lead at c,
+        or an F_p row whose entry there is not 1, is a fault, and raises:
+        ``_reduce`` would loop on such a row forever."""
         row = self._source(c)
         if row is None:
             return None
@@ -532,45 +528,14 @@ def span(field, vectors):
     return sp
 
 
-class _Builders(RowSpace):
-    """The space of ``integer_rank``: ``unbuilt`` maps the free leading
-    column of a pair to its builder, which the hook calls."""
-
-    __slots__ = ("unbuilt",)
-
-    def _source(self, c):
-        build = self.unbuilt.pop(c, None)
-        if build is None:
-            return None
-        if self._p is None:
-            return build()
-        row = _p_ints(build(), self._p)
-        return self._normal(row, c) if c in row else row    # a row without c: _find refuses it
-
-
 def integer_rank(field, rows):
-    """Rank of the span of nonzero integer rows, each handed over as a
-    pair (lead, build): build() returns a fresh dict row with no zero
-    entry and leading (least) column lead, nonzero mod p there over F_p.
-    The rank may keep that dict or change it.
-
-    A pair on a free leading column costs nothing when it comes: the
-    rank's own space keeps its builder, and its hook (``RowSpace._source``)
-    builds the row the first time a reduction reads that pivot, kept as
-    it is over Q, as the fraction-free step takes any nonzero pivot
-    entry, and made monic over F_p.  A pair that meets a pivot is built
-    and reduced at once.  A row built on lookup that does not lead at
-    its lead raises InvariantViolation (``RowSpace._find``), where a
-    reduction on it would not end."""
-    sp = _Builders(field)
-    sp.unbuilt = unbuilt = {}
-    held, inserted, reduce, p = sp._rows, sp._inserted, sp._reduce, sp._p
-    for lead, build in rows:
-        if lead in held or lead in unbuilt:
-            reduce(build() if p is None else _p_ints(build(), p), store=True)
-        else:
-            unbuilt[lead] = build
-            inserted.append(lead)
+    """Rank of the span of integer rows: fresh dicts with no zero entry,
+    which the rank may keep or change, read mod p over F_p.  An empty row,
+    or one that vanishes mod p, adds nothing."""
+    sp = RowSpace(field)
+    reduce, p = sp._reduce, sp._p
+    for row in rows:
+        reduce(row if p is None else _p_ints(row, p), store=True)
     return sp.rank
 
 

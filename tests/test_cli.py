@@ -8,7 +8,7 @@ import time
 import pytest
 
 import pbwkit
-from pbwkit import cli, closure, deformation, gradedring, homology, presentations
+from pbwkit import cli, closure, deformation, extension, gradedring, homology, presentations
 from pbwkit.cli import COMMANDS, main, run_command
 from pbwkit.errors import InvariantViolation, ParseError, ValidationError
 from pbwkit.extension import ExtensionEngine
@@ -214,14 +214,16 @@ class TestExitCodes:
 
     def test_d_count_fault_breaks_exactness(self, capsys, monkeypatch):
         # 0 -> ann(z)^(n-1) -> D^(n-1) -> D^n -> A^n -> 0 is exact for every
-        # P: a D table one off at n = 3 fails it there, whatever the verdict
+        # P: a D table one off at n = 3 fails it there, whatever the verdict,
+        # in check and in rees, which read the same tables
         real = ExtensionEngine.dim_d
         monkeypatch.setattr(ExtensionEngine, "dim_d",
                             lambda eng, n: real(eng, n) + (n == 3))
         for name in pbwkit.gallery_names():
-            assert main(["check", gallery(name)]) == 14, name
-            err = capsys.readouterr().err
-            assert "error[INVARIANT_VIOLATED]: dim D^3 = " in err, name
+            for cmd in ("check", "rees"):
+                assert main([cmd, gallery(name)]) == 14, (cmd, name)
+                err = capsys.readouterr().err
+                assert "error[INVARIANT_VIOLATED]: dim D^3 = " in err, (cmd, name)
 
     def test_broken_left_product_code(self, capsys, monkeypatch):
         # a left product moved from the row one column past its source
@@ -410,6 +412,29 @@ class TestExitCodes:
         assert report["dims"]["h_A"] == [(n + 1) * (n + 2) // 2 for n in range(8)]
         assert main(["check", str(f)]) == 0
         assert "h_A stops" not in capsys.readouterr().out
+
+    def test_complexity_h_a_stops_below_the_guard_as_check_does(self, tmp_path, capsys,
+                                                                 monkeypatch):
+        # complexity displays h_A by check's rule: within a guard of 1000
+        # columns it stops at degree 6 with check's note, where it exited
+        # 13 after c(A) was found.  hilbert, which prints h_A and nothing
+        # else, still refuses degree 7
+        f = tmp_path / "xyz.pbw"
+        f.write_text('generators = ["x", "y", "z"]\n'
+                     'deformation = ["x*y - y*x", "x*z - z*x", "y*z - z*y"]\n'
+                     "max_degree = 7\n")
+        monkeypatch.setenv("PBWKIT_MAX_COLUMNS", "1000")
+        assert main(["complexity", str(f), "--json"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["c"] == 2 and report["certified"]
+        assert report["dims"]["h_A"] == [(n + 1) * (n + 2) // 2 for n in range(7)]
+        note = ("note: h_A stops at degree 6: degree 7 needs 2187 columns, above the "
+                "column guard 1000")
+        for cmd in ("complexity", "check"):
+            assert main([cmd, str(f)]) == 0
+            assert note in capsys.readouterr().out
+        assert main(["hilbert", str(f)]) == 13
+        assert "2187 columns" in capsys.readouterr().err
 
     def test_support_quotient_skips_the_guarded_scan(self, tmp_path, capsys, monkeypatch):
         # T/(xy) reaches every degree, so complexity skips the Hilbert scan
@@ -607,6 +632,16 @@ class TestCommands:
         assert "REES_OK" in capsys.readouterr().out
         assert main(["rees", gallery("x3-counterexample.pbw"), "--upto", "4"]) == 0
         assert "REES_FAILS(3)" in capsys.readouterr().out
+
+    def test_rees_builds_the_ideal_chain_once(self, capsys, monkeypatch):
+        # the identity and the h_A list read one table of dim A^n
+        calls = []
+        real = extension.ideal_chain
+        monkeypatch.setattr(extension, "ideal_chain",
+                            lambda rel, upto: calls.append(upto) or real(rel, upto))
+        assert main(["rees", gallery("heisenberg.pbw"), "--upto", "6", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["dims"]["rees"] == [True] * 7
+        assert calls == [6]
 
     def test_check_empty_deformation(self, tmp_path, capsys):
         # U(P) = T: every table is the free algebra's, with no Tor_3 table

@@ -2,7 +2,9 @@
 function or method it defines is read somewhere in the package, no
 module holds code that ``python -O`` strips, and only the kernel,
 ``linalg.py``, reaches into another object's private attributes or
-imports a private name from another module of the package.
+imports a private name from another module of the package.  Only
+``closure.Component`` builds rows on lookup: it alone defines the hook
+``RowSpace._source``, which ``RowSpace`` sets to None.
 
 Names imported relatively into ``__init__.py`` are the package's public
 surface (re-exports): they are exempt from the first check and count as
@@ -177,3 +179,47 @@ def test_detects_a_private_attribute(tmp_path):
         "        del other.inner._rows\n")
     assert private_attributes(mod) == [(3, "_normal"), (4, "_layout"), (7, "_theirs"),
                                        (8, "_source"), (10, "_rows")]
+
+
+def source_hooks(path):
+    """(class, what) of each definition of ``_source`` in the module at
+    path: a method ("def"), or an assignment with the source of its value,
+    the class being the one whose body holds it (None at module level)."""
+    found = []
+
+    def visit(node, cls):
+        for sub in ast.iter_child_nodes(node):
+            if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)) and sub.name == "_source":
+                found.append((cls, "def"))
+            elif isinstance(sub, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = sub.targets if isinstance(sub, ast.Assign) else [sub.target]
+                if any(isinstance(t, ast.Name) and t.id == "_source"
+                       or isinstance(t, ast.Attribute) and t.attr == "_source"
+                       for t in targets):
+                    found.append((cls, ast.unparse(sub.value)))
+            visit(sub, sub.name if isinstance(sub, ast.ClassDef) else cls)
+    visit(ast.parse(path.read_text(encoding="utf-8")), None)
+    return sorted(found, key=repr)
+
+
+def test_only_closure_components_build_rows_on_lookup():
+    # a plain RowSpace holds every row it has built; the closure
+    # components alone hold rows unbuilt, through the one hook
+    found = {str(path.relative_to(SRC)): source_hooks(path) for path in sorted(SRC.rglob("*.py"))}
+    assert {name: hooks for name, hooks in found.items() if hooks} == {
+        "closure.py": [("Component", "def")], "linalg.py": [("RowSpace", "None")]}
+
+
+def test_detects_a_source_hook(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text(
+        "class A:\n"
+        "    _source = None\n\n"
+        "    class B:\n"
+        "        def _source(self, c):\n"
+        "            return None\n\n"
+        "    def __init__(self, other):\n"
+        "        self._source = other.get\n\n"
+        "def _source(c):\n"
+        "    return c\n")
+    assert source_hooks(mod) == [("A", "None"), ("A", "other.get"), ("B", "def"), (None, "def")]

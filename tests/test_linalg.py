@@ -388,7 +388,10 @@ def test_rowspace_accepts_negative_columns(p):
     # the bar oracle puts the chain at position q on column -q, so its
     # pivots, the least columns of their rows, are negative.  Column c of
     # a dense row goes to -c; the oracle reads the dense row reversed, its
-    # column k being -(ncols - 1 - k), and the rows come in a seeded order
+    # column k being -(ncols - 1 - k), and the rows come in a seeded order.
+    # integer_rank takes the integer rows as they are, an all-zero row, a
+    # row whose least column vanishes mod 7 and entries that are 0 mod 7
+    # among them, and reads them mod p
     field = QQ if p is None else PrimeField(p)
     entries = [0, 0, 0, 1, -1, 2, 3, -5, 7, 10**20 + 7]
     for seed in range(20):
@@ -400,6 +403,7 @@ def test_rowspace_accepts_negative_columns(p):
             a, b = rng.choice(rows), rng.choice(rows)
             s, t = rng.choice(entries), rng.choice(entries)
             rows.append([s * x + t * y for x, y in zip(a, b)])
+        rows += [[0] * ncols, [1] * (ncols - 1) + [7]]
         rng.shuffle(rows)
         probes = [[rng.choice(entries) for _ in range(ncols)] for _ in range(3)]
 
@@ -418,112 +422,15 @@ def test_rowspace_accepts_negative_columns(p):
         for r in rows:
             lead = oracle.insert(r[::-1])
             assert sp.insert(negated(r)) == (None if lead is None else lead - ncols + 1)
-        ints = [{-c: x for c, x in enumerate(r) if (x if p is None else x % p)} for r in rows]
         rank = len(oracle.rows)
-        assert integer_rank(field, [(min(r), r.copy) for r in ints if r]) == rank == sp.rank
+        ints = [{-c: x for c, x in enumerate(r) if x} for r in rows]
+        assert integer_rank(field, ints) == rank == sp.rank
         if p is None:
             assert dense_rank(rows) == rank
         for r in rows + probes:
             dense = r[::-1]
             assert sp.contains(negated(r)) == (not any(oracle.reduce_leading(dense)))
             assert mirrored(sp.reduce_full(negated(r))) == oracle.reduce_full(dense)
-
-
-@pytest.mark.parametrize("p", [None, 7])
-def test_integer_rank_builds_only_read_rows(p):
-    # integer_rank takes (lead, builder) pairs.  A builder runs only when
-    # a reduction reads its pivot or the pair's lead is a pivot when it
-    # comes.  The dense oracle replays the same leading-chain reductions
-    # (its rows are the stored rows up to scale), which read the same
-    # pivots, and gives the rank; a zero row is not handed over
-    field = QQ if p is None else PrimeField(p)
-    entries = [0, 0, 0, 1, -1, 2, 3, -5, 7, 10**20 + 7]
-    seen = {"negative pivot": 0, "built at hand-over": 0, "built when read": 0, "unbuilt": 0}
-    for seed in range(40):
-        rng = random.Random(seed)
-        ncols = rng.randint(1, 8)
-        rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(rng.randint(1, 9))]
-        for _ in range(rng.randint(0, 3)):
-            a, b = rng.choice(rows), rng.choice(rows)
-            s, t = rng.choice(entries), rng.choice(entries)
-            rows.append([s * x + t * y for x, y in zip(a, b)])
-        rows.append([0] * ncols)
-        rng.shuffle(rows)
-        oracle = DenseEchelon(ncols, p)
-        items, calls, want, pending = [], {}, set(), {}
-        for i, r in enumerate(rows):
-            lead = next((c for c, x in enumerate(r) if (x if p is None else x % p)), None)
-            if lead is None:
-                continue
-
-            def build(i=i, row={c: x for c, x in enumerate(r) if x}):
-                calls[i] = calls.get(i, 0) + 1
-                return dict(row)
-            items.append((lead, build))
-            seen["negative pivot"] += r[lead] < 0
-            if lead in oracle.rows:
-                want.add(i)
-                seen["built at hand-over"] += 1
-                # the pivots the leading chain reads, as the kernel reads them
-                v = [oracle._norm(x) for x in r]
-                while any(v):
-                    c = next(k for k, x in enumerate(v) if x)
-                    if c not in oracle.rows:
-                        break
-                    if c in pending:
-                        want.add(pending.pop(c))
-                        seen["built when read"] += 1
-                    v = oracle._axpy(v, v[c], oracle.rows[c])
-            else:
-                pending[lead] = i
-            oracle.insert(r)
-        seen["unbuilt"] += len(pending)
-        assert integer_rank(field, items) == len(oracle.rows), seed
-        if p is None:
-            assert dense_rank(rows) == len(oracle.rows)
-        assert set(calls) == want and set(calls.values()) <= {1}, seed
-    assert all(seen.values()), seen
-    # a builder whose row does not lead at its lead raises when the row is
-    # read, where a reduction on it would not end
-    for lead, wrong in ((0, {1: 1, 2: 3}), (2, {0: 1, 2: 5}), (1, {})):
-        with pytest.raises(InvariantViolation, match="leads at"):
-            integer_rank(field, [(lead, lambda row=wrong: dict(row)),
-                                 (lead, lambda: {lead: 2, 3: 1})])
-
-
-@pytest.mark.parametrize("p", [None, 7])
-def test_integer_rank_keeps_the_rows_it_builds(p, monkeypatch):
-    # build() returns a fresh dict, which the rank may keep or change.  A
-    # row built on a free lead is kept as its builder returned it: over Q
-    # that very dict, unnormalised (a negative pivot entry, content 2), and
-    # never changed by the reductions that read it; over F_p its residues,
-    # made monic.  So a builder that hands out a dict its caller still
-    # reads must hand out a copy
-    field = QQ if p is None else PrimeField(p)
-    spaces, real_find = [], RowSpace._find
-
-    def find(self, c):
-        spaces.append(self)
-        return real_find(self, c)
-    monkeypatch.setattr(RowSpace, "_find", find)
-    given = {0: {0: -2, 1: 4, 3: 6}, 1: {0: 1, 1: 1}, 2: {1: 3, 2: -9}, 3: {1: 5, 3: 1}}
-    built = {}
-
-    def builder(i):
-        def build():
-            built[i] = dict(given[i])
-            return built[i]
-        return build
-    # row 1 meets row 0's pivot and reads it; rows 2 and 3 meet the pivot
-    # that row 1's remainder took
-    assert integer_rank(field, [(min(row), builder(i)) for i, row in given.items()]) == 4
-    assert set(built) == {0, 1, 2, 3} and {id(sp) for sp in spaces} == {id(spaces[0])}
-    kept = spaces[0]._rows[0]
-    assert built[0] == given[0]
-    if p is None:
-        assert kept is built[0]
-    else:
-        assert kept == {0: 1, 1: 4 * pow(-2, -1, p) % p, 3: 6 * pow(-2, -1, p) % p}
 
 
 def test_reduce_full_integers_cancels_the_content():
