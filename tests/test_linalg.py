@@ -433,6 +433,47 @@ def test_rowspace_accepts_negative_columns(p):
             assert mirrored(sp.reduce_full(negated(r))) == oracle.reduce_full(dense)
 
 
+@pytest.mark.parametrize("p", [None, 7])
+def test_integer_rank_builds_only_read_rows(p):
+    # integer_rank takes the rows built: plain integer dicts, streamed, each
+    # read once in one pass.  Zero rows, rows that vanish mod p, negative
+    # pivot entries and rows that lead at a pivot taken before are handed
+    # over as they come; the dense oracle gives the rank
+    field = QQ if p is None else PrimeField(p)
+    entries = [0, 0, 0, 1, -1, 2, 3, -5, 7, 10**20 + 7]
+    seen = {"negative pivot": 0, "reduced": 0, "zero": 0}
+    for seed in range(40):
+        rng = random.Random(seed)
+        ncols = rng.randint(1, 8)
+        rows = [[rng.choice(entries) for _ in range(ncols)] for _ in range(rng.randint(1, 9))]
+        for _ in range(rng.randint(0, 3)):
+            a, b = rng.choice(rows), rng.choice(rows)
+            s, t = rng.choice(entries), rng.choice(entries)
+            rows.append([s * x + t * y for x, y in zip(a, b)])
+        rows.append([0] * ncols)
+        rng.shuffle(rows)
+        oracle = DenseEchelon(ncols, p)
+        for r in rows:
+            lead = next((c for c, x in enumerate(r) if (x if p is None else x % p)), None)
+            if lead is None:
+                seen["zero"] += 1
+                continue
+            seen["negative pivot"] += r[lead] < 0
+            seen["reduced"] += lead in oracle.rows
+            oracle.insert(r)
+        read = []
+
+        def stream():
+            for i, r in enumerate(rows):
+                read.append(i)
+                yield {c: x for c, x in enumerate(r) if x}
+        assert integer_rank(field, stream()) == len(oracle.rows), seed
+        if p is None:
+            assert dense_rank(rows) == len(oracle.rows)
+        assert read == list(range(len(rows))), seed
+    assert all(seen.values()), seen
+
+
 def test_reduce_full_integers_cancels_the_content():
     # {0: 1, 1: -3} reduces to {1: -27} with scale 10 and content 27, so
     # the integer remainder takes the content back over the denominator 10
