@@ -8,7 +8,8 @@ word into (all letters but the last, last letter).  Writing K2 = ker(d2),
 dim Tor_{3,m} = dim K2^m - dim(A^1 K2^{m-1}).  The sequence is exact at
 A (x) A^1 (Polishchuk–Positselski, Quadratic Algebras, ch. 1): dim K2^m
 = sum_j dim R^j h(m-j) - g h(m-1) + h(m), so a kernel is eliminated
-only where its vectors are read (``tor3_resolution``).
+only where its vectors are read (``tor3_resolution``), and a d2 row is
+built only where a kernel or the check d2(v) = 0 reads it.
 
 The rows are in the normal-word coordinates of Anick's resolution (Trans.
 AMS 296, 1986), built by position and rank with no word tuples.  A basis
@@ -152,13 +153,15 @@ class ResolutionSlice:
     the coordinates of the module docstring.  Rows are integer vectors (see
     ``_nf_row``); a relation is a stored integer row of R's block.
 
-    ``rows`` holds the d2 rows, each checked for d1 d2 = 0: the sum of
-    its entries times the words b x_i must lie in I^m = ker d1, one
-    leading-chain reduction and no normal form of degree m.  A wrong
-    normal form shows there when its words leave I^m.  A fault that only
-    scales whole rows, as doubling the normal form of every word a row
-    reads, stays in I^m and every rank: ``is_cycle`` finds A^1 K2^{m-1}
-    outside K2^m one degree up."""
+    ``row(c)`` builds the d2 row of domain column c on its first read and
+    checks it for d1 d2 = 0: the sum of its entries times the words b x_i
+    must lie in I^m = ker d1, one leading-chain reduction and no normal
+    form of degree m.  ``is_cycle`` reads the rows of its vector's
+    columns, ``kernel_of_d2`` every row.  A wrong normal form shows there
+    when the words of a built row leave I^m; one that no built row reads
+    changes no output.  A fault that only scales whole rows, as doubling
+    the normal form of every word a row reads, stays in I^m and every
+    rank: ``is_cycle`` finds A^1 K2^{m-1} outside K2^m one degree up."""
 
     def __init__(self, ring, rel, m):
         self.ring = ring
@@ -174,29 +177,35 @@ class ResolutionSlice:
                 self.blocks.append((j, row, size))
                 size += h
         self.offsets = [off for _, _, off in self.blocks]
-        self.rows = self.d2_rows()
+        self.size = size                # dim (A (x) R)^m
         # b (x) x_i at column rank(b) g + i is the word at pos(b) g + i of
         # T^m; ``contains`` reads the integer entries mod p over F_p
-        g, below, ideal = ring.g, ring.basis(m - 1)[0], ring.ideal_component(m)
-        self.width = g * len(below)     # dim (A (x) A^1)^m
-        for r, _ in self.rows:
-            if r and not ideal.contains(
+        self._below, self._ideal = ring.basis(m - 1)[0], ring.ideal_component(m)
+        self.width = ring.g * len(self._below)      # dim (A (x) A^1)^m
+        self._rows = {}                 # domain column -> checked (row, L)
+
+    def row(self, c):
+        """The image (row, L) of domain column c = offset + rank(a) of a
+        block a (x) r, built and checked on first read: the word a w[:-1]
+        of each word w of r sits at pos(a) g^(j-1) + pos(w) // g, and its
+        letter is pos(w) % g."""
+        out = self._rows.get(c)
+        if out is None:
+            ring, g, m = self.ring, self.ring.g, self.m
+            j, rel_row, off = self.blocks[bisect_right(self.offsets, c) - 1]
+            base = ring.basis(m - j)[0][c - off] * g ** (j - 1)
+            out = _nf_row(ring, [(s, m - 1, base + p // g, p % g)
+                                 for p, s in rel_row.items()], g)
+            r, below = out[0], self._below
+            if r and not self._ideal.contains(
                     {below[col // g] * g + col % g: s for col, s in r.items()}):
                 raise InvariantViolation("d1 ∘ d2 != 0: resolution slice is broken")
+            self._rows[c] = out
+        return out
 
     def d2_rows(self):
-        """The image of each domain column a (x) r in codomain columns, as
-        (row, L), in column order: the word a w[:-1] of each word w of r
-        sits at pos(a) g^(j-1) + pos(w) // g, and its letter is pos(w) % g."""
-        ring, g, m = self.ring, self.ring.g, self.m
-        out = []
-        for j, row, _ in self.blocks:
-            split = [(s, p // g, p % g) for p, s in row.items()]
-            shift = g ** (j - 1)
-            for pa in ring.basis(m - j)[0]:
-                base = pa * shift
-                out.append(_nf_row(ring, [(s, m - 1, base + q, i) for s, q, i in split], g))
-        return out
+        """Every d2 row (row, L), in domain column order."""
+        return [self.row(c) for c in range(self.size)]
 
     def kernel_of_d2(self):
         """Basis of K2^m as coefficient vectors over the domain columns.
@@ -208,7 +217,7 @@ class ResolutionSlice:
         gives r ∈ IF¹ + F¹I.  Conversely, R generating I, r ∈ R^m ∩ Ĩ^m is
         sum x_i f_i + e, e ∈ IF¹, f_i = lift(κ_i) mod IF¹, κ_i ∈ (A (x)
         R)^(m-1), and 1 (x) r - sum x_i κ_i ∈ K2^m has unit part r."""
-        m, rows = self.m, self.rows
+        m, rows = self.m, self.d2_rows()
         # row k stands for rows[k][0] / L_k, so it carries the tag L_k
         ker = left_kernel_basis(self.ring.field, [r for r, _ in rows], self.width,
                                 tags=[den for _, den in rows])
@@ -221,10 +230,10 @@ class ResolutionSlice:
 
     def is_cycle(self, v):
         """d2(v) = 0, v an integer vector over the domain columns."""
-        den = lcm(*[self.rows[c][1] for c in v])
+        rows = [(s, *self.row(c)) for c, s in v.items()]
+        den = lcm(*[d for _, _, d in rows])
         out = {}
-        for c, s in v.items():
-            r, d = self.rows[c]
+        for s, r, d in rows:
             for col, t in r.items():
                 out[col] = out.get(col, 0) + s * (den // d) * t
         return not integer_vector(self.ring.field, out)
@@ -274,7 +283,7 @@ def tor3_resolution(ring, rel, bound):
         moved = RowSpace(ring.field)
         for row in sl.left_letter_rows(prev_slice, basis):
             moved.insert(row)
-        dim = len(sl.rows) - sl.width + ring.hilbert_value(m)
+        dim = sl.size - sl.width + ring.hilbert_value(m)
         basis = moved.raw_basis()
         if moved.rank > dim:
             raise InvariantViolation(f"rank A^1 K2^{m - 1} > dim K2^{m} = {dim}")

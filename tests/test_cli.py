@@ -93,6 +93,21 @@ class TestParsing:
             assert parse_presentation(pres.to_text()) == pres
 
 
+def _double_nf_word(monkeypatch, word):
+    """Make nf_word double the normal form of the word at position
+    ``word`` of degree 3; returns the list that records each such read."""
+    real_nf, asked = gradedring.PresentedRing.nf_word, []
+
+    def broken_nf(ring, n, p):
+        nf, d = real_nf(ring, n, p)
+        if (n, p) == (3, word):
+            asked.append(p)
+            return {k: 2 * s for k, s in nf.items()}, d
+        return nf, d
+    monkeypatch.setattr(gradedring.PresentedRing, "nf_word", broken_nf)
+    return asked
+
+
 class TestExitCodes:
     def test_check_certified(self, capsys):
         assert main(["check", gallery("heisenberg.pbw")]) == 0
@@ -259,18 +274,44 @@ class TestExitCodes:
         assert "error[INVARIANT_VIOLATED]: A^1 K2^{m-1} escapes K2^m" in capsys.readouterr().err
 
     def test_broken_one_word_normal_form_code(self, capsys, monkeypatch):
-        # doubling the normal form of the one word eee leaves the d2 rows
-        # that read it outside I^4: d1 ∘ d2 != 0 (exit 14)
-        real_nf = gradedring.PresentedRing.nf_word
-
-        def broken_nf(ring, n, p):
-            nf, d = real_nf(ring, n, p)
-            if (n, p) == (3, 0):
-                return {k: 2 * s for k, s in nf.items()}, d
-            return nf, d
-        monkeypatch.setattr(gradedring.PresentedRing, "nf_word", broken_nf)
+        # doubling the normal form of word 1 of degree 3 (eef), which a d2
+        # row built at tor --upto 4 reads, leaves that row outside I^4:
+        # d1 ∘ d2 != 0 (exit 14)
+        _double_nf_word(monkeypatch, 1)
         assert main(["tor", gallery("sl2.pbw"), "--upto", "4"]) == 14
         assert "error[INVARIANT_VIOLATED]: d1 ∘ d2 != 0" in capsys.readouterr().err
+
+    def test_broken_unread_normal_form_code(self, capsys, monkeypatch):
+        # no d2 row that tor --upto 4 builds reads the normal form of eee, so
+        # the resolution's dims stay right; the bar route's structure
+        # constants read it and count the wrong residual pairs (exit 14)
+        _double_nf_word(monkeypatch, 0)
+        real, tables = cli.tor3_resolution, []
+
+        def kept(*args):
+            tables.append(real(*args))
+            return tables[-1]
+        monkeypatch.setattr(cli, "tor3_resolution", kept)
+        assert main(["tor", gallery("sl2.pbw"), "--upto", "4"]) == 14
+        err = capsys.readouterr().err
+        assert "error[INVARIANT_VIOLATED]: 9 residual pairs in degree 3" in err
+        assert [t.dims for t in tables] == [{3: 1}]
+
+    @pytest.mark.parametrize("bound", [4, 5])
+    def test_every_doubled_normal_form_read_exits_14(self, bound, capsys, monkeypatch):
+        # doubling the normal form of any one degree-3 word of sl2 that
+        # nf_word is asked for is a fault tor reports (exit 14), whichever
+        # check or route meets it; word 5 (efh) is never asked for
+        unread = []
+        for word in range(27):
+            asked = _double_nf_word(monkeypatch, word)
+            code = main(["tor", gallery("sl2.pbw"), "--upto", str(bound)])
+            capsys.readouterr()
+            monkeypatch.undo()
+            assert code == (14 if asked else 0), word
+            if not asked:
+                unread.append(word)
+        assert unread == [5]
 
     def test_forged_remainder_column_code(self, capsys, monkeypatch):
         # a remainder on a pivot column is no normal form: nf_word raises

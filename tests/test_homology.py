@@ -732,6 +732,31 @@ def _kernel_degrees(monkeypatch):
     return ran
 
 
+def _ring_of(field, g, texts, gens):
+    rel = GradedSubspace.from_elements(
+        g, to_field(field, [parse_element(t, gens) for t in texts]), field)
+    return PresentedRing(g, rel, field), rel
+
+
+COMM = ["x*y - y*x", "x*z - z*x", "y*z - z*y"]
+
+
+def _kernel_cases(field):
+    """((ring, rel), bound, Tor_3 dims, degrees where the kernel runs)."""
+    return [
+        # k[x, y, z]: K2^m = A^1 K2^{m-1} from m = 4 on
+        (_ring_of(field, 3, COMM, XYZ), 8, {3: 1}, [3]),
+        # R^3 has unit columns at m = 3; the syzygy of Tor_{3,4} is new
+        (_ring_of(field, 1, ["x*x*x"], X), 8, {4: 1}, [3, 4]),
+        # new syzygies at m = 4 and 7 below the bound
+        (sampler_rings(field, 5)[4], 8, {4: 1, 7: 1}, [3, 4, 7]),
+        # Tor_{3,8} = 1 at the bound, with no kernel there
+        (sampler_rings(field, 7)[6], 8, {7: 1, 8: 1}, [3, 7]),
+        # the relation of degree 5 lies above the bound
+        (_ring_of(field, 3, COMM + ["x*x*x*x*y - x*x*x*y*x"], XYZ), 4, {3: 1}, [3]),
+    ]
+
+
 @pytest.mark.parametrize("p", [None, 7])
 def test_kernel_runs_only_where_its_vectors_are_read(p, monkeypatch):
     # dim K2^m comes from exactness; d2's kernel is eliminated only where
@@ -739,35 +764,57 @@ def test_kernel_runs_only_where_its_vectors_are_read(p, monkeypatch):
     # columns, and never at m = bound for minimality's sake alone
     field = QQ if p is None else PrimeField(p)
     ran = _kernel_degrees(monkeypatch)
-
-    def ring_of(g, texts, gens):
-        rel = GradedSubspace.from_elements(
-            g, to_field(field, [parse_element(t, gens) for t in texts]), field)
-        return PresentedRing(g, rel, field), rel
-
-    comm = ["x*y - y*x", "x*z - z*x", "y*z - z*y"]
-    cases = [
-        # k[x, y, z]: K2^m = A^1 K2^{m-1} from m = 4 on
-        (ring_of(3, comm, XYZ), 8, {3: 1}, [3]),
-        # R^3 has unit columns at m = 3; the syzygy of Tor_{3,4} is new
-        (ring_of(1, ["x*x*x"], X), 8, {4: 1}, [3, 4]),
-        # new syzygies at m = 4 and 7 below the bound
-        (sampler_rings(field, 5)[4], 8, {4: 1, 7: 1}, [3, 4, 7]),
-        # Tor_{3,8} = 1 at the bound, with no kernel there
-        (sampler_rings(field, 7)[6], 8, {7: 1, 8: 1}, [3, 7]),
-        # the relation of degree 5 lies above the bound
-        (ring_of(3, comm + ["x*x*x*x*y - x*x*x*y*x"], XYZ), 4, {3: 1}, [3]),
-    ]
-    for (ring, rel), bound, dims, degrees in cases:
+    for (ring, rel), bound, dims, degrees in _kernel_cases(field):
         ran.clear()
         assert tor3_resolution(ring, rel, bound).dims == dims
         assert ran == degrees
     # its unit columns at m = 5 run the kernel that refuses it
     ran.clear()
-    ring, rel = ring_of(3, comm + ["x*x*x*x*y - x*x*x*y*x"], XYZ)
+    ring, rel = _ring_of(field, 3, COMM + ["x*x*x*x*y - x*x*x*y*x"], XYZ)
     with pytest.raises(NotMinimalRelations):
         tor3_resolution(ring, rel, 5)
     assert ran == [3, 5]
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_d2_rows_built_only_where_read(p, monkeypatch):
+    # a slice builds a d2 row on its first read: a kernel slice builds all
+    # of them, any other only the columns of A^1 K2^{m-1}'s echelon rows
+    # that is_cycle reads; each nonzero built row is one I^m membership
+    # test, and no unbuilt row is tested
+    field = QQ if p is None else PrimeField(p)
+    made, tests = [], []
+    init, cycle = ResolutionSlice.__init__, ResolutionSlice.is_cycle
+    kernel, contains = ResolutionSlice.kernel_of_d2, RowSpace.contains
+
+    def counted_init(sl, ring, rel, m):
+        init(sl, ring, rel, m)
+        made.append([sl, set(), False])
+
+    def read_cycle(sl, v):
+        made[-1][1].update(v)
+        return cycle(sl, v)
+
+    def read_kernel(sl):
+        made[-1][2] = True
+        return kernel(sl)
+
+    def counted_contains(sp, vec):
+        tests.append(sp)
+        return contains(sp, vec)
+    for name, spy in [("__init__", counted_init), ("is_cycle", read_cycle),
+                      ("kernel_of_d2", read_kernel)]:
+        monkeypatch.setattr(ResolutionSlice, name, spy)
+    monkeypatch.setattr(RowSpace, "contains", counted_contains)
+    for (ring, rel), bound, dims, degrees in _kernel_cases(field):
+        made.clear()
+        tests.clear()
+        assert tor3_resolution(ring, rel, bound).dims == dims
+        assert [sl.m for sl, _, ran in made if ran] == degrees
+        for sl, read, ran in made:
+            assert set(sl._rows) == (set(range(sl.size)) if ran else read), sl.m
+        assert tests == [sl._ideal for sl, _, _ in made
+                         for r, _ in sl._rows.values() if r]
 
 
 def test_forged_hilbert_value_breaks_exactness(monkeypatch, capsys):
