@@ -15,9 +15,8 @@ from .deformation import (CheckResult, FilteredSubspace, JacobiLadder,
                           apply_alpha, lift_presentation, minimize_relations,
                           pbw_check, pn_ladder, rp_of)
 from .errors import PBWError
-from .extension import ExtensionEngine, engine_for, rees_identity_check
-from .freealg import (Element, format_element, leading_homogeneous, multiply,
-                      parse_element, project)
+from .extension import ExtensionEngine, engine_for
+from .freealg import Element, format_element, multiply, parse_element, project
 from .gradedring import GradedSubspace, PresentedRing
 from .homology import TorTable, complexity, tor3_resolution, tor_bar
 from .linalg import QQ, PrimeField

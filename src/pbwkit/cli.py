@@ -19,7 +19,7 @@ from .deformation import (lifted, minimized_ring, pbw_check, pn_ladder, rp_of,
                           shown_hilbert, timed)
 from .errors import (InvalidPresentation, InvariantViolation, ParseError,
                      PBWError, ResourceExceeded, ValidationError)
-from .extension import engine_for, rees_identity
+from .extension import engine_for
 from .freealg import column_guard, filtration_size, format_element, guard_reach
 from .homology import TOR_BOUND, complexity, tor3_resolution, tor_bar
 from .presentations import Report, read_presentation, validate_presentation
@@ -200,11 +200,13 @@ def cmd_rees(pres, upto=None):
     dims["D"] = timed(timings, "rees", list, map(eng.dim_d, range(bound + 1)))
     dims["ann"] = [eng.annihilator_dim(n) for n in range(bound)]
     _check_exactness(dims)
-    holds, per, first_bad = rees_identity(dims["h_A"], dims["D"])
-    dims["rees"] = per
-    verdict = "REES_OK" if holds else f"REES_FAILS({first_bad})"
+    # with the sequence exact, dim D^n = h_A(n) + dim D^(n-1) holds exactly
+    # where ann(z)^(n-1) = 0, and D^0 = A^0 = k
+    per = dims["rees"] = [True] + [a == 0 for a in dims["ann"]]
+    first_bad = per.index(False) if False in per else None
+    verdict = "REES_OK" if first_bad is None else f"REES_FAILS({first_bad})"
     return Report(verdict, None, False, {}, None, dims, timings,
-                  notes=[] if holds else
+                  notes=[] if first_bad is None else
                   [f"identity dim D^n = dim A^n + dim D^(n-1) fails first at n = {first_bad}"])
 
 

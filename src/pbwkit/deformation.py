@@ -66,7 +66,7 @@ class FilteredSubspace:
         for e in nonzero:
             self.space.insert(self.basis.element_to_vec(e))
         unit_pos = self.basis.pos(())
-        if unit_pos in self.space.pivots:
+        if self.space.is_pivot(unit_pos):
             raise InvalidPresentation("P ∩ T^0 != 0: the span contains a constant")
 
     @property
@@ -240,12 +240,13 @@ def lift_presentation(g, ambient_elements, deformation_elements, field=QQ):
                 total = total + ambient_ring.normal_form(part)
         if not total.is_zero():
             reduced.append(total)
-    spanning = reduced + k0.elements()
+    k0_elements = k0.elements()
+    spanning = reduced + k0_elements
     # side condition: K0 ∩ I~ = 0 with I = <R_lift> and R_lift = R_P + K0;
     # rp_of returns P_sigma's own R_P, which this local P_sigma lets K0 grow
     P_sigma = FilteredSubspace(g, reduced, field) if reduced else None
     r_lift = rp_of(P_sigma) if P_sigma is not None else GradedSubspace(g, field)
-    for el in k0.elements():
+    for el in k0_elements:
         r_lift.insert_element(el)
     top = k0.max_degree()
     chain = ideal_chain(r_lift, top)

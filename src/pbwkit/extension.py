@@ -217,23 +217,6 @@ class ExtensionEngine:
         return out
 
 
-def rees_identity(a, d):
-    """Check dim D^n = dim A^n + dim D^{n-1} on the tables a[n] = dim A^n
-    and d[n] = dim D^n, n = 0, 1, ...
-
-    Under regularity this follows from the exact sequences
-    0 -> D^{n-1} --z--> D^n -> A^n -> 0; the first failing degree is a
-    regularity witness.  Returns (holds, per_degree, first_failure)."""
-    per = [dn == an + prev for an, dn, prev in zip(a, d, [0] + d)]
-    first_bad = per.index(False) if False in per else None
-    return first_bad is None, per, first_bad
-
-
-def rees_identity_check(engine, upto):
-    """``rees_identity`` on the engine's tables for n <= upto."""
-    return rees_identity(engine.a_dims(upto), [engine.dim_d(n) for n in range(upto + 1)])
-
-
 def engine_for(P):
     """Engine for D(P), its generators read off P's reduced rows."""
     return ExtensionEngine(P)

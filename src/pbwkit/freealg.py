@@ -83,11 +83,6 @@ class Element:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, c):
-        if not c:
-            return Element(self.field)
-        return Element(self.field, {w: c * s for w, s in self.terms.items()})
-
     def __eq__(self, other):
         return isinstance(other, Element) and self.terms == other.terms
 
@@ -119,14 +114,6 @@ def multiply(a, b):
 def project(e, n):
     """p^n(e): the degree-n homogeneous component."""
     return Element(e.field, {w: s for w, s in e.terms.items() if len(w) == n})
-
-
-def leading_homogeneous(e):
-    """LH(e) = p^{deg e}(e); LH(0) = 0."""
-    d = e.degree()
-    if d is None:
-        return Element(e.field)
-    return project(e, d)
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,8 @@ vector is scaled to integers by the lcm of its denominators, ``ModInt``s
 are unwrapped to their residues.
 What comes out is field-valued again: ``pivots``, ``basis()`` and
 ``reduced_basis()`` give monic rows (the stored rows up to a scalar,
-normalised on first read and cached), and ``reduce_full`` and
-``relate`` track the scale so their remainders are exact.
+built when read), and ``reduce_full`` and ``relate`` track the scale so
+their remainders are exact.
 
 Rows are immutable once stored, and a stored row may be inserted
 elsewhere as it is (``raw_basis``): insertion does not depend on the
@@ -42,16 +42,12 @@ untagged part reduces to zero, reports the tags instead of storing it:
 need no tags where the rows are reduced echelon: they are the entries at
 the pivots, which is how the filtered map alpha reads them.
 
-Measured on a 2-core x86-64 host under CPython 3.11.7, against rows of
-Fractions: the seeded 200-instance fixture of the acceptance tests takes
-54-59 s instead of 378 s.  Dividing out the content matters: without it the
-engine on that suite's slowest instance (618-bit rows at degree 7) took
-194 s instead of 41 s.
+Dividing out the content after every scaled step bounds the growth of
+the coefficients: without it they grow with every elimination step.
 """
 
 from __future__ import annotations
 
-from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import gcd, lcm
@@ -221,37 +217,15 @@ def _p_ints(vec, p):
     return out
 
 
-class _MonicRows(Mapping):
-    """Read-only view of a RowSpace: pivot column -> monic row with field
-    scalars, built from the stored row on first access."""
-
-    __slots__ = ("_space",)
-
-    def __init__(self, space):
-        self._space = space
-
-    def __getitem__(self, c):
-        return self._space._monic_row(c)
-
-    def __contains__(self, c):
-        return c in self._space.rows
-
-    def __iter__(self):
-        return iter(self._space.rows)
-
-    def __len__(self):
-        return self._space.rank
-
-
 class RowSpace:
     """Row space accumulator in row-echelon form (REF, not fully reduced).
 
     ``rows`` maps a pivot column to its stored integer row (read-only for
-    callers); ``pivots`` is the same map with monic field-valued rows.
-    Stored rows are never mutated.
+    callers); ``pivots`` is the same map with monic field-valued rows,
+    built when read, in column order.  Stored rows are never mutated.
     """
 
-    __slots__ = ("field", "_rows", "_inserted", "_p", "_monic")
+    __slots__ = ("field", "_rows", "_inserted", "_p")
     _source = None     # closure.Component's hook: c -> the unbuilt row with pivot c, or None
 
     def __init__(self, field):
@@ -259,7 +233,6 @@ class RowSpace:
         self._rows = {}            # pivot -> row: inserted, or built on lookup
         self._inserted = []        # pivots of the inserted rows
         self._p = getattr(field, "p", None)
-        self._monic = {}
 
     @property
     def rank(self):
@@ -271,7 +244,7 @@ class RowSpace:
 
     @property
     def pivots(self):
-        return _MonicRows(self)
+        return {c: self._monic_row(c) for c in sorted(self.rows)}
 
     @property
     def inserted(self):
@@ -431,20 +404,13 @@ class RowSpace:
         self._inserted.append(lead)
 
     def _monic_row(self, c):
-        row = self._monic.get(c)
-        if row is None:
-            raw = self.row(c)
-            if raw is None:
-                raise KeyError(c)
-            p = self._p
-            if p is not None:
-                row = {k: ModInt(s, p) for k, s in raw.items()}
-            elif raw[c] == 1:
-                row = {k: Fraction(s) for k, s in raw.items()}
-            else:
-                row = {k: Fraction(s, raw[c]) for k, s in raw.items()}
-            self._monic[c] = row
-        return row
+        raw = self.row(c)
+        p = self._p
+        if p is not None:
+            return {k: ModInt(s, p) for k, s in raw.items()}
+        if raw[c] == 1:
+            return {k: Fraction(s) for k, s in raw.items()}
+        return {k: Fraction(s, raw[c]) for k, s in raw.items()}
 
     # -- public contract ---------------------------------------------------
 
@@ -503,7 +469,7 @@ class RowSpace:
 
     def basis(self):
         """Monic rows sorted by pivot column."""
-        return [self._monic_row(c) for c in sorted(self.rows)]
+        return list(self.pivots.values())
 
     def reduced_basis(self):
         """Fully back-substituted (RREF) monic rows, sorted by pivot column."""

@@ -225,6 +225,42 @@ def brute_ideal_dim(g, gen_elements, n):
 # ---------------------------------------------------------------------------
 # Thin views over pbwkit objects that only the tests read.
 
+def scale(e, c):
+    """c·e for a scalar c."""
+    if not c:
+        return Element(e.field)
+    return Element(e.field, {w: c * s for w, s in e.terms.items()})
+
+
+def leading_homogeneous(e):
+    """LH(e) = p^{deg e}(e); LH(0) = 0."""
+    d = e.degree()
+    if d is None:
+        return Element(e.field)
+    return project(e, d)
+
+
+# ---------------------------------------------------------------------------
+# The Rees identity, read off D against A directly.
+
+def rees_identity(a, d):
+    """Check dim D^n = dim A^n + dim D^{n-1} on the tables a[n] = dim A^n
+    and d[n] = dim D^n, n = 0, 1, ...
+
+    Under regularity this follows from the exact sequences
+    0 -> D^{n-1} --z--> D^n -> A^n -> 0; the first failing degree is a
+    regularity witness.  Returns (holds, per_degree, first_failure).
+    ``pbwkit rees`` reads its list off ann(z) instead."""
+    per = [dn == an + prev for an, dn, prev in zip(a, d, [0] + d)]
+    first_bad = per.index(False) if False in per else None
+    return first_bad is None, per, first_bad
+
+
+def rees_identity_check(engine, upto):
+    """``rees_identity`` on the engine's tables for n <= upto."""
+    return rees_identity(engine.a_dims(upto), [engine.dim_d(n) for n in range(upto + 1)])
+
+
 def row_elements(P):
     """The reduced rows of a FilteredSubspace as Elements (``zelement``)."""
     return [zelement(P.g, P.max_degree, r, P.field) for r in P.space.reduced_basis()]

@@ -12,14 +12,15 @@ import pbwkit
 from pbwkit.deformation import (FilteredSubspace, minimize_relations,
                                 pbw_check, pn_ladder, rp_of)
 from pbwkit.errors import InvalidPresentation
-from pbwkit.extension import engine_for, rees_identity_check
+from pbwkit.extension import engine_for
 from pbwkit.freealg import format_element, parse_element
 from pbwkit.gradedring import GradedSubspace, PresentedRing
 from pbwkit.homology import complexity, tor3_resolution, tor_bar
 from pbwkit.linalg import QQ
 
 from conftest import acceptance_sample as _sample   # bench/test_bench.py imports it
-from conftest import annihilator_basis, brute_jacobi, naive_ladder, pure_jacobi_check
+from conftest import (annihilator_basis, brute_jacobi, naive_ladder, pure_jacobi_check,
+                      rees_identity_check)
 
 SEED = 20260810
 SUITE_SIZE = 200

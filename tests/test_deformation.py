@@ -14,8 +14,8 @@ from pbwkit.linalg import QQ, PrimeField
 
 from conftest import (NotPure, acceptance_sample, brute_jacobi, certified_cut_dim,
                       image_elements, lex_words, pure_jacobi_check,
-                      random_deformation_element, random_presentation, sampled, to_field,
-                      zcolumns, zelement)
+                      random_deformation_element, random_presentation, sampled, scale,
+                      to_field, zcolumns, zelement)
 
 X, XY, XYC = ["x"], ["x", "y"], ["x", "y", "c"]
 HEISENBERG = ["x*y - y*x - c", "x*c - c*x", "y*c - c*y"]
@@ -222,7 +222,7 @@ class TestLadder:
                 f = e
                 for j, other in enumerate(base):
                     if rng.random() < 0.5 and j != i:
-                        f = f + other.scale(QQ.from_int(rng.randint(-2, 2)))
+                        f = f + scale(other, QQ.from_int(rng.randint(-2, 2)))
                 mixed.append(f)
             lad = pn_ladder(FilteredSubspace(3, mixed), 3)
             assert lad.verdicts == lad0.verdicts

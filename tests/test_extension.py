@@ -3,18 +3,19 @@ import random
 import pytest
 
 from pbwkit import gallery_names, gallery_path
-from pbwkit.freealg import filtration_size, parse_element
+from pbwkit.cli import run_command
+from pbwkit.freealg import filtration_size, format_element, parse_element
 from pbwkit.gradedring import PresentedRing
 from pbwkit.deformation import FilteredSubspace, lifted, pn_ladder, minimize_relations, rp_of
 from pbwkit.errors import InvalidPresentation
-from pbwkit.extension import ExtensionEngine, engine_for, rees_identity_check
+from pbwkit.extension import ExtensionEngine, engine_for
 from pbwkit.closure import _Layout
 from pbwkit.linalg import QQ, PrimeField
-from pbwkit.presentations import parse_presentation
+from pbwkit.presentations import Presentation, parse_presentation
 
-from conftest import (NaiveEngine, annihilator_basis, certified_cut_dim, eval_z, homogenize,
-                      image_elements, lex_columns, pz_rows, random_presentation, sampled,
-                      zcolumns, zterms)
+from conftest import (NaiveEngine, acceptance_sample, annihilator_basis, certified_cut_dim,
+                      eval_z, homogenize, image_elements, lex_columns, pz_rows,
+                      random_presentation, rees_identity_check, sampled, zcolumns, zterms)
 
 X, XY, XYC = ["x"], ["x", "y"], ["x", "y", "c"]
 HEISENBERG = ["x*y - y*x - c", "x*c - c*x", "y*c - c*y"]
@@ -247,6 +248,25 @@ class TestReesIdentity:
         holds, per, bad = rees_identity_check(eng, 4)
         assert not holds and bad == 3
         assert per[:3] == [True, True, True]
+
+    @pytest.mark.parametrize("field", ["Q", "Fp(7)"])
+    def test_rees_command_list_is_the_direct_identity(self, field):
+        # ``rees`` reads its per-degree list off ann(z); on the first 40
+        # acceptance presentations, (J_k) failures included, written out and
+        # run through the CLI, it is the list read off D against A directly
+        rng = random.Random(20260810)
+        failed = 0
+        for _ in range(40):
+            g, elems, _ = acceptance_sample(rng)
+            names = [f"x{k}" for k in range(g)]
+            pres = parse_presentation(Presentation(
+                field, names, [], [format_element(e, names) for e in elems],
+                max_degree=6).to_text())
+            report = run_command("rees", pres)
+            P = FilteredSubspace(g, pres.parsed_deformation(), pres.field())
+            assert report.dims["rees"] == rees_identity_check(engine_for(P), 6)[1], elems
+            failed += not all(report.dims["rees"])
+        assert failed        # the sample reaches failing degrees, n = 3, 4 and 5
 
 
 class TestCrossValidation:

@@ -5,12 +5,12 @@ from hypothesis import given, settings, strategies as st
 
 from pbwkit.errors import ParseError, ResourceExceeded, ValidationError
 from pbwkit.freealg import (Element, WordBasis, filtration_size, format_element,
-                            graded_size, guard_reach, leading_homogeneous, multiply,
+                            graded_size, guard_reach, multiply,
                             lex_pos, lex_word, parse_element, project, word_key)
 from pbwkit.linalg import QQ
 
-from conftest import (eval_z, homogenize, lex_columns, lex_words, suffix_start, zcolumns,
-                      zword_at)
+from conftest import (eval_z, homogenize, leading_homogeneous, lex_columns, lex_words,
+                      suffix_start, zcolumns, zword_at)
 
 X, Y = ["x"], ["x", "y"]
 

@@ -38,7 +38,7 @@ from pbwkit.freealg import Element, WordBasis, format_element, multiply, parse_e
 from pbwkit.linalg import QQ, span
 from pbwkit.presentations import Presentation, parse_field_name, parse_presentation
 
-from conftest import random_presentation, row_elements, sampled
+from conftest import random_presentation, row_elements, sampled, scale
 
 ORDERS = {
     "reversed": lambda items: items[::-1],
@@ -124,9 +124,9 @@ def recombined(elems, seed):
     rng = random.Random(seed)
     out = []
     for i, e in enumerate(elems):
-        f = e.scale(e.field.from_int(rng.choice((1, -1))))
+        f = scale(e, e.field.from_int(rng.choice((1, -1))))
         for prev in elems[:i]:
-            f = f + prev.scale(e.field.from_int(rng.randint(-2, 2)))
+            f = f + scale(prev, e.field.from_int(rng.randint(-2, 2)))
         out.append(f)
     rng.shuffle(out)
     return out
