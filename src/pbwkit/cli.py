@@ -15,8 +15,8 @@ import argparse
 import re
 import sys
 
-from .deformation import (lifted, minimized_ring, pbw_check, pn_ladder, rp_of,
-                          shown_hilbert, timed)
+from .deformation import (lift_presentation, minimized_ring, pbw_check, pn_ladder,
+                          rp_of, shown_hilbert, timed)
 from .errors import (InvalidPresentation, InvariantViolation, ParseError,
                      PBWError, ResourceExceeded, ValidationError)
 from .extension import engine_for
@@ -33,15 +33,15 @@ def _empty_dims():
 
 
 def _lift(pres, timings):
-    return timed(timings, "lift", lifted, len(pres.generators),
-                 pres.parsed_deformation(), pres.parsed_ambient(), pres.field())
+    return timed(timings, "lift", lift_presentation, len(pres.generators),
+                 pres.parsed_ambient(), pres.parsed_deformation(), pres.field())
 
 
 def _ring(pres, timings, max_degree, tor_bound=0):
     """The stages every homological command starts with: lift, extract R_P,
     minimize it; returns (LiftResult, R, ring)."""
-    P, lift = _lift(pres, timings)
-    rp = timed(timings, "extract", rp_of, P)
+    lift = _lift(pres, timings)
+    rp = timed(timings, "extract", rp_of, lift.P)
     rmin, ring = timed(timings, "minimize", minimized_ring, rp, max_degree, tor_bound)
     return lift, rmin, ring
 
@@ -129,8 +129,8 @@ def cmd_check(pres, upto=None):
 def cmd_jacobi(pres, upto=None):
     upto = upto if upto is not None else pres.max_degree
     timings = {}
-    P, lift = _lift(pres, timings)
-    ladder = timed(timings, "ladder", pn_ladder, P, upto)
+    lift = _lift(pres, timings)
+    ladder = timed(timings, "ladder", pn_ladder, lift.P, upto)
     dims = _empty_dims()
     dims["P_k"] = list(ladder.dims)
     ok = ladder.first_failure is None
@@ -193,8 +193,8 @@ def cmd_hilbert(pres, upto=None):
 def cmd_rees(pres, upto=None):
     bound = upto if upto is not None else pres.max_degree
     timings = {}
-    P, lift = _lift(pres, timings)
-    eng = timed(timings, "extract", engine_for, P)
+    lift = _lift(pres, timings)
+    eng = timed(timings, "extract", engine_for, lift.P)
     dims = _empty_dims()
     dims["h_A"] = timed(timings, "rees", eng.a_dims, bound)
     dims["D"] = timed(timings, "rees", list, map(eng.dim_d, range(bound + 1)))

@@ -26,7 +26,7 @@ from .errors import DomainMismatch, InvalidPresentation, InvariantViolation, Val
 from .extension import ENGINE_DEGREE_CAP, ExtensionEngine, check_depth, engine_for
 from .freealg import Element, WordBasis, column_guard, guard_reach, project
 from .gradedring import (DEFAULT_MAX_DEGREE, GradedSubspace, PresentedRing,
-                         graded_ideal_step, ideal_chain, minimal_complement)
+                         graded_ideal_step, ideal_chain)
 from .homology import TOR_BOUND, complexity
 from .linalg import QQ, RowSpace, span
 from .presentations import MAX_DEGREE
@@ -183,18 +183,31 @@ def pn_ladder(P, upto, engine=None):
     return JacobiLadder(dims, verdicts, first_failure, witness)
 
 
+def beyond_tilde(chain, g, n, rows):
+    """The rows, in order, that add a pivot when inserted in turn into
+    Ĩ^n = F¹I^{n-1} + I^{n-1}F¹, ``chain[m]`` being I^m for m < n: a
+    greedy complement of their span's meet with Ĩ^n."""
+    tilde = graded_ideal_step(chain, None, g, n, chain[0].field)
+    return [row for row in rows if tilde.insert(row) is not None]
+
+
 def minimize_relations(rel):
-    """A bimodule of relations extracted from rel: the deterministic graded
-    complement of rel ∩ (F¹I + IF¹) inside rel, I = <rel>.  The equality of
-    ideals <result> = <rel> is certified degree-wise up to the top degree d
-    of rel; both ideals are generated in degrees <= d, so agreement up to d
-    propagates through the recursion I^{n+1} = F¹Iⁿ + IⁿF¹ for n >= d.
-    The chain of <rel> is built once, for the complement and the check."""
+    """A bimodule of relations extracted from rel: the graded complement
+    of rel ∩ Ĩ inside rel, Ĩ = F¹I + IF¹ and I = <rel>, picked greedily
+    from rel's reduced bases in pivot order, so it is deterministic.  The
+    equality of ideals <result> = <rel> is certified degree-wise up to the
+    top degree d of rel; both ideals are generated in degrees <= d, so
+    agreement up to d propagates through the recursion I^{n+1} = F¹Iⁿ +
+    IⁿF¹ for n >= d.  The chain of <rel> is built once, for the complement
+    and the check."""
     d = rel.max_degree()
     chain = ideal_chain(rel, d)
-    out = minimal_complement(rel, chain)
-    if d >= 0 and not all(a.equals_space(b) for a, b in
-                          zip(chain, ideal_chain(out, d))):
+    out = GradedSubspace(rel.g, rel.field)
+    for n in rel.degrees():
+        keep = out.block(n)
+        for row in beyond_tilde(chain, rel.g, n, rel.blocks[n].reduced_basis()):
+            keep.insert(row)
+    if not all(a.equals_space(b) for a, b in zip(chain, ideal_chain(out, d))):
         raise InvariantViolation("minimization changed the ideal")
     return out
 
@@ -205,6 +218,7 @@ def minimize_relations(rel):
 @dataclass
 class LiftResult:
     spanning: list                  # elements over the free algebra
+    P: FilteredSubspace             # their span
     minimal_ok: bool = True
     note: str = ""
     identity: bool = False
@@ -212,26 +226,31 @@ class LiftResult:
 
 def lift_presentation(g, ambient_elements, deformation_elements, field=QQ):
     """Replace a presentation over T = F/<K0> by one over the free algebra:
-    the deformation becomes sigma(P) together with (a minimized) K0, where
-    sigma is the normal-form linear section of F -> T.
+    the deformation becomes the span P of sigma(P) and K0, K0 minimized
+    by ``minimize_relations`` and sigma the normal-form linear section of
+    F -> T.
 
-    The side condition K0 ∩ (F¹I + IF¹) = 0, I = <sigma(R_P) + K0>, is
-    checked as a rank test; when it fails the lift is still returned (the
-    PBW-type question transfers regardless) but flagged LIFT_NOT_MINIMAL:
+    The side condition K0 ∩ (F¹I + IF¹) = 0, I = <R_P>, is checked as a
+    rank test on the lifted P's own R_P.  It is R_{sigma(P)} ⊕ K0 degree
+    by degree: the homogeneous parts of sigma(P) lie on normal words,
+    which span a complement of <K0>, so no top of theirs cancels against
+    K0.  When the test fails the lift is still returned (the PBW-type
+    question transfers regardless) but flagged LIFT_NOT_MINIMAL:
     ``pbw_check`` then certifies no non-graded deformation, on R_P or on
     the alpha-image P', so their positive verdicts are bounded-degree
     claims.  A graded deformation is of PBW type whatever the lift.
     """
     if not ambient_elements:
-        return LiftResult(list(deformation_elements), True, "", identity=True)
+        spanning = list(deformation_elements)
+        return LiftResult(spanning, FilteredSubspace(g, spanning, field), identity=True)
     raw = GradedSubspace.from_elements(g, ambient_elements, field)
     for n in raw.degrees():
         if n < 2:
             raise ValidationError("ambient relations must be homogeneous of degree >= 2")
-    k0 = minimal_complement(raw)
+    k0 = minimize_relations(raw)
     ambient_ring = PresentedRing(g, k0, field, max(
         [DEFAULT_MAX_DEGREE] + [e.degree() for e in deformation_elements if not e.is_zero()]))
-    reduced = []
+    spanning = []
     for e in deformation_elements:
         total = Element(field)
         for n in range(e.degree() + 1 if not e.is_zero() else 0):
@@ -239,28 +258,19 @@ def lift_presentation(g, ambient_elements, deformation_elements, field=QQ):
             if not part.is_zero():
                 total = total + ambient_ring.normal_form(part)
         if not total.is_zero():
-            reduced.append(total)
-    k0_elements = k0.elements()
-    spanning = reduced + k0_elements
-    # side condition: K0 ∩ I~ = 0 with I = <R_lift> and R_lift = R_P + K0;
-    # rp_of returns P_sigma's own R_P, which this local P_sigma lets K0 grow
-    P_sigma = FilteredSubspace(g, reduced, field) if reduced else None
-    r_lift = rp_of(P_sigma) if P_sigma is not None else GradedSubspace(g, field)
-    for el in k0_elements:
-        r_lift.insert_element(el)
-    top = k0.max_degree()
-    chain = ideal_chain(r_lift, top)
-    # rank test: K0's rows are independent, so K0 ∩ I~ = 0 iff inserting
-    # them into I~ adds a pivot each time
-    tildes = {n: graded_ideal_step(chain, None, g, n, field) for n in k0.degrees()}
-    minimal_ok = all(tildes[n].insert(row) is not None
-                     for n in k0.degrees() for row in k0.blocks[n].raw_basis())
+            spanning.append(total)
+    spanning += k0.elements()
+    P = FilteredSubspace(g, spanning, field)
+    # K0's rows are independent, so K0 ∩ Ĩ = 0 iff each adds a pivot to Ĩ
+    chain = ideal_chain(P.rel, k0.max_degree())
+    minimal_ok = all(len(beyond_tilde(chain, g, n, k0.blocks[n].raw_basis())) == k0.dim(n)
+                     for n in k0.degrees())
     note = "" if minimal_ok else (
         "LIFT_NOT_MINIMAL: ambient relations meet F¹I + IF¹; a non-graded "
         "deformation gets no certificate on R_P or on the alpha-image P', so "
         "a positive verdict on it is a bounded-degree claim; a graded "
         "deformation is of PBW type regardless")
-    return LiftResult(spanning, minimal_ok, note)
+    return LiftResult(spanning, P, minimal_ok, note)
 
 
 # ---------------------------------------------------------------------------
@@ -274,13 +284,6 @@ def timed(timings, stage, fn, *args, **kwargs):
     out = fn(*args, **kwargs)
     timings[stage] = timings.get(stage, 0.0) + time.perf_counter() - t0
     return out
-
-
-def lifted(g, deformation, ambient, field):
-    """(P, LiftResult): the deformation lifted to the free algebra (see
-    ``lift_presentation``), as a filtered subspace P."""
-    lift = lift_presentation(g, list(ambient), list(deformation), field)
-    return FilteredSubspace(g, lift.spanning, field), lift
 
 
 def minimized_ring(rp, max_degree, tor_bound=0):
@@ -344,7 +347,8 @@ def pbw_check(g, deformation, ambient=(), field=QQ, max_degree=MAX_DEGREE, tor_b
     """
     notes = []
     timings = {}
-    P, lift = timed(timings, "lift", lifted, g, deformation, ambient, field)
+    lift = timed(timings, "lift", lift_presentation, g, list(ambient), list(deformation), field)
+    P = lift.P
     if not lift.identity:
         notes.append("quotient-ambient input lifted to the free algebra; "
                      "all reported values are isomorphism-invariant, so they "

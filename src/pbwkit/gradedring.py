@@ -258,23 +258,3 @@ def ideal_chain(rel, upto):
         chain.append(graded_ideal_step(chain, rel.blocks.get(n), rel.g, n, rel.field))
     return chain
 
-
-def minimal_complement(rel, chain=None):
-    """A graded complement of (rel ∩ Ĩ) inside rel, where Ĩ = F¹I + IF¹ and
-    I = <rel>: a bimodule of relations generating the same ideal.  Rows are
-    picked greedily from rel's reduced bases in pivot order, so the result
-    is deterministic.  ``chain`` is ``ideal_chain(rel, rel.max_degree())``
-    when the caller has built it."""
-    d = rel.max_degree()
-    if d < 0:
-        return GradedSubspace(rel.g, rel.field)
-    if chain is None:
-        chain = ideal_chain(rel, d)
-    out = GradedSubspace(rel.g, rel.field)
-    for n in rel.degrees():
-        acc = graded_ideal_step(chain, None, rel.g, n, rel.field)
-        keep = out.block(n)
-        for row in rel.blocks[n].reduced_basis():
-            if acc.insert(row) is not None:
-                keep.insert(row)
-    return out

@@ -19,7 +19,7 @@ from pbwkit.deformation import FilteredSubspace, apply_alpha, minimize_relations
 from pbwkit.errors import InvalidPresentation
 from pbwkit.extension import ExtensionEngine, engine_for
 from pbwkit.freealg import Element, filtration_size, multiply, project
-from pbwkit.gradedring import PresentedRing
+from pbwkit.gradedring import DEFAULT_MAX_DEGREE, GradedSubspace, PresentedRing
 from pbwkit.linalg import QQ, RowSpace, left_kernel_basis, span
 
 
@@ -894,6 +894,43 @@ def sampler_rings(field, count, seed=20260810 + 2):
         if rel.degrees():
             out.append((PresentedRing(g, rel, field), rel))
     return out
+
+
+def ambient_sample(rng, field):
+    """(g, ambient, deformation) over ``field``: a random presentation over
+    a quotient F/<K0>, g in {2, 3}, with one to three nonzero ambient
+    relations of degree 2 or 3 and one to three deformation elements of
+    top degree 2 or 3."""
+    g = rng.choice([2, 3])
+    ambient = []
+    while not ambient:
+        ambient = [e for e in (random_homogeneous(rng, g, rng.choice([2, 3]), 2)
+                               for _ in range(rng.randint(1, 3))) if not e.is_zero()]
+    deformation = [random_deformation_element(rng, g, rng.choice([2, 3]))
+                   for _ in range(rng.randint(1, 3))]
+    return g, to_field(field, ambient), to_field(field, deformation)
+
+
+def lift_rp_oracle(g, ambient, deformation, field):
+    """R_P of the lift of a presentation over F/<K0>, from two spaces: the
+    R_P of a FilteredSubspace of sigma(P), with the rows of the minimized
+    K0 inserted after it.  ``lift_presentation`` reads R_P off the one
+    lifted P instead, which is exact only because sigma(P) lies on normal
+    words."""
+    k0 = minimize_relations(GradedSubspace.from_elements(g, ambient, field))
+    ring = PresentedRing(g, k0, field, max([DEFAULT_MAX_DEGREE] + [
+        e.degree() for e in deformation if not e.is_zero()]))
+    sigma = []
+    for e in deformation:
+        total = Element(field)
+        for n in range(e.degree() + 1 if not e.is_zero() else 0):
+            total = total + ring.normal_form(project(e, n))
+        if not total.is_zero():
+            sigma.append(total)
+    rel = rp_of(FilteredSubspace(g, sigma, field)) if sigma else GradedSubspace(g, field)
+    for e in k0.elements():
+        rel.insert_element(e)
+    return rel
 
 
 @pytest.fixture

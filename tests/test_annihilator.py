@@ -13,7 +13,7 @@ import random
 import pytest
 
 import pbwkit
-from pbwkit.deformation import FilteredSubspace, lifted
+from pbwkit.deformation import FilteredSubspace, lift_presentation
 from pbwkit.extension import engine_for
 from pbwkit.freealg import parse_element
 from pbwkit.linalg import QQ, PrimeField, span
@@ -37,8 +37,8 @@ def test_gallery_annihilators_match_z_images(field):
     for name in pbwkit.gallery_names():
         with open(pbwkit.gallery_path(name), encoding="utf-8") as fh:
             pres = dataclasses.replace(parse_presentation(fh.read()), field_name=field)
-        P, _ = lifted(len(pres.generators), pres.parsed_deformation(),
-                      pres.parsed_ambient(), pres.field())
+        P = lift_presentation(len(pres.generators), pres.parsed_ambient(),
+                              pres.parsed_deformation(), pres.field()).P
         eng = engine_for(P)
         for n in range(pres.max_degree + 1):
             ann = eng.annihilator_dim(n)

@@ -10,7 +10,8 @@ import pytest
 import pbwkit
 from pbwkit import cli, closure, deformation, extension, gradedring, homology, presentations
 from pbwkit.cli import COMMANDS, main, run_command
-from pbwkit.errors import InvariantViolation, ParseError, ValidationError
+from pbwkit.errors import (InvariantViolation, ParseError, PBWError, ResourceExceeded,
+                           ValidationError)
 from pbwkit.extension import ExtensionEngine
 from pbwkit.linalg import PrimeField, RowSpace, span
 from pbwkit.presentations import parse_presentation
@@ -214,15 +215,35 @@ class TestExitCodes:
     def test_minimization_fault_code(self, capsys, monkeypatch):
         # a minimization that drops a row changes the ideal: a program
         # fault (exit 14), not invalid input (exit 12)
-        real = deformation.minimal_complement
+        real = deformation.beyond_tilde
 
-        def dropping(rel, chain=None):
-            out = real(rel, chain)
-            n = out.degrees()[-1]
-            out.blocks[n] = span(out.field, out.blocks[n].basis()[1:])
-            return out
-        monkeypatch.setattr(deformation, "minimal_complement", dropping)
+        def dropping(chain, g, n, rows):
+            # the first row kept in the top degree, len(chain) - 1
+            kept = real(chain, g, n, rows)
+            return kept[1:] if n == len(chain) - 1 else kept
+        monkeypatch.setattr(deformation, "beyond_tilde", dropping)
         assert main(["check", gallery("sl2.pbw")]) == 14
+        err = capsys.readouterr().err
+        assert "error[INVARIANT_VIOLATED]" in err
+        assert "minimization changed the ideal" in err
+
+    def test_k0_minimization_is_certified(self, capsys, monkeypatch):
+        # a Ĩ^n that already holds all of T^n keeps no row of K0: the lift
+        # minimizes K0 through the certified minimization, so it raises
+        # instead of lifting with a LIFT_NOT_MINIMAL note
+        real = deformation.graded_ideal_step
+
+        def full(chain, gens_block, g, n1, field):
+            if gens_block is None:
+                return span(field, ({c: field.one} for c in range(g ** n1)))
+            return real(chain, gens_block, g, n1, field)
+        monkeypatch.setattr(deformation, "graded_ideal_step", full)
+        with open(gallery("polynomial-ambient.pbw"), encoding="utf-8") as fh:
+            pres = parse_presentation(fh.read())
+        with pytest.raises(InvariantViolation, match="minimization changed the ideal"):
+            deformation.lift_presentation(len(pres.generators), pres.parsed_ambient(),
+                                          pres.parsed_deformation(), pres.field())
+        assert main(["check", gallery("polynomial-ambient.pbw")]) == 14
         err = capsys.readouterr().err
         assert "error[INVARIANT_VIOLATED]" in err
         assert "minimization changed the ideal" in err
@@ -579,6 +600,59 @@ class TestExitCodes:
                  for args in (["--upto", "abc"], ["-h"])]
         assert codes == [12, 0]
 
+
+
+def _raised(fn):
+    """(the exception type, its message) of what fn() raises, or (fn(), "")."""
+    try:
+        return fn(), ""
+    except PBWError as exc:
+        return type(exc), str(exc)
+
+
+def _commutative_ring():
+    return gradedring.PresentedRing(2, gradedring.GradedSubspace.from_elements(
+        2, [pbwkit.parse_element("x*y - y*x", ["x", "y"])]))
+
+
+def _weyl_engine():
+    return extension.engine_for(deformation.FilteredSubspace(
+        2, [pbwkit.parse_element("x*y - y*x - 1", ["x", "y"])]))
+
+
+@pytest.mark.parametrize("case, outcome, message", [
+    (lambda run: run('generators = ["x"]\ndeformation = ["1/7*x"]\n', "--field", "Fp:7"),
+     12, "denominator 7 not invertible mod 7"),
+    (lambda run: run('generators = ["x"]\ndeformation = ["x*x"]\nmax_degree =\n'),
+     11, "missing value"),
+    (lambda run: run('generators = ["1x"]\ndeformation = ["x*x"]\n'),
+     12, "bad generator name '1x'"),
+    (lambda run: _raised(lambda: deformation.lift_presentation(
+        1, [pbwkit.parse_element("x", ["x"])], [pbwkit.parse_element("x*x + 1", ["x"])])),
+     ValidationError, "ambient relations must be homogeneous of degree >= 2"),
+    (lambda run: _raised(lambda: homology.tor_bar(_commutative_ring(), 5, 6)),
+     ValidationError, "tor_bar supports homological degrees 1..4"),
+    (lambda run: _raised(lambda: homology.tor_bar(_commutative_ring(), 3, 2).dims),
+     {}, ""),
+    (lambda run: _raised(lambda: _commutative_ring().ideal_component(-1)),
+     ValidationError, "negative degree"),
+    (lambda run: _raised(lambda: _weyl_engine().ideal_component(-1)),
+     ValidationError, "negative degree"),
+    (lambda run: _raised(lambda: _weyl_engine().ideal_component(25)),
+     ResourceExceeded, "extension degree 25 above cap 24"),
+], ids=["fp-denominator", "missing-value", "bad-generator", "degree-1-ambient",
+        "tor-bar-degree-5", "tor-bar-below-degree", "ring-negative-degree",
+        "engine-negative-degree", "engine-above-cap"])
+def test_rare_error_paths(case, outcome, message, tmp_path, capsys):
+    # each raise (or early return) here runs in no other test: the CLI's
+    # exit code and stderr, or the exception and its message
+    def run(text, *flags):
+        path = tmp_path / "case.pbw"
+        path.write_text(text, encoding="utf-8")
+        code = main(["check", str(path), *flags])
+        return code, capsys.readouterr().err
+    got, text = case(run)
+    assert got == outcome and message in text, (got, text)
 
 class TestJsonOutput:
     def test_stable_schema(self, capsys):

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from pbwkit import gallery_path
 from pbwkit.errors import (DomainMismatch, InvalidPresentation, InvariantViolation,
                           ResourceExceeded)
 from pbwkit.freealg import format_element, parse_element, project
@@ -11,9 +12,11 @@ from pbwkit.deformation import (FilteredSubspace, apply_alpha, lift_presentation
 from pbwkit.extension import ENGINE_DEGREE_CAP, engine_for
 from pbwkit.freealg import WordBasis, filtration_size
 from pbwkit.linalg import QQ, PrimeField
+from pbwkit.presentations import parse_presentation
 
-from conftest import (NotPure, acceptance_sample, brute_jacobi, certified_cut_dim,
-                      image_elements, lex_words, pure_jacobi_check,
+from conftest import (NotPure, acceptance_sample, ambient_sample, brute_jacobi,
+                      certified_cut_dim, image_elements, lex_words, lift_rp_oracle,
+                      pure_jacobi_check,
                       random_deformation_element, random_presentation, sampled, scale,
                       to_field, zcolumns, zelement)
 
@@ -453,6 +456,28 @@ class TestLift:
                                  els(["x*y - y*x"], XY))
         assert not lift.minimal_ok
         assert lift.note.startswith("LIFT_NOT_MINIMAL")
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "Fp7"])
+    def test_lifted_rp_is_sigma_rp_plus_k0(self, field):
+        # R_P = R_{sigma(P)} ⊕ K0 degree by degree: the side condition read
+        # off the one lifted P agrees with the two-space construction
+        cases = []
+        for name in ("polynomial-ambient.pbw", "x3-counterexample.pbw"):
+            with open(gallery_path(name), encoding="utf-8") as fh:
+                pres = parse_presentation(fh.read())
+            cases.append((len(pres.generators), to_field(field, pres.parsed_ambient()),
+                          to_field(field, pres.parsed_deformation())))
+        rng = random.Random(20261021)
+        cases += [ambient_sample(rng, field) for _ in range(200)]
+        lifted = 0
+        for g, ambient, deformation in cases:
+            try:
+                lift = lift_presentation(g, ambient, deformation, field)
+            except InvalidPresentation:
+                continue
+            lifted += 1
+            assert lift.P.rel.equals(lift_rp_oracle(g, ambient, deformation, field))
+        assert lifted > 180
 
     def test_lift_agrees_with_hand_lift(self):
         # quotient-ambient route vs the hand-written free presentation

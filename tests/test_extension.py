@@ -6,7 +6,8 @@ from pbwkit import gallery_names, gallery_path
 from pbwkit.cli import run_command
 from pbwkit.freealg import filtration_size, format_element, parse_element
 from pbwkit.gradedring import PresentedRing
-from pbwkit.deformation import FilteredSubspace, lifted, pn_ladder, minimize_relations, rp_of
+from pbwkit.deformation import (FilteredSubspace, lift_presentation, pn_ladder,
+                                minimize_relations, rp_of)
 from pbwkit.errors import InvalidPresentation
 from pbwkit.extension import ExtensionEngine, engine_for
 from pbwkit.closure import _Layout
@@ -137,8 +138,8 @@ def gallery_subspaces(field):
         with open(gallery_path(name), encoding="utf-8") as fh:
             pres = parse_presentation(fh.read())
         pres.field_name = field.name
-        out.append(lifted(len(pres.generators), pres.parsed_deformation(),
-                          pres.parsed_ambient(), field)[0])
+        out.append(lift_presentation(len(pres.generators), pres.parsed_ambient(),
+                                     pres.parsed_deformation(), field).P)
     return out
 
 

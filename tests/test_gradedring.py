@@ -6,8 +6,8 @@ import pytest
 
 from pbwkit.errors import NotHomogeneous, ResourceExceeded, ValidationError
 from pbwkit.freealg import Element, parse_element
-from pbwkit.gradedring import (GradedSubspace, PresentedRing, ideal_chain,
-                               minimal_complement)
+from pbwkit.deformation import minimize_relations
+from pbwkit.gradedring import GradedSubspace, PresentedRing, ideal_chain
 from pbwkit.linalg import QQ, PrimeField
 
 from conftest import (DenseEchelon, basis_words, brute_ideal_dim, lex_columns,
@@ -182,13 +182,13 @@ class TestMinimalComplement:
     def test_strips_consequence(self):
         rel = GradedSubspace.from_elements(
             1, [parse_element("x*x", X), parse_element("x*x*x", X)])
-        out = minimal_complement(rel)
+        out = minimize_relations(rel)
         assert out.degrees() == [2] and out.dim(2) == 1
         assert out.dim(3) < rel.dim(3)
 
     def test_fixed_point(self):
         rel = GradedSubspace.from_elements(2, [parse_element("x*y - y*x", XY)])
-        out = minimal_complement(rel)
+        out = minimize_relations(rel)
         assert out.equals(rel)
         assert [out.dim(n) for n in rel.degrees()] == [rel.dim(n) for n in rel.degrees()]
 
@@ -200,7 +200,7 @@ class TestMinimalComplement:
             if not elems:
                 continue
             rel = GradedSubspace.from_elements(g, elems)
-            out = minimal_complement(rel)
+            out = minimize_relations(rel)
             d = rel.max_degree()
             ca, cb = ideal_chain(rel, d), ideal_chain(out, d)
             for n in range(d + 1):

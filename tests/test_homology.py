@@ -7,7 +7,8 @@ import pytest
 from pbwkit import cli, gallery_path, homology, linalg
 from pbwkit.errors import InvariantViolation, NotMinimalRelations, ResourceExceeded
 from pbwkit.freealg import Element, multiply, parse_element
-from pbwkit.gradedring import GradedSubspace, PresentedRing, minimal_complement
+from pbwkit.deformation import minimize_relations
+from pbwkit.gradedring import GradedSubspace, PresentedRing
 from pbwkit.homology import (ResolutionSlice, complexity, is_commutator_relations,
                              support_reach, tor3_resolution, tor_bar)
 from pbwkit.linalg import QQ, PrimeField, RowSpace, span
@@ -94,7 +95,7 @@ class TestTor3Resolution:
             if not rel.degrees():
                 continue
             bound = rng.choice([3, 4])
-            comp = minimal_complement(rel)
+            comp = minimize_relations(rel)
             minimal = all(comp.dim(n) == rel.dim(n) for n in rel.degrees() if n <= bound)
             try:
                 tor3_resolution(PresentedRing(g, rel, field), rel, bound)
@@ -129,7 +130,6 @@ class TestTorBar:
         assert tor_bar(ring, 4, 5).dims == {4: 1}
 
     def test_tor2_matches_minimal_relations_randomized(self, rng):
-        from pbwkit.gradedring import minimal_complement
         for _ in range(6):
             g = rng.choice([1, 2])
             elems = [random_homogeneous(rng, g, d, 2) for d in (2, 3)]
@@ -137,7 +137,7 @@ class TestTorBar:
             if not elems:
                 continue
             raw = GradedSubspace.from_elements(g, elems)
-            rel = minimal_complement(raw)
+            rel = minimize_relations(raw)
             ring = PresentedRing(g, rel)
             t = tor_bar(ring, 2, 5)
             for m in range(6):
