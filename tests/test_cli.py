@@ -601,7 +601,6 @@ class TestExitCodes:
         assert codes == [12, 0]
 
 
-
 def _raised(fn):
     """(the exception type, its message) of what fn() raises, or (fn(), "")."""
     try:
@@ -653,6 +652,7 @@ def test_rare_error_paths(case, outcome, message, tmp_path, capsys):
         return code, capsys.readouterr().err
     got, text = case(run)
     assert got == outcome and message in text, (got, text)
+
 
 class TestJsonOutput:
     def test_stable_schema(self, capsys):
