@@ -34,8 +34,10 @@ i * cnt(s-1, r-d) + (position of x), where start(s, r, d) =
 sum_{d' < d} h(d') cnt(s-1, r-d').  Rows come by recursion on the first
 factor, d(a|x) = mu(a, x_1)|x' - a|d(x): the row of x one strand down,
 moved by an int offset and negated, plus the terms of the structure
-constant mu(a, x_1) = nf(a x_1), read once per pair of degrees.  The rows
-of strands <= n are kept for strand n + 1.
+constant mu(a, x_1) = nf(a x_1), read once per pair of degrees.  Rows are
+built per block, the chains a|x of one first factor a, the first time a
+rank or a block one strand up reads it, and kept: a block of strand s
+reads every block of the strand below that holds its x.
 
 Letter-first rows: each rank of d_s reads only the rows of the chains
 l|x whose first factor l is a letter.  The other rows lie in their span.
@@ -59,11 +61,33 @@ degree >= 2, where every other letter row has only its merged part.  So
 these rows are independent, and stay so beside the other letter rows
 once those have their merged parts cleared by them: they are counted,
 and only those residual rows go to a rank (``tor_bar``), as plain integer
-rows that ``linalg.integer_rank`` reads mod p over F_p.  For Tor_3 of
-k[x, y, z] (the A of ``sl2``) at bound 8 the ranks take 10 703 residual
-rows of the 24 384 letter rows, in 20 829 steps, over Q and F_32003
-alike; on the 16 rings of the ``random-homology`` benchmark at bound 6
-they take 4 653 of 36 517, in 3 710 steps.
+rows that ``linalg.integer_rank`` reads mod p over F_p.
+
+Second step: a residual pair (l, w) with d1 >= 2 whose prefix l w[:-1]
+is no basis word adds nothing to a rank, so its rows are never built.
+Write w = w'u, u a letter, and order the pairs of one strand by
+(deg w ascending, l w descending in lex).  As w'u = w is a basis word,
+d d(l|w'|u|x') = 0 gives
+
+    d(l|w|x') = d(mu(l, w')|u|x') + d(l|w'|d(u|x')),
+
+and the second part is letter rows whose second factor is shorter.  A
+normal form's terms lie lex above its word, as pivots are lex-least: each
+term e = l'' t' of nf(l w'), t' a basis word, has e > l w', and
+d d(l''|t'|u|x') = 0 gives
+
+    d(e|u|x') = d(l''|nf(t'u)|x') - d(l''|t'|d(u|x')),
+
+letter rows l''|t|x' with l'' t >= e u > l w and letter rows with a
+shorter second factor.  Induction puts the row of l|w|x', and so its
+residual row, in the span of the counted rows and the residual rows of
+the kept pairs.  The skip reads only d d = 0, subword-closed normal words
+and lex-least pivots, not R, so the bar stays the R-free oracle.  For
+Tor_3 of k[x, y, z] (the A of ``sl2``) at bound 8 the ranks take 2 520
+residual rows of the 24 384 letter rows, in 1 571 steps, over Q and
+F_32003 alike, and build 3 112 kept rows; on the 16 rings of the
+``random-homology`` benchmark at bound 6 they take 2 451 of 36 517, 255
+of them empty, in 234 steps, from 3 589 kept rows.
 
 Both routes read one cache, the integer normal forms of
 ``PresentedRing.nf_word`` by degree and position over the ranks of the
@@ -362,9 +386,12 @@ def tor_bar(ring, hom_degree, bound):
         -l_i|d(w_j|x') + sum c_k l_{a_k}|d(w_{b_k}|x'),
 
     its letter row minus the c_k-combination of counted rows, whose merged
-    part is zero.  It is built from the kept rows of strand s - 1, kept in
-    full below the bound, and scaled to integers; no elimination of the
-    product table is needed.
+    part is zero.  Only the pairs whose prefix l_i w_j[:-1] is a basis word
+    give a row, the second step of the module docstring: the rows of the
+    others lie in the span of these and the counted rows.  A residual row
+    is built from the kept blocks of w_j and the w_{b_k} one strand down,
+    each built on its first read, and scaled to integers; no elimination
+    of the product table is needed.
 
     A basis word of degree 1 + d1 with its suffix of degree d1 outside the
     basis, or a count of residual pairs other than h(1) h(d1) - h(1 + d1),
@@ -419,87 +446,90 @@ def tor_bar(ring, hom_degree, bound):
     def residual(d1):
         """(i, j, [(a_k, b_k, c_k)], dm) for each pair whose product l_i w_j
         is not the basis word e_k = l_{a_k} w_{b_k} of ``splits`` at its
-        position: nf(l_i w_j) = sum c_k e_k / dm."""
+        position, nf(l_i w_j) = sum c_k e_k / dm, and whose prefix
+        l_i w_j[:-1] is a basis word; the pairs with any other prefix add
+        nothing to a rank (module docstring).  l_i w_j[:-1] sits at
+        i g^(d1-1) + pos(w_j) // g, a letter l_i when d1 = 1."""
         out = residuals.get(d1)
         if out is None:
-            split = splits[d1]
+            split, rank = splits[d1], ring.basis(d1)[1]
             home = {pair: k for k, pair in enumerate(split)}
+            shift = g ** (d1 - 1)
             out = residuals[d1] = []
+            count = 0
             for i, line in enumerate(mult(1, d1)):
                 for j, (terms, dm) in enumerate(line):
                     k = home.get((i, j))
                     if k is None or dm != 1 or terms != {k: 1}:
-                        out.append((i, j, [(*split[e], c) for e, c in terms.items()], dm))
-            if len(out) != g * h[d1] - h[1 + d1]:
-                raise InvariantViolation(f"{len(out)} residual pairs in degree {1 + d1}, "
+                        count += 1
+                        if i * shift + words[d1][j] // g in rank:
+                            out.append((i, j, [(*split[e], c) for e, c in terms.items()],
+                                        dm))
+            if count != g * h[d1] - h[1 + d1]:
+                raise InvariantViolation(f"{count} residual pairs in degree {1 + d1}, "
                                          f"not h(1) h({d1}) - h({1 + d1})")
         return out
 
     kept = {}
+    zero = [({}, 1)]
 
-    def rows_of(s, r):
-        """Rows (row, L) of d_s on the (s, r) strand in chain order, the
-        exact row being row / L on columns -p; kept for the strand above."""
-        out = kept.get((s, r))
+    def block(s, r, d, i):
+        """Rows (row, L) of d_s on the chains a_i|x of the (s, r) strand, a_i
+        the i-th basis word of degree d, in the order of x, the exact row
+        being row / L on columns -p; built on first read and kept.  The
+        one chain a_i of strand 1 has the row 0."""
+        out = kept.get((s, r, d, i))
         if out is not None:
             return out
         if s == 1:
-            # d_1 = 0
-            out = kept[s, r] = [({}, 1)] * start[1][r][-1]
-            return out
-        out = kept[s, r] = []
+            return zero         # d_1 = 0
+        out = kept[s, r, d, i] = []
         here, there = start[s - 1][r], start[s - 2]
-        for d in range(1, r - s + 2):
-            if not h[d] or not start[s - 1][r - d][-1]:
+        off = here[d] + i * there[r - d][-1]
+        for d1 in range(1, r - d - s + 3):
+            n2 = there[r - d - d1][-1]
+            if not h[d1] or not n2:
                 continue
-            xrows = rows_of(s - 1, r - d)
-            ny = there[r - d][-1]
-            for i in range(h[d]):
-                off = here[d] + i * ny
-                q = 0
-                for d1 in range(1, r - d - s + 3):
-                    n2 = there[r - d - d1][-1]
-                    if not h[d1] or not n2:
-                        continue
-                    base = here[d + d1]
-                    line = mult(d, d1)[i]
-                    for j in range(h[d1]):
-                        terms, dm = line[j]
-                        cols = [(-base - k * n2, c) for k, c in terms.items()]
-                        for q2 in range(n2):
-                            rx, lx = xrows[q]
-                            q += 1
-                            if lx == dm:
-                                out.append((_bar_row(rx, off, cols, q2, 1, 1), dm))
-                            else:
-                                den = lcm(dm, lx)
-                                out.append((_bar_row(rx, off, cols, q2, den // lx,
-                                                     den // dm), den))
+            base = here[d + d1]
+            line = mult(d, d1)[i]
+            for j in range(h[d1]):
+                terms, dm = line[j]
+                cols = [(-base - k * n2, c) for k, c in terms.items()]
+                xrows = block(s - 1, r - d, d1, j)
+                for q2 in range(n2):
+                    rx, lx = xrows[q2]
+                    if lx == dm:
+                        out.append((_bar_row(rx, off, cols, q2, 1, 1), dm))
+                    else:
+                        den = lcm(dm, lx)
+                        out.append((_bar_row(rx, off, cols, q2, den // lx, den // dm),
+                                    den))
         return out
 
     def residual_rows(s, r):
         """Each residual row of d_s on the (s, r) strand, per pair of
         ``residual`` and per x', as a fresh integer dict with no zero
-        entry: the row times dm and the lcm of the kept rows' scales, from
-        the kept rows of the (s - 1, r - 1) strand; l_a|y sits at
+        entry: the row times dm and the lcm of its parts' scales, from the
+        kept blocks of the (s - 1, r - 1) strand; l_a|y sits at
         a cnt(s-2, r-1) + pos(y), the letter chains coming first."""
-        xrows = rows_of(s - 1, r - 1)
-        scaled = any(lx != 1 for _, lx in xrows)
-        there, below = start[s - 1][r - 1], start[s - 2]
+        below = start[s - 2]
         ny = below[r - 1][-1]
         for d1 in range(1, r - s + 2):
             nx = below[r - 1 - d1][-1]
             if not nx:
                 continue
-            base = there[d1]
             for i, j, terms, dm in residual(d1):
-                parts = [(i * ny, base + j * nx, -dm)]
-                parts += [(a * ny, base + b * nx, c) for a, b, c in terms]
+                parts = [(i * ny, block(s - 1, r - 1, d1, j), -dm)]
+                parts += [(a * ny, block(s - 1, r - 1, d1, b), c) for a, b, c in terms]
                 for q2 in range(nx):
-                    den = lcm(*[xrows[src + q2][1] for _, src, _ in parts]) if scaled else 1
+                    den = 1
+                    for _, xrows, _ in parts:
+                        lx = xrows[q2][1]
+                        if lx != 1:
+                            den = lcm(den, lx)
                     row = {}
-                    for off, src, f in parts:
-                        rx, lx = xrows[src + q2]
+                    for off, xrows, f in parts:
+                        rx, lx = xrows[q2]
                         if lx != den:
                             f *= den // lx
                         for col, c in rx.items():
@@ -529,9 +559,9 @@ def tor_bar(ring, hom_degree, bound):
         d = start[n][m][-1] - letter_rank(n, m) - letter_rank(n + 1, m)
         if d:
             dims[m] = d
-    # rows_of refers to itself: unbinding it breaks the cycle, so the kept
+    # block refers to itself: unbinding it breaks the cycle, so the kept
     # rows and the product tables go when tor_bar returns
-    rows_of = None
+    block = None
     return TorTable(n, bound, dims)
 
 

@@ -1,4 +1,6 @@
 import gc
+import sys
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -428,20 +430,26 @@ def _count_steps(monkeypatch):
 
 def test_bar_spans_read_the_letter_rows(monkeypatch):
     # each rank of tor_bar reads the letter rows l|w|x' whose product l w
-    # is no basis word, as residual rows: sum_d1 (h(1) h(d1) - h(1 + d1))
-    # cnt(s-2, m-1-d1) of them for d_3 and d_4 in every degree m, w of
-    # degree d1 (their rows are pinned by
-    # test_bar_ranks_count_the_normal_product_rows).  k[x, y, z] has no
+    # is no basis word and whose prefix l w[:-1] is one, as residual rows:
+    # sum_d1 (kept pairs of degree d1) cnt(s-2, m-1-d1) of them for d_3 and
+    # d_4 in every degree m, w of degree d1 (their rows are pinned by
+    # test_bar_ranks_count_the_normal_product_rows).  The normal words of
+    # k[x, y, z] are the non-increasing ones, closed under a quadratic
+    # Gröbner basis, so only the 3 pairs with d1 = 1 are kept; it has no
     # zero residual row
     ring, rel = setup(3, ["x*y - y*x", "x*z - z*x", "y*z - z*y"], XYZ)
     ranks = _spy_ranks(monkeypatch)
     assert tor_bar(ring, 3, 6).dims == {3: 1}
-    h = [len(basis_words(ring, d)) for d in range(7)]
+    normal = [set(basis_words(ring, d)) for d in range(7)]
+    kept = [sum((l,) + w not in normal[d1 + 1] and (l,) + w[:-1] in normal[d1]
+                for l in range(ring.g) for w in normal[d1])
+            for d1 in range(6)]
+    assert kept[1:] == [3, 0, 0, 0, 0]
     sizes = [len(rows) for rows in ranks]
-    assert sizes == [sum((ring.g * h[d1] - h[1 + d1]) * len(naive_strand(ring, s - 2, m - 1 - d1))
+    assert sizes == [sum(kept[d1] * len(naive_strand(ring, s - 2, m - 1 - d1))
                          for d1 in range(1, m - 1))
                      for m in range(3, 7) for s in (3, 4)]
-    assert sizes == [9, 0, 42, 27, 123, 180, 287, 711]
+    assert sizes == [9, 0, 18, 27, 30, 108, 45, 288]
 
 
 def _chain_key(ring):
@@ -509,10 +517,12 @@ def _bar_rings(field):
 def _naive_letter_rows(ring, s, r, key):
     """The letter chains l|w|x' of the (s, r) strand in chain order; their
     naive rows, the chain at place q of the (s-1, r) strand being column
-    -q; and the residual row of each chain whose l w is no basis word: its
-    row minus sum c_k times the row of l_k|w_k|x', nf(l w) = sum c_k l_k w_k."""
+    -q; the residual row of each chain whose l w is no basis word: its
+    row minus sum c_k times the row of l_k|w_k|x', nf(l w) = sum c_k l_k w_k;
+    and the set of those chains whose pair tor_bar skips, their prefix
+    l w[:-1] being no basis word."""
     zero = ring.field.zero
-    normal = {d: set(basis_words(ring, d)) for d in range(2, r + 1)}
+    normal = {d: set(basis_words(ring, d)) for d in range(1, r + 1)}
     below = sorted(naive_strand(ring, s - 1, r), key=key)
     dom = sorted((c for c in naive_strand(ring, s, r) if len(c[0]) == 1), key=key)
     rows = {c: {-q: x for q, x in row.items()}
@@ -527,7 +537,8 @@ def _naive_letter_rows(ring, s, r, key):
             for col, x in rows[(e[:1], e[1:]) + c[2:]].items():
                 row[col] = row.get(col, zero) - beta * x
         residual[c] = {col: x for col, x in row.items() if x}
-    return dom, rows, residual
+    skipped = {c for c in residual if c[0] + c[1][:-1] not in normal[len(c[1])]}
+    return dom, rows, residual, skipped
 
 
 def _monic(row):
@@ -537,36 +548,70 @@ def _monic(row):
     return {c: s / lead for c, s in row.items()}
 
 
+def _handed_strands(ring, monkeypatch):
+    """(s, m, handed, naive) for d_2, d_3 and d_4 in each degree m <= 6:
+    the rows tor_bar hands to the rank of d_s on the (s, m) strand, read in
+    the field with their zero rows dropped, and ``_naive_letter_rows`` of
+    that strand.  d_3 is read from tor_bar(ring, 2, 6)."""
+    field, key = ring.field, _chain_key(ring)
+    ranks = _spy_ranks(monkeypatch)
+    for n in (2, 3):
+        ranks.clear()
+        tor_bar(ring, n, 6)
+        got = iter(ranks)
+        for m in range(n, 7):
+            for s in (n, n + 1):
+                handed = [{c: field.from_int(x) for c, x in row.items()
+                           if field.from_int(x)} for row in next(got)]
+                if (n, s) != (3, 3):
+                    yield s, m, [row for row in handed if row], _naive_letter_rows(
+                        ring, s, m, key)
+
+
 @pytest.mark.parametrize("p", [None, 7])
 def test_bar_ranks_count_the_normal_product_rows(p, monkeypatch):
     # a letter row of l|w|x' whose product l w is a basis word is counted;
-    # every other one goes to the rank as its residual row.  For d_2, d_3
-    # and d_4 to degree 6 the count plus the rank of the rows handed over
-    # is the rank of the naive letter rows, and the rows handed over are
-    # the nonzero naive residual rows up to scale, in the order of the
-    # degree of w, then l, w and x', once read in the field.  Over F_7 the
-    # residual rows cancel mod 7 where the integers do not
+    # of the others, those whose prefix l w[:-1] is a basis word go to the
+    # rank as residual rows and the rest are skipped.  For d_2, d_3 and d_4
+    # to degree 6 the count plus the rank of the rows handed over is the
+    # rank of the naive letter rows, and the rows handed over are the
+    # nonzero naive residual rows of the pairs not skipped, up to scale, in
+    # the order of the degree of w, then l, w and x', once read in the
+    # field.  Over F_7 the residual rows cancel mod 7 where the integers do
+    # not
     field = QQ if p is None else PrimeField(p)
-    ranks = _spy_ranks(monkeypatch)
     for ring in _bar_rings(field):
         key = _chain_key(ring)
-        for n in (2, 3):
-            ranks.clear()
-            tor_bar(ring, n, 6)
-            got = iter(ranks)
-            for m in range(n, 7):
-                for s in (n, n + 1):
-                    handed = [{c: field.from_int(x) for c, x in row.items()
-                               if field.from_int(x)} for row in next(got)]
-                    handed = [row for row in handed if row]
-                    if s == 3 and n == 3:
-                        continue        # checked from tor_bar(ring, 2, 6)
-                    dom, rows, residual = _naive_letter_rows(ring, s, m, key)
-                    order = sorted(residual, key=lambda c: (len(c[1]), key(c)))
-                    want = [residual[c] for c in order if residual[c]]
-                    assert [_monic(row) for row in handed] == [_monic(row) for row in want]
-                    count = len(dom) - len(residual)
-                    assert count + span(field, handed).rank == span(field, rows.values()).rank
+        for s, m, handed, (dom, rows, residual, skipped) in _handed_strands(
+                ring, monkeypatch):
+            order = sorted(set(residual) - skipped, key=lambda c: (len(c[1]), key(c)))
+            want = [residual[c] for c in order if residual[c]]
+            assert [_monic(row) for row in handed] == [_monic(row) for row in want]
+            count = len(dom) - len(residual)
+            assert count + span(field, handed).rank == span(field, rows.values()).rank
+
+
+@pytest.mark.parametrize("p", [None, 7])
+def test_bar_skipped_pairs_lie_in_the_counted_and_handed_span(p, monkeypatch):
+    # the second Morse step: the naive letter rows of the pairs (l, w)
+    # that tor_bar skips, deg w >= 2 and l w[:-1] no basis word, lie in
+    # the span of the counted rows and the rows handed to the rank, and so
+    # does every other letter row.  The first 20 sampler rings have cubic
+    # relations and kept pairs with deg w = 2 and 3 (sample rings 2, 4, 6
+    # and more), which a skip of every pair with deg w >= 2 would drop.
+    # Sample ring 193, x^2, y^2, xyx + 2xyy, keeps the pair (x, yx), and a
+    # skip that tested the suffix l w[1:] would drop it
+    field = QQ if p is None else PrimeField(p)
+    skips, keeps = 0, set()
+    for ring in _bar_rings(field) + [sampler_rings(field, 194)[193][0]]:
+        for s, m, handed, (dom, rows, residual, skipped) in _handed_strands(
+                ring, monkeypatch):
+            spanned = span(field, [rows[c] for c in dom if c not in residual] + handed)
+            assert spanned.rank == span(field, rows.values()).rank, (s, m)
+            assert all(spanned.contains(row) for row in rows.values()), (s, m)
+            skips += len(skipped)
+            keeps.update(len(c[1]) for c in set(residual) - skipped)
+    assert skips and keeps >= {1, 2, 3}
 
 
 @pytest.mark.parametrize("p", [None, 7])
@@ -588,7 +633,7 @@ def test_bar_letter_rows_lead_at_their_merged_chain(p, monkeypatch):
                 below = sorted(naive_strand(ring, s - 1, m), key=key)
                 index = {c: q for q, c in enumerate(below)}
                 letters = sum(len(c[0]) == 1 for c in below)
-                dom, rows, residual = _naive_letter_rows(ring, s, m, key)
+                dom, rows, residual, _ = _naive_letter_rows(ring, s, m, key)
                 counted = set()
                 for chain in dom:
                     row = rows[chain]
@@ -603,13 +648,73 @@ def test_bar_letter_rows_lead_at_their_merged_chain(p, monkeypatch):
                         counted.add(lead)
                 for row in residual.values():
                     assert all(-c < letters for c in row)
-    # k[x, y, z] at bound 8: the ranks take 10 703 residual rows and 20 829
+    # k[x, y, z] at bound 8: the ranks take 2 520 residual rows and 1 571
     # elimination steps
     ranks = _spy_ranks(monkeypatch)
     steps = _count_steps(monkeypatch)
     assert tor_bar(rings[-2], 3, 8).dims == {3: 1}
-    assert sum(map(len, ranks)) == 10703
-    assert steps == [20829]
+    assert sum(map(len, ranks)) == 2520
+    assert steps == [1571]
+
+
+def test_bar_blocks_built_once_where_read(monkeypatch):
+    # tor_bar builds the rows of a block (s, r, d, i), the chains a_i|x of
+    # the (s, r) strand whose first factor is the i-th basis word of
+    # degree d, on its first read and keeps them.  The rank of d_s in
+    # degree m reads the blocks (s - 1, m - 1, d1, j) of each kept pair
+    # (l, w_j) and of the w_{b_k} of nf(l w_j) = sum c_k l_{a_k} w_{b_k}, and
+    # a block of strand s > 2 reads every block of strand s - 1 that holds
+    # its x.  Each _bar_row call builds one row of the block its caller's
+    # frame, block(s, r, d, i), names: on k[x, y, z] at bound 8 every block
+    # read is built once, in full, and no other, 138 of the 323 blocks of
+    # strands 2 and 3 in degrees <= 7; 3 112 rows, where the whole strands
+    # below the bound held 8 128
+    ring, rel = setup(3, ["x*y - y*x", "x*z - z*x", "y*z - z*y"], XYZ)
+    built = Counter()
+    real = homology._bar_row
+
+    def spy(*args):
+        frame = sys._getframe(1).f_locals
+        built[frame["s"], frame["r"], frame["d"], frame["i"]] += 1
+        return real(*args)
+    monkeypatch.setattr(homology, "_bar_row", spy)
+    assert tor_bar(ring, 3, 8).dims == {3: 1}
+    words = [basis_words(ring, d) for d in range(8)]
+    normal = [set(ws) for ws in words]
+    rank = [{w: k for k, w in enumerate(ws)} for ws in words]
+
+    def cnt(s, r):
+        return len(naive_strand(ring, s, r)) if s else r == 0
+
+    read = set()
+
+    def reads(s, r, d, i):
+        if s == 1 or (s, r, d, i) in read:
+            return
+        read.add((s, r, d, i))
+        for d1 in range(1, r - d - s + 3):
+            if cnt(s - 2, r - d - d1):
+                for j in range(len(words[d1])):
+                    reads(s - 1, r - d, d1, j)
+    for m in range(3, 9):
+        for s in (3, 4):
+            for d1 in range(1, m - s + 2):
+                if not cnt(s - 2, m - 1 - d1):
+                    continue
+                for l in range(ring.g):
+                    for j, w in enumerate(words[d1]):
+                        lw = (l,) + w
+                        if lw in normal[d1 + 1] or (l,) + w[:-1] not in normal[d1]:
+                            continue
+                        reads(s - 1, m - 1, d1, j)
+                        for e in naive_nf(ring, lw):
+                            reads(s - 1, m - 1, d1, rank[d1][e[1:]])
+    assert set(built) == read
+    assert all(n == cnt(s - 1, r - d) for (s, r, d, i), n in built.items())
+    blocks = sum(len(words[d]) for s in (2, 3) for r in range(s, 8)
+                 for d in range(1, r - s + 2))
+    assert (len(read), blocks) == (138, 323)
+    assert sum(built.values()) == 3112
 
 
 def test_bar_strand_guard_before_rows(monkeypatch):
